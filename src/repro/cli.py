@@ -777,6 +777,7 @@ def cmd_chaos(args) -> int:
 def cmd_bench(args) -> int:
     """Measure hot-path throughput and write ``BENCH_hotpath.json``."""
     from repro.perf.hotpath import check_report, run_bench, write_report
+    from repro.runtime_events.columns import describe_representation
 
     overrides = {}
     for spec in args.tolerance_override:
@@ -809,7 +810,7 @@ def cmd_bench(args) -> int:
         rows,
     )
     print(
-        f"batch representation: {report['batch_representation']}, "
+        f"batch representation: {describe_representation()}, "
         f"state backend: {report['state_backend']}"
     )
     if "layers" in report:
@@ -1013,7 +1014,7 @@ def cmd_list(args) -> int:
     from repro.state import backend_names, codec_names
 
     from repro.runtime_events.bus import TOPICS
-    from repro.runtime_events.columns import active_representation
+    from repro.runtime_events.columns import describe_representation
 
     print("workloads: count (microbenchmark, uniform or skewed), "
           "nexmark (queries 1-8)")
@@ -1021,7 +1022,7 @@ def cmd_list(args) -> int:
     print(f"state backends: {', '.join(backend_names())}")
     print(f"codecs: {', '.join(codec_names())}")
     print(f"bus topics: {', '.join(TOPICS)}")
-    print(f"batch representation: {active_representation()}")
+    print(f"batch representation: {describe_representation()}")
     print(f"planner objectives: {', '.join(OBJECTIVES)}")
     print("planner policies: closed-loop (cooldown, cost/benefit gate, "
           "SLO pacing), propose-only (advisor)")

@@ -17,6 +17,7 @@ payload faithful to ``keys x bytes-per-key``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.harness.openloop import Lcg
@@ -110,8 +111,9 @@ def columnar_count_fold(group: ColumnGroup):
     """
     starts = group.starts
     states = group.states
-    np = columns._np
-    if np is not None and isinstance(group.keys, np.ndarray):
+    numpy_group = columns.is_numpy_column(group.keys)
+    if numpy_group:
+        np = columns._np
         starts_arr = np.asarray(starts, dtype=np.int64)
         sizes = np.diff(starts_arr)
         before = np.asarray([s.records for s in states], dtype=np.int64)
@@ -128,22 +130,28 @@ def columnar_count_fold(group: ColumnGroup):
             for j, state in enumerate(states):
                 state.records += int(sizes[j])
             return ColumnBatch(group.keys, counts)
-    # Pure-array fallback (and the expected_keys <= 0 corner): the scalar
-    # fold per record, gathered into one output column.
-    from array import array
-
-    counts_col = array("q")
-    append = counts_col.append
-    for j, state in enumerate(states):
-        for _ in range(starts[j + 1] - starts[j]):
-            state.records += 1
-            if state.expected_keys > 0:
-                append(1 + int(state.records / state.expected_keys))
-            else:
-                append(state.records)
-    if np is not None and isinstance(group.keys, np.ndarray):
-        return ColumnBatch(group.keys, np.asarray(counts_col, dtype=np.int64))
-    return ColumnBatch(group.keys, counts_col)
+    # ``array`` groups (and the expected_keys <= 0 corner): the scalar fold
+    # per record, gathered into one output column.
+    counts_list: list[int] = []
+    append = counts_list.append
+    lo = starts[0]
+    for j, state in enumerate(states, 1):
+        hi = starts[j]
+        records = state.records
+        expected = state.expected_keys
+        if expected > 0:
+            for _ in range(hi - lo):
+                records += 1
+                append(1 + int(records / expected))
+        else:
+            for _ in range(hi - lo):
+                records += 1
+                append(records)
+        state.records = records
+        lo = hi
+    if numpy_group:
+        return ColumnBatch(group.keys, np.asarray(counts_list, dtype=np.int64))
+    return ColumnBatch(group.keys, array("q", counts_list))
 
 
 @dataclass

@@ -243,7 +243,14 @@ class _FLogic:
             and not self._pending_updates
             and not self._pending_migrations
         ):
-            dsts = columns.gather(table.owners_vector(), bin_col)
+            # An ndarray gathers from the cached owners column, an
+            # ``array`` of bin ids from the flat owners list.
+            owners = (
+                table.owners_vector()
+                if columns.is_numpy_column(bin_col)
+                else table.current_owners
+            )
+            dsts = columns.gather(owners, bin_col)
         else:
             # Mid-migration: owners must be resolved at the batch's time.
             # All records share one timestamp, so memoize per unique bin,
@@ -257,7 +264,7 @@ class _FLogic:
                 if dst is None:
                     dst = owner_cache[bin_id] = worker_for(bin_id, time)
                 append(dst)
-            dsts = columns.make_index_vector(dst_list)
+            dsts = columns.make_index_vector(dst_list, like=bin_col)
         order, bounds = columns.split_by_destination(dsts)
         if not bounds:
             return

@@ -100,6 +100,8 @@ class RoutingTable:
         Cached until the next :meth:`integrate`; while the history is flat
         the vectorized F path gathers destination workers from this column
         in one operation instead of one ``worker_for`` call per record.
+        Batches in the ``array`` representation index the flat
+        ``current_owners`` list directly instead.
         """
         vec = self._owners_cache
         if vec is None:

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
 from repro.nexmark.harness import run_nexmark_experiment
-from repro.runtime_events.columns import active_representation
+from repro.runtime_events import columns
 from repro.versions import BENCH_SCHEMA
 
 # Layers reported by the per-layer CPU breakdown, matched by source path.
@@ -205,7 +205,12 @@ def machine_metadata() -> dict:
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "numpy": numpy_version,
-        "batch_representation": active_representation(),
+        "batch_representation": columns.active_representation(),
+        # Batches shorter than this are stdlib arrays even with numpy
+        # installed (None: numpy absent, every batch is).
+        "small_batch_cutoff": (
+            columns.SMALL_BATCH_CUTOFF if columns.numpy_active() else None
+        ),
     }
 
 
@@ -362,7 +367,7 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "scale": scale.name,
         "state_backend": scale.state_backend,
-        "batch_representation": active_representation(),
+        "batch_representation": columns.active_representation(),
         "machine": machine_metadata(),
         "config": asdict(scale),
         "workloads": {

@@ -8,14 +8,24 @@ grouping, count folding — then amortizes over whole arrays.
 
 Two representations share one interface:
 
-* **numpy** (when importable): columns are ``ndarray``s and the kernels
-  below vectorize; this is the fast path.
-* **pure ``array``** (stdlib) fallback: columns are ``array('Q')``/
-  ``array('q')`` and the kernels loop — bit-identical results, no third-
-  party dependency.
+* **numpy**: columns are ``ndarray``s and the kernels below vectorize — a
+  fixed cost of about a microsecond per ufunc call, then nearly free per
+  record.
+* **stdlib ``array``**: columns are ``array('Q')``/``array('q')`` (index
+  vectors are plain lists) and the kernels loop — no per-call overhead,
+  about a microsecond per record, bit-identical results, no third-party
+  dependency.
 
-The active representation is chosen once at import; tests monkeypatch the
-module-global ``_np`` to ``None`` to exercise the fallback.
+The representation is a property of the *batch*, not of the process.  A
+column is **born** (``ColumnBatch.from_*``, ``ones_column``,
+``make_index_vector``, ``VectorLcg.next_batch``) as an ``array`` when it is
+shorter than :data:`SMALL_BATCH_CUTOFF` and as an ``ndarray`` otherwise;
+**derived** columns (``take``/``slice``/``gather``/``mod_column``/
+``bin_ids_for``) inherit the representation of their input, every kernel
+dispatches on the columns it is handed, and **mixed** inputs (``concat``,
+``merge_segments``, ``gather``) are normalised with numpy winning.  Without
+numpy everything is an ``array`` whatever its length; tests monkeypatch the
+module-global ``_np`` to ``None`` to force that mode.
 
 Correctness contract: every kernel here is *bit-identical* to its scalar
 reference (the per-record splitmix64 ``bin_fn`` in
@@ -43,26 +53,90 @@ KIND_KV = "kv"
 KIND_OBJ = "obj"
 
 
+# Columns born shorter than this are stdlib ``array``s, the rest ndarrays.
+# Measured, not guessed: ``benchmarks/bench_column_crossover.py`` times what a
+# batch costs end to end (F route + S merge + counting fold) under both
+# representations and reports numpy/array as the median of back-to-back
+# rounds.  Linux 6.18 x86_64, 2 vCPU, CPython 3.11.7, numpy 2.4.6:
+#
+#   records          4     8    12    16    24    32    48    64   128   256
+#   16 workers    2.21  1.73  1.58  1.43  1.20  1.08  0.89  0.80  0.60  0.47
+#   4 workers     2.31  1.75  1.58  1.38  1.14  1.01  0.81  0.71  0.52  0.43
+#
+# so numpy starts to pay between 32 and 48 records on the paper's 16-worker
+# shape and breaks even at 32 with 4 workers (fewer, longer per-destination
+# slices).  The stages differ — the route crosses at 24, the merge at 48-64,
+# the fold at 128-256 — but a batch keeps one representation from source to
+# fold, so the sum decides.  Rerun the script before moving this.
+SMALL_BATCH_CUTOFF = 32
+
+
 def numpy_active() -> bool:
-    """Whether the numpy representation is in use."""
+    """Whether numpy is available (batches of ``SMALL_BATCH_CUTOFF`` records
+    and more then use the numpy representation)."""
     return _np is not None
 
 
 def active_representation() -> str:
-    """Name of the active columnar representation (for reports/CLI)."""
+    """Name of the large-batch columnar representation (for reports/CLI).
+
+    ``"columnar-numpy"`` whenever numpy is importable — small batches are
+    ``array``s even then — and ``"columnar-array"`` when every batch is.
+    """
     return "columnar-numpy" if _np is not None else "columnar-array"
 
 
+def describe_representation() -> str:
+    """One line for reports: numpy availability and the small-batch rule."""
+    if _np is None:
+        return "columnar-array (numpy absent: every batch is a stdlib array)"
+    return (
+        f"columnar-numpy (numpy {_np.__version__}; batches under "
+        f"{SMALL_BATCH_CUTOFF} records are stdlib arrays)"
+    )
+
+
+def is_numpy_column(column) -> bool:
+    """Whether ``column`` is in the numpy representation."""
+    return _np is not None and isinstance(column, _np.ndarray)
+
+
+def _born_numpy(n: int) -> bool:
+    """The selection rule: a column of ``n`` records is born an ndarray."""
+    return _np is not None and n >= SMALL_BATCH_CUTOFF
+
+
 def _key_column(values: Sequence[int]):
-    if _np is not None:
+    if _born_numpy(len(values)):
         return _np.asarray(values, dtype=_np.uint64)
     return array("Q", values)
 
 
 def _val_column(values: Sequence[int]):
-    if _np is not None:
+    if _born_numpy(len(values)):
         return _np.asarray(values, dtype=_np.int64)
     return array("q", values)
+
+
+def _index_list(sel) -> list:
+    """An index vector of either representation as a list of Python ints."""
+    if type(sel) is list:
+        return sel
+    return sel.tolist() if hasattr(sel, "tolist") else list(sel)
+
+
+def _concat_columns(cols: list, typecode: str):
+    """Concatenate columns in order; one ndarray among them makes the result
+    an ndarray (``array``s convert through the buffer protocol, same dtype)."""
+    if _np is not None:
+        ndarray = _np.ndarray
+        for col in cols:
+            if isinstance(col, ndarray):
+                return _np.concatenate(cols)
+    out = array(typecode)
+    for col in cols:
+        out.extend(col)
+    return out
 
 
 class ColumnBatch:
@@ -181,27 +255,32 @@ class ColumnBatch:
     # -- column surgery ------------------------------------------------------
 
     def take(self, sel) -> "ColumnBatch":
-        """A new batch with the records selected by index array ``sel``."""
+        """A new batch with the records selected by index vector ``sel``.
+
+        The result has this batch's representation whichever one ``sel``
+        has.
+        """
         keys = self.keys
+        times = self.times
         if _np is not None and isinstance(keys, _np.ndarray):
             new_keys = keys[sel]
             if self.kind == KIND_OBJ:
                 vals = self.vals
-                new_vals = [vals[i] for i in sel.tolist()]
+                new_vals = [vals[i] for i in _index_list(sel)]
             else:
                 new_vals = self.vals[sel]
-            new_times = self.times[sel] if self.times is not None else None
+            new_times = times[sel] if times is not None else None
         else:
-            idx = list(sel)
-            new_keys = array("Q", (keys[i] for i in idx))
+            idx = _index_list(sel)
+            new_keys = array("Q", [keys[i] for i in idx])
+            vals = self.vals
             if self.kind == KIND_OBJ:
-                vals = self.vals
                 new_vals = [vals[i] for i in idx]
             else:
-                vals = self.vals
-                new_vals = array("q", (vals[i] for i in idx))
-            times = self.times
-            new_times = array("q", (times[i] for i in idx)) if times is not None else None
+                new_vals = array("q", [vals[i] for i in idx])
+            new_times = (
+                array("q", [times[i] for i in idx]) if times is not None else None
+            )
         return ColumnBatch(new_keys, new_vals, self.kind, new_times)
 
     def slice(self, lo: int, hi: int) -> "ColumnBatch":
@@ -221,30 +300,21 @@ class ColumnBatch:
 
     @classmethod
     def concat(cls, batches: list["ColumnBatch"]) -> "ColumnBatch":
-        """Concatenate batches of one kind, preserving order."""
+        """Concatenate batches of one kind, preserving order.
+
+        Batches of both representations may be mixed; the result is numpy
+        if any input is.
+        """
         if len(batches) == 1:
             return batches[0]
         kind = batches[0].kind
-        if _np is not None and isinstance(batches[0].keys, _np.ndarray):
-            keys = _np.concatenate([b.keys for b in batches])
-            if kind == KIND_OBJ:
-                vals: list = []
-                for b in batches:
-                    vals.extend(b.vals)
-            else:
-                vals = _np.concatenate([b.vals for b in batches])
-        else:
-            keys = array("Q")
+        keys = _concat_columns([b.keys for b in batches], "Q")
+        if kind == KIND_OBJ:
+            vals: list = []
             for b in batches:
-                keys.extend(b.keys)
-            if kind == KIND_OBJ:
-                vals = []
-                for b in batches:
-                    vals.extend(b.vals)
-            else:
-                vals = array("q")
-                for b in batches:
-                    vals.extend(b.vals)
+                vals.extend(b.vals)
+        else:
+            vals = _concat_columns([b.vals for b in batches], "q")
         return cls(keys, vals, kind)
 
 
@@ -265,71 +335,42 @@ def bin_ids_for(keys, shift: int):
         x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
         x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
         return ((x ^ (x >> u(31))) >> u(shift)).astype(_np.int64)
-    out = array("q")
-    append = out.append
     if shift >= 64:
-        for _ in keys:
-            append(0)
-        return out
+        return array("q", bytes(8 * len(keys)))
+    out = []
+    append = out.append
     for value in keys:
         value = (value + 0x9E3779B97F4A7C15) & _MASK64
         value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
         append((value ^ (value >> 31)) >> shift)
-    return out
+    return array("q", out)
 
 
-def make_index_vector(values: Sequence[int]):
-    """An int index vector for vectorized gathers (owners arrays)."""
-    if _np is not None:
+def make_index_vector(values: Sequence[int], like=None):
+    """An int index vector (destinations, owners) for gathers and grouping.
+
+    Born by length, or — derived — in the representation of the column
+    ``like`` it indexes or is grouped with.
+    """
+    as_numpy = _born_numpy(len(values)) if like is None else is_numpy_column(like)
+    if as_numpy:
         return _np.asarray(values, dtype=_np.int64)
     return list(values)
 
 
 def gather(vector, idx):
-    """``vector[i] for i in idx`` in the active representation."""
-    if _np is not None and isinstance(vector, _np.ndarray):
-        return vector[idx]
-    return array("q", (vector[i] for i in idx))
+    """``vector[i] for i in idx`` as a signed column.
 
-
-def group_by_destination(dsts) -> list:
-    """Group record positions by destination, first-occurrence order.
-
-    Returns ``[(dst, sel), ...]`` where ``sel`` selects that destination's
-    records in arrival order.  Destinations appear in the order their first
-    record arrived — exactly the dict-insertion order the per-record
-    reference path emits, which the per-link network serialization makes
-    observable.
+    The result is numpy if either input is, else an ``array('q')``;
+    ``vector`` may also be a plain list (F's flat ``current_owners``).
     """
-    n = len(dsts)
-    if n == 0:
-        return []
-    if _np is not None and isinstance(dsts, _np.ndarray):
-        order = _np.argsort(dsts, kind="stable")
-        sd = dsts[order]
-        if n and sd[0] == sd[-1]:
-            return [(int(sd[0]), order)]
-        cuts = _np.flatnonzero(sd[1:] != sd[:-1]) + 1
-        bounds = [0, *cuts.tolist(), n]
-        segments = []
-        for i in range(len(bounds) - 1):
-            lo, hi = bounds[i], bounds[i + 1]
-            sel = order[lo:hi]
-            # ``order`` is stable, so ``sel[0]`` is the arrival position of
-            # this destination's first record: sorting on it recovers
-            # first-occurrence emission order.
-            segments.append((int(sd[lo]), int(sel[0]), sel))
-        segments.sort(key=lambda seg: seg[1])
-        return [(dst, sel) for dst, _first, sel in segments]
-    groups: dict[int, list] = {}
-    for i, dst in enumerate(dsts):
-        sel = groups.get(dst)
-        if sel is None:
-            groups[dst] = [i]
-        else:
-            sel.append(i)
-    return list(groups.items())
+    if _np is not None:
+        if isinstance(vector, _np.ndarray):
+            return vector[idx]
+        if isinstance(idx, _np.ndarray):
+            return _np.asarray(vector, dtype=_np.int64)[idx]
+    return array("q", [vector[i] for i in idx])
 
 
 def split_by_destination(dsts) -> tuple:
@@ -338,11 +379,12 @@ def split_by_destination(dsts) -> tuple:
     Returns ``(order, [(dst, lo, hi), ...])``: applying ``order`` to the
     batch columns puts each destination's records in one contiguous run
     ``[lo, hi)`` (arrival order within the run), and the bounds appear in
-    first-occurrence emission order — the same order
-    :func:`group_by_destination` produces, but the caller splits with
-    column *slices* (views on numpy) instead of one fancy-index gather per
-    destination.  ``order is None`` with a single bound means every record
-    already shares one destination and no reorder is needed.
+    first-occurrence emission order — exactly the dict-insertion order the
+    per-record reference path emits, which the per-link network
+    serialization makes observable.  The caller splits with column *slices*
+    (views on numpy) instead of one fancy-index gather per destination.
+    ``order is None`` with a single bound means every record already shares
+    one destination and no reorder is needed.
     """
     n = len(dsts)
     if n == 0:
@@ -363,21 +405,23 @@ def split_by_destination(dsts) -> tuple:
             segs.append((int(order[lo]), int(sd[lo]), lo, hi))
         segs.sort()
         return order, [(dst, lo, hi) for _first, dst, lo, hi in segs]
+    first = dsts[0]
+    if dsts.count(first) == n:
+        return None, [(first, 0, n)]
     groups: dict[int, list] = {}
     for i, dst in enumerate(dsts):
-        sel = groups.get(dst)
-        if sel is None:
-            groups[dst] = [i]
+        if dst in groups:
+            groups[dst].append(i)
         else:
-            sel.append(i)
-    if len(groups) == 1:
-        return None, [(next(iter(groups)), 0, n)]
+            groups[dst] = [i]
     order_list: list[int] = []
     bounds: list[tuple] = []
+    lo = 0
     for dst, sel in groups.items():
-        lo = len(order_list)
-        order_list.extend(sel)
-        bounds.append((dst, lo, len(order_list)))
+        order_list += sel
+        hi = lo + len(sel)
+        bounds.append((dst, lo, hi))
+        lo = hi
     return order_list, bounds
 
 
@@ -402,11 +446,13 @@ def group_by_bin_sorted(bins) -> tuple:
         ubins = [int(sb[s]) for s in starts[:-1]]
         return order, ubins, starts
     order = sorted(range(n), key=bins.__getitem__)
+    sorted_bins = [bins[i] for i in order]
+    if sorted_bins[0] == sorted_bins[-1]:
+        return order, [sorted_bins[0]], [0, n]
     ubins: list[int] = []
     starts: list[int] = []
     previous = None
-    for pos, i in enumerate(order):
-        b = bins[i]
+    for pos, b in enumerate(sorted_bins):
         if b != previous:
             ubins.append(b)
             starts.append(pos)
@@ -446,13 +492,12 @@ class VectorLcg:
         while len(mults) < n:
             mults.append((mults[-1] * self.MULT) & _MASK64)
             offsets.append((offsets[-1] * self.MULT + self.INC) & _MASK64)
-        if _np is not None:
-            self._mults_np = _np.asarray(mults, dtype=_np.uint64)
-            self._offsets_np = _np.asarray(offsets, dtype=_np.uint64)
+        self._mults_np = _np.asarray(mults, dtype=_np.uint64)
+        self._offsets_np = _np.asarray(offsets, dtype=_np.uint64)
 
     def next_batch(self, n: int):
         """The next ``n`` outputs as an unsigned column."""
-        if _np is not None:
+        if _born_numpy(n):
             if self._mults_np is None or len(self._mults_np) < n:
                 self._grow(n)
             states = (
@@ -461,7 +506,7 @@ class VectorLcg:
             )
             self.state = int(states[-1]) if n else self.state
             return states >> _np.uint64(16)
-        out = array("Q")
+        out = []
         append = out.append
         state = self.state
         mult, inc = self.MULT, self.INC
@@ -469,19 +514,19 @@ class VectorLcg:
             state = (state * mult + inc) & _MASK64
             append(state >> 16)
         self.state = state
-        return out
+        return array("Q", out)
 
 
 def mod_column(column, modulus: int):
     """``value % modulus`` over an unsigned column."""
     if _np is not None and isinstance(column, _np.ndarray):
         return column % _np.uint64(modulus)
-    return array("Q", (value % modulus for value in column))
+    return array("Q", [value % modulus for value in column])
 
 
 def ones_column(n: int):
     """A value column of ``n`` ones (the count workload's diffs)."""
-    if _np is not None:
+    if _born_numpy(n):
         return _np.ones(n, dtype=_np.int64)
     return array("q", [1]) * n
 
@@ -522,7 +567,8 @@ def merge_segments(segments: list) -> Optional[tuple]:
 
     Returns ``(batch, unique_bins, starts)`` with records stably sorted by
     bin id (ascending bins; within a bin, segment-arrival order), or
-    ``None`` when the segments are empty.
+    ``None`` when the segments are empty.  Segments of both representations
+    may be mixed; the group is numpy if any segment is.
     """
     if not segments:
         return None
@@ -530,12 +576,7 @@ def merge_segments(segments: list) -> Optional[tuple]:
         bins = segments[0][1]
         batch = segments[0][2]
     else:
-        if _np is not None and isinstance(segments[0][1], _np.ndarray):
-            bins = _np.concatenate([seg[1] for seg in segments])
-        else:
-            bins = array("q")
-            for seg in segments:
-                bins.extend(seg[1])
+        bins = _concat_columns([seg[1] for seg in segments], "q")
         batch = ColumnBatch.concat([seg[2] for seg in segments])
     order, ubins, starts = group_by_bin_sorted(bins)
     return batch.take(order), ubins, starts

@@ -100,6 +100,8 @@ class WorkerWal:
     The byte store is a list of ``bytearray`` segments (the modeled disk);
     ``synced`` marks how far :meth:`sync` has pushed the fsync horizon, as a
     total byte offset across segments.  Frames never straddle segments.
+    Everything that changes a segment's length goes through ``_total`` too,
+    so the per-batch :meth:`sync` does not re-sum the segments.
     """
 
     def __init__(self, worker_id: int, segment_bytes: int = 1 << 16) -> None:
@@ -108,6 +110,7 @@ class WorkerWal:
         self.worker_id = worker_id
         self.segment_bytes = segment_bytes
         self.segments: list[bytearray] = [bytearray()]
+        self._total = 0  # bytes across all segments
         self.synced = 0  # fsync horizon, total bytes across segments
         self.frames_appended = 0
         self.syncs = 0
@@ -115,10 +118,10 @@ class WorkerWal:
     # -- writing ---------------------------------------------------------------
 
     def total_bytes(self) -> int:
-        return sum(len(seg) for seg in self.segments)
+        return self._total
 
     def unsynced_bytes(self) -> int:
-        return self.total_bytes() - self.synced
+        return self._total - self.synced
 
     def append(self, kind: int, record: tuple) -> None:
         """Append one framed record (rolls to a new segment on overflow)."""
@@ -128,16 +131,18 @@ class WorkerWal:
             seg = bytearray()
             self.segments.append(seg)
         seg.extend(frame)
+        self._total += len(frame)
         self.frames_appended += 1
 
     def sync(self) -> None:
         """Advance the fsync horizon to the end of the log."""
-        self.synced = self.total_bytes()
+        self.synced = self._total
         self.syncs += 1
 
     def reset(self, frames: list[tuple[int, tuple]]) -> None:
         """Rewrite the log wholesale (compaction); ends synced."""
         self.segments = [bytearray()]
+        self._total = 0
         self.synced = 0
         for kind, record in frames:
             self.append(kind, record)
@@ -175,6 +180,7 @@ class WorkerWal:
             frame = _HEADER.pack(_MAGIC, K_PUT, claimed, zlib.crc32(body)) + body
             self.segments[-1].extend(frame)
             torn = len(frame)
+            self._total += torn
         flipped: list[int] = []
         total = self.total_bytes()
         if bit_flips > 0 and total > 0:
@@ -209,7 +215,8 @@ class WorkerWal:
         while kept and not kept[-1] and len(kept) > 1:
             kept.pop()
         self.segments = kept or [bytearray()]
-        self.synced = min(self.synced, self.total_bytes())
+        self._total = sum(len(seg) for seg in self.segments)
+        self.synced = min(self.synced, self._total)
 
     # -- reading ---------------------------------------------------------------
 

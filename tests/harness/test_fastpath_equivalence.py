@@ -84,3 +84,40 @@ def test_fast_path_matches_reference_without_migrations():
     assert fast.timeline.series() == reference.timeline.series()
     assert fast.records_injected == reference.records_injected
     assert fast.sim_events == reference.sim_events
+
+
+@pytest.mark.parametrize(
+    "rate, per_batch", [(4_800.0, 12), (200_000.0, 500)], ids=["12-record", "500-record"]
+)
+def test_result_fingerprint_is_independent_of_the_small_batch_cutoff(
+    monkeypatch, rate, per_batch
+):
+    """The column representation is a host-side choice: source batches on
+    either side of the cutoff give the same run — state, event count,
+    migration steps, latency windows — whether every batch is numpy
+    (cutoff 0), the default rule applies, or every batch is an array."""
+    from repro.parallel.runner import result_fingerprint
+    from repro.runtime_events import columns
+
+    cfg = ExperimentConfig(
+        num_workers=4,
+        workers_per_process=2,
+        num_bins=32,
+        rate=rate,
+        duration_s=0.5,
+        granularity_ms=10,
+        migrate_at_s=(0.2,),
+        strategy="fluid",
+        seed=5,
+        domain=1 << 14,
+        variant="hash",
+        fingerprint_state=True,
+    )
+    assert rate * cfg.granularity_ms / 1000 / cfg.num_workers == per_batch
+    default = columns.SMALL_BATCH_CUTOFF
+    assert 12 < default <= 500
+    fingerprints = set()
+    for cutoff in (0, default, 10**9):
+        monkeypatch.setattr(columns, "SMALL_BATCH_CUTOFF", cutoff)
+        fingerprints.add(result_fingerprint(run_count_experiment(cfg)))
+    assert len(fingerprints) == 1

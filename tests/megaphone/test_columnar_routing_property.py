@@ -7,21 +7,29 @@ fast path — and the emitted destination batches are decoded back and
 compared: same destination emission order, same per-destination record
 counts, same per-bin grouping with entries in arrival order.
 
-Both the active (numpy) and the pure-``array`` fallback representation are
-exercised, and both the steady-state owners-vector path and the memoized
-``worker_for`` path (forced by a pending migration marker).
+Batch lengths straddle ``SMALL_BATCH_CUTOFF`` (0 … 4x), so the per-batch
+rule picks both representations; a batch may also be forced into either
+one whatever its length, both value kinds (``kv``, ``obj``) are drawn, and
+the whole property reruns without numpy.  Both the steady-state owners path
+and the memoized ``worker_for`` path (forced by a pending migration marker)
+are exercised.  A second property carries the routed segments on through
+S's ``merge_segments`` + ``columnar_count_fold`` and compares with the
+per-record fold over the reference routing's per-bin entry lists.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.harness.workloads import ModeledCountState, columnar_count_fold, count_fold
 from repro.megaphone.control import BinnedConfiguration
 from repro.megaphone.operators import MegaphoneConfig, _FLogic
 from repro.runtime_events import columns
-from repro.runtime_events.columns import ColumnBatch
+from repro.runtime_events.columns import KIND_KV, KIND_OBJ, ColumnBatch, ColumnGroup
 
 
 class _RecordingCtx:
@@ -64,7 +72,6 @@ def _decode(sent: list) -> list:
     preserving emission order, bin first-occurrence order, and per-bin
     record arrival order for both batch layouts.
     """
-    assert len(sent) <= 1
     out = []
     for _time, batches in sent:
         for db in batches:
@@ -83,35 +90,119 @@ _RECORDS = st.lists(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=-(2**31), max_value=2**31 - 1),
     ),
-    max_size=60,
+    max_size=4 * columns.SMALL_BATCH_CUTOFF,
 )
+# None: the per-batch rule decides by length.
+_FORCED = st.sampled_from([None, "array", "numpy"])
 
 
-@pytest.mark.parametrize("representation", ["active", "fallback"])
+def _encode(records: list, kind: str, forced) -> ColumnBatch:
+    """``records`` as a batch of ``kind``; ``forced`` overrides the
+    length-based choice of representation (numpy only where available)."""
+    keys = [r[0] for r in records]
+    if kind == KIND_OBJ:
+        batch = ColumnBatch.from_objects(records, keys)
+    else:
+        batch = ColumnBatch.from_records(records)
+    np = columns._np
+    if forced == "numpy" and np is not None:
+        batch.keys = np.asarray(keys, dtype=np.uint64)
+        if kind == KIND_KV:
+            batch.vals = np.asarray([r[1] for r in records], dtype=np.int64)
+    elif forced == "array":
+        batch.keys = array("Q", keys)
+        if kind == KIND_KV:
+            batch.vals = array("q", [r[1] for r in records])
+    return batch
+
+
+# The fixture only swaps a module global that stays put for every example.
+_FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
+@pytest.fixture(params=["per-batch", "fallback"])
+def representation(request, monkeypatch):
+    """The per-batch rule with numpy present, and numpy absent."""
+    if request.param == "fallback":
+        monkeypatch.setattr(columns, "_np", None)
+    return request.param
+
+
 @pytest.mark.parametrize("pending", [False, True])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None, suppress_health_check=_FIXTURE_OK)
 @given(
     records=_RECORDS,
+    kind=st.sampled_from([KIND_KV, KIND_OBJ]),
+    forced=_FORCED,
     num_bins=st.sampled_from([1, 16, 256]),
     num_workers=st.integers(min_value=1, max_value=8),
     port_tag=st.integers(min_value=0, max_value=1),
 )
 def test_columnar_routing_matches_reference(
-    representation, pending, records, num_bins, num_workers, port_tag
+    representation, pending, records, kind, forced, num_bins, num_workers, port_tag
 ):
-    saved_np = columns._np
-    if representation == "fallback":
-        columns._np = None
-    try:
-        batch = ColumnBatch.from_records(records)
-        reference = _make_logic(num_bins, num_workers, True, pending)
-        columnar = _make_logic(num_bins, num_workers, False, pending)
-        ref_ctx = _RecordingCtx()
-        col_ctx = _RecordingCtx()
-        reference._route_batch(ref_ctx, (1.0,), port_tag, batch)
-        columnar._route_batch(col_ctx, (1.0,), port_tag, batch)
-        assert _decode(col_ctx.sent) == _decode(ref_ctx.sent)
-        total = sum(db.count for _t, bs in col_ctx.sent for db in bs)
-        assert total == len(records)
-    finally:
-        columns._np = saved_np
+    batch = _encode(records, kind, forced)
+    reference = _make_logic(num_bins, num_workers, True, pending)
+    columnar = _make_logic(num_bins, num_workers, False, pending)
+    ref_ctx = _RecordingCtx()
+    col_ctx = _RecordingCtx()
+    reference._route_batch(ref_ctx, (1.0,), port_tag, batch)
+    columnar._route_batch(col_ctx, (1.0,), port_tag, batch)
+    assert len(col_ctx.sent) <= 1
+    assert _decode(col_ctx.sent) == _decode(ref_ctx.sent)
+    total = sum(db.count for _t, bs in col_ctx.sent for db in bs)
+    assert total == len(records)
+    # Routed slices keep the representation of the batch they were cut from.
+    for _time, batches in col_ctx.sent:
+        for db in batches:
+            assert type(db.columns.keys) is type(batch.keys)
+            assert type(db.bin_ids) is type(columns.bin_ids_for(batch.keys, 60))
+
+
+@pytest.mark.parametrize("pending", [False, True])
+@settings(max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK)
+@given(
+    sources=st.lists(st.tuples(_RECORDS, _FORCED), min_size=1, max_size=4),
+    num_bins=st.sampled_from([16, 256]),
+    num_workers=st.integers(min_value=1, max_value=4),
+)
+def test_routed_segments_merge_and_fold_like_the_per_record_path(
+    representation, pending, sources, num_bins, num_workers
+):
+    """Several sources' batches — any mix of representations — through F,
+    then S's merge + counting fold per destination, against the per-record
+    inbox the reference routing builds."""
+    reference = _make_logic(num_bins, num_workers, True, pending)
+    columnar = _make_logic(num_bins, num_workers, False, pending)
+    ref_ctx = _RecordingCtx()
+    col_ctx = _RecordingCtx()
+    for records, forced in sources:
+        batch = _encode(records, KIND_KV, forced)
+        reference._route_batch(ref_ctx, (1.0,), 0, batch)
+        columnar._route_batch(col_ctx, (1.0,), 0, batch)
+    # What S holds at notification: per destination, columnar segments in
+    # arrival order on one side, the per-bin inbox on the other.
+    segments: dict[int, list] = {}
+    for _time, batches in col_ctx.sent:
+        for db in batches:
+            segments.setdefault(db.dst, []).append((db.tag, db.bin_ids, db.columns))
+    inboxes: dict[int, dict] = {}
+    for _time, batches in ref_ctx.sent:
+        for db in batches:
+            inbox = inboxes.setdefault(db.dst, {})
+            for bin_id, entries in db.bins.items():
+                inbox.setdefault(bin_id, []).extend(entries)
+    assert sorted(segments) == sorted(inboxes)
+    for dst, inbox in inboxes.items():
+        merged, ubins, starts = columns.merge_segments(segments[dst])
+        assert ubins == sorted(inbox)
+        states = [ModeledCountState(expected_keys=2.5) for _ in ubins]
+        group = ColumnGroup((1.0,), merged.keys, merged.vals, ubins, starts, states, dst)
+        folded = columnar_count_fold(group).to_records()
+        oracle = []
+        for j, bin_id in enumerate(ubins):
+            state = ModeledCountState(expected_keys=2.5)
+            for _tag, (key, diff) in inbox[bin_id]:
+                oracle.extend(count_fold(key, diff, state))
+            assert states[j].records == state.records
+        assert folded == oracle

@@ -1,5 +1,7 @@
 """Tests for the shared-memory ring and the cross-shard payload codec."""
 
+from array import array
+
 import pytest
 
 from repro.parallel.domain import RemoteData
@@ -136,6 +138,44 @@ def test_codec_destination_batch_roundtrip():
         assert out.dst == 3 and out.count == 8 and out.tag == 7
         assert np.array_equal(out.bin_ids, np.arange(8))
         assert np.array_equal(out.columns.keys, np.arange(8))
+    finally:
+        ring.close()
+        ring.unlink()
+
+
+def test_codec_leaves_array_batches_to_pickle():
+    """Small batches are stdlib arrays: not buffer-shippable, so they ride
+    the envelope's pickle untouched next to ndarray batches that take the
+    ring — and still compare equal after a pickle round trip."""
+    import pickle
+
+    ring, writer, reader = _codec_pair()
+    try:
+        small = ColumnBatch.from_records([(1, 10), (2, 20)])
+        assert not isinstance(small.keys, np.ndarray)
+        assert small.to_buffers() is None
+        small_dest = DestinationBatch(
+            dst=1, count=2, bin_ids=array("q", [4, 5]), columns=small, tag=0
+        )
+        large_dest = DestinationBatch(
+            dst=2,
+            count=8,
+            bin_ids=np.arange(8, dtype=np.int64),
+            columns=ColumnBatch(
+                np.arange(8, dtype=np.uint64), np.ones(8, dtype=np.int64)
+            ),
+            tag=0,
+        )
+        entry = _entry([small_dest, large_dest])
+        writer.encode_entry(entry)
+        assert writer.encoded == 1
+        assert entry.records[0] is small_dest  # untouched: plain pickle path
+        entry.records = pickle.loads(pickle.dumps(entry.records))
+        reader.decode_entry(entry)
+        out_small, out_large = entry.records
+        assert out_small.columns.to_records() == [(1, 10), (2, 20)]
+        assert out_small.bin_ids == array("q", [4, 5])
+        assert np.array_equal(out_large.columns.keys, np.arange(8))
     finally:
         ring.close()
         ring.unlink()

@@ -1,27 +1,43 @@
 """Unit tests of the columnar batch kernels (both representations).
 
 Every kernel in ``repro.runtime_events.columns`` carries a bit-exactness
-contract against its scalar reference; these tests pin the contract for the
-active (numpy) representation and — by monkeypatching the module-global
-``_np`` to ``None`` — for the pure-``array`` fallback, so the optional
-numpy dependency can disappear without changing a single simulated bit.
+contract against its scalar reference.  The representation is chosen per
+batch by length, so the kernel tests run three ways: every batch numpy
+(cutoff 0), every batch a stdlib ``array`` with numpy present (cutoff
+10**9), and numpy absent (the module-global ``_np`` monkeypatched to
+``None``) — the optional dependency can disappear without changing a single
+simulated bit.  The selection rule itself (born by length, derived columns
+inherit, mixed inputs normalise to numpy) is pinned at the default cutoff.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.openloop import Lcg
+from repro.harness.workloads import ModeledCountState, columnar_count_fold, count_fold
 from repro.runtime_events import columns
-from repro.runtime_events.columns import ColumnBatch, VectorLcg
+from repro.runtime_events.columns import ColumnBatch, ColumnGroup, VectorLcg
 from repro.runtime_events.items import DestinationBatch, batch_record_count
 
+needs_numpy = pytest.mark.skipif(
+    not columns.numpy_active(), reason="numpy not installed"
+)
 
-@pytest.fixture(params=["active", "fallback"])
+
+@pytest.fixture(params=["numpy", "array", "fallback"])
 def representation(request, monkeypatch):
-    """Run a test under the active representation and the array fallback."""
+    """Run a test with every batch numpy, every batch an array, and
+    without numpy."""
     if request.param == "fallback":
         monkeypatch.setattr(columns, "_np", None)
+    else:
+        cutoff = 0 if request.param == "numpy" else 10**9
+        monkeypatch.setattr(columns, "SMALL_BATCH_CUTOFF", cutoff)
     return request.param
 
 
@@ -151,13 +167,18 @@ def test_fallback_representation_name(monkeypatch):
 
 
 def test_fallback_columns_are_stdlib_arrays(monkeypatch):
-    from array import array
-
+    """Without numpy everything is an array, whatever the length."""
     monkeypatch.setattr(columns, "_np", None)
-    batch = ColumnBatch.from_records([(1, 2), (3, 4)])
-    assert isinstance(batch.keys, array)
-    assert isinstance(batch.vals, array)
-    assert batch.to_records() == [(1, 2), (3, 4)]
+    for n in (2, 4 * columns.SMALL_BATCH_CUTOFF):
+        records = [(k, k + 1) for k in range(n)]
+        batch = ColumnBatch.from_records(records)
+        assert isinstance(batch.keys, array)
+        assert isinstance(batch.vals, array)
+        assert batch.to_records() == records
+        assert isinstance(columns.ones_column(n), array)
+        assert isinstance(VectorLcg(1).next_batch(n), array)
+        assert isinstance(columns.make_index_vector(range(n)), list)
+    assert "numpy absent" in columns.describe_representation()
 
 
 def test_import_without_numpy_selects_fallback(monkeypatch):
@@ -189,3 +210,154 @@ def test_destination_batch_count_over_mixed_layouts(representation):
     ]
     assert batch_record_count(grouped) == 5
     assert batch_record_count([(1, 1), (2, 1)]) == 2
+
+
+# -- the per-batch selection rule (default cutoff) --------------------------------
+
+
+def _is_array_batch(batch: ColumnBatch) -> bool:
+    return isinstance(batch.keys, array) and isinstance(batch.vals, (array, list))
+
+
+@needs_numpy
+def test_columns_are_born_by_length():
+    cutoff = columns.SMALL_BATCH_CUTOFF
+    assert str(cutoff) in columns.describe_representation()
+    for n, small in ((1, True), (cutoff - 1, True), (cutoff, False), (4 * cutoff, False)):
+        born = [
+            ColumnBatch.from_kv(range(n), range(n)).keys,
+            ColumnBatch.from_records([(k, 1) for k in range(n)]).vals,
+            ColumnBatch.from_objects(["x"] * n, list(range(n))).keys,
+            columns.ones_column(n),
+            VectorLcg(3).next_batch(n),
+        ]
+        for column in born:
+            assert isinstance(column, array) == small
+            assert columns.is_numpy_column(column) != small
+        assert isinstance(columns.make_index_vector(list(range(n))), list) == small
+
+
+@needs_numpy
+def test_vector_lcg_stream_is_independent_of_batch_representation():
+    cutoff = columns.SMALL_BATCH_CUTOFF
+    scalar = Lcg(11)
+    vector = VectorLcg(11)
+    sizes = [3, cutoff, cutoff - 1, 2 * cutoff, 1]
+    got = [int(v) for n in sizes for v in vector.next_batch(n)]
+    assert got == [scalar.next() for _ in range(sum(sizes))]
+
+
+@needs_numpy
+def test_derived_columns_inherit_their_input_representation():
+    cutoff = columns.SMALL_BATCH_CUTOFF
+    small = ColumnBatch.from_kv(range(cutoff - 1), range(cutoff - 1))
+    large = ColumnBatch.from_kv(range(4 * cutoff), range(4 * cutoff))
+    long_sel = list(range(cutoff - 1)) * 4  # longer than the cutoff
+    assert _is_array_batch(small.take(long_sel))
+    assert _is_array_batch(small.take(columns.make_index_vector(long_sel)))
+    assert _is_array_batch(small.slice(1, 3))
+    assert isinstance(columns.bin_ids_for(small.keys, 60), array)
+    assert isinstance(columns.mod_column(small.keys, 7), array)
+    assert isinstance(columns.gather([5, 6, 7], array("q", [2, 0])), array)
+    for derived in (large.take([0, 1]), large.slice(0, 2)):
+        assert columns.is_numpy_column(derived.keys)
+        assert columns.is_numpy_column(derived.vals)
+    assert columns.is_numpy_column(columns.bin_ids_for(large.slice(0, 2).keys, 60))
+    assert columns.is_numpy_column(columns.mod_column(large.keys[:2], 7))
+
+
+@needs_numpy
+def test_mixed_inputs_normalise_to_numpy():
+    cutoff = columns.SMALL_BATCH_CUTOFF
+    small = ColumnBatch.from_records([(1, 10), (2, 20)])
+    large = ColumnBatch.from_records([(k, k) for k in range(100, 100 + cutoff)])
+    for parts in ([small, large], [large, small]):
+        merged = ColumnBatch.concat(parts)
+        assert columns.is_numpy_column(merged.keys)
+        assert columns.is_numpy_column(merged.vals)
+        assert merged.to_records() == parts[0].to_records() + parts[1].to_records()
+    assert _is_array_batch(ColumnBatch.concat([small, small]))
+    np = columns._np
+    owners = np.asarray([4, 5, 6], dtype=np.int64)
+    assert columns.gather(owners, array("q", [2, 0])).tolist() == [6, 4]
+    assert columns.is_numpy_column(columns.gather(owners, array("q", [2, 0])))
+    assert columns.gather([4, 5, 6], np.asarray([2, 0])).tolist() == [6, 4]
+    assert columns.is_numpy_column(columns.gather([4, 5, 6], np.asarray([2, 0])))
+
+
+def _as_representation(batch: ColumnBatch, bins, numpy_repr: bool):
+    """``(bin_ids, batch)`` rebuilt in one representation, whatever its length."""
+    keys, vals = batch.key_list(), batch.vals
+    if numpy_repr:
+        np = columns._np
+        vals = vals if batch.kind == columns.KIND_OBJ else np.asarray(vals, dtype=np.int64)
+        return (
+            np.asarray(bins, dtype=np.int64),
+            ColumnBatch(np.asarray(keys, dtype=np.uint64), vals, batch.kind),
+        )
+    vals = vals if batch.kind == columns.KIND_OBJ else array("q", vals)
+    return array("q", bins), ColumnBatch(array("Q", keys), vals, batch.kind)
+
+
+# Per segment: the bin of each record (so its length, 0 … 4x the cutoff)
+# and whether the segment is numpy.
+_SEGMENTS = st.lists(
+    st.tuples(
+        st.lists(
+            st.integers(min_value=0, max_value=7),
+            max_size=4 * columns.SMALL_BATCH_CUTOFF,
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=_SEGMENTS,
+    kind=st.sampled_from([columns.KIND_KV, columns.KIND_OBJ]),
+)
+def test_merge_and_count_fold_match_per_record_oracle(shapes, kind):
+    """S's merge + fold over any mix of array/ndarray segments equals the
+    per-record path: bins ascending, arrival order within a bin, the same
+    counts and the same final states."""
+    segments = []
+    arrivals = []  # (bin, record) in segment-arrival order
+    next_key = 0
+    for bins, numpy_repr in shapes:
+        keys = list(range(next_key, next_key + len(bins)))
+        next_key += len(bins)
+        if kind == columns.KIND_KV:
+            batch = ColumnBatch.from_kv(keys, [1] * len(keys))
+        else:
+            batch = ColumnBatch.from_objects([f"r{k}" for k in keys], keys)
+        bin_col, batch = _as_representation(
+            batch, bins, numpy_repr and columns.numpy_active()
+        )
+        segments.append((0, bin_col, batch))
+        arrivals.extend(zip(bins, batch.to_records()))
+    batch, ubins, starts = columns.merge_segments(segments)
+    expected = sorted(arrivals, key=lambda pair: pair[0])  # stable: arrival order
+    assert batch.to_records() == [record for _bin, record in expected]
+    assert ubins == sorted({b for b, _r in arrivals})
+    assert [starts[j + 1] - starts[j] for j in range(len(ubins))] == [
+        sum(1 for b, _r in arrivals if b == ubin) for ubin in ubins
+    ]
+    # numpy wins a mix.
+    assert columns.is_numpy_column(batch.keys) == any(
+        columns.is_numpy_column(seg[2].keys) for seg in segments
+    )
+    if kind != columns.KIND_KV:
+        return
+    # The fold: expected_keys small enough that counts actually grow.
+    states = [ModeledCountState(expected_keys=1.5) for _ in ubins]
+    oracle_states = {b: ModeledCountState(expected_keys=1.5) for b in ubins}
+    group = ColumnGroup((0,), batch.keys, batch.vals, ubins, starts, states, 0)
+    folded = columnar_count_fold(group).to_records()
+    oracle = [
+        count_fold(key, diff, oracle_states[b])[0] for b, (key, diff) in expected
+    ]
+    assert folded == oracle
+    assert [s.records for s in states] == [oracle_states[b].records for b in ubins]

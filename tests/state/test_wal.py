@@ -84,6 +84,30 @@ def test_sync_advances_horizon():
     assert wal.synced == wal.total_bytes()
 
 
+def test_running_byte_total_tracks_the_segments():
+    """``total_bytes`` is maintained, not re-summed: every path that changes
+    a segment's length (append with rolls, compaction reset, torn write,
+    lost tail, scan truncation) must keep it equal to the bytes on disk."""
+    wal = WorkerWal(0, segment_bytes=128)
+
+    def on_disk() -> int:
+        return sum(len(seg) for seg in wal.segments)
+
+    for i in range(40):
+        wal.append(K_PUT, (0, i, i, i))
+        assert wal.total_bytes() == on_disk()
+    wal.sync()
+    assert wal.synced == on_disk() and wal.unsynced_bytes() == 0
+    wal.append(K_PUT, (0, 40, 40, 40))
+    assert wal.unsynced_bytes() == on_disk() - wal.synced > 0
+    damage = wal.apply_crash(lose_unsynced_tail=True, torn_write=True)
+    assert wal.total_bytes() == on_disk() == wal.synced + damage["torn_bytes"]
+    wal.scan()  # truncates the torn frame
+    assert wal.total_bytes() == on_disk() == wal.synced
+    wal.reset([(K_PUT, (0, 0, "a", 1))])
+    assert wal.total_bytes() == on_disk() == wal.synced > 0
+
+
 # -- scan and crash faults ----------------------------------------------------
 
 
