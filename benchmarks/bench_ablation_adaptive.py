@@ -1,6 +1,6 @@
 """Ablation: latency-aware adaptive step sizing vs fixed strategies.
 
-The adaptive controller (an Albatross-style throttling policy expressed
+The adaptive step source (an Albatross-style throttling policy expressed
 through Megaphone's control stream) steers each step's duration toward a
 target.  It should land between fluid and all-at-once: close to fluid's
 max latency while finishing far sooner than fluid, without hand-picking a
@@ -12,7 +12,12 @@ from _common import count_config, run_once
 from repro.harness.experiment import run_count_experiment
 from repro.harness.report import format_duration, format_latency, print_table
 from repro.harness.workloads import CountWorkload
-from repro.megaphone.adaptive import AdaptiveConfig, AdaptiveMigrationController
+from repro.megaphone.controller import (
+    AdaptiveConfig,
+    AdaptiveSteps,
+    EpochTicker,
+    MigrationController,
+)
 from repro.megaphone.migration import imbalanced_target
 
 DOMAIN = 4096 * 10**6
@@ -29,15 +34,14 @@ def _run_fixed(strategy):
 
 
 def _run_adaptive():
-    """Wire the adaptive controller through the standard experiment."""
+    """Wire the adaptive step source through the standard experiment."""
     from repro.harness.experiment import _build_megaphone_count
 
     cfg = count_config(num_bins=BINS, domain=DOMAIN, duration_s=8.0)
     workload = CountWorkload(domain=cfg.domain, seed=cfg.seed)
 
-    # The standard harness always uses the plan-driven controller, so this
-    # assembles the same pieces around the adaptive one.
-    from repro.megaphone.controller import EpochTicker
+    # The standard harness always hands its controllers a plan, so this
+    # assembles the same pieces around an adaptive step source.
     from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
     from repro.harness.openloop import OpenLoopSource
     from repro.sim.engine import Simulator
@@ -67,11 +71,11 @@ def _run_adaptive():
         recorder=recorder,
     )
     ticker = EpochTicker(runtime, control_group, granularity_ms=cfg.granularity_ms)
-    controller = AdaptiveMigrationController(
-        runtime, control_group, ticker, probe,
+    steps = AdaptiveSteps(
         op.config.initial, imbalanced_target(op.config.initial),
         config=AdaptiveConfig(initial_batch=2, target_step_s=TARGET_STEP_S),
     )
+    controller = MigrationController(runtime, control_group, ticker, probe, steps)
     controller.start_at(2.0)
     ticker.start()
     source.start()
@@ -91,7 +95,7 @@ def _run_adaptive():
         sim_events=sim.events_processed,
         wall_seconds=wallclock.perf_counter() - started,
     )
-    result.batch_history = controller.batch_history
+    result.batch_history = [step.moves for step in controller.result.steps]
     return result
 
 

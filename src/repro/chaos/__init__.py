@@ -3,8 +3,9 @@
 The chaos subsystem answers "which migration strategy degrades most
 gracefully?" by injecting process crashes, link partitions/degradation, and
 worker stalls into the simulated cluster under a reproducible
-:class:`~repro.chaos.plan.FaultPlan`, while the recovery side — a resilient
-migration controller with per-step timeouts and a liveness watchdog — keeps
+:class:`~repro.chaos.plan.FaultPlan`, while the recovery side — the migration
+controller's fault handling (per-step timeouts, retargeting, crash
+reconciliation) and a liveness watchdog — keeps
 the Completion guarantee observable (or produces a structured diagnosis of
 why it failed).
 

@@ -3,7 +3,7 @@
 Two cooperating pieces:
 
 * :class:`ConfigurationLedger` — the controller-side record of the intended
-  bin-to-worker assignment.  Every control step the resilient controller
+  bin-to-worker assignment.  Every control step a fault-handling controller
   sends (planned, retried, or recovery) is applied to the ledger, so it is
   always the configuration the *control stream* converges to — which is what
   crash reconciliation and restart reseeding must agree with.
@@ -143,7 +143,7 @@ class RecoveryCoordinator:
         if injector is not None:
             injector.on_membership_change(self._on_membership)
 
-    # -- crash path (driven by the resilient controller) -----------------------
+    # -- crash path (driven by the reconciling controller) ---------------------
 
     def on_recovery_step(self, result) -> None:
         """Install snapshot state for a recovery step's retargeted bins.

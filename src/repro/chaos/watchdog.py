@@ -13,9 +13,11 @@ frontier and classifies the run:
   watchdog stops the experiment with a structured :class:`StallDiagnosis`
   instead of letting it spin forever.
 
-On each detected stall the watchdog pokes its ``on_stall`` hook (wired to
-:meth:`ResilientMigrationController.nudge` by the harness) so a stalled
-migration step is retried immediately rather than waiting out its timeout.
+On each detected stall the watchdog pokes its ``on_stall`` hook (wired by
+the harness to :meth:`~repro.megaphone.controller.MigrationController.nudge`
+on every controller, all of which carry fault handling under chaos) so a
+stalled migration step is retried immediately rather than waiting out its
+timeout.
 
 The watchdog is also the simulation's clock-keeper under chaos: its
 periodic check events keep simulated time moving across windows where the

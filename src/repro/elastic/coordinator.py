@@ -15,9 +15,9 @@ Drain protocol (scale-in)::
     close their data handles -> mark retired.
 
 The coordinator does not construct controllers itself: the harness passes
-a ``controller_factory(plan, on_done)`` that wires the plain or resilient
-(chaos-aware) controller exactly as scheduled migrations do, so a crash
-mid-join or mid-drain goes through the same retry/retarget machinery.
+a ``controller_factory(plan, on_done)`` that builds the controller exactly
+as scheduled migrations do (with the fault-handling bundle under chaos), so
+a crash mid-join or mid-drain goes through the same retry/retarget machinery.
 When a chaos :class:`~repro.chaos.recovery.ConfigurationLedger` is shared,
 the coordinator reads the converged configuration from it (crash
 reconciliation may have retargeted moves); otherwise it tracks its own.
@@ -280,7 +280,7 @@ class ScalingCoordinator:
         if self._ledger is None:
             self._current = target
         # With a ledger, every issued step was already applied to it (the
-        # resilient controller does so inst by inst, retargets included).
+        # controller does so inst by inst, retargets included).
 
     def _bin_load(self) -> dict:
         """Per-bin heat for target search; uniform before telemetry warms."""

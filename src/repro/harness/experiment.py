@@ -34,9 +34,9 @@ from repro.megaphone.api import state_machine
 from repro.megaphone.control import BinnedConfiguration
 from repro.megaphone.controller import (
     EpochTicker,
+    FaultHandling,
     MigrationController,
     MigrationResult,
-    ResilientMigrationController,
     RetryPolicy,
 )
 from repro.megaphone.migration import imbalanced_target, make_plan
@@ -71,7 +71,7 @@ class ExperimentConfig:
     strategy: str = "batched"
     batch_size: int = 16
     gap_s: float = 0.0
-    pace_s: object = None  # timer pacing for steps (None = await completion)
+    pace_s: Optional[float] = None  # timer pacing (None = await completion)
     variant: str = "key"  # "key" (dense arrays) or "hash" (hash maps)
     bytes_per_key: float = 8.0
     cost: Optional[CostModel] = None
@@ -176,6 +176,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"active_workers must be in 1..{self.num_workers}, "
                 f"got {self.active_workers}"
+            )
+        if self.pace_s is not None and not (
+            isinstance(self.pace_s, (int, float)) and self.pace_s > 0
+        ):
+            raise ValueError(
+                f"pace_s must be a positive number of seconds, got {self.pace_s!r}"
             )
         if self.elastic:
             if self.parallel is not None:
@@ -464,6 +470,9 @@ class MigrationExperiment:
         coordinator = None
         fault_log = None
         snapshot_box: dict = {}
+        # Every controller of the run (scheduled, planner- and scaling-
+        # spawned) in construction order: the order the watchdog nudges them
+        # in and the result lists their migrations in.
         controllers: list[MigrationController] = []
         if chaos is not None:
             fault_log = FaultLog(sim.trace)
@@ -519,7 +528,7 @@ class MigrationExperiment:
                 if chaos.watchdog is not None
                 else WatchdogConfig(),
                 injector=injector,
-                on_stall=lambda _diag: [c.nudge() for c in resilient],
+                on_stall=lambda _diag: [c.nudge() for c in controllers],
             )
             watchdog.start()
 
@@ -540,8 +549,6 @@ class MigrationExperiment:
             if cfg.planner.stop_s is None:
                 cfg.planner.stop_s = cfg.duration_s
 
-        resilient: list[ResilientMigrationController] = []
-
         def _membership_placeable(worker: int) -> bool:
             # Crash retargeting must respect membership in elastic runs:
             # orphaned bins may only land on active or joining workers,
@@ -553,65 +560,41 @@ class MigrationExperiment:
                 return True
             return directory.state_of(worker) in ("joining", "active")
 
+        def make_controller(plan, *, gap_s, pace_s=None, reconcile=False, on_done=None):
+            # All controllers share one ledger, so exactly one reconciles
+            # crashes: the first scheduled migration.  (Controllers exist
+            # only with a migrateable op, hence with a recovery coordinator.)
+            faults = None
+            if chaos is not None:
+                faults = FaultHandling(
+                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
+                    injector=injector,
+                    ledger=ledger,
+                    on_recovery_step=coordinator.on_recovery_step,
+                    reconcile=reconcile,
+                    placeable=_membership_placeable,
+                )
+            controller = MigrationController(
+                runtime, control_group, ticker, probe, plan,
+                gap_s=gap_s, pace_s=pace_s, on_done=on_done, faults=faults,
+            )
+            controllers.append(controller)
+            return controller
+
         if op is not None and cfg.migrate_at_s:
             initial = op.config.initial
             current = initial
             for i, at_s in enumerate(cfg.migrate_at_s):
                 target = imbalanced_target(initial) if i % 2 == 0 else initial
                 plan = make_plan(cfg.strategy, current, target, cfg.batch_size)
-                if chaos is not None:
-                    controller = ResilientMigrationController(
-                        runtime, control_group, ticker, probe, plan,
-                        retry=chaos.retry
-                        if chaos.retry is not None
-                        else RetryPolicy(),
-                        injector=injector,
-                        ledger=ledger,
-                        on_recovery_step=coordinator.on_recovery_step
-                        if coordinator is not None
-                        else None,
-                        reconcile=(i == 0),
-                        placeable=_membership_placeable,
-                        gap_s=cfg.gap_s, pace_s=cfg.pace_s,
-                    )
-                    resilient.append(controller)
-                else:
-                    controller = MigrationController(
-                        runtime, control_group, ticker, probe, plan,
-                        gap_s=cfg.gap_s, pace_s=cfg.pace_s,
-                    )
+                controller = make_controller(
+                    plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s, reconcile=(i == 0)
+                )
                 controller.start_at(at_s)
-                controllers.append(controller)
                 current = target
 
         planner_box: dict = {}
         if telemetry is not None:
-
-            def _planner_controller(plan):
-                if chaos is not None:
-                    controller = ResilientMigrationController(
-                        runtime, control_group, ticker, probe, plan,
-                        retry=chaos.retry
-                        if chaos.retry is not None
-                        else RetryPolicy(),
-                        injector=injector,
-                        ledger=ledger,
-                        on_recovery_step=coordinator.on_recovery_step
-                        if coordinator is not None
-                        else None,
-                        # Scheduled migrations (if any) already reconcile
-                        # crashes; planner-spawned controllers never do.
-                        reconcile=False,
-                        placeable=_membership_placeable,
-                        gap_s=cfg.planner.gap_s,
-                    )
-                    resilient.append(controller)
-                    return controller
-                return MigrationController(
-                    runtime, control_group, ticker, probe, plan,
-                    gap_s=cfg.planner.gap_s,
-                )
-
             planner = ClosedLoopPlanner(
                 runtime,
                 op,
@@ -621,7 +604,9 @@ class MigrationExperiment:
                 telemetry,
                 cost_model,
                 cfg.planner,
-                controller_factory=_planner_controller,
+                controller_factory=lambda plan: make_controller(
+                    plan, gap_s=cfg.planner.gap_s
+                ),
             )
             telemetry.start(0.0)
             planner.start()
@@ -648,37 +633,14 @@ class MigrationExperiment:
                 )
                 telemetry.start(0.0)
 
-            def _scaling_controller(plan, on_done):
-                if chaos is not None:
-                    controller = ResilientMigrationController(
-                        runtime, control_group, ticker, probe, plan,
-                        retry=chaos.retry
-                        if chaos.retry is not None
-                        else RetryPolicy(),
-                        injector=injector,
-                        ledger=ledger,
-                        on_recovery_step=coordinator.on_recovery_step
-                        if coordinator is not None
-                        else None,
-                        # Crash reconciliation stays with the scheduled
-                        # migrations (or the injector's own hooks).
-                        reconcile=False,
-                        placeable=_membership_placeable,
-                        gap_s=cfg.gap_s, pace_s=cfg.pace_s, on_done=on_done,
-                    )
-                    resilient.append(controller)
-                    return controller
-                return MigrationController(
-                    runtime, control_group, ticker, probe, plan,
-                    gap_s=cfg.gap_s, pace_s=cfg.pace_s, on_done=on_done,
-                )
-
             scaling = ScalingCoordinator(
                 runtime,
                 op,
                 directory,
                 source,
-                controller_factory=_scaling_controller,
+                controller_factory=lambda plan, on_done: make_controller(
+                    plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s, on_done=on_done
+                ),
                 strategy=cfg.strategy,
                 batch_size=cfg.batch_size,
                 telemetry=telemetry,
@@ -726,15 +688,10 @@ class MigrationExperiment:
             autoscaler.stop()
 
         def _pending() -> bool:
-            if any(not c.done for c in controllers):
-                return True
-            if scaling is not None and (
-                scaling.busy or any(not c.done for c in scaling.controllers)
-            ):
-                return True
-            return planner is not None and (
-                not planner.done
-                or any(not c.done for c in planner.controllers)
+            return (
+                any(not c.done for c in controllers)
+                or (scaling is not None and scaling.busy)
+                or (planner is not None and not planner.done)
             )
 
         guard = 0
@@ -756,15 +713,10 @@ class MigrationExperiment:
 
         if fault_log is not None:
             fault_log.close()
-        all_controllers = list(controllers)
-        if planner is not None:
-            all_controllers.extend(planner.controllers)
-        if scaling is not None:
-            all_controllers.extend(scaling.controllers)
         result = ExperimentResult(
             config=cfg,
             timeline=timeline,
-            migrations=[c.result for c in all_controllers],
+            migrations=[c.result for c in controllers],
             memory=memory_timelines,
             records_injected=source.records_injected,
             sim_events=sim.events_processed,
@@ -776,7 +728,7 @@ class MigrationExperiment:
             result.chaos_recoveries = watchdog.recoveries
             result.chaos_diagnoses = list(watchdog.diagnoses)
         if chaos is not None:
-            result.abandoned_steps = sum(len(c.abandoned) for c in resilient)
+            result.abandoned_steps = sum(len(c.abandoned) for c in controllers)
             result.fault_log = fault_log
             if coordinator is not None:
                 result.recovered_fingerprints = dict(

@@ -10,13 +10,15 @@ Public surface:
   (paper Listing 1), each returning a :class:`MigrateableOperator`;
 * migration planning (``plan_all_at_once`` / ``plan_fluid`` /
   ``plan_batched`` / ``plan_optimized`` and ``make_plan``);
-* the :class:`MigrationController` that feeds plans into the control stream
-  and awaits per-step completion via frontier probes;
+* the one :class:`MigrationController` that feeds a step source — a
+  ``MigrationPlan`` or latency-steered :class:`AdaptiveSteps` — into the
+  control stream and awaits per-step completion via frontier probes, with
+  timeouts, retries and crash retargeting as an optional
+  :class:`FaultHandling` bundle;
 * binning and configuration primitives (``BinnedConfiguration``,
   ``ControlInst``, ``bin_of``, ``stable_hash``).
 """
 
-from repro.megaphone.adaptive import AdaptiveConfig, AdaptiveMigrationController
 from repro.megaphone.api import Notificator, binary, state_machine, unary
 from repro.megaphone.bins import Bin, BinStore
 from repro.megaphone.control import (
@@ -27,9 +29,13 @@ from repro.megaphone.control import (
     stable_hash,
 )
 from repro.megaphone.controller import (
+    AdaptiveConfig,
+    AdaptiveSteps,
     EpochTicker,
+    FaultHandling,
     MigrationController,
     MigrationResult,
+    RetryPolicy,
     StepResult,
 )
 from repro.megaphone.migration import (
@@ -74,7 +80,7 @@ from repro.megaphone.snapshot import (
 
 __all__ = [
     "AdaptiveConfig",
-    "AdaptiveMigrationController",
+    "AdaptiveSteps",
     "ApplicationContext",
     "BinSnapshot",
     "OperatorSnapshot",
@@ -95,6 +101,7 @@ __all__ = [
     "BinnedConfiguration",
     "ControlInst",
     "EpochTicker",
+    "FaultHandling",
     "MigrateableOperator",
     "MigrationController",
     "MigrationPlan",
@@ -102,6 +109,7 @@ __all__ = [
     "MigrationResult",
     "MigrationStep",
     "Notificator",
+    "RetryPolicy",
     "RoutingTable",
     "STRATEGIES",
     "StepResult",

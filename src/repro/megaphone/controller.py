@@ -6,24 +6,27 @@ or Dhalion could supply the stream).  This module provides:
 
 * ``EpochTicker`` — advances an input group's epochs with simulated time so
   control (and data) frontiers keep moving;
-* ``MigrationController`` — issues one plan step at a time, awaits its
-  completion through a probe on the S output frontier, optionally waits a
-  drain gap, then issues the next step (paper §3.3's "await the migration's
-  completion before choosing the next");
-* ``ResilientMigrationController`` — the same, plus per-step timeouts with
-  retry and exponential backoff, and crash-driven reconfiguration: crashed
-  workers are excluded from targets and their orphaned bins are reassigned
-  to survivors (the recovery half of the chaos subsystem);
-* ``StepResult`` — per-step issue/completion bookkeeping used by the
-  benchmarks to report migration duration.
+* ``MigrationController`` — the one issue → await → complete → pace loop:
+  issues a step, awaits its completion through a probe on the S output
+  frontier, optionally waits a drain gap, then issues the next (paper
+  §3.3's "await the migration's completion before choosing the next");
+* its step sources — a ``MigrationPlan`` or ``AdaptiveSteps`` (batches sized
+  from each completed step's duration): *what to move when* is policy
+  handed to the controller, not a controller of its own;
+* ``FaultHandling`` — the optional bundle adding per-step timeouts with
+  retry and backoff, retargeting away from crashed workers, and crash
+  reconciliation (the recovery half of the chaos subsystem);
+* ``StepResult`` / ``MigrationResult`` — issue/completion bookkeeping the
+  benchmarks report migration duration from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
-from repro.megaphone.control import ControlInst
+from repro.megaphone.control import BinnedConfiguration, ControlInst
 from repro.megaphone.migration import MigrationPlan
 from repro.runtime_events.events import (
     MigrationStepAbandoned,
@@ -103,16 +106,14 @@ class EpochTicker:
         self.runtime.sim.schedule(self.tick_s, self._tick)
 
 
-@dataclass
+@dataclass(eq=False)
 class StepResult:
     """Timing of one reconfiguration step.
 
-    ``insts``/``attempts``/``abandoned`` feed the resilient controller: the
-    instructions are kept so a timed-out step can be re-issued, ``time`` is
+    ``insts`` are kept so a timed-out step can be re-issued, ``time`` is
     rewritten to the retry's control timestamp, and ``abandoned`` marks a
-    step that exhausted its retry budget.  Instances are compared by
-    identity (dataclass equality is unsafe as a membership test here: two
-    retries of one step may be field-identical).
+    step that exhausted its retry budget.  Compared and hashed by identity
+    (``eq=False``): two retries of one step may be field-identical.
     """
 
     time: Timestamp
@@ -122,10 +123,9 @@ class StepResult:
     insts: tuple = ()
     attempts: int = 1
     abandoned: bool = False
-    # The batch the controller chose for this step.  Plan-driven
-    # controllers record the step's move count; the adaptive controller
-    # records its chosen batch, which can exceed ``moves`` on the tail
-    # step.  Cost models relate this to the realized duration.
+    # The batch the step source chose for this step.  A plan's is the
+    # step's move count; the adaptive source's can exceed ``moves`` on the
+    # tail step.  Cost models relate this to the realized duration.
     batch_size: int = 0
 
     @property
@@ -183,129 +183,100 @@ class MigrationResult:
         return self.completed_at - self.started_at
 
 
-class MigrationController:
-    """Feeds a migration plan into the control stream, step by step.
+# -- step sources: what to move when -------------------------------------------
 
-    The controller issues each step at the current control epoch, watches
-    the S output frontier (via the provided probe) until the step's
-    timestamp has fully passed — state shipped *and* backlog drained — then
-    waits ``gap_s`` (paper §4.4's drain gap) and issues the next step.
+
+class _PlanSteps:
+    """A fixed plan's steps, in order.
+
+    The step-source protocol: ``strategy`` labels the result, ``exhausted``
+    says nothing is left to issue, ``next_step()`` returns ``(insts, chosen
+    batch size)``, and ``observe(step)`` hears of every completion.
     """
+
+    def __init__(self, plan: MigrationPlan) -> None:
+        self.strategy = plan.strategy
+        self._steps = plan.steps
+        self._next = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self._next >= len(self._steps)
+
+    def next_step(self) -> tuple:
+        insts = self._steps[self._next].insts
+        self._next += 1
+        return insts, len(insts)
+
+    def observe(self, step: StepResult) -> None:
+        pass
+
+
+@dataclass
+class AdaptiveConfig:
+    """Tuning of the adaptive step-sizing policy."""
+
+    target_step_s: float = 0.05  # steer each step's duration toward this
+    initial_batch: int = 4
+    min_batch: int = 1
+    max_batch: int = 4096
+    grow_factor: float = 2.0
+    shrink_factor: float = 0.5
+
+
+class AdaptiveSteps:
+    """Moves ``current`` to ``target`` in latency-steered batches.
+
+    The live-migration literature the paper builds on (notably Albatross's
+    dynamic throttling, §2.2) adapts the migration rate so the source keeps
+    meeting its SLOs; on a control stream that is pure step sizing.  Every
+    completed step's duration is compared against ``target_step_s``: well
+    under target doubles the next batch, overshoot halves it — converging
+    on the largest step the system absorbs within the target, the
+    trade-off the paper's Figures 16-18 sweep manually.
+    """
+
+    strategy = "adaptive"
 
     def __init__(
         self,
-        runtime: Runtime,
-        control_group: InputGroup,
-        ticker: EpochTicker,
-        probe,
-        plan: MigrationPlan,
-        gap_s: float = 0.0,
-        pace_s: Optional[float] = None,
-        on_done: Optional[Callable[[MigrationResult], None]] = None,
+        current: BinnedConfiguration,
+        target: BinnedConfiguration,
+        config: Optional[AdaptiveConfig] = None,
     ) -> None:
-        self._runtime = runtime
-        self._group = control_group
-        self._ticker = ticker
-        self._probe = probe
-        self._plan = plan
-        self._gap_s = gap_s
-        # Completion pacing (default): the next step is issued gap_s after
-        # the previous one's frontier-confirmed completion.  Timer pacing
-        # (pace_s set): steps are issued every pace_s seconds regardless of
-        # completion — the regime where the paper's drain gap matters.
-        self._pace_s = pace_s
-        self._on_done = on_done
-        self._next_step = 0
-        self._awaiting: list[StepResult] = []
-        self._finished = False
-        self.result = MigrationResult(strategy=plan.strategy)
-        probe.on_advance(self._check_progress)
+        self._config = config if config is not None else AdaptiveConfig()
+        self._moves = current.moved_bins(target)
+        self._cursor = 0
+        self._batch = self._config.initial_batch
 
     @property
-    def done(self) -> bool:
-        """True when every step has been issued and completed."""
-        return self._next_step >= len(self._plan.steps) and not self._awaiting
+    def exhausted(self) -> bool:
+        return self._cursor >= len(self._moves)
 
-    def start_at(self, sim_time_s: float) -> None:
-        """Begin issuing steps at the given simulated time."""
-        self._runtime.sim.schedule_at(sim_time_s, self._issue_next)
+    def next_step(self) -> tuple:
+        cfg = self._config
+        # The *chosen* batch (the clamped AIMD window) exceeds the step's
+        # move count on the final, shorter step.
+        batch = max(cfg.min_batch, min(self._batch, cfg.max_batch))
+        insts = self._moves[self._cursor:self._cursor + batch]
+        self._cursor += len(insts)
+        return insts, batch
 
-    def _issue_next(self) -> None:
-        if self._next_step >= len(self._plan.steps):
-            self._finish()
-            return
-        step = self._plan.steps[self._next_step]
-        self._next_step += 1
-        if not step.insts:
-            self._issue_next()
-            return
-        self._issue(list(step.insts))
-        if self._pace_s is not None:
-            self._runtime.sim.schedule(self._pace_s, self._issue_next)
-        # The frontier may conceivably already be past; check synchronously.
-        self._check_progress(None)
+    def observe(self, step: StepResult) -> None:
+        """AIMD-style: overshoot halves the batch, clear headroom doubles it."""
+        cfg = self._config
+        if step.duration > cfg.target_step_s:
+            self._batch = max(cfg.min_batch, int(self._batch * cfg.shrink_factor))
+        elif step.duration < 0.6 * cfg.target_step_s:
+            self._batch = min(cfg.max_batch, int(self._batch * cfg.grow_factor))
 
-    # -- issue pipeline (hooks for the resilient subclass) -------------------
 
-    def _control_handle(self):
-        """The input handle control records are sent through."""
-        return self._group.handle(0)
-
-    def _prepare_insts(self, insts: list) -> list:
-        """Final say over a step's instructions just before sending."""
-        return list(insts)
-
-    def _after_issue(self, result: StepResult) -> None:
-        """Called once per issued step (the subclass arms its timeout here)."""
-
-    def _issue(self, insts: list) -> StepResult:
-        handle = self._control_handle()
-        if handle is None or handle.epoch is None:
-            raise RuntimeError("control input closed while a migration is pending")
-        insts = self._prepare_insts(insts)
-        time = handle.epoch
-        handle.send(time, list(insts))
-        now = self._runtime.sim.now
-        trace = self._runtime.sim.trace
-        if trace.wants_migration:
-            trace.publish(
-                MigrationStepIssued(time=time, moves=len(insts), at=now)
-            )
-        result = StepResult(
-            time=time, moves=len(insts), issued_at=now, insts=tuple(insts),
-            batch_size=len(insts),
-        )
-        self._awaiting.append(result)
-        self.result.steps.append(result)
-        self._after_issue(result)
-        return result
-
-    def _check_progress(self, _frontier) -> None:
-        completed_any = False
-        trace = self._runtime.sim.trace
-        while self._awaiting and self._probe.passed(self._awaiting[0].time):
-            step = self._awaiting.pop(0)
-            step.completed_at = self._runtime.sim.now
-            if trace.wants_migration:
-                trace.publish(
-                    MigrationStepCompleted(time=step.time, at=step.completed_at)
-                )
-                trace.publish(_outcome_of(step, step.completed_at))
-            completed_any = True
-        if completed_any and self._pace_s is None and not self._awaiting:
-            self._runtime.sim.schedule(self._gap_s, self._issue_next)
-
-    def _finish(self) -> None:
-        if self._finished:
-            return
-        self._finished = True
-        if self._on_done is not None:
-            self._on_done(self.result)
+# -- fault handling --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-step deadline discipline for the resilient controller.
+    """Per-step deadline discipline under fault handling.
 
     Attempt ``k`` (1-based) of a step must complete within
     ``timeout_s * backoff**(k-1)`` seconds of its (re-)issue; after
@@ -321,34 +292,63 @@ class RetryPolicy:
         return self.timeout_s * (self.backoff ** (attempt - 1))
 
 
-class ResilientMigrationController(MigrationController):
-    """A migration controller that survives injected faults.
+@dataclass
+class FaultHandling:
+    """What lets a controller survive injected faults.
 
-    Three mechanisms on top of the base controller:
-
-    * **Timeout + retry with backoff** — every issued step is given a
-      deadline; a step whose timestamp has not passed the probe by then is
+    * **Timeout + retry with backoff** — every issued step gets a deadline
+      (``retry``); one whose timestamp has not passed the probe by then is
       re-issued at the current control epoch with the same instructions.
       Re-issuing is idempotent: F diffs each instruction against its
       current owner, so already-applied moves produce no new shipments.
       Steps that exhaust ``retry.max_attempts`` are abandoned (and show up
-      in ``abandoned``).
-    * **Worker exclusion** — instructions targeting a dead worker are
-      retargeted (at issue *and* retry time) onto the live worker owning
-      the fewest bins in the configuration ledger, lowest id on ties.
-      ``placeable`` (when given) further restricts the candidates — elastic
-      runs pass a membership filter so crash retargeting never lands bins
-      on a draining or standby worker.
-    * **Crash reconciliation** — on a crash notification, bins the ledger
-      places on dead workers are reassigned to survivors through an extra
-      recovery step, so the key space stays fully owned; the
-      ``on_recovery_step`` callback lets a recovery coordinator reinstall
-      snapshot state into the new owners.
+      in the controller's ``abandoned``).
+    * **Worker exclusion** — control goes through a live worker's handle,
+      and instructions targeting a dead worker are retargeted (at issue
+      *and* retry time) onto the live worker owning the fewest bins in the
+      ``ledger``, lowest id on ties.  ``placeable`` further restricts the
+      candidates — elastic runs pass a membership filter so crash
+      retargeting never lands bins on a draining or standby worker.
+    * **Crash reconciliation** — on a crash, bins the ledger places on dead
+      workers are reassigned to survivors through an extra recovery step,
+      so the key space stays fully owned; ``on_recovery_step`` lets a
+      recovery coordinator reinstall snapshot state into the new owners.
+      Of several controllers sharing one ledger exactly one should
+      ``reconcile``, or each would issue its own recovery step.
 
-    ``injector`` is the chaos injector (membership oracle); ``ledger`` a
+    ``injector`` is the chaos injector (membership oracle), ``ledger`` a
     :class:`~repro.chaos.recovery.ConfigurationLedger` tracking the intended
-    assignment.  Both are optional: without them the controller degrades to
-    pure timeout/retry (useful under partitions and stalls).
+    assignment.  Without them fault handling degrades to pure timeout/retry
+    (useful under partitions and stalls).
+    """
+
+    retry: RetryPolicy = RetryPolicy()
+    injector: object = None
+    ledger: object = None
+    on_recovery_step: Optional[Callable[[StepResult], None]] = None
+    reconcile: bool = True
+    placeable: Optional[Callable[[int], bool]] = None
+
+
+def _least_loaded(counts: dict) -> int:
+    """Claim a slot on the worker with the fewest bins (lowest id on ties)."""
+    dst = min(counts, key=lambda w: (counts[w], w))
+    counts[dst] += 1
+    return dst
+
+
+class MigrationController:
+    """Feeds migration steps into the control stream, one at a time.
+
+    The controller issues each step at the current control epoch, watches
+    the S output frontier (via the provided probe) until the step's
+    timestamp has fully passed — state shipped *and* backlog drained — then
+    waits ``gap_s`` (paper §4.4's drain gap) and issues the next step.
+
+    ``plan`` is the step source: a :class:`MigrationPlan` or an
+    :class:`AdaptiveSteps`.  ``faults`` (a :class:`FaultHandling`) is off by
+    default: without it no timeout is ever armed, control goes through
+    handle 0 and instructions are sent as planned.
     """
 
     def __init__(
@@ -357,99 +357,180 @@ class ResilientMigrationController(MigrationController):
         control_group: InputGroup,
         ticker: EpochTicker,
         probe,
-        plan: MigrationPlan,
-        retry: Optional[RetryPolicy] = None,
-        injector=None,
-        ledger=None,
-        on_recovery_step: Optional[Callable[[StepResult], None]] = None,
-        reconcile: bool = True,
-        placeable: Optional[Callable[[int], bool]] = None,
-        **kwargs,
+        plan: MigrationPlan | AdaptiveSteps,
+        gap_s: float = 0.0,
+        pace_s: Optional[float] = None,
+        on_done: Optional[Callable[[MigrationResult], None]] = None,
+        faults: Optional[FaultHandling] = None,
     ) -> None:
-        super().__init__(runtime, control_group, ticker, probe, plan, **kwargs)
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._injector = injector
-        self._ledger = ledger
-        self._on_recovery_step = on_recovery_step
-        self._placeable = placeable
-        # Timeout events keyed by id(StepResult): StepResult's generated
-        # equality makes it unusable as a dict key or membership probe.
-        self._timeout_events: dict[int, object] = {}
+        if pace_s is not None and isinstance(plan, AdaptiveSteps):
+            raise ValueError(
+                "pace_s cannot drive an adaptive step source: each batch is "
+                "sized from the previous step's duration, which needs "
+                "completion pacing"
+            )
+        self._runtime = runtime
+        self._group = control_group
+        self._probe = probe
+        self._steps = _PlanSteps(plan) if isinstance(plan, MigrationPlan) else plan
+        self._gap_s = gap_s
+        # Completion pacing (default): the next step is issued gap_s after
+        # the previous one's frontier-confirmed completion.  Timer pacing
+        # (pace_s set): steps are issued every pace_s seconds regardless of
+        # completion — the regime where the paper's drain gap matters.
+        self._pace_s = pace_s
+        self._on_done = on_done
+        self._faults = faults
+        self._injector = faults.injector if faults is not None else None
+        self._ledger = faults.ledger if faults is not None else None
+        # Issued, not yet completed or abandoned, in issue order: each step
+        # with its armed timeout event (None without fault handling).
+        self._awaiting: dict[StepResult, object] = {}
         self._pending_recovery: list[list[ControlInst]] = []
+        self._finished = False
+        self.result = MigrationResult(strategy=self._steps.strategy)
         self.abandoned: list[StepResult] = []
-        # With several controllers sharing one ledger (one per scheduled
-        # migration), exactly one should reconcile crashes — otherwise each
-        # would issue its own recovery step for the same orphaned bins.
-        if injector is not None and reconcile:
-            injector.on_membership_change(self._on_membership)
+        probe.on_advance(self._check_progress)
+        if self._injector is not None and faults.reconcile:
+            self._injector.on_membership_change(self._on_membership)
 
     @property
     def done(self) -> bool:
-        """Base completion plus no recovery steps waiting to be issued."""
-        return super().done and not self._pending_recovery
+        """Every step (recovery steps too) issued, and completed or abandoned."""
+        return self._steps.exhausted and not (self._awaiting or self._pending_recovery)
 
-    # -- issue-pipeline overrides --------------------------------------------
+    def start_at(self, sim_time_s: float) -> None:
+        """Begin issuing steps at the given simulated time."""
+        self._runtime.sim.schedule_at(sim_time_s, self._issue_next)
 
-    def _control_handle(self):
-        if self._injector is None:
-            return self._group.handle(0)
-        for worker in self._injector.live_workers():
+    # -- the loop: issue -> await -> complete -> pace ------------------------------
+
+    def _issue_next(self) -> None:
+        if self._steps.exhausted:
+            self._finish()
+            return
+        insts, batch_size = self._steps.next_step()
+        if not insts:
+            self._issue_next()
+            return
+        self._issue(list(insts), batch_size)
+        if self._pace_s is not None:
+            self._runtime.sim.schedule(self._pace_s, self._issue_next)
+        # The frontier may conceivably already be past; check synchronously.
+        self._check_progress(None)
+
+    def _handle(self):
+        """The open input handle control goes through — worker 0's, or under
+        an injector the first live worker's — or None when there is none."""
+        workers = [0] if self._injector is None else self._injector.live_workers()
+        for worker in workers:
             handle = self._group.handle(worker)
             if handle.epoch is not None:
                 return handle
         return None
 
-    def _prepare_insts(self, insts: list) -> list:
-        out = list(insts)
+    def _issue(self, insts: list, batch_size: int) -> StepResult:
+        handle = self._handle()
+        if handle is None:
+            raise RuntimeError("control input closed while a migration is pending")
+        insts = self._retarget(insts)
+        time = handle.epoch
+        handle.send(time, list(insts))
+        now = self._runtime.sim.now
+        trace = self._runtime.sim.trace
+        if trace.wants_migration:
+            trace.publish(
+                MigrationStepIssued(time=time, moves=len(insts), at=now)
+            )
+        result = StepResult(
+            time=time, moves=len(insts), issued_at=now, insts=tuple(insts),
+            batch_size=batch_size,
+        )
+        self._awaiting[result] = self._arm_timeout(result)
+        self.result.steps.append(result)
+        return result
+
+    def _check_progress(self, _frontier) -> None:
+        # Scan every awaiting step, not just the head: retried steps carry
+        # rewritten (later) timestamps, so completion order is not issue
+        # order.
+        passed = [s for s in self._awaiting if self._probe.passed(s.time)]
+        if not passed:
+            return
+        now = self._runtime.sim.now
+        trace = self._runtime.sim.trace
+        for step in passed:
+            timeout = self._awaiting.pop(step)
+            if timeout is not None:
+                timeout.cancel()
+            step.completed_at = now
+            if trace.wants_migration:
+                trace.publish(MigrationStepCompleted(time=step.time, at=now))
+                trace.publish(_outcome_of(step, now))
+            self._steps.observe(step)
+        self._settled()
+
+    def _settled(self) -> None:
+        """Steps just completed or were abandoned: pace the next issue."""
+        if self._awaiting:
+            return
+        if self._pace_s is None:
+            self._runtime.sim.schedule(self._gap_s, self._issue_next)
+        else:
+            self._finish()
+
+    def _finish(self) -> None:
+        """Report the result, once, when nothing is left to issue or await
+        (a timer-paced ``_issue_next`` runs off the plan's end earlier)."""
+        if self._finished or not self.done:
+            return
+        self._finished = True
+        if self._on_done is not None:
+            self._on_done(self.result)
+
+    # -- fault handling: retargeting ---------------------------------------------
+
+    def _retarget(self, insts: list) -> list:
+        """Final say over a step's instructions just before sending: moves
+        onto dead workers go to survivors, and the ledger hears the result."""
         if self._injector is not None:
             dead = set(self._injector.dead_workers())
-            if dead and any(inst.worker in dead for inst in out):
+            if dead and any(inst.worker in dead for inst in insts):
                 counts = self._live_bin_counts()
-                retargeted = []
-                for inst in out:
-                    if inst.worker in dead:
-                        dst = min(counts, key=lambda w: (counts[w], w))
-                        counts[dst] += 1
-                        retargeted.append(ControlInst(bin=inst.bin, worker=dst))
-                    else:
-                        retargeted.append(inst)
-                out = retargeted
+                insts = [
+                    ControlInst(bin=inst.bin, worker=_least_loaded(counts))
+                    if inst.worker in dead
+                    else inst
+                    for inst in insts
+                ]
         if self._ledger is not None:
-            self._ledger.apply(out)
-        return out
-
-    def _after_issue(self, result: StepResult) -> None:
-        self._arm_timeout(result)
+            self._ledger.apply(insts)
+        return insts
 
     def _live_bin_counts(self) -> dict[int, float]:
         live = list(self._injector.live_workers())
-        if self._placeable is not None:
+        if self._faults.placeable is not None:
             # Never leave bins unowned: if membership rules exclude every
             # live worker, fall back to the full live set.
-            eligible = [w for w in live if self._placeable(w)]
+            eligible = [w for w in live if self._faults.placeable(w)]
             live = eligible or live
         if self._ledger is not None:
             return {w: len(self._ledger.current.bins_of(w)) for w in live}
         return {w: 0 for w in live}
 
-    # -- timeouts and retries -------------------------------------------------
+    # -- fault handling: timeouts and retries ------------------------------------
 
-    def _arm_timeout(self, result: StepResult) -> None:
-        delay = self._retry.deadline_for(result.attempts)
-        event = self._runtime.sim.schedule(
-            delay, lambda: self._on_timeout(result)
-        )
-        self._timeout_events[id(result)] = event
-
-    def _cancel_timeout(self, result: StepResult) -> None:
-        event = self._timeout_events.pop(id(result), None)
-        if event is not None:
-            event.cancel()
+    def _arm_timeout(self, result: StepResult):
+        """Schedule the current attempt's deadline (no-op without fault handling)."""
+        if self._faults is None:
+            return None
+        delay = self._faults.retry.deadline_for(result.attempts)
+        return self._runtime.sim.schedule(delay, partial(self._on_timeout, result))
 
     def _on_timeout(self, result: StepResult) -> None:
-        self._timeout_events.pop(id(result), None)
-        if not any(step is result for step in self._awaiting):
+        if result not in self._awaiting:
             return
+        retry = self._faults.retry
         now = self._runtime.sim.now
         trace = self._runtime.sim.trace
         if trace.wants_recovery:
@@ -457,18 +538,16 @@ class ResilientMigrationController(MigrationController):
                 MigrationStepTimedOut(
                     time=result.time,
                     attempt=result.attempts,
-                    timeout_s=self._retry.deadline_for(result.attempts),
+                    timeout_s=retry.deadline_for(result.attempts),
                     at=now,
                 )
             )
-        handle = self._control_handle()
-        if result.attempts >= self._retry.max_attempts or handle is None or (
-            handle.epoch is None
-        ):
+        handle = self._handle()
+        if result.attempts >= retry.max_attempts or handle is None:
             self._abandon(result, now)
             return
         old_time = result.time
-        insts = self._prepare_insts(list(result.insts))
+        insts = self._retarget(list(result.insts))
         result.attempts += 1
         result.insts = tuple(insts)
         result.time = handle.epoch
@@ -483,11 +562,11 @@ class ResilientMigrationController(MigrationController):
                     at=now,
                 )
             )
-        self._arm_timeout(result)
+        self._awaiting[result] = self._arm_timeout(result)
 
     def _abandon(self, result: StepResult, now: float) -> None:
         result.abandoned = True
-        self._awaiting[:] = [s for s in self._awaiting if s is not result]
+        del self._awaiting[result]
         self.abandoned.append(result)
         trace = self._runtime.sim.trace
         if trace.wants_recovery:
@@ -498,16 +577,15 @@ class ResilientMigrationController(MigrationController):
             )
         if trace.wants_migration:
             trace.publish(_outcome_of(result, now))
-        if self._pace_s is None and not self._awaiting:
-            self._runtime.sim.schedule(self._gap_s, self._issue_next)
+        self._settled()
 
     def nudge(self) -> None:
-        """Force an immediate retry of every awaiting step (watchdog hook)."""
-        for step in list(self._awaiting):
-            self._cancel_timeout(step)
+        """Retry every awaiting step now (watchdog hook; needs fault handling)."""
+        for step, timeout in list(self._awaiting.items()):
+            timeout.cancel()
             self._on_timeout(step)
 
-    # -- crash reconciliation --------------------------------------------------
+    # -- fault handling: crash reconciliation --------------------------------------
 
     def _on_membership(self, kind: str, process: int, workers: tuple) -> None:
         if kind != "crash":
@@ -515,68 +593,35 @@ class ResilientMigrationController(MigrationController):
             return
         now = self._runtime.sim.now
         trace = self._runtime.sim.trace
-        orphaned: list[int] = []
-        per_worker: dict[int, int] = {}
-        if self._ledger is not None:
-            for worker in workers:
-                bins = self._ledger.current.bins_of(worker)
-                per_worker[worker] = len(bins)
-                orphaned.extend(bins)
+        bins_of = {
+            w: self._ledger.current.bins_of(w) if self._ledger is not None else ()
+            for w in workers
+        }
         if trace.wants_recovery:
             for worker in workers:
                 trace.publish(
-                    WorkerExcluded(
-                        worker=worker,
-                        orphaned_bins=per_worker.get(worker, 0),
-                        at=now,
-                    )
+                    WorkerExcluded(worker=worker, orphaned_bins=len(bins_of[worker]), at=now)
                 )
+        orphaned = sorted(bin_id for w in workers for bin_id in bins_of[w])
         if not orphaned:
             return
         counts = self._live_bin_counts()
-        insts = []
-        for bin_id in sorted(orphaned):
-            dst = min(counts, key=lambda w: (counts[w], w))
-            counts[dst] += 1
-            insts.append(ControlInst(bin=bin_id, worker=dst))
-        self._pending_recovery.append(insts)
+        self._pending_recovery.append(
+            [
+                ControlInst(bin=bin_id, worker=_least_loaded(counts))
+                for bin_id in orphaned
+            ]
+        )
         self._runtime.sim.schedule(0.0, self._issue_recovery)
 
     def _issue_recovery(self) -> None:
         while self._pending_recovery:
             insts = self._pending_recovery.pop(0)
-            handle = self._control_handle()
-            if handle is None or handle.epoch is None:
+            if self._handle() is None:
                 # Control stream gone: recovery is impossible; the watchdog
                 # will diagnose the stall if one follows.
                 return
-            result = self._issue(insts)
-            if self._on_recovery_step is not None:
-                self._on_recovery_step(result)
+            result = self._issue(insts, len(insts))
+            if self._faults.on_recovery_step is not None:
+                self._faults.on_recovery_step(result)
         self._check_progress(None)
-
-    # -- completion ------------------------------------------------------------
-
-    def _check_progress(self, _frontier) -> None:
-        completed_any = False
-        now = self._runtime.sim.now
-        trace = self._runtime.sim.trace
-        # Scan every awaiting step, not just the head: retried steps carry
-        # rewritten (later) timestamps, so completion order is not issue
-        # order.
-        remaining: list[StepResult] = []
-        for step in self._awaiting:
-            if self._probe.passed(step.time):
-                step.completed_at = now
-                self._cancel_timeout(step)
-                if trace.wants_migration:
-                    trace.publish(
-                        MigrationStepCompleted(time=step.time, at=now)
-                    )
-                    trace.publish(_outcome_of(step, now))
-                completed_any = True
-            else:
-                remaining.append(step)
-        self._awaiting[:] = remaining
-        if completed_any and self._pace_s is None and not self._awaiting:
-            self._runtime.sim.schedule(self._gap_s, self._issue_next)

@@ -52,18 +52,13 @@ def config_to_dict(cfg) -> dict:
     """JSON-compatible provenance form of an :class:`ExperimentConfig`.
 
     Raises :class:`EventLogError` for configs that cannot be serialized
-    faithfully (a custom in-memory cost model, a callable pacing hook):
-    recording such a run would produce a log whose replay silently runs
-    different semantics.
+    faithfully (a custom in-memory cost model): recording such a run would
+    produce a log whose replay silently runs different semantics.
     """
     if cfg.cost is not None:
         raise EventLogError(
             "cannot record a run with a custom cost model; "
             "recording supports configs expressible as data"
-        )
-    if cfg.pace_s is not None and not isinstance(cfg.pace_s, (int, float)):
-        raise EventLogError(
-            f"cannot record a non-numeric pace_s ({type(cfg.pace_s).__name__})"
         )
     out: dict = {}
     for field in dataclasses.fields(cfg):

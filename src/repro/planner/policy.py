@@ -100,7 +100,7 @@ class ClosedLoopPlanner:
     A behavioral component: schedules its own decision events and may
     start migrations.  ``controller_factory(plan)`` builds the executor —
     defaults to a completion-paced :class:`MigrationController`; the
-    harness substitutes a resilient one when chaos is enabled.
+    harness substitutes one with fault handling when chaos is enabled.
     """
 
     def __init__(

@@ -96,6 +96,27 @@ def test_autoscaler_closed_loop_scales_out_under_load():
     assert result.scaling.residual_bins == 0
 
 
+def test_timer_paced_drain_waits_for_the_last_step():
+    # Regression: under timer pacing the controller reported the drain done
+    # when the last step was *issued*, so the coordinator closed the
+    # evacuees' inputs with 18 bins still resident on them.
+    cfg = ExperimentConfig(
+        num_workers=6, workers_per_process=2, num_bins=64, domain=4096,
+        rate=20000, duration_s=3.0, scaling_plan=ScalingPlan.parse("leave@1.0:4,5"),
+        strategy="batched", batch_size=2, pace_s=0.0005, bytes_per_key=4000.0,
+        fingerprint_state=True,
+    )
+    paced = run_count_experiment(cfg)
+    awaited = run_count_experiment(dataclasses.replace(cfg, pace_s=None))
+    assert paced.scaling.residual_bins == 0
+    assert paced.records_injected == awaited.records_injected == 60_000
+    assert paced.cluster_fingerprint == awaited.cluster_fingerprint
+    drain = paced.scaling.operations[0]
+    assert drain.completed_at >= max(
+        step.completed_at for step in paced.migrations[0].steps
+    )
+
+
 def test_config_validation_rejects_elastic_misuse():
     with pytest.raises(ValueError):
         # 6 % 4 != 0: ragged process groups.

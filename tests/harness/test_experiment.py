@@ -145,3 +145,10 @@ def test_memory_spike_only_for_all_at_once():
         return worst
 
     assert overshoot(spike_run) > 2 * overshoot(fluid_run) + 1e6
+
+
+@pytest.mark.parametrize("pace_s", [0, -0.5, "0.01", lambda: 0.01])
+def test_pace_s_must_be_a_positive_number(pace_s):
+    with pytest.raises(ValueError, match="pace_s"):
+        ExperimentConfig(pace_s=pace_s)
+    assert ExperimentConfig(pace_s=0.01).pace_s == 0.01

@@ -46,7 +46,7 @@ def drive_wordcount(
     state_backend="dict",
     backend_options=None,
     delta_migration=False,
-    controller_cls=MigrationController,
+    faults=None,
 ):
     """Run word count under an optional migration strategy.
 
@@ -54,7 +54,8 @@ def drive_wordcount(
     epoch, every worker sends ``records_per_epoch_per_worker`` increments
     cycling over ``n_keys`` keys.  ``instrument``, if given, is called with
     the built runtime before anything runs (e.g. to attach trace
-    subscribers).
+    subscribers).  ``faults`` is the controller's optional
+    :class:`~repro.megaphone.controller.FaultHandling` bundle.
     """
     run = WordCountRun()
     df = make_dataflow(num_workers=num_workers, workers_per_process=2)
@@ -122,13 +123,14 @@ def drive_wordcount(
     if strategy is not None:
         target = target_fn(initial)
         run.plan = make_plan(strategy, initial, target, batch_size=batch_size)
-        controller = controller_cls(
+        controller = MigrationController(
             runtime,
             control_group,
             ticker,
             out_probe,
             run.plan,
             gap_s=gap_s,
+            faults=faults,
         )
         controller.start_at(migrate_epoch * tick_s)
 

@@ -1,9 +1,14 @@
-"""Tests for the adaptive controller and bin-granular snapshots."""
+"""Tests for the adaptive step source and bin-granular snapshots."""
 
+import pytest
 
-from repro.megaphone.adaptive import AdaptiveConfig, AdaptiveMigrationController
 from repro.megaphone.control import BinnedConfiguration, stable_hash
-from repro.megaphone.controller import EpochTicker
+from repro.megaphone.controller import (
+    AdaptiveConfig,
+    AdaptiveSteps,
+    EpochTicker,
+    MigrationController,
+)
 from repro.megaphone.operators import build_migrateable
 from repro.megaphone.snapshot import SnapshotCoordinator, restore_into
 from tests.helpers import make_dataflow
@@ -12,12 +17,12 @@ WORKERS = 2
 BINS = 16
 
 
-def build(initial=None, sink=None):
+def build(initial=None, sink=None, num_bins=BINS):
     df = make_dataflow(num_workers=WORKERS, workers_per_process=2)
     control, control_group = df.new_input("control")
     data, data_group = df.new_input("data")
     if initial is None:
-        initial = BinnedConfiguration.round_robin(BINS, WORKERS)
+        initial = BinnedConfiguration.round_robin(num_bins, WORKERS)
 
     def applier(app):
         state = app.state
@@ -28,7 +33,7 @@ def build(initial=None, sink=None):
 
     op = build_migrateable(
         control, [data], [lambda r: stable_hash(r[0])], applier,
-        num_bins=BINS, name="snap", initial=initial,
+        num_bins=num_bins, name="snap", initial=initial,
     )
     probe = df.probe(op.output)
     runtime = df.build()
@@ -62,17 +67,25 @@ def drain(runtime, ticker, controller=None):
     runtime.run_to_quiescence()
 
 
-def test_adaptive_controller_migrates_everything():
-    df, runtime, cg, dg, probe, op, initial, ticker = build()
+def run_adaptive(config, num_bins=BINS, n_epochs=80):
+    """Swap every bin to the other worker under the adaptive step source."""
+    df, runtime, cg, dg, probe, op, initial, ticker = build(num_bins=num_bins)
     target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
-    controller = AdaptiveMigrationController(
-        runtime, cg, ticker, probe, initial, target,
-        config=AdaptiveConfig(initial_batch=1, target_step_s=0.01),
+    controller = MigrationController(
+        runtime, cg, ticker, probe, AdaptiveSteps(initial, target, config=config)
     )
     controller.start_at(0.02)
-    feed(runtime, dg, 80)
+    feed(runtime, dg, n_epochs)
     drain(runtime, ticker, controller)
     assert controller.done
+    return controller, runtime, op, initial, target
+
+
+def test_adaptive_controller_migrates_everything():
+    controller, runtime, op, initial, target = run_adaptive(
+        AdaptiveConfig(initial_batch=1, target_step_s=0.01)
+    )
+    assert controller.result.strategy == "adaptive"
     moved = sum(s.moves for s in controller.result.steps)
     assert moved == len(initial.moved_bins(target))
     for worker in range(WORKERS):
@@ -81,18 +94,43 @@ def test_adaptive_controller_migrates_everything():
 
 
 def test_adaptive_controller_grows_batches_when_cheap():
-    df, runtime, cg, dg, probe, op, initial, ticker = build()
-    target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
-    controller = AdaptiveMigrationController(
-        runtime, cg, ticker, probe, initial, target,
-        config=AdaptiveConfig(initial_batch=1, target_step_s=1.0),
-    )
-    controller.start_at(0.02)
-    feed(runtime, dg, 80)
-    drain(runtime, ticker, controller)
+    controller, *_ = run_adaptive(AdaptiveConfig(initial_batch=1, target_step_s=1.0))
     # Cheap steps: batch sizes must have grown.
-    assert controller.batch_history[0] == 1
-    assert max(controller.batch_history) > 1
+    moves = [s.moves for s in controller.result.steps]
+    assert moves[0] == 1
+    assert max(moves) > 1
+
+
+# Captured from the separate adaptive controller at the commit before it was
+# folded into MigrationController (64 bins, 120 epochs): moves per step, chosen
+# batch per step, migration duration, total simulator events.  The 1 ms
+# target sits on the step durations (0.99-1.01 ms), so the grow/hold/shrink
+# sequence pins the *exact* duration the sizing policy is fed.
+ADAPTIVE_SNAPSHOTS = {
+    0.002: ([1, 2, 4, 8, 16, 32, 1], [1, 2, 4, 8, 16, 32, 64], 0.00602355, 4920),
+    0.001: ([1, 2, 2] + [1] * 59, [1, 2, 2] + [1] * 59, 0.06102355, 5727),
+}
+
+
+@pytest.mark.parametrize("target_step_s", sorted(ADAPTIVE_SNAPSHOTS))
+def test_adaptive_behaviour_matches_pre_merge_snapshot(target_step_s):
+    moves, batches, duration, sim_events = ADAPTIVE_SNAPSHOTS[target_step_s]
+    controller, runtime, *_ = run_adaptive(
+        AdaptiveConfig(initial_batch=1, target_step_s=target_step_s),
+        num_bins=64, n_epochs=120,
+    )
+    assert [s.moves for s in controller.result.steps] == moves
+    assert controller.result.batch_sizes == batches
+    assert controller.result.duration == pytest.approx(duration, abs=1e-9)
+    assert runtime.sim.events_processed == sim_events
+
+
+def test_pace_s_with_adaptive_steps_is_rejected():
+    df, runtime, cg, dg, probe, op, initial, ticker = build()
+    with pytest.raises(ValueError, match="completion pacing"):
+        MigrationController(
+            runtime, cg, ticker, probe, AdaptiveSteps(initial, initial), pace_s=0.01
+        )
 
 
 def test_snapshot_is_consistent_cut():

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.megaphone.control import BinnedConfiguration
-from repro.megaphone.controller import EpochTicker, MigrationController
+from repro.chaos.recovery import cluster_fingerprint
+from repro.megaphone.controller import (
+    EpochTicker,
+    FaultHandling,
+    MigrationController,
+    StepResult,
+)
 from repro.megaphone.migration import make_plan
 from repro.megaphone.operators import build_migrateable
 from repro.runtime_events.events import MigrationStepOutcome
 from tests.helpers import make_dataflow
+from tests.megaphone.driver import drive_wordcount
 
 
 def build_counting(num_workers=2, num_bins=4):
@@ -123,6 +130,37 @@ def test_timer_paced_controller_overlaps_steps():
         assert b - a == pytest.approx(0.001, abs=2e-4)
 
 
+def test_timer_paced_on_done_waits_for_the_last_completion():
+    # The pacing timer runs off the end of the plan while steps are still
+    # awaiting; on_done must not fire until the last of them completes.
+    runtime, control_group, data_group, probe, op, initial = build_counting(
+        num_workers=2, num_bins=8
+    )
+    ticker = EpochTicker(runtime, control_group, granularity_ms=1)
+    ticker.start()
+    target = BinnedConfiguration(tuple((w + 1) % 2 for w in initial.assignment))
+    plan = make_plan("fluid", initial, target)
+    seen = []
+
+    def on_done(result):
+        seen.append((runtime.sim.now, controller.done, [s.completed_at for s in result.steps]))
+
+    controller = MigrationController(
+        runtime, control_group, ticker, probe, plan, pace_s=0.0001, on_done=on_done
+    )
+    controller.start_at(0.005)
+    feed_steadily(runtime, data_group, 60)
+    runtime.run(until=0.1)
+    ticker.stop()
+    runtime.run_to_quiescence()
+    assert len(seen) == 1
+    at, done, completions = seen[0]
+    assert done and None not in completions
+    assert at == max(completions)
+    # The timer had walked off the plan's end well before that.
+    assert at > controller.result.steps[-1].issued_at + 0.0001
+
+
 def test_empty_plan_completes_immediately():
     runtime, control_group, data_group, probe, op, initial = build_counting()
     ticker = EpochTicker(runtime, control_group, granularity_ms=1)
@@ -170,3 +208,59 @@ def test_step_outcomes_published_on_trace_bus():
     assert not any(o.abandoned for o in outcomes)
     for outcome, step in zip(outcomes, result.steps):
         assert outcome.duration_s == pytest.approx(step.duration)
+
+
+# -- fault handling is a parameter, not a subclass --------------------------------
+
+
+def _spy_on_timeouts(armed):
+    """An ``instrument=`` hook recording every timeout event the sim is handed."""
+
+    def instrument(runtime):
+        schedule = runtime.sim.schedule
+
+        def spying_schedule(delay, callback):
+            # Timeouts are partial(controller._on_timeout, step).
+            target = getattr(callback, "func", None)
+            if getattr(target, "__func__", None) is MigrationController._on_timeout:
+                armed.append(delay)
+            return schedule(delay, callback)
+
+        runtime.sim.schedule = spying_schedule
+
+    return instrument
+
+
+def test_controller_without_fault_handling_arms_no_timeouts():
+    plain, bundled = [], []
+    run = drive_wordcount(strategy="fluid", instrument=_spy_on_timeouts(plain))
+    assert run.controller.done and len(run.result.steps) > 1
+    assert plain == []
+    # Positive control: the same run with the bundle arms one per step.
+    run = drive_wordcount(
+        strategy="fluid", instrument=_spy_on_timeouts(bundled), faults=FaultHandling()
+    )
+    assert bundled == [FaultHandling().retry.timeout_s] * len(run.result.steps)
+
+
+@pytest.mark.parametrize("strategy", ["fluid", "batched", "all-at-once"])
+def test_fault_handling_that_never_fires_changes_nothing(strategy):
+    def observed(run):
+        steps = [
+            (s.time, s.moves, s.issued_at, s.completed_at, s.insts, s.attempts, s.batch_size)
+            for s in run.result.steps
+        ]
+        stores = [store for _w, store in run.op.stores(run.runtime)]
+        return steps, cluster_fingerprint(stores), run.outputs
+
+    plain = drive_wordcount(strategy=strategy)
+    bundled = drive_wordcount(strategy=strategy, faults=FaultHandling())
+    assert bundled.controller.abandoned == []
+    assert observed(bundled) == observed(plain)
+
+
+def test_step_results_compare_by_identity():
+    a = StepResult(time=5, moves=1, issued_at=0.1)
+    b = StepResult(time=5, moves=1, issued_at=0.1)
+    assert a != b and a == a
+    assert len({a, b}) == 2

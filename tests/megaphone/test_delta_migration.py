@@ -8,7 +8,7 @@ controller retry that double-ships a bin cannot clobber installed state.
 """
 
 from repro.megaphone.bins import BinStore
-from repro.megaphone.controller import ResilientMigrationController
+from repro.megaphone.controller import FaultHandling
 from repro.runtime_events.events import (
     TOPIC_MIGRATION,
     BinStateExtracted,
@@ -172,9 +172,7 @@ def test_round_trip_migration_reinstalls_after_fence_clear():
 
 
 def test_retrying_a_completed_step_is_a_no_op():
-    run, events = _drive(
-        delta=True, controller_cls=ResilientMigrationController
-    )
+    run, events = _drive(delta=True, faults=FaultHandling())
     controller = run.controller
     assert controller.done
     steps = run.result.steps
