@@ -7,7 +7,6 @@ Usage (module form)::
     python -m repro.cli compare --domain 1e9           # Figure 1 in one line
     python -m repro.cli trace --domain 1e7             # per-bin phase breakdown
     python -m repro.cli plan --workload skewed         # closed-loop planner
-    python -m repro.cli bench --scale smoke            # hot-path throughput
     python -m repro.cli count --record run.jsonl       # record an event log
     python -m repro.cli replay run.jsonl               # verify it reproduces
     python -m repro.cli matrix --spec sweep.toml       # experiment matrix
@@ -37,7 +36,6 @@ from repro.harness.report import (
 from repro.megaphone.migration import STRATEGIES
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.harness import run_nexmark_experiment
-from repro.perf.hotpath import SCALES
 
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
@@ -774,109 +772,6 @@ def cmd_chaos(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Measure hot-path throughput and write ``BENCH_hotpath.json``."""
-    from repro.perf.hotpath import check_report, run_bench, write_report
-    from repro.runtime_events.columns import describe_representation
-
-    overrides = {}
-    for spec in args.tolerance_override:
-        workload, sep, frac = spec.partition("=")
-        if not sep:
-            print(f"bad --tolerance-override {spec!r}; expected WORKLOAD=FRAC")
-            return 2
-        overrides[workload] = float(frac)
-    report = run_bench(
-        args.scale,
-        layers=not args.no_layers,
-        repeats=args.repeats,
-        state_backend=args.state_backend,
-        parallel=args.parallel,
-    )
-    rows = []
-    for workload, numbers in report["workloads"].items():
-        rows.append(
-            (
-                workload,
-                f"{numbers['records']:,}",
-                f"{numbers['wall_seconds']:.3f}s",
-                f"{numbers['records_per_s']:,.0f}",
-                f"{numbers['sim_events_per_s']:,.0f}",
-            )
-        )
-    print_table(
-        f"hot-path bench, scale {report['scale']}",
-        ["workload", "records", "wall", "records/s", "events/s"],
-        rows,
-    )
-    print(
-        f"batch representation: {describe_representation()}, "
-        f"state backend: {report['state_backend']}"
-    )
-    if "layers" in report:
-        for workload, layers in report["layers"].items():
-            top = list(layers.items())[:5]
-            breakdown = ", ".join(
-                f"{layer} {entry['fraction']:.0%}" for layer, entry in top
-            )
-            print(f"{workload} CPU by layer: {breakdown}")
-    if "speedup" in report:
-        for workload, factor in report["speedup"].items():
-            base = report["baseline"][workload]["records_per_s"]
-            print(f"{workload}: {factor:.2f}x vs baseline ({base:,.0f} rec/s)")
-    if "parallel" in report:
-        par = report["parallel"]
-        print(
-            f"parallel: {par['shards']} shards, "
-            f"{par['speedup']:.2f}x vs serial-sharded "
-            f"(machine has {report['machine']['cpu_count']} cores), "
-            f"deterministic: {par['deterministic']}"
-        )
-    if args.check is not None:
-        ok, deltas = check_report(
-            report,
-            args.check,
-            tolerance=args.tolerance,
-            tolerance_overrides=overrides,
-        )
-        print_table(
-            f"regression check vs {args.check} (tolerance {args.tolerance:.0%})",
-            ["workload", "committed rec/s", "current rec/s", "delta", "status"],
-            [
-                (
-                    row["workload"],
-                    f"{row['baseline_records_per_s']:,.0f}",
-                    f"{row['records_per_s']:,.0f}",
-                    f"{row['delta']:+.1%}",
-                    row["status"],
-                )
-                for row in deltas
-            ],
-        )
-        if any(row["status"] == "cross-machine-warn" for row in deltas):
-            print(
-                "note: baseline was measured on a different machine; "
-                "regressions reported as warnings only"
-            )
-        passed = sum(1 for row in deltas if row["status"] == "ok")
-        warned = sum(
-            1 for row in deltas if row["status"] == "cross-machine-warn"
-        )
-        failed = len(deltas) - passed - warned
-        print(
-            f"check summary: {passed} passed, {warned} warned, "
-            f"{failed} failed"
-        )
-        if not ok:
-            print("FAIL: throughput regressed beyond tolerance")
-            return 1
-        print("check passed")
-        return 0
-    write_report(report, args.output)
-    print(f"report written to {args.output}")
-    return 0
-
-
 def cmd_replay(args) -> int:
     """Re-execute a recorded run and verify its result fingerprint.
 
@@ -926,7 +821,7 @@ def cmd_matrix(args) -> int:
     Without ``--check`` the aggregated report is written to ``--output``.
     With ``--check BASELINE`` the fresh report is compared cell-by-cell
     against the committed baseline and the command exits 1 on any
-    regression, fingerprint drift, or failed cell.
+    fingerprint drift or failed cell.
     """
     from repro.obsv.matrix import (
         MatrixSpecError,
@@ -949,7 +844,6 @@ def cmd_matrix(args) -> int:
                 row["cell"],
                 row["status"],
                 f"{row.get('records', 0):,}",
-                f"{row.get('records_per_s', 0.0):,.0f}",
                 format_latency(row["steady_max_latency_s"])
                 if "steady_max_latency_s" in row
                 else "-",
@@ -958,42 +852,37 @@ def cmd_matrix(args) -> int:
         )
     print_table(
         f"experiment matrix ({len(rows)} cells, mode {report['mode']})",
-        ["cell", "status", "records", "records/s", "steady max", "chaos"],
+        ["cell", "status", "records", "steady max", "chaos"],
         rows,
     )
     if args.check is not None:
         try:
-            ok, deltas = check_matrix(
-                report, args.check, tolerance=args.tolerance
-            )
+            ok, deltas = check_matrix(report, args.check)
         except (OSError, ValueError) as exc:
             print(f"cannot check against {args.check}: {exc}", file=sys.stderr)
             return 2
         print_table(
             f"matrix check vs {args.check}",
-            ["cell", "committed rec/s", "current rec/s", "delta", "status"],
+            ["cell", "committed fingerprint", "current fingerprint", "status"],
             [
                 (
                     row["cell"],
-                    f"{row['baseline_records_per_s']:,.0f}"
-                    if row["baseline_records_per_s"]
-                    else "-",
-                    f"{row['records_per_s']:,.0f}",
-                    f"{row['delta']:+.1%}" if row["delta"] is not None else "-",
+                    (row["baseline_fingerprint"] or "-")[:16],
+                    (row["fingerprint"] or "-")[:16],
                     row["status"],
                 )
                 for row in deltas
             ],
         )
         passed = sum(1 for row in deltas if row["status"] in ("ok", "new"))
-        warned = sum(1 for row in deltas if row["status"].endswith("-warn"))
+        warned = sum(1 for row in deltas if row["status"] == "fingerprint-warn")
         failed = len(deltas) - passed - warned
         print(
             f"check summary: {passed} passed, {warned} warned, "
             f"{failed} failed"
         )
         if not ok:
-            print("FAIL: matrix regressed vs the committed baseline")
+            print("FAIL: matrix drifted from the committed baseline")
             return 1
         print("matrix check passed")
         return 0
@@ -1030,7 +919,7 @@ def cmd_list(args) -> int:
 
     for name in sorted(AUTOSCALER_POLICIES):
         print(f"autoscaler policy: {name} — {AUTOSCALER_POLICIES[name]}")
-    print("bench: python -m repro.cli bench --scale smoke|full  (hot-path throughput)")
+    print("speed: python3 benchmarks/e2e/run.py  (host records/s, six workloads)")
     print("benchmarks: pytest benchmarks/ --benchmark-only  (one per paper figure)")
     return 0
 
@@ -1156,51 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(fn=cmd_chaos)
 
-    bench = sub.add_parser(
-        "bench", help="measure hot-path throughput (records/s, events/s)"
-    )
-    bench.add_argument(
-        "--scale", choices=sorted(SCALES), default="full",
-        help="workload size (full matches the checked-in baseline)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="timed repetitions per workload (default: the scale's own)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_hotpath.json",
-        help="where to write the JSON report",
-    )
-    bench.add_argument(
-        "--no-layers", action="store_true",
-        help="skip the profiled per-layer CPU breakdown",
-    )
-    bench.add_argument(
-        "--state-backend", default="dict",
-        help="state backend the benched operators run on",
-    )
-    bench.add_argument(
-        "--check", default=None, metavar="BASELINE_JSON",
-        help="compare against a committed bench report instead of writing "
-        "one; exit 1 if records/s regressed beyond the tolerance",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.15,
-        help="allowed relative records/s drop in --check mode (default 0.15)",
-    )
-    bench.add_argument(
-        "--tolerance-override", action="append", default=[],
-        metavar="WORKLOAD=FRAC",
-        help="per-workload tolerance in --check mode, e.g. "
-        "count_skewed=0.25; repeatable",
-    )
-    bench.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="also time the sharded engine: serial-sharded vs N forked "
-        "shards, recording speedup and determinism in the report",
-    )
-    bench.set_defaults(fn=cmd_bench)
-
     plan = sub.add_parser(
         "plan",
         help="observe load, propose migration plans, optionally execute",
@@ -1269,8 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--spec", required=True, metavar="SPEC_TOML_OR_JSON",
-        help="matrix spec: [matrix] axes, [base] experiment config, "
-        "[tolerance] per-cell check tolerances",
+        help="matrix spec: [matrix] axes, [base] experiment config",
     )
     matrix.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -1283,12 +1126,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument(
         "--check", default=None, metavar="BASELINE_JSON",
         help="compare against a committed matrix report instead of "
-        "writing one; exit 1 on regression or fingerprint drift",
-    )
-    matrix.add_argument(
-        "--tolerance", type=float, default=None,
-        help="override the spec's default throughput tolerance in "
-        "--check mode",
+        "writing one; exit 1 on fingerprint drift or a failed cell",
     )
     matrix.set_defaults(fn=cmd_matrix)
 
@@ -1303,10 +1141,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "workers"):
         _validate_common(parser, args)
-    elif hasattr(args, "state_backend"):
-        _validate_backend_args(parser, args)
-    if hasattr(args, "repeats") and args.repeats is not None and args.repeats <= 0:
-        parser.error(f"--repeats must be positive, got {args.repeats}")
     if not args.profile:
         return args.fn(args)
     import cProfile

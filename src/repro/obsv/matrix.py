@@ -4,21 +4,19 @@ A *matrix spec* (TOML or JSON) declares axes — {strategy x backend x
 codec x workload x faults} — and a base experiment configuration; the
 runner expands the cartesian product into cells, runs each cell's
 experiment across parallel worker processes, and aggregates one report
-(``BENCH_matrix.json``) with a row per cell: throughput, latency
-headlines, the chaos verdict (for fault cells), and the deterministic
-``result_fingerprint``.
+(``BENCH_matrix.json``) with a row per cell: record and event counts,
+simulated latency headlines, the chaos verdict (for fault cells), and the
+deterministic ``result_fingerprint``.  Nothing in a row is wall-clock —
+host speed is measured by ``benchmarks/e2e`` — so two sweeps of one
+commit write identical ``cells`` lists.
 
 ``check_matrix`` compares a fresh report against a checked-in baseline so
-CI can gate on the whole matrix at once:
-
-* **fingerprint drift** is a correctness regression — the simulation no
-  longer reproduces the committed run — and fails the check whenever the
-  environments are fingerprint-comparable (same interpreter version and
-  batch representation; the simulated results are machine-independent,
-  but pickle-based codecs may legitimately differ across interpreters).
-* **throughput regression** beyond the cell's tolerance fails only when
-  the machine metadata matches (same downgrade-to-warning rule as
-  ``bench --check``).
+the whole matrix is gated at once: **fingerprint drift** means the
+simulation no longer reproduces the committed run.  Simulated results do
+not depend on the interpreter or on the batch representation, so drift
+fails the check; the one exception is a cell whose codec emits real
+pickle bytes, which only gates between interpreters of the same
+``major.minor`` (see :func:`fingerprint_gates`).
 
 Worker processes follow the :mod:`repro.parallel.supervisor` pattern:
 fork once per job, ship results back over a pipe as one pickled payload,
@@ -32,6 +30,7 @@ import itertools
 import json
 import os
 import pickle
+import platform
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -40,6 +39,7 @@ from repro.versions import (
     MATRIX_READ_VERSIONS,
     MATRIX_SCHEMA,
     MATRIX_SCHEMA_FAMILY,
+    check_schema,
 )
 
 # Axis name -> ExperimentConfig field it drives.  "faults" is special: it
@@ -113,10 +113,13 @@ def load_spec(path: str) -> dict:
     base = data.setdefault("base", {})
     if not isinstance(base, dict):
         raise MatrixSpecError(f"{path}: [base] must be a table")
-    tolerance = data.setdefault("tolerance", {})
-    if not isinstance(tolerance, dict):
-        raise MatrixSpecError(f"{path}: [tolerance] must be a table")
-    tolerance.setdefault("default", 0.25)
+    stray = set(data) - {"matrix", "base"}
+    if stray:
+        raise MatrixSpecError(
+            f"{path}: unknown top-level tables {sorted(stray)}; a spec has "
+            "[matrix] and [base] only — the matrix gates fingerprints, "
+            "throughput gating lives in benchmarks/e2e"
+        )
     return data
 
 
@@ -197,12 +200,6 @@ def run_cell(spec: dict, cell: MatrixCell) -> dict:
         "status": "ok",
         "records": result.records_injected,
         "sim_events": result.sim_events,
-        "wall_seconds": round(result.wall_seconds, 4),
-        "records_per_s": round(
-            result.records_injected / result.wall_seconds, 2
-        )
-        if result.wall_seconds
-        else 0.0,
         "steady_max_latency_s": round(result.steady_max_latency(), 9),
         "migrations": len(result.migrations),
         "result_fingerprint": result_fingerprint(result),
@@ -313,8 +310,6 @@ def run_matrix(
     ``jobs=0`` runs inline (no forking — the deterministic reference
     path); ``None`` picks ``min(cells, cpu_count)``.
     """
-    from repro.perf.hotpath import machine_metadata
-
     cells = expand_cells(spec)
     if jobs is None:
         jobs = min(len(cells), os.cpu_count() or 1)
@@ -328,13 +323,12 @@ def run_matrix(
         "schema": MATRIX_SCHEMA,
         "spec_path": spec_path,
         "mode": mode,
-        "machine": machine_metadata(),
+        "machine": {"python": platform.python_version()},
         "axes": {axis: list(spec["matrix"][axis]) for axis in AXES},
         "base": {
             k: list(v) if isinstance(v, tuple) else v
             for k, v in spec.get("base", {}).items()
         },
-        "tolerance": dict(spec.get("tolerance", {})),
         "cells": rows,
     }
 
@@ -348,57 +342,40 @@ def write_matrix_report(report: dict, path: str) -> None:
 # -- the regression gate --------------------------------------------------------
 
 
-def fingerprints_comparable(current: Optional[dict], committed: Optional[dict]) -> bool:
-    """Whether two environments must agree on simulation fingerprints.
+def fingerprint_gates(cell_id: str, current: dict, committed: dict) -> bool:
+    """Whether drift in this cell's fingerprint fails the check.
 
-    Simulated results are machine-independent, but codecs that consult
-    the interpreter (pickle sizes) and the batch representation (numpy vs
-    stdlib arrays — asserted identical, pinned here anyway) are the two
-    environmental inputs; fingerprints gate only when both match.
+    The codec axis decides.  A ``modeled`` cell is pure simulation —
+    independent of the interpreter, of numpy, and of the machine — so its
+    drift always fails.  ``pickle`` and ``struct`` (through its fallback)
+    put real pickle bytes, whose sizes the interpreter picks, on the
+    simulated wire, so those cells gate only between interpreters of the
+    same ``major.minor``.
     """
-    if not current or not committed:
-        return False
-    return all(
-        current.get(k) == committed.get(k)
-        for k in ("python", "batch_representation")
-    )
+    if MatrixCell(*cell_id.split("/")).codec == "modeled":
+        return True
+    return _python_minor(current) == _python_minor(committed)
 
 
-def check_matrix(
-    report: dict,
-    baseline_path: str,
-    tolerance: Optional[float] = None,
-) -> tuple[bool, list[dict]]:
+def _python_minor(report: dict) -> list[str]:
+    return (report.get("machine") or {}).get("python", "").split(".")[:2]
+
+
+def check_matrix(report: dict, baseline_path: str) -> tuple[bool, list[dict]]:
     """Compare a fresh matrix report against a committed baseline.
 
     Returns ``(ok, rows)`` with one row per cell in the fresh report.
-    Statuses: ``ok``, ``new`` (not in the baseline), ``regression``
-    (throughput beyond tolerance, comparable machines),
-    ``cross-machine-warn`` (same, machines differ), ``fingerprint-drift``
-    (simulation changed; fails when fingerprints are comparable),
-    ``error``/``crashed``/``stalled`` (the cell itself failed — always
-    fails the check).
+    Statuses: ``ok``, ``new`` (not in the baseline), ``fingerprint-drift``
+    (simulation changed — fails), ``fingerprint-warn`` (same, on a cell
+    :func:`fingerprint_gates` exempts), ``error``/``crashed``/``stalled``
+    (the cell itself failed — always fails the check).
     """
-    from repro.perf.hotpath import machines_comparable
-
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
-    from repro.versions import check_schema
-
     check_schema(
         baseline.get("schema", ""), MATRIX_SCHEMA_FAMILY, MATRIX_READ_VERSIONS
     )
     base_cells = {row["cell"]: row for row in baseline.get("cells", [])}
-    tolerances = report.get("tolerance", {})
-    default_tol = (
-        tolerance if tolerance is not None else tolerances.get("default", 0.25)
-    )
-    perf_comparable = machines_comparable(
-        report.get("machine"), baseline.get("machine")
-    )
-    fp_comparable = fingerprints_comparable(
-        report.get("machine"), baseline.get("machine")
-    )
     ok = True
     rows: list[dict] = []
     for row in report.get("cells", []):
@@ -406,42 +383,20 @@ def check_matrix(
         committed = base_cells.get(cell)
         entry = {
             "cell": cell,
-            "records_per_s": row.get("records_per_s", 0.0),
-            "baseline_records_per_s": (committed or {}).get("records_per_s"),
-            "delta": None,
+            "fingerprint": row.get("result_fingerprint"),
+            "baseline_fingerprint": (committed or {}).get("result_fingerprint"),
             "status": "ok",
         }
-        if row.get("status") != "ok" and row.get("status") != "new":
+        rows.append(entry)
+        if row.get("status") != "ok":
             entry["status"] = row.get("status", "error")
             ok = False
-            rows.append(entry)
-            continue
-        if committed is None:
+        elif committed is None:
             entry["status"] = "new"
-            rows.append(entry)
-            continue
-        if (
-            committed.get("result_fingerprint")
-            and row.get("result_fingerprint")
-            and committed["result_fingerprint"] != row["result_fingerprint"]
-        ):
-            entry["status"] = (
-                "fingerprint-drift" if fp_comparable else "fingerprint-warn"
-            )
-            if fp_comparable:
-                ok = False
-            rows.append(entry)
-            continue
-        base_rps = committed.get("records_per_s") or 0.0
-        current_rps = row.get("records_per_s", 0.0)
-        delta = (current_rps - base_rps) / base_rps if base_rps else 0.0
-        entry["delta"] = round(delta, 4)
-        allowed = tolerances.get(cell, default_tol)
-        if delta < -allowed:
-            if perf_comparable:
-                entry["status"] = "regression"
+        elif entry["fingerprint"] != entry["baseline_fingerprint"]:
+            if fingerprint_gates(cell, report, baseline):
+                entry["status"] = "fingerprint-drift"
                 ok = False
             else:
-                entry["status"] = "cross-machine-warn"
-        rows.append(entry)
+                entry["status"] = "fingerprint-warn"
     return ok, rows

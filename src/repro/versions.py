@@ -1,17 +1,17 @@
 """One home for every on-disk format version the reproduction writes.
 
 The repo emits several durable artifacts — migration plans (plan_io),
-hot-path bench reports, the experiment-matrix report, and the obsv event
-log.  Each format carries a version so readers can refuse documents they
-cannot faithfully interpret; before this module those constants were
-scattered across the writers, which made "can this build replay that
-log?" unanswerable in one place.
+the experiment-matrix report, and the obsv event log.  Each format
+carries a version so readers can refuse documents they cannot faithfully
+interpret; before this module those constants were scattered across the
+writers, which made "can this build replay that log?" unanswerable in
+one place.
 
 Two version styles coexist, for compatibility with what is already
 checked in:
 
 * integer versions (plan_io documents: ``{"version": 2, ...}``),
-* schema tags (report files: ``{"schema": "bench-hotpath/2", ...}``),
+* schema tags (report files: ``{"schema": "bench-matrix/2", ...}``),
   parsed by :func:`parse_schema` into a ``(family, version)`` pair.
 
 A reader accepts a document when its version is listed in the matching
@@ -29,19 +29,14 @@ from __future__ import annotations
 PLAN_FORMAT_VERSION = 2
 PLAN_READ_VERSIONS = (1, 2)
 
-# -- hot-path bench reports (repro.perf.hotpath) --------------------------------
-# bench-hotpath/2 added the ``machine`` metadata block that powers the
-# cross-machine warning downgrade in ``bench --check``.
-BENCH_SCHEMA_FAMILY = "bench-hotpath"
-BENCH_SCHEMA_VERSION = 2
-BENCH_SCHEMA = f"{BENCH_SCHEMA_FAMILY}/{BENCH_SCHEMA_VERSION}"
-BENCH_READ_VERSIONS = (1, 2)
-
 # -- experiment-matrix reports (repro.obsv.matrix) ------------------------------
+# bench-matrix/2 dropped every wall-clock field (throughput, tolerances,
+# host metadata beyond the interpreter version); the gate reads only what
+# both versions carry, so v1 baselines still check.
 MATRIX_SCHEMA_FAMILY = "bench-matrix"
-MATRIX_SCHEMA_VERSION = 1
+MATRIX_SCHEMA_VERSION = 2
 MATRIX_SCHEMA = f"{MATRIX_SCHEMA_FAMILY}/{MATRIX_SCHEMA_VERSION}"
-MATRIX_READ_VERSIONS = (1,)
+MATRIX_READ_VERSIONS = (1, 2)
 
 # -- obsv event logs (repro.obsv.eventlog) --------------------------------------
 # v2 added the elastic-membership provenance (active_workers, scaling_plan,

@@ -9,9 +9,6 @@ from repro.megaphone import plan_io
 from repro.megaphone.migration import make_plan
 from repro.megaphone.control import BinnedConfiguration
 from repro.versions import (
-    BENCH_READ_VERSIONS,
-    BENCH_SCHEMA,
-    BENCH_SCHEMA_FAMILY,
     EVENT_LOG_READ_VERSIONS,
     EVENT_LOG_VERSION,
     MATRIX_READ_VERSIONS,
@@ -41,17 +38,6 @@ def test_plan_roundtrip_through_registry_version(tmp_path):
     assert plan_io.load_plan(path) == plan
 
 
-def test_bench_schema_matches_written_reports():
-    from repro.perf import hotpath
-
-    assert BENCH_SCHEMA == "bench-hotpath/2"
-    family, version = parse_schema(BENCH_SCHEMA)
-    assert family == BENCH_SCHEMA_FAMILY
-    assert version in BENCH_READ_VERSIONS
-    # The writer embeds the registry tag (not a local literal).
-    assert hotpath.BENCH_SCHEMA is BENCH_SCHEMA
-
-
 def test_matrix_and_event_log_versions_are_readable():
     assert parse_schema(MATRIX_SCHEMA)[1] in MATRIX_READ_VERSIONS
     assert EVENT_LOG_VERSION in EVENT_LOG_READ_VERSIONS
@@ -59,7 +45,7 @@ def test_matrix_and_event_log_versions_are_readable():
 
 @pytest.mark.parametrize(
     "tag",
-    ["", "bench-hotpath", "/2", "bench-hotpath/", "bench-hotpath/two", 2, None],
+    ["", "bench-matrix", "/2", "bench-matrix/", "bench-matrix/two", 2, None],
 )
 def test_parse_schema_rejects_malformed_tags(tag):
     with pytest.raises(ValueError):
@@ -67,18 +53,14 @@ def test_parse_schema_rejects_malformed_tags(tag):
 
 
 def test_check_schema_accepts_and_rejects():
-    assert check_schema("bench-hotpath/2", "bench-hotpath", (1, 2)) == 2
+    assert check_schema("bench-matrix/2", "bench-matrix", (1, 2)) == 2
     with pytest.raises(ValueError, match="not a"):
-        check_schema("bench-matrix/1", "bench-hotpath", (1, 2))
+        check_schema("event-log/1", "bench-matrix", (1, 2))
     with pytest.raises(ValueError, match="unsupported"):
-        check_schema("bench-hotpath/99", "bench-hotpath", (1, 2))
+        check_schema("bench-matrix/99", "bench-matrix", (1, 2))
 
 
 def test_registry_is_the_single_source_of_truth():
     # Every constant the registry promises exists and is self-consistent.
-    for family_tag, read in (
-        (versions.BENCH_SCHEMA, versions.BENCH_READ_VERSIONS),
-        (versions.MATRIX_SCHEMA, versions.MATRIX_READ_VERSIONS),
-    ):
-        _, version = parse_schema(family_tag)
-        assert version in read
+    _, version = parse_schema(versions.MATRIX_SCHEMA)
+    assert version in versions.MATRIX_READ_VERSIONS
