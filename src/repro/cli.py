@@ -25,7 +25,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    ParallelConfigError,
+    run_count_experiment,
+)
 from repro.harness.report import (
     format_duration,
     format_latency,
@@ -54,7 +58,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--network-latency", type=float, default=40e-6, metavar="SECONDS",
-        help="cross-process link latency; in --parallel runs it is also "
+        help="cross-process link latency; in --parallel 0 runs it is also "
         "the conservative lookahead, so ms-scale values (e.g. 0.01) keep "
         "the synchronization round count practical",
     )
@@ -81,9 +85,9 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
 def _parallel_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel", type=int, default=None, metavar="N",
-        help="shard the simulation over the workers-per-process partition: "
-        "N >= 1 forks N shard processes, 0 runs the sharded reference "
-        "engine in-process; all values produce byte-identical results",
+        help="0 runs the sharded reference engine (one event loop per "
+        "workers-per-process group, in this process); omit it for the "
+        "serial engine.  No other value is accepted",
     )
 
 
@@ -198,15 +202,6 @@ def _validate_common(parser: argparse.ArgumentParser, args) -> None:
     metrics_port = getattr(args, "metrics_port", None)
     if metrics_port is not None and metrics_port < 0:
         parser.error(f"--metrics-port must be >= 0, got {metrics_port}")
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None:
-        if parallel < 0:
-            parser.error(f"--parallel must be >= 0, got {parallel}")
-        if getattr(args, "native", False):
-            parser.error(
-                "--parallel does not support --native; the sharded engine "
-                "only runs the migrateable operator"
-            )
     _validate_elastic_args(parser, args)
 
 
@@ -236,11 +231,6 @@ def _validate_elastic_args(parser: argparse.ArgumentParser, args) -> None:
             f"--scale-in-load ({args.scale_in_load}) must be below "
             f"--scale-out-load ({args.scale_out_load}); the gap is the "
             "hysteresis band that prevents thrash"
-        )
-    if elastic and getattr(args, "parallel", None) is not None:
-        parser.error(
-            "elastic membership is not supported with --parallel; the "
-            "sharded engine partitions a fixed worker set"
         )
     if elastic and getattr(args, "native", False):
         parser.error(
@@ -398,7 +388,6 @@ def cmd_count(args) -> int:
         bytes_per_key=args.bytes_per_key,
         native=args.native,
         parallel=args.parallel,
-        profile_shards=bool(args.profile and args.parallel),
     )
     result = run_count_experiment(cfg)
     _report(result, f"key-count, domain {int(args.domain):,}")
@@ -406,31 +395,11 @@ def cmd_count(args) -> int:
     if result.parallel is not None:
         info = result.parallel
         print(
-            f"parallel: mode={info['mode']} children={info['children']} "
-            f"domains={info['domains']} rounds={info['rounds']} "
-            f"lookahead={info['lookahead_s'] * 1e3:.2f}ms "
-            f"shm batches={info['shm_encoded']} "
-            f"(pickle fallback {info['shm_fallback']})"
+            f"parallel: domains={info['domains']} rounds={info['rounds']} "
+            f"lookahead={info['lookahead_s'] * 1e3:.2f}ms"
         )
-        _print_merged_shard_profile(info["profile_paths"])
     _report_obsv(result, args)
     return 0
-
-
-def _print_merged_shard_profile(paths: list) -> None:
-    """Aggregate per-shard cProfile dumps into one report (``--profile``)."""
-    import os
-
-    paths = [p for p in paths if p and os.path.exists(p)]
-    if not paths:
-        return
-    import pstats
-
-    stats = pstats.Stats(paths[0])
-    for path in paths[1:]:
-        stats.add(path)
-    print(f"\nmerged shard profile ({len(paths)} shard processes):")
-    stats.sort_stats("cumulative").print_stats(25)
 
 
 def cmd_nexmark(args) -> int:
@@ -1141,20 +1110,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "workers"):
         _validate_common(parser, args)
-    if not args.profile:
-        return args.fn(args)
-    import cProfile
-    import pstats
-
-    profile = cProfile.Profile()
-    profile.enable()
     try:
-        status = args.fn(args)
-    finally:
-        profile.disable()
-        stats = pstats.Stats(profile)
-        stats.sort_stats("cumulative").print_stats(25)
-    return status
+        if not args.profile:
+            return args.fn(args)
+        import cProfile
+        import pstats
+
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            status = args.fn(args)
+        finally:
+            profile.disable()
+            stats = pstats.Stats(profile)
+            stats.sort_stats("cumulative").print_stats(25)
+        return status
+    except ParallelConfigError as exc:
+        # Raised where the config is constructed: its message is the usage
+        # error (exit code 2), so each rule is stated once.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

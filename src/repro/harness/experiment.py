@@ -53,6 +53,30 @@ from repro.sim.network import Cluster
 from repro.timely.dataflow import Dataflow
 
 
+class ParallelConfigError(ValueError):
+    """The config asks the sharded engine for something it does not run."""
+
+
+# What the sharded engine (``parallel=0``) does not run, as (config field,
+# label); a field is set when it is neither None nor False (a metrics port
+# of 0 means "pick one").
+_SHARDED_UNSUPPORTED = (
+    ("chaos", "fault injection (chaos)"),
+    ("planner", "the closed-loop planner"),
+    ("sample_memory", "memory sampling"),
+    ("collect_trace", "migration trace collection"),
+    ("native", "the native (non-migrateable) baseline"),
+    # The obsv observers subscribe to *one* bus; a sharded run has one per
+    # domain, so recording/export there would capture a single shard's
+    # slice and present it as the whole run.
+    ("record_log", "event-log recording (--record)"),
+    ("export_metrics", "metrics export (--export-metrics)"),
+    ("metrics_port", "the metrics endpoint (--metrics-port)"),
+    # The sharded engine partitions a fixed worker set.
+    ("elastic", "elastic membership"),
+)
+
+
 @dataclass
 class ExperimentConfig:
     """Parameters of one migration experiment."""
@@ -131,12 +155,10 @@ class ExperimentConfig:
     # models, and the decision loop unwired — the run is byte-identical to
     # a build without the planner subsystem.
     planner: Optional[PlannerConfig] = None
-    # Sharded execution (see repro.parallel).  None runs the legacy serial
-    # engine; 0 runs the sharded reference engine in-process; N >= 1 forks
-    # N shard processes.  All sharded runs are byte-identical to each other.
+    # Engine choice (see repro.parallel).  None runs the legacy serial
+    # engine; 0 runs the sharded reference engine, in-process.  Nothing
+    # else is legal.
     parallel: Optional[int] = None
-    # With sharding: wrap each shard process in cProfile (merged by the CLI).
-    profile_shards: bool = False
     # Hash every worker's final bin states into the result (sharded runs
     # always do; serial runs opt in — it is how serial-vs-sharded logical
     # equivalence is asserted).
@@ -183,21 +205,35 @@ class ExperimentConfig:
             raise ValueError(
                 f"pace_s must be a positive number of seconds, got {self.pace_s!r}"
             )
-        if self.elastic:
-            if self.parallel is not None:
-                raise ValueError(
-                    "elastic membership is not supported with sharded "
-                    "execution (parallel); run the serial engine"
-                )
-            if self.native:
-                raise ValueError(
-                    "elastic membership needs the migrateable operator; "
-                    "the native baseline cannot scale"
-                )
+        if self.parallel is not None:
+            self._check_sharded()
+        if self.elastic and self.native:
+            raise ValueError(
+                "elastic membership needs the migrateable operator; "
+                "the native baseline cannot scale"
+            )
         if self.scaling_plan is not None:
             self.scaling_plan.validate(self.num_workers, self.initial_active)
         if self.autoscale is not None:
             self.autoscale.validate(self.num_workers)
+
+    def _check_sharded(self) -> None:
+        """Reject what the sharded engine cannot honor, at construction."""
+        if self.parallel != 0:
+            raise ParallelConfigError(
+                "parallel must be None (serial engine) or 0 (sharded "
+                f"engine, in-process), got {self.parallel!r}: forked "
+                "execution (--parallel N, N >= 1) was removed, having "
+                "measured 0.3x the in-process engine it matched byte for "
+                "byte; --parallel 0 runs the sharded engine in-process"
+            )
+        for attr, label in _SHARDED_UNSUPPORTED:
+            value = getattr(self, attr)
+            if value is not None and value is not False:
+                raise ParallelConfigError(
+                    f"the sharded engine (--parallel 0) does not support "
+                    f"{label}; run it serially (drop --parallel)"
+                )
 
     @property
     def initial_active(self) -> int:
@@ -296,8 +332,9 @@ class ExperimentResult:
     final_imbalance: float = 0.0
     # The calibrated cost model (post-run), for prediction-vs-observed checks.
     cost_model: Optional[MigrationCostModel] = None
-    # Sharded-run report (None for serial runs): mode, children, rounds,
-    # lookahead, per-domain event counts, per-worker state fingerprints.
+    # Sharded-run report (None for serial runs): domains, rounds,
+    # lookahead, per-domain event and record counts, per-worker state
+    # fingerprints.
     parallel: Optional[dict] = None
     # Per-topic bus event counts (when the config asked for them) and the
     # bound Prometheus port (when the config served metrics).

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult, MigrationExperiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    MigrationExperiment,
+    ParallelConfigError,
+)
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.generator import make_generator
 from repro.nexmark.queries import QUERIES
@@ -34,6 +39,11 @@ def run_nexmark_experiment(
     """
     if query not in QUERIES:
         raise ValueError(f"unknown NEXMark query {query}; implemented: {sorted(QUERIES)}")
+    if cfg.parallel is not None:
+        raise ParallelConfigError(
+            "NEXMark queries run on the serial engine only: the sharded "
+            "runner (parallel=0) builds just the count dataflow; drop parallel"
+        )
     if nexmark is None:
         nexmark = NexmarkConfig(dilation=cfg.dilation)
     use_native = cfg.native if native is None else native

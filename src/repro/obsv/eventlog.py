@@ -44,8 +44,11 @@ _OBSERVER_FIELDS = (
     "export_metrics",
     "metrics_port",
     "collect_topic_counts",
-    "profile_shards",
 )
+# Observer fields since removed from ExperimentConfig.  Headers recorded
+# while they existed still carry them, so they are dropped on read ahead of
+# the unknown-field check: a recorded log must keep replaying.
+_RETIRED_OBSERVER_FIELDS = ("profile_shards",)
 
 
 def config_to_dict(cfg) -> dict:
@@ -126,6 +129,8 @@ def config_from_dict(data: dict):
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     for name, value in data.items():
+        if name in _RETIRED_OBSERVER_FIELDS:
+            continue
         if name not in known:
             raise EventLogError(f"unknown config field {name!r} in log header")
         if name in _OBSERVER_FIELDS or name == "cost":

@@ -18,10 +18,9 @@ fails the check; the one exception is a cell whose codec emits real
 pickle bytes, which only gates between interpreters of the same
 ``major.minor`` (see :func:`fingerprint_gates`).
 
-Worker processes follow the :mod:`repro.parallel.supervisor` pattern:
-fork once per job, ship results back over a pipe as one pickled payload,
-and poll child liveness so a crashed worker surfaces as a structured
-per-cell failure instead of a hang.
+Worker processes fork once per job, ship results back over a pipe as one
+pickled payload, and poll child liveness so a crashed worker surfaces as a
+structured per-cell failure instead of a hang.
 """
 
 from __future__ import annotations

@@ -12,8 +12,7 @@ events never mix ``int`` and ``tuple`` sequence numbers in one comparison:
 At equal times, remote injections therefore fire before local events, and
 remote injections from different senders fire in ``(src_domain, src_seq)``
 order — both total orders are functions of the (deterministic) message
-streams alone, never of OS scheduling, so every shard count replays the same
-event sequence.
+streams alone, so every run replays the same event sequence.
 """
 
 from __future__ import annotations

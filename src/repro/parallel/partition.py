@@ -1,12 +1,11 @@
-"""The shard partition: simulated process groups become physical shards.
+"""The shard partition: simulated process groups become shards.
 
 A cluster of ``num_workers`` workers grouped ``workers_per_process`` to a
-simulated process yields ``num_domains`` *domains*; in parallel mode each
-domain is one OS process running its own event loop.  The same partition is
-the unit of fate-sharing everywhere else — the chaos layer's ``ProcessCrash``
-kills exactly the workers of one domain (``chaos/experiment.py`` routes its
-process arithmetic through here), so a simulated process failure and a real
-shard failure take out the same worker set.
+simulated process yields ``num_domains`` *domains*; on the sharded engine
+each domain runs its own event loop.  The same partition is the unit of
+fate-sharing everywhere else — the chaos layer's ``ProcessCrash`` kills
+exactly the workers of one domain (``chaos/experiment.py`` routes its
+process arithmetic through here).
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Per-domain progress-tracker views with broadcast remote updates.
 
 The serial runtime uses one centralized zero-latency :class:`ProgressTracker`.
-That cannot be parallelized byte-identically — a remote worker's capability
+That cannot be sharded byte-identically — a remote worker's capability
 drop cannot be visible in the same simulated instant without a global
-synchronization per event — so *sharded* runs (any ``--parallel N``,
-including the in-process ``N=0`` reference executor) give each domain its own
-tracker **view**: local accounting applies immediately, and is simultaneously
-logged for broadcast to every other domain, where it is applied after one
-delivery quantum of simulated latency.
+synchronization per event — so sharded runs (``--parallel 0``) give each
+domain its own tracker **view**: local accounting applies immediately, and
+is simultaneously logged for broadcast to every other domain, where it is
+applied after one delivery quantum of simulated latency.
 
 Updates are net-coalesced per quantum per ``(kind, index, time)`` and each
 quantum's batch is applied atomically at the receiver, so a view never
@@ -37,7 +36,7 @@ from repro.timely.graph import GraphBuilder
 from repro.timely.progress import ProgressTracker
 from repro.timely.timestamp import Timestamp
 
-# Update kinds (ints: compact to pickle, fast to compare).
+# Update kinds (ints: fast to compare).
 CAP = 0  # capability_update(op, time, delta)
 MSG = 1  # in-flight update(channel, time, delta); delta<0 == consumed
 

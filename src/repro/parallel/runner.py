@@ -1,13 +1,13 @@
-"""Parallel experiment entry point: validate, shard, run, assemble.
+"""Sharded experiment entry point: shard, run, assemble.
 
-``run_parallel_count_experiment`` is the ``--parallel`` twin of
+``run_parallel_count_experiment`` is the ``--parallel 0`` twin of
 ``run_count_experiment``: same config in, same :class:`ExperimentResult`
-out, plus a ``result.parallel`` dict describing the sharded run (mode,
-children, rounds, lookahead, per-domain event counts, per-worker state
-fingerprints).  ``--parallel 0`` runs every shard in-process (the sharded
-reference engine); ``--parallel N`` forks N children.  Both produce
-byte-identical simulations — `result_fingerprint` condenses the
-determinism-relevant outputs into one digest for asserting exactly that.
+out, plus a ``result.parallel`` dict describing the sharded run (domains,
+rounds, lookahead, per-domain event and record counts, per-worker state
+fingerprints).  What the sharded engine cannot run is rejected when the
+config is constructed (``ExperimentConfig.__post_init__``), not here.
+`result_fingerprint` condenses the determinism-relevant outputs of any
+run, serial or sharded, into one digest.
 """
 
 from __future__ import annotations
@@ -15,80 +15,30 @@ from __future__ import annotations
 import hashlib
 import time as wallclock
 
-from repro.harness.experiment import ExperimentConfig, ExperimentResult
+from repro.harness.experiment import (
+    ExperimentConfig,
+    ExperimentResult,
+    ParallelConfigError,
+)
 from repro.parallel.partition import ShardPartition
-from repro.parallel.supervisor import ForkExecutor, LocalExecutor
+from repro.parallel.supervisor import LocalExecutor
 from repro.parallel.sync import run_protocol
 from repro.sim.memory import MemoryTimeline
 
-
-class ParallelConfigError(ValueError):
-    """The config asks for a feature the sharded engine does not support."""
-
-
-_UNSUPPORTED = (
-    ("chaos", "fault injection (chaos)"),
-    ("planner", "the closed-loop planner"),
-)
-_UNSUPPORTED_FLAGS = (
-    ("sample_memory", "memory sampling"),
-    ("collect_trace", "migration trace collection"),
-    ("native", "the native (non-migrateable) baseline"),
-    # The obsv observers subscribe to *one* bus; a sharded run has one per
-    # domain, so recording/export there would capture a single shard's
-    # slice and present it as the whole run.
-    ("record_log", "event-log recording (--record)"),
-    ("export_metrics", "metrics export (--export-metrics)"),
-)
+__all__ = [
+    "ParallelConfigError",
+    "result_fingerprint",
+    "run_parallel_count_experiment",
+]
 
 
-def validate_parallel_config(cfg: ExperimentConfig) -> None:
-    """Reject configs the sharded engine cannot honor, loudly and early."""
-    if cfg.parallel is None:
-        return
-    if cfg.parallel < 0:
-        raise ParallelConfigError("--parallel must be >= 0")
-    for attr, label in _UNSUPPORTED:
-        if getattr(cfg, attr) is not None:
-            raise ParallelConfigError(
-                f"--parallel does not support {label}; "
-                "run it serially (drop --parallel)"
-            )
-    for attr, label in _UNSUPPORTED_FLAGS:
-        if getattr(cfg, attr):
-            raise ParallelConfigError(
-                f"--parallel does not support {label}; "
-                "run it serially (drop --parallel)"
-            )
-    if cfg.metrics_port is not None:
-        raise ParallelConfigError(
-            "--parallel does not support the metrics endpoint "
-            "(--metrics-port); run it serially (drop --parallel)"
-        )
-
-
-def run_parallel_count_experiment(
-    cfg: ExperimentConfig, profile_dir=None
-) -> ExperimentResult:
-    """Run the counting microbenchmark sharded under ``cfg.parallel``."""
-    validate_parallel_config(cfg)
+def run_parallel_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run the counting microbenchmark on the sharded engine."""
     partition = ShardPartition(cfg.num_workers, cfg.workers_per_process)
     started = wallclock.perf_counter()
-    if cfg.parallel == 0:
-        executor = LocalExecutor(cfg, partition)
-    else:
-        if cfg.profile_shards and profile_dir is None:
-            import tempfile
-
-            profile_dir = tempfile.mkdtemp(prefix="repro-shard-profiles-")
-        executor = ForkExecutor(
-            cfg, partition, cfg.parallel, profile_dir=profile_dir
-        )
-    try:
-        rounds = run_protocol(executor)
-        reports = executor.finalize()
-    finally:
-        executor.close()
+    executor = LocalExecutor(cfg, partition)
+    rounds = run_protocol(executor)
+    reports = executor.finalize()
 
     root = reports[0]
     if not root["controllers_done"]:
@@ -112,9 +62,6 @@ def run_parallel_count_experiment(
         state_fingerprints={w: fingerprints[w] for w in sorted(fingerprints)},
     )
     result.parallel = {
-        "mode": executor.mode,
-        "shards": cfg.parallel,
-        "children": executor.num_children,
         "domains": partition.num_domains,
         "lookahead_s": executor.lookahead,
         "rounds": rounds,
@@ -125,13 +72,6 @@ def run_parallel_count_experiment(
             d: reports[d]["records_injected"] for d in sorted(reports)
         },
         "fingerprints": {w: fingerprints[w] for w in sorted(fingerprints)},
-        "profile_paths": [
-            p for p in getattr(executor, "profile_paths", []) or []
-        ],
-        "shm_encoded": sum(r.get("shm_encoded", 0) for r in reports.values()),
-        "shm_fallback": sum(
-            r.get("shm_fallback", 0) for r in reports.values()
-        ),
     }
     return result
 

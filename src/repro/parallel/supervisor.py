@@ -1,66 +1,25 @@
-"""Shard executors: in-process reference and forked OS processes.
+"""The shard executor: every domain hosted in the calling process.
 
-:class:`LocalExecutor` (``--parallel 0``) hosts every domain in the calling
-process — the *sharded reference engine*.  It runs the identical window
-protocol with zero IPC, so it pins the semantics that the forked executor
-must reproduce byte-for-byte.
-
-:class:`ForkExecutor` (``--parallel N``) forks ``min(N, num_domains)``
-children and multiplexes domains over them round-robin; each child builds
-its hosts after the fork (operator state is never shipped between
-processes).  Per round the supervisor sends each participating child its
-``(grant, inbox)`` assignments plus relayed ring acknowledgements, and the
-child replies with ``(next_time, outbox)`` per hosted domain.  Column
-payloads travel through pre-forked shared-memory rings when numpy is
-available (see :mod:`repro.parallel.transport`); everything else pickles
-over the pipe.
-
-A dead or wedged child surfaces as :class:`ShardCrashed` with the shard
-index and round — never a hang: replies are collected with a poll loop
-that also watches child liveness (pipe EOF alone is unreliable here, since
-later-forked children inherit earlier children's pipe ends).
+:class:`LocalExecutor` (``--parallel 0``) is the *sharded reference
+engine*: it builds one :class:`DomainHost` per domain and, each round of
+:func:`repro.parallel.sync.run_protocol`, runs the granted domains' windows
+one after another in domain order.  There is no IPC and no other executor;
+a forked one existed and was removed after measuring 0.3x this one
+(EXPERIMENTS.md, "Forked shard executor").
 """
 
 from __future__ import annotations
 
-import os
-import traceback
-from typing import Optional
-
-from repro.parallel.domain import DomainHost, RemoteData
+from repro.parallel.domain import DomainHost
 from repro.parallel.partition import ShardPartition
-from repro.parallel.transport import ShmCodec, ShmRing, shm_supported
-
-# Seconds a supervisor waits on one child reply before declaring it wedged.
-_REPLY_TIMEOUT_S = float(os.environ.get("REPRO_PARALLEL_TIMEOUT_S", "300"))
-_RING_BYTES = int(os.environ.get("REPRO_PARALLEL_RING_BYTES", str(1 << 22)))
-# Test hook: child 0 hard-exits when its round counter reaches this value.
-_CRASH_ENV = "REPRO_PARALLEL_CRASH_AT"
-
-
-class ShardCrashed(RuntimeError):
-    """A forked shard died or stopped responding mid-protocol."""
-
-    def __init__(self, shard: int, round_no: int, detail: str) -> None:
-        super().__init__(
-            f"shard {shard} failed during synchronization round {round_no}: "
-            f"{detail}"
-        )
-        self.shard = shard
-        self.round_no = round_no
-        self.detail = detail
 
 
 class LocalExecutor:
-    """All domains in-process: the N=0 sharded reference engine."""
-
-    mode = "local"
+    """All domains in-process: the sharded reference engine."""
 
     def __init__(self, cfg, partition: ShardPartition) -> None:
-        self.partition = partition
         self.hosts = {d: DomainHost(cfg, partition, d) for d in partition.domains()}
         self.lookahead = next(iter(self.hosts.values())).lookahead
-        self.num_children = 0
 
     def domains(self) -> list:
         return sorted(self.hosts)
@@ -76,265 +35,3 @@ class LocalExecutor:
 
     def finalize(self) -> dict:
         return {d: host.finalize() for d, host in self.hosts.items()}
-
-    def close(self) -> None:
-        pass
-
-
-def _shard_main(conn, cfg, partition, hosted, rings, profile_path, crash_at):
-    """Child process loop: build hosts, serve rounds until told to exit."""
-    profiler = None
-    if profile_path is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-    codec = ShmCodec(rings)
-    round_no = 0
-    try:
-        hosts = {d: DomainHost(cfg, partition, d) for d in hosted}
-        conn.send(
-            (
-                "ready",
-                {d: host.next_time for d, host in hosts.items()},
-                hosts[hosted[0]].lookahead,
-            )
-        )
-        while True:
-            msg = conn.recv()
-            kind = msg[0]
-            if kind == "round":
-                _, assignments, acks = msg
-                codec.apply_acks(acks)
-                round_no += 1
-                if crash_at is not None and round_no >= crash_at:
-                    os._exit(23)
-                results = {}
-                for d in sorted(assignments):
-                    grant, inbox = assignments[d]
-                    for entry in inbox:
-                        if type(entry) is RemoteData:
-                            codec.decode_entry(entry)
-                    next_time, outbox = hosts[d].run_window(grant, inbox)
-                    for entry in outbox:
-                        if type(entry) is RemoteData:
-                            codec.encode_entry(entry)
-                    results[d] = (next_time, outbox)
-                conn.send(("round", results, codec.take_acks()))
-            elif kind == "finalize":
-                if profiler is not None:
-                    profiler.disable()
-                    profiler.dump_stats(profile_path)
-                reports = {d: hosts[d].finalize() for d in hosted}
-                # Per-child stats go on the child's first hosted domain
-                # only, so summing across reports counts each child once.
-                first = reports[min(reports)]
-                first["profile_path"] = profile_path
-                first["shm_encoded"] = codec.encoded
-                first["shm_fallback"] = codec.fallback
-                conn.send(("finalize", reports))
-            elif kind == "exit":
-                conn.close()
-                return
-    except (EOFError, KeyboardInterrupt):
-        pass
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except (OSError, ValueError):
-            pass
-        os._exit(1)
-
-
-class ForkExecutor:
-    """Domains multiplexed over forked children, shm data plane."""
-
-    mode = "fork"
-
-    def __init__(
-        self,
-        cfg,
-        partition: ShardPartition,
-        num_shards: int,
-        profile_dir: Optional[str] = None,
-    ) -> None:
-        import multiprocessing
-
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError(
-                "--parallel requires the fork start method; "
-                "use --parallel 0 on this platform"
-            ) from exc
-        self.partition = partition
-        domains = list(partition.domains())
-        self.num_children = min(num_shards, len(domains))
-        self._child_of = {d: d % self.num_children for d in domains}
-        self._hosted = {
-            i: [d for d in domains if self._child_of[d] == i]
-            for i in range(self.num_children)
-        }
-        self.rings: dict = {}
-        if shm_supported():
-            for src in domains:
-                for dst in domains:
-                    if src != dst:
-                        self.rings[(src, dst)] = ShmRing(_RING_BYTES)
-        crash_at_raw = os.environ.get(_CRASH_ENV)
-        crash_at = int(crash_at_raw) if crash_at_raw else None
-        self.profile_paths: list[str] = []
-        self._conns = []
-        self._procs = []
-        self._round_no = 0
-        # Acks from reader children, held until the writer child's next round.
-        self._pending_acks: dict[int, dict] = {
-            i: {} for i in range(self.num_children)
-        }
-        try:
-            for i in range(self.num_children):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                profile_path = None
-                if profile_dir is not None:
-                    profile_path = os.path.join(profile_dir, f"shard{i}.pstats")
-                    self.profile_paths.append(profile_path)
-                proc = ctx.Process(
-                    target=_shard_main,
-                    args=(
-                        child_conn,
-                        cfg,
-                        partition,
-                        self._hosted[i],
-                        self.rings,
-                        profile_path,
-                        crash_at if i == 0 else None,
-                    ),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            self._next0 = {}
-            self.lookahead = 0.0
-            for i in range(self.num_children):
-                msg = self._recv(i)
-                if msg[0] != "ready":
-                    raise ShardCrashed(i, 0, f"unexpected handshake {msg[0]!r}")
-                self._next0.update(msg[1])
-                self.lookahead = msg[2]
-        except BaseException:
-            self.close()
-            raise
-
-    # -- protocol surface --------------------------------------------------
-
-    def domains(self) -> list:
-        return sorted(self._child_of)
-
-    def initial_next_times(self) -> dict:
-        return dict(self._next0)
-
-    def run_round(self, assignments: dict) -> dict:
-        self._round_no += 1
-        by_child: dict[int, dict] = {}
-        for d, assignment in assignments.items():
-            by_child.setdefault(self._child_of[d], {})[d] = assignment
-        participating = sorted(by_child)
-        for i in participating:
-            acks = self._pending_acks[i]
-            self._pending_acks[i] = {}
-            self._send(i, ("round", by_child[i], acks))
-        results: dict = {}
-        for i in participating:
-            msg = self._recv(i)
-            if msg[0] != "round":
-                raise ShardCrashed(
-                    i, self._round_no, f"unexpected reply {msg[0]!r}"
-                )
-            results.update(msg[1])
-            for key, upto in msg[2].items():
-                writer = self._child_of[key[0]]
-                pending = self._pending_acks[writer]
-                if upto > pending.get(key, 0):
-                    pending[key] = upto
-        return results
-
-    def finalize(self) -> dict:
-        reports: dict = {}
-        for i in range(self.num_children):
-            self._send(i, ("finalize",))
-        for i in range(self.num_children):
-            msg = self._recv(i)
-            if msg[0] != "finalize":
-                raise ShardCrashed(
-                    i, self._round_no, f"unexpected reply {msg[0]!r}"
-                )
-            reports.update(msg[1])
-        return reports
-
-    def close(self) -> None:
-        for i, conn in enumerate(self._conns):
-            try:
-                conn.send(("exit",))
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for ring in self.rings.values():
-            ring.close()
-            ring.unlink()
-        self.rings = {}
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _send(self, i: int, msg) -> None:
-        try:
-            self._conns[i].send(msg)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ShardCrashed(i, self._round_no, f"pipe send failed: {exc}")
-
-    def _recv(self, i: int):
-        conn = self._conns[i]
-        proc = self._procs[i]
-        waited = 0.0
-        step = 0.05
-        while True:
-            try:
-                if conn.poll(step):
-                    msg = conn.recv()
-                    if msg[0] == "error":
-                        raise ShardCrashed(
-                            i, self._round_no, "shard raised:\n" + msg[1]
-                        )
-                    return msg
-            except (EOFError, OSError, BrokenPipeError):
-                raise ShardCrashed(
-                    i,
-                    self._round_no,
-                    f"pipe closed (exitcode={proc.exitcode})",
-                )
-            if not proc.is_alive():
-                # Drain anything the child flushed before dying.
-                if conn.poll(0):
-                    continue
-                raise ShardCrashed(
-                    i,
-                    self._round_no,
-                    f"process died (exitcode={proc.exitcode})",
-                )
-            waited += step
-            if waited >= _REPLY_TIMEOUT_S:
-                raise ShardCrashed(
-                    i,
-                    self._round_no,
-                    f"no reply within {_REPLY_TIMEOUT_S:.0f}s",
-                )

@@ -34,15 +34,14 @@ minimum advances by at least one full lookahead per round — the round
 count is bounded by (simulated duration / lookahead).
 
 Determinism: the sequence of ``(grant, inbox)`` pairs per domain is a
-pure function of this loop — the executor (in-process or forked, any
-process count) cannot influence it, which is why every ``--parallel N``
-produces identical simulations.
+pure function of this loop and of the windows' own outputs; the executor
+only decides where a granted window runs, which is why two runs of one
+config produce identical simulations.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Protocol
 
 _INF = math.inf
 
@@ -56,18 +55,13 @@ class ParallelStall(RuntimeError):
     window — a lookahead/accounting bug, never a user error."""
 
 
-class ShardExecutor(Protocol):
-    """What `run_protocol` needs from an executor (local or forked)."""
-
-    lookahead: float
-
-    def domains(self) -> list: ...
-    def initial_next_times(self) -> dict: ...
-    def run_round(self, assignments: dict) -> dict: ...
-
-
 def run_protocol(executor) -> int:
-    """Drive shards to global quiescence; returns the number of rounds."""
+    """Drive shards to global quiescence; returns the number of rounds.
+
+    ``executor`` is a :class:`repro.parallel.supervisor.LocalExecutor`:
+    ``lookahead``, ``domains()``, ``initial_next_times()`` and
+    ``run_round(assignments)`` are what this loop uses of it.
+    """
     domains = list(executor.domains())
     lookahead = executor.lookahead
     next_times = dict(executor.initial_next_times())

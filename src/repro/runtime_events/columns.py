@@ -211,47 +211,6 @@ class ColumnBatch:
             return keys.tolist()
         return list(keys)
 
-    # -- zero-copy transport -------------------------------------------------
-
-    def to_buffers(self):
-        """``(meta, buffers)`` for shared-memory shipping, or ``None``.
-
-        Only the numpy ``kv`` representation is buffer-shippable: each
-        column is handed back as a contiguous ``ndarray`` whose raw bytes a
-        shared-memory ring can absorb, plus a small picklable ``meta``
-        tuple ``(dtypes, has_times)`` that :meth:`from_buffers` needs to
-        reassemble the batch.  ``obj`` batches and the stdlib-``array``
-        representation return ``None`` — the caller falls back to pickle.
-        """
-        if _np is None or self.kind != KIND_KV:
-            return None
-        cols = [self.keys, self.vals]
-        if self.times is not None:
-            cols.append(self.times)
-        for col in cols:
-            if not isinstance(col, _np.ndarray) or col.ndim != 1:
-                return None
-        buffers = [_np.ascontiguousarray(col) for col in cols]
-        meta = (tuple(str(col.dtype) for col in buffers), self.times is not None)
-        return meta, buffers
-
-    @classmethod
-    def from_buffers(cls, meta, buffers) -> "ColumnBatch":
-        """Rebuild a ``kv`` batch from :meth:`to_buffers` output.
-
-        ``buffers`` are raw byte views (e.g. slices of a shared-memory
-        ring); the columns are *copied* out so the caller may reclaim the
-        underlying buffer immediately after this returns.
-        """
-        if _np is None:
-            raise RuntimeError("ColumnBatch.from_buffers requires numpy")
-        dtypes, has_times = meta
-        cols = [
-            _np.frombuffer(buf, dtype=dtype).copy()
-            for buf, dtype in zip(buffers, dtypes)
-        ]
-        return cls(cols[0], cols[1], KIND_KV, cols[2] if has_times else None)
-
     # -- column surgery ------------------------------------------------------
 
     def take(self, sel) -> "ColumnBatch":

@@ -83,6 +83,16 @@ def test_trace_command_prints_phase_breakdown(capsys):
         (["nexmark", "--query", "2", "--rate", "0"], "--rate must be positive"),
         (["chaos", "--bins", "3"], "--bins must be a power of two"),
         (["bench"], "invalid choice: 'bench'"),
+        # The config's own message, not a CLI restatement of it.
+        (["count", "--parallel", "2"],
+         "forked execution (--parallel N, N >= 1) was removed"),
+        (["count", "--parallel", "2"],
+         "--parallel 0 runs the sharded engine in-process"),
+        (["count", "--parallel", "-1"], "got -1"),
+        (["count", "--parallel", "0", "--native"],
+         "does not support the native"),
+        (["count", "--parallel", "0", "--record", "run.jsonl"],
+         "does not support event-log recording"),
     ],
 )
 def test_invalid_arguments_rejected(argv, message, capsys):
