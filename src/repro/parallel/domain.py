@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
@@ -34,6 +35,7 @@ from repro.megaphone.migration import imbalanced_target, make_plan
 from repro.parallel.engine import DomainSimulator
 from repro.parallel.partition import ShardPartition
 from repro.parallel.progress import DomainTracker
+from repro.runtime_events.items import MessageWork
 from repro.sim.network import Cluster, NetworkMessage
 from repro.timely.dataflow import Dataflow, Runtime
 from repro.timely.progress import ProgressTracker
@@ -95,7 +97,7 @@ class RemoteWorkerStub:
     def has_pending_work(self) -> bool:
         return False
 
-    def enqueue_message(self, channel, time, records, size_bytes) -> None:
+    def enqueue_message(self, work) -> None:
         raise RuntimeError(
             f"worker {self.worker_id} is not resident in this shard; "
             "a message was misrouted past the shard cluster"
@@ -311,13 +313,13 @@ class DomainHost:
 
             self.sim.inject_remote(entry.delivery, entry.src_domain, entry.src_seq, apply)
             return
-        channel = self.runtime.graph.channels[entry.channel_index]
-        worker = self.runtime.workers[entry.dst_worker]
-        time, records, size_bytes = entry.time, entry.records, entry.size_bytes
-
-        def deliver() -> None:
-            worker.enqueue_message(channel, time, records, size_bytes)
-
+        work = MessageWork(
+            self.runtime.graph.channels[entry.channel_index],
+            entry.time,
+            entry.records,
+            entry.size_bytes,
+        )
+        deliver = partial(self.runtime.workers[entry.dst_worker].enqueue_message, work)
         self.sim.inject_remote(entry.delivery, entry.src_domain, entry.src_seq, deliver)
 
     def run_window(self, grant: float, inbox: list) -> tuple[float, list]:

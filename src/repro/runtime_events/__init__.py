@@ -5,8 +5,8 @@ on.  It has no dependency on any other ``repro`` package and provides three
 things:
 
 * :mod:`repro.runtime_events.items` — slotted dataclasses for the values
-  the runtime moves around on its hot path (worker work items, buffered
-  operator sends, routed network payloads).  These replace the string-tagged
+  the runtime moves around on its hot path (worker work items, which also
+  ride inside network messages, and buffered operator sends).  These replace the string-tagged
   and anonymous tuples the runtime historically used.
 * :mod:`repro.runtime_events.events` and :mod:`repro.runtime_events.bus` —
   structured trace events and the :class:`TraceBus` they travel on.  The bus
@@ -55,9 +55,7 @@ from repro.runtime_events.events import (
 )
 from repro.runtime_events.items import (
     BufferedSend,
-    ChannelPayload,
     MessageWork,
-    RoutedSend,
     SourceWork,
 )
 
@@ -93,8 +91,6 @@ __all__ = [
     "MigrationStepIssued",
     "SendFlushed",
     "BufferedSend",
-    "ChannelPayload",
     "MessageWork",
-    "RoutedSend",
     "SourceWork",
 ]

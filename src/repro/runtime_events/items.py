@@ -1,11 +1,15 @@
 """Typed, slotted carriers for the runtime's hot-path values.
 
 These replace the ad-hoc tuples the worker and network layers historically
-threaded around: string-tagged work-item tuples, 5-element send-buffer
-tuples, and anonymous ``(channel, time, batch)`` network payloads.  Each
-class is a plain slotted dataclass — construction
-cost is comparable to a tuple, but every field has a name, a type, and a
-single definition the whole runtime shares.
+threaded around: string-tagged work-item tuples and 5-element send-buffer
+tuples.  Each class is a plain slotted dataclass — construction cost is
+comparable to a tuple, but every field has a name, a type, and a single
+definition the whole runtime shares.
+
+A cross-worker batch is allocated once: the sending worker's flush builds
+its :class:`MessageWork`, wraps it as the payload of one
+:class:`repro.sim.network.NetworkMessage`, and the receiving worker's inbox
+adopts that same object on delivery.
 
 The ``channel`` fields hold :class:`repro.timely.graph.ChannelDesc`
 instances; they are typed as ``object`` here because this package sits
@@ -33,10 +37,13 @@ class SourceWork:
 
 @dataclass(slots=True)
 class MessageWork:
-    """A message batch delivered on a channel, awaiting processing.
+    """A message batch on a channel: in flight, then awaiting processing.
 
-    ``size_bytes`` is the modeled wire size, used for input-cost hooks
-    (e.g. state installation pays deserialization cost per byte).
+    Built once per destination by the sender's flush, carried as the
+    ``payload`` of the network message, and queued unchanged in the
+    receiver's inbox.  ``size_bytes`` is the modeled wire size, used for
+    input-cost hooks (e.g. state installation pays deserialization cost per
+    byte).
     """
 
     channel: object
@@ -62,27 +69,6 @@ class BufferedSend:
     records: list
     size_bytes: Optional[float]
     retained_bytes: float
-
-
-@dataclass(slots=True)
-class RoutedSend:
-    """A partitioned outbound batch, bound to one channel and destination."""
-
-    channel: object
-    dst_worker: int
-    time: object
-    records: list
-    size_bytes: float
-    retained_bytes: float
-
-
-@dataclass(slots=True)
-class ChannelPayload:
-    """The dataflow payload of one network message."""
-
-    channel: object
-    time: object
-    records: list
 
 
 @dataclass(slots=True)
@@ -127,5 +113,7 @@ def batch_record_count(records) -> int:
     grouped, columnar, and per-record paths charge identically.
     """
     if type(records) is list and records and type(records[0]) is DestinationBatch:
+        if len(records) == 1:
+            return records[0].count
         return sum(batch.count for batch in records)
     return len(records)

@@ -24,6 +24,8 @@ from repro.runtime_events.bus import TraceBus
 # enough for the sweep to matter) we rebuild it from the live events.
 _COMPACT_MIN_CANCELLED = 64
 
+_INF = float("inf")
+
 
 class Event:
     """A scheduled callback.
@@ -197,34 +199,40 @@ class Simulator:
         """
         # The drain loop is the single hottest function in the simulator, so
         # it inlines ``peek_time`` + ``step`` to touch the heap once per
-        # event.  ``_compact`` rebuilds the heap in place, so the local alias
-        # stays valid across callbacks.
+        # event, compares each event against one float limit, and counts
+        # fired events in a local written back on exit.  ``_compact``
+        # rebuilds the heap in place, so the local alias stays valid across
+        # callbacks.
         heap = self._heap
         pop = heapq.heappop
         event_cls = Event
+        limit = _INF if until is None else until
+        stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
-        while heap:
-            if max_events is not None and fired >= max_events:
-                return
-            entry = heap[0]
-            ev = entry[2]
-            if ev.__class__ is event_cls:
-                if ev.cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                callback = ev.callback
-            else:
-                callback = ev
-            time = entry[0]
-            if until is not None and time > until:
-                self.now = until
-                return
-            pop(heap)
-            self.now = time
-            self._events_processed += 1
-            callback()
-            fired += 1
+        try:
+            while heap:
+                if fired == stop:
+                    return
+                entry = heap[0]
+                ev = entry[2]
+                if ev.__class__ is event_cls:
+                    if ev.cancelled:
+                        pop(heap)
+                        self._cancelled -= 1
+                        continue
+                    callback = ev.callback
+                else:
+                    callback = ev
+                time = entry[0]
+                if time > limit:
+                    self.now = until
+                    return
+                pop(heap)
+                self.now = time
+                fired += 1
+                callback()
+        finally:
+            self._events_processed += fired
         if until is not None and until > self.now:
             self.now = until
 
@@ -241,26 +249,29 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         event_cls = Event
+        stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
-        while heap:
-            if max_events is not None and fired >= max_events:
-                break
-            entry = heap[0]
-            ev = entry[2]
-            if ev.__class__ is event_cls:
-                if ev.cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                    continue
-                callback = ev.callback
-            else:
-                callback = ev
-            time = entry[0]
-            if time >= bound:
-                break
-            pop(heap)
-            self.now = time
-            self._events_processed += 1
-            callback()
-            fired += 1
+        try:
+            while heap:
+                if fired == stop:
+                    break
+                entry = heap[0]
+                ev = entry[2]
+                if ev.__class__ is event_cls:
+                    if ev.cancelled:
+                        pop(heap)
+                        self._cancelled -= 1
+                        continue
+                    callback = ev.callback
+                else:
+                    callback = ev
+                time = entry[0]
+                if time >= bound:
+                    break
+                pop(heap)
+                self.now = time
+                fired += 1
+                callback()
+        finally:
+            self._events_processed += fired
         return fired

@@ -89,8 +89,14 @@ class MemoryModel:
         )
 
     def _note_peak(self) -> None:
-        if self.rss_bytes > self.peak_bytes:
-            self.peak_bytes = self.rss_bytes
+        rss = self.rss_bytes
+        if rss > self.peak_bytes:
+            self.peak_bytes = rss
+
+    # The ``add_*`` updates below call ``_clamp`` only on a negative
+    # balance, and note the peak only when they grew a pool: a release (or
+    # a clamp back to zero) cannot raise RSS past a peak that was already
+    # noted when the bytes arrived.
 
     def set_state(self, resident: float, spilled: float = 0) -> None:
         """Refresh live operator-state bytes (sampler path).
@@ -106,24 +112,31 @@ class MemoryModel:
 
     def add_state(self, delta: float) -> None:
         """Adjust live operator-state bytes."""
-        self.state_bytes = self._clamp(
-            "state", self.state_bytes + _as_int_bytes(delta)
-        )
-        self._note_peak()
+        step = _as_int_bytes(delta)
+        value = self.state_bytes + step
+        self.state_bytes = value if value >= 0 else self._clamp("state", value)
+        if step > 0:
+            self._note_peak()
 
     def add_send_queue(self, delta: float) -> None:
         """Adjust bytes sitting in network send queues."""
-        self.send_queue_bytes = self._clamp(
-            "send_queue", self.send_queue_bytes + _as_int_bytes(delta)
+        step = _as_int_bytes(delta)
+        value = self.send_queue_bytes + step
+        self.send_queue_bytes = (
+            value if value >= 0 else self._clamp("send_queue", value)
         )
-        self._note_peak()
+        if step > 0:
+            self._note_peak()
 
     def add_recv_buffer(self, delta: float) -> None:
         """Adjust bytes buffered at the receiver pending installation."""
-        self.recv_buffer_bytes = self._clamp(
-            "recv_buffer", self.recv_buffer_bytes + _as_int_bytes(delta)
+        step = _as_int_bytes(delta)
+        value = self.recv_buffer_bytes + step
+        self.recv_buffer_bytes = (
+            value if value >= 0 else self._clamp("recv_buffer", value)
         )
-        self._note_peak()
+        if step > 0:
+            self._note_peak()
 
     def add_retained(self, delta: float) -> None:
         """Adjust allocator-retained bytes.
@@ -134,10 +147,11 @@ class MemoryModel:
         than the network threads can send them, and the originals are not
         returned to the OS in the meantime).
         """
-        self.retained_bytes = self._clamp(
-            "retained", self.retained_bytes + _as_int_bytes(delta)
-        )
-        self._note_peak()
+        step = _as_int_bytes(delta)
+        value = self.retained_bytes + step
+        self.retained_bytes = value if value >= 0 else self._clamp("retained", value)
+        if step > 0:
+            self._note_peak()
 
 
 @dataclass

@@ -16,6 +16,7 @@ all-at-once migration memory spikes of Figure 20.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.runtime_events.events import (
@@ -62,6 +63,7 @@ class Link:
         "chaos",
         "_busy_until",
         "queued_bytes",
+        "_sent_cb",
     )
 
     def __init__(
@@ -80,6 +82,7 @@ class Link:
         self.chaos = None
         self._busy_until = 0.0
         self.queued_bytes = 0.0
+        self._sent_cb = self._sent
 
     def transmit(
         self,
@@ -112,29 +115,35 @@ class Link:
         done = start + transmit_time
         self._busy_until = done
         self.queued_bytes += message.size_bytes
-
-        def _sent() -> None:
-            self.queued_bytes -= message.size_bytes
-            if self.queued_bytes < 0.0:
-                trace = self._sim.trace
-                if trace.wants_faults and self.queued_bytes < -1e-6:
-                    trace.publish(
-                        AccountingClamped(
-                            owner=f"link[{self.src_process}->{self.dst_process}]",
-                            pool="queued_bytes",
-                            value=self.queued_bytes,
-                            at=self._sim.now,
-                        )
-                    )
-                self.queued_bytes = 0.0
-            if on_sent is not None:
-                on_sent(message)
-
-        self._sim.schedule_fast_at(done, _sent)
+        sim = self._sim
+        sim.schedule_fast_at(done, partial(self._sent_cb, message, on_sent))
         delivery = done + latency
         if on_delivered is not None:
-            self._sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+            sim.schedule_fast_at(delivery, partial(on_delivered, message))
         return delivery
+
+    def _sent(
+        self,
+        message: NetworkMessage,
+        on_sent: Optional[Callable[[NetworkMessage], None]],
+    ) -> None:
+        """Transmit-complete: the message's last byte left the send queue."""
+        queued = self.queued_bytes - message.size_bytes
+        if queued < 0.0:
+            trace = self._sim.trace
+            if trace.wants_faults and queued < -1e-6:
+                trace.publish(
+                    AccountingClamped(
+                        owner=f"link[{self.src_process}->{self.dst_process}]",
+                        pool="queued_bytes",
+                        value=queued,
+                        at=self._sim.now,
+                    )
+                )
+            queued = 0.0
+        self.queued_bytes = queued
+        if on_sent is not None:
+            on_sent(message)
 
     @property
     def busy_until(self) -> float:
@@ -194,6 +203,7 @@ class Cluster:
             self.processes.append(process)
 
         self.chaos = None
+        self._link_sent_cb = self._link_sent
         # worker id -> hosting Process, resolved once (``process_of`` sits
         # on the per-message hot path).
         self._worker_process: list[Process] = [
@@ -269,23 +279,22 @@ class Cluster:
         if src_proc.index == dst_proc.index:
             # In-process: no send queue — the bytes "leave" immediately.
             self._mark_transmitted(src_proc, message)
-            if message.src_worker == message.dst_worker:
-                delivery = self.sim.now
-                self.sim.schedule_fast_at(delivery, lambda: on_delivered(message))
-            else:
-                delivery = self.sim.now + self.intra_process_latency
-                self.sim.schedule_fast_at(delivery, lambda: on_delivered(message))
+            delivery = self.sim.now
+            if message.src_worker != message.dst_worker:
+                delivery += self.intra_process_latency
+            self.sim.schedule_fast_at(delivery, partial(on_delivered, message))
             return delivery
 
         src_proc.memory.add_send_queue(message.size_bytes)
-
-        def _sent(msg: NetworkMessage) -> None:
-            src_proc.memory.add_send_queue(-msg.size_bytes)
-            self._mark_transmitted(src_proc, msg)
-
-        return self.link(src_proc.index, dst_proc.index).transmit(
-            message, on_delivered, _sent
+        return self._links[(src_proc.index, dst_proc.index)].transmit(
+            message, on_delivered, self._link_sent_cb
         )
+
+    def _link_sent(self, message: NetworkMessage) -> None:
+        """A cross-process message left its link's send queue."""
+        src_proc = self._worker_process[message.src_worker]
+        src_proc.memory.add_send_queue(-message.size_bytes)
+        self._mark_transmitted(src_proc, message)
 
     def _drop(self, message: NetworkMessage, reason: str) -> float:
         """Lose ``message`` to an injected fault.

@@ -14,6 +14,9 @@ Frame format (DESIGN.md §13)::
     <HBII little-endian  =  magic(0xWA1F) | kind(1B) | length(4B) | crc32(4B)
     followed by `length` payload bytes (pickled record tuple)
 
+The CRC covers the kind and length bytes as well as the payload, so a bit
+flip in either header field is caught like one in the body.
+
 Recovery scans frames in order and stops at the first invalid one — bad
 magic, a CRC mismatch (bit flip), or a frame that runs past the end of the
 log (torn final write).  Everything before the cut is intact by
@@ -52,9 +55,11 @@ from typing import Callable, Iterator, Optional
 from repro.state.backend import BinPayload, DictBackend
 from repro.state.codecs import Codec
 
-# Frame header: magic, kind, payload length, payload crc32.
+# Frame header: magic, kind, payload length, crc32 of (kind, length, payload).
 _HEADER = struct.Struct("<HBII")
 _MAGIC = 0xA51F
+# The header fields the CRC covers, packed exactly as in ``_HEADER``.
+_CRC_FIELDS = struct.Struct("<BI")
 
 # Frame kinds.
 K_CREATE = 1  # ("create", bin_id, epoch)
@@ -67,12 +72,18 @@ K_DROP = 6  # ("drop", bin_id, epoch)
 _KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
 
 
+def frame_crc(kind: int, length: int, payload: bytes) -> int:
+    """CRC32 of a frame's kind and length fields followed by its payload."""
+    return zlib.crc32(payload, zlib.crc32(_CRC_FIELDS.pack(kind, length)))
+
+
 def encode_frame(kind: int, record: tuple) -> bytes:
     """One framed record: header (magic, kind, length, crc) + payload."""
     if kind not in _KINDS:
         raise ValueError(f"unknown frame kind {kind}")
     payload = pickle.dumps(record, protocol=4)
-    return _HEADER.pack(_MAGIC, kind, len(payload), zlib.crc32(payload)) + payload
+    length = len(payload)
+    return _HEADER.pack(_MAGIC, kind, length, frame_crc(kind, length, payload)) + payload
 
 
 @dataclass
@@ -177,7 +188,9 @@ class WorkerWal:
             # Header claims a full payload; only part of it hit the disk.
             claimed = 64 + rng.randrange(64)
             body = bytes(rng.randrange(256) for _ in range(claimed // 2))
-            frame = _HEADER.pack(_MAGIC, K_PUT, claimed, zlib.crc32(body)) + body
+            frame = _HEADER.pack(
+                _MAGIC, K_PUT, claimed, frame_crc(K_PUT, claimed, body)
+            ) + body
             self.segments[-1].extend(frame)
             torn = len(frame)
             self._total += torn
@@ -244,7 +257,7 @@ class WorkerWal:
                 recovery.torn_frame = True
                 break
             body = data[body_start : body_start + length]
-            if zlib.crc32(body) != crc:
+            if frame_crc(kind, length, body) != crc:
                 recovery.corrupt_frame = True
                 break
             try:

@@ -35,6 +35,18 @@ class Antichain:
         Removes any existing elements dominated by ``time``.  Returns True
         when the element was inserted.
         """
+        if type(time) is int:
+            # Integers are totally ordered, so an integer antichain holds at
+            # most one element: keep the smaller of it and ``time``.
+            elements = self._elements
+            if not elements:
+                self._elements = [time]
+                return True
+            if len(elements) == 1 and type(elements[0]) is int:
+                if elements[0] <= time:
+                    return False
+                self._elements = [time]
+                return True
         for existing in self._elements:
             if less_equal(existing, time):
                 return False

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from repro.runtime_events.events import FrontierAdvanced
 from repro.sim.engine import Simulator
-from repro.sim.network import Cluster
+from repro.sim.network import Cluster, NetworkMessage
 from repro.timely.graph import ChannelDesc, GraphBuilder, Pact
 from repro.timely.probe import Probe
 from repro.timely.progress import ProgressTracker
@@ -255,6 +255,11 @@ class Runtime:
         self.num_workers = dataflow.cluster.num_workers
         self.batches_per_activation = batches_per_activation
         self.tracker = self._make_tracker()
+        # Bound once: every network message carries these two callbacks, and
+        # the progress pump schedules the third.
+        self.deliver = self._deliver
+        self.compensate_drop = self._compensate_drop
+        self._progress_cb = self._progress_step
         self.workers: list[WorkerRuntime] = [
             self._make_worker(w) for w in range(self.num_workers)
         ]
@@ -318,6 +323,19 @@ class Runtime:
         """The logic instance of an operator on a worker (for tests/bins)."""
         return self.workers[worker_id].logics[op_index]
 
+    # -- network callbacks -----------------------------------------------------
+
+    def _deliver(self, message: NetworkMessage) -> None:
+        """A message arrived: its payload joins the destination's inbox."""
+        self.workers[message.dst_worker].enqueue_message(message.payload)
+
+    def _compensate_drop(self, message: NetworkMessage) -> None:
+        """A fault lost ``message``: consume the in-flight count it carried,
+        or the channel frontier would wait forever for it."""
+        work = message.payload
+        self.tracker.message_consumed(work.channel.index, work.time)
+        self.mark_progress()
+
     # -- progress pump ---------------------------------------------------------
 
     def mark_progress(self) -> None:
@@ -333,7 +351,7 @@ class Runtime:
             return
         self._progress_scheduled = True
         sim = self.sim
-        sim.schedule_fast_at(sim.now, self._progress_step)
+        sim.schedule_fast_at(sim.now, self._progress_cb)
 
     def _progress_step(self) -> None:
         self._progress_scheduled = False

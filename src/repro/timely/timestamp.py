@@ -26,6 +26,8 @@ def less_equal(a: Timestamp, b: Timestamp) -> bool:
     components must be <=).  Mixed or mismatched shapes are programming
     errors and raise ``TypeError``.
     """
+    if type(a) is int and type(b) is int:
+        return a <= b
     if isinstance(a, tuple) and isinstance(b, tuple):
         if len(a) != len(b):
             raise TypeError(f"mismatched timestamp arity: {a!r} vs {b!r}")

@@ -23,15 +23,24 @@ therefore correct):
   send decision and its accounting.
 
 Work items and buffered sends are the typed carriers from
-:mod:`repro.runtime_events.items`; scheduling quanta, batch deliveries,
-send flushes, and capability movements publish structured trace events when
-the simulator's bus has subscribers for the matching topics.
+:mod:`repro.runtime_events.items`.  A flushed batch is one
+:class:`~repro.runtime_events.items.MessageWork` from flush to inbox: it
+rides as the payload of a :class:`~repro.sim.network.NetworkMessage` and the
+receiver queues it unchanged.  The callbacks the hot path schedules —
+activation, completion, delivery, drop compensation — are bound once per
+worker (or runtime); a completion's per-activation state travels in its own
+heap entry as a ``functools.partial``, so completions fire in heap order
+even after a restart moves ``busy_until`` backwards.  Scheduling quanta,
+batch deliveries, send flushes, and capability movements publish structured
+trace events when the simulator's bus has subscribers for the matching
+topics.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.runtime_events.events import (
@@ -45,9 +54,7 @@ from repro.runtime_events.events import (
 )
 from repro.runtime_events.items import (
     BufferedSend,
-    ChannelPayload,
     MessageWork,
-    RoutedSend,
     SourceWork,
     batch_record_count,
 )
@@ -342,6 +349,8 @@ class WorkerRuntime:
         "_frontier_pending",
         "_busy_until",
         "_activation_scheduled",
+        "_activation_cb",
+        "_complete_cb",
         "alive",
         "chaos",
     )
@@ -362,6 +371,10 @@ class WorkerRuntime:
         self._frontier_pending: set[int] = set()
         self._busy_until = 0.0
         self._activation_scheduled = False
+        # Bound once: every activation and completion schedules one of these
+        # instead of allocating a fresh bound method or closure.
+        self._activation_cb = self._run_activation
+        self._complete_cb = self._complete
         # Fault injection: a dead worker drops arriving work (with progress
         # compensation) and never activates; ``chaos`` (set by the injector)
         # supplies stall windows and slowdown factors.  ``None`` means the
@@ -389,21 +402,19 @@ class WorkerRuntime:
 
     # -- work intake -----------------------------------------------------------
 
-    def enqueue_message(
-        self, channel: ChannelDesc, time: Timestamp, records: list, size_bytes: float
-    ) -> None:
-        """A batch arrived on ``channel`` for this worker.
+    def enqueue_message(self, work: MessageWork) -> None:
+        """A batch arrived for this worker; queue the carrier as it came.
 
         A dead (crashed) worker loses the batch: the channel's in-flight
         count is consumed immediately so the frontier does not wait forever
         on a delivery nobody will process.
         """
         if not self.alive:
-            self._drop_arrival(channel.index, time, size_bytes, is_message=True)
+            self._drop_arrival(
+                work.channel.index, work.time, work.size_bytes, is_message=True
+            )
             return
-        self._work.append(
-            MessageWork(channel=channel, time=time, records=records, size_bytes=size_bytes)
-        )
+        self._work.append(work)
         self.activate()
 
     def enqueue_source(self, op_index: int, time: Timestamp, records: list) -> None:
@@ -454,88 +465,95 @@ class WorkerRuntime:
             return
         self._activation_scheduled = True
         sim = self._runtime.sim
+        now = sim.now
         busy = self._busy_until
-        at = sim.now if sim.now >= busy else busy
-        sim.schedule_fast_at(at, self._run_activation)
+        sim.schedule_fast_at(now if now >= busy else busy, self._activation_cb)
 
     def _run_activation(self) -> None:
         self._activation_scheduled = False
-        sim = self._runtime.sim
         if not self.alive:
             return
+        runtime = self._runtime
+        sim = runtime.sim
+        now = sim.now
         if self.chaos is not None:
             stalled_until = self.chaos.stalled_until(self.worker_id)
-            if stalled_until > sim.now:
+            if stalled_until > now:
                 # Hard stall window: defer the whole activation to its end.
                 self._activation_scheduled = True
-                sim.schedule_fast_at(stalled_until, self._run_activation)
+                sim.schedule_fast_at(stalled_until, self._activation_cb)
                 return
         trace = sim.trace
         if trace.wants_activation:
-            trace.publish(ActivationBegin(worker=self.worker_id, at=sim.now))
+            trace.publish(ActivationBegin(worker=self.worker_id, at=now))
         busy = self._busy_until
-        start = sim.now if sim.now >= busy else busy
-        cost = 0.0
+        start = now if now >= busy else busy
         sends: list[tuple[OpContext, BufferedSend]] = []
         # Progress *decrements* (consumed messages, released capabilities)
         # take effect when the CPU work completes, not when it starts —
         # otherwise frontiers would advance before the cost of advancing
         # them was paid, and backlog would be invisible to latency.  Each
         # entry is a ``(is_message, index, time)`` triple rather than a
-        # closure: the dispatch in ``_complete`` is the same two tracker
-        # calls, minus one lambda allocation per entry.
+        # closure: ``_complete`` dispatches on the flag.
         deferred: list = []
 
-        cost += self._deliver_frontiers(sends, deferred)
+        cost = (
+            self._deliver_frontiers(sends, deferred) if self._frontier_pending else 0.0
+        )
 
-        batches = self._runtime.batches_per_activation
+        work = self._work
         processed = 0
-        for _ in range(batches):
-            if not self._work:
-                break
-            cost += self._process_one(self._work.popleft(), sends, deferred)
-            processed += 1
+        if work:
+            process_one = self._process_one
+            for _ in range(runtime.batches_per_activation):
+                if not work:
+                    break
+                cost += process_one(work.popleft(), sends, deferred)
+                processed += 1
 
         if self.chaos is not None:
             cost *= self.chaos.cost_multiplier(self.worker_id)
-        self._busy_until = start + cost
+        busy_until = start + cost
+        self._busy_until = busy_until
         # One completion event covers both the network hand-off and the
         # deferred progress decrements (they fire back to back at
         # ``busy_until`` anyway); this halves the hot path's event volume.
-        dispatch = self._flush_sends(sends) if sends else None
-        if dispatch is not None or deferred:
-            tracker = self._runtime.tracker
-
-            def _complete() -> None:
-                if dispatch is not None:
-                    dispatch()
-                if deferred:
-                    for is_message, index, t in deferred:
-                        if is_message:
-                            tracker.message_consumed(index, t)
-                        else:
-                            tracker.capability_update(index, t, -1)
-                    self._runtime.mark_progress()
-
-            sim.schedule_fast_at(self._busy_until, _complete)
+        outgoing = self._flush_sends(sends) if sends else None
+        if outgoing or deferred:
+            sim.schedule_fast_at(
+                busy_until, partial(self._complete_cb, outgoing, deferred)
+            )
         if trace.wants_activation:
             trace.publish(
                 ActivationEnd(
                     worker=self.worker_id,
                     start=start,
                     cost=cost,
-                    busy_until=self._busy_until,
+                    busy_until=busy_until,
                     batches=processed,
-                    at=sim.now,
+                    at=now,
                 )
             )
-        if self.has_pending_work():
+        if work or self._frontier_pending:
             self.activate()
-        self._runtime.mark_progress()
+        runtime.mark_progress()
+
+    def _complete(self, outgoing: Optional[list], deferred: list) -> None:
+        """An activation's CPU work is done: hand its messages to the
+        network, then apply its deferred progress decrements."""
+        if outgoing:
+            self._dispatch(outgoing)
+        if deferred:
+            runtime = self._runtime
+            tracker = runtime.tracker
+            for is_message, index, t in deferred:
+                if is_message:
+                    tracker.message_consumed(index, t)
+                else:
+                    tracker.capability_update(index, t, -1)
+            runtime.mark_progress()
 
     def _deliver_frontiers(self, sends: list, deferred: list) -> float:
-        if not self._frontier_pending:
-            return 0.0
         cost = 0.0
         pending = sorted(self._frontier_pending)
         self._frontier_pending.clear()
@@ -644,21 +662,27 @@ class WorkerRuntime:
                 sends.append((ctx, send_item))
         return cost
 
-    def _flush_sends(self, sends: list) -> Optional[Callable[[], None]]:
-        """Partition buffered sends; return the network hand-off closure.
+    def _flush_sends(self, sends: list) -> list[NetworkMessage]:
+        """Partition buffered sends into the network messages that travel.
 
         In-flight counts are charged immediately (conservative frontier);
-        the caller schedules the returned closure at the activation's
-        completion time, when the bytes start to travel.  Record counts —
-        CPU fractions, wire bytes, trace events — always reflect the
-        *underlying* records, so grouped carriers cost exactly what their
-        per-record equivalent would.
+        the completion event hands the returned messages to the network at
+        the activation's completion time, when the bytes start to travel.
+        Each message's payload is the :class:`MessageWork` the receiving
+        inbox will queue.  Record counts — CPU fractions, wire bytes, trace
+        events — always reflect the *underlying* records, so grouped
+        carriers cost exactly what their per-record equivalent would.
         """
         runtime = self._runtime
         cost_model = runtime.cluster.cost
+        tracker = runtime.tracker
         trace = runtime.sim.trace
         wants_send = trace.wants_send
-        outgoing: list[RoutedSend] = []
+        worker_id = self.worker_id
+        # Bound once on the runtime; it only fires if a fault loses the
+        # message, and then consumes the in-flight count charged here.
+        on_dropped = runtime.compensate_drop
+        outgoing: list[NetworkMessage] = []
         for ctx, buffered in sends:
             records = buffered.records
             time = buffered.time
@@ -666,7 +690,7 @@ class WorkerRuntime:
             if wants_send:
                 trace.publish(
                     SendFlushed(
-                        worker=self.worker_id,
+                        worker=worker_id,
                         op=ctx.op_index,
                         port=buffered.port,
                         time=time,
@@ -691,82 +715,52 @@ class WorkerRuntime:
                         fraction = batch_count / (total_count or 1)
                         bytes_ = buffered.size_bytes * fraction
                         retained = buffered.retained_bytes * fraction
-                    runtime.tracker.message_sent(channel.index, time)
+                    tracker.message_sent(channel.index, time)
                     outgoing.append(
-                        RoutedSend(
-                            channel=channel,
-                            dst_worker=dst_worker,
-                            time=time,
-                            records=batch,
-                            size_bytes=bytes_,
-                            retained_bytes=retained,
+                        NetworkMessage(
+                            worker_id,
+                            dst_worker,
+                            bytes_,
+                            MessageWork(channel, time, batch, bytes_),
+                            retained,
+                            on_dropped,
                         )
                     )
             # In-flight counts now cover the batch: drop the send guard.
-            runtime.tracker.capability_update(ctx.op_index, time, -1)
-        if not outgoing:
-            return None
+            tracker.capability_update(ctx.op_index, time, -1)
+        return outgoing
 
-        def _dispatch() -> None:
-            if not self.alive:
-                # The sender crashed between the send decision and the
-                # network hand-off: the batches are lost.  Consume their
-                # in-flight counts and unpin the sender's retained bytes
-                # so the crash cannot wedge frontiers or RSS accounting.
-                memory = runtime.cluster.process_of(self.worker_id).memory
-                for routed in outgoing:
-                    runtime.tracker.message_consumed(routed.channel.index, routed.time)
-                    if routed.retained_bytes:
-                        memory.add_retained(-routed.retained_bytes)
-                    if trace.wants_faults:
-                        trace.publish(
-                            MessageDropped(
-                                src_worker=self.worker_id,
-                                dst_worker=routed.dst_worker,
-                                size_bytes=routed.size_bytes,
-                                reason="crashed-sender",
-                                at=runtime.sim.now,
-                            )
+    def _dispatch(self, outgoing: list[NetworkMessage]) -> None:
+        """Hand flushed messages to the network (completion time)."""
+        runtime = self._runtime
+        if not self.alive:
+            # The sender crashed between the send decision and the network
+            # hand-off: the batches are lost.  Consume their in-flight
+            # counts and unpin the sender's retained bytes so the crash
+            # cannot wedge frontiers or RSS accounting.
+            memory = runtime.cluster.process_of(self.worker_id).memory
+            trace = runtime.sim.trace
+            for message in outgoing:
+                work = message.payload
+                runtime.tracker.message_consumed(work.channel.index, work.time)
+                if message.retained_bytes:
+                    memory.add_retained(-message.retained_bytes)
+                if trace.wants_faults:
+                    trace.publish(
+                        MessageDropped(
+                            src_worker=self.worker_id,
+                            dst_worker=message.dst_worker,
+                            size_bytes=message.size_bytes,
+                            reason="crashed-sender",
+                            at=runtime.sim.now,
                         )
-                runtime.mark_progress()
-                return
-            # Injected faults can only drop messages while a chaos injector
-            # is attached; without one the per-message compensation closure
-            # can never fire, so skip allocating it.
-            chaos_attached = runtime.cluster.chaos is not None
-            for routed in outgoing:
-                message = NetworkMessage(
-                    src_worker=self.worker_id,
-                    dst_worker=routed.dst_worker,
-                    size_bytes=routed.size_bytes,
-                    payload=ChannelPayload(
-                        channel=routed.channel,
-                        time=routed.time,
-                        records=routed.records,
-                    ),
-                    retained_bytes=routed.retained_bytes,
-                    # A link fault may lose the message in the network; the
-                    # in-flight count it carries must then be consumed here,
-                    # or the channel frontier would wait forever for it.
-                    on_dropped=(
-                        (lambda _msg, r=routed: _compensate_drop(r))
-                        if chaos_attached
-                        else None
-                    ),
-                )
-                runtime.cluster.send(message, _deliver)
-
-        def _compensate_drop(routed: RoutedSend) -> None:
-            runtime.tracker.message_consumed(routed.channel.index, routed.time)
+                    )
             runtime.mark_progress()
-
-        def _deliver(message: NetworkMessage) -> None:
-            payload = message.payload
-            runtime.workers[message.dst_worker].enqueue_message(
-                payload.channel, payload.time, payload.records, message.size_bytes
-            )
-
-        return _dispatch
+            return
+        send = runtime.cluster.send
+        deliver = runtime.deliver
+        for message in outgoing:
+            send(message, deliver)
 
     # -- crash and restart (driven by the chaos injector) ----------------------
 

@@ -1,0 +1,117 @@
+"""The runtime's host-side optimisations must not move simulated results.
+
+Changes to the per-message machinery (carriers, scheduled callbacks, the
+event loop, accounting fast paths) are judged by wall-clock speed, and they
+are only legal if the simulated computation is byte-identical: the same
+events in the same order, so the same event count, the same latency
+timeline, the same migration step times and the same final state.
+
+The two configurations are the paper-shaped count workload (16 workers,
+4096 bins, ~12-record batches — the per-message regime) and NEXMark Q3,
+both at 0.5 simulated seconds with their single migration scaled to fit.
+They are written out here rather than imported from the end-to-end
+benchmark so that neither side can resize the other.  The expected values
+were captured from a run of the runtime before its per-message path was
+slimmed; a legitimate *modelling* change must update them deliberately.
+"""
+
+import pytest
+
+from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.nexmark.harness import run_nexmark_experiment
+from repro.parallel.runner import result_fingerprint
+from repro.sim.cost import CostModel
+
+# The paper testbed's per-record costs, scaled up 200x because the
+# simulation materialises 200x fewer records than the paper's 4e6 rec/s.
+_PAPER_COST = CostModel(
+    record_cost=0.25e-6 * 200.0,
+    ingest_record_cost=0.05e-6 * 200.0,
+    route_cost=0.05e-6 * 200.0,
+    batch_overhead=20e-6,
+    progress_update_cost=1e-6,
+)
+
+
+def _count_paper() -> ExperimentConfig:
+    return ExperimentConfig(
+        num_workers=16,
+        workers_per_process=4,
+        num_bins=4096,
+        domain=10**9,
+        rate=20_000.0,
+        duration_s=0.5,
+        granularity_ms=10,
+        bytes_per_key=8.0,
+        strategy="batched",
+        batch_size=64,
+        migrate_at_s=(0.24,),
+        cost=_PAPER_COST,
+        seed=1,
+        fingerprint_state=True,
+    )
+
+
+def _nexmark_q3() -> ExperimentConfig:
+    return ExperimentConfig(
+        num_workers=8,
+        workers_per_process=4,
+        num_bins=256,
+        rate=20_000.0,
+        duration_s=0.5,
+        granularity_ms=10,
+        strategy="batched",
+        batch_size=16,
+        migrate_at_s=(0.2,),
+        seed=1,
+        fingerprint_state=True,
+    )
+
+
+def _run_nexmark_q3(cfg: ExperimentConfig):
+    return run_nexmark_experiment(3, cfg)
+
+
+# name -> (runner, config, sim_events, result_fingerprint, timeline series
+# as (window start, records, max latency) with every float exact).
+CASES = {
+    "count_paper": (
+        run_count_experiment,
+        _count_paper,
+        42044,
+        "b64553160c0ffe3e8cd766d06c5468ee7f9984f11cde68dccbc7b7f8e40e5ed0",
+        [
+            (0.0, 4800.0, 0.011536999999999999),
+            (0.25, 5200.0, 0.06133199999999994),
+            (0.5, 24.0, 0.057093104000000894),
+            (0.75, 24.0, 0.05709210400000142),
+            (1.0, 27.0, 0.05709210400000164),
+            (1.25, 25.0, 1.1102230246251565e-15),
+        ],
+    ),
+    "nexmark_q3": (
+        _run_nexmark_q3,
+        _nexmark_q3,
+        10893,
+        "d63b3fc34d657f4e80c55bf748f37791fb1433770c43585171715a5fd47e8267",
+        [
+            (0.0, 5000.0, 0.010194),
+            (0.25, 5000.0, 0.0003167000000000031),
+            (0.5, 25.0, 4.440892098500626e-16),
+            (0.75, 25.0, 6.661338147750939e-16),
+            (1.0, 25.0, 8.881784197001252e-16),
+            (1.25, 25.0, 1.1102230246251565e-15),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simulated_results_are_pinned(name):
+    run, config, sim_events, fingerprint, series = CASES[name]
+    result = run(config())
+    assert result.records_injected == 10_000
+    assert [(s.start_s, s.count, s.max_s) for s in result.timeline.series()] == series
+    assert result.sim_events == sim_events
+    # Also covers migration step times and final per-worker state.
+    assert result_fingerprint(result) == fingerprint

@@ -40,7 +40,9 @@ def _decode(frame: bytes):
     magic, kind, length, crc = _HEADER.unpack_from(frame, 0)
     body = frame[_HEADER.size : _HEADER.size + length]
     assert magic == _MAGIC
-    assert zlib.crc32(body) == crc
+    # The CRC covers the kind byte and the little-endian length, then the body.
+    header_fields = bytes([kind]) + length.to_bytes(4, "little")
+    assert zlib.crc32(body, zlib.crc32(header_fields)) == crc
     return kind, pickle.loads(body)
 
 
@@ -168,6 +170,34 @@ def test_bit_flip_detected_by_checksum():
     # Surviving prefix is intact.
     for _, record in frames:
         assert record[2] == record[3]
+
+
+def test_header_bit_flips_truncate_at_the_damaged_frame():
+    # Every single-bit flip in one frame's kind byte or length field must
+    # end the replay at that frame.  Frame 2 is a CREATE (kind 1): flipping
+    # its bit 2 spells INSTALL (kind 5), a valid kind that only the CRC can
+    # tell apart.
+    written = [
+        (K_PUT, (0, 0, "a", 1)),
+        (K_PUT, (0, 1, "b", 2)),
+        (K_CREATE, (3, 2)),
+        (K_PUT, (3, 3, "c", 4)),
+    ]
+    damaged = 2
+    frame_start = sum(len(encode_frame(kind, record)) for kind, record in written[:damaged])
+    kind_offset = 2  # after the 2-byte magic
+    header_fields = range(kind_offset, kind_offset + 1 + 4)  # kind, length
+    for byte in header_fields:
+        for bit in range(8):
+            wal = WorkerWal(0)
+            for kind, record in written:
+                wal.append(kind, record)
+            total = wal.total_bytes()
+            wal.segments[0][frame_start + byte] ^= 1 << bit
+            frames, recovery = wal.scan()
+            assert frames == written[:damaged], (byte, bit)
+            assert recovery.corrupt_frame or recovery.torn_frame
+            assert recovery.truncated_bytes == total - frame_start
 
 
 # -- backend lifecycle and recovery -------------------------------------------
