@@ -137,10 +137,6 @@ class ExperimentConfig:
     # those topics (replay uses this to diff against a recorded log).
     collect_topic_counts: Optional[tuple] = None
     native: bool = False  # run the non-migrateable baseline instead
-    # Force the per-record reference routing path in F (disables the
-    # steady-state flat-owner fast path).  Simulated results must be
-    # identical either way; equivalence tests assert exactly that.
-    reference_routing: bool = False
     seed: int = 1
     # Fault injection.  None (the default) leaves every chaos hook unwired —
     # the run is byte-identical to a build without the chaos subsystem.
@@ -866,7 +862,6 @@ def _build_megaphone_count(df, control, data, cfg: ExperimentConfig):
         name="count",
         state_factory=workload.state_factory_for(cfg.num_bins),
         state_size_fn=lambda state: len(state) * cfg.bytes_per_key,
-        reference_routing=cfg.reference_routing,
         state_backend=cfg.state_backend,
         codec=cfg.codec,
         backend_options=cfg.backend_options(),

@@ -52,7 +52,6 @@ def state_machine(
     name: str = "state_machine",
     state_factory: Callable[[], object] = dict,
     state_size_fn: Optional[Callable[[object], float]] = None,
-    reference_routing: bool = False,
     state_backend: str = "dict",
     codec: str = "modeled",
     backend_options: Optional[dict] = None,
@@ -65,9 +64,11 @@ def state_machine(
     ``val`` to ``key``'s entry in the bin-level ``state``.
 
     ``columnar_applier``, when given, is a whole-group fold over a
-    :class:`repro.runtime_events.columns.ColumnGroup`; S uses it for pure
-    columnar notifications and it must produce exactly the outputs and
-    state mutations ``fold`` would.
+    :class:`repro.runtime_events.columns.ColumnGroup`; S uses it for every
+    notification without post-dated work and it must produce exactly the
+    outputs and state mutations ``fold`` would.  The group's ``keys`` are
+    the routing keys; its ``vals`` are a value column for ``(key, val)``
+    column batches and the records themselves for plain record lists.
     """
     if fold is None:
         raise ValueError("a fold function is required")
@@ -89,7 +90,6 @@ def state_machine(
         initial=initial,
         state_factory=state_factory,
         state_size_fn=state_size_fn,
-        reference_routing=reference_routing,
         state_backend=state_backend,
         codec=codec,
         backend_options=backend_options,
@@ -108,7 +108,6 @@ def unary(
     name: str = "unary",
     state_factory: Callable[[], object] = dict,
     state_size_fn: Optional[Callable[[object], float]] = None,
-    reference_routing: bool = False,
     state_backend: str = "dict",
     codec: str = "modeled",
     backend_options: Optional[dict] = None,
@@ -134,7 +133,6 @@ def unary(
         initial=initial,
         state_factory=state_factory,
         state_size_fn=state_size_fn,
-        reference_routing=reference_routing,
         state_backend=state_backend,
         codec=codec,
         backend_options=backend_options,
@@ -154,7 +152,6 @@ def binary(
     name: str = "binary",
     state_factory: Callable[[], object] = dict,
     state_size_fn: Optional[Callable[[object], float]] = None,
-    reference_routing: bool = False,
     state_backend: str = "dict",
     codec: str = "modeled",
     backend_options: Optional[dict] = None,
@@ -182,7 +179,6 @@ def binary(
         initial=initial,
         state_factory=state_factory,
         state_size_fn=state_size_fn,
-        reference_routing=reference_routing,
         state_backend=state_backend,
         codec=codec,
         backend_options=backend_options,

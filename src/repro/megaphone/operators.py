@@ -10,7 +10,10 @@ Paper §3.4 and §4: a migrateable operator L is realized as a pair (F, S).
   frontier of S, and — once a reconfiguration time is present in that
   frontier — uninstalls the affected bins from the co-located S (through a
   shared pointer) and ships them, bearing the reconfiguration timestamp,
-  through a regular dataflow channel to the new owner's S.
+  through a regular dataflow channel to the new owner's S.  F has one data
+  path: a plain record list is columnised on entry with the port's exchange
+  function, and every batch leaves as one columnar ``DestinationBatch`` per
+  destination.
 
 * **S** hosts the bins.  It buffers arriving data records by timestamp,
   installs migrated bins immediately, and applies records in timestamp order
@@ -38,7 +41,7 @@ from repro.runtime_events.events import (
 from repro.megaphone.control import BinnedConfiguration, ControlInst
 from repro.megaphone.routing import RoutingTable
 from repro.runtime_events import columns
-from repro.runtime_events.columns import ColumnBatch, ColumnGroup, merge_segments
+from repro.runtime_events.columns import MASK64, ColumnBatch, ColumnGroup, merge_segments
 from repro.runtime_events.items import DestinationBatch, batch_record_count
 from repro.timely.antichain import Antichain
 from repro.timely.dataflow import Stream
@@ -160,82 +163,22 @@ class _FLogic:
         self._table = RoutingTable(config)
 
     def _route_batch(self, ctx, time: Timestamp, port_tag: int, records) -> None:
-        config = self._config
-        if type(records) is ColumnBatch:
-            if not config.reference_routing:
-                self._route_columns(ctx, time, port_tag, records)
-                return
-            # The reference pin stays per-record: decode and fall through to
-            # the memoized binary-search loop below.
-            records = records.to_records()
-        key_fn = config.key_fns[port_tag]
-        bin_fn = config.bin_fn
-        table = self._table
-        # dst -> bin -> [(tag, record), ...], in record arrival order.
-        out: dict[int, dict[int, list]] = {}
-        if (
-            table.history_flat
-            and not config.reference_routing
-            and not self._pending_updates
-            and not self._pending_migrations
-        ):
-            # Steady state: every bin's history is its single base entry, so
-            # the owner at any routable time is the current owner — a flat
-            # array read, no binary search.
-            owners = table.current_owners
-            for record in records:
-                bin_id = bin_fn(key_fn(record))
-                dst = owners[bin_id]
-                bins = out.get(dst)
-                if bins is None:
-                    bins = out[dst] = {}
-                entries = bins.get(bin_id)
-                if entries is None:
-                    bins[bin_id] = [(port_tag, record)]
-                else:
-                    entries.append((port_tag, record))
-        else:
-            # Reference path.  All records of a batch share one timestamp,
-            # so each bin's owner is resolved at most once per batch.
-            owner_cache: dict[int, int] = {}
-            worker_for = table.worker_for
-            for record in records:
-                bin_id = bin_fn(key_fn(record))
-                dst = owner_cache.get(bin_id)
-                if dst is None:
-                    dst = owner_cache[bin_id] = worker_for(bin_id, time)
-                bins = out.get(dst)
-                if bins is None:
-                    bins = out[dst] = {}
-                entries = bins.get(bin_id)
-                if entries is None:
-                    bins[bin_id] = [(port_tag, record)]
-                else:
-                    entries.append((port_tag, record))
-        if out:
-            ctx.send(
-                0,
-                time,
-                [
-                    DestinationBatch(
-                        dst=dst,
-                        count=sum(map(len, bins.values())),
-                        bins=bins,
-                    )
-                    for dst, bins in out.items()
-                ],
-            )
+        """Route one data batch: hash, resolve owners, split by destination.
 
-    def _route_columns(
-        self, ctx, time: Timestamp, port_tag: int, batch: ColumnBatch
-    ) -> None:
-        """Route one columnar batch: hash, gather owners, split by destination.
-
-        Produces the same destination batches, in the same emission order
-        (first-occurrence of each destination), carrying the same per-record
-        grouping as the per-record loop — only as whole-column operations.
+        A list batch is columnised on entry with this port's exchange
+        function, masked to the unsigned 64-bit key column; a
+        :class:`ColumnBatch`'s key column already is the routing key.  Each
+        destination gets one :class:`DestinationBatch`, in first-occurrence
+        order, carrying its records in arrival order.
         """
         config = self._config
+        if type(records) is ColumnBatch:
+            batch = records
+        else:
+            key_fn = config.key_fns[port_tag]
+            batch = ColumnBatch.from_objects(
+                records, [key_fn(record) & MASK64 for record in records]
+            )
         table = self._table
         bin_col = columns.bin_ids_for(batch.keys, config.bin_shift)
         if (
@@ -243,8 +186,10 @@ class _FLogic:
             and not self._pending_updates
             and not self._pending_migrations
         ):
-            # An ndarray gathers from the cached owners column, an
-            # ``array`` of bin ids from the flat owners list.
+            # Steady state: every bin's history is its single base entry, so
+            # the owner at any routable time is the current owner.  An
+            # ndarray gathers from the cached owners column, an ``array`` of
+            # bin ids from the flat owners list.
             owners = (
                 table.owners_vector()
                 if columns.is_numpy_column(bin_col)
@@ -253,8 +198,7 @@ class _FLogic:
             dsts = columns.gather(owners, bin_col)
         else:
             # Mid-migration: owners must be resolved at the batch's time.
-            # All records share one timestamp, so memoize per unique bin,
-            # exactly like the per-record reference loop.
+            # All records share one timestamp, so memoize per unique bin.
             owner_cache: dict[int, int] = {}
             worker_for = table.worker_for
             dst_list = []
@@ -529,15 +473,10 @@ class _SLogic:
     def __init__(self, config: "MegaphoneConfig", worker_id: int) -> None:
         self._config = config
         self._worker_id = worker_id
-        # Data records buffered until the frontier passes their time,
-        # already grouped the way application consumes them:
-        # time -> {bin_id: [(tag, record), ...]}.
-        self._inbox: dict[Timestamp, dict[int, list]] = {}
-        # Columnar arrivals for a time, in arrival order:
-        # time -> [(tag, bin_ids, columns), ...].  A time's data lives here
-        # or in ``_inbox`` depending on the carrier F emitted; both feed the
-        # same notification.
-        self._col_segments: dict[Timestamp, list] = {}
+        # Data buffered until the frontier passes its time, as F's carriers
+        # delivered it: time -> [(tag, bin_ids, columns), ...] in arrival
+        # order.  Grouping by bin happens once, at notification.
+        self._segments: dict[Timestamp, list] = {}
         # Bins with scheduled (post-dated) work at a time: time -> set of ids.
         self._scheduled_bins: dict[Timestamp, set[int]] = {}
         # Delta migration: base snapshots received ahead of their move,
@@ -557,33 +496,14 @@ class _SLogic:
         if port == S_STATE_PORT:
             self._install_state(ctx, time, records)
             return
-        if records and records[0].columns is not None:
-            # Columnar carriers: stash the segments untouched; grouping by
-            # bin happens once, at notification, over the merged columns.
-            segments = self._col_segments.get(time)
-            if segments is None:
-                segments = self._col_segments[time] = []
-                if time not in self._inbox:
-                    ctx.notify_at(time)
-            for batch in records:
-                segments.append((batch.tag, batch.bin_ids, batch.columns))
-            return
-        inbox = self._inbox.get(time)
-        if inbox is None:
-            inbox = self._inbox[time] = {}
-            if time not in self._col_segments:
-                ctx.notify_at(time)
-        # ``records`` are DestinationBatch groups: adopt each per-bin entry
-        # list outright (F built it for us and keeps no reference), extend
-        # on collision.  Per-bin entry order equals record arrival order,
-        # exactly as the per-record inbox produced.
+        # ``records`` are DestinationBatch carriers: stash their segments
+        # untouched.
+        segments = self._segments.get(time)
+        if segments is None:
+            segments = self._segments[time] = []
+            ctx.notify_at(time)
         for batch in records:
-            for bin_id, entries in batch.bins.items():
-                existing = inbox.get(bin_id)
-                if existing is None:
-                    inbox[bin_id] = entries
-                else:
-                    existing.extend(entries)
+            segments.append((batch.tag, batch.bin_ids, batch.columns))
 
     def _install_state(self, ctx, time: Timestamp, records: list) -> None:
         store = self._store(ctx)
@@ -706,22 +626,20 @@ class _SLogic:
 
     def on_notify(self, ctx, time: Timestamp) -> None:
         store = self._store(ctx)
-        segments = self._col_segments.pop(time, None)
-        if segments is not None:
-            config = self._config
-            if (
-                config.columnar_applier is not None
-                and time not in self._inbox
-                and time not in self._scheduled_bins
-            ):
-                self._apply_columns(ctx, store, time, segments)
-                return
-        groups = self._inbox.pop(time, None) or {}
+        segments = self._segments.pop(time, None)
+        if (
+            segments is not None
+            and self._config.columnar_applier is not None
+            and time not in self._scheduled_bins
+        ):
+            self._apply_columns(ctx, store, time, segments)
+            return
+        groups: dict[int, list] = {}
         if segments:
-            # No columnar applier (or classic work is interleaved at this
-            # time): decode the segments into the per-bin entry shape the
+            # No columnar applier, or post-dated work joins this time:
+            # decode the segments into the per-bin entry lists the
             # per-record apply loop consumes.  Segment order is arrival
-            # order, so per-bin entry order matches the classic inbox.
+            # order, so per-bin entry order is too.
             for tag, bin_ids, colbatch in segments:
                 for bin_id, record in zip(bin_ids.tolist(), colbatch.to_records()):
                     entries = groups.get(bin_id)
@@ -775,11 +693,11 @@ class _SLogic:
     def _apply_columns(self, ctx, store: BinStore, time: Timestamp, segments) -> None:
         """Vectorized application: one merged, bin-sorted fold per notification.
 
-        Equivalent to the per-record loop above for a pure columnar time
-        (no classic inbox entries, no scheduled bins): bins are visited
-        ascending, per-bin record order is arrival order, the same per-bin
-        ``note_applied`` counts land in the backend stats, and the CPU
-        charge is the same ``total * record_cost``.
+        Equivalent to the per-record loop above for a time with no
+        scheduled (post-dated) bins: bins are visited ascending, per-bin
+        record order is arrival order, the same per-bin ``note_applied``
+        counts land in the backend stats, and the CPU charge is the same
+        ``total * record_cost``.
         """
         merged = merge_segments(segments)
         if merged is None:
@@ -813,7 +731,6 @@ class MegaphoneConfig:
         applier: Applier,
         state_factory: Callable[[], object],
         state_size_fn: Optional[Callable[[object], float]],
-        reference_routing: bool = False,
         state_backend: str = DEFAULT_BACKEND,
         codec: str = DEFAULT_CODEC,
         backend_options: Optional[dict] = None,
@@ -826,9 +743,9 @@ class MegaphoneConfig:
         self.key_fns = key_fns
         self.applier = applier
         # Optional whole-group fold over a ColumnGroup; when set, S applies
-        # a pure columnar notification in one vectorized call instead of
-        # one ApplicationContext per bin.  Must be behaviorally identical
-        # to ``applier`` — the per-record path remains the correctness pin.
+        # a notification without post-dated work in one vectorized call
+        # instead of one ApplicationContext per bin.  Must be behaviorally
+        # identical to ``applier`` — the per-record path remains the pin.
         self.columnar_applier = columnar_applier
         self.state_factory = state_factory
         self.state_size_fn = state_size_fn
@@ -850,31 +767,11 @@ class MegaphoneConfig:
         # fail-loud behavior of fault-free runs.
         self.recovery_mode = False
         self._store_key = f"megaphone:{name}"
-        # Pin the per-record reference routing path (memoized binary search)
-        # even in steady state; used by equivalence tests and benchmarks.
-        self.reference_routing = reference_routing
         self._route_cost: Optional[float] = None
-        # ``bin_of`` re-validates num_bins on every call; the hot path uses
-        # this pre-resolved closure with the shift baked in instead.
         if num_bins & (num_bins - 1) != 0 or num_bins <= 0:
             raise ValueError(f"num_bins must be a power of two, got {num_bins}")
-        bits = num_bins.bit_length() - 1
-        # The columnar kernels take the shift directly; >= 64 means one bin.
-        self.bin_shift = 64 - bits if bits else 64
-        if bits == 0:
-            self.bin_fn = lambda key_int: 0
-        else:
-            shift = 64 - bits
-            mask = 0xFFFFFFFFFFFFFFFF
-
-            def bin_fn(value: int) -> int:
-                # splitmix64 inlined (one call per record adds up).
-                value = (value + 0x9E3779B97F4A7C15) & mask
-                value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & mask
-                return (value ^ (value >> 31)) >> shift
-
-            self.bin_fn = bin_fn
+        # The column kernels take the shift directly; 64 means one bin.
+        self.bin_shift = 64 - (num_bins.bit_length() - 1)
 
     def route_cost(self, ctx) -> float:
         if self._route_cost is None:
@@ -959,7 +856,6 @@ def build_migrateable(
     initial: Optional[BinnedConfiguration] = None,
     state_factory: Callable[[], object] = dict,
     state_size_fn: Optional[Callable[[object], float]] = None,
-    reference_routing: bool = False,
     state_backend: str = DEFAULT_BACKEND,
     codec: str = DEFAULT_CODEC,
     backend_options: Optional[dict] = None,
@@ -990,7 +886,6 @@ def build_migrateable(
         applier=applier,
         state_factory=state_factory,
         state_size_fn=state_size_fn,
-        reference_routing=reference_routing,
         state_backend=state_backend,
         codec=codec,
         backend_options=backend_options,

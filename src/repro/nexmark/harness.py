@@ -20,7 +20,7 @@ from repro.harness.experiment import (
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.generator import make_generator
 from repro.nexmark.queries import QUERIES
-from repro.nexmark.queries.common import split_events, split_events_columnar
+from repro.nexmark.queries.common import split_events
 
 STATEFUL_QUERIES = (3, 4, 5, 6, 7, 8)
 
@@ -50,13 +50,7 @@ def run_nexmark_experiment(
     module = QUERIES[query]
 
     def build(df, control, data, config):
-        column_keys = getattr(module, "COLUMN_KEYS", None)
-        if not use_native and column_keys is not None:
-            # Queries that declare routing keys get columnar relation
-            # streams; the megaphone F then routes whole columns.
-            streams = split_events_columnar(data, column_keys)
-        else:
-            streams = split_events(data)
+        streams = split_events(data)
         if use_native:
             out, _op = module.native(streams, nexmark)
             control.sink(name="control_sink")

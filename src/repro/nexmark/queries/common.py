@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nexmark.model import Auction, Bid, Person
-from repro.runtime_events.columns import ColumnBatch
 from repro.timely.dataflow import Stream
 from repro.timely.graph import Exchange
 from repro.timely.operators import FnLogic
@@ -28,37 +27,20 @@ class NexmarkStreams:
 
 
 def split_events(events: Stream) -> NexmarkStreams:
-    """Partition the event stream by record kind."""
-    return NexmarkStreams(
-        persons=events.filter(lambda e: isinstance(e, Person), name="persons"),
-        auctions=events.filter(lambda e: isinstance(e, Auction), name="auctions"),
-        bids=events.filter(lambda e: isinstance(e, Bid), name="bids"),
-    )
+    """Partition the event stream by record kind.
 
-
-def split_events_columnar(events: Stream, keys: dict) -> NexmarkStreams:
-    """``split_events``, but each relation is emitted as columnar batches.
-
-    ``keys`` maps relation name (``"persons"``/``"auctions"``/``"bids"``)
-    to the routing key function for that relation — it must mirror the
-    exchange functions the downstream Megaphone operator would use, because
-    the columnar F routes on the precomputed key column instead of calling
-    the exchange function per record.  Message structure (one send per
-    non-empty filtered batch, same operator names) matches ``split_events``.
+    Each relation gets one send of plain records per non-empty filtered
+    batch; a Megaphone F downstream columnises them with the query's own
+    exchange functions.  The filters are written out here rather than with
+    ``Stream.filter`` so a profile attributes their time to the split.
     """
 
     def split(name: str, kind: type) -> Stream:
-        key_fn = keys[name]
-
         def factory(worker_id: int) -> FnLogic:
             def on_input(ctx, port, time, records):
                 kept = [r for r in records if isinstance(r, kind)]
                 if kept:
-                    ctx.send(
-                        0,
-                        time,
-                        ColumnBatch.from_objects(kept, [key_fn(r) for r in kept]),
-                    )
+                    ctx.send(0, time, kept)
 
             return FnLogic(on_input=on_input)
 

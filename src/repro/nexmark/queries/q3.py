@@ -11,16 +11,6 @@ from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.queries.common import NexmarkStreams
 from repro.timely.graph import Exchange
 
-# Routing keys for the columnar splitter; these must mirror the exchange
-# functions of the megaphone variant below (the columnar F routes on the
-# precomputed key column).
-COLUMN_KEYS = {
-    "persons": lambda p: p.id,
-    "auctions": lambda a: a.seller,
-    "bids": lambda b: b.auction,
-}
-
-
 class _NativeQ3Logic:
     """Hand-tuned incremental join: person id == auction seller."""
 

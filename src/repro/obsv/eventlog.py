@@ -45,10 +45,12 @@ _OBSERVER_FIELDS = (
     "metrics_port",
     "collect_topic_counts",
 )
-# Observer fields since removed from ExperimentConfig.  Headers recorded
-# while they existed still carry them, so they are dropped on read ahead of
-# the unknown-field check: a recorded log must keep replaying.
-_RETIRED_OBSERVER_FIELDS = ("profile_shards",)
+# Fields since removed from ExperimentConfig.  Headers recorded while they
+# existed still carry them, so they are dropped on read ahead of the
+# unknown-field check: a recorded log must keep replaying.  Neither ever
+# changed run semantics: the first was an observer, the second pinned a
+# routing path whose simulated results were byte-identical to the default.
+_RETIRED_FIELDS = ("profile_shards", "reference_routing")
 
 
 def config_to_dict(cfg) -> dict:
@@ -129,7 +131,7 @@ def config_from_dict(data: dict):
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     for name, value in data.items():
-        if name in _RETIRED_OBSERVER_FIELDS:
+        if name in _RETIRED_FIELDS:
             continue
         if name not in known:
             raise EventLogError(f"unknown config field {name!r} in log header")

@@ -28,10 +28,12 @@ numpy everything is an ``array`` whatever its length; tests monkeypatch the
 module-global ``_np`` to ``None`` to force that mode.
 
 Correctness contract: every kernel here is *bit-identical* to its scalar
-reference (the per-record splitmix64 ``bin_fn`` in
-``repro.megaphone.operators``, the ``Lcg`` in ``repro.harness.openloop``,
-dict-insertion destination grouping in F).  The equivalence tests pin this;
-the simulation must not be able to tell the representations apart.
+reference (``repro.megaphone.control.bin_of``'s splitmix64 and the
+per-record router kept as a test oracle in
+``tests/megaphone/reference_router.py``, the ``Lcg`` in
+``repro.harness.openloop``, dict-insertion destination grouping).  The
+equivalence tests pin this; the simulation must not be able to tell the
+representations apart.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ try:  # pragma: no cover - exercised via monkeypatch in tests
 except ImportError:  # pragma: no cover
     _np = None
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
 
 # Column kinds.  "kv" batches decode to ``(key, val)`` tuples (the count
 # workloads); "obj" batches carry arbitrary Python records in ``vals`` with
-# a precomputed integer routing key per record (the NEXMark relations).
+# an integer routing key per record (plain record lists F columnised).
 KIND_KV = "kv"
 KIND_OBJ = "obj"
 
@@ -146,8 +148,8 @@ class ColumnBatch:
     For ``kind="kv"`` ``vals`` is a signed 64-bit column and record ``i``
     decodes to ``(int(keys[i]), int(vals[i]))``.  For ``kind="obj"``
     ``vals`` is a plain list of Python records and record ``i`` decodes to
-    ``vals[i]`` (the keys were precomputed by the producer).  ``times`` is
-    an optional per-record event-time column; ``None`` means every record
+    ``vals[i]`` (the keys come from F's exchange function).  ``times`` is an
+    optional per-record event-time column; ``None`` means every record
     shares the batch's dataflow timestamp (the common case — batches are
     per-epoch, so the column would be constant).
     """
@@ -281,7 +283,7 @@ class ColumnBatch:
 
 
 def bin_ids_for(keys, shift: int):
-    """splitmix64 bin id per key; bit-identical to the scalar ``bin_fn``.
+    """splitmix64 bin id per key; bit-identical to the scalar ``bin_of``.
 
     ``shift`` is ``64 - log2(num_bins)``; ``shift >= 64`` means one bin.
     Returns a signed index column (ndarray int64 or ``array('q')``).
@@ -299,9 +301,9 @@ def bin_ids_for(keys, shift: int):
     out = []
     append = out.append
     for value in keys:
-        value = (value + 0x9E3779B97F4A7C15) & _MASK64
-        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+        value = (value + 0x9E3779B97F4A7C15) & MASK64
+        value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & MASK64
         append((value ^ (value >> 31)) >> shift)
     return array("q", out)
 
@@ -339,7 +341,7 @@ def split_by_destination(dsts) -> tuple:
     batch columns puts each destination's records in one contiguous run
     ``[lo, hi)`` (arrival order within the run), and the bounds appear in
     first-occurrence emission order — exactly the dict-insertion order the
-    per-record reference path emits, which the per-link network
+    per-record oracle emits, which the per-link network
     serialization makes observable.  The caller splits with column *slices*
     (views on numpy) instead of one fancy-index gather per destination.
     ``order is None`` with a single bound means every record already shares
@@ -438,7 +440,7 @@ class VectorLcg:
     __slots__ = ("state", "_mults", "_offsets", "_mults_np", "_offsets_np")
 
     def __init__(self, seed: int) -> None:
-        self.state = (seed * 0x9E3779B97F4A7C15 + 1) & _MASK64
+        self.state = (seed * 0x9E3779B97F4A7C15 + 1) & MASK64
         # _mults[k] = MULT**(k+1) mod 2^64; _offsets[k] the matching
         # accumulated increment: state_{k+1} = mults[k]*state_0 + offsets[k].
         self._mults: list[int] = [self.MULT]
@@ -449,8 +451,8 @@ class VectorLcg:
     def _grow(self, n: int) -> None:
         mults, offsets = self._mults, self._offsets
         while len(mults) < n:
-            mults.append((mults[-1] * self.MULT) & _MASK64)
-            offsets.append((offsets[-1] * self.MULT + self.INC) & _MASK64)
+            mults.append((mults[-1] * self.MULT) & MASK64)
+            offsets.append((offsets[-1] * self.MULT + self.INC) & MASK64)
         self._mults_np = _np.asarray(mults, dtype=_np.uint64)
         self._offsets_np = _np.asarray(offsets, dtype=_np.uint64)
 
@@ -470,7 +472,7 @@ class VectorLcg:
         state = self.state
         mult, inc = self.MULT, self.INC
         for _ in range(n):
-            state = (state * mult + inc) & _MASK64
+            state = (state * mult + inc) & MASK64
             append(state >> 16)
         self.state = state
         return array("Q", out)

@@ -79,28 +79,20 @@ class DestinationBatch:
     ``DestinationBatch`` per destination instead of per-record
     ``(dst, bin, tag, record)`` tuples: the exchange channel routes the
     group with a single ``route`` call, the network ships it as one payload,
-    and S's inbox adopts the per-bin entry lists without regrouping.
+    and S stashes it untouched until notification.
 
-    The carrier has two interchangeable payload layouts:
-
-    * classic: ``bins`` maps ``bin_id -> [(tag, record), ...]`` preserving
-      record arrival order per bin (``columns`` is ``None``);
-    * columnar: ``columns`` is a
-      :class:`repro.runtime_events.columns.ColumnBatch` holding the records
-      as structure-of-arrays vectors, ``bin_ids`` is the parallel bin-id
-      vector, and ``tag`` is the input-port tag shared by the whole batch
-      (``bins`` is ``None``).
-
-    ``count`` is the total number of records either way, which every layer
+    ``columns`` is a :class:`repro.runtime_events.columns.ColumnBatch`
+    holding the destination's records in arrival order, ``bin_ids`` is the
+    parallel bin-id column, and ``tag`` is the input-port tag shared by the
+    whole batch.  ``count`` is the number of records, which every layer
     that models per-record cost (CPU charge, wire bytes, trace events) must
     use instead of ``len(records)``.
     """
 
     dst: int
     count: int
-    bins: Optional[dict] = None
-    bin_ids: object = None
-    columns: object = None
+    bin_ids: object
+    columns: object
     tag: int = 0
 
 

@@ -17,6 +17,7 @@ from repro.chaos.recovery import store_fingerprint
 from repro.megaphone.bins import BinStore
 from repro.runtime_events.events import StorageFaultReport
 from repro.state.wal import WalRegistry
+from tests.megaphone import reference_router
 
 EMPTY_FINGERPRINT = hashlib.sha256().hexdigest()
 
@@ -86,13 +87,15 @@ def test_crash_storage_is_deterministic():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("backend", ["dict", "tiered", "wal"])
-@pytest.mark.parametrize("reference_routing", [False, True])
-def test_crash_restart_matrix_across_backends(backend, reference_routing):
-    cfg = default_chaos_experiment_config(
-        state_backend=backend, reference_routing=reference_routing
-    )
+@pytest.mark.parametrize("oracle", [False, True])
+def test_crash_restart_matrix_across_backends(monkeypatch, backend, oracle):
+    # ``oracle`` routes every F through the per-record reference router, so
+    # recovery's rerouting is also checked against the per-record path.
+    if oracle:
+        reference_router.install(monkeypatch)
+    cfg = default_chaos_experiment_config(state_backend=backend)
     run = run_chaos_experiment("crash-restart", "batched", cfg=cfg, seed=0)
-    assert run.live, f"{backend}/ref={reference_routing}: {run.verdict}"
+    assert run.live, f"{backend}/oracle={oracle}: {run.verdict}"
 
 
 @pytest.mark.slow

@@ -1,9 +1,11 @@
 """Fast-path equivalence: optimized routing changes nothing observable.
 
-The destination-grouped fast path in F (flat ``current_owners`` reads,
-``DestinationBatch`` carriers) must be an implementation detail of *wall
-clock* only.  ``reference_routing=True`` pins the per-record memoized
-binary-search path; for every migration strategy the two runs must agree
+F's columnar router (flat ``current_owners`` reads in steady state,
+whole-column hashing, ``DestinationBatch`` slices) must be an
+implementation detail of *wall clock* only.  The per-record oracle in
+``tests/megaphone/reference_router.py`` — scalar splitmix64, memoized
+``worker_for`` binary search on every batch — is swapped into every F for
+the reference run; for every migration strategy the two runs must agree
 byte for byte on everything simulated time can see: the latency series,
 the migration results, the injected-record count, and even the number of
 simulation events fired.
@@ -12,11 +14,12 @@ simulation events fired.
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from tests.megaphone import reference_router
 
 STRATEGIES = ("all-at-once", "fluid", "batched", "optimized")
 
 
-def _config(strategy: str, reference_routing: bool) -> ExperimentConfig:
+def _config(strategy: str) -> ExperimentConfig:
     return ExperimentConfig(
         num_workers=4,
         workers_per_process=2,
@@ -30,14 +33,19 @@ def _config(strategy: str, reference_routing: bool) -> ExperimentConfig:
         seed=7,
         domain=1 << 14,
         variant="hash",
-        reference_routing=reference_routing,
     )
 
 
+def _run_reference(monkeypatch, cfg: ExperimentConfig):
+    with monkeypatch.context() as patch:
+        reference_router.install(patch)
+        return run_count_experiment(cfg)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_fast_path_matches_reference(strategy):
-    fast = run_count_experiment(_config(strategy, reference_routing=False))
-    reference = run_count_experiment(_config(strategy, reference_routing=True))
+def test_fast_path_matches_reference(monkeypatch, strategy):
+    fast = run_count_experiment(_config(strategy))
+    reference = _run_reference(monkeypatch, _config(strategy))
 
     # Identical latency series, window by window (dataclass equality
     # compares every float exactly — no tolerance).
@@ -63,7 +71,7 @@ def test_fast_path_matches_reference(strategy):
     assert fast.sim_events == reference.sim_events
 
 
-def test_fast_path_matches_reference_without_migrations():
+def test_fast_path_matches_reference_without_migrations(monkeypatch):
     """Steady state exercises the flat-owner read on every batch."""
     base = dict(
         num_workers=4,
@@ -77,10 +85,8 @@ def test_fast_path_matches_reference_without_migrations():
         domain=1 << 14,
         variant="hash",
     )
-    fast = run_count_experiment(ExperimentConfig(**base, reference_routing=False))
-    reference = run_count_experiment(
-        ExperimentConfig(**base, reference_routing=True)
-    )
+    fast = run_count_experiment(ExperimentConfig(**base))
+    reference = _run_reference(monkeypatch, ExperimentConfig(**base))
     assert fast.timeline.series() == reference.timeline.series()
     assert fast.records_injected == reference.records_injected
     assert fast.sim_events == reference.sim_events

@@ -8,12 +8,17 @@ timeline, the same migration step times and the same final state.
 
 The two configurations are the paper-shaped count workload (16 workers,
 4096 bins, ~12-record batches — the per-message regime) and NEXMark Q3,
-both at 0.5 simulated seconds with their single migration scaled to fit.
-They are written out here rather than imported from the end-to-end
-benchmark so that neither side can resize the other.  The expected values
-were captured from a run of the runtime before its per-message path was
-slimmed; a legitimate *modelling* change must update them deliberately.
+both at 0.5 simulated seconds with their single migration scaled to fit,
+plus the Megaphone variant of each NEXMark query 1-8 on a 4-worker,
+64-bin shape.  They are written out here rather than imported from the
+end-to-end benchmark so that neither side can resize the other.  The
+expected values were captured from a run of the runtime before its
+per-message path was slimmed (the NEXMark 1-8 rows: before F's per-record
+router was folded into its columnar one); a legitimate *modelling* change
+must update them deliberately.
 """
+
+import functools
 
 import pytest
 
@@ -72,8 +77,25 @@ def _run_nexmark_q3(cfg: ExperimentConfig):
     return run_nexmark_experiment(3, cfg)
 
 
+def _nexmark_4w() -> ExperimentConfig:
+    return ExperimentConfig(
+        num_workers=4,
+        workers_per_process=2,
+        num_bins=64,
+        rate=20_000.0,
+        duration_s=0.5,
+        granularity_ms=10,
+        strategy="batched",
+        batch_size=16,
+        migrate_at_s=(0.2,),
+        seed=1,
+        fingerprint_state=True,
+    )
+
+
 # name -> (runner, config, sim_events, result_fingerprint, timeline series
-# as (window start, records, max latency) with every float exact).
+# as (window start, records, max latency) with every float exact, or None
+# where the fingerprint's own timeline digest is the pin).
 CASES = {
     "count_paper": (
         run_count_experiment,
@@ -105,13 +127,37 @@ CASES = {
     ),
 }
 
+# The Megaphone variant of every NEXMark query on a small shape: the
+# relation streams reach F as plain record lists, so these pin the list
+# entry to F's router (Q1 and Q2 are stateless and share a fingerprint).
+_NEXMARK_4W = {
+    1: (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
+    2: (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
+    3: (7765, "2165fbe3e4a94cfe10f6a9074138dbbcfd6cb07670aa03388b0be21e80a828ff"),
+    4: (11812, "ae602b492307e79c11d6ccbe65f0e87b418bea5e1922bdcaa892734cfe6ec8bd"),
+    5: (9072, "23a7449ca6ca45186078254321ffbcc388446ba3b6d1b0ae1570535e5f4e1c83"),
+    6: (11742, "dc6f384b53203a0603c1661b55e807155bfffa726b4883b646370f3f644da399"),
+    7: (7931, "bc15bb33d56add80fa416ecd157db6ed4e2750d1fd0c11ee99b66566a33f1ae1"),
+    8: (7777, "3578590a4109eeff33db65b5a938a9cdd39966a077ac05cc2bfb4d475dacd177"),
+}
+for _query, (_events, _fingerprint) in _NEXMARK_4W.items():
+    CASES[f"nexmark_4w_q{_query}"] = (
+        functools.partial(run_nexmark_experiment, _query),
+        _nexmark_4w,
+        _events,
+        _fingerprint,
+        None,
+    )
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulated_results_are_pinned(name):
     run, config, sim_events, fingerprint, series = CASES[name]
     result = run(config())
     assert result.records_injected == 10_000
-    assert [(s.start_s, s.count, s.max_s) for s in result.timeline.series()] == series
+    if series is not None:
+        timeline = [(s.start_s, s.count, s.max_s) for s in result.timeline.series()]
+        assert timeline == series
     assert result.sim_events == sim_events
     # Also covers migration step times and final per-worker state.
     assert result_fingerprint(result) == fingerprint

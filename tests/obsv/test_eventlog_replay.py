@@ -49,13 +49,15 @@ def test_config_from_dict_rejects_unknown_fields():
 
 
 def test_log_recorded_with_a_retired_observer_field_still_replays(tmp_path):
-    # Headers written while ExperimentConfig had `profile_shards` carry
-    # `"profile_shards": false`; such a log must keep replaying.
+    # Headers written while ExperimentConfig had `profile_shards` or
+    # `reference_routing` carry `false` for them; such a log must keep
+    # replaying.
     log = tmp_path / "run.jsonl"
     run_count_experiment(_small_config(record_log=str(log)))
     lines = log.read_text().splitlines()
     header = json.loads(lines[0])
     header["config"]["profile_shards"] = False
+    header["config"]["reference_routing"] = False
     log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
     assert config_from_dict(header["config"]) == _small_config()
     assert replay_run(str(log)).ok

@@ -203,10 +203,17 @@ def test_import_without_numpy_selects_fallback(monkeypatch):
 
 
 def test_destination_batch_count_over_mixed_layouts(representation):
-    colbatch = ColumnBatch.from_records([(1, 1), (2, 1), (3, 1)])
+    # A (key, val) column batch and a batch of records F columnised.
+    kv = ColumnBatch.from_records([(1, 1), (2, 1), (3, 1)])
+    objs = ColumnBatch.from_objects([("x", 9), ("y", 9)], [9, 9])
     grouped = [
-        DestinationBatch(dst=0, count=3, bin_ids=None, columns=colbatch),
-        DestinationBatch(dst=1, count=2, bins={4: [(0, (9, 1)), (0, (9, 1))]}),
+        DestinationBatch(
+            dst=0, count=3, bin_ids=columns.bin_ids_for(kv.keys, 60), columns=kv
+        ),
+        DestinationBatch(
+            dst=1, count=2, bin_ids=columns.bin_ids_for(objs.keys, 60),
+            columns=objs, tag=1,
+        ),
     ]
     assert batch_record_count(grouped) == 5
     assert batch_record_count([(1, 1), (2, 1)]) == 2
