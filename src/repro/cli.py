@@ -23,11 +23,15 @@ summary in the same format the benchmarks use.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import re
 import sys
 
+from repro.elastic.autoscaler import AutoscalerConfig
+from repro.errors import ConfigError
 from repro.harness.experiment import (
+    WORKLOADS,
     ExperimentConfig,
-    ParallelConfigError,
     run_count_experiment,
 )
 from repro.harness.report import (
@@ -41,23 +45,34 @@ from repro.megaphone.migration import STRATEGIES
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.harness import run_nexmark_experiment
 
+# Experiment flags are a view of the config types: each flag's ``dest`` is
+# the name of the field it writes (in ExperimentConfig, AutoscalerConfig,
+# PlannerConfig or TelemetryConfig), and every value rule lives in those
+# types' ``__post_init__``/``validate``, not here.
+
+
+def _integer(text: str) -> int:
+    """An integer flag that also takes float notation, e.g. ``1e9``."""
+    return int(float(text))
+
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=8)
+    parser.add_argument("--workers", dest="num_workers", type=int, default=8)
     parser.add_argument("--workers-per-process", type=int, default=4)
-    parser.add_argument("--bins", type=int, default=256)
+    parser.add_argument("--bins", dest="num_bins", type=int, default=256)
     parser.add_argument("--rate", type=float, default=20_000)
-    parser.add_argument("--duration", type=float, default=8.0)
+    parser.add_argument("--duration", dest="duration_s", type=float, default=8.0)
     parser.add_argument("--strategy", choices=STRATEGIES, default="batched")
     parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument(
-        "--migrate-at", type=float, nargs="*", default=[3.0],
-        help="simulated seconds at which to start migrations",
+        "--migrate-at", dest="migrate_at_s", type=float, nargs="*",
+        default=[3.0], help="simulated seconds at which to start migrations",
     )
     parser.add_argument("--granularity-ms", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
-        "--network-latency", type=float, default=40e-6, metavar="SECONDS",
+        "--network-latency", dest="network_latency_s", type=float,
+        default=40e-6, metavar="SECONDS",
         help="cross-process link latency; in --parallel 0 runs it is also "
         "the conservative lookahead, so ms-scale values (e.g. 0.01) keep "
         "the synchronization round count practical",
@@ -71,7 +86,8 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
         help="codec serializing migrated/snapshotted state",
     )
     parser.add_argument(
-        "--hot-capacity", type=float, default=None,
+        "--hot-capacity", dest="hot_capacity_bytes", type=_integer,
+        default=None,
         help="tiered backend: hot-tier capacity in bytes before spilling",
     )
     parser.add_argument(
@@ -103,7 +119,7 @@ def _obsv_args(parser: argparse.ArgumentParser) -> None:
         "run (0 picks an ephemeral port)",
     )
     parser.add_argument(
-        "--record", default=None, metavar="PATH",
+        "--record", dest="record_log", default=None, metavar="PATH",
         help="write the versioned event log that `repro.cli replay` "
         "re-executes and verifies",
     )
@@ -112,7 +128,8 @@ def _obsv_args(parser: argparse.ArgumentParser) -> None:
 def _elastic_args(parser: argparse.ArgumentParser) -> None:
     """Elastic membership: standby slots, scripted scaling, autoscaling."""
     parser.add_argument(
-        "--active", type=int, default=None, metavar="N",
+        "--active", dest="active_workers", type=int, default=None,
+        metavar="N",
         help="initially active workers; the remaining --workers slots are "
         "provisioned standbys that joins can admit mid-run",
     )
@@ -138,169 +155,35 @@ def _elastic_args(parser: argparse.ArgumentParser) -> None:
         "is the anti-thrash hysteresis band)",
     )
     parser.add_argument(
-        "--autoscale-cooldown", type=float, default=3.0,
+        "--autoscale-cooldown", dest="cooldown_s", type=float, default=3.0,
         help="autoscaler: seconds between scaling actions",
     )
 
 
-def _validate_common(parser: argparse.ArgumentParser, args) -> None:
-    """Reject nonsensical parameter combinations with a clear message.
-
-    All checks funnel through ``parser.error`` (usage + message, exit code
-    2) so a typo'd flag and an out-of-range value fail the same way.
-    """
-    if args.workers <= 0:
-        parser.error(f"--workers must be positive, got {args.workers}")
-    if args.workers_per_process <= 0:
-        parser.error(
-            f"--workers-per-process must be positive, got {args.workers_per_process}"
-        )
-    if args.workers % args.workers_per_process != 0:
-        parser.error(
-            f"--workers ({args.workers}) must be divisible by "
-            f"--workers-per-process ({args.workers_per_process}); the "
-            "cluster hosts equal-size process groups"
-        )
-    if args.bins <= 0:
-        parser.error(f"--bins must be positive, got {args.bins}")
-    if args.bins & (args.bins - 1) != 0:
-        parser.error(f"--bins must be a power of two, got {args.bins}")
-    if args.rate <= 0:
-        parser.error(f"--rate must be positive, got {args.rate}")
-    if args.duration <= 0:
-        parser.error(f"--duration must be positive, got {args.duration}")
-    if args.batch_size <= 0:
-        parser.error(f"--batch-size must be positive, got {args.batch_size}")
-    if args.granularity_ms <= 0:
-        parser.error(
-            f"--granularity-ms must be positive, got {args.granularity_ms}"
-        )
-    if args.network_latency <= 0:
-        parser.error(
-            f"--network-latency must be positive, got {args.network_latency}"
-        )
-    for at in args.migrate_at:
-        if not 0 < at < args.duration:
-            parser.error(
-                f"--migrate-at {at} is outside (0, {args.duration}): a "
-                "migration must start after the run begins and before the "
-                "input closes"
-            )
-    _validate_backend_args(parser, args)
-    if args.hot_capacity is not None and args.hot_capacity <= 0:
-        parser.error(
-            f"--hot-capacity must be positive, got {args.hot_capacity}"
-        )
-    if getattr(args, "hot_keys", 1) <= 0:
-        parser.error(f"--hot-keys must be positive, got {args.hot_keys}")
-    if not 0.0 <= getattr(args, "hot_fraction", 0.5) <= 1.0:
-        parser.error(
-            f"--hot-fraction must be within [0, 1], got {args.hot_fraction}"
-        )
-    if getattr(args, "min_gain", 0.0) < 0.0:
-        parser.error(f"--min-gain must be non-negative, got {args.min_gain}")
-    metrics_port = getattr(args, "metrics_port", None)
-    if metrics_port is not None and metrics_port < 0:
-        parser.error(f"--metrics-port must be >= 0, got {metrics_port}")
-    _validate_elastic_args(parser, args)
+def _fields(cls, values: dict) -> dict:
+    """The entries of ``values`` named after a field of dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {name: value for name, value in values.items() if name in names}
 
 
-def _validate_elastic_args(parser: argparse.ArgumentParser, args) -> None:
-    """Membership-shape checks mirroring ``ExperimentConfig`` validation,
-    surfaced as usage errors before any cluster is built."""
-    active = getattr(args, "active", None)
-    spec = getattr(args, "scaling_plan", None)
-    autoscale = getattr(args, "autoscale", False)
-    elastic = bool(spec) or autoscale or (
-        active is not None and active != args.workers
-    )
-    if active is not None and not 1 <= active <= args.workers:
-        parser.error(
-            f"--active must be within [1, {args.workers}], got {active}"
-        )
-    if spec:
-        from repro.elastic import MembershipError, ScalingPlan
-
-        try:
-            plan = ScalingPlan.parse(spec)
-            plan.validate(args.workers, active if active is not None else args.workers)
-        except (ValueError, MembershipError) as exc:
-            parser.error(f"--scaling-plan {spec!r}: {exc}")
-    if autoscale and args.scale_in_load >= args.scale_out_load:
-        parser.error(
-            f"--scale-in-load ({args.scale_in_load}) must be below "
-            f"--scale-out-load ({args.scale_out_load}); the gap is the "
-            "hysteresis band that prevents thrash"
-        )
-    if elastic and getattr(args, "native", False):
-        parser.error(
-            "elastic membership needs the megaphone operator; "
-            "--native has no routing table to rescale"
-        )
-
-
-def _validate_backend_args(parser: argparse.ArgumentParser, args) -> None:
-    """Registry-driven name checks: a backend registered via
-    ``repro.state.register_backend`` is accepted with no CLI edits, and an
-    unknown name exits listing what *is* registered."""
-    from repro.state import backend_names, codec_names
-
-    if args.state_backend not in backend_names():
-        parser.error(
-            f"unknown --state-backend {args.state_backend!r}; "
-            f"registered: {', '.join(backend_names())}"
-        )
-    if getattr(args, "codec", "modeled") not in codec_names():
-        parser.error(
-            f"unknown --codec {args.codec!r}; "
-            f"registered: {', '.join(codec_names())}"
-        )
-
-
-def _elastic_extra(args) -> dict:
-    """Elastic config fields from the CLI flags (empty when absent)."""
-    out: dict = {}
-    if getattr(args, "active", None) is not None:
-        out["active_workers"] = args.active
-    if getattr(args, "scaling_plan", None):
-        from repro.elastic import ScalingPlan
-
-        out["scaling_plan"] = ScalingPlan.parse(args.scaling_plan)
-    if getattr(args, "autoscale", False):
-        from repro.elastic import AutoscalerConfig
-
-        out["autoscale"] = AutoscalerConfig(
-            scale_out_load=args.scale_out_load,
-            scale_in_load=args.scale_in_load,
-            cooldown_s=args.autoscale_cooldown,
-        )
-    return out
+def _defaults_from(parser: argparse.ArgumentParser, cfg) -> None:
+    """Default each of ``parser``'s flags to its field's value in ``cfg``."""
+    parser.set_defaults(**_fields(type(cfg), {
+        action.dest: getattr(cfg, action.dest, None)
+        for action in parser._actions
+    }))
 
 
 def _config_from(args, **extra) -> ExperimentConfig:
-    extra = {**_elastic_extra(args), **extra}
+    """The experiment config the flags write, field by field."""
+    values = vars(args)
+    autoscale = (
+        AutoscalerConfig(**_fields(AutoscalerConfig, values))
+        if values.get("autoscale")
+        else None
+    )
     return ExperimentConfig(
-        num_workers=args.workers,
-        workers_per_process=args.workers_per_process,
-        num_bins=args.bins,
-        rate=args.rate,
-        duration_s=args.duration,
-        granularity_ms=args.granularity_ms,
-        migrate_at_s=tuple(args.migrate_at),
-        strategy=args.strategy,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        state_backend=args.state_backend,
-        codec=args.codec,
-        network_latency_s=args.network_latency,
-        hot_capacity_bytes=(
-            int(args.hot_capacity) if args.hot_capacity is not None else None
-        ),
-        delta_migration=args.delta_migration,
-        export_metrics=getattr(args, "export_metrics", None),
-        metrics_port=getattr(args, "metrics_port", None),
-        record_log=getattr(args, "record", None),
-        **extra,
+        **{**_fields(ExperimentConfig, values), "autoscale": autoscale, **extra}
     )
 
 
@@ -328,11 +211,11 @@ def _report(result, title: str) -> None:
           f"wall time: {result.wall_seconds:.1f}s")
 
 
-def _report_obsv(result, args) -> None:
+def _report_obsv(result) -> None:
     """One line per attached observer, so runs with observers say so."""
     if result.metrics_port is not None:
         print(f"metrics served on localhost:{result.metrics_port}")
-    record = getattr(args, "record", None)
+    record = result.config.record_log
     if record:
         print(f"event log recorded to {record} "
               f"(verify: python -m repro.cli replay {record})")
@@ -382,15 +265,9 @@ def _report_elastic(result) -> None:
 
 def cmd_count(args) -> int:
     """Run the counting microbenchmark and print its report."""
-    cfg = _config_from(
-        args,
-        domain=int(args.domain),
-        bytes_per_key=args.bytes_per_key,
-        native=args.native,
-        parallel=args.parallel,
-    )
+    cfg = _config_from(args)
     result = run_count_experiment(cfg)
-    _report(result, f"key-count, domain {int(args.domain):,}")
+    _report(result, f"key-count, domain {cfg.domain:,}")
     _report_elastic(result)
     if result.parallel is not None:
         info = result.parallel
@@ -398,7 +275,7 @@ def cmd_count(args) -> int:
             f"parallel: domains={info['domains']} rounds={info['rounds']} "
             f"lookahead={info['lookahead_s'] * 1e3:.2f}ms"
         )
-    _report_obsv(result, args)
+    _report_obsv(result)
     return 0
 
 
@@ -407,11 +284,11 @@ def cmd_nexmark(args) -> int:
     nexmark = NexmarkConfig(
         dilation=args.dilation, state_bytes_scale=args.state_scale
     )
-    cfg = _config_from(args, dilation=args.dilation, native=args.native)
+    cfg = _config_from(args)
     result = run_nexmark_experiment(args.query, cfg, nexmark=nexmark)
     _report(result, f"NEXMark Q{args.query}")
     _report_elastic(result)
-    _report_obsv(result, args)
+    _report_obsv(result)
     return 0
 
 
@@ -424,8 +301,6 @@ def cmd_scale(args) -> int:
     static-membership twin of the same configuration — the zero
     lost/duplicated records check.
     """
-    import dataclasses
-
     if not args.scaling_plan and not args.autoscale:
         print(
             "scale needs --scaling-plan and/or --autoscale "
@@ -433,12 +308,7 @@ def cmd_scale(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cfg = _config_from(
-        args,
-        domain=int(args.domain),
-        bytes_per_key=args.bytes_per_key,
-        fingerprint_state=True,
-    )
+    cfg = _config_from(args, fingerprint_state=True)
     result = run_count_experiment(cfg)
     _report(result, "elastic scaling run")
     _report_elastic(result)
@@ -452,7 +322,7 @@ def cmd_scale(args) -> int:
         or [("-", "-", "no transitions")],
     )
     print(f"cluster state fingerprint: {result.cluster_fingerprint}")
-    _report_obsv(result, args)
+    _report_obsv(result)
 
     failures = []
     report = result.scaling
@@ -506,7 +376,7 @@ def cmd_compare(args) -> int:
     """Run all four strategies on one workload (a one-line Figure 1)."""
     rows = []
     for strategy in ("all-at-once", "fluid", "batched", "optimized"):
-        cfg = _config_from(args, domain=int(args.domain))
+        cfg = _config_from(args)
         cfg.strategy = strategy
         result = run_count_experiment(cfg)
         rows.append(
@@ -518,7 +388,7 @@ def cmd_compare(args) -> int:
             )
         )
     print_table(
-        f"strategy comparison, domain {int(args.domain):,}",
+        f"strategy comparison, domain {args.domain:,}",
         ["strategy", "max latency", "duration", "steady max"],
         rows,
     )
@@ -531,21 +401,12 @@ def cmd_trace(args) -> int:
     Defaults to the fluid strategy, whose completion-paced single-bin steps
     make the per-bin totals sum exactly to the measured migration duration.
     """
-    cfg = _config_from(
-        args,
-        domain=int(args.domain),
-        bytes_per_key=args.bytes_per_key,
-        collect_trace=True,
-        # --topics with no names counts every topic; absent counts none.
-        collect_topic_counts=(
-            tuple(args.topics) if args.topics is not None else None
-        ),
-    )
+    cfg = _config_from(args, collect_trace=True)
     result = run_count_experiment(cfg)
     trace = result.migration_trace
     breakdown = trace.phase_breakdown()
     print_phase_breakdown(
-        f"migration phases, {cfg.strategy}, domain {int(args.domain):,}",
+        f"migration phases, {cfg.strategy}, domain {cfg.domain:,}",
         breakdown,
         max_rows=args.max_rows,
     )
@@ -569,7 +430,7 @@ def cmd_trace(args) -> int:
                 for o in outcomes[: args.max_rows]
             ],
         )
-    if args.topics is not None:
+    if cfg.collect_topic_counts is not None:
         counts = result.topic_counts
         print_table(
             "bus events by topic",
@@ -592,37 +453,17 @@ def cmd_plan(args) -> int:
     from repro.megaphone.plan_io import dump_plan
     from repro.planner import PlannerConfig, TelemetryConfig
 
-    objective_options = {}
-    if args.objective == "drain":
-        if not args.drain:
-            print(
-                "the drain objective needs --drain <worker> [...]",
-                file=sys.stderr,
-            )
-            return 2
-        objective_options["drain_workers"] = tuple(args.drain)
-    planner_cfg = PlannerConfig(
-        objective=args.objective,
-        telemetry=TelemetryConfig(
-            sample_s=args.sample_s, window_s=args.window_s
+    values = vars(args)
+    planner = PlannerConfig(
+        telemetry=TelemetryConfig(**_fields(TelemetryConfig, values)),
+        objective_options=(
+            {"drain_workers": tuple(args.drain_workers)}
+            if args.objective == "drain"
+            else {}
         ),
-        decide_s=args.decide_s,
-        start_s=args.observe_s,
-        cooldown_s=args.cooldown_s,
-        min_gain=args.min_gain,
-        slo_step_s=args.slo_step_s,
-        propose_only=not args.execute,
-        objective_options=objective_options,
+        **_fields(PlannerConfig, values),
     )
-    cfg = _config_from(
-        args,
-        domain=int(args.domain),
-        workload=args.workload,
-        hot_keys=args.hot_keys,
-        hot_fraction=args.hot_fraction,
-        zipf_exponent=args.zipf_exponent,
-        planner=planner_cfg,
-    )
+    cfg = _config_from(args, planner=planner)
     result = run_count_experiment(cfg)
     report = result.planner
     rows = [
@@ -637,8 +478,8 @@ def cmd_plan(args) -> int:
         for p in report.proposals
     ]
     print_table(
-        f"planner decisions, objective {args.objective}"
-        + ("" if args.execute else " (propose-only)"),
+        f"planner decisions, objective {planner.objective}"
+        + (" (propose-only)" if planner.propose_only else ""),
         ["at", "moves", "steps", "pred. cost", "gain", "verdict"],
         rows if rows else [("-", 0, 0, "-", "-", "nothing to propose")],
     )
@@ -647,9 +488,9 @@ def cmd_plan(args) -> int:
         f"{len(report.proposals)}; adopted: {len(report.adopted)}"
     )
     print(f"final imbalance (max/mean): {result.final_imbalance:.2f}x")
-    _report_obsv(result, args)
-    if args.execute and result.migrations:
-        _report(result, f"planner-driven run, objective {args.objective}")
+    _report_obsv(result)
+    if not planner.propose_only and result.migrations:
+        _report(result, f"planner-driven run, objective {planner.objective}")
     if args.output:
         adopted = report.adopted
         if not adopted:
@@ -673,12 +514,7 @@ def cmd_chaos(args) -> int:
     """
     from repro.chaos.experiment import run_chaos_matrix
 
-    cfg = _config_from(
-        args,
-        domain=int(args.domain),
-        bytes_per_key=args.bytes_per_key,
-        bandwidth_bytes_per_s=args.bandwidth,
-    )
+    cfg = _config_from(args)
     results = run_chaos_matrix(
         args.scenario,
         cfg=cfg,
@@ -724,10 +560,10 @@ def cmd_chaos(args) -> int:
                 for strategy, report in damaged
             ],
         )
-    if args.record:
+    if cfg.record_log:
         from repro.chaos.experiment import _per_strategy_path
 
-        logs = [_per_strategy_path(args.record, r.strategy) for r in results]
+        logs = [_per_strategy_path(cfg.record_log, r.strategy) for r in results]
         print("\nevent logs recorded (one per strategy): " + ", ".join(logs))
     stalled = [r.strategy for r in results if not r.live]
     if stalled:
@@ -908,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     _parallel_arg(count)
     _obsv_args(count)
     _elastic_args(count)
-    count.add_argument("--domain", type=float, default=1e6)
+    count.add_argument("--domain", type=_integer, default=1_000_000)
     count.add_argument("--bytes-per-key", type=float, default=8.0)
     count.add_argument("--native", action="store_true")
     count.set_defaults(fn=cmd_count)
@@ -933,17 +769,17 @@ def build_parser() -> argparse.ArgumentParser:
     # Small two-process cluster with provisioned standbys: the default is
     # the acceptance scenario — scale 4 -> 6 mid-run, then drain back to 4.
     scale.set_defaults(
-        workers=6,
+        num_workers=6,
         workers_per_process=2,
-        bins=16,
+        num_bins=16,
         rate=2_000.0,
-        duration=6.0,
-        migrate_at=[],
+        duration_s=6.0,
+        migrate_at_s=[],
         strategy="fluid",
-        active=4,
+        active_workers=4,
         scaling_plan="join@1.5:4,5;leave@3.5:4,5",
     )
-    scale.add_argument("--domain", type=float, default=float(1 << 12))
+    scale.add_argument("--domain", type=_integer, default=1 << 12)
     scale.add_argument("--bytes-per-key", type=float, default=8.0)
     scale.add_argument(
         "--verify-twin", action="store_true",
@@ -954,20 +790,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare all strategies (Figure 1)")
     _common_args(compare)
-    compare.add_argument("--domain", type=float, default=1e8)
+    compare.add_argument("--domain", type=_integer, default=100_000_000)
     compare.set_defaults(fn=cmd_compare)
 
     trace = sub.add_parser(
         "trace", help="run one migration and print its per-bin phase breakdown"
     )
     _common_args(trace)
-    trace.add_argument("--domain", type=float, default=1e6)
+    trace.add_argument("--domain", type=_integer, default=1_000_000)
     trace.add_argument("--bytes-per-key", type=float, default=8.0)
     trace.add_argument("--max-rows", type=int, default=16)
     from repro.runtime_events.bus import TOPICS
 
     trace.add_argument(
-        "--topics", nargs="*", choices=TOPICS, default=None, metavar="TOPIC",
+        "--topics", dest="collect_topic_counts", nargs="*", choices=TOPICS,
+        default=None, metavar="TOPIC",
         help="also count bus events on these topics (no names = all; "
         "see `repro.cli list` for the topic names)",
     )
@@ -978,26 +815,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _common_args(chaos)
     _obsv_args(chaos)
-    # Small two-process cluster with heavy state: faults land mid-migration.
-    chaos.set_defaults(
-        workers=4,
-        workers_per_process=2,
-        bins=16,
-        rate=20_000.0,
-        duration=6.0,
-        migrate_at=[2.0],
-        batch_size=4,
+    from repro.chaos.experiment import (
+        SCENARIOS,
+        default_chaos_experiment_config,
     )
-    from repro.chaos.experiment import SCENARIOS
 
     chaos.add_argument(
         "--scenario", choices=SCENARIOS, default="crash-target",
         help="which fault plan to inject (default: crash-target)",
     )
-    chaos.add_argument("--domain", type=float, default=float(1 << 12))
-    chaos.add_argument("--bytes-per-key", type=float, default=2048.0)
+    chaos.add_argument("--domain", type=_integer)
+    chaos.add_argument("--bytes-per-key", type=float)
     chaos.add_argument(
-        "--bandwidth", type=float, default=4e6,
+        "--bandwidth", dest="bandwidth_bytes_per_s", type=float,
         help="link bandwidth in bytes/s (low by default so steps take time)",
     )
     chaos.add_argument(
@@ -1012,6 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=0,
         help="seed of the fault plan's RNG (lossy links only)",
     )
+    # Small two-process cluster with heavy state: faults land mid-migration.
+    _defaults_from(chaos, default_chaos_experiment_config())
     chaos.set_defaults(fn=cmd_chaos)
 
     plan = sub.add_parser(
@@ -1021,23 +853,23 @@ def build_parser() -> argparse.ArgumentParser:
     _common_args(plan)
     _obsv_args(plan)
     # A planner run schedules no static migrations; the planner decides.
-    plan.set_defaults(migrate_at=[], bins=64, workers=4, duration=8.0)
+    plan.set_defaults(migrate_at_s=[], num_bins=64, num_workers=4, duration_s=8.0)
     from repro.planner import OBJECTIVES
 
     plan.add_argument(
         "--objective", choices=sorted(OBJECTIVES), default="balance",
         help="what the plan search optimizes (default: balance)",
     )
-    plan.add_argument("--domain", type=float, default=float(1 << 12))
+    plan.add_argument("--domain", type=_integer, default=1 << 12)
     plan.add_argument(
-        "--workload", choices=("uniform", "skewed"), default="skewed",
+        "--workload", choices=WORKLOADS, default="skewed",
         help="key distribution of the observed run (default: skewed)",
     )
     plan.add_argument("--hot-keys", type=int, default=12)
     plan.add_argument("--hot-fraction", type=float, default=0.85)
     plan.add_argument("--zipf-exponent", type=float, default=0.8)
     plan.add_argument(
-        "--observe-s", type=float, default=1.0,
+        "--observe-s", dest="start_s", type=float, default=1.0,
         help="simulated seconds of telemetry before the first decision",
     )
     plan.add_argument("--sample-s", type=float, default=0.25)
@@ -1053,11 +885,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-step latency budget the step search packs within",
     )
     plan.add_argument(
-        "--drain", type=int, nargs="*", default=[],
+        "--drain", dest="drain_workers", type=int, nargs="*", default=[],
         help="drain objective: worker ids to empty (scale-in)",
     )
     plan.add_argument(
-        "--execute", action="store_true",
+        "--execute", dest="propose_only", action="store_false",
         help="execute adopted plans (default: propose-only advisor mode)",
     )
     plan.add_argument(
@@ -1108,8 +940,6 @@ def main(argv=None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "workers"):
-        _validate_common(parser, args)
     try:
         if not args.profile:
             return args.fn(args)
@@ -1125,10 +955,25 @@ def main(argv=None) -> int:
             stats = pstats.Stats(profile)
             stats.sort_stats("cumulative").print_stats(25)
         return status
-    except ParallelConfigError as exc:
-        # Raised where the config is constructed: its message is the usage
-        # error (exit code 2), so each rule is stated once.
-        parser.error(str(exc))
+    except ConfigError as exc:
+        # Raised where a config is constructed: its message is the usage
+        # error (exit code 2), naming the flag that wrote the field.
+        subparsers = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        command = subparsers.choices[args.command]
+        command.error(_flag_message(command, str(exc)))
+
+
+def _flag_message(parser: argparse.ArgumentParser, message: str) -> str:
+    """``message`` with its leading field name swapped for the flag that
+    writes the field, when ``parser`` has one."""
+    field = re.match(r"\w*", message).group()
+    for action in parser._actions:
+        if action.dest == field and action.option_strings:
+            return action.option_strings[0] + message[len(field):]
+    return message
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.runtime_events.events import AutoscaleDecision
 
 # Registered policy names -> one-line description (printed by `repro.cli
@@ -62,29 +63,29 @@ class AutoscalerConfig:
     def validate(self, num_workers: int) -> None:
         """Check the knobs against a provisioned universe."""
         if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown autoscaler policy {self.policy!r}; "
-                f"registered: {tuple(POLICIES)}"
+            raise ConfigError(
+                f"policy {self.policy!r} is not a registered autoscaler "
+                f"policy; registered: {tuple(POLICIES)}"
             )
         if self.scale_in_load >= self.scale_out_load:
-            raise ValueError(
+            raise ConfigError(
                 "scale_in_load must be below scale_out_load "
                 f"({self.scale_in_load} >= {self.scale_out_load}): the gap "
                 "is the hysteresis band that prevents thrash"
             )
         if self.min_workers < 1:
-            raise ValueError("min_workers must be at least 1")
+            raise ConfigError("min_workers must be at least 1")
         if self.max_workers and not (
             self.min_workers <= self.max_workers <= num_workers
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"max_workers must be in {self.min_workers}.."
                 f"{num_workers}, got {self.max_workers}"
             )
         if self.step < 1:
-            raise ValueError("step must be at least 1")
+            raise ConfigError("step must be at least 1")
         if self.decide_s <= 0:
-            raise ValueError("decide_s must be positive")
+            raise ConfigError("decide_s must be positive")
 
 
 class Autoscaler:

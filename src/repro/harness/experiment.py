@@ -11,6 +11,7 @@ NEXMark experiments reuse the same orchestration through
 from __future__ import annotations
 
 import time as wallclock
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,6 +23,7 @@ from repro.elastic.autoscaler import Autoscaler, AutoscalerConfig
 from repro.elastic.coordinator import ScalingCoordinator, ScalingReport
 from repro.elastic.membership import MembershipDirectory
 from repro.elastic.plan import ScalingPlan
+from repro.errors import ConfigError
 from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
 from repro.harness.openloop import ElasticOpenLoopSource, OpenLoopSource
 from repro.harness.workloads import (
@@ -31,7 +33,7 @@ from repro.harness.workloads import (
     count_fold,
 )
 from repro.megaphone.api import state_machine
-from repro.megaphone.control import BinnedConfiguration
+from repro.megaphone.control import BinnedConfiguration, bin_bits
 from repro.megaphone.controller import (
     EpochTicker,
     FaultHandling,
@@ -50,12 +52,10 @@ from repro.sim.cost import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemoryTimeline, MemoryTimelineRecorder
 from repro.sim.network import Cluster
+from repro.state.registry import resolve_backend, resolve_codec
 from repro.timely.dataflow import Dataflow
 
-
-class ParallelConfigError(ValueError):
-    """The config asks the sharded engine for something it does not run."""
-
+WORKLOADS = ("uniform", "skewed")
 
 # What the sharded engine (``parallel=0``) does not run, as (config field,
 # label); a field is set when it is neither None nor False (a metrics port
@@ -75,6 +75,20 @@ _SHARDED_UNSUPPORTED = (
     # The sharded engine partitions a fixed worker set.
     ("elastic", "elastic membership"),
 )
+# Fields that must be positive when set.
+_POSITIVE_FIELDS = (
+    "num_workers", "workers_per_process", "rate", "duration_s", "batch_size",
+    "granularity_ms", "network_latency_s", "hot_capacity_bytes", "hot_keys",
+)
+
+
+@contextmanager
+def _lower_check(prefix: str = ""):
+    """Re-raise a lower-level check's ``ValueError`` as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass
@@ -162,7 +176,8 @@ class ExperimentConfig:
     # Elastic membership (repro.elastic).  ``num_workers`` is the
     # *provisioned* slot universe; ``active_workers`` (None = all) is the
     # initially-active prefix.  A scaling plan scripts timed join/leave
-    # events; an autoscaler config closes the loop from load telemetry.
+    # events (its text form, e.g. "join@2:4,5", is parsed on construction);
+    # an autoscaler config closes the loop from load telemetry.
     # Any of the three makes the run elastic: the open-loop source feeds a
     # dynamic worker set over a fixed virtual record universe, so final
     # bin state matches a static-membership twin's.
@@ -171,52 +186,84 @@ class ExperimentConfig:
     autoscale: Optional[AutoscalerConfig] = None
 
     def __post_init__(self) -> None:
-        # Membership-shape invariants, checked here with a clear error
-        # instead of failing deep in ShardPartition arithmetic.  (The
-        # partition itself tolerates ragged tails for the sharded engine's
-        # internal tests; experiment clusters are always rectangular.)
-        if self.num_workers < 1:
-            raise ValueError(f"num_workers must be positive, got {self.num_workers}")
-        if self.workers_per_process < 1:
-            raise ValueError(
-                f"workers_per_process must be positive, got {self.workers_per_process}"
-            )
+        """Every value rule of an experiment, checked at construction.
+
+        Each raises :class:`ConfigError` with a message that starts with
+        the field's name; where a lower-level check states the rule (the
+        registries, the bin arithmetic, the scaling plan), it is called.
+        """
+        # Lists arrive from the CLI, matrix specs and event logs.
+        self.migrate_at_s = tuple(self.migrate_at_s)
+        if self.collect_topic_counts is not None:
+            self.collect_topic_counts = tuple(self.collect_topic_counts)
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         if self.num_workers % self.workers_per_process:
-            raise ValueError(
-                f"num_workers ({self.num_workers}) must be a multiple of "
+            raise ConfigError(
+                f"num_workers ({self.num_workers}) must be divisible by "
                 f"workers_per_process ({self.workers_per_process}): the "
                 "cluster hosts equal-size process groups, and a ragged "
                 "tail would leave a process with missing worker slots"
             )
-        if self.active_workers is not None and not (
-            1 <= self.active_workers <= self.num_workers
-        ):
-            raise ValueError(
-                f"active_workers must be in 1..{self.num_workers}, "
-                f"got {self.active_workers}"
+        with _lower_check():
+            bin_bits(self.num_bins)
+        for at in self.migrate_at_s:
+            if not 0 < at < self.duration_s:
+                raise ConfigError(
+                    f"migrate_at_s {at} is outside (0, {self.duration_s}): a "
+                    "migration must start after the run begins and before "
+                    "the input closes"
+                )
+        with _lower_check(f"state_backend {self.state_backend!r}: "):
+            resolve_backend(self.state_backend)
+        with _lower_check(f"codec {self.codec!r}: "):
+            resolve_codec(self.codec)
+        if self.workload not in WORKLOADS:
+            raise ConfigError(
+                f"workload must be one of {WORKLOADS}, got {self.workload!r}"
             )
+        if not 0.0 <= self.hot_fraction <= 1.0:
+            raise ConfigError(
+                f"hot_fraction must be within [0, 1], got {self.hot_fraction}"
+            )
+        if self.metrics_port is not None and self.metrics_port < 0:
+            raise ConfigError(f"metrics_port must be >= 0, got {self.metrics_port}")
         if self.pace_s is not None and not (
             isinstance(self.pace_s, (int, float)) and self.pace_s > 0
         ):
-            raise ValueError(
+            raise ConfigError(
                 f"pace_s must be a positive number of seconds, got {self.pace_s!r}"
+            )
+        if self.active_workers is not None and not (
+            1 <= self.active_workers <= self.num_workers
+        ):
+            raise ConfigError(
+                f"active_workers must be in 1..{self.num_workers}, "
+                f"got {self.active_workers}"
+            )
+        if isinstance(self.scaling_plan, str):
+            with _lower_check(f"scaling_plan {self.scaling_plan!r}: "):
+                self.scaling_plan = ScalingPlan.parse(self.scaling_plan)
+        if self.scaling_plan is not None:
+            with _lower_check(f"scaling_plan {self.scaling_plan.spec()!r}: "):
+                self.scaling_plan.validate(self.num_workers, self.initial_active)
+        if self.autoscale is not None:
+            self.autoscale.validate(self.num_workers)
+        if self.elastic and self.native:
+            raise ConfigError(
+                "native runs cannot be elastic: elastic membership needs the "
+                "migrateable operator, and the native baseline has no "
+                "routing table to rescale"
             )
         if self.parallel is not None:
             self._check_sharded()
-        if self.elastic and self.native:
-            raise ValueError(
-                "elastic membership needs the migrateable operator; "
-                "the native baseline cannot scale"
-            )
-        if self.scaling_plan is not None:
-            self.scaling_plan.validate(self.num_workers, self.initial_active)
-        if self.autoscale is not None:
-            self.autoscale.validate(self.num_workers)
 
     def _check_sharded(self) -> None:
         """Reject what the sharded engine cannot honor, at construction."""
         if self.parallel != 0:
-            raise ParallelConfigError(
+            raise ConfigError(
                 "parallel must be None (serial engine) or 0 (sharded "
                 f"engine, in-process), got {self.parallel!r}: forked "
                 "execution (--parallel N, N >= 1) was removed, having "
@@ -226,9 +273,9 @@ class ExperimentConfig:
         for attr, label in _SHARDED_UNSUPPORTED:
             value = getattr(self, attr)
             if value is not None and value is not False:
-                raise ParallelConfigError(
-                    f"the sharded engine (--parallel 0) does not support "
-                    f"{label}; run it serially (drop --parallel)"
+                raise ConfigError(
+                    f"parallel: the sharded engine (--parallel 0) does not "
+                    f"support {label}; run it serially (drop --parallel)"
                 )
 
     @property
@@ -251,8 +298,6 @@ class ExperimentConfig:
 
     def make_workload(self):
         """The configured workload object (uniform or skewed)."""
-        if self.workload == "uniform":
-            return CountWorkload(domain=self.domain, seed=self.seed)
         if self.workload == "skewed":
             return SkewedCountWorkload(
                 domain=self.domain,
@@ -261,9 +306,7 @@ class ExperimentConfig:
                 hot_fraction=self.hot_fraction,
                 zipf_exponent=self.zipf_exponent,
             )
-        raise ValueError(
-            f"unknown workload {self.workload!r}; pick 'uniform' or 'skewed'"
-        )
+        return CountWorkload(domain=self.domain, seed=self.seed)
 
     def backend_options(self) -> dict:
         """Backend-specific constructor options (None values are dropped

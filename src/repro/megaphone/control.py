@@ -59,6 +59,15 @@ def stable_hash(key: object) -> int:
     raise TypeError(f"cannot stably hash {type(key).__name__}")
 
 
+def bin_bits(num_bins: int) -> int:
+    """log2 of a bin count; ValueError unless it is a power of two."""
+    if num_bins <= 0:
+        raise ValueError(f"num_bins must be positive, got {num_bins}")
+    if num_bins & (num_bins - 1):
+        raise ValueError(f"num_bins must be a power of two, got {num_bins}")
+    return num_bins.bit_length() - 1
+
+
 def bin_of(key_int: int, num_bins: int) -> int:
     """Map an integer key to a bin using the hash's most significant bits.
 
@@ -66,9 +75,7 @@ def bin_of(key_int: int, num_bins: int) -> int:
     §4.2): low bits stay available for worker routing and hash-map
     placement, and similar keys do not collide into one bin.
     """
-    if num_bins & (num_bins - 1) != 0 or num_bins <= 0:
-        raise ValueError(f"num_bins must be a power of two, got {num_bins}")
-    bits = num_bins.bit_length() - 1
+    bits = bin_bits(num_bins)
     if bits == 0:
         return 0
     return splitmix64(key_int) >> (64 - bits)

@@ -38,7 +38,7 @@ from repro.runtime_events.events import (
     BinStateExtracted,
     BinStateInstalled,
 )
-from repro.megaphone.control import BinnedConfiguration, ControlInst
+from repro.megaphone.control import BinnedConfiguration, ControlInst, bin_bits
 from repro.megaphone.routing import RoutingTable
 from repro.runtime_events import columns
 from repro.runtime_events.columns import MASK64, ColumnBatch, ColumnGroup, merge_segments
@@ -768,10 +768,8 @@ class MegaphoneConfig:
         self.recovery_mode = False
         self._store_key = f"megaphone:{name}"
         self._route_cost: Optional[float] = None
-        if num_bins & (num_bins - 1) != 0 or num_bins <= 0:
-            raise ValueError(f"num_bins must be a power of two, got {num_bins}")
         # The column kernels take the shift directly; 64 means one bin.
-        self.bin_shift = 64 - (num_bins.bit_length() - 1)
+        self.bin_shift = 64 - bin_bits(num_bins)
 
     def route_cost(self, ctx) -> float:
         if self._route_cost is None:

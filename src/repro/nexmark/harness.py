@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
     MigrationExperiment,
-    ParallelConfigError,
 )
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.generator import make_generator
@@ -40,9 +40,10 @@ def run_nexmark_experiment(
     if query not in QUERIES:
         raise ValueError(f"unknown NEXMark query {query}; implemented: {sorted(QUERIES)}")
     if cfg.parallel is not None:
-        raise ParallelConfigError(
-            "NEXMark queries run on the serial engine only: the sharded "
-            "runner (parallel=0) builds just the count dataflow; drop parallel"
+        raise ConfigError(
+            "parallel must be None: NEXMark queries run on the serial engine "
+            "only, and the sharded runner (parallel=0) builds just the "
+            "count dataflow"
         )
     if nexmark is None:
         nexmark = NexmarkConfig(dilation=cfg.dilation)

@@ -26,6 +26,7 @@ import dataclasses
 import json
 from typing import IO, Iterable, Optional
 
+from repro.errors import ConfigError
 from repro.runtime_events.bus import TraceBus
 from repro.runtime_events.events import TOPICS
 from repro.versions import EVENT_LOG_READ_VERSIONS, EVENT_LOG_VERSION
@@ -122,7 +123,8 @@ def config_from_dict(data: dict):
 
     Observer-only fields (recording, export, profiling) are stripped: the
     rebuilt config re-runs the *simulation*, and the replay driver decides
-    what to observe about it.
+    what to observe about it.  A header that breaks a config rule raises
+    :class:`EventLogError`.
     """
     from repro.harness.experiment import ExperimentConfig
 
@@ -130,36 +132,31 @@ def config_from_dict(data: dict):
         raise EventLogError("config provenance must be an object")
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
-    for name, value in data.items():
-        if name in _RETIRED_FIELDS:
-            continue
-        if name not in known:
-            raise EventLogError(f"unknown config field {name!r} in log header")
-        if name in _OBSERVER_FIELDS or name == "cost":
-            continue
-        if name == "chaos":
-            kwargs["chaos"] = None if value is None else _chaos_from_dict(value)
-        elif name == "planner":
-            kwargs["planner"] = (
-                None if value is None else _planner_from_dict(value)
-            )
-        elif name == "scaling_plan":
-            from repro.elastic.plan import ScalingPlan
+    try:
+        for name, value in data.items():
+            if name in _RETIRED_FIELDS:
+                continue
+            if name not in known:
+                raise EventLogError(f"unknown config field {name!r} in log header")
+            if name in _OBSERVER_FIELDS or name == "cost":
+                continue
+            if name == "chaos":
+                kwargs["chaos"] = None if value is None else _chaos_from_dict(value)
+            elif name == "planner":
+                kwargs["planner"] = (
+                    None if value is None else _planner_from_dict(value)
+                )
+            elif name == "autoscale":
+                from repro.elastic.autoscaler import AutoscalerConfig
 
-            kwargs["scaling_plan"] = (
-                None if value is None else ScalingPlan.parse(value)
-            )
-        elif name == "autoscale":
-            from repro.elastic.autoscaler import AutoscalerConfig
-
-            kwargs["autoscale"] = (
-                None if value is None else AutoscalerConfig(**value)
-            )
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
-    return ExperimentConfig(**kwargs)
+                kwargs["autoscale"] = (
+                    None if value is None else AutoscalerConfig(**value)
+                )
+            else:
+                kwargs[name] = value
+        return ExperimentConfig(**kwargs)
+    except ConfigError as exc:
+        raise EventLogError(f"log header config breaks a rule: {exc}") from None
 
 
 def _chaos_from_dict(data: dict):

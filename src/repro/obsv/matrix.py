@@ -34,6 +34,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.versions import (
     MATRIX_READ_VERSIONS,
     MATRIX_SCHEMA,
@@ -119,6 +120,11 @@ def load_spec(path: str) -> dict:
             "[matrix] and [base] only — the matrix gates fingerprints, "
             "throughput gating lives in benchmarks/e2e"
         )
+    # Every cell shares [base]: a rule it breaks fails the load, not a sweep.
+    try:
+        cell_config(data, expand_cells(data)[0])
+    except ConfigError as exc:
+        raise MatrixSpecError(f"{path}: [base] breaks a config rule: {exc}") from None
     return data
 
 
@@ -134,6 +140,7 @@ def _default_axis_value(axis: str) -> str:
 
 def _validate_axis_values(path: str, axes: dict) -> None:
     from repro.chaos.experiment import SCENARIOS
+    from repro.harness.experiment import WORKLOADS
     from repro.megaphone.migration import STRATEGIES
     from repro.state import backend_names, codec_names
 
@@ -141,7 +148,7 @@ def _validate_axis_values(path: str, axes: dict) -> None:
         ("strategy", STRATEGIES),
         ("backend", backend_names()),
         ("codec", codec_names()),
-        ("workload", ("uniform", "skewed")),
+        ("workload", WORKLOADS),
         ("faults", (NO_FAULTS,) + tuple(SCENARIOS)),
     )
     for axis, known in checks:
@@ -169,9 +176,6 @@ def cell_config(spec: dict, cell: MatrixCell):
 
     base = dict(spec.get("base", {}))
     chaos_seed = base.pop("chaos_seed", 0)
-    for key, value in list(base.items()):
-        if isinstance(value, list):
-            base[key] = tuple(value)
     try:
         cfg = ExperimentConfig(**base)
     except TypeError as exc:

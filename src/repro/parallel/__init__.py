@@ -20,7 +20,6 @@ from repro.parallel.partition import ShardPartition
 from repro.parallel.sync import ParallelStall
 
 __all__ = [
-    "ParallelConfigError",
     "ParallelStall",
     "ShardPartition",
     "result_fingerprint",
@@ -32,8 +31,7 @@ def __getattr__(name):
     # Lazy: runner imports the harness, which imports back into this
     # package for the partition type; keep the light names eager and the
     # heavy ones deferred.
-    if name in ("ParallelConfigError", "result_fingerprint",
-                "run_parallel_count_experiment"):
+    if name in ("result_fingerprint", "run_parallel_count_experiment"):
         from repro.parallel import runner
 
         return getattr(runner, name)

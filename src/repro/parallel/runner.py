@@ -15,18 +15,13 @@ from __future__ import annotations
 import hashlib
 import time as wallclock
 
-from repro.harness.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    ParallelConfigError,
-)
+from repro.harness.experiment import ExperimentConfig, ExperimentResult
 from repro.parallel.partition import ShardPartition
 from repro.parallel.supervisor import LocalExecutor
 from repro.parallel.sync import run_protocol
 from repro.sim.memory import MemoryTimeline
 
 __all__ = [
-    "ParallelConfigError",
     "result_fingerprint",
     "run_parallel_count_experiment",
 ]

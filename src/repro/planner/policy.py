@@ -33,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.errors import ConfigError
 from repro.megaphone.control import BinnedConfiguration
 from repro.megaphone.controller import MigrationController
 from repro.megaphone.migration import MigrationPlan
 from repro.megaphone.plan_io import PlanProvenance
 from repro.planner.cost import MigrationCostModel, imbalance_gain
-from repro.planner.search import plan_moves, search_target
+from repro.planner.search import OBJECTIVES, plan_moves, search_target
 from repro.planner.telemetry import LoadTelemetry, TelemetryConfig
 from repro.runtime_events.events import PlanAdopted, PlanProposed, PlanRejected
 
@@ -61,6 +62,21 @@ class PlannerConfig:
     gap_s: float = 0.0  # drain gap handed to the controller
     # Objective-specific options (drain_workers, num_workers, ...).
     objective_options: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(
+                f"objective {self.objective!r} is not one of {sorted(OBJECTIVES)}"
+            )
+        if self.objective == "drain" and not self.objective_options.get(
+            "drain_workers"
+        ):
+            raise ConfigError(
+                "drain_workers must name at least one worker: the drain "
+                "objective empties the workers it names"
+            )
+        if self.min_gain < 0:
+            raise ConfigError(f"min_gain must be non-negative, got {self.min_gain}")
 
 
 @dataclass(frozen=True)

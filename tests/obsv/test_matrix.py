@@ -63,6 +63,7 @@ def test_load_spec_json(tmp_path):
         "[matrix]\nbackend = ['bogus']",  # unknown backend
         "[matrix]\nfaults = ['bogus']",  # unknown scenario
         "[matrix]\nstrategy = ['batched']\n[base]\nnope = 1",  # bad base key
+        "[matrix]\nstrategy = ['batched']\n[base]\nrate = 0",  # breaks a rule
         "this is not toml [",  # parse error
         "[matrix]\nstrategy = ['batched']\n[tolerance]\ndefault = 0.6",  # stale
     ],
@@ -70,10 +71,9 @@ def test_load_spec_json(tmp_path):
 def test_bad_specs_are_rejected(tmp_path, body):
     path = tmp_path / "bad.toml"
     path.write_text(body)
+    # Every error surfaces at load, before any cell runs.
     with pytest.raises(MatrixSpecError) as excinfo:
-        spec = load_spec(str(path))
-        # [base] errors surface when the cell config is built.
-        run_matrix(spec, jobs=0)
+        load_spec(str(path))
     if "[tolerance]" in body:
         # Ignoring the table would silently drop a gate its author expects.
         assert "benchmarks/e2e" in str(excinfo.value)

@@ -116,9 +116,9 @@ def test_boundary_migrate_at_accepted():
 def test_chaos_parser_defaults():
     args = build_parser().parse_args(["chaos"])
     assert args.scenario == "crash-target"
-    assert args.workers == 4
-    assert args.bins == 16
-    assert args.migrate_at == [2.0]
+    assert args.num_workers == 4
+    assert args.num_bins == 16
+    assert args.migrate_at_s == (2.0,)
 
 
 def test_chaos_rejects_unknown_scenario():
@@ -155,15 +155,18 @@ def test_profile_flag_wraps_other_commands(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
+        # The registry's own message, behind the flag that named it.
         (["count", "--state-backend", "rocksdb"],
-         "unknown --state-backend 'rocksdb'; registered: dict, sorted-log, tiered"),
+         "--state-backend 'rocksdb': unknown state backend 'rocksdb'; "
+         "registered: dict, sorted-log, tiered"),
         (["count", "--codec", "arrow"],
-         "unknown --codec 'arrow'; registered: modeled, pickle, struct"),
+         "--codec 'arrow': unknown codec 'arrow'; registered: modeled, "
+         "pickle, struct"),
         (["nexmark", "--query", "2", "--state-backend", "lsm"],
-         "unknown --state-backend 'lsm'"),
-        (["chaos", "--codec", "json"], "unknown --codec 'json'"),
+         "--state-backend 'lsm': unknown state backend 'lsm'"),
+        (["chaos", "--codec", "json"], "--codec 'json': unknown codec 'json'"),
         (["scale", "--state-backend", "redis"],
-         "unknown --state-backend 'redis'"),
+         "--state-backend 'redis': unknown"),
         (["count", "--hot-capacity", "0"], "--hot-capacity must be positive"),
     ],
 )
@@ -253,10 +256,9 @@ def test_plan_command_execute(capsys):
 
 
 def test_plan_drain_requires_targets(capsys):
-    code = main([
-        "plan", "--objective", "drain", "--duration", "2",
-    ])
-    assert code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["plan", "--objective", "drain", "--duration", "2"])
+    assert excinfo.value.code == 2
     assert "--drain" in capsys.readouterr().err
 
 
@@ -317,6 +319,24 @@ def test_replay_detects_fingerprint_drift(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL: result fingerprint drifted" in out
+
+
+def test_replay_rejects_a_header_that_breaks_a_config_rule(tmp_path, capsys):
+    import json
+
+    log = tmp_path / "run.jsonl"
+    assert main(["count", *_SMALL_RUN, "--record", str(log)]) == 0
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["rate"] = 0
+    lines[0] = json.dumps(header)
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["replay", str(log)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cannot replay" in err
+    assert "rate must be positive" in err
 
 
 def test_count_export_metrics_writes_snapshots(tmp_path, capsys):
@@ -483,3 +503,188 @@ def test_elastic_arguments_rejected(argv, message, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# -- the config each command builds ---------------------------------------------
+
+# `count` with no flags, as `config_to_dict` writes it.
+_COUNT_DEFAULT = {
+    "num_workers": 8,
+    "workers_per_process": 4,
+    "num_bins": 256,
+    "domain": 1000000,
+    "rate": 20000,
+    "duration_s": 8.0,
+    "granularity_ms": 10,
+    "dilation": 1,
+    "migrate_at_s": [3.0],
+    "strategy": "batched",
+    "batch_size": 16,
+    "gap_s": 0.0,
+    "pace_s": None,
+    "variant": "key",
+    "bytes_per_key": 8.0,
+    "bandwidth_bytes_per_s": 1250000000.0,
+    "network_latency_s": 4e-05,
+    "sample_memory": False,
+    "memory_sample_s": 0.25,
+    "state_backend": "dict",
+    "codec": "modeled",
+    "hot_capacity_bytes": None,
+    "wal_segment_bytes": 65536,
+    "wal_compact_threshold": 512,
+    "wal_sync_every": 1,
+    "delta_migration": False,
+    "collect_trace": False,
+    "export_metrics": None,
+    "metrics_port": None,
+    "metrics_flush_s": 0.25,
+    "record_log": None,
+    "collect_topic_counts": None,
+    "native": False,
+    "seed": 1,
+    "chaos": None,
+    "workload": "uniform",
+    "hot_keys": 8,
+    "hot_fraction": 0.9,
+    "zipf_exponent": 1.0,
+    "planner": None,
+    "parallel": None,
+    "fingerprint_state": False,
+    "active_workers": None,
+    "scaling_plan": None,
+    "autoscale": None,
+}
+_SCALE_DEFAULT = {
+    **_COUNT_DEFAULT,
+    "num_workers": 6, "workers_per_process": 2, "num_bins": 16,
+    "domain": 4096, "rate": 2000.0, "duration_s": 6.0, "migrate_at_s": [],
+    "strategy": "fluid", "fingerprint_state": True, "active_workers": 4,
+    "scaling_plan": "join@1.5:4,5;leave@3.5:4,5",
+}
+_CHAOS_DEFAULT = {
+    **_COUNT_DEFAULT,
+    "num_workers": 4, "workers_per_process": 2, "num_bins": 16,
+    "domain": 4096, "duration_s": 6.0, "migrate_at_s": [2.0],
+    "batch_size": 4, "bytes_per_key": 2048.0,
+    "bandwidth_bytes_per_s": 4000000.0,
+}
+_PLAN_DEFAULT = {
+    **_COUNT_DEFAULT,
+    "num_workers": 4, "num_bins": 64, "domain": 4096, "migrate_at_s": [],
+    "workload": "skewed", "hot_keys": 12, "hot_fraction": 0.85,
+    "zipf_exponent": 0.8,
+    "planner": {
+        "objective": "balance",
+        "telemetry": {
+            "sample_s": 0.25, "window_s": 1.0, "trigger_ratio": 1.5,
+            "release_ratio": 1.2, "trigger_samples": 2, "release_samples": 2,
+        },
+        "decide_s": 0.5, "start_s": 1.0, "stop_s": None, "cooldown_s": 1.5,
+        "min_gain": 0.05, "max_cost_s": None, "slo_step_s": 0.05,
+        "max_moves": None, "propose_only": True, "gap_s": 0.0,
+        "objective_options": {},
+    },
+}
+
+# Each command with no flags, then each argument list CI runs, with the
+# `config_to_dict` of the config it builds.
+_BUILT_CONFIGS = {
+    "count": (["count"], _COUNT_DEFAULT),
+    "count-obsv": (
+        ["count", "--workers", "4", "--workers-per-process", "2",
+         "--bins", "16", "--domain", "10000", "--rate", "5000",
+         "--duration", "3", "--migrate-at", "1.0", "--record", "count.jsonl",
+         "--export-metrics", "metrics.jsonl"],
+        {**_COUNT_DEFAULT, "num_workers": 4, "workers_per_process": 2,
+         "num_bins": 16, "domain": 10000, "rate": 5000.0, "duration_s": 3.0,
+         "migrate_at_s": [1.0], "export_metrics": "metrics.jsonl",
+         "record_log": "count.jsonl"},
+    ),
+    "count-autoscale": (
+        ["count", "--workers", "6", "--workers-per-process", "2",
+         "--bins", "16", "--domain", "4096", "--rate", "4000",
+         "--duration", "4", "--active", "4", "--autoscale",
+         "--scale-out-load", "800", "--scale-in-load", "200",
+         "--autoscale-cooldown", "1.5"],
+        {**_COUNT_DEFAULT, "num_workers": 6, "workers_per_process": 2,
+         "num_bins": 16, "domain": 4096, "rate": 4000.0, "duration_s": 4.0,
+         "active_workers": 4,
+         "autoscale": {
+             "policy": "threshold", "start_s": 1.0, "decide_s": 0.5,
+             "stop_s": None, "scale_out_load": 800.0, "scale_in_load": 200.0,
+             "trigger_samples": 2, "cooldown_s": 1.5, "min_workers": 1,
+             "max_workers": 0, "step": 1,
+         }},
+    ),
+    "nexmark": (["nexmark", "--query", "3"], {**_COUNT_DEFAULT, "domain": 65536}),
+    "scale": (["scale"], _SCALE_DEFAULT),
+    "scale-twin-dict": (
+        ["scale", "--verify-twin", "--state-backend", "dict"], _SCALE_DEFAULT
+    ),
+    "scale-twin-wal": (
+        ["scale", "--verify-twin", "--state-backend", "wal"],
+        {**_SCALE_DEFAULT, "state_backend": "wal"},
+    ),
+    "compare": (
+        ["compare"],
+        {**_COUNT_DEFAULT, "domain": 100000000, "strategy": "all-at-once"},
+    ),
+    "trace": (
+        ["trace"], {**_COUNT_DEFAULT, "strategy": "fluid", "collect_trace": True}
+    ),
+    "chaos": (["chaos"], _CHAOS_DEFAULT),
+    **{
+        f"chaos-{scenario}-{backend}": (
+            ["chaos", "--scenario", scenario, "--state-backend", backend],
+            {**_CHAOS_DEFAULT, "state_backend": backend},
+        )
+        for scenario, backends in (
+            ("crash-target", ("dict", "tiered", "wal")),
+            ("crash-restart", ("dict", "tiered", "wal")),
+            ("partition", ("dict", "tiered", "wal")),
+            ("crash-storage", ("wal",)),
+        )
+        for backend in backends
+    },
+    "chaos-record": (
+        ["chaos", "--scenario", "crash-restart", "--duration", "4",
+         "--record", "chaos.jsonl"],
+        {**_CHAOS_DEFAULT, "duration_s": 4.0, "record_log": "chaos.jsonl"},
+    ),
+    "plan": (["plan"], _PLAN_DEFAULT),
+    "plan-skewed": (
+        ["plan", "--workload", "skewed", "--workers", "4", "--bins", "32",
+         "--domain", "4096", "--rate", "5000", "--duration", "4",
+         "--output", "plan.json"],
+        {**_PLAN_DEFAULT, "num_bins": 32, "rate": 5000.0, "duration_s": 4.0},
+    ),
+}
+
+
+class _Built(Exception):
+    """Carries the config a command built out of its run call."""
+
+
+def _capture(*args, **kwargs):
+    from repro.harness.experiment import ExperimentConfig
+
+    for value in (*args, *kwargs.values()):
+        if isinstance(value, ExperimentConfig):
+            raise _Built(value)
+    raise AssertionError("the run call carried no ExperimentConfig")
+
+
+@pytest.mark.parametrize("case", list(_BUILT_CONFIGS))
+def test_commands_build_the_pinned_config(case, monkeypatch):
+    import repro.chaos.experiment
+    import repro.cli
+    from repro.obsv.eventlog import config_to_dict
+
+    monkeypatch.setattr(repro.cli, "run_count_experiment", _capture)
+    monkeypatch.setattr(repro.cli, "run_nexmark_experiment", _capture)
+    monkeypatch.setattr(repro.chaos.experiment, "run_chaos_matrix", _capture)
+    argv, expected = _BUILT_CONFIGS[case]
+    with pytest.raises(_Built) as built:
+        main(argv)
+    assert config_to_dict(built.value.args[0]) == expected
