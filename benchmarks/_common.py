@@ -1,75 +1,29 @@
-"""Shared benchmark configurations.
+"""Shared configuration of the benchmark scripts.
 
-The paper's testbed is 4 machines x 4 workers at 4x10^6 records/s with up
-to 32x10^9 keys.  The simulation keeps the cluster shape (16 workers, 4 per
-process) but scales the *materialized* record rate down and the modeled
-per-record cost up so the operating point (utilization) matches; key
-domains stay at paper scale because bin state is modeled, not materialized
-(DESIGN.md, substitution 2).
+The paper's cluster shape and cost model, and why they are scaled the way
+they are, are stated once, in ``paper/cluster.toml``: the figure specs
+next to it extend that file, and :func:`count_config` starts from it.
 """
 
 from __future__ import annotations
 
+import tomllib
+from dataclasses import replace
+from pathlib import Path
+
 from repro.harness.experiment import ExperimentConfig
-from repro.sim.cost import CostModel
+from repro.obsv.eventlog import config_from_dict
 
-# Paper: 16 workers over 4 processes.
-WORKERS = 16
-WORKERS_PER_PROCESS = 4
-
-# The paper drives 4e6 records/s into 16 workers (~250k/s/worker).  We
-# materialize RATE_SCALE times fewer records and make each record
-# RATE_SCALE times more expensive, preserving utilization and latency
-# behaviour while keeping wall-clock time tractable.
-RATE_SCALE = 200.0
-PAPER_RATE = 4e6
-SIM_RATE = PAPER_RATE / RATE_SCALE
-
-# Per-record CPU at the simulated operating point: the paper's NEXMark
-# deployment runs well below saturation at 4M/s; ~0.25us/record/worker
-# (Rust) becomes 50us at our scale, i.e. ~25% utilization per worker at
-# the headline rate.
-BASE_COST = CostModel(
-    record_cost=0.25e-6 * RATE_SCALE,
-    ingest_record_cost=0.05e-6 * RATE_SCALE,
-    route_cost=0.05e-6 * RATE_SCALE,
-    batch_overhead=20e-6,
-    progress_update_cost=1e-6,
-)
-
-PAPER_BINS = 1 << 12  # the paper's default bin count
+CLUSTER_SPEC = Path(__file__).parent / "paper" / "cluster.toml"
 
 
 def count_config(**overrides) -> ExperimentConfig:
-    """Baseline configuration for the counting microbenchmarks."""
-    defaults = dict(
-        num_workers=WORKERS,
-        workers_per_process=WORKERS_PER_PROCESS,
-        num_bins=PAPER_BINS,
-        domain=256 * 10**6,
-        rate=SIM_RATE,
-        duration_s=8.0,
-        granularity_ms=10,
-        bytes_per_key=8.0,
-        cost=BASE_COST,
-    )
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
-
-
-def nexmark_config(**overrides) -> ExperimentConfig:
-    """Baseline configuration for the NEXMark queries."""
-    defaults = dict(
-        num_workers=WORKERS,
-        workers_per_process=WORKERS_PER_PROCESS,
-        num_bins=PAPER_BINS,
-        rate=SIM_RATE,
-        duration_s=10.0,
-        granularity_ms=10,
-        cost=BASE_COST,
-    )
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    """The paper's cluster running the counting microbenchmark (256x10^6
+    keys for 8 s), with ``overrides`` applied."""
+    with CLUSTER_SPEC.open("rb") as handle:
+        cluster = tomllib.load(handle)["base"]
+    cfg = config_from_dict({**cluster, "domain": 256 * 10**6, "duration_s": 8.0})
+    return replace(cfg, **overrides)
 
 
 def run_once(benchmark, fn):

@@ -15,7 +15,9 @@ Expected shape:
   backing up in the *send queues*, which tiering does not touch.
 """
 
-from _common import WORKERS, count_config, run_once
+from dataclasses import replace
+
+from _common import count_config, run_once
 from repro.harness.experiment import run_count_experiment
 from repro.harness.report import format_bytes, print_table
 
@@ -23,13 +25,8 @@ DOMAIN = 16 * 10**9
 BINS = 4096
 MIGRATIONS = (2.0, 4.0)
 
-# Steady modeled state is DOMAIN/WORKERS * 8 B = 8 GB per worker; cap the
-# hot tier at 75% of that so roughly a quarter of each worker's bins sit
-# in the cold tier once the key space has filled in.
-HOT_CAPACITY = int(DOMAIN // WORKERS * 8 * 0.75)
 
-
-def _run(strategy, state_backend="tiered", hot_capacity=HOT_CAPACITY):
+def _run(strategy, state_backend="tiered"):
     cfg = count_config(
         num_bins=BINS,
         domain=DOMAIN,
@@ -41,8 +38,13 @@ def _run(strategy, state_backend="tiered", hot_capacity=HOT_CAPACITY):
         memory_sample_s=0.05,
         bandwidth_bytes_per_s=1.25e9,
         state_backend=state_backend,
-        hot_capacity_bytes=hot_capacity if state_backend == "tiered" else None,
     )
+    if state_backend == "tiered":
+        # Steady modeled state is DOMAIN / workers * 8 B = 8 GB per worker;
+        # cap the hot tier at 75% of that so roughly a quarter of each
+        # worker's bins sit in the cold tier once the key space has filled in.
+        hot_capacity = int(DOMAIN // cfg.num_workers * 8 * 0.75)
+        cfg = replace(cfg, hot_capacity_bytes=hot_capacity)
     return run_count_experiment(cfg)
 
 

@@ -1,12 +1,11 @@
 """Shared infrastructure for the reproduction benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures as text:
-the series/rows are printed and also written to ``benchmarks/results/`` so
-they survive output capture.  ``REPRO_BENCH_SCALE`` (default 1.0) scales
-run durations and offered rates for quicker or more thorough runs.
+Every benchmark script regenerates one of the paper's tables, figures or
+extensions as text: the series/rows are printed and also written to
+``benchmarks/results/`` so they survive output capture.  (The paper's
+Figures 1 and 5-19 are matrix specs under ``paper/`` instead.)
 """
 
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +36,3 @@ def sink(results_dir, request):
 
     yield emit
     handle.close()
-
-
-def bench_scale() -> float:
-    return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))

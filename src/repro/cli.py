@@ -9,7 +9,7 @@ Usage (module form)::
     python -m repro.cli plan --workload skewed         # closed-loop planner
     python -m repro.cli count --record run.jsonl       # record an event log
     python -m repro.cli replay run.jsonl               # verify it reproduces
-    python -m repro.cli matrix --spec sweep.toml       # experiment matrix
+    python -m repro.cli matrix --spec benchmarks/paper/fig07.toml  # a figure
     python -m repro.cli list
 
 ``--profile`` (before the subcommand) wraps any command in cProfile and
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 
@@ -621,15 +622,18 @@ def cmd_replay(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    """Run an experiment-matrix spec; write or gate on the report.
+    """Run an experiment-matrix spec; check its claims; write or gate on
+    the report.
 
-    Without ``--check`` the aggregated report is written to ``--output``.
-    With ``--check BASELINE`` the fresh report is compared cell-by-cell
-    against the committed baseline and the command exits 1 on any
+    Without ``--check`` the aggregated report is written to ``--output``
+    (default ``benchmarks/results/<spec stem>.json``).  With ``--check
+    BASELINE`` the fresh report is compared cell-by-cell against the
+    committed baseline.  The command exits 1 on any failed claim,
     fingerprint drift or failed cell.
     """
     from repro.obsv.matrix import (
         MatrixSpecError,
+        check_claims,
         check_matrix,
         load_spec,
         run_matrix,
@@ -642,27 +646,52 @@ def cmd_matrix(args) -> int:
         print(f"cannot load {args.spec}: {exc}", file=sys.stderr)
         return 2
     report = run_matrix(spec, jobs=args.jobs, spec_path=args.spec)
-    rows = []
-    for row in report["cells"]:
-        rows.append(
+    print_table(
+        f"experiment matrix ({len(report['cells'])} cells, mode {report['mode']})",
+        ["cell", "status", "records", "migration max", "duration",
+         "steady max", "p99", "max", "chaos"],
+        [
             (
                 row["cell"],
                 row["status"],
                 f"{row.get('records', 0):,}",
-                format_latency(row["steady_max_latency_s"])
-                if "steady_max_latency_s" in row
-                else "-",
+                format_latency(row.get("migration_max_latency_s")),
+                format_duration(row.get("migration_duration_s")),
+                format_latency(row.get("steady_max_latency_s")),
+                format_latency(row.get("p99_latency_s")),
+                format_latency(row.get("max_latency_s")),
                 row.get("chaos_verdict", "-"),
             )
-        )
-    print_table(
-        f"experiment matrix ({len(rows)} cells, mode {report['mode']})",
-        ["cell", "status", "records", "steady max", "chaos"],
-        rows,
+            for row in report["cells"]
+        ],
     )
+    claims = check_claims(spec, report)
+    failed_claims = [c for c in claims if not c["ok"]]
+    if claims:
+        report["claims"] = claims
+        print_table(
+            f"claims ({len(claims) - len(failed_claims)} of {len(claims)} hold)",
+            ["claim", "at", "lhs", "bound", "status"],
+            [
+                (
+                    c["claim"],
+                    c["at"] or "-",
+                    _claim_value(c["lhs"]),
+                    _claim_value(c["bound"]),
+                    "holds" if c["ok"] else "FAILS",
+                )
+                for c in claims
+            ],
+        )
+    for c in failed_claims:
+        at = f" at {c['at']}" if c["at"] else ""
+        print(
+            f"FAIL: claim {c['claim']}{at}: {c['text']} "
+            f"(lhs {_claim_value(c['lhs'])}, rhs {_claim_value(c['rhs'])})"
+        )
     if args.check is not None:
         try:
-            ok, deltas = check_matrix(report, args.check)
+            ok, deltas = check_matrix(report, args.check, spec)
         except (OSError, ValueError) as exc:
             print(f"cannot check against {args.check}: {exc}", file=sys.stderr)
             return 2
@@ -690,16 +719,24 @@ def cmd_matrix(args) -> int:
             print("FAIL: matrix drifted from the committed baseline")
             return 1
         print("matrix check passed")
-        return 0
-    write_matrix_report(report, args.output)
-    print(f"matrix report written to {args.output}")
+        return 1 if failed_claims else 0
+    # The default never names BENCH_matrix.json: regenerating the committed
+    # baseline is always an explicit --output.
+    stem = os.path.splitext(os.path.basename(args.spec))[0]
+    output = args.output or os.path.join("benchmarks", "results", f"{stem}.json")
+    os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
+    write_matrix_report(report, output)
+    print(f"matrix report written to {output}")
     failed_cells = [
         row["cell"] for row in report["cells"] if row["status"] != "ok"
     ]
     if failed_cells:
         print(f"FAIL: cells did not complete: {', '.join(failed_cells)}")
-        return 1
-    return 0
+    return 1 if failed_cells or failed_claims else 0
+
+
+def _claim_value(value) -> str:
+    return "-" if value is None else f"{value:.6g}"
 
 
 def cmd_list(args) -> int:
@@ -725,7 +762,10 @@ def cmd_list(args) -> int:
     for name in sorted(AUTOSCALER_POLICIES):
         print(f"autoscaler policy: {name} — {AUTOSCALER_POLICIES[name]}")
     print("speed: python3 benchmarks/e2e/run.py  (host records/s, six workloads)")
-    print("benchmarks: pytest benchmarks/ --benchmark-only  (one per paper figure)")
+    print("paper figures: matrix --spec benchmarks/paper/figNN.toml  "
+          "(Figures 1 and 5-19, each with its shape claims)")
+    print("benchmarks: pytest benchmarks/ --benchmark-only  "
+          "(Table 1, Figure 20, extensions, ablations)")
     return 0
 
 
@@ -914,15 +954,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--spec", required=True, metavar="SPEC_TOML_OR_JSON",
-        help="matrix spec: [matrix] axes, [base] experiment config",
+        help="matrix spec: [matrix] axes, [base] experiment config, "
+        "[[claim]] shape claims",
     )
     matrix.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: min(cells, cpus); 0 runs inline)",
     )
     matrix.add_argument(
-        "--output", default="BENCH_matrix.json",
-        help="where to write the aggregated report",
+        "--output", default=None,
+        help="where to write the aggregated report "
+        "(default: benchmarks/results/<spec stem>.json)",
     )
     matrix.add_argument(
         "--check", default=None, metavar="BASELINE_JSON",

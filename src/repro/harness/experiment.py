@@ -41,7 +41,7 @@ from repro.megaphone.controller import (
     MigrationResult,
     RetryPolicy,
 )
-from repro.megaphone.migration import imbalanced_target, make_plan
+from repro.megaphone.migration import STRATEGIES, imbalanced_target, make_plan
 from repro.megaphone.snapshot import SnapshotCoordinator
 from repro.planner.cost import MigrationCostModel
 from repro.planner.policy import ClosedLoopPlanner, PlannerConfig, PlannerReport
@@ -56,6 +56,7 @@ from repro.state.registry import resolve_backend, resolve_codec
 from repro.timely.dataflow import Dataflow
 
 WORKLOADS = ("uniform", "skewed")
+VARIANTS = ("key", "hash")  # bin state as dense arrays or as hash maps
 
 # What the sharded engine (``parallel=0``) does not run, as (config field,
 # label); a field is set when it is neither None nor False (a metrics port
@@ -209,6 +210,14 @@ class ExperimentConfig:
             )
         with _lower_check():
             bin_bits(self.num_bins)
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(
+                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
+            )
+        if self.variant not in VARIANTS:
+            raise ConfigError(
+                f"variant must be one of {VARIANTS}, got {self.variant!r}"
+            )
         for at in self.migrate_at_s:
             if not 0 < at < self.duration_s:
                 raise ConfigError(

@@ -1,8 +1,8 @@
-"""Plain-text reporting used by every benchmark.
+"""Plain-text reporting used by the CLI and the benchmark scripts.
 
-Benchmarks regenerate the paper's tables and figures as text: tables print
-as aligned columns, figures print as the series a plotting tool would
-consume (one row per point), so the shapes are inspectable in CI logs.
+Tables print as aligned columns, figures print as the series a plotting
+tool would consume (one row per point), so the shapes are inspectable in
+CI logs.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ def format_duration(seconds: Optional[float]) -> str:
     return f"{seconds * 1000:.1f} ms"
 
 
-def format_count(value: float) -> str:
-    """Human-friendly large count (uses the paper's powers-of-ten style)."""
-    if value >= 1e9:
-        return f"{value / 1e9:g}G"
-    if value >= 1e6:
-        return f"{value / 1e6:g}M"
-    if value >= 1e3:
-        return f"{value / 1e3:g}k"
-    return f"{value:g}"
-
-
 def print_table(
     title: str,
     headers: Sequence[str],
@@ -86,16 +75,6 @@ def print_timeline(title: str, series, out=print, every: int = 1) -> None:
         if i % every == 0
     ]
     print_table(title, ["time [s]", "max", "p99", "p50", "p25"], rows, out=out)
-
-
-def print_ccdf(title: str, points, out=print, max_points: int = 40) -> None:
-    """Print a CCDF (Figures 13-15 style)."""
-    step = max(1, len(points) // max_points)
-    rows = [
-        (format_latency(latency), f"{fraction:.2e}")
-        for latency, fraction in points[::step]
-    ]
-    print_table(title, ["latency", "CCDF"], rows, out=out)
 
 
 def print_phase_breakdown(
@@ -153,13 +132,3 @@ def print_phase_breakdown(
             for phase, value in sums.items()
         )
         out(f"phase totals across bins: {parts}")
-
-
-def log_range(start: float, stop: float, factor: float) -> list[float]:
-    """Geometric sweep values, inclusive of both endpoints (approximately)."""
-    out = []
-    value = start
-    while value <= stop * (1 + 1e-9):
-        out.append(value)
-        value *= factor
-    return out

@@ -12,9 +12,9 @@ bus.TraceBus` and below the CLI:
   that validates it.
 * :mod:`repro.obsv.replay` — deterministic re-execution of a recorded run,
   asserting the original ``result_fingerprint`` byte-identically.
-* :mod:`repro.obsv.matrix` — the {strategy x backend x codec x workload x
-  faults} sweep runner with parallel worker processes, BENCH_matrix.json
-  aggregation, and a CI regression gate.
+* :mod:`repro.obsv.matrix` — the sweep runner over any config axes, with
+  parallel worker processes, BENCH_matrix.json aggregation, a fingerprint
+  regression gate, and the paper's shape claims checked after a sweep.
 
 Every component here is an observer: attaching or detaching any of them
 must leave the simulation byte-identical (the bus's subscriber contract).

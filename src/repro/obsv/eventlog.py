@@ -57,21 +57,16 @@ _RETIRED_FIELDS = ("profile_shards", "reference_routing")
 def config_to_dict(cfg) -> dict:
     """JSON-compatible provenance form of an :class:`ExperimentConfig`.
 
-    Raises :class:`EventLogError` for configs that cannot be serialized
-    faithfully (a custom in-memory cost model): recording such a run would
-    produce a log whose replay silently runs different semantics.
+    A cost model is written as its field table, and only when one is set:
+    ``None`` (the default model) leaves the key out.
     """
-    if cfg.cost is not None:
-        raise EventLogError(
-            "cannot record a run with a custom cost model; "
-            "recording supports configs expressible as data"
-        )
     out: dict = {}
     for field in dataclasses.fields(cfg):
         value = getattr(cfg, field.name)
-        if field.name in ("cost",):
-            continue
-        if field.name == "chaos":
+        if field.name == "cost":
+            if value is not None:
+                out["cost"] = dataclasses.asdict(value)
+        elif field.name == "chaos":
             out["chaos"] = None if value is None else _chaos_to_dict(value)
         elif field.name == "planner":
             out["planner"] = None if value is None else _planner_to_dict(value)
@@ -123,10 +118,12 @@ def config_from_dict(data: dict):
 
     Observer-only fields (recording, export, profiling) are stripped: the
     rebuilt config re-runs the *simulation*, and the replay driver decides
-    what to observe about it.  A header that breaks a config rule raises
-    :class:`EventLogError`.
+    what to observe about it.  Log headers and matrix specs both come
+    through here; data that names an unknown field, holds a malformed
+    nested table or breaks a config rule raises :class:`EventLogError`.
     """
     from repro.harness.experiment import ExperimentConfig
+    from repro.sim.cost import CostModel
 
     if not isinstance(data, dict):
         raise EventLogError("config provenance must be an object")
@@ -137,10 +134,12 @@ def config_from_dict(data: dict):
             if name in _RETIRED_FIELDS:
                 continue
             if name not in known:
-                raise EventLogError(f"unknown config field {name!r} in log header")
-            if name in _OBSERVER_FIELDS or name == "cost":
+                raise EventLogError(f"unknown ExperimentConfig field {name!r}")
+            if name in _OBSERVER_FIELDS:
                 continue
-            if name == "chaos":
+            if name == "cost":
+                kwargs["cost"] = None if value is None else CostModel(**value)
+            elif name == "chaos":
                 kwargs["chaos"] = None if value is None else _chaos_from_dict(value)
             elif name == "planner":
                 kwargs["planner"] = (
@@ -156,7 +155,9 @@ def config_from_dict(data: dict):
                 kwargs[name] = value
         return ExperimentConfig(**kwargs)
     except ConfigError as exc:
-        raise EventLogError(f"log header config breaks a rule: {exc}") from None
+        raise EventLogError(f"config breaks a rule: {exc}") from None
+    except TypeError as exc:  # a nested table's unknown key, a value's type
+        raise EventLogError(f"config is malformed: {exc}") from None
 
 
 def _chaos_from_dict(data: dict):

@@ -64,9 +64,26 @@ def replay_run(path: str) -> ReplayReport:
     # fingerprinting); the replay must measure the same thing.
     cfg.fingerprint_state = True
     topics = header.get("topics")
-    counts: dict[str, int] = {}
+    cfg.collect_topic_counts = tuple(topics) if topics is not None else ()
     kind = header.get("workload_kind", "count")
-    result = _execute(kind, cfg, header, topics, counts)
+    if kind == "count":
+        query, nexmark = None, None
+    elif kind == "nexmark":
+        from repro.nexmark.config import NexmarkConfig
+
+        extra = header.get("extra", {})
+        query = extra.get("query")
+        if not isinstance(query, int):
+            raise EventLogError(
+                f"nexmark log header lacks an integer query (got {query!r})"
+            )
+        nexmark = NexmarkConfig(**(extra.get("nexmark") or {}))
+    else:
+        raise EventLogError(
+            f"cannot replay workload kind {kind!r}; this build replays "
+            "'count' and 'nexmark' logs"
+        )
+    result = run_config(cfg, query, nexmark)
     from repro.parallel.runner import result_fingerprint
 
     return ReplayReport(
@@ -75,38 +92,22 @@ def replay_run(path: str) -> ReplayReport:
         expected_fingerprint=footer["result_fingerprint"],
         actual_fingerprint=result_fingerprint(result),
         expected_events=dict(footer.get("events_by_topic", {})),
-        actual_events=counts,
+        actual_events=dict(result.topic_counts),
         records_injected=result.records_injected,
         sim_events=result.sim_events,
     )
 
 
-def _execute(kind: str, cfg, header: dict, topics, counts: dict):
-    if kind == "count":
+def run_config(cfg, query=None, nexmark=None):
+    """Run ``cfg``: the count workload, or NEXMark ``query`` (1-8) with the
+    ``nexmark`` :class:`NexmarkConfig` (``None``: the harness default).
+
+    The one dispatch shared by replay and the matrix runner.
+    """
+    if query is None:
         from repro.harness.experiment import run_count_experiment
 
-        cfg.collect_topic_counts = tuple(topics) if topics is not None else ()
-        result = run_count_experiment(cfg)
-        counts.update(result.topic_counts)
-        return result
-    if kind == "nexmark":
-        from repro.nexmark.config import NexmarkConfig
-        from repro.nexmark.harness import run_nexmark_experiment
+        return run_count_experiment(cfg)
+    from repro.nexmark.harness import run_nexmark_experiment
 
-        extra = header.get("extra", {})
-        query = extra.get("query")
-        if not isinstance(query, int):
-            raise EventLogError(
-                f"nexmark log header lacks an integer query (got {query!r})"
-            )
-        nexmark_kwargs = extra.get("nexmark") or {}
-        cfg.collect_topic_counts = tuple(topics) if topics is not None else ()
-        result = run_nexmark_experiment(
-            query, cfg, nexmark=NexmarkConfig(**nexmark_kwargs)
-        )
-        counts.update(result.topic_counts)
-        return result
-    raise EventLogError(
-        f"cannot replay workload kind {kind!r}; this build replays "
-        "'count' and 'nexmark' logs"
-    )
+    return run_nexmark_experiment(query, cfg, nexmark=nexmark)

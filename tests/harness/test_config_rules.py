@@ -55,6 +55,16 @@ CASES = {
         "codec",
         "'arrow': unknown codec 'arrow'; registered: modeled",
     ),
+    "strategy": (
+        lambda: ExperimentConfig(strategy="gradual"),
+        "strategy",
+        "must be one of ('all-at-once', 'fluid', 'batched', 'optimized'), got 'gradual'",
+    ),
+    "variant": (
+        lambda: ExperimentConfig(variant="btree"),
+        "variant",
+        "must be one of ('key', 'hash'), got 'btree'",
+    ),
     "bins": (
         lambda: ExperimentConfig(num_bins=12),
         "num_bins",

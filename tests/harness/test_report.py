@@ -2,11 +2,8 @@
 
 from repro.harness.report import (
     format_bytes,
-    format_count,
     format_duration,
     format_latency,
-    log_range,
-    print_ccdf,
     print_table,
     print_timeline,
 )
@@ -32,13 +29,6 @@ def test_format_duration():
     assert format_duration(0.0042) == "4.2 ms"
 
 
-def test_format_count():
-    assert format_count(4e6) == "4M"
-    assert format_count(2.5e9) == "2.5G"
-    assert format_count(16000) == "16k"
-    assert format_count(12) == "12"
-
-
 def test_print_table_alignment():
     lines = []
     print_table("t", ["a", "long_header"], [("x", 1), ("yy", 22)], out=lines.append)
@@ -49,18 +39,10 @@ def test_print_table_alignment():
     assert len(lines[2]) == len(header)
 
 
-def test_print_timeline_and_ccdf_smoke():
+def test_print_timeline_smoke():
     timeline = LatencyTimeline()
     for i in range(10):
         timeline.record(i * 0.25, 0.001 * (i + 1))
     lines = []
     print_timeline("tl", timeline.series(), out=lines.append, every=2)
     assert any("time [s]" in line for line in lines)
-    lines = []
-    print_ccdf("ccdf", timeline.overall.ccdf(), out=lines.append)
-    assert any("CCDF" in line for line in lines)
-
-
-def test_log_range():
-    assert log_range(1, 16, 2) == [1, 2, 4, 8, 16]
-    assert log_range(1, 1, 10) == [1]

@@ -160,3 +160,18 @@ def test_recording_does_not_perturb_the_run(tmp_path):
     log = tmp_path / "run.jsonl"
     recorded = run_count_experiment(_small_config(record_log=str(log)))
     assert result_fingerprint(bare) == result_fingerprint(recorded)
+
+
+def test_run_with_a_cost_model_replays_to_its_fingerprint(tmp_path):
+    from repro.parallel.runner import result_fingerprint
+    from repro.sim.cost import CostModel
+
+    cost = CostModel(record_cost=2e-6, route_cost=3e-7)
+    log = tmp_path / "run.jsonl"
+    run_count_experiment(_small_config(record_log=str(log), cost=cost))
+    header, footer = read_log_meta(str(log))
+    assert config_from_dict(header["config"]).cost == cost
+    assert replay_run(str(log)).ok
+    # The model is not dropped on the way: the default one runs differently.
+    default = run_count_experiment(_small_config(fingerprint_state=True))
+    assert result_fingerprint(default) != footer["result_fingerprint"]

@@ -6,8 +6,9 @@ import pathlib
 import pytest
 
 from repro.obsv.matrix import (
-    MatrixCell,
     MatrixSpecError,
+    cell_config,
+    check_claims,
     check_matrix,
     expand_cells,
     load_spec,
@@ -18,7 +19,7 @@ from repro.obsv.matrix import (
 SPEC_TOML = """
 [matrix]
 strategy = ["batched", "all-at-once"]
-backend = ["dict"]
+state_backend = ["dict"]
 workload = ["uniform", "skewed"]
 
 [base]
@@ -42,8 +43,10 @@ def spec(tmp_path):
 
 
 def test_load_spec_defaults_missing_axes(spec):
-    assert spec["matrix"]["codec"] == ["modeled"]
-    assert spec["matrix"]["faults"] == ["none"]
+    # A field no axis and no [base] key sets keeps its config default.
+    cfg = cell_config(expand_cells(spec)[0])
+    assert cfg.codec == "modeled"
+    assert cfg.chaos is None
 
 
 def test_load_spec_json(tmp_path):
@@ -82,11 +85,13 @@ def test_bad_specs_are_rejected(tmp_path, body):
 def test_expand_cells_is_the_cartesian_product(spec):
     cells = expand_cells(spec)
     assert len(cells) == 4  # 2 strategies x 1 backend x 2 workloads
-    assert cells[0] == MatrixCell(
-        strategy="batched", backend="dict", codec="modeled",
-        workload="uniform", faults="none",
-    )
-    assert cells[0].cell_id == "batched/dict/modeled/uniform/none"
+    assert cells[0].values == {
+        "strategy": "batched", "state_backend": "dict", "workload": "uniform",
+    }
+    assert cells[0].cell_id == "batched/dict/uniform"
+    assert [c.cell_id for c in cells[1:]] == [
+        "batched/dict/skewed", "all-at-once/dict/uniform", "all-at-once/dict/skewed",
+    ]
 
 
 def test_inline_and_forked_runs_agree_on_fingerprints(spec):
@@ -104,7 +109,7 @@ def test_committed_baseline_matches_a_fresh_sweep():
     """The repo-root BENCH_matrix.json is a tier-1 gate, not only a CI job."""
     spec = load_spec(str(REPO_ROOT / "benchmarks" / "matrix_smoke.toml"))
     report = run_matrix(spec, jobs=0)
-    _, rows = check_matrix(report, str(REPO_ROOT / "BENCH_matrix.json"))
+    _, rows = check_matrix(report, str(REPO_ROOT / "BENCH_matrix.json"), spec)
     assert len(rows) == 8
     assert [r for r in rows if r["status"] != "ok"] == []
 
@@ -113,7 +118,7 @@ def test_check_matrix_passes_against_own_baseline(spec, tmp_path):
     report = run_matrix(spec, jobs=0)
     baseline = tmp_path / "BENCH_matrix.json"
     write_matrix_report(report, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), spec)
     assert ok
     assert all(r["status"] == "ok" for r in rows)
 
@@ -124,7 +129,7 @@ def test_check_matrix_flags_fingerprint_drift(spec, tmp_path):
     drifted["cells"][0]["result_fingerprint"] = "0" * 64
     baseline = tmp_path / "drifted.json"
     write_matrix_report(drifted, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), spec)
     assert not ok
     assert rows[0]["status"] == "fingerprint-drift"
     # Regression: the gate used to demand an identical python_version(), so
@@ -132,7 +137,7 @@ def test_check_matrix_flags_fingerprint_drift(spec, tmp_path):
     # drift fails whatever interpreter wrote the baseline.
     drifted["machine"]["python"] = "0.0.0"
     write_matrix_report(drifted, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), spec)
     assert ok is False
     assert rows[0]["status"] == "fingerprint-drift"
 
@@ -143,17 +148,18 @@ def test_check_matrix_downgrades_on_different_machine(tmp_path):
     path = tmp_path / "spec.toml"
     path.write_text(SPEC_TOML.replace('backend = ["dict"]',
                                       'backend = ["dict"]\ncodec = ["pickle"]'))
-    report = run_matrix(load_spec(str(path)), jobs=0)
+    pickled = load_spec(str(path))
+    report = run_matrix(pickled, jobs=0)
     other = json.loads(json.dumps(report))
     other["cells"][0]["result_fingerprint"] = "0" * 64
     baseline = tmp_path / "other.json"
     write_matrix_report(other, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), pickled)
     assert not ok
     assert rows[0]["status"] == "fingerprint-drift"
     other["machine"]["python"] = "0.0.0"
     write_matrix_report(other, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), pickled)
     assert ok
     assert [r["status"] for r in rows] == ["fingerprint-warn", "ok", "ok", "ok"]
 
@@ -164,7 +170,7 @@ def test_check_matrix_marks_new_cells(spec, tmp_path):
     pruned["cells"] = pruned["cells"][1:]
     baseline = tmp_path / "pruned.json"
     write_matrix_report(pruned, str(baseline))
-    ok, rows = check_matrix(report, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), spec)
     assert ok  # a new cell is informational, not a failure
     assert rows[0]["status"] == "new"
 
@@ -175,7 +181,7 @@ def test_check_matrix_rejects_wrong_schema(spec, tmp_path):
     baseline = tmp_path / "wrong.json"
     baseline.write_text(json.dumps(wrong))
     with pytest.raises(ValueError, match="bench-matrix"):
-        check_matrix(report, str(baseline))
+        check_matrix(report, str(baseline), spec)
 
 
 def test_fault_cells_carry_chaos_verdicts(tmp_path):
@@ -202,17 +208,171 @@ bandwidth_bytes_per_s = 4e6
     spec = load_spec(str(path))
     report = run_matrix(spec, jobs=0)
     rows = {r["cell"]: r for r in report["cells"]}
-    plain = rows["batched/dict/modeled/uniform/none"]
-    faulty = rows["batched/dict/modeled/uniform/crash-restart"]
+    plain = rows["batched/none"]
+    faulty = rows["batched/crash-restart"]
     assert "chaos_verdict" not in plain
     assert faulty["status"] == "ok"
     assert faulty["chaos_verdict"] in ("completed", "recovered")
 
 
 def test_worker_error_is_a_structured_row(spec):
-    # An unknown base key passes load_spec (it is validated lazily) and
-    # must surface as a per-cell error row, not a crash of the sweep.
+    # load_spec rejects an unknown base key; one added after the load must
+    # still surface as a per-cell error row, not a crash of the sweep.
     spec["base"]["bogus_field"] = 1
     report = run_matrix(spec, jobs=2)
     assert all(r["status"] == "error" for r in report["cells"])
     assert "ExperimentConfig" in report["cells"][0]["error"]
+
+
+def test_fingerprint_gate_reads_the_codec_from_the_cell_config(tmp_path):
+    # The codec sits in [base], on no axis, so no cell id names it: the
+    # gate must still see a pickle cell and only warn across interpreters.
+    path = tmp_path / "spec.toml"
+    path.write_text(SPEC_TOML + 'codec = "pickle"\n')
+    spec = load_spec(str(path))
+    report = run_matrix(spec, jobs=0)
+    other = json.loads(json.dumps(report))
+    other["cells"][0]["result_fingerprint"] = "0" * 64
+    other["machine"]["python"] = "0.0.0"
+    baseline = tmp_path / "other.json"
+    write_matrix_report(other, str(baseline))
+    ok, rows = check_matrix(report, str(baseline), spec)
+    assert ok
+    assert rows[0]["cell"] == "batched/dict/uniform"
+    assert rows[0]["status"] == "fingerprint-warn"
+
+
+def test_load_spec_builds_every_cell_config(tmp_path):
+    # The first cell is valid; the second breaks the bin rule.  The load
+    # fails, naming the cell, before anything runs.
+    path = tmp_path / "bins.toml"
+    path.write_text(SPEC_TOML.replace('state_backend = ["dict"]', "num_bins = [4, 12]"))
+    with pytest.raises(MatrixSpecError, match="cell batched/12/uniform .*num_bins"):
+        load_spec(str(path))
+
+
+def test_label_axes_and_extends_build_cells(tmp_path):
+    (tmp_path / "cluster.toml").write_text(
+        "[base]\nnum_workers = 2\nworkers_per_process = 2\nrate = 5000.0\n"
+        "[base.cost]\nrecord_cost = 1e-6\nroute_cost = 2e-7\n"
+    )
+    path = tmp_path / "fig.toml"
+    path.write_text(
+        """
+extends = "cluster.toml"
+
+[base]
+num_bins = 4
+duration_s = 1.0
+migrate_at_s = [0.4]
+cost = { route_cost = 3e-7 }
+
+[matrix]
+run = [
+  { name = "migrating", strategy = "all-at-once" },
+  { name = "native", native = true, migrate_at_s = [] },
+]
+"""
+    )
+    cells = expand_cells(load_spec(str(path)))
+    assert [c.cell_id for c in cells] == ["migrating", "native"]
+    migrating, native = (cell_config(c) for c in cells)
+    assert (migrating.strategy, migrating.native) == ("all-at-once", False)
+    assert (native.migrate_at_s, native.native) == ((), True)
+    # Nested tables merge key by key down the extends chain.
+    assert (migrating.cost.record_cost, migrating.cost.route_cost) == (1e-6, 3e-7)
+
+
+_CLAIMED = SPEC_TOML + """
+[[claim]]
+id = "same-records"
+lhs = { metric = "records", where = { strategy = "batched", workload = "uniform" } }
+op = ">="
+factor = 1
+rhs = { metric = "records", where = { strategy = "all-at-once", workload = "uniform" } }
+"""
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [
+        (  # a selector that matches no cell
+            'where = { strategy = "fluid" }', "matches no cell"
+        ),
+        (  # several cells and no aggregate
+            "where = {}", 'matches 4 cells; say agg = "max" or "min"'
+        ),
+        ('where = { backend = "dict" }', "where names no axis"),
+    ],
+)
+def test_claim_selectors_are_checked_at_load(tmp_path, claim, message):
+    path = tmp_path / "claimed.toml"
+    path.write_text(
+        _CLAIMED.replace('where = { strategy = "batched", workload = "uniform" }', claim)
+    )
+    with pytest.raises(MatrixSpecError, match=message):
+        load_spec(str(path))
+
+
+def test_claim_above_the_measured_ratio_fails_naming_both_values(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "claimed.toml"
+    path.write_text(_CLAIMED)
+    out = tmp_path / "report.json"
+    argv = ["matrix", "--spec", str(path), "--jobs", "0", "--output", str(out)]
+    assert main(argv) == 0  # 5,000 records on each side: the ratio is 1
+    assert json.loads(out.read_text())["claims"][0]["ok"] is True
+    path.write_text(_CLAIMED.replace("factor = 1\n", "factor = 1.5\n"))
+    assert main(argv) == 1
+    failures = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL: claim")
+    ]
+    assert failures == [
+        "FAIL: claim same-records: records[strategy=batched, workload=uniform] "
+        ">= 1.5 * records[strategy=all-at-once, workload=uniform] "
+        "(lhs 5000, rhs 5000)"
+    ]
+
+
+def test_for_each_reports_the_failing_axis_value(tmp_path):
+    path = tmp_path / "rates.toml"
+    path.write_text(
+        SPEC_TOML.replace('state_backend = ["dict"]', "rate = [5000.0, 10000.0]")
+        + """
+[[claim]]
+id = "few-records"
+for_each = "rate"
+lhs = { metric = "records", where = { strategy = "batched", workload = "uniform" } }
+op = "<"
+rhs = 7500
+"""
+    )
+    spec = load_spec(str(path))
+    results = check_claims(spec, run_matrix(spec, jobs=0))
+    assert [(r["at"], r["ok"], r["lhs"]) for r in results] == [
+        ("rate=5000.0", True, 5000),
+        ("rate=10000.0", False, 10000),
+    ]
+
+
+def test_nexmark_cell_matches_a_direct_run(tmp_path):
+    from repro.nexmark.config import NexmarkConfig
+    from repro.nexmark.harness import run_nexmark_experiment
+    from repro.parallel.runner import result_fingerprint
+
+    path = tmp_path / "q3.toml"
+    path.write_text(
+        SPEC_TOML.replace('workload = ["uniform", "skewed"]\n', "")
+        .replace('strategy = ["batched", "all-at-once"]', 'strategy = ["batched"]')
+        + "query = 3\nnexmark = { state_bytes_scale = 64.0 }\n"
+    )
+    spec = load_spec(str(path))
+    (row,) = run_matrix(spec, jobs=0)["cells"]
+    cfg = cell_config(expand_cells(spec)[0])
+    direct = run_nexmark_experiment(
+        3, cfg, nexmark=NexmarkConfig(state_bytes_scale=64.0)
+    )
+    assert row["status"] == "ok"
+    assert row["result_fingerprint"] == result_fingerprint(direct)

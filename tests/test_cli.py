@@ -433,6 +433,23 @@ def test_matrix_check_passes_and_fails(tmp_path, capsys):
     assert "FAIL: matrix drifted" in out
 
 
+def test_matrix_default_output_leaves_the_baseline_alone(
+    tmp_path, monkeypatch, capsys
+):
+    import json
+
+    spec = tmp_path / "sweep.toml"
+    spec.write_text(_MATRIX_SPEC)
+    monkeypatch.chdir(tmp_path)
+    committed = tmp_path / "BENCH_matrix.json"
+    committed.write_bytes(b"the committed baseline\n")
+    assert main(["matrix", "--spec", str(spec), "--jobs", "0"]) == 0
+    assert "written to benchmarks/results/sweep.json" in capsys.readouterr().out
+    assert committed.read_bytes() == b"the committed baseline\n"
+    report = json.loads((tmp_path / "benchmarks/results/sweep.json").read_text())
+    assert len(report["cells"]) == 2
+
+
 def test_matrix_rejects_bad_spec(tmp_path, capsys):
     spec = tmp_path / "bad.toml"
     spec.write_text("not a matrix spec [")
