@@ -1,9 +1,9 @@
-"""Shared infrastructure for the reproduction benchmarks.
+"""Shared infrastructure for the pytest-benchmark scripts.
 
-Every benchmark script regenerates one of the paper's tables, figures or
-extensions as text: the series/rows are printed and also written to
-``benchmarks/results/`` so they survive output capture.  (The paper's
-Figures 1 and 5-19 are matrix specs under ``paper/`` instead.)
+A benchmark script prints its rows and also writes them to
+``benchmarks/results/`` so they survive output capture.  (Every sweep
+with a config-reachable knob is a matrix spec under ``paper/``,
+``ablations/`` or ``extensions/`` instead.)
 """
 
 import sys

@@ -4,7 +4,6 @@ Usage (module form)::
 
     python -m repro.cli count --strategy fluid --bins 4096 --domain 1e9
     python -m repro.cli nexmark --query 5 --strategy batched --dilation 60
-    python -m repro.cli compare --domain 1e9           # Figure 1 in one line
     python -m repro.cli trace --domain 1e7             # per-bin phase breakdown
     python -m repro.cli plan --workload skewed         # closed-loop planner
     python -m repro.cli count --record run.jsonl       # record an event log
@@ -370,29 +369,6 @@ def cmd_scale(args) -> int:
         return 1
     print("\nscaling guarantees hold: all operations completed, "
           "drained workers emptied")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    """Run all four strategies on one workload (a one-line Figure 1)."""
-    rows = []
-    for strategy in ("all-at-once", "fluid", "batched", "optimized"):
-        cfg = _config_from(args)
-        cfg.strategy = strategy
-        result = run_count_experiment(cfg)
-        rows.append(
-            (
-                strategy,
-                format_latency(result.migration_max_latency(0)),
-                format_duration(result.migration_duration(0)),
-                format_latency(result.steady_max_latency()),
-            )
-        )
-    print_table(
-        f"strategy comparison, domain {args.domain:,}",
-        ["strategy", "max latency", "duration", "steady max"],
-        rows,
-    )
     return 0
 
 
@@ -763,9 +739,9 @@ def cmd_list(args) -> int:
         print(f"autoscaler policy: {name} — {AUTOSCALER_POLICIES[name]}")
     print("speed: python3 benchmarks/e2e/run.py  (host records/s, six workloads)")
     print("paper figures: matrix --spec benchmarks/paper/figNN.toml  "
-          "(Figures 1 and 5-19, each with its shape claims)")
-    print("benchmarks: pytest benchmarks/ --benchmark-only  "
-          "(Table 1, Figure 20, extensions, ablations)")
+          "(Figures 1 and 5-20, each with its shape claims)")
+    print("benchmarks: matrix --spec benchmarks/{ablations,extensions}/NAME.toml  "
+          "(ablations and extensions, with claims; Table 1 is a tier-1 test)")
     return 0
 
 
@@ -827,11 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fail unless record count and state fingerprint match exactly",
     )
     scale.set_defaults(fn=cmd_scale)
-
-    compare = sub.add_parser("compare", help="compare all strategies (Figure 1)")
-    _common_args(compare)
-    compare.add_argument("--domain", type=_integer, default=100_000_000)
-    compare.set_defaults(fn=cmd_compare)
 
     trace = sub.add_parser(
         "trace", help="run one migration and print its per-bin phase breakdown"

@@ -7,7 +7,6 @@ more migrations, and summary extraction (max latency and duration per
 migration; memory timelines per process).
 """
 
-from repro.harness.export import export_ccdf, export_timeline
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -36,7 +35,5 @@ __all__ = [
     "OpenLoopSource",
     "WindowStats",
     "count_fold",
-    "export_ccdf",
-    "export_timeline",
     "run_count_experiment",
 ]

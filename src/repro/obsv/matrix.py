@@ -42,6 +42,18 @@ more than one.  ``for_each = "axis"`` checks the claim once per value of
 that axis, adding it to both sides' selections.  Every selection must
 match a cell when the spec loads.
 
+Besides the latency headlines, a row carries the metrics these claims
+read, each defined in :func:`run_cell`:
+
+* ``migration_steps`` — the last migration's step count;
+* ``final_imbalance`` — the end-of-run max/mean worker load (planner
+  cells only);
+* for ``sample_memory`` cells, Figure 20's numbers: ``steady_rss_bytes``,
+  a process's RSS at its last sample before the first migration starts or
+  before input closes, whichever is larger; ``rss_overshoot_bytes``, its
+  peak RSS minus that steady level; and ``peak_spilled_bytes``, its
+  largest cold tier.  Each is the maximum over processes.
+
 Worker processes fork once per job, ship results back over a pipe as one
 pickled payload, and poll child liveness so a crashed worker surfaces as a
 structured per-cell failure instead of a hang.
@@ -81,6 +93,11 @@ METRICS = (
     "p99_latency_s",
     "migration_max_latency_s",
     "migration_duration_s",
+    "migration_steps",
+    "final_imbalance",
+    "steady_rss_bytes",
+    "rss_overshoot_bytes",
+    "peak_spilled_bytes",
 )
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _SPEC_KEYS = ("extends", "base", "matrix", "claim")
@@ -411,11 +428,35 @@ def run_cell(cell: MatrixCell) -> dict:
             result.migration_max_latency(last), 9
         )
         row["migration_duration_s"] = round(result.migration_duration(last), 9)
+        row["migration_steps"] = len(result.migrations[last].steps)
+    if result.config.planner is not None:
+        row["final_imbalance"] = round(result.final_imbalance, 9)
+    if result.config.sample_memory:
+        row.update(_memory_metrics(result))
     if cell.settings.get("faults", NO_FAULTS) != NO_FAULTS:
         row["chaos_verdict"] = result.chaos_verdict or "stalled"
         if row["chaos_verdict"] == "stalled":
             row["status"] = "stalled"
     return row
+
+
+def _memory_metrics(result) -> dict:
+    """Figure 20's three numbers, each the maximum over processes."""
+    marks = [result.config.duration_s]  # input closes
+    if result.migrations and result.migrations[0].started_at is not None:
+        marks.append(result.migrations[0].started_at)
+    steady = overshoot = spilled = 0
+    for timeline in result.memory:
+        before = [[s.rss_bytes for s in timeline.samples if s.time < mark] for mark in marks]
+        level = max(rss[-1] if rss else 0 for rss in before)
+        steady = max(steady, level)
+        overshoot = max(overshoot, timeline.peak() - level)
+        spilled = max(spilled, timeline.peak_spilled())
+    return {
+        "steady_rss_bytes": steady,
+        "rss_overshoot_bytes": overshoot,
+        "peak_spilled_bytes": spilled,
+    }
 
 
 def _child_main(jobs_cells: list, write_fd: int) -> None:

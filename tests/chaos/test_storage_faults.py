@@ -38,7 +38,8 @@ def test_crash_storage_recovers_and_reports_damage():
     for report in faults:
         assert report.torn_frame  # the scenario tears the final write
         assert report.truncated_bytes > 0  # ...and recovery repaired it
-        assert report.bins_recovered > 0  # the rest of the log replayed
+        assert report.frames_replayed > 0  # the rest of the log replayed
+        assert report.bins_recovered > 0
     # The reports also went out on the faults topic.
     on_bus = [
         e for e in run.result.fault_log.faults if type(e) is StorageFaultReport

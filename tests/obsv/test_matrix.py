@@ -215,6 +215,24 @@ bandwidth_bytes_per_s = 4e6
     assert faulty["chaos_verdict"] in ("completed", "recovered")
 
 
+def test_memory_and_planner_cells_carry_their_claim_metrics(tmp_path):
+    path = tmp_path / "memory.toml"
+    path.write_text(
+        SPEC_TOML.replace('strategy = ["batched", "all-at-once"]', 'strategy = ["all-at-once"]')
+        .replace('workload = ["uniform", "skewed"]', 'run = [{ name = "memory", '
+                 'sample_memory = true, memory_sample_s = 0.1 }, { name = "planner", '
+                 'planner = { propose_only = true } }]')
+    )
+    memory, planner = run_matrix(load_spec(str(path)), jobs=0)["cells"]
+    assert memory["migration_steps"] == 1  # all-at-once: one step
+    assert memory["steady_rss_bytes"] > 0
+    assert memory["rss_overshoot_bytes"] >= 0
+    assert memory["peak_spilled_bytes"] == 0  # a flat backend never spills
+    assert "final_imbalance" not in memory
+    assert planner["final_imbalance"] >= 1.0
+    assert "steady_rss_bytes" not in planner
+
+
 def test_worker_error_is_a_structured_row(spec):
     # load_spec rejects an unknown base key; one added after the load must
     # still surface as a per-cell error row, not a crash of the sweep.

@@ -380,6 +380,26 @@ def test_delta_bytes_scale_with_dirty_fraction():
     assert delta.size_bytes < 0.25 * base.size_bytes
 
 
+def test_delta_bytes_grow_with_dirty_fraction_up_to_the_whole_bin():
+    backend = _wal_backend()
+    backend.bind_worker(0)
+    backend.create_bin(0)
+    for i in range(100):
+        backend.put(0, i, i)
+    backend.note_applied(0)
+    base = backend.extract_bin(0, remove=False)
+    sizes = []
+    for dirty in (1, 5, 10, 25, 50, 100):  # percent, cumulatively dirtied
+        for i in range(dirty):
+            backend.put(0, i, -i)
+        delta = backend.extract_bin(0, dirty_since=base.base_epoch, remove=False)
+        assert delta.kind == "delta"
+        sizes.append(delta.size_bytes)
+    assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
+    # A fully dirtied bin ships (at least about) the whole bin again.
+    assert sizes[-1] >= 0.9 * base.size_bytes
+
+
 # -- compaction ----------------------------------------------------------------
 
 

@@ -36,18 +36,6 @@ def test_nexmark_rejects_unknown_query():
         build_parser().parse_args(["nexmark", "--query", "9"])
 
 
-def test_compare_command_runs(capsys):
-    code = main([
-        "compare", "--domain", "100000", "--rate", "2000", "--duration", "3",
-        "--workers", "4", "--workers-per-process", "2", "--bins", "16",
-        "--migrate-at", "1.0",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    for strategy in ("all-at-once", "fluid", "batched", "optimized"):
-        assert strategy in out
-
-
 def test_trace_command_prints_phase_breakdown(capsys):
     code = main([
         "trace", "--domain", "10000", "--rate", "2000", "--duration", "2",
@@ -78,7 +66,7 @@ def test_trace_command_prints_phase_breakdown(capsys):
         (["count", "--duration", "8", "--migrate-at", "8.5"], "outside (0, 8.0)"),
         (["count", "--duration", "8", "--migrate-at", "0"], "outside (0, 8.0)"),
         (["count", "--duration", "8", "--migrate-at", "-1"], "outside (0, 8.0)"),
-        (["compare", "--duration", "4", "--migrate-at", "2", "5"],
+        (["trace", "--duration", "4", "--migrate-at", "2", "5"],
          "outside (0, 4.0)"),
         (["nexmark", "--query", "2", "--rate", "0"], "--rate must be positive"),
         (["chaos", "--bins", "3"], "--bins must be a power of two"),
@@ -642,10 +630,6 @@ _BUILT_CONFIGS = {
     "scale-twin-wal": (
         ["scale", "--verify-twin", "--state-backend", "wal"],
         {**_SCALE_DEFAULT, "state_backend": "wal"},
-    ),
-    "compare": (
-        ["compare"],
-        {**_COUNT_DEFAULT, "domain": 100000000, "strategy": "all-at-once"},
     ),
     "trace": (
         ["trace"], {**_COUNT_DEFAULT, "strategy": "fluid", "collect_trace": True}
