@@ -22,6 +22,7 @@ from repro.megaphone import (
     imbalanced_target,
     state_machine,
 )
+from repro.runtime_events.events import BinStateExtracted
 from repro.sim.engine import Simulator
 from repro.sim.network import Cluster
 from repro.timely.dataflow import Dataflow
@@ -70,20 +71,18 @@ def main():
 
     sim.schedule_at(0.1, prepare)
 
-    # Watch when the state physically moves.
+    # Watch when the state physically moves: F publishes every bin it ships
+    # on the trace bus's migration topic.
     moved_at = {}
+    moved = {"bins": 0, "bytes": 0.0}
 
-    def watch():
-        probe_steps = op.migration_probe.steps
-        step = probe_steps.get(EFFECTIVE_AT_MS)
-        if step and step["started"] is not None and "t" not in moved_at:
-            moved_at["t"] = step["started"]
-            print(f"t={sim.now:.2f}s: migration executed "
-                  f"({step['moves']} moves, {step['bytes']:.0f} modeled bytes)")
-        if sim.now < DURATION_S:
-            sim.schedule(0.05, watch)
+    def on_migration(event):
+        if type(event) is BinStateExtracted and event.time == EFFECTIVE_AT_MS:
+            moved_at.setdefault("t", event.at)
+            moved["bins"] += 1
+            moved["bytes"] += event.size_bytes
 
-    sim.schedule_at(0.2, watch)
+    sim.trace.subscribe(on_migration, topics=("migration",))
 
     # A steady trickle of data the whole time.
     def feed(epoch):
@@ -105,6 +104,8 @@ def main():
     runtime.run_to_quiescence()
 
     assert "t" in moved_at, "the prepared migration never executed"
+    print(f"t={moved_at['t']:.2f}s: migration executed "
+          f"({moved['bins']} bins, {moved['bytes']:.0f} modeled bytes)")
     assert moved_at["t"] >= EFFECTIVE_AT_MS / 1000.0 - 0.05
     for worker in range(WORKERS):
         resident = sorted(op.store(runtime, worker).resident_bins())

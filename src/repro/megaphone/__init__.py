@@ -53,7 +53,6 @@ from repro.megaphone.migration import (
 from repro.megaphone.operators import (
     ApplicationContext,
     MigrateableOperator,
-    MigrationProbe,
     build_migrateable,
 )
 from repro.megaphone.plan_io import (
@@ -105,7 +104,6 @@ __all__ = [
     "MigrateableOperator",
     "MigrationController",
     "MigrationPlan",
-    "MigrationProbe",
     "MigrationResult",
     "MigrationStep",
     "Notificator",

@@ -101,32 +101,6 @@ class ApplicationContext:
 Applier = Callable[[ApplicationContext], None]
 
 
-class MigrationProbe:
-    """Shared, per-operator record of migration activity (for harnesses)."""
-
-    def __init__(self) -> None:
-        self.steps: dict[Timestamp, dict] = {}
-
-    def _step(self, time: Timestamp) -> dict:
-        return self.steps.setdefault(
-            time, {"moves": 0, "bytes": 0.0, "started": None, "completed": None}
-        )
-
-    def note_planned(self, time: Timestamp, moves: int) -> None:
-        self._step(time)["moves"] += moves
-
-    def note_started(self, time: Timestamp, now: float) -> None:
-        step = self._step(time)
-        if step["started"] is None:
-            step["started"] = now
-
-    def note_bytes(self, time: Timestamp, num_bytes: float) -> None:
-        self._step(time)["bytes"] += num_bytes
-
-    def total_bytes(self) -> float:
-        return sum(s["bytes"] for s in self.steps.values())
-
-
 class _FLogic:
     """One worker's F instance."""
 
@@ -319,8 +293,6 @@ class _FLogic:
                     moves.append((inst.bin, src, inst.worker))
             self._table.integrate(time, insts)
             my_moves = [m for m in moves if m[1] == self._worker_id]
-            if self._worker_id == 0:
-                self._config.probe.note_planned(time, len(moves))
             if my_moves:
                 trace = ctx.trace
                 if trace.wants_migration:
@@ -368,7 +340,6 @@ class _FLogic:
             serialize_s = codec.encode_cost(cost, size)
             ctx.charge(serialize_s)
             ctx.memory.add_retained(size)
-            self._config.probe.note_bytes(time, size)
             if wants_migration:
                 trace.publish(
                     BinStateExtracted(
@@ -406,7 +377,6 @@ class _FLogic:
             if s_frontier.less_than(time):
                 # Records earlier than `time` may still be unprocessed at S.
                 return
-            self._config.probe.note_started(time, ctx.now)
             self._execute_moves(ctx, time, moves)
             self._pending_migrations.pop(0)
             ctx.release_capability(time)
@@ -443,7 +413,6 @@ class _FLogic:
             # memory spike is send-queue backlog).  The cluster releases the
             # retained bytes at transmit-complete.
             memory.add_retained(size)
-            self._config.probe.note_bytes(time, size)
             if wants_migration:
                 trace.publish(
                     BinStateExtracted(
@@ -759,7 +728,6 @@ class MegaphoneConfig:
         # and ships only the keys dirtied since at execution.  Requires a
         # delta-capable backend; others silently fall back to whole-bin.
         self.delta_migration = delta_migration
-        self.probe = MigrationProbe()
         self.s_op: int = -1  # wired by the builder
         # When True (set by fault-injection harnesses) the pair tolerates
         # missing bins: S recreates them empty on first use and F skips
@@ -819,11 +787,6 @@ class MigrateableOperator:
         self.output = output
         self.f_op = f_op
         self.s_op = s_op
-
-    @property
-    def migration_probe(self) -> MigrationProbe:
-        """Recorded migration activity (moves, bytes, start times)."""
-        return self.config.probe
 
     def store(self, runtime, worker_id: int) -> BinStore:
         """The bin store resident on ``worker_id`` (tests/metrics)."""
