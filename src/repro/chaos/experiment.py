@@ -1,4 +1,4 @@
-"""Canned chaos scenarios and the all-strategy robustness matrix.
+"""Canned chaos scenarios and the one-run chaos experiment.
 
 This is the harness-facing face of the chaos subsystem (and the only chaos
 module allowed to import the harness).  A *scenario* is a named recipe that
@@ -8,9 +8,11 @@ e.g. ``crash-target`` kills the process that is about to *receive* the
 migrated bins, mid-migration, which is the hardest case for each strategy's
 Completion guarantee.
 
-``run_chaos_matrix`` runs one scenario against every migration strategy and
-reports a verdict per strategy, answering the question the subsystem exists
-for: which strategy degrades most gracefully under faults?
+``run_chaos_experiment`` runs one scenario against one migration strategy
+and reports its verdict.  Which strategy degrades most gracefully under
+faults — the question the subsystem exists for — is the sweep
+``benchmarks/extensions/chaos.toml``: every scenario against every strategy
+and state backend, with its answer stated as a claim.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.harness.experiment import (
     run_count_experiment,
 )
 from repro.megaphone.controller import RetryPolicy
-from repro.megaphone.migration import STRATEGIES, imbalanced_target
+from repro.megaphone.migration import imbalanced_target
 
 SCENARIOS = (
     "crash-target",
@@ -80,17 +82,15 @@ def migration_target_process(cfg: ExperimentConfig) -> int:
     shipments address workers that no longer exist.
     """
     from repro.megaphone.control import BinnedConfiguration
-    from repro.parallel.partition import ShardPartition
 
-    partition = ShardPartition(cfg.num_workers, cfg.workers_per_process)
     initial = BinnedConfiguration.round_robin(cfg.num_bins, cfg.num_workers)
     target = imbalanced_target(initial)
     gained: dict[int, int] = {}
     for inst in initial.moved_bins(target):
-        process = partition.domain_of(inst.worker)
+        process = inst.worker // cfg.workers_per_process
         gained[process] = gained.get(process, 0) + 1
     if not gained:
-        return partition.domain_of(cfg.num_workers - 1)
+        return (cfg.num_workers - 1) // cfg.workers_per_process
     return max(sorted(gained), key=lambda p: gained[p])
 
 
@@ -197,20 +197,6 @@ class ChaosRunResult:
         return self.verdict in ("completed", "recovered")
 
 
-def _per_strategy_path(path: str, strategy: str) -> str:
-    """Insert the strategy into an output path, before its extension.
-
-    The chaos matrix runs one experiment per strategy; a single
-    ``--record``/``--export-metrics`` destination would be overwritten
-    four times, so each strategy gets its own file
-    (``run.jsonl`` -> ``run.batched.jsonl``).
-    """
-    root, dot, ext = path.rpartition(".")
-    if not dot:
-        return f"{path}.{strategy}"
-    return f"{root}.{strategy}.{ext}"
-
-
 def run_chaos_experiment(
     scenario: str,
     strategy: str,
@@ -222,15 +208,6 @@ def run_chaos_experiment(
     if cfg is None:
         cfg = default_chaos_experiment_config()
     cfg = replace(cfg, strategy=strategy)
-    if cfg.record_log:
-        cfg = replace(
-            cfg, record_log=_per_strategy_path(cfg.record_log, strategy)
-        )
-    if cfg.export_metrics and cfg.export_metrics != "-":
-        cfg = replace(
-            cfg,
-            export_metrics=_per_strategy_path(cfg.export_metrics, strategy),
-        )
     cfg = replace(
         cfg, chaos=scenario_chaos(scenario, cfg, seed=seed, **scenario_kwargs)
     )
@@ -252,19 +229,3 @@ def run_chaos_experiment(
         ),
         result=result,
     )
-
-
-def run_chaos_matrix(
-    scenario: str = "crash-target",
-    strategies: tuple = STRATEGIES,
-    cfg: Optional[ExperimentConfig] = None,
-    seed: int = 0,
-    **scenario_kwargs,
-) -> list[ChaosRunResult]:
-    """The robustness matrix: one scenario against every strategy."""
-    return [
-        run_chaos_experiment(
-            scenario, strategy, cfg=cfg, seed=seed, **scenario_kwargs
-        )
-        for strategy in strategies
-    ]

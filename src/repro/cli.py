@@ -6,6 +6,8 @@ Usage (module form)::
     python -m repro.cli nexmark --query 5 --strategy batched --dilation 60
     python -m repro.cli trace --domain 1e7             # per-bin phase breakdown
     python -m repro.cli plan --workload skewed         # closed-loop planner
+    python -m repro.cli chaos --scenario stall --strategy fluid  # one fault run
+    python -m repro.cli count --workers 6 --active 4 --scaling-plan 'join@2:4,5'
     python -m repro.cli count --record run.jsonl       # record an event log
     python -m repro.cli replay run.jsonl               # verify it reproduces
     python -m repro.cli matrix --spec benchmarks/paper/fig07.toml  # a figure
@@ -292,86 +294,6 @@ def cmd_nexmark(args) -> int:
     return 0
 
 
-def cmd_scale(args) -> int:
-    """Run an elastic scaling run and verify its membership guarantees.
-
-    Exits 1 if any scaling operation failed to complete, if a drained
-    worker ended the run with resident bins, or (with ``--verify-twin``)
-    if the global state fingerprint or record count diverged from a
-    static-membership twin of the same configuration — the zero
-    lost/duplicated records check.
-    """
-    if not args.scaling_plan and not args.autoscale:
-        print(
-            "scale needs --scaling-plan and/or --autoscale "
-            "(a run with neither never changes membership)",
-            file=sys.stderr,
-        )
-        return 2
-    cfg = _config_from(args, fingerprint_state=True)
-    result = run_count_experiment(cfg)
-    _report(result, "elastic scaling run")
-    _report_elastic(result)
-    print_table(
-        "membership transitions",
-        ["at", "worker", "transition"],
-        [
-            (f"{at:.2f}s", worker, f"{prev} -> {state}")
-            for at, worker, prev, state in result.membership
-        ]
-        or [("-", "-", "no transitions")],
-    )
-    print(f"cluster state fingerprint: {result.cluster_fingerprint}")
-    _report_obsv(result)
-
-    failures = []
-    report = result.scaling
-    incomplete = [op for op in report.operations if op.completed_at is None]
-    if incomplete:
-        failures.append(
-            f"{len(incomplete)} scaling operation(s) never completed"
-        )
-    if report.residual_bins:
-        failures.append(
-            f"drained workers ended with {report.residual_bins} resident "
-            "bins; evacuation must hand off every bin before retirement"
-        )
-    if args.verify_twin:
-        twin_cfg = dataclasses.replace(
-            cfg,
-            scaling_plan=None,
-            autoscale=None,
-            record_log=None,
-            export_metrics=None,
-            metrics_port=None,
-        )
-        twin = run_count_experiment(twin_cfg)
-        if twin.records_injected != result.records_injected:
-            failures.append(
-                f"records diverged from the static twin: "
-                f"{result.records_injected:,.0f} elastic vs "
-                f"{twin.records_injected:,.0f} static"
-            )
-        if twin.cluster_fingerprint != result.cluster_fingerprint:
-            failures.append(
-                "cluster fingerprint diverged from the static-membership "
-                f"twin ({result.cluster_fingerprint} vs "
-                f"{twin.cluster_fingerprint}): state was lost or duplicated"
-            )
-        if not failures:
-            print(
-                "twin check: fingerprint and record count match the "
-                "static-membership run"
-            )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("\nscaling guarantees hold: all operations completed, "
-          "drained workers emptied")
-    return 0
-
-
 def cmd_trace(args) -> int:
     """Run one migration with trace collection and print its timeline.
 
@@ -395,12 +317,11 @@ def cmd_trace(args) -> int:
     if outcomes:
         print_table(
             "step outcomes",
-            ["time", "moves", "batch", "attempts", "duration"],
+            ["time", "moves", "attempts", "duration"],
             [
                 (
                     o.time,
                     o.moves,
-                    o.batch_size,
                     o.attempts,
                     format_duration(o.duration_s),
                 )
@@ -483,74 +404,62 @@ def cmd_plan(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    """Run a fault-injection scenario against every migration strategy.
+    """Run a fault-injection scenario against one migration strategy.
 
-    Prints one verdict row per strategy (the watchdog's classification of
-    the run) and exits non-zero if any strategy's frontier stalled — the
-    Completion guarantee is the pass/fail line.
+    Prints the run's verdict row (the watchdog's classification) and exits
+    1 if its frontier stalled — the Completion guarantee is the pass/fail
+    line.  Every scenario against every strategy and state backend is the
+    spec ``benchmarks/extensions/chaos.toml``.
     """
-    from repro.chaos.experiment import run_chaos_matrix
+    from repro.chaos.experiment import run_chaos_experiment
 
     cfg = _config_from(args)
-    results = run_chaos_matrix(
+    run = run_chaos_experiment(
         args.scenario,
+        cfg.strategy,
         cfg=cfg,
         seed=args.chaos_seed,
         restart_after_s=args.restart_after,
         drop_prob=args.drop_prob,
     )
-    rows = [
-        (
-            r.strategy,
-            r.verdict,
-            r.recoveries,
-            r.abandoned_steps,
-            r.dropped_messages,
-            r.restored_bins,
-        )
-        for r in results
-    ]
     print_table(
         f"chaos: {args.scenario} (seed {args.chaos_seed})",
         ["strategy", "verdict", "recoveries", "abandoned", "drops", "restored"],
-        rows,
+        [
+            (
+                run.strategy,
+                run.verdict,
+                run.recoveries,
+                run.abandoned_steps,
+                run.dropped_messages,
+                run.restored_bins,
+            )
+        ],
     )
-    damaged = [
-        (r.strategy, report)
-        for r in results
-        for report in r.result.storage_faults
-    ]
+    damaged = run.result.storage_faults
     if damaged:
         print()
         print_table(
             "storage damage repaired during durable recovery",
-            ["strategy", "worker", "torn", "truncated [B]", "frames", "bins"],
+            ["worker", "torn", "truncated [B]", "frames", "bins"],
             [
                 (
-                    strategy,
                     report.worker,
                     "yes" if report.torn_frame else "no",
                     report.truncated_bytes,
                     report.frames_replayed,
                     report.bins_recovered,
                 )
-                for strategy, report in damaged
+                for report in damaged
             ],
         )
-    if cfg.record_log:
-        from repro.chaos.experiment import _per_strategy_path
-
-        logs = [_per_strategy_path(cfg.record_log, r.strategy) for r in results]
-        print("\nevent logs recorded (one per strategy): " + ", ".join(logs))
-    stalled = [r.strategy for r in results if not r.live]
-    if stalled:
-        print(f"\nFAIL: frontier stalled under {', '.join(stalled)}")
-        for r in results:
-            if not r.live:
-                for diagnosis in r.result.chaos_diagnoses[-1:]:
-                    print(diagnosis.describe())
+    _report_obsv(run.result)
+    if not run.live:
+        print(f"\nFAIL: frontier stalled under {run.strategy}")
+        for diagnosis in run.result.chaos_diagnoses[-1:]:
+            print(diagnosis.describe())
         return 1
-    print("\nall strategies drained (Completion holds under this plan)")
+    print("\nthe frontier drained (Completion holds under this plan)")
     return 0
 
 
@@ -712,7 +621,10 @@ def cmd_matrix(args) -> int:
 
 
 def _claim_value(value) -> str:
-    return "-" if value is None else f"{value:.6g}"
+    """A claim side for a table cell: a number, or a fingerprint's prefix."""
+    if value is None:
+        return "-"
+    return value[:16] if isinstance(value, str) else f"{value:.6g}"
 
 
 def cmd_list(args) -> int:
@@ -742,6 +654,9 @@ def cmd_list(args) -> int:
           "(Figures 1 and 5-20, each with its shape claims)")
     print("benchmarks: matrix --spec benchmarks/{ablations,extensions}/NAME.toml  "
           "(ablations and extensions, with claims; Table 1 is a tier-1 test)")
+    print("robustness and elasticity: matrix --spec "
+          "benchmarks/extensions/{chaos,elastic}.toml  (every fault scenario "
+          "x strategy x backend; join/drain vs a static twin)")
     return 0
 
 
@@ -775,35 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     nexmark.add_argument("--native", action="store_true")
     nexmark.set_defaults(fn=cmd_nexmark)
 
-    scale = sub.add_parser(
-        "scale",
-        help="run an elastic scaling run and verify membership guarantees",
-    )
-    _common_args(scale)
-    _obsv_args(scale)
-    _elastic_args(scale)
-    # Small two-process cluster with provisioned standbys: the default is
-    # the acceptance scenario — scale 4 -> 6 mid-run, then drain back to 4.
-    scale.set_defaults(
-        num_workers=6,
-        workers_per_process=2,
-        num_bins=16,
-        rate=2_000.0,
-        duration_s=6.0,
-        migrate_at_s=[],
-        strategy="fluid",
-        active_workers=4,
-        scaling_plan="join@1.5:4,5;leave@3.5:4,5",
-    )
-    scale.add_argument("--domain", type=_integer, default=1 << 12)
-    scale.add_argument("--bytes-per-key", type=float, default=8.0)
-    scale.add_argument(
-        "--verify-twin", action="store_true",
-        help="also run a static-membership twin of the same config and "
-        "fail unless record count and state fingerprint match exactly",
-    )
-    scale.set_defaults(fn=cmd_scale)
-
     trace = sub.add_parser(
         "trace", help="run one migration and print its per-bin phase breakdown"
     )
@@ -822,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(fn=cmd_trace, strategy="fluid")
 
     chaos = sub.add_parser(
-        "chaos", help="fault-inject every strategy and report verdicts"
+        "chaos", help="fault-inject one strategy's migration and report its verdict"
     )
     _common_args(chaos)
     _obsv_args(chaos)

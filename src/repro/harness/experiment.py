@@ -6,10 +6,14 @@ test harness.
 returns latency timelines, per-migration timings, and memory timelines.
 NEXMark experiments reuse the same orchestration through
 ``MigrationExperiment`` with a custom dataflow builder.
+``result_fingerprint`` condenses the determinism-relevant outputs of any
+run into the one digest that replay, the matrix gate and the host-only
+contract pin.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time as wallclock
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -984,3 +988,34 @@ def run_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     build = _build_native_count if cfg.native else _build_megaphone_count
     experiment = MigrationExperiment(cfg, build, workload.make_generator())
     return experiment.run()
+
+
+def result_fingerprint(result: ExperimentResult) -> str:
+    """One digest over everything determinism promises to reproduce.
+
+    Covers final per-worker state fingerprints, global and per-domain
+    event counts, injected records, migration step timings, and the
+    latency timeline — byte-identical runs agree on all of it.
+    """
+    digest = hashlib.sha256()
+    parallel = getattr(result, "parallel", None) or {}
+    for worker, fp in sorted(parallel.get("fingerprints", {}).items()):
+        digest.update(f"w{worker}:{fp};".encode())
+    # Serial runs carry their state fingerprints here (sharded runs repeat
+    # them; the digest is over both, deterministically).
+    for worker, fp in sorted(getattr(result, "state_fingerprints", {}).items()):
+        digest.update(f"s{worker}:{fp};".encode())
+    digest.update(f"records={result.records_injected};".encode())
+    digest.update(f"events={result.sim_events};".encode())
+    for d, n in sorted(parallel.get("sim_events_per_domain", {}).items()):
+        digest.update(f"d{d}:{n};".encode())
+    for migration in result.migrations:
+        for step in migration.steps:
+            digest.update(
+                f"step@{step.issued_at!r}->{step.completed_at!r};".encode()
+            )
+    for stats in result.timeline.series():
+        digest.update(
+            f"t{stats.start_s!r}:{stats.count}:{stats.max_s!r};".encode()
+        )
+    return digest.hexdigest()

@@ -10,10 +10,9 @@ Public surface:
   (paper Listing 1), each returning a :class:`MigrateableOperator`;
 * migration planning (``plan_all_at_once`` / ``plan_fluid`` /
   ``plan_batched`` / ``plan_optimized`` and ``make_plan``);
-* the one :class:`MigrationController` that feeds a step source — a
-  ``MigrationPlan`` or latency-steered :class:`AdaptiveSteps` — into the
-  control stream and awaits per-step completion via frontier probes, with
-  timeouts, retries and crash retargeting as an optional
+* the one :class:`MigrationController` that feeds a ``MigrationPlan``
+  into the control stream and awaits per-step completion via frontier
+  probes, with timeouts, retries and crash retargeting as an optional
   :class:`FaultHandling` bundle;
 * binning and configuration primitives (``BinnedConfiguration``,
   ``ControlInst``, ``bin_of``, ``stable_hash``).
@@ -29,8 +28,6 @@ from repro.megaphone.control import (
     stable_hash,
 )
 from repro.megaphone.controller import (
-    AdaptiveConfig,
-    AdaptiveSteps,
     EpochTicker,
     FaultHandling,
     MigrationController,
@@ -63,12 +60,6 @@ from repro.megaphone.plan_io import (
     plan_from_dict,
     plan_to_dict,
 )
-from repro.megaphone.prefix import (
-    Prefix,
-    PrefixRouter,
-    SplittableBinStore,
-    plan_split_migration,
-)
 from repro.megaphone.routing import RoutingTable
 from repro.megaphone.snapshot import (
     BinSnapshot,
@@ -78,21 +69,15 @@ from repro.megaphone.snapshot import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
-    "AdaptiveSteps",
     "ApplicationContext",
     "BinSnapshot",
     "OperatorSnapshot",
-    "Prefix",
-    "PrefixRouter",
     "SnapshotCoordinator",
-    "SplittableBinStore",
     "dump_configuration",
     "dump_plan",
     "load_configuration",
     "load_plan",
     "plan_from_dict",
-    "plan_split_migration",
     "plan_to_dict",
     "restore_into",
     "Bin",

@@ -10,9 +10,9 @@ or Dhalion could supply the stream).  This module provides:
   issues a step, awaits its completion through a probe on the S output
   frontier, optionally waits a drain gap, then issues the next (paper
   §3.3's "await the migration's completion before choosing the next");
-* its step sources — a ``MigrationPlan`` or ``AdaptiveSteps`` (batches sized
-  from each completed step's duration): *what to move when* is policy
-  handed to the controller, not a controller of its own;
+* its step source, a ``MigrationPlan``: *what to move when* is policy
+  handed to the controller (a strategy, or the planner's SLO-budgeted
+  step search), not a controller of its own;
 * ``FaultHandling`` — the optional bundle adding per-step timeouts with
   retry and backoff, retargeting away from crashed workers, and crash
   reconciliation (the recovery half of the chaos subsystem);
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from repro.megaphone.control import BinnedConfiguration, ControlInst
+from repro.megaphone.control import ControlInst
 from repro.megaphone.migration import MigrationPlan
 from repro.runtime_events.events import (
     MigrationStepAbandoned,
@@ -123,10 +123,6 @@ class StepResult:
     insts: tuple = ()
     attempts: int = 1
     abandoned: bool = False
-    # The batch the step source chose for this step.  A plan's is the
-    # step's move count; the adaptive source's can exceed ``moves`` on the
-    # tail step.  Cost models relate this to the realized duration.
-    batch_size: int = 0
 
     @property
     def duration(self) -> Optional[float]:
@@ -140,7 +136,6 @@ def _outcome_of(step: StepResult, at: float) -> MigrationStepOutcome:
     return MigrationStepOutcome(
         time=step.time,
         moves=step.moves,
-        batch_size=step.batch_size,
         attempts=step.attempts,
         abandoned=step.abandoned,
         duration_s=step.duration if step.duration is not None else at - step.issued_at,
@@ -154,11 +149,6 @@ class MigrationResult:
 
     strategy: str
     steps: list[StepResult] = field(default_factory=list)
-
-    @property
-    def batch_sizes(self) -> list[int]:
-        """Chosen batch size of every step, in issue order."""
-        return [step.batch_size for step in self.steps]
 
     @property
     def total_attempts(self) -> int:
@@ -181,94 +171,6 @@ class MigrationResult:
         if self.started_at is None or self.completed_at is None:
             return None
         return self.completed_at - self.started_at
-
-
-# -- step sources: what to move when -------------------------------------------
-
-
-class _PlanSteps:
-    """A fixed plan's steps, in order.
-
-    The step-source protocol: ``strategy`` labels the result, ``exhausted``
-    says nothing is left to issue, ``next_step()`` returns ``(insts, chosen
-    batch size)``, and ``observe(step)`` hears of every completion.
-    """
-
-    def __init__(self, plan: MigrationPlan) -> None:
-        self.strategy = plan.strategy
-        self._steps = plan.steps
-        self._next = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self._steps)
-
-    def next_step(self) -> tuple:
-        insts = self._steps[self._next].insts
-        self._next += 1
-        return insts, len(insts)
-
-    def observe(self, step: StepResult) -> None:
-        pass
-
-
-@dataclass
-class AdaptiveConfig:
-    """Tuning of the adaptive step-sizing policy."""
-
-    target_step_s: float = 0.05  # steer each step's duration toward this
-    initial_batch: int = 4
-    min_batch: int = 1
-    max_batch: int = 4096
-    grow_factor: float = 2.0
-    shrink_factor: float = 0.5
-
-
-class AdaptiveSteps:
-    """Moves ``current`` to ``target`` in latency-steered batches.
-
-    The live-migration literature the paper builds on (notably Albatross's
-    dynamic throttling, §2.2) adapts the migration rate so the source keeps
-    meeting its SLOs; on a control stream that is pure step sizing.  Every
-    completed step's duration is compared against ``target_step_s``: well
-    under target doubles the next batch, overshoot halves it — converging
-    on the largest step the system absorbs within the target, the
-    trade-off the paper's Figures 16-18 sweep manually.
-    """
-
-    strategy = "adaptive"
-
-    def __init__(
-        self,
-        current: BinnedConfiguration,
-        target: BinnedConfiguration,
-        config: Optional[AdaptiveConfig] = None,
-    ) -> None:
-        self._config = config if config is not None else AdaptiveConfig()
-        self._moves = current.moved_bins(target)
-        self._cursor = 0
-        self._batch = self._config.initial_batch
-
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._moves)
-
-    def next_step(self) -> tuple:
-        cfg = self._config
-        # The *chosen* batch (the clamped AIMD window) exceeds the step's
-        # move count on the final, shorter step.
-        batch = max(cfg.min_batch, min(self._batch, cfg.max_batch))
-        insts = self._moves[self._cursor:self._cursor + batch]
-        self._cursor += len(insts)
-        return insts, batch
-
-    def observe(self, step: StepResult) -> None:
-        """AIMD-style: overshoot halves the batch, clear headroom doubles it."""
-        cfg = self._config
-        if step.duration > cfg.target_step_s:
-            self._batch = max(cfg.min_batch, int(self._batch * cfg.shrink_factor))
-        elif step.duration < 0.6 * cfg.target_step_s:
-            self._batch = min(cfg.max_batch, int(self._batch * cfg.grow_factor))
 
 
 # -- fault handling --------------------------------------------------------------
@@ -345,10 +247,10 @@ class MigrationController:
     timestamp has fully passed — state shipped *and* backlog drained — then
     waits ``gap_s`` (paper §4.4's drain gap) and issues the next step.
 
-    ``plan`` is the step source: a :class:`MigrationPlan` or an
-    :class:`AdaptiveSteps`.  ``faults`` (a :class:`FaultHandling`) is off by
-    default: without it no timeout is ever armed, control goes through
-    handle 0 and instructions are sent as planned.
+    ``plan`` is the step source, issued step by step in order.  ``faults``
+    (a :class:`FaultHandling`) is off by default: without it no timeout is
+    ever armed, control goes through handle 0 and instructions are sent as
+    planned.
     """
 
     def __init__(
@@ -357,22 +259,17 @@ class MigrationController:
         control_group: InputGroup,
         ticker: EpochTicker,
         probe,
-        plan: MigrationPlan | AdaptiveSteps,
+        plan: MigrationPlan,
         gap_s: float = 0.0,
         pace_s: Optional[float] = None,
         on_done: Optional[Callable[[MigrationResult], None]] = None,
         faults: Optional[FaultHandling] = None,
     ) -> None:
-        if pace_s is not None and isinstance(plan, AdaptiveSteps):
-            raise ValueError(
-                "pace_s cannot drive an adaptive step source: each batch is "
-                "sized from the previous step's duration, which needs "
-                "completion pacing"
-            )
         self._runtime = runtime
         self._group = control_group
         self._probe = probe
-        self._steps = _PlanSteps(plan) if isinstance(plan, MigrationPlan) else plan
+        self._plan = plan
+        self._next = 0
         self._gap_s = gap_s
         # Completion pacing (default): the next step is issued gap_s after
         # the previous one's frontier-confirmed completion.  Timer pacing
@@ -388,7 +285,7 @@ class MigrationController:
         self._awaiting: dict[StepResult, object] = {}
         self._pending_recovery: list[list[ControlInst]] = []
         self._finished = False
-        self.result = MigrationResult(strategy=self._steps.strategy)
+        self.result = MigrationResult(strategy=plan.strategy)
         self.abandoned: list[StepResult] = []
         probe.on_advance(self._check_progress)
         if self._injector is not None and faults.reconcile:
@@ -397,7 +294,11 @@ class MigrationController:
     @property
     def done(self) -> bool:
         """Every step (recovery steps too) issued, and completed or abandoned."""
-        return self._steps.exhausted and not (self._awaiting or self._pending_recovery)
+        return self._exhausted and not (self._awaiting or self._pending_recovery)
+
+    @property
+    def _exhausted(self) -> bool:
+        return self._next >= len(self._plan.steps)
 
     def start_at(self, sim_time_s: float) -> None:
         """Begin issuing steps at the given simulated time."""
@@ -406,14 +307,15 @@ class MigrationController:
     # -- the loop: issue -> await -> complete -> pace ------------------------------
 
     def _issue_next(self) -> None:
-        if self._steps.exhausted:
+        if self._exhausted:
             self._finish()
             return
-        insts, batch_size = self._steps.next_step()
+        insts = self._plan.steps[self._next].insts
+        self._next += 1
         if not insts:
             self._issue_next()
             return
-        self._issue(list(insts), batch_size)
+        self._issue(list(insts))
         if self._pace_s is not None:
             self._runtime.sim.schedule(self._pace_s, self._issue_next)
         # The frontier may conceivably already be past; check synchronously.
@@ -429,7 +331,7 @@ class MigrationController:
                 return handle
         return None
 
-    def _issue(self, insts: list, batch_size: int) -> StepResult:
+    def _issue(self, insts: list) -> StepResult:
         handle = self._handle()
         if handle is None:
             raise RuntimeError("control input closed while a migration is pending")
@@ -443,8 +345,7 @@ class MigrationController:
                 MigrationStepIssued(time=time, moves=len(insts), at=now)
             )
         result = StepResult(
-            time=time, moves=len(insts), issued_at=now, insts=tuple(insts),
-            batch_size=batch_size,
+            time=time, moves=len(insts), issued_at=now, insts=tuple(insts)
         )
         self._awaiting[result] = self._arm_timeout(result)
         self.result.steps.append(result)
@@ -467,7 +368,6 @@ class MigrationController:
             if trace.wants_migration:
                 trace.publish(MigrationStepCompleted(time=step.time, at=now))
                 trace.publish(_outcome_of(step, now))
-            self._steps.observe(step)
         self._settled()
 
     def _settled(self) -> None:
@@ -621,7 +521,7 @@ class MigrationController:
                 # Control stream gone: recovery is impossible; the watchdog
                 # will diagnose the stall if one follows.
                 return
-            result = self._issue(insts, len(insts))
+            result = self._issue(insts)
             if self._faults.on_recovery_step is not None:
                 self._faults.on_recovery_step(result)
         self._check_progress(None)

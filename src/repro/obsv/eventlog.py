@@ -281,7 +281,7 @@ class EventLogRecorder:
 
         Returns the fingerprint so callers can print it without recomputing.
         """
-        from repro.parallel.runner import result_fingerprint
+        from repro.harness.experiment import result_fingerprint
 
         fingerprint = result_fingerprint(result)
         self._unsubscribe()

@@ -35,7 +35,10 @@ pickle bytes, which only gates between interpreters of the same
 ``major.minor`` (see :func:`fingerprint_gates`).
 
 A claim reads ``lhs op factor * rhs + slack`` (``factor`` defaults to 1,
-``slack`` to 0) or, when ``rhs`` is a number, ``lhs op rhs``.  A side is
+``slack`` to 0) or, when ``rhs`` is a number, ``lhs op rhs``; ``op`` is
+one of ``<``, ``<=``, ``>``, ``>=`` and ``==``.  A string metric (a
+fingerprint) compares only by ``==`` against another string metric, with
+no ``factor`` or ``slack``.  A side is
 ``{metric = ..., where = {axis = value or [values]}, agg = "max"|"min"}``:
 one metric of the cells ``where`` selects, aggregated when it selects
 more than one.  ``for_each = "axis"`` checks the claim once per value of
@@ -48,6 +51,11 @@ read, each defined in :func:`run_cell`:
 * ``migration_steps`` — the last migration's step count;
 * ``final_imbalance`` — the end-of-run max/mean worker load (planner
   cells only);
+* for elastic cells (``active_workers`` set), ``residual_bins``, the bins
+  left resident on drained workers across every drain, and
+  ``cluster_fingerprint``, the owner-independent digest of all bin state
+  (:func:`repro.chaos.recovery.cluster_fingerprint`) — what a static
+  membership twin must reproduce;
 * for ``sample_memory`` cells, Figure 20's numbers: ``steady_rss_bytes``,
   a process's RSS at its last sample before the first migration starts or
   before input closes, whichever is larger; ``rss_overshoot_bytes``, its
@@ -98,8 +106,18 @@ METRICS = (
     "steady_rss_bytes",
     "rss_overshoot_bytes",
     "peak_spilled_bytes",
+    "residual_bins",
+    "cluster_fingerprint",
 )
-OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# Metrics whose values are strings: they compare by ``==`` only.
+STRING_METRICS = ("cluster_fingerprint",)
+OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+}
 _SPEC_KEYS = ("extends", "base", "matrix", "claim")
 
 
@@ -310,6 +328,18 @@ def _check_claim(path: str, spec: dict, claim) -> None:
                     f"{prefix}: {_describe(side, extra)} matches {len(cells)} "
                     "cells; say agg = \"max\" or \"min\""
                 )
+    strings = [side["metric"] in STRING_METRICS for side in sides]
+    if any(strings) and not (
+        claim["op"] == "=="
+        and len(strings) == 2
+        and all(strings)
+        and "factor" not in claim
+        and "slack" not in claim
+    ):
+        raise MatrixSpecError(
+            f"{prefix}: a string metric ({', '.join(STRING_METRICS)}) "
+            "compares only by == with another, without factor or slack"
+        )
 
 
 def _each_value(spec: dict, claim: dict) -> list[dict]:
@@ -367,8 +397,9 @@ def check_claims(spec: dict, report: dict) -> list[dict]:
                 lhs = _measure(spec, rows, claim["lhs"], extra)
                 rhs = bound = claim["rhs"]
                 if isinstance(rhs, dict):
-                    rhs = _measure(spec, rows, rhs, extra)
-                    bound = claim.get("factor", 1) * rhs + claim.get("slack", 0)
+                    rhs = bound = _measure(spec, rows, rhs, extra)
+                    if not isinstance(rhs, str):
+                        bound = claim.get("factor", 1) * rhs + claim.get("slack", 0)
             except LookupError as exc:
                 result["text"] += f": {exc}"
             else:
@@ -405,7 +436,7 @@ def _measure(spec: dict, rows: dict, side: dict, extra: dict) -> float:
 def run_cell(cell: MatrixCell) -> dict:
     """Run one cell's experiment; return its aggregated report row."""
     from repro.obsv.replay import run_config
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
 
     result = run_config(cell_config(cell), *_nexmark(cell))
     row = {
@@ -431,6 +462,9 @@ def run_cell(cell: MatrixCell) -> dict:
         row["migration_steps"] = len(result.migrations[last].steps)
     if result.config.planner is not None:
         row["final_imbalance"] = round(result.final_imbalance, 9)
+    if result.scaling is not None:
+        row["residual_bins"] = result.scaling.residual_bins
+        row["cluster_fingerprint"] = result.cluster_fingerprint
     if result.config.sample_memory:
         row.update(_memory_metrics(result))
     if cell.settings.get("faults", NO_FAULTS) != NO_FAULTS:

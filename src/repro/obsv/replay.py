@@ -84,7 +84,7 @@ def replay_run(path: str) -> ReplayReport:
             "'count' and 'nexmark' logs"
         )
     result = run_config(cfg, query, nexmark)
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
 
     return ReplayReport(
         path=path,

@@ -22,7 +22,6 @@ from repro.parallel.sync import ParallelStall
 __all__ = [
     "ParallelStall",
     "ShardPartition",
-    "result_fingerprint",
     "run_parallel_count_experiment",
 ]
 
@@ -31,7 +30,7 @@ def __getattr__(name):
     # Lazy: runner imports the harness, which imports back into this
     # package for the partition type; keep the light names eager and the
     # heavy ones deferred.
-    if name in ("result_fingerprint", "run_parallel_count_experiment"):
+    if name == "run_parallel_count_experiment":
         from repro.parallel import runner
 
         return getattr(runner, name)

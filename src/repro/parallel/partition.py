@@ -4,8 +4,7 @@ A cluster of ``num_workers`` workers grouped ``workers_per_process`` to a
 simulated process yields ``num_domains`` *domains*; on the sharded engine
 each domain runs its own event loop.  The same partition is the unit of
 fate-sharing everywhere else — the chaos layer's ``ProcessCrash`` kills
-exactly the workers of one domain (``chaos/experiment.py`` routes its
-process arithmetic through here).
+exactly the workers of one domain.
 """
 
 from __future__ import annotations

@@ -6,13 +6,10 @@ out, plus a ``result.parallel`` dict describing the sharded run (domains,
 rounds, lookahead, per-domain event and record counts, per-worker state
 fingerprints).  What the sharded engine cannot run is rejected when the
 config is constructed (``ExperimentConfig.__post_init__``), not here.
-`result_fingerprint` condenses the determinism-relevant outputs of any
-run, serial or sharded, into one digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time as wallclock
 
 from repro.harness.experiment import ExperimentConfig, ExperimentResult
@@ -21,10 +18,7 @@ from repro.parallel.supervisor import LocalExecutor
 from repro.parallel.sync import run_protocol
 from repro.sim.memory import MemoryTimeline
 
-__all__ = [
-    "result_fingerprint",
-    "run_parallel_count_experiment",
-]
+__all__ = ["run_parallel_count_experiment"]
 
 
 def run_parallel_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -69,34 +63,3 @@ def run_parallel_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "fingerprints": {w: fingerprints[w] for w in sorted(fingerprints)},
     }
     return result
-
-
-def result_fingerprint(result: ExperimentResult) -> str:
-    """One digest over everything determinism promises to reproduce.
-
-    Covers final per-worker state fingerprints, global and per-domain
-    event counts, injected records, migration step timings, and the
-    latency timeline — byte-identical runs agree on all of it.
-    """
-    digest = hashlib.sha256()
-    parallel = getattr(result, "parallel", None) or {}
-    for worker, fp in sorted(parallel.get("fingerprints", {}).items()):
-        digest.update(f"w{worker}:{fp};".encode())
-    # Serial runs carry their state fingerprints here (sharded runs repeat
-    # them; the digest is over both, deterministically).
-    for worker, fp in sorted(getattr(result, "state_fingerprints", {}).items()):
-        digest.update(f"s{worker}:{fp};".encode())
-    digest.update(f"records={result.records_injected};".encode())
-    digest.update(f"events={result.sim_events};".encode())
-    for d, n in sorted(parallel.get("sim_events_per_domain", {}).items()):
-        digest.update(f"d{d}:{n};".encode())
-    for migration in result.migrations:
-        for step in migration.steps:
-            digest.update(
-                f"step@{step.issued_at!r}->{step.completed_at!r};".encode()
-            )
-    for stats in result.timeline.series():
-        digest.update(
-            f"t{stats.start_s!r}:{stats.count}:{stats.max_s!r};".encode()
-        )
-    return digest.hexdigest()

@@ -210,17 +210,14 @@ class MigrationStepCompleted:
 class MigrationStepOutcome:
     """A step's final accounting, published when it completes or is abandoned.
 
-    ``batch_size`` is the batch the controller *chose* for the step (for the
-    adaptive controller this can exceed ``moves`` on the tail step);
     ``attempts`` counts issues including retries, so ``attempts > 1`` means
     the step timed out at least once.  Cost models consume these to relate
-    chosen step sizes to realized durations.
+    step sizes to realized durations.
     """
 
     topic: ClassVar[str] = TOPIC_MIGRATION
     time: object
     moves: int
-    batch_size: int
     attempts: int
     abandoned: bool
     duration_s: float

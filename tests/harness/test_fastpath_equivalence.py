@@ -102,7 +102,7 @@ def test_result_fingerprint_is_independent_of_the_small_batch_cutoff(
     either side of the cutoff give the same run — state, event count,
     migration steps, latency windows — whether every batch is numpy
     (cutoff 0), the default rule applies, or every batch is an array."""
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
     from repro.runtime_events import columns
 
     cfg = ExperimentConfig(

@@ -24,7 +24,7 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
 from repro.nexmark.harness import run_nexmark_experiment
-from repro.parallel.runner import result_fingerprint
+from repro.harness.experiment import result_fingerprint
 from repro.sim.cost import CostModel
 
 # The paper testbed's per-record costs, scaled up 200x because the

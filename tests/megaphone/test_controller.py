@@ -202,8 +202,6 @@ def test_step_outcomes_published_on_trace_bus():
     result = controller.result
     assert len(outcomes) == len(result.steps) == len(plan.steps)
     assert [o.moves for o in outcomes] == [s.moves for s in result.steps]
-    assert result.batch_sizes == [o.batch_size for o in outcomes]
-    assert all(o.batch_size >= o.moves for o in outcomes)
     assert result.total_attempts == sum(o.attempts for o in outcomes)
     assert not any(o.abandoned for o in outcomes)
     for outcome, step in zip(outcomes, result.steps):
@@ -247,7 +245,7 @@ def test_controller_without_fault_handling_arms_no_timeouts():
 def test_fault_handling_that_never_fires_changes_nothing(strategy):
     def observed(run):
         steps = [
-            (s.time, s.moves, s.issued_at, s.completed_at, s.insts, s.attempts, s.batch_size)
+            (s.time, s.moves, s.issued_at, s.completed_at, s.insts, s.attempts)
             for s in run.result.steps
         ]
         stores = [store for _w, store in run.op.stores(run.runtime)]

@@ -91,13 +91,12 @@ def test_chaos_run_replays_byte_identically(tmp_path):
         run_chaos_experiment,
     )
 
-    base = tmp_path / "chaos.jsonl"
+    log = tmp_path / "chaos.jsonl"
     cfg = default_chaos_experiment_config(
-        duration_s=4.0, record_log=str(base)
+        duration_s=4.0, record_log=str(log)
     )
     outcome = run_chaos_experiment("crash-restart", "batched", cfg=cfg, seed=3)
     assert outcome.live
-    log = tmp_path / "chaos.batched.jsonl"  # per-strategy templating
     report = replay_run(str(log))
     assert report.ok, (
         f"chaos replay drifted: {report.drifted_topics}; "
@@ -154,7 +153,7 @@ def test_nexmark_run_records_and_replays(tmp_path):
 
 def test_recording_does_not_perturb_the_run(tmp_path):
     """The bus invariant, end to end: recorded and bare runs agree."""
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
 
     bare = run_count_experiment(_small_config(fingerprint_state=True))
     log = tmp_path / "run.jsonl"
@@ -163,7 +162,7 @@ def test_recording_does_not_perturb_the_run(tmp_path):
 
 
 def test_run_with_a_cost_model_replays_to_its_fingerprint(tmp_path):
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
     from repro.sim.cost import CostModel
 
     cost = CostModel(record_cost=2e-6, route_cost=3e-7)

@@ -99,13 +99,13 @@ def test_migration_step_histogram_and_abandoned_counter():
     exporter = MetricsExporter(bus, topics=(TOPIC_MIGRATION,))
     bus.publish(
         MigrationStepOutcome(
-            time=1, moves=2, batch_size=2, attempts=1,
+            time=1, moves=2, attempts=1,
             duration_s=0.02, abandoned=False, at=0.1,
         )
     )
     bus.publish(
         MigrationStepOutcome(
-            time=2, moves=2, batch_size=2, attempts=3,
+            time=2, moves=2, attempts=3,
             duration_s=0.5, abandoned=True, at=0.2,
         )
     )
@@ -140,7 +140,7 @@ def test_render_prometheus_histogram_has_inf_bucket():
     exporter = MetricsExporter(bus, topics=(TOPIC_MIGRATION,))
     bus.publish(
         MigrationStepOutcome(
-            time=1, moves=1, batch_size=1, attempts=1,
+            time=1, moves=1, attempts=1,
             duration_s=0.01, abandoned=False, at=0.1,
         )
     )

@@ -378,7 +378,7 @@ rhs = 7500
 def test_nexmark_cell_matches_a_direct_run(tmp_path):
     from repro.nexmark.config import NexmarkConfig
     from repro.nexmark.harness import run_nexmark_experiment
-    from repro.parallel.runner import result_fingerprint
+    from repro.harness.experiment import result_fingerprint
 
     path = tmp_path / "q3.toml"
     path.write_text(
@@ -394,3 +394,96 @@ def test_nexmark_cell_matches_a_direct_run(tmp_path):
     )
     assert row["status"] == "ok"
     assert row["result_fingerprint"] == result_fingerprint(direct)
+
+
+_ELASTIC = """
+[base]
+num_workers = 4
+workers_per_process = 2
+num_bins = 16
+domain = 1024
+rate = 2000.0
+duration_s = 3.0
+migrate_at_s = []
+strategy = "fluid"
+
+[matrix]
+run = [
+  { name = "scaled", active_workers = 2, scaling_plan = "join@1:2,3;leave@2:2,3" },
+  { name = "twin", active_workers = 2 },
+  { name = "wider", active_workers = 2, domain = 2048 },
+  { name = "static" },
+]
+
+[[claim]]
+id = "state-equals-twin"
+lhs = { metric = "cluster_fingerprint", where = { run = "scaled" } }
+op = "=="
+rhs = { metric = "cluster_fingerprint", where = { run = "twin" } }
+"""
+
+
+@pytest.fixture(scope="module")
+def elastic_sweep(tmp_path_factory):
+    path = tmp_path_factory.mktemp("elastic") / "elastic.toml"
+    path.write_text(_ELASTIC)
+    spec = load_spec(str(path))
+    return spec, run_matrix(spec, jobs=0)
+
+
+def test_equality_claim_over_cluster_fingerprints_holds(elastic_sweep):
+    spec, report = elastic_sweep
+    (result,) = check_claims(spec, report)
+    assert result["ok"] is True
+    assert result["lhs"] == result["rhs"] == result["bound"]
+    assert len(result["lhs"]) == 64
+
+
+def test_failed_equality_claim_prints_both_fingerprint_prefixes(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "elastic.toml"
+    path.write_text(_ELASTIC.replace('where = { run = "twin" }', 'where = { run = "wider" }'))
+    out = tmp_path / "report.json"
+    assert main(["matrix", "--spec", str(path), "--jobs", "0", "--output", str(out)]) == 1
+    (claim,) = json.loads(out.read_text())["claims"]
+    assert claim["ok"] is False
+    (failure,) = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("FAIL: claim")
+    ]
+    assert failure == (
+        "FAIL: claim state-equals-twin: cluster_fingerprint[run=scaled] == "
+        f"cluster_fingerprint[run=wider] (lhs {claim['lhs'][:16]}, "
+        f"rhs {claim['rhs'][:16]})"
+    )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        ('op = "=="', 'op = "<="'),  # an ordering op
+        ('op = "=="', 'op = "=="\nfactor = 2'),
+        ('op = "=="', 'op = "=="\nslack = 1'),
+        (  # a number on the other side
+            'rhs = { metric = "cluster_fingerprint", where = { run = "twin" } }',
+            "rhs = 0",
+        ),
+    ],
+)
+def test_string_metrics_compare_only_by_equality(tmp_path, change):
+    path = tmp_path / "elastic.toml"
+    path.write_text(_ELASTIC.replace(*change))
+    with pytest.raises(MatrixSpecError, match="compares only by =="):
+        load_spec(str(path))
+
+
+def test_only_elastic_cells_carry_fingerprint_and_residual_bins(elastic_sweep):
+    _spec, report = elastic_sweep
+    rows = {row["cell"]: row for row in report["cells"]}
+    for cell in ("scaled", "twin", "wider"):
+        assert rows[cell]["status"] == "ok"
+        assert rows[cell]["residual_bins"] == 0
+        assert len(rows[cell]["cluster_fingerprint"]) == 64
+    assert "residual_bins" not in rows["static"]
+    assert "cluster_fingerprint" not in rows["static"]

@@ -35,7 +35,8 @@ def test_every_figure_has_a_spec():
 
 def test_ablations_and_extensions_are_specs():
     assert set(SPECS) - set(FIGURES) == {
-        "gap", "granularity", "matching", "elastic", "planner_skew", "wal_recovery",
+        "gap", "granularity", "matching",
+        "chaos", "elastic", "planner_skew", "wal_recovery",
     }
 
 

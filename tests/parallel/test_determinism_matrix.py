@@ -12,7 +12,7 @@ import pytest
 from dataclasses import replace
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
-from repro.parallel.runner import result_fingerprint
+from repro.harness.experiment import result_fingerprint
 
 STRATEGIES = ("all-at-once", "fluid", "batched", "optimized")
 BACKENDS = ("dict", "wal")

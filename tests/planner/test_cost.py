@@ -65,7 +65,7 @@ def test_calibration_recovers_observed_rates():
         )
         bus.publish(
             MigrationStepOutcome(
-                time=i, moves=1, batch_size=1, attempts=1, abandoned=False,
+                time=i, moves=1, attempts=1, abandoned=False,
                 duration_s=0.05, at=float(i),
             )
         )
@@ -92,7 +92,7 @@ def test_abandoned_steps_do_not_calibrate_overhead():
     model = MigrationCostModel(bus)
     bus.publish(
         MigrationStepOutcome(
-            time=0, moves=1, batch_size=1, attempts=5, abandoned=True,
+            time=0, moves=1, attempts=5, abandoned=True,
             duration_s=10.0, at=0.0,
         )
     )

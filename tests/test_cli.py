@@ -118,13 +118,17 @@ def test_chaos_rejects_unknown_scenario():
 def test_chaos_command_reports_verdicts(capsys):
     code = main([
         "chaos", "--scenario", "stall", "--duration", "4",
-        "--rate", "5000", "--migrate-at", "1.5",
+        "--rate", "5000", "--migrate-at", "1.5", "--strategy", "fluid",
     ])
     out = capsys.readouterr().out
     assert code == 0
     assert "chaos: stall" in out
-    for strategy in ("all-at-once", "fluid", "batched", "optimized"):
-        assert strategy in out
+    # One verdict row: the strategy the flag named, and no other.
+    rows = [line for line in out.splitlines() if line.startswith("fluid ")]
+    assert len(rows) == 1
+    assert rows[0].split()[1] in ("completed", "recovered")
+    for strategy in ("all-at-once", "batched", "optimized"):
+        assert strategy not in out
     assert "Completion holds" in out
 
 
@@ -153,7 +157,7 @@ def test_profile_flag_wraps_other_commands(capsys):
         (["nexmark", "--query", "2", "--state-backend", "lsm"],
          "--state-backend 'lsm': unknown state backend 'lsm'"),
         (["chaos", "--codec", "json"], "--codec 'json': unknown codec 'json'"),
-        (["scale", "--state-backend", "redis"],
+        (["chaos", "--state-backend", "redis"],
          "--state-backend 'redis': unknown"),
         (["count", "--hot-capacity", "0"], "--hot-capacity must be positive"),
     ],
@@ -446,18 +450,7 @@ def test_matrix_rejects_bad_spec(tmp_path, capsys):
     assert "cannot load" in capsys.readouterr().err
 
 
-# -- elastic membership (repro.cli scale / --autoscale) -------------------------
-
-
-def test_scale_command_verifies_twin(capsys):
-    code = main(["scale", "--verify-twin"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "scaling operations" in out
-    assert "membership transitions" in out
-    assert "cluster state fingerprint" in out
-    assert "twin check: fingerprint and record count match" in out
-    assert "scaling guarantees hold" in out
+# -- elastic membership (--active / --scaling-plan / --autoscale) ---------------
 
 
 def test_count_autoscale_reports_decisions(capsys):
@@ -560,13 +553,6 @@ _COUNT_DEFAULT = {
     "scaling_plan": None,
     "autoscale": None,
 }
-_SCALE_DEFAULT = {
-    **_COUNT_DEFAULT,
-    "num_workers": 6, "workers_per_process": 2, "num_bins": 16,
-    "domain": 4096, "rate": 2000.0, "duration_s": 6.0, "migrate_at_s": [],
-    "strategy": "fluid", "fingerprint_state": True, "active_workers": 4,
-    "scaling_plan": "join@1.5:4,5;leave@3.5:4,5",
-}
 _CHAOS_DEFAULT = {
     **_COUNT_DEFAULT,
     "num_workers": 4, "workers_per_process": 2, "num_bins": 16,
@@ -623,14 +609,6 @@ _BUILT_CONFIGS = {
          }},
     ),
     "nexmark": (["nexmark", "--query", "3"], {**_COUNT_DEFAULT, "domain": 65536}),
-    "scale": (["scale"], _SCALE_DEFAULT),
-    "scale-twin-dict": (
-        ["scale", "--verify-twin", "--state-backend", "dict"], _SCALE_DEFAULT
-    ),
-    "scale-twin-wal": (
-        ["scale", "--verify-twin", "--state-backend", "wal"],
-        {**_SCALE_DEFAULT, "state_backend": "wal"},
-    ),
     "trace": (
         ["trace"], {**_COUNT_DEFAULT, "strategy": "fluid", "collect_trace": True}
     ),
@@ -684,7 +662,7 @@ def test_commands_build_the_pinned_config(case, monkeypatch):
 
     monkeypatch.setattr(repro.cli, "run_count_experiment", _capture)
     monkeypatch.setattr(repro.cli, "run_nexmark_experiment", _capture)
-    monkeypatch.setattr(repro.chaos.experiment, "run_chaos_matrix", _capture)
+    monkeypatch.setattr(repro.chaos.experiment, "run_chaos_experiment", _capture)
     argv, expected = _BUILT_CONFIGS[case]
     with pytest.raises(_Built) as built:
         main(argv)
