@@ -116,11 +116,6 @@ def _obsv_args(parser: argparse.ArgumentParser) -> None:
         help="stream JSON-line metric snapshots to PATH ('-' = stdout)",
     )
     parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus text metrics on localhost:PORT during the "
-        "run (0 picks an ephemeral port)",
-    )
-    parser.add_argument(
         "--record", dest="record_log", default=None, metavar="PATH",
         help="write the versioned event log that `repro.cli replay` "
         "re-executes and verifies",
@@ -142,8 +137,8 @@ def _elastic_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--autoscale", action="store_true",
-        help="attach the closed-loop autoscaler (threshold policy with "
-        "hysteresis and cooldown; see `repro.cli list`)",
+        help="attach the closed-loop autoscaler (hysteresis thresholds on "
+        "mean active-worker load, consecutive samples, cooldown)",
     )
     parser.add_argument(
         "--scale-out-load", type=float, default=1500.0,
@@ -215,8 +210,6 @@ def _report(result, title: str) -> None:
 
 def _report_obsv(result) -> None:
     """One line per attached observer, so runs with observers say so."""
-    if result.metrics_port is not None:
-        print(f"metrics served on localhost:{result.metrics_port}")
     record = result.config.record_log
     if record:
         print(f"event log recorded to {record} "
@@ -645,10 +638,6 @@ def cmd_list(args) -> int:
     print(f"planner objectives: {', '.join(OBJECTIVES)}")
     print("planner policies: closed-loop (cooldown, cost/benefit gate, "
           "SLO pacing), propose-only (advisor)")
-    from repro.elastic.autoscaler import POLICIES as AUTOSCALER_POLICIES
-
-    for name in sorted(AUTOSCALER_POLICIES):
-        print(f"autoscaler policy: {name} — {AUTOSCALER_POLICIES[name]}")
     print("speed: python3 benchmarks/e2e/run.py  (host records/s, six workloads)")
     print("paper figures: matrix --spec benchmarks/paper/figNN.toml  "
           "(Figures 1 and 5-20, each with its shape claims)")
@@ -656,7 +645,7 @@ def cmd_list(args) -> int:
           "(ablations and extensions, with claims; Table 1 is a tier-1 test)")
     print("robustness and elasticity: matrix --spec "
           "benchmarks/extensions/{chaos,elastic}.toml  (every fault scenario "
-          "x strategy x backend; join/drain vs a static twin)")
+          "x strategy x backend; join/drain and autoscaling vs a static twin)")
     return 0
 
 

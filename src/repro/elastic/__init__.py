@@ -19,7 +19,7 @@ bins — is a runtime object:
   events for reproducible experiments.
 """
 
-from repro.elastic.autoscaler import POLICIES, Autoscaler, AutoscalerConfig
+from repro.elastic.autoscaler import Autoscaler, AutoscalerConfig
 from repro.elastic.coordinator import ScalingCoordinator, ScalingOp, ScalingReport
 from repro.elastic.membership import (
     ACTIVE,
@@ -44,7 +44,6 @@ __all__ = [
     "AutoscalerConfig",
     "MembershipDirectory",
     "MembershipError",
-    "POLICIES",
     "ScalingCoordinator",
     "ScalingEvent",
     "ScalingOp",

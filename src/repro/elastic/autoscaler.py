@@ -4,7 +4,7 @@ A Dhalion-style policy loop: every ``decide_s`` simulated seconds the
 autoscaler reads the windowed per-worker load from
 :class:`~repro.planner.telemetry.LoadTelemetry`, averages it over the
 *active* workers only (standby and retired slots would dilute the mean),
-and feeds the ``threshold`` policy:
+and feeds a threshold policy:
 
 * mean load ``>= scale_out_load`` for ``trigger_samples`` consecutive
   decisions arms a scale-out of ``step`` workers;
@@ -30,26 +30,14 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.runtime_events.events import AutoscaleDecision
 
-# Registered policy names -> one-line description (printed by `repro.cli
-# list`).  The policy field of AutoscalerConfig must name one of these.
-POLICIES = {
-    "threshold": (
-        "hysteresis thresholds on mean active-worker load "
-        "(scale_out_load/scale_in_load, consecutive samples, cooldown)"
-    ),
-}
-
-
 @dataclass
 class AutoscalerConfig:
     """Knobs of the autoscaler's policy loop."""
 
-    policy: str = "threshold"
     # Decision cadence: first decision at start_s, then every decide_s,
-    # until stop_s (None = the experiment duration).
+    # until the run's input closes.
     start_s: float = 1.0
     decide_s: float = 0.5
-    stop_s: Optional[float] = None
     # Threshold policy: records/s per active worker.
     scale_out_load: float = 1500.0
     scale_in_load: float = 400.0
@@ -62,11 +50,6 @@ class AutoscalerConfig:
 
     def validate(self, num_workers: int) -> None:
         """Check the knobs against a provisioned universe."""
-        if self.policy not in POLICIES:
-            raise ConfigError(
-                f"policy {self.policy!r} is not a registered autoscaler "
-                f"policy; registered: {tuple(POLICIES)}"
-            )
         if self.scale_in_load >= self.scale_out_load:
             raise ConfigError(
                 "scale_in_load must be below scale_out_load "
@@ -89,7 +72,11 @@ class AutoscalerConfig:
 
 
 class Autoscaler:
-    """Periodic policy decisions over telemetry, membership, and bounds."""
+    """Periodic policy decisions over telemetry, membership, and bounds.
+
+    No decision is taken after ``stop_s``, the time the run's input
+    closes; the config is only read.
+    """
 
     def __init__(
         self,
@@ -98,12 +85,14 @@ class Autoscaler:
         directory,
         coordinator,
         config: AutoscalerConfig,
+        stop_s: float,
     ) -> None:
         self._runtime = runtime
         self._telemetry = telemetry
         self._directory = directory
         self._coordinator = coordinator
         self.config = config
+        self._stop_s = stop_s
         self._above = 0
         self._below = 0
         self._last_action_at = float("-inf")
@@ -121,9 +110,7 @@ class Autoscaler:
 
     def _tick(self) -> None:
         sim = self._runtime.sim
-        if self._stopped or (
-            self.config.stop_s is not None and sim.now > self.config.stop_s
-        ):
+        if self._stopped or sim.now > self._stop_s:
             return
         loads = self._telemetry.worker_load()
         active = self._directory.active()

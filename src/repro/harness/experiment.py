@@ -63,8 +63,7 @@ WORKLOADS = ("uniform", "skewed")
 VARIANTS = ("key", "hash")  # bin state as dense arrays or as hash maps
 
 # What the sharded engine (``parallel=0``) does not run, as (config field,
-# label); a field is set when it is neither None nor False (a metrics port
-# of 0 means "pick one").
+# label); a field is set when it is neither None nor False.
 _SHARDED_UNSUPPORTED = (
     ("chaos", "fault injection (chaos)"),
     ("planner", "the closed-loop planner"),
@@ -76,7 +75,6 @@ _SHARDED_UNSUPPORTED = (
     # slice and present it as the whole run.
     ("record_log", "event-log recording (--record)"),
     ("export_metrics", "metrics export (--export-metrics)"),
-    ("metrics_port", "the metrics endpoint (--metrics-port)"),
     # The sharded engine partitions a fixed worker set.
     ("elastic", "elastic membership"),
 )
@@ -128,12 +126,6 @@ class ExperimentConfig:
     state_backend: str = "dict"
     codec: str = "modeled"
     hot_capacity_bytes: Optional[int] = None
-    # Durable WAL backend knobs (state_backend="wal").  ``wal_sync_every``
-    # is the fsync cadence in application batches: 1 syncs per committed
-    # batch, larger values widen the window a crash can lose.
-    wal_segment_bytes: int = 1 << 16
-    wal_compact_threshold: int = 512
-    wal_sync_every: int = 1
     # Base-then-delta migration shipping (requires a delta-capable backend;
     # others fall back to whole-bin silently).
     delta_migration: bool = False
@@ -141,15 +133,12 @@ class ExperimentConfig:
     # (per-bin phase breakdowns).  Observability only: a run is bit-identical
     # with or without it.
     collect_trace: bool = False
-    # Observability surface (repro.obsv).  All three are strict observers —
+    # Observability surface (repro.obsv).  Both are strict observers —
     # bus subscribers that cannot perturb the simulation.  ``export_metrics``
     # streams JSON-line metric snapshots to a path ("-" = stdout);
-    # ``metrics_port`` additionally serves Prometheus text on localhost
-    # (0 picks an ephemeral port); ``record_log`` writes the versioned
-    # event log that `repro.cli replay` re-executes.
+    # ``record_log`` writes the versioned event log that `repro.cli replay`
+    # re-executes.
     export_metrics: Optional[str] = None
-    metrics_port: Optional[int] = None
-    metrics_flush_s: float = 0.25
     record_log: Optional[str] = None
     # Count bus events per topic into ``result.topic_counts``.  ``None``
     # disables; ``()`` counts every topic; a non-empty tuple counts only
@@ -241,8 +230,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"hot_fraction must be within [0, 1], got {self.hot_fraction}"
             )
-        if self.metrics_port is not None and self.metrics_port < 0:
-            raise ConfigError(f"metrics_port must be >= 0, got {self.metrics_port}")
         if self.pace_s is not None and not (
             isinstance(self.pace_s, (int, float)) and self.pace_s > 0
         ):
@@ -335,12 +322,7 @@ class ExperimentConfig:
         if self.state_backend == "wal":
             from repro.state.wal import WalRegistry
 
-            options.update(
-                wal_registry=WalRegistry(self.wal_segment_bytes),
-                segment_bytes=self.wal_segment_bytes,
-                compact_threshold=self.wal_compact_threshold,
-                sync_every=self.wal_sync_every,
-            )
+            options["wal_registry"] = WalRegistry()
         return options
 
     def resolved_cost(self) -> CostModel:
@@ -388,10 +370,8 @@ class ExperimentResult:
     # lookahead, per-domain event and record counts, per-worker state
     # fingerprints.
     parallel: Optional[dict] = None
-    # Per-topic bus event counts (when the config asked for them) and the
-    # bound Prometheus port (when the config served metrics).
+    # Per-topic bus event counts (when the config asked for them).
     topic_counts: dict = field(default_factory=dict)
-    metrics_port: Optional[int] = None
     # Per-worker final state fingerprints (sharded always; serial when the
     # config sets ``fingerprint_state``).
     state_fingerprints: dict = field(default_factory=dict)
@@ -492,16 +472,10 @@ class MigrationExperiment:
         # with or without them.  Imported lazily so the harness stays cheap
         # for the overwhelmingly common unobserved run.
         exporter = None
-        if cfg.export_metrics or cfg.metrics_port is not None:
+        if cfg.export_metrics:
             from repro.obsv.exporter import MetricsExporter
 
-            exporter = MetricsExporter(
-                sim.trace,
-                jsonl=cfg.export_metrics,
-                flush_every_s=cfg.metrics_flush_s,
-            )
-            if cfg.metrics_port is not None:
-                exporter.serve(cfg.metrics_port)
+            exporter = MetricsExporter(sim.trace, jsonl=cfg.export_metrics)
         event_log = None
         if cfg.record_log:
             from repro.obsv.eventlog import EventLogRecorder
@@ -747,10 +721,9 @@ class MigrationExperiment:
                         lambda req=request, ws=event.workers: req(ws),
                     )
             if cfg.autoscale is not None:
-                if cfg.autoscale.stop_s is None:
-                    cfg.autoscale.stop_s = cfg.duration_s
                 autoscaler = Autoscaler(
-                    runtime, telemetry, directory, scaling, cfg.autoscale
+                    runtime, telemetry, directory, scaling, cfg.autoscale,
+                    stop_s=cfg.duration_s,
                 )
                 autoscaler.start()
 
@@ -849,7 +822,6 @@ class MigrationExperiment:
             )
         result.topic_counts = topic_counts
         if exporter is not None:
-            result.metrics_port = exporter.port
             exporter.close()
         if event_log is not None:
             event_log.finalize(result)

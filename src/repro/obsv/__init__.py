@@ -1,12 +1,12 @@
-"""Observability surface: live telemetry export, trace record/replay, and
-the experiment-matrix runner.
+"""Observability surface: telemetry export, trace record/replay, and the
+experiment-matrix runner.
 
 Everything in this package sits *above* the :class:`~repro.runtime_events.
 bus.TraceBus` and below the CLI:
 
 * :mod:`repro.obsv.exporter` — a bus subscriber that aggregates counters,
-  gauges, and histograms and streams them as JSON lines and/or a
-  Prometheus-style text endpoint while a run executes.
+  gauges, and histograms and streams them as JSON lines while a run
+  executes.
 * :mod:`repro.obsv.eventlog` — a versioned event-log writer capturing the
   full bus stream plus the run's config/seed provenance, and the reader
   that validates it.

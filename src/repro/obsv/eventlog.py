@@ -43,15 +43,27 @@ class EventLogError(ValueError):
 _OBSERVER_FIELDS = (
     "record_log",
     "export_metrics",
-    "metrics_port",
     "collect_topic_counts",
 )
 # Fields since removed from ExperimentConfig.  Headers recorded while they
 # existed still carry them, so they are dropped on read ahead of the
-# unknown-field check: a recorded log must keep replaying.  Neither ever
-# changed run semantics: the first was an observer, the second pinned a
-# routing path whose simulated results were byte-identical to the default.
-_RETIRED_FIELDS = ("profile_shards", "reference_routing")
+# unknown-field check: a recorded log must keep replaying.
+# `profile_shards`, `metrics_port` and `metrics_flush_s` were observers;
+# `reference_routing` pinned a routing path whose simulated results were
+# byte-identical to the default; the `wal_*` knobs, which no flag or spec
+# set, are now the WAL backend's constructor defaults.
+_RETIRED_FIELDS = (
+    "profile_shards",
+    "reference_routing",
+    "metrics_port",
+    "metrics_flush_s",
+    "wal_segment_bytes",
+    "wal_compact_threshold",
+    "wal_sync_every",
+)
+# AutoscalerConfig fields since removed: `policy` named the only policy,
+# and `stop_s` is the run's duration, which the harness now passes.
+_RETIRED_AUTOSCALE_FIELDS = ("policy", "stop_s")
 
 
 def config_to_dict(cfg) -> dict:
@@ -149,7 +161,13 @@ def config_from_dict(data: dict):
                 from repro.elastic.autoscaler import AutoscalerConfig
 
                 kwargs["autoscale"] = (
-                    None if value is None else AutoscalerConfig(**value)
+                    None
+                    if value is None
+                    else AutoscalerConfig(**{
+                        key: item
+                        for key, item in value.items()
+                        if key not in _RETIRED_AUTOSCALE_FIELDS
+                    })
                 )
             else:
                 kwargs[name] = value

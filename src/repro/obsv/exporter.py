@@ -1,10 +1,9 @@
-"""Live telemetry export from the trace bus.
+"""Telemetry export from the trace bus.
 
 :class:`MetricsExporter` subscribes to bus topics and folds every event
 into a small metrics registry — counters (monotone totals), gauges (last
 value wins), and log-bucketed histograms — then streams periodic
-snapshots as JSON lines and/or serves the current state in Prometheus
-text exposition format from a background thread.
+snapshots as JSON lines.
 
 Design constraints, in order:
 
@@ -16,15 +15,11 @@ Design constraints, in order:
 2. **Deterministic in simulated time.**  JSON-line snapshots are cut when
    the *simulated* clock crosses a flush boundary, not on a wall-clock
    timer, so the exported file for a given run is reproducible.
-3. **The HTTP endpoint is read-only and optional.**  It serves whatever
-   the registry holds at request time; a lock keeps reads coherent
-   against the simulation thread's updates.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from typing import IO, Iterable, Optional
 
 from repro.runtime_events.bus import TraceBus
@@ -54,7 +49,7 @@ _BUCKETS = (
 
 
 class Histogram:
-    """Fixed-bucket histogram with Prometheus-compatible cumulative counts."""
+    """Fixed-bucket histogram with cumulative (``le``-style) counts."""
 
     __slots__ = ("buckets", "counts", "total", "sum")
 
@@ -73,7 +68,7 @@ class Histogram:
                 break
 
     def cumulative(self) -> list[tuple[float, int]]:
-        """``(le, cumulative_count)`` pairs, Prometheus histogram style."""
+        """``(le, cumulative_count)`` pairs."""
         out = []
         running = 0
         for bound, count in zip(self.buckets, self.counts):
@@ -111,7 +106,6 @@ class MetricsExporter:
         jsonl=None,
         flush_every_s: float = 0.25,
     ) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[tuple[str, tuple], float] = {}
         self._gauges: dict[tuple[str, tuple], float] = {}
         self._histograms: dict[tuple[str, tuple], Histogram] = {}
@@ -119,7 +113,6 @@ class MetricsExporter:
         self._next_flush_s = flush_every_s
         self._snapshots_written = 0
         self._last_at = 0.0
-        self._server = None
         self._stream: Optional[IO] = None
         self._owns_stream = False
         if jsonl == "-":
@@ -153,17 +146,16 @@ class MetricsExporter:
     # -- event folding ------------------------------------------------------
 
     def _observe(self, event) -> None:
-        with self._lock:
-            self._fold(event)
-            at = getattr(event, "at", None)
-            if at is None:
-                return
-            if at > self._last_at:
-                self._last_at = at
-            if self._stream is not None and at >= self._next_flush_s:
-                self._write_snapshot(at)
-                while self._next_flush_s <= at:
-                    self._next_flush_s += self._flush_every_s
+        self._fold(event)
+        at = getattr(event, "at", None)
+        if at is None:
+            return
+        if at > self._last_at:
+            self._last_at = at
+        if self._stream is not None and at >= self._next_flush_s:
+            self._write_snapshot(at)
+            while self._next_flush_s <= at:
+                self._next_flush_s += self._flush_every_s
 
     def _fold(self, event) -> None:
         kind = type(event)
@@ -251,12 +243,9 @@ class MetricsExporter:
 
     def snapshot(self, at: Optional[float] = None) -> dict:
         """The current registry as one JSON-compatible dict."""
-        with self._lock:
-            return self._snapshot_locked(
-                self._last_at if at is None else at
-            )
+        if at is None:
+            at = self._last_at
 
-    def _snapshot_locked(self, at: float) -> dict:
         def flat(table: dict) -> dict:
             return {
                 name + _label_str(labels): value
@@ -279,91 +268,17 @@ class MetricsExporter:
         }
 
     def _write_snapshot(self, at: float) -> None:
-        json.dump(self._snapshot_locked(at), self._stream, sort_keys=False)
+        json.dump(self.snapshot(at), self._stream, sort_keys=False)
         self._stream.write("\n")
         self._snapshots_written += 1
-
-    def render_prometheus(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        with self._lock:
-            lines: list[str] = []
-            for (name, labels), value in sorted(
-                self._counters.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            ):
-                lines.append(f"{name}{_label_str(labels)} {value:g}")
-            for (name, labels), value in sorted(
-                self._gauges.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-            ):
-                lines.append(f"{name}{_label_str(labels)} {value:g}")
-            for (name, labels), hist in sorted(
-                self._histograms.items(),
-                key=lambda kv: (kv[0][0], str(kv[0][1])),
-            ):
-                for le, count in hist.cumulative():
-                    le_labels = labels + (("le", f"{le:g}"),)
-                    lines.append(f"{name}_bucket{_label_str(le_labels)} {count}")
-                inf_labels = labels + (("le", "+Inf"),)
-                lines.append(
-                    f"{name}_bucket{_label_str(inf_labels)} {hist.total}"
-                )
-                lines.append(f"{name}_sum{_label_str(labels)} {hist.sum:g}")
-                lines.append(f"{name}_count{_label_str(labels)} {hist.total}")
-            return "\n".join(lines) + "\n"
-
-    # -- HTTP endpoint ------------------------------------------------------
-
-    def serve(self, port: int = 0) -> int:
-        """Serve ``/metrics`` on a background daemon thread.
-
-        Returns the bound port (useful with ``port=0``).  The server lives
-        until :meth:`close`.
-        """
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        exporter = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 (http.server API)
-                if self.path.rstrip("/") not in ("", "/metrics"):
-                    self.send_error(404)
-                    return
-                body = exporter.render_prometheus().encode()
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4"
-                )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # silence per-request stderr noise
-                pass
-
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
-        thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
-        )
-        thread.start()
-        return self._server.server_address[1]
-
-    @property
-    def port(self) -> Optional[int]:
-        if self._server is None:
-            return None
-        return self._server.server_address[1]
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        """Detach from the bus, write the final snapshot, stop the server."""
+        """Detach from the bus and write the final snapshot."""
         self._unsubscribe()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
         if self._stream is not None:
-            with self._lock:
-                self._write_snapshot(self._last_at)
+            self._write_snapshot(self._last_at)
             if self._owns_stream:
                 self._stream.close()
             self._stream = None

@@ -52,7 +52,8 @@ read, each defined in :func:`run_cell`:
 * ``final_imbalance`` — the end-of-run max/mean worker load (planner
   cells only);
 * for elastic cells (``active_workers`` set), ``residual_bins``, the bins
-  left resident on drained workers across every drain, and
+  left resident on drained workers across every drain,
+  ``final_active_workers``, the workers active when the run ends, and
   ``cluster_fingerprint``, the owner-independent digest of all bin state
   (:func:`repro.chaos.recovery.cluster_fingerprint`) — what a static
   membership twin must reproduce;
@@ -107,6 +108,7 @@ METRICS = (
     "rss_overshoot_bytes",
     "peak_spilled_bytes",
     "residual_bins",
+    "final_active_workers",
     "cluster_fingerprint",
 )
 # Metrics whose values are strings: they compare by ``==`` only.
@@ -464,6 +466,7 @@ def run_cell(cell: MatrixCell) -> dict:
         row["final_imbalance"] = round(result.final_imbalance, 9)
     if result.scaling is not None:
         row["residual_bins"] = result.scaling.residual_bins
+        row["final_active_workers"] = _final_active_workers(result)
         row["cluster_fingerprint"] = result.cluster_fingerprint
     if result.config.sample_memory:
         row.update(_memory_metrics(result))
@@ -472,6 +475,14 @@ def run_cell(cell: MatrixCell) -> dict:
         if row["chaos_verdict"] == "stalled":
             row["status"] = "stalled"
     return row
+
+
+def _final_active_workers(result) -> int:
+    """The initially active prefix, replayed through every transition."""
+    states = {w: "active" for w in range(result.config.initial_active)}
+    for _at, worker, _prev, state in result.membership:
+        states[worker] = state
+    return sum(state == "active" for state in states.values())
 
 
 def _memory_metrics(result) -> dict:

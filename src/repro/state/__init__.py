@@ -8,10 +8,9 @@ accounting, per-bin key/heat stats) with a
 shipping, snapshots, and crash recovery all serialize through the single
 ``extract_bin`` + codec path.
 
-Built-ins: ``dict`` (the seed's behavior, byte-identical), ``sorted-log``
-(append + compaction), ``tiered`` (hot RAM tier, cold modeled-disk tier
-with LRU spill and promote-on-access), and ``wal`` (segmented CRC32-framed
-write-ahead log with crash-consistent recovery and per-key dirty epochs
+Built-ins: ``dict`` (the seed's behavior, byte-identical), ``tiered``
+(hot RAM tier, cold modeled-disk tier with LRU spill and
+promote-on-access), and ``wal`` (segmented CRC32-framed write-ahead log with crash-consistent recovery and per-key dirty epochs
 for delta migration — DESIGN.md §13).  Codecs: ``modeled``, ``pickle``,
 ``struct``.  See DESIGN.md §10.
 """
@@ -31,12 +30,9 @@ from repro.state.registry import (
     backend_names,
     codec_names,
     make_backend,
-    register_backend,
-    register_codec,
     resolve_backend,
     resolve_codec,
 )
-from repro.state.sortedlog import LogState, SortedLogBackend
 from repro.state.tiered import TieredSpillBackend
 from repro.state.wal import (
     WalBackend,
@@ -54,10 +50,8 @@ __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_CODEC",
     "DictBackend",
-    "LogState",
     "ModeledCodec",
     "PickleCodec",
-    "SortedLogBackend",
     "StateBackend",
     "StructCodec",
     "TieredSpillBackend",
@@ -70,8 +64,6 @@ __all__ = [
     "codec_names",
     "default_state_size",
     "make_backend",
-    "register_backend",
-    "register_codec",
     "resolve_backend",
     "resolve_codec",
 ]

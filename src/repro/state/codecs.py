@@ -117,8 +117,7 @@ class StructCodec(Codec):
     16 bytes per entry instead of pickle's per-object overhead.  Non-
     conforming states fall back to pickle behind a one-byte tag, so the
     codec is safe for any workload.  Encoding is modeled cheaper per byte
-    than decoding (writers stream, readers validate) — the asymmetry the
-    sorted-log backend's compaction schedule is sensitive to.
+    than decoding (writers stream, readers validate).
     """
 
     name = "struct"

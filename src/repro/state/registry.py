@@ -1,10 +1,9 @@
-"""Registries of state backends and codecs.
+"""The built-in state backends and codecs, by name.
 
 Selection everywhere (``ExperimentConfig``, the NEXMark harness, the CLI's
-``--state-backend``/``--codec`` flags) is by registered name, so a
-third-party backend only needs :func:`register_backend` — no CLI or
-harness edits.  Unknown names raise ``ValueError`` listing what *is*
-registered; the CLI turns that into a clean exit.
+``--state-backend``/``--codec`` flags) is by name.  Unknown names raise
+``ValueError`` listing the known ones; the CLI turns that into a clean
+exit.
 """
 
 from __future__ import annotations
@@ -13,40 +12,23 @@ from typing import Callable, Optional, Type
 
 from repro.state.backend import DictBackend, StateBackend
 from repro.state.codecs import Codec, ModeledCodec, PickleCodec, StructCodec
-from repro.state.sortedlog import SortedLogBackend
 from repro.state.tiered import TieredSpillBackend
 from repro.state.wal import WalBackend
 
 DEFAULT_BACKEND = "dict"
 DEFAULT_CODEC = "modeled"
 
-_BACKENDS: dict[str, Type[StateBackend]] = {}
-_CODECS: dict[str, Codec] = {}
-
-
-def register_backend(cls: Type[StateBackend]) -> Type[StateBackend]:
-    """Register a backend class under its ``name`` (idempotent for the same
-    class; re-registering a different class under a taken name is an error)."""
-    name = cls.name
-    if not name:
-        raise ValueError(f"{cls.__name__} has no backend name")
-    existing = _BACKENDS.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"backend name {name!r} is already registered")
-    _BACKENDS[name] = cls
-    return cls
-
-
-def register_codec(codec: Codec) -> Codec:
-    """Register a codec instance under its ``name`` (codecs are stateless)."""
-    name = codec.name
-    if not name:
-        raise ValueError(f"{type(codec).__name__} has no codec name")
-    existing = _CODECS.get(name)
-    if existing is not None and type(existing) is not type(codec):
-        raise ValueError(f"codec name {name!r} is already registered")
-    _CODECS[name] = codec
-    return codec
+_BACKENDS: dict[str, Type[StateBackend]] = {
+    "dict": DictBackend,
+    "tiered": TieredSpillBackend,
+    "wal": WalBackend,
+}
+# Codecs are stateless, so one instance each serves every backend.
+_CODECS: dict[str, Codec] = {
+    "modeled": ModeledCodec(),
+    "pickle": PickleCodec(),
+    "struct": StructCodec(),
+}
 
 
 def backend_names() -> list[str]:
@@ -85,7 +67,7 @@ def make_backend(
     codec: str | Codec = DEFAULT_CODEC,
     options: Optional[dict] = None,
 ) -> StateBackend:
-    """Construct a registered backend with a resolved codec.
+    """Construct a named backend with a resolved codec.
 
     ``options`` are backend-specific constructor keywords (e.g. the tiered
     backend's ``hot_capacity_bytes``); ``None`` values are dropped so
@@ -99,12 +81,3 @@ def make_backend(
     }
     return cls(state_factory, size_fn, codec, **kwargs)
 
-
-# The built-in set.
-register_backend(DictBackend)
-register_backend(SortedLogBackend)
-register_backend(TieredSpillBackend)
-register_backend(WalBackend)
-register_codec(ModeledCodec())
-register_codec(PickleCodec())
-register_codec(StructCodec())

@@ -37,9 +37,9 @@ per-key dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a
 *delta* payload holding only keys dirtied strictly after ``E`` — the wire
 format of delta migration (base payloads record their epoch at capture).
 
-Compaction reuses the sorted-log design at log granularity: once
-``compact_threshold`` frames accumulate, the whole log is rewritten as one
-checkpoint frame per resident bin, bounding replay work and log size.
+Compaction: once ``compact_threshold`` frames accumulate, the whole log
+is rewritten as one checkpoint frame per resident bin, bounding replay
+work and log size.
 """
 
 from __future__ import annotations
@@ -338,9 +338,8 @@ class WalRegistry:
 class WalState(MutableMapping):
     """A mapping whose writes go to the owning backend's log, write-through.
 
-    Unlike the sorted-log's :class:`~repro.state.sortedlog.LogState`, reads
-    and writes hit ``data`` directly (the log is durability, not the read
-    path).  Each write stamps the key's dirty epoch for delta extraction.
+    Reads and writes hit ``data`` directly (the log is durability, not the
+    read path).  Each write stamps the key's dirty epoch for delta extraction.
     """
 
     __slots__ = ("data", "dirty", "_owner", "_bin_id")

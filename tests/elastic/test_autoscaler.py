@@ -46,6 +46,7 @@ def make(config=None, num_workers=6, active_workers=4):
             trigger_samples=2,
             cooldown_s=3.0,
         ),
+        stop_s=60.0,
     )
     return scaler, coordinator, directory
 
@@ -140,10 +141,10 @@ def test_max_workers_caps_scale_out():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(policy="nope"),
+        dict(min_workers=3, max_workers=2),  # cap below the floor
         dict(scale_out_load=100.0, scale_in_load=100.0),  # no hysteresis band
         dict(min_workers=0),
-        dict(max_workers=9),
+        dict(max_workers=9),  # cap above the provisioned slots
         dict(step=0),
         dict(decide_s=0.0),
     ],

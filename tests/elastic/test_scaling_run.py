@@ -11,7 +11,12 @@ import dataclasses
 import pytest
 
 from repro.elastic import AutoscalerConfig, ScalingPlan
-from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    result_fingerprint,
+    run_count_experiment,
+)
+from repro.obsv.eventlog import config_to_dict
 
 
 def elastic_config(**overrides) -> ExperimentConfig:
@@ -79,8 +84,8 @@ def test_scale_out_only_ends_with_six_active():
     assert all(states[w] == "active" for w in range(6))
 
 
-def test_autoscaler_closed_loop_scales_out_under_load():
-    cfg = elastic_config(
+def autoscale_config(**overrides) -> ExperimentConfig:
+    return elastic_config(
         scaling_plan=None,
         rate=4_000.0,
         autoscale=AutoscalerConfig(
@@ -88,12 +93,36 @@ def test_autoscaler_closed_loop_scales_out_under_load():
             scale_in_load=200.0,
             cooldown_s=1.5,
         ),
+        **overrides,
     )
+
+
+def test_autoscaler_closed_loop_scales_out_under_load():
+    cfg = autoscale_config()
     result = run_count_experiment(cfg)
     actions = [d.action for d in result.autoscale_decisions]
     assert "scale-out" in actions
     assert all(op.completed_at is not None for op in result.scaling.operations)
     assert result.scaling.residual_bins == 0
+    # No record lost or duplicated: every bin ends as a static twin's.
+    twin = run_count_experiment(dataclasses.replace(cfg, autoscale=None))
+    assert result.cluster_fingerprint is not None
+    assert result.cluster_fingerprint == twin.cluster_fingerprint
+
+
+def test_a_run_leaves_its_autoscale_config_untouched():
+    # Regression: the harness wrote the run's duration into the caller's
+    # AutoscalerConfig, so the same config reused with a shorter duration
+    # kept deciding after its input closed.
+    cfg = autoscale_config()
+    before = config_to_dict(cfg)
+    run_count_experiment(cfg)
+    assert config_to_dict(cfg) == before
+    reused = dataclasses.replace(cfg, duration_s=4.0)  # shares cfg.autoscale
+    fresh = autoscale_config(duration_s=4.0)
+    assert result_fingerprint(run_count_experiment(reused)) == result_fingerprint(
+        run_count_experiment(fresh)
+    )
 
 
 def test_timer_paced_drain_waits_for_the_last_step():

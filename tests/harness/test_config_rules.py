@@ -48,7 +48,7 @@ CASES = {
     "backend": (
         lambda: ExperimentConfig(state_backend="rocksdb"),
         "state_backend",
-        "'rocksdb': unknown state backend 'rocksdb'; registered: dict, sorted-log",
+        "'rocksdb': unknown state backend 'rocksdb'; registered: dict, tiered, wal",
     ),
     "codec": (
         lambda: ExperimentConfig(codec="arrow"),
@@ -83,8 +83,6 @@ CASES = {
     "native": (_sharded(native=True), "parallel", "native"),
     "record_log": (_sharded(record_log="run.jsonl"), "parallel", "--record"),
     "export_metrics": (_sharded(export_metrics="-"), "parallel", "--export-metrics"),
-    # Port 0 asks for an ephemeral port: set, though falsy.
-    "metrics_port": (_sharded(metrics_port=0), "parallel", "--metrics-port"),
     "elastic": (_sharded(active_workers=4), "parallel", "elastic membership"),
     "negative": (
         lambda: ExperimentConfig(parallel=-1), "parallel", "got -1"

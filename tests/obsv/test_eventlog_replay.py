@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.elastic import AutoscalerConfig
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
 from repro.obsv import EventLogError, read_log_meta, replay_run
 from repro.obsv.eventlog import config_from_dict, config_to_dict, read_events
@@ -49,17 +50,29 @@ def test_config_from_dict_rejects_unknown_fields():
 
 
 def test_log_recorded_with_a_retired_observer_field_still_replays(tmp_path):
-    # Headers written while ExperimentConfig had `profile_shards` or
-    # `reference_routing` carry `false` for them; such a log must keep
-    # replaying.
+    # Headers written while ExperimentConfig or its AutoscalerConfig had a
+    # since-removed field carry it at its old default; such a log must
+    # keep replaying.
     log = tmp_path / "run.jsonl"
-    run_count_experiment(_small_config(record_log=str(log)))
+    run_count_experiment(
+        _small_config(record_log=str(log), autoscale=AutoscalerConfig())
+    )
     lines = log.read_text().splitlines()
     header = json.loads(lines[0])
-    header["config"]["profile_shards"] = False
-    header["config"]["reference_routing"] = False
+    header["config"].update(
+        profile_shards=False,
+        reference_routing=False,
+        metrics_port=None,
+        metrics_flush_s=0.25,
+        wal_segment_bytes=65536,
+        wal_compact_threshold=512,
+        wal_sync_every=1,
+    )
+    header["config"]["autoscale"].update(policy="threshold", stop_s=None)
     log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
-    assert config_from_dict(header["config"]) == _small_config()
+    assert config_from_dict(header["config"]) == _small_config(
+        autoscale=AutoscalerConfig()
+    )
     assert replay_run(str(log)).ok
 
 

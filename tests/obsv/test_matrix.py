@@ -487,3 +487,12 @@ def test_only_elastic_cells_carry_fingerprint_and_residual_bins(elastic_sweep):
         assert len(rows[cell]["cluster_fingerprint"]) == 64
     assert "residual_bins" not in rows["static"]
     assert "cluster_fingerprint" not in rows["static"]
+
+
+def test_only_elastic_cells_count_their_final_active_workers(elastic_sweep):
+    _spec, report = elastic_sweep
+    rows = {row["cell"]: row for row in report["cells"]}
+    # "scaled" joined workers 2 and 3, then drained them again.
+    for cell in ("scaled", "twin", "wider"):
+        assert rows[cell]["final_active_workers"] == 2
+    assert "final_active_workers" not in rows["static"]

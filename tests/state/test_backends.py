@@ -1,21 +1,15 @@
-"""Backend unit tests: lifecycle, residency errors, spill/promote, compaction,
-and the registry's unknown-name behavior."""
+"""Backend unit tests: lifecycle, residency errors, spill/promote, and the
+registry's unknown-name behavior."""
 
 import pytest
 
 from repro.megaphone.bins import BinStore
 from repro.state import (
     BinNotResident,
-    DictBackend,
-    LogState,
     ModeledCodec,
-    SortedLogBackend,
-    StateBackend,
-    TieredSpillBackend,
     backend_names,
     codec_names,
     make_backend,
-    register_backend,
     resolve_backend,
     resolve_codec,
 )
@@ -29,7 +23,7 @@ def _backend(name, **options):
     return make_backend(name, dict, _size_fn, codec="modeled", options=options)
 
 
-@pytest.mark.parametrize("name", ["dict", "sorted-log", "tiered", "wal"])
+@pytest.mark.parametrize("name", ["dict", "tiered", "wal"])
 def test_backend_lifecycle(name):
     backend = _backend(name)
     backend.create_bin(3)
@@ -49,7 +43,7 @@ def test_backend_lifecycle(name):
     assert not backend.has_bin(3)
 
 
-@pytest.mark.parametrize("name", ["dict", "sorted-log", "tiered", "wal"])
+@pytest.mark.parametrize("name", ["dict", "tiered", "wal"])
 def test_extract_install_round_trip(name):
     backend = _backend(name)
     backend.create_bin(0)
@@ -138,67 +132,13 @@ def test_tiered_extract_ships_cold_payload_without_promotion():
     assert dict(other.items(0)) == {1: 10}
 
 
-def test_sorted_log_compacts_after_threshold():
-    backend = _backend("sorted-log", compact_threshold=8)
-    backend.create_bin(0)
-    state = backend.state_of(0)
-    assert isinstance(state, LogState)
-    for i in range(20):
-        state[i % 4] = i
-        backend.note_applied(0)
-    assert backend.compactions >= 1
-    assert dict(state.items()) == {0: 16, 1: 17, 2: 18, 3: 19}
-    # Uncompacted tail entries carry modeled log overhead...
-    assert backend.state_bytes(0) == 4 * 8 + state.log_len * 16
-    # ...which disappears once the log folds into the base.
-    state.compact()
-    assert backend.state_bytes(0) == 4 * 8
-
-
-def test_sorted_log_tombstones_delete_across_compaction():
-    state = LogState()
-    state["a"] = 1
-    state["b"] = 2
-    state.compact()
-    del state["a"]
-    assert "a" not in state
-    assert len(state) == 1
-    state.compact()
-    assert dict(state.items()) == {"b": 2}
-    with pytest.raises(KeyError):
-        del state["a"]
-
-
-def test_sorted_log_extract_materializes_flat_state():
-    backend = _backend("sorted-log")
-    backend.create_bin(0)
-    backend.put(0, "x", 1)
-    backend.put(0, "x", 2)
-    payload = backend.extract_bin(0, remove=True)
-    # The shipped payload is the compacted mapping, not the log.
-    assert payload.payload == {"x": 2}
-    assert payload.state_bytes == 8
-
-
 def test_registry_lists_builtins_and_rejects_unknown_names():
-    assert {"dict", "sorted-log", "tiered", "wal"} <= set(backend_names())
-    assert {"modeled", "pickle", "struct"} <= set(codec_names())
-    with pytest.raises(ValueError, match="dict, sorted-log, tiered, wal"):
+    assert backend_names() == ["dict", "tiered", "wal"]
+    assert codec_names() == ["modeled", "pickle", "struct"]
+    with pytest.raises(ValueError, match="registered: dict, tiered, wal$"):
         resolve_backend("rocksdb")
     with pytest.raises(ValueError, match="modeled"):
         resolve_codec("arrow")
-
-
-def test_registry_rejects_conflicting_registration():
-    class Impostor(StateBackend):
-        name = "dict"
-
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend(Impostor)
-    # Re-registering the same class is idempotent.
-    assert register_backend(DictBackend) is DictBackend
-    assert resolve_backend("tiered") is TieredSpillBackend
-    assert resolve_backend("sorted-log") is SortedLogBackend
 
 
 def test_make_backend_drops_none_options():

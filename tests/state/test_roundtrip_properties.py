@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.state import make_backend, resolve_codec
 
-BACKENDS = ["dict", "sorted-log", "tiered"]
+BACKENDS = ["dict", "tiered", "wal"]
 CODECS = ["modeled", "pickle", "struct"]
 
 

@@ -150,7 +150,7 @@ def test_profile_flag_wraps_other_commands(capsys):
         # The registry's own message, behind the flag that named it.
         (["count", "--state-backend", "rocksdb"],
          "--state-backend 'rocksdb': unknown state backend 'rocksdb'; "
-         "registered: dict, sorted-log, tiered"),
+         "registered: dict, tiered, wal"),
         (["count", "--codec", "arrow"],
          "--codec 'arrow': unknown codec 'arrow'; registered: modeled, "
          "pickle, struct"),
@@ -171,7 +171,7 @@ def test_unknown_backend_or_codec_rejected(argv, message, capsys):
 
 def test_count_runs_on_every_backend(capsys):
     for backend, extra in [
-        ("sorted-log", []),
+        ("dict", []),
         ("tiered", ["--hot-capacity", "20000"]),
         ("wal", []),
     ]:
@@ -188,7 +188,7 @@ def test_count_runs_on_every_backend(capsys):
 def test_list_names_backends_and_codecs(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    assert "state backends: dict, sorted-log, tiered, wal" in out
+    assert "state backends: dict, tiered, wal" in out
     assert "codecs: modeled, pickle, struct" in out
 
 
@@ -197,7 +197,7 @@ def test_unknown_backend_error_names_wal(capsys):
         main(["count", "--state-backend", "rocksdb"])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    assert "registered: dict, sorted-log, tiered, wal" in err
+    assert "registered: dict, tiered, wal" in err
 
 
 def test_count_with_wal_and_delta_migration(capsys):
@@ -467,12 +467,6 @@ def test_count_autoscale_reports_decisions(capsys):
     assert "scale-out" in out
 
 
-def test_list_names_autoscaler_policies(capsys):
-    assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "autoscaler policy: threshold" in out
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -529,14 +523,9 @@ _COUNT_DEFAULT = {
     "state_backend": "dict",
     "codec": "modeled",
     "hot_capacity_bytes": None,
-    "wal_segment_bytes": 65536,
-    "wal_compact_threshold": 512,
-    "wal_sync_every": 1,
     "delta_migration": False,
     "collect_trace": False,
     "export_metrics": None,
-    "metrics_port": None,
-    "metrics_flush_s": 0.25,
     "record_log": None,
     "collect_topic_counts": None,
     "native": False,
@@ -578,8 +567,8 @@ _PLAN_DEFAULT = {
     },
 }
 
-# Each command with no flags, then each argument list CI runs, with the
-# `config_to_dict` of the config it builds.
+# Each command with no flags, then each argument list CI runs and the
+# autoscaler's flags, with the `config_to_dict` of the config it builds.
 _BUILT_CONFIGS = {
     "count": (["count"], _COUNT_DEFAULT),
     "count-obsv": (
@@ -602,8 +591,8 @@ _BUILT_CONFIGS = {
          "num_bins": 16, "domain": 4096, "rate": 4000.0, "duration_s": 4.0,
          "active_workers": 4,
          "autoscale": {
-             "policy": "threshold", "start_s": 1.0, "decide_s": 0.5,
-             "stop_s": None, "scale_out_load": 800.0, "scale_in_load": 200.0,
+             "start_s": 1.0, "decide_s": 0.5,
+             "scale_out_load": 800.0, "scale_in_load": 200.0,
              "trigger_samples": 2, "cooldown_s": 1.5, "min_workers": 1,
              "max_workers": 0, "step": 1,
          }},
