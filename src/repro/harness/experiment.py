@@ -609,8 +609,6 @@ class MigrationExperiment:
                 bandwidth_bytes_per_s=cfg.bandwidth_bytes_per_s,
                 network_latency_s=cfg.network_latency_s,
             )
-            if cfg.planner.stop_s is None:
-                cfg.planner.stop_s = cfg.duration_s
 
         def _membership_placeable(worker: int) -> bool:
             # Crash retargeting must respect membership in elastic runs:
@@ -670,6 +668,7 @@ class MigrationExperiment:
                 controller_factory=lambda plan: make_controller(
                     plan, gap_s=cfg.planner.gap_s
                 ),
+                stop_s=cfg.duration_s,
             )
             telemetry.start(0.0)
             planner.start()

@@ -130,6 +130,7 @@ class ClosedLoopPlanner:
         cost_model: MigrationCostModel,
         config: Optional[PlannerConfig] = None,
         controller_factory: Optional[Callable[[MigrationPlan], object]] = None,
+        stop_s: Optional[float] = None,
     ) -> None:
         self._runtime = runtime
         self._op = op
@@ -140,6 +141,10 @@ class ClosedLoopPlanner:
         self.cost_model = cost_model
         self.config = config if config is not None else PlannerConfig()
         self._controller_factory = controller_factory
+        # The config's own stop wins; ``stop_s`` is the caller's default
+        # (the harness passes the run's duration) and is never written
+        # back into the shared config.
+        self._stop_s = self.config.stop_s if self.config.stop_s is not None else stop_s
         self.current: BinnedConfiguration = op.config.initial
         self.report = PlannerReport()
         self.controllers: list = []
@@ -167,7 +172,7 @@ class ClosedLoopPlanner:
     def _decide(self) -> None:
         sim = self._runtime.sim
         cfg = self.config
-        if self._stopped or (cfg.stop_s is not None and sim.now >= cfg.stop_s):
+        if self._stopped or (self._stop_s is not None and sim.now >= self._stop_s):
             return
         try:
             self._decide_once()

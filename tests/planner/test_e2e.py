@@ -6,9 +6,16 @@ planner-enabled run detects the skew, migrates, and converges to a
 near-balanced assignment — without blowing the latency envelope.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    result_fingerprint,
+    run_count_experiment,
+)
+from repro.obsv.eventlog import config_to_dict
 from repro.planner import PlannerConfig, TelemetryConfig
 
 
@@ -109,6 +116,21 @@ def test_cost_model_predictions_within_2x_of_observed():
     assert 0.5 <= predicted_total / observed_total <= 2.0
     in_band = sum(1 for r in ratios if 0.5 <= r <= 2.0)
     assert in_band >= len(ratios) / 2
+
+
+def test_a_run_leaves_its_planner_config_untouched():
+    # Regression: the harness wrote the run's duration into the caller's
+    # PlannerConfig.stop_s, so the same config reused with a shorter
+    # duration kept deciding after its input closed.
+    cfg = skew_config(duration_s=3.0, planner=planner_config())
+    before = config_to_dict(cfg)
+    run_count_experiment(cfg)
+    assert config_to_dict(cfg) == before
+    reused = dataclasses.replace(cfg, duration_s=2.0)  # shares cfg.planner
+    fresh = skew_config(duration_s=2.0, planner=planner_config())
+    assert result_fingerprint(run_count_experiment(reused)) == result_fingerprint(
+        run_count_experiment(fresh)
+    )
 
 
 def test_skewed_workload_is_deterministic_and_skewed():
