@@ -755,21 +755,35 @@ class MigrationExperiment:
                 or (planner is not None and not planner.done)
             )
 
-        guard = 0
-        while _pending():
-            if watchdog is not None and watchdog.failed:
-                # The watchdog gave up: stop driving and report the stall
-                # (verdict + diagnosis) instead of spinning.
-                break
-            runtime.sim.run(max_events=100_000)
-            guard += 1
-            if guard > 10_000:
-                if chaos is not None:
-                    break
-                raise RuntimeError("migration did not complete; dataflow stalled")
-        if telemetry is not None:
-            telemetry.stop()
-        ticker.stop()
+        def _settled() -> bool:
+            # A gave-up watchdog also settles the run: stop driving and
+            # report the stall (verdict + diagnosis) instead of spinning.
+            if _pending() and not (watchdog is not None and watchdog.failed):
+                return False
+            if telemetry is not None:
+                telemetry.stop()
+            return True
+
+        if _settled():
+            ticker.stop()
+        else:
+            # Drain in simulated time: the ticker closes the control input
+            # at the first tick where nothing is pending, so the idle tail
+            # the timeline records does not depend on the chunk size below.
+            ticker.stop_when(_settled)
+            guard = 0
+            while not ticker.closed:
+                runtime.sim.run(max_events=100_000)
+                guard += 1
+                if guard > 10_000:
+                    if chaos is not None:
+                        break
+                    raise RuntimeError(
+                        "migration did not complete; dataflow stalled"
+                    )
+            if telemetry is not None:
+                telemetry.stop()
+            ticker.stop()
         runtime.run_to_quiescence()
 
         if fault_log is not None:

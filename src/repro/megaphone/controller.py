@@ -69,6 +69,8 @@ class EpochTicker:
         # movement against the shard progress broadcast.
         self.workers = sorted(workers) if workers is not None else None
         self._stopped = False
+        self._stop_when: Optional[Callable[[], bool]] = None
+        self.closed = False
 
     @property
     def tick_s(self) -> float:
@@ -87,6 +89,14 @@ class EpochTicker:
         """Stop ticking and close the group at the next tick."""
         self._stopped = True
 
+    def stop_when(self, predicate: Callable[[], bool]) -> None:
+        """Close the group at the first tick where ``predicate()`` holds.
+
+        The stop is decided in simulated time, so it does not depend on
+        how the host slices the run into ``sim.run`` calls.
+        """
+        self._stop_when = predicate
+
     def _driven_handles(self) -> list:
         handles = self.group.handles()
         if self.workers is None:
@@ -95,7 +105,12 @@ class EpochTicker:
 
     def _tick(self) -> None:
         now = self.runtime.sim.now
-        if self._stopped or (self.until_s is not None and now >= self.until_s):
+        if (
+            self._stopped
+            or (self.until_s is not None and now >= self.until_s)
+            or (self._stop_when is not None and self._stop_when())
+        ):
+            self.closed = True
             for handle in self._driven_handles():
                 handle.close()
             return

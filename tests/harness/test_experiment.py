@@ -121,6 +121,28 @@ def test_all_at_once_spikes_above_fluid():
     assert spike > 3 * fluid
 
 
+def test_drain_past_duration_ends_the_timeline_at_the_last_step():
+    # Regression: a migration still running at duration_s + 1 was driven
+    # in 100,000-event host chunks, and every idle epoch ticked until the
+    # chunk ran out landed in the timeline (out to 159 s here).  The stop
+    # is now the first tick where nothing is pending.
+    result = run_count_experiment(
+        small_config(
+            domain=1 << 20,
+            rate=2_000,
+            duration_s=1.0,
+            bytes_per_key=8.0,
+            bandwidth_bytes_per_s=8e5,
+            migrate_at_s=(0.5,),
+            strategy="fluid",
+        )
+    )
+    last_step = max(s.completed_at for m in result.migrations for s in m.steps)
+    assert last_step > 1.0 + 1.0  # the migration outlasts the main run
+    window = result.timeline.window_s
+    assert result.timeline.series()[-1].start_s <= last_step + window
+
+
 def test_memory_spike_only_for_all_at_once():
     base = dict(
         migrate_at_s=(1.0,),
