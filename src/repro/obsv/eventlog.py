@@ -29,7 +29,11 @@ from typing import IO, Iterable, Optional
 from repro.errors import ConfigError
 from repro.runtime_events.bus import TraceBus
 from repro.runtime_events.events import TOPICS
-from repro.versions import EVENT_LOG_READ_VERSIONS, EVENT_LOG_VERSION
+from repro.versions import (
+    EVENT_LOG_READ_VERSIONS,
+    EVENT_LOG_RETIRED_REASON,
+    EVENT_LOG_VERSION,
+)
 
 
 class EventLogError(ValueError):
@@ -362,9 +366,14 @@ def read_log_meta(path: str) -> tuple[dict, dict]:
         )
     version = header.get("version")
     if version not in EVENT_LOG_READ_VERSIONS:
+        retired = (
+            f" ({EVENT_LOG_RETIRED_REASON})"
+            if isinstance(version, int) and version < min(EVENT_LOG_READ_VERSIONS)
+            else ""
+        )
         raise EventLogError(
             f"{path}: event-log version {version!r} is not replayable by "
-            f"this build (reads {EVENT_LOG_READ_VERSIONS}); "
+            f"this build (reads {EVENT_LOG_READ_VERSIONS}){retired}; "
             "re-record with a matching build"
         )
     topics = header.get("topics")

@@ -1,9 +1,21 @@
 """Deterministic discrete-event simulation engine.
 
 The engine keeps a single binary heap of pending events.  Events scheduled at
-the same simulated time fire in the order they were scheduled (a per-event
+the same simulated time fire in the order they were scheduled (a per-entry
 sequence number breaks ties), which makes every simulation run fully
 deterministic and therefore reproducible and debuggable.
+
+Callbacks due at one instant share a heap entry.  With one entry per
+callback, a new callback would take the next ``seq`` and so sort after every
+callback still pending at its time; appending it to the newest pending entry
+for that time gives it exactly that position.  An entry stops taking
+callbacks when it pops, so a callback scheduled at ``now`` by a firing group
+starts a new entry after it.  A cancellable :class:`Event` always gets its
+own entry and closes the group before it, so callbacks scheduled after it
+start a new entry that sorts after it.  Every callback therefore fires in
+the same order, at the same ``now``, as with one entry per callback;
+``events_processed`` counts heap entries.  (A callback that raises takes the
+rest of its group with it; nothing resumes a simulator after a raise.)
 
 The simulator also carries the process-wide :class:`~repro.runtime_events.bus.TraceBus`
 (as ``sim.trace``): every layer of the runtime holds a simulator reference, so
@@ -27,12 +39,18 @@ _COMPACT_MIN_CANCELLED = 64
 _INF = float("inf")
 
 
+class _Group(list):
+    """Two or more callbacks sharing one heap entry, in scheduling order."""
+
+    __slots__ = ()
+
+
 class Event:
     """A scheduled callback.
 
-    Heap entries are ``(time, seq, event)`` tuples, so ordering is decided
-    by C-level tuple comparison — ``seq`` is unique, so the comparison never
-    reaches the event object itself.  ``cancelled`` events stay in the heap
+    Heap entries are ``[time, seq, item]`` lists, so ordering is decided
+    by C-level list comparison — ``seq`` is unique, so the comparison never
+    reaches the item itself.  ``cancelled`` events stay in the heap
     but are skipped when popped (lazy deletion), which keeps cancellation
     O(1); the owning simulator compacts the heap when cancelled entries
     outnumber live ones.
@@ -83,16 +101,21 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.trace: TraceBus = TraceBus()
-        # (time, seq, Event) triples: the heap orders by C-level tuple
+        # [time, seq, item] entries, where item is an Event, a bare
+        # callback or a _Group of callbacks: the heap orders by C-level list
         # comparison without ever invoking Python comparison methods.
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[list] = []
+        # time -> the newest pending entry a callback at that time may join.
+        # Dropped when that entry pops (a firing group never grows) and when
+        # an Event is scheduled at the same time (it must stay in between).
+        self._pending_at: dict[float, list] = {}
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled: int = 0
 
     @property
     def events_processed(self) -> int:
-        """Number of events that have fired so far."""
+        """Number of heap entries that have fired so far."""
         return self._events_processed
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
@@ -112,7 +135,8 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         event = Event(time, seq, callback, False, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, [time, seq, event])
+        self._pending_at.pop(time, None)
         return event
 
     def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
@@ -125,18 +149,28 @@ class Simulator:
     def schedule_fast_at(self, time: float, callback: Callable[[], None]) -> None:
         """Like :meth:`schedule_at` but without a handle (not cancellable).
 
-        The heap entry carries the bare callable — the hot activation path
-        schedules hundreds of thousands of these, and skipping the Event
-        allocation is a measurable win.  Fire order is identical to
-        :meth:`schedule_at` because both draw from the same ``seq`` counter.
+        The hot activation path schedules hundreds of thousands of these,
+        so no Event is allocated: the callback joins the newest pending
+        entry for ``time`` if there is one, and otherwise becomes a new
+        entry holding the bare callable.
         """
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at {time!r}: simulated time is already {self.now!r}"
             )
-        seq = self._seq + 1
-        self._seq = seq
-        heapq.heappush(self._heap, (time, seq, callback))
+        entry = self._pending_at.get(time)
+        if entry is None:
+            seq = self._seq + 1
+            self._seq = seq
+            entry = [time, seq, callback]
+            heapq.heappush(self._heap, entry)
+            self._pending_at[time] = entry
+            return
+        item = entry[2]
+        if item.__class__ is _Group:
+            item.append(callback)
+        else:
+            entry[2] = _Group((item, callback))
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -150,7 +184,8 @@ class Simulator:
         """Rebuild the heap from live events.
 
         Safe at any point: ``(time, seq)`` keys form a unique total order, so
-        the rebuilt heap pops in exactly the same sequence as the old one.
+        the rebuilt heap pops in exactly the same sequence as the old one,
+        and the entries ``_pending_at`` points at are kept as they are.
         """
         # In-place (slice assignment): ``run`` holds a local alias to the
         # heap list across callbacks, so the list's identity must not change.
@@ -174,18 +209,33 @@ class Simulator:
         return None
 
     def step(self) -> bool:
-        """Fire the next event.  Returns False when no events remain."""
-        while self._heap:
-            time, _seq, event = heapq.heappop(self._heap)
-            if event.__class__ is Event:
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                callback = event.callback
+        """Fire the next callback.  Returns False when none remain.
+
+        A group fires one callback per step: the rest stay pending in the
+        same entry, so stepping fires callbacks one at a time in the order
+        :meth:`run` fires them.  The entry counts as processed when its
+        last callback fires.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            time, _seq, item = entry
+            cls = item.__class__
+            if cls is _Group and len(item) > 1:
+                callback = item.pop(0)  # the entry's heap key is unchanged
             else:
-                callback = event
+                heapq.heappop(heap)
+                if cls is Event:
+                    if item.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    callback = item.callback
+                else:
+                    if self._pending_at.get(time) is entry:
+                        del self._pending_at[time]
+                    callback = item[0] if cls is _Group else item
+                self._events_processed += 1
             self.now = time
-            self._events_processed += 1
             callback()
             return True
         return False
@@ -199,13 +249,15 @@ class Simulator:
         """
         # The drain loop is the single hottest function in the simulator, so
         # it inlines ``peek_time`` + ``step`` to touch the heap once per
-        # event, compares each event against one float limit, and counts
-        # fired events in a local written back on exit.  ``_compact``
+        # entry, compares each entry against one float limit, and counts
+        # fired entries in a local written back on exit.  ``_compact``
         # rebuilds the heap in place, so the local alias stays valid across
         # callbacks.
         heap = self._heap
+        pending = self._pending_at
         pop = heapq.heappop
         event_cls = Event
+        group_cls = _Group
         limit = _INF if until is None else until
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
@@ -214,23 +266,28 @@ class Simulator:
                 if fired == stop:
                     return
                 entry = heap[0]
-                ev = entry[2]
-                if ev.__class__ is event_cls:
-                    if ev.cancelled:
-                        pop(heap)
-                        self._cancelled -= 1
-                        continue
-                    callback = ev.callback
-                else:
-                    callback = ev
+                item = entry[2]
+                cls = item.__class__
+                if cls is event_cls and item.cancelled:
+                    pop(heap)
+                    self._cancelled -= 1
+                    continue
                 time = entry[0]
                 if time > limit:
                     self.now = until
                     return
                 pop(heap)
+                if pending.get(time) is entry:
+                    del pending[time]
                 self.now = time
                 fired += 1
-                callback()
+                if cls is group_cls:
+                    for callback in item:
+                        callback()
+                elif cls is event_cls:
+                    item.callback()
+                else:
+                    item()
         finally:
             self._events_processed += fired
         if until is not None and until > self.now:
@@ -247,8 +304,10 @@ class Simulator:
         the number of events fired.
         """
         heap = self._heap
+        pending = self._pending_at
         pop = heapq.heappop
         event_cls = Event
+        group_cls = _Group
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
         try:
@@ -256,22 +315,27 @@ class Simulator:
                 if fired == stop:
                     break
                 entry = heap[0]
-                ev = entry[2]
-                if ev.__class__ is event_cls:
-                    if ev.cancelled:
-                        pop(heap)
-                        self._cancelled -= 1
-                        continue
-                    callback = ev.callback
-                else:
-                    callback = ev
+                item = entry[2]
+                cls = item.__class__
+                if cls is event_cls and item.cancelled:
+                    pop(heap)
+                    self._cancelled -= 1
+                    continue
                 time = entry[0]
                 if time >= bound:
                     break
                 pop(heap)
+                if pending.get(time) is entry:
+                    del pending[time]
                 self.now = time
                 fired += 1
-                callback()
+                if cls is group_cls:
+                    for callback in item:
+                        callback()
+                elif cls is event_cls:
+                    item.callback()
+                else:
+                    item()
         finally:
             self._events_processed += fired
         return fired

@@ -40,10 +40,19 @@ MATRIX_READ_VERSIONS = (1, 2)
 
 # -- obsv event logs (repro.obsv.eventlog) --------------------------------------
 # v2 added the elastic-membership provenance (active_workers, scaling_plan,
-# autoscale config fields) and the ``membership`` trace topic.  v1 logs
-# (no membership changes possible) replay unchanged.
-EVENT_LOG_VERSION = 2
-EVENT_LOG_READ_VERSIONS = (1, 2)
+# autoscale config fields) and the ``membership`` trace topic.  v3 is the
+# engine change that fires the callbacks due at one simulated instant from
+# one heap entry: the same callbacks run in the same order, but
+# ``sim_events`` counts heap entries, and the footer's fingerprint hashes
+# it, so a v1 or v2 footer can no longer be reproduced and is rejected.
+EVENT_LOG_VERSION = 3
+EVENT_LOG_READ_VERSIONS = (3,)
+# Why a log older than the read versions is refused.
+EVENT_LOG_RETIRED_REASON = (
+    "logs before v3 count one simulator event per callback; since v3 the "
+    "callbacks due at one simulated instant share one heap event, so an "
+    "older footer's fingerprint cannot be reproduced"
+)
 
 
 def parse_schema(tag: str) -> tuple[str, int]:

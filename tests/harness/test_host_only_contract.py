@@ -3,8 +3,11 @@
 Changes to the per-message machinery (carriers, scheduled callbacks, the
 event loop, accounting fast paths) are judged by wall-clock speed, and they
 are only legal if the simulated computation is byte-identical: the same
-events in the same order, so the same event count, the same latency
-timeline, the same migration step times and the same final state.
+callbacks fired in the same order, so the same callback count, the same
+latency timeline, the same migration step times and the same final state.
+How many heap entries those callbacks fire from may fall (the engine
+groups the callbacks due at one instant into one entry); that count is
+``sim_events`` and is pinned too.
 
 The two configurations are the paper-shaped count workload (16 workers,
 4096 bins, ~12-record batches — the per-message regime) and NEXMark Q3,
@@ -12,12 +15,17 @@ both at 0.5 simulated seconds with their single migration scaled to fit,
 plus the Megaphone variant of each NEXMark query 1-8 on a 4-worker,
 64-bin shape.  They are written out here rather than imported from the
 end-to-end benchmark so that neither side can resize the other.  The
-expected values were captured from a run of the runtime before its
-per-message path was slimmed (the NEXMark 1-8 rows: before F's per-record
-router was folded into its columnar one); a legitimate *modelling* change
-must update them deliberately.
+callback counts and callback fingerprints were captured from a run of the
+runtime before its per-message path was slimmed (the NEXMark 1-8 rows:
+before F's per-record router was folded into its columnar one), when every
+callback had its own heap entry and so ``sim_events`` counted callbacks.
+The callback fingerprint is ``result_fingerprint`` with the callback count
+in place of ``sim_events``; that it still matches shows the grouping moved
+nothing else.  A legitimate *modelling* change must update them
+deliberately.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -26,6 +34,7 @@ from repro.harness.experiment import ExperimentConfig, run_count_experiment
 from repro.nexmark.harness import run_nexmark_experiment
 from repro.harness.experiment import result_fingerprint
 from repro.sim.cost import CostModel
+from repro.sim.engine import Simulator
 
 # The paper testbed's per-record costs, scaled up 200x because the
 # simulation materialises 200x fewer records than the paper's 4e6 rec/s.
@@ -93,15 +102,16 @@ def _nexmark_4w() -> ExperimentConfig:
     )
 
 
-# name -> (runner, config, sim_events, result_fingerprint, timeline series
-# as (window start, records, max latency) with every float exact, or None
-# where the fingerprint's own timeline digest is the pin).
+# name -> (runner, config, (callbacks fired, callback fingerprint),
+# (sim_events, result_fingerprint), timeline series as (window start,
+# records, max latency) with every float exact, or None where the
+# fingerprint's own timeline digest is the pin).
 CASES = {
     "count_paper": (
         run_count_experiment,
         _count_paper,
-        42044,
-        "b64553160c0ffe3e8cd766d06c5468ee7f9984f11cde68dccbc7b7f8e40e5ed0",
+        (42044, "b64553160c0ffe3e8cd766d06c5468ee7f9984f11cde68dccbc7b7f8e40e5ed0"),
+        (15961, "e798f9dfd8c033ba76bff44b74ee9490ce345fd259628752a9622cd5d16fc884"),
         [
             (0.0, 4800.0, 0.011536999999999999),
             (0.25, 5200.0, 0.06133199999999994),
@@ -114,8 +124,8 @@ CASES = {
     "nexmark_q3": (
         _run_nexmark_q3,
         _nexmark_q3,
-        10893,
-        "d63b3fc34d657f4e80c55bf748f37791fb1433770c43585171715a5fd47e8267",
+        (10893, "d63b3fc34d657f4e80c55bf748f37791fb1433770c43585171715a5fd47e8267"),
+        (2551, "ad6c9f1cea1f47e8356fce1e771d8a52bcb5e5eb78440af65e6c141c79cd5a4a"),
         [
             (0.0, 5000.0, 0.010194),
             (0.25, 5000.0, 0.0003167000000000031),
@@ -131,33 +141,89 @@ CASES = {
 # relation streams reach F as plain record lists, so these pin the list
 # entry to F's router (Q1 and Q2 are stateless and share a fingerprint).
 _NEXMARK_4W = {
-    1: (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
-    2: (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
-    3: (7765, "2165fbe3e4a94cfe10f6a9074138dbbcfd6cb07670aa03388b0be21e80a828ff"),
-    4: (11812, "ae602b492307e79c11d6ccbe65f0e87b418bea5e1922bdcaa892734cfe6ec8bd"),
-    5: (9072, "23a7449ca6ca45186078254321ffbcc388446ba3b6d1b0ae1570535e5f4e1c83"),
-    6: (11742, "dc6f384b53203a0603c1661b55e807155bfffa726b4883b646370f3f644da399"),
-    7: (7931, "bc15bb33d56add80fa416ecd157db6ed4e2750d1fd0c11ee99b66566a33f1ae1"),
-    8: (7777, "3578590a4109eeff33db65b5a938a9cdd39966a077ac05cc2bfb4d475dacd177"),
+    1: (
+        (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
+        (3399, "135206640fa5784a905e83127774bd86bc66ff0e3ca826babe51d3f46d4134d5"),
+    ),
+    2: (
+        (7897, "425e53fed907d466f6966d745d6da356a258f482e2f10badac3457cb8e57d3f4"),
+        (3399, "135206640fa5784a905e83127774bd86bc66ff0e3ca826babe51d3f46d4134d5"),
+    ),
+    3: (
+        (7765, "2165fbe3e4a94cfe10f6a9074138dbbcfd6cb07670aa03388b0be21e80a828ff"),
+        (2830, "59392f38c9a51d5a119e7d15443fb247b827d3687d355950fa5e9e47bc26a56b"),
+    ),
+    4: (
+        (11812, "ae602b492307e79c11d6ccbe65f0e87b418bea5e1922bdcaa892734cfe6ec8bd"),
+        (5396, "a728acc67e993cff8b715e7ab65cd7ba0c5429de36282bbf341898b4207ec013"),
+    ),
+    5: (
+        (9072, "23a7449ca6ca45186078254321ffbcc388446ba3b6d1b0ae1570535e5f4e1c83"),
+        (4111, "0076915bcfa9d89e9213b02c638d4ab611438573ded637e67a29898eca26c06e"),
+    ),
+    6: (
+        (11742, "dc6f384b53203a0603c1661b55e807155bfffa726b4883b646370f3f644da399"),
+        (5281, "92a4fb1af4e9211ec64ddb2679251579cad39ebc416e762169e8f1978683a234"),
+    ),
+    7: (
+        (7931, "bc15bb33d56add80fa416ecd157db6ed4e2750d1fd0c11ee99b66566a33f1ae1"),
+        (3453, "9dff02a7180cdc0960fcaaaee97d4cf342148c18f39f2b1a5c6ab804d418ce10"),
+    ),
+    8: (
+        (7777, "3578590a4109eeff33db65b5a938a9cdd39966a077ac05cc2bfb4d475dacd177"),
+        (2850, "957a07bd488296a9a6eb9f860c17b514bb01f1eb73a361b5a44aa4ffde723acd"),
+    ),
 }
-for _query, (_events, _fingerprint) in _NEXMARK_4W.items():
+for _query, (_callbacks, _events) in _NEXMARK_4W.items():
     CASES[f"nexmark_4w_q{_query}"] = (
         functools.partial(run_nexmark_experiment, _query),
         _nexmark_4w,
+        _callbacks,
         _events,
-        _fingerprint,
         None,
     )
 
 
+@pytest.fixture
+def callbacks_fired(monkeypatch):
+    """Count every callback the simulator fires, by wrapping it when it is
+    scheduled (cancelled events never fire, so they are not counted)."""
+    fired = [0]
+
+    def counted(callback):
+        def run():
+            fired[0] += 1
+            callback()
+
+        return run
+
+    schedule_at = Simulator.schedule_at
+    schedule_fast_at = Simulator.schedule_fast_at
+    monkeypatch.setattr(
+        Simulator,
+        "schedule_at",
+        lambda self, time, callback: schedule_at(self, time, counted(callback)),
+    )
+    monkeypatch.setattr(
+        Simulator,
+        "schedule_fast_at",
+        lambda self, time, callback: schedule_fast_at(self, time, counted(callback)),
+    )
+    return fired
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_simulated_results_are_pinned(name):
-    run, config, sim_events, fingerprint, series = CASES[name]
+def test_simulated_results_are_pinned(name, callbacks_fired):
+    run, config, (callbacks, callback_fingerprint), events, series = CASES[name]
     result = run(config())
     assert result.records_injected == 10_000
     if series is not None:
         timeline = [(s.start_s, s.count, s.max_s) for s in result.timeline.series()]
         assert timeline == series
-    assert result.sim_events == sim_events
+    assert callbacks_fired[0] == callbacks
     # Also covers migration step times and final per-worker state.
-    assert result_fingerprint(result) == fingerprint
+    assert (
+        result_fingerprint(dataclasses.replace(result, sim_events=callbacks))
+        == callback_fingerprint
+    )
+    assert (result.sim_events, result_fingerprint(result)) == events

@@ -1,18 +1,21 @@
-"""Event-log v2: elastic provenance round-trips and scaling runs replay.
+"""Event logs: elastic provenance round-trips and scaling runs replay.
 
-The schema bump to :data:`repro.versions.EVENT_LOG_VERSION` == 2 added the
-elastic fields (``active_workers``, ``scaling_plan``, ``autoscale``) to the
-config provenance and the ``membership`` topic to the trace.  These tests
-pin three guarantees: the provenance dict inverts exactly, a recorded
-scaling run replays byte-identically, and v1 logs (which predate elastic
-membership) remain readable.
+Event-log v2 added the elastic fields (``active_workers``,
+``scaling_plan``, ``autoscale``) to the config provenance and the
+``membership`` topic to the trace.  These tests pin that the provenance
+dict inverts exactly and that a recorded scaling run replays
+byte-identically.  v3 (the current :data:`repro.versions.EVENT_LOG_VERSION`)
+counts ``sim_events`` as grouped heap entries, so v1 and v2 logs are
+refused with the reason.
 """
 
 import json
 
+import pytest
+
 from repro.elastic import AutoscalerConfig, ScalingPlan
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
-from repro.obsv import read_log_meta, replay_run
+from repro.obsv import EventLogError, read_log_meta, replay_run
 from repro.obsv.eventlog import config_from_dict, config_to_dict
 from repro.versions import EVENT_LOG_READ_VERSIONS, EVENT_LOG_VERSION
 
@@ -36,10 +39,12 @@ def _scaling_config(**overrides) -> ExperimentConfig:
     return cfg
 
 
-def test_schema_version_is_bumped_and_back_readable():
-    assert EVENT_LOG_VERSION == 2
-    # v1 logs predate elastic membership entirely; they must stay readable.
-    assert 1 in EVENT_LOG_READ_VERSIONS
+def test_schema_version_counts_grouped_heap_events():
+    # v3: sim_events counts heap entries, each firing every callback due at
+    # its instant, and the footer fingerprint hashes it; older logs cannot
+    # reproduce their footers, so only v3 is read.
+    assert EVENT_LOG_VERSION == 3
+    assert EVENT_LOG_READ_VERSIONS == (3,)
 
 
 def test_elastic_config_roundtrips_through_provenance_dict():
@@ -69,7 +74,7 @@ def test_recorded_scaling_run_carries_v2_header(tmp_path):
     log = tmp_path / "scale.jsonl"
     run_count_experiment(_scaling_config(record_log=str(log)))
     header, footer = read_log_meta(str(log))
-    assert header["version"] == EVENT_LOG_VERSION == 2
+    assert header["version"] == EVENT_LOG_VERSION
     assert header["config"]["scaling_plan"] == "join@1.5:4,5;leave@3.5:4,5"
     # The membership topic made it into the trace: four workers change
     # state twice each (join, activate) plus the drain transitions.
@@ -85,10 +90,11 @@ def test_scaling_run_replays_byte_identically(tmp_path):
     assert report.ok
 
 
-def test_v1_log_without_elastic_fields_still_replays(tmp_path):
-    # Record a non-elastic run, then rewrite its header to look like a
-    # v1 log: version 1, no elastic config fields.  The reader must
-    # accept it and the replay must still verify.
+@pytest.mark.parametrize("version", [1, 2])
+def test_v1_and_v2_logs_are_rejected_naming_the_engine_change(tmp_path, version):
+    # Record a run, then rewrite its header to an older version.  Its
+    # footer counted one event per callback, so the reader must refuse it
+    # and say why, instead of replaying to a fingerprint mismatch.
     log = tmp_path / "legacy.jsonl"
     cfg = ExperimentConfig(
         num_workers=2,
@@ -105,13 +111,11 @@ def test_v1_log_without_elastic_fields_still_replays(tmp_path):
     run_count_experiment(cfg)
     lines = log.read_text().splitlines()
     header = json.loads(lines[0])
-    header["version"] = 1
-    for field in ("active_workers", "scaling_plan", "autoscale"):
-        header["config"].pop(field, None)
+    header["version"] = version
     lines[0] = json.dumps(header)
     log.write_text("\n".join(lines) + "\n")
 
-    meta, _ = read_log_meta(str(log))
-    assert meta["version"] == 1
-    report = replay_run(str(log))
-    assert report.ok
+    with pytest.raises(EventLogError, match="one heap event"):
+        read_log_meta(str(log))
+    with pytest.raises(EventLogError, match=f"version {version} is not replayable"):
+        replay_run(str(log))
