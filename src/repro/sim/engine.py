@@ -39,12 +39,6 @@ _COMPACT_MIN_CANCELLED = 64
 _INF = float("inf")
 
 
-class _Group(list):
-    """Two or more callbacks sharing one heap entry, in scheduling order."""
-
-    __slots__ = ()
-
-
 class Event:
     """A scheduled callback.
 
@@ -102,7 +96,8 @@ class Simulator:
         self.now: float = 0.0
         self.trace: TraceBus = TraceBus()
         # [time, seq, item] entries, where item is an Event, a bare
-        # callback or a _Group of callbacks: the heap orders by C-level list
+        # callback, or a plain list of two or more callbacks due at that
+        # instant (no callback is a list): the heap orders by C-level list
         # comparison without ever invoking Python comparison methods.
         self._heap: list[list] = []
         # time -> the newest pending entry a callback at that time may join.
@@ -167,10 +162,10 @@ class Simulator:
             self._pending_at[time] = entry
             return
         item = entry[2]
-        if item.__class__ is _Group:
+        if item.__class__ is list:
             item.append(callback)
         else:
-            entry[2] = _Group((item, callback))
+            entry[2] = [item, callback]
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -221,7 +216,7 @@ class Simulator:
             entry = heap[0]
             time, _seq, item = entry
             cls = item.__class__
-            if cls is _Group and len(item) > 1:
+            if cls is list and len(item) > 1:
                 callback = item.pop(0)  # the entry's heap key is unchanged
             else:
                 heapq.heappop(heap)
@@ -233,7 +228,7 @@ class Simulator:
                 else:
                     if self._pending_at.get(time) is entry:
                         del self._pending_at[time]
-                    callback = item[0] if cls is _Group else item
+                    callback = item[0] if cls is list else item
                 self._events_processed += 1
             self.now = time
             callback()
@@ -257,7 +252,7 @@ class Simulator:
         pending = self._pending_at
         pop = heapq.heappop
         event_cls = Event
-        group_cls = _Group
+        list_cls = list
         limit = _INF if until is None else until
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
@@ -281,7 +276,7 @@ class Simulator:
                     del pending[time]
                 self.now = time
                 fired += 1
-                if cls is group_cls:
+                if cls is list_cls:
                     for callback in item:
                         callback()
                 elif cls is event_cls:
@@ -307,7 +302,7 @@ class Simulator:
         pending = self._pending_at
         pop = heapq.heappop
         event_cls = Event
-        group_cls = _Group
+        list_cls = list
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
         try:
@@ -329,7 +324,7 @@ class Simulator:
                     del pending[time]
                 self.now = time
                 fired += 1
-                if cls is group_cls:
+                if cls is list_cls:
                     for callback in item:
                         callback()
                 elif cls is event_cls:
