@@ -758,11 +758,10 @@ class MigrationExperiment:
         def _settled() -> bool:
             # A gave-up watchdog also settles the run: stop driving and
             # report the stall (verdict + diagnosis) instead of spinning.
-            if _pending() and not (watchdog is not None and watchdog.failed):
-                return False
-            if telemetry is not None:
-                telemetry.stop()
-            return True
+            settled = not _pending() or (watchdog is not None and watchdog.failed)
+            if settled and telemetry is not None:
+                telemetry.stop()  # sampling ends at the tick that settles
+            return settled
 
         if _settled():
             ticker.stop()
