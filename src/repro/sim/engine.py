@@ -237,7 +237,7 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
-        ``max_events`` have fired.
+        ``max_events`` heap entries have fired.
 
         When stopping at ``until``, the clock is advanced to ``until`` so a
         subsequent ``run`` resumes from there.
@@ -296,7 +296,7 @@ class Simulator:
         conservative parallel-DES window loop) may later be granted a smaller
         next bound by its neighbors, and advancing the clock past that grant
         would make remote injections appear in the simulated past.  Returns
-        the number of events fired.
+        the number of heap entries fired.
         """
         heap = self._heap
         pending = self._pending_at
