@@ -7,15 +7,19 @@ deterministic and therefore reproducible and debuggable.
 
 Callbacks due at one instant share a heap entry.  With one entry per
 callback, a new callback would take the next ``seq`` and so sort after every
-callback still pending at its time; appending it to the newest pending entry
-for that time gives it exactly that position.  An entry stops taking
-callbacks when it pops, so a callback scheduled at ``now`` by a firing group
-starts a new entry after it.  A cancellable :class:`Event` always gets its
-own entry and closes the group before it, so callbacks scheduled after it
-start a new entry that sorts after it.  Every callback therefore fires in
-the same order, at the same ``now``, as with one entry per callback;
-``events_processed`` counts heap entries.  (A callback that raises takes the
-rest of its group with it; nothing resumes a simulator after a raise.)
+callback still due at its time; appending it to the newest entry for that
+time gives it exactly that position.  The newest entry at an instant,
+pending or firing, takes that instant's fast callbacks: a firing group
+appends them to the list it is iterating, so a callback scheduled at
+``now`` fires in the same pass, after everything already in the group.  A
+cancellable :class:`Event` gets its own entry and becomes the newest at its
+time, so fast callbacks scheduled after it start a new entry that sorts
+after it; an Event that fires while it is still the newest entry at its
+time opens a group for the callbacks it schedules at ``now``.  Every
+callback therefore fires in the same order, at the same ``now``, as with one
+entry per callback; ``events_processed`` counts heap entries.  (A callback
+that raises takes the rest of its group with it; nothing resumes a
+simulator after a raise.)
 
 The simulator also carries the process-wide :class:`~repro.runtime_events.bus.TraceBus`
 (as ``sim.trace``): every layer of the runtime holds a simulator reference, so
@@ -47,7 +51,8 @@ class Event:
     reaches the item itself.  ``cancelled`` events stay in the heap
     but are skipped when popped (lazy deletion), which keeps cancellation
     O(1); the owning simulator compacts the heap when cancelled entries
-    outnumber live ones.
+    outnumber live ones.  An event that fires is detached from its
+    simulator, so cancelling it afterwards only sets the flag.
     """
 
     __slots__ = ("time", "seq", "callback", "cancelled", "owner")
@@ -95,15 +100,20 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self.trace: TraceBus = TraceBus()
-        # [time, seq, item] entries, where item is an Event, a bare
-        # callback, or a plain list of two or more callbacks due at that
-        # instant (no callback is a list): the heap orders by C-level list
-        # comparison without ever invoking Python comparison methods.
+        # [time, seq, item] entries, where item is an Event or a plain list
+        # of the callbacks due at that instant (no callback is a list;
+        # DomainSimulator's tuple entries hold a bare callable): the heap
+        # orders by C-level list comparison without ever invoking Python
+        # comparison methods.
         self._heap: list[list] = []
-        # time -> the newest pending entry a callback at that time may join.
-        # Dropped when that entry pops (a firing group never grows) and when
-        # an Event is scheduled at the same time (it must stay in between).
+        # time -> the newest entry at that time, pending or firing: a fast
+        # callback at that time joins it if it is a group.  An Event's entry
+        # is recorded too, so callbacks scheduled after it start a new entry.
+        # Dropped when the entry has fired or is popped cancelled.
         self._pending_at: dict[float, list] = {}
+        # Iterator over the group ``run`` is firing: ``peek_time`` reports
+        # ``now`` while callbacks remain in it.
+        self._firing = None
         self._seq: int = 0
         self._events_processed: int = 0
         self._cancelled: int = 0
@@ -123,15 +133,17 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time < self.now:
+        # Negated so that NaN, which compares false to everything, is refused.
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at {time!r}: simulated time is already {self.now!r}"
             )
         seq = self._seq + 1
         self._seq = seq
         event = Event(time, seq, callback, False, self)
-        heapq.heappush(self._heap, [time, seq, event])
-        self._pending_at.pop(time, None)
+        entry = [time, seq, event]
+        heapq.heappush(self._heap, entry)
+        self._pending_at[time] = entry
         return event
 
     def schedule_fast(self, delay: float, callback: Callable[[], None]) -> None:
@@ -145,27 +157,26 @@ class Simulator:
         """Like :meth:`schedule_at` but without a handle (not cancellable).
 
         The hot activation path schedules hundreds of thousands of these,
-        so no Event is allocated: the callback joins the newest pending
-        entry for ``time`` if there is one, and otherwise becomes a new
-        entry holding the bare callable.
+        so no Event is allocated: the callback joins the newest entry for
+        ``time`` if that is a group, pending or firing, and otherwise starts
+        a new group entry.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at {time!r}: simulated time is already {self.now!r}"
             )
         entry = self._pending_at.get(time)
-        if entry is None:
-            seq = self._seq + 1
-            self._seq = seq
-            entry = [time, seq, callback]
-            heapq.heappush(self._heap, entry)
-            self._pending_at[time] = entry
-            return
-        item = entry[2]
-        if item.__class__ is list:
-            item.append(callback)
-        else:
-            entry[2] = [item, callback]
+        if entry is not None:
+            group = entry[2]
+            if group.__class__ is list:
+                group.append(callback)
+                return
+            # An Event not yet fired: the callback must sort after it.
+        seq = self._seq + 1
+        self._seq = seq
+        entry = [time, seq, [callback]]
+        heapq.heappush(self._heap, entry)
+        self._pending_at[time] = entry
 
     def _note_cancelled(self) -> None:
         self._cancelled += 1
@@ -180,7 +191,7 @@ class Simulator:
 
         Safe at any point: ``(time, seq)`` keys form a unique total order, so
         the rebuilt heap pops in exactly the same sequence as the old one,
-        and the entries ``_pending_at`` points at are kept as they are.
+        and the groups ``_pending_at`` points at are kept as they are.
         """
         # In-place (slice assignment): ``run`` holds a local alias to the
         # heap list across callbacks, so the list's identity must not change.
@@ -191,16 +202,37 @@ class Simulator:
         ]
         heapq.heapify(self._heap)
         self._cancelled = 0
+        pending = self._pending_at
+        for time in [
+            time
+            for time, entry in pending.items()
+            if entry[2].__class__ is Event and entry[2].cancelled
+        ]:
+            del pending[time]
+
+    def _drop_pending(self, entry: list) -> None:
+        if self._pending_at.get(entry[0]) is entry:
+            del self._pending_at[entry[0]]
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None if the heap is empty."""
-        while self._heap:
-            ev = self._heap[0][2]
+        """Time of the next non-cancelled event, or None if none remain.
+
+        Called from a callback, this is ``now`` while callbacks of the
+        firing group are still due.
+        """
+        firing = self._firing
+        if firing is not None and firing.__length_hint__() > 0:
+            return self.now
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            ev = entry[2]
             if ev.__class__ is Event and ev.cancelled:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 self._cancelled -= 1
+                self._drop_pending(entry)
                 continue
-            return self._heap[0][0]
+            return entry[0]
         return None
 
     def step(self) -> bool:
@@ -220,14 +252,14 @@ class Simulator:
                 callback = item.pop(0)  # the entry's heap key is unchanged
             else:
                 heapq.heappop(heap)
+                self._drop_pending(entry)
                 if cls is Event:
                     if item.cancelled:
                         self._cancelled -= 1
                         continue
+                    item.owner = None  # fired: a later cancel() only flags it
                     callback = item.callback
                 else:
-                    if self._pending_at.get(time) is entry:
-                        del self._pending_at[time]
                     callback = item[0] if cls is list else item
                 self._events_processed += 1
             self.now = time
@@ -263,26 +295,41 @@ class Simulator:
                 entry = heap[0]
                 item = entry[2]
                 cls = item.__class__
+                time = entry[0]
                 if cls is event_cls and item.cancelled:
                     pop(heap)
                     self._cancelled -= 1
+                    if pending.get(time) is entry:
+                        del pending[time]
                     continue
-                time = entry[0]
                 if time > limit:
                     self.now = until
                     return
                 pop(heap)
-                if pending.get(time) is entry:
-                    del pending[time]
                 self.now = time
                 fired += 1
-                if cls is list_cls:
-                    for callback in item:
+                if cls is event_cls:
+                    item.owner = None  # fired: a later cancel() only flags it
+                    if pending.get(time) is not entry:
+                        item.callback()
+                        continue
+                    # Still the newest entry at ``now``: it becomes a group
+                    # that takes the callbacks it schedules there.
+                    item = entry[2] = [item.callback]
+                elif cls is not list_cls:
+                    item()  # a bare callable: DomainSimulator never groups
+                    continue
+                # The entry stays in ``pending`` while it fires, so callbacks
+                # scheduled at ``now`` join the list this loop iterates.
+                callbacks = iter(item)
+                self._firing = callbacks
+                try:
+                    for callback in callbacks:
                         callback()
-                elif cls is event_cls:
-                    item.callback()
-                else:
-                    item()
+                finally:
+                    self._firing = None
+                    if pending.get(time) is entry:
+                        del pending[time]
         finally:
             self._events_processed += fired
         if until is not None and until > self.now:
@@ -328,6 +375,7 @@ class Simulator:
                     for callback in item:
                         callback()
                 elif cls is event_cls:
+                    item.owner = None  # fired: a later cancel() only flags it
                     item.callback()
                 else:
                     item()

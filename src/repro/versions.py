@@ -42,16 +42,20 @@ MATRIX_READ_VERSIONS = (1, 2)
 # v2 added the elastic-membership provenance (active_workers, scaling_plan,
 # autoscale config fields) and the ``membership`` trace topic.  v3 is the
 # engine change that fires the callbacks due at one simulated instant from
-# one heap entry: the same callbacks run in the same order, but
-# ``sim_events`` counts heap entries, and the footer's fingerprint hashes
-# it, so a v1 or v2 footer can no longer be reproduced and is rejected.
-EVENT_LOG_VERSION = 3
-EVENT_LOG_READ_VERSIONS = (3,)
+# one heap entry.  v4 lets that entry keep taking the callbacks scheduled at
+# its instant while it fires.  Both run the same callbacks in the same
+# order, but ``sim_events`` counts heap entries, and the footer's
+# fingerprint hashes it, so an older footer can no longer be reproduced and
+# is rejected.
+EVENT_LOG_VERSION = 4
+EVENT_LOG_READ_VERSIONS = (4,)
 # Why a log older than the read versions is refused.
 EVENT_LOG_RETIRED_REASON = (
-    "logs before v3 count one simulator event per callback; since v3 the "
-    "callbacks due at one simulated instant share one heap event, so an "
-    "older footer's fingerprint cannot be reproduced"
+    "logs before v4 count more simulator events for the same callbacks: "
+    "since v3 the callbacks due at one simulated instant share one heap "
+    "event, and since v4 that event also fires the callbacks scheduled at "
+    "its instant while it fires, so an older footer's fingerprint cannot "
+    "be reproduced"
 )
 
 

@@ -35,13 +35,14 @@ GOLDEN_MIGRATION = {
 }
 # Heap entries fired.  The seed fired one entry per callback (26,953,
 # 27,130, 26,979 and 27,033 callbacks, in this order); the engine now
-# groups the callbacks due at one instant into one entry, which fires the
-# same callbacks in the same order.
+# groups the callbacks due at one instant into one entry, including those
+# scheduled at that instant while the entry fires, and fires the same
+# callbacks in the same order.
 GOLDEN_SIM_EVENTS = {
-    "all-at-once": 13236,
-    "fluid": 13427,
-    "batched": 13266,
-    "optimized": 13323,
+    "all-at-once": 10050,
+    "fluid": 10158,
+    "batched": 10066,
+    "optimized": 10100,
 }
 GOLDEN_RECORDS = 20000
 

@@ -4,9 +4,10 @@ Event-log v2 added the elastic fields (``active_workers``,
 ``scaling_plan``, ``autoscale``) to the config provenance and the
 ``membership`` topic to the trace.  These tests pin that the provenance
 dict inverts exactly and that a recorded scaling run replays
-byte-identically.  v3 (the current :data:`repro.versions.EVENT_LOG_VERSION`)
-counts ``sim_events`` as grouped heap entries, so v1 and v2 logs are
-refused with the reason.
+byte-identically.  Since v3 ``sim_events`` counts grouped heap entries,
+and since v4 (the current :data:`repro.versions.EVENT_LOG_VERSION`) a
+firing entry also takes the callbacks scheduled at its instant, so v1, v2
+and v3 logs are refused with the reason.
 """
 
 import json
@@ -40,11 +41,12 @@ def _scaling_config(**overrides) -> ExperimentConfig:
 
 
 def test_schema_version_counts_grouped_heap_events():
-    # v3: sim_events counts heap entries, each firing every callback due at
-    # its instant, and the footer fingerprint hashes it; older logs cannot
-    # reproduce their footers, so only v3 is read.
-    assert EVENT_LOG_VERSION == 3
-    assert EVENT_LOG_READ_VERSIONS == (3,)
+    # v4: sim_events counts heap entries, each firing every callback due at
+    # its instant, including those scheduled there while it fires, and the
+    # footer fingerprint hashes it; older logs cannot reproduce their
+    # footers, so only v4 is read.
+    assert EVENT_LOG_VERSION == 4
+    assert EVENT_LOG_READ_VERSIONS == (4,)
 
 
 def test_elastic_config_roundtrips_through_provenance_dict():
@@ -90,11 +92,8 @@ def test_scaling_run_replays_byte_identically(tmp_path):
     assert report.ok
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_v1_and_v2_logs_are_rejected_naming_the_engine_change(tmp_path, version):
-    # Record a run, then rewrite its header to an older version.  Its
-    # footer counted one event per callback, so the reader must refuse it
-    # and say why, instead of replaying to a fingerprint mismatch.
+def _log_with_version(tmp_path, version: int) -> str:
+    """Record a small run, then rewrite its header to ``version``."""
     log = tmp_path / "legacy.jsonl"
     cfg = ExperimentConfig(
         num_workers=2,
@@ -114,8 +113,26 @@ def test_v1_and_v2_logs_are_rejected_naming_the_engine_change(tmp_path, version)
     header["version"] = version
     lines[0] = json.dumps(header)
     log.write_text("\n".join(lines) + "\n")
+    return str(log)
 
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_v1_and_v2_logs_are_rejected_naming_the_engine_change(tmp_path, version):
+    # Their footers counted one event per callback, so the reader must
+    # refuse them and say why, instead of replaying to a fingerprint
+    # mismatch.
+    log = _log_with_version(tmp_path, version)
     with pytest.raises(EventLogError, match="one heap event"):
-        read_log_meta(str(log))
+        read_log_meta(log)
     with pytest.raises(EventLogError, match=f"version {version} is not replayable"):
-        replay_run(str(log))
+        replay_run(log)
+
+
+def test_v3_log_is_rejected_naming_the_firing_group_change(tmp_path):
+    # A v3 footer counted a callback scheduled at ``now`` by a firing entry
+    # as a heap event of its own.
+    log = _log_with_version(tmp_path, 3)
+    with pytest.raises(EventLogError, match="while it fires"):
+        read_log_meta(log)
+    with pytest.raises(EventLogError, match="version 3 is not replayable"):
+        replay_run(log)

@@ -45,6 +45,39 @@ def test_schedule_at_in_past_raises():
         sim.schedule_at(0.5, lambda: None)
 
 
+def test_nan_time_is_refused_and_leaves_the_clock_alone():
+    sim = Simulator()
+    fired = []
+    sim.schedule_fast(0.5, lambda: fired.append(sim.now))
+    nan = float("nan")
+    for schedule in (
+        sim.schedule,
+        sim.schedule_at,
+        sim.schedule_fast,
+        sim.schedule_fast_at,
+    ):
+        with pytest.raises(ValueError):
+            schedule(nan, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [0.5]
+    assert sim.now == 0.5
+    with pytest.raises(ValueError):
+        sim.schedule_at(0.25, lambda: None)
+
+
+def test_cancelling_a_fired_event_is_not_a_pending_cancellation():
+    sim = Simulator()
+    events = [sim.schedule(float(i), lambda: None) for i in range(50)]
+    sim.run()
+    events += [sim.schedule(60.0 + i, lambda: None) for i in range(50)]
+    while sim.step():
+        pass
+    for event in events:
+        event.cancel()
+    assert all(event.cancelled for event in events)
+    assert sim._cancelled == 0
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
