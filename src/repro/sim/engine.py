@@ -202,6 +202,7 @@ class Simulator:
         ]
         heapq.heapify(self._heap)
         self._cancelled = 0
+        # In place as well: ``run`` holds a local alias to this dict too.
         pending = self._pending_at
         for time in [
             time
