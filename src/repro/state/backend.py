@@ -247,17 +247,22 @@ class StateBackend:
         """Batched applier bookkeeping for one sorted bin group.
 
         ``starts`` brackets each bin's records: bin ``j`` applied
-        ``starts[j+1] - starts[j]`` records.  Equivalent to one
-        ``note_records`` + ``note_applied`` pair per bin, in order.
+        ``starts[j+1] - starts[j]`` records.  Equivalent to ``note_records``
+        for every bin, then ``note_applied`` per bin in order (no
+        ``note_applied`` hook reads the record counts).
         """
+        self._note_group_records(bin_ids, starts)
+        if type(self).note_applied is not StateBackend.note_applied:
+            for bin_id in bin_ids:
+                self.note_applied(bin_id)
+
+    def _note_group_records(self, bin_ids, starts) -> None:
+        """The ``note_records`` half of :meth:`note_applied_group`."""
         records = self._records
-        hook_overridden = type(self).note_applied is not StateBackend.note_applied
         for j, bin_id in enumerate(bin_ids):
             count = starts[j + 1] - starts[j]
             if count > 0:
                 records[bin_id] = records.get(bin_id, 0) + count
-            if hook_overridden:
-                self.note_applied(bin_id)
 
     # -- key-level access (mapping states) --------------------------------------
 

@@ -15,31 +15,40 @@ Frame format (DESIGN.md §13)::
     followed by `length` payload bytes (pickled record tuple)
 
 The CRC covers the kind and length bytes as well as the payload, so a bit
-flip in either header field is caught like one in the body.
+flip in either header field is caught like one in the body.  A ``K_BATCH``
+frame's record is a tuple of ``(kind, record)`` sub-frames of the other
+kinds under that one header, CRC and pickle; :meth:`WorkerWal.scan` expands
+it only after its CRC has passed, so replay sees the sub-frames.
 
 Recovery scans frames in order and stops at the first invalid one — bad
-magic, a CRC mismatch (bit flip), or a frame that runs past the end of the
-log (torn final write).  Everything before the cut is intact by
-construction; everything after it is truncated away, and the damage is
-summarized in a :class:`WalRecovery` the chaos layer publishes as a
-``StorageFaultReport``.
+magic, a CRC mismatch (bit flip), a batch whose body is not a tuple of
+sub-frames, or a frame that runs past the end of the log (torn final
+write).  Everything before the cut is intact by construction; everything
+after it is truncated away, and the damage is summarized in a
+:class:`WalRecovery` the chaos layer publishes as a ``StorageFaultReport``.
 
 Crash-consistency model: :meth:`WorkerWal.sync` advances the fsync horizon.
 Frames behind the horizon survive any crash; frames past it exist only in
 the modeled page cache and are destroyed by the ``lose_unsynced_tail``
 storage fault (an optimistic disk keeps them when no fault is injected).
-``WalBackend`` syncs after every application batch by default
-(``sync_every=1``), i.e. one fsync per committed transaction.
+``WalBackend`` commits one application group — one ``note_applied_group``
+call, or one ``note_applied`` — as one frame (a lone ``K_CKPT`` or a
+``K_BATCH`` of them) and syncs once per ``sync_every`` applied bins
+(default 1, i.e. one fsync per committed group).  A crash lands between
+simulator callbacks and a group commits inside one, so at every crash point
+the synced log replays to the bins and states one frame per bin would.
 
-Epoch stamps: the backend counts application batches; every frame carries
-the epoch it was written under and key-level writes additionally record a
-per-key dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a
-*delta* payload holding only keys dirtied strictly after ``E`` — the wire
-format of delta migration (base payloads record their epoch at capture).
+Epoch stamps: every applied bin closes one epoch (a group of ``n`` bins
+stamps its checkpoints ``e, e+1, …, e+n-1``); every frame carries the epoch
+it was written under and key-level writes additionally record a per-key
+dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a *delta*
+payload holding only keys dirtied strictly after ``E`` — the wire format of
+delta migration (base payloads record their epoch at capture).
 
-Compaction: once ``compact_threshold`` frames accumulate, the whole log
-is rewritten as one checkpoint frame per resident bin, bounding replay
-work and log size.
+Compaction: once ``compact_threshold`` records (sub-frames counted) have
+accumulated, the whole log is rewritten as one batch frame holding a
+checkpoint per resident bin, a mapping bin's dirty stamps included, so a
+delta extracted after a crash still sees every write since its base.
 """
 
 from __future__ import annotations
@@ -65,11 +74,14 @@ _CRC_FIELDS = struct.Struct("<BI")
 K_CREATE = 1  # ("create", bin_id, epoch)
 K_PUT = 2  # ("put", bin_id, epoch, key, value)
 K_DELETE = 3  # ("del", bin_id, epoch, key)
-K_CKPT = 4  # ("ckpt", bin_id, epoch, state)
+K_CKPT = 4  # ("ckpt", bin_id, epoch, state[, dirty])
 K_INSTALL = 5  # ("install", bin_id, epoch, state)
 K_DROP = 6  # ("drop", bin_id, epoch)
+K_BATCH = 7  # ((kind, record), ...): sub-frames of the kinds above
 
-_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
+# Kinds a batch may hold; a batch never nests.
+_RECORD_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
+_KINDS = (*_RECORD_KINDS, K_BATCH)
 
 
 def frame_crc(kind: int, length: int, payload: bytes) -> int:
@@ -77,10 +89,30 @@ def frame_crc(kind: int, length: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(_CRC_FIELDS.pack(kind, length)))
 
 
+def _is_batch(record: object) -> bool:
+    """Whether ``record`` is a well-formed batch body: a non-empty tuple of
+    ``(kind, record)`` pairs of non-batch kinds."""
+    return (
+        type(record) is tuple
+        and len(record) > 0
+        and all(
+            type(sub) is tuple
+            and len(sub) == 2
+            and sub[0] in _RECORD_KINDS
+            and type(sub[1]) is tuple
+            for sub in record
+        )
+    )
+
+
 def encode_frame(kind: int, record: tuple) -> bytes:
     """One framed record: header (magic, kind, length, crc) + payload."""
     if kind not in _KINDS:
         raise ValueError(f"unknown frame kind {kind}")
+    # The writer's check is the cheap half of ``_is_batch``: no empty batch,
+    # no nested one.  ``scan`` checks the whole shape of what it reads.
+    if kind == K_BATCH and not (record and all(sub[0] in _RECORD_KINDS for sub in record)):
+        raise ValueError("a batch holds one or more non-batch (kind, record) sub-frames")
     payload = pickle.dumps(record, protocol=4)
     length = len(payload)
     return _HEADER.pack(_MAGIC, kind, length, frame_crc(kind, length, payload)) + payload
@@ -90,7 +122,7 @@ def encode_frame(kind: int, record: tuple) -> bytes:
 class WalRecovery:
     """What one log replay found: intact frames, and how the tail died."""
 
-    frames_replayed: int = 0
+    frames_replayed: int = 0  # records replayed, batch sub-frames counted
     bins_recovered: int = 0
     bytes_scanned: int = 0
     truncated_bytes: int = 0  # bytes discarded at the first invalid frame
@@ -145,18 +177,25 @@ class WorkerWal:
         self._total += len(frame)
         self.frames_appended += 1
 
+    def commit(self, frames: list[tuple[int, tuple]]) -> None:
+        """Append ``frames`` as one frame: the lone frame itself, or a
+        ``K_BATCH`` holding all of them (nothing for an empty list)."""
+        if len(frames) == 1:
+            self.append(*frames[0])
+        elif frames:
+            self.append(K_BATCH, tuple(frames))
+
     def sync(self) -> None:
         """Advance the fsync horizon to the end of the log."""
         self.synced = self._total
         self.syncs += 1
 
     def reset(self, frames: list[tuple[int, tuple]]) -> None:
-        """Rewrite the log wholesale (compaction); ends synced."""
+        """Rewrite the log wholesale as one frame (compaction); ends synced."""
         self.segments = [bytearray()]
         self._total = 0
         self.synced = 0
-        for kind, record in frames:
-            self.append(kind, record)
+        self.commit(frames)
         self.sync()
 
     # -- crash faults ----------------------------------------------------------
@@ -236,8 +275,10 @@ class WorkerWal:
     def scan(self) -> tuple[list[tuple[int, tuple]], WalRecovery]:
         """Parse every valid frame in order; truncate at the first bad one.
 
-        Mutates the log: everything from the first invalid frame onward is
-        discarded, so the surviving store and the replayed state agree.
+        A batch frame yields its sub-frames, in order, once its CRC has
+        passed.  Mutates the log: everything from the first invalid frame
+        onward is discarded, so the surviving store and the replayed state
+        agree.
         """
         data = b"".join(bytes(seg) for seg in self.segments)
         recovery = WalRecovery(bytes_scanned=len(data))
@@ -265,7 +306,13 @@ class WorkerWal:
             except Exception:
                 recovery.corrupt_frame = True
                 break
-            frames.append((kind, record))
+            if kind != K_BATCH:
+                frames.append((kind, record))
+            elif _is_batch(record):
+                frames.extend(record)
+            else:
+                recovery.corrupt_frame = True
+                break
             pos = body_start + length
             valid_end = pos
         recovery.frames_replayed = len(frames)
@@ -407,9 +454,13 @@ def replay_frames(
             bins.pop(bin_id, None)
         elif kind in (K_CKPT, K_INSTALL):
             state = record[2]
-            bins[bin_id] = _RecoveredBin(
-                state=state, mapping=isinstance(state, (dict, MutableMapping))
+            mapping = isinstance(state, (dict, MutableMapping))
+            # Later puts mutate the bin: copy, so the frames stay untouched.
+            entry = bins[bin_id] = _RecoveredBin(
+                state=dict(state) if mapping else state, mapping=mapping
             )
+            if len(record) > 3:  # a compaction checkpoint's dirty stamps
+                entry.dirty = dict(record[3])
         elif kind == K_PUT:
             entry = bins.get(bin_id)
             if entry is None:
@@ -453,8 +504,8 @@ class WalBackend(DictBackend):
         self.worker_id = -1
         self._wal: Optional[WorkerWal] = None
         self._epoch = 0
-        self._applies_since_sync = 0
-        self._frames_since_compaction = 0
+        self._applies_since_sync = 0  # applied bins since the last sync
+        self._frames_since_compaction = 0  # records, batch sub-frames counted
         self.compactions = 0
         # Recovery summary from bind time (None when the log was empty).
         self.last_recovery: Optional[WalRecovery] = None
@@ -526,23 +577,52 @@ class WalBackend(DictBackend):
         return self._epoch
 
     def note_applied(self, bin_id: object) -> None:
-        """Commit one application batch: checkpoint opaque bins, close the
-        epoch, and fsync on the configured cadence."""
-        state = self._states.get(bin_id)
-        if state is not None and not isinstance(state, WalState):
-            # Opaque state: mutations are invisible to the log, so each
-            # batch writes the whole (small, modeled) object.
-            self._append(K_CKPT, (bin_id, self._epoch, self._durable_form(state)))
-        self._epoch += 1
-        self._applies_since_sync += 1
+        """Commit one application batch (see :meth:`_commit`)."""
+        self._commit((bin_id,))
+
+    def note_applied_group(self, bin_ids, starts) -> None:
+        """Commit one application group as one frame and one sync."""
+        self._note_group_records(bin_ids, starts)
+        self._commit(bin_ids)
+
+    def _commit(self, bin_ids) -> None:
+        """Checkpoint the opaque bins of one group in one frame, close one
+        epoch per bin, and fsync on the configured cadence.
+
+        Opaque states' mutations are invisible to the log, so each commit
+        writes the whole (small, modeled) object; mapping states already
+        logged their writes key by key.
+        """
+        states = self._states
+        epoch = self._epoch
+        ckpts = []
+        for bin_id in bin_ids:
+            state = states.get(bin_id)
+            # ``is``, not ``isinstance``: WalState is a MutableMapping, whose
+            # ABC instance check is slow on this per-bin path.
+            if state is not None and state.__class__ is not WalState:
+                ckpts.append((K_CKPT, (bin_id, epoch, state)))
+            epoch += 1
+        self._epoch = epoch
+        wal = self._log()
+        if ckpts:
+            wal.commit(ckpts)
+            self._frames_since_compaction += len(ckpts)
+        self._applies_since_sync += len(bin_ids)
         if self._applies_since_sync >= self.sync_every:
-            self._log().sync()
+            wal.sync()
             self._applies_since_sync = 0
+        if self._frames_since_compaction >= self.compact_threshold:
+            self.compact()
 
     def compact(self) -> None:
-        """Rewrite the log as one checkpoint frame per resident bin."""
+        """Rewrite the log as one batch frame: a checkpoint per resident
+        bin, carrying a mapping bin's dirty stamps for delta extraction."""
+        epoch = self._epoch
         frames = [
-            (K_CKPT, (bin_id, self._epoch, self._durable_form(state)))
+            (K_CKPT, (bin_id, epoch, dict(state.data), state.dirty))
+            if state.__class__ is WalState
+            else (K_CKPT, (bin_id, epoch, state))
             for bin_id, state in self._states.items()
         ]
         self._log().reset(frames)

@@ -14,6 +14,7 @@ from repro.state import make_backend
 from repro.state.wal import (
     _HEADER,
     _MAGIC,
+    K_BATCH,
     K_CKPT,
     K_CREATE,
     K_PUT,
@@ -59,6 +60,21 @@ def test_frame_round_trip():
 def test_unknown_frame_kind_rejected():
     with pytest.raises(ValueError):
         encode_frame(99, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        (),
+        ((K_BATCH, ((K_PUT, (0, 0, "a", 1)),)),),
+        ((K_PUT, (0, 0, "a", 1)), (K_BATCH, ((K_PUT, (0, 1, "b", 2)),))),
+        ((99, (0, 0)),),
+    ],
+    ids=["empty", "nested", "nested-after-a-record", "unknown-kind"],
+)
+def test_encode_frame_refuses_a_malformed_batch(body):
+    with pytest.raises(ValueError):
+        encode_frame(K_BATCH, body)
 
 
 def test_append_rolls_segments_without_straddling():
@@ -200,6 +216,46 @@ def test_header_bit_flips_truncate_at_the_damaged_frame():
             assert recovery.truncated_bytes == total - frame_start
 
 
+def test_batch_frame_scans_as_its_sub_frames():
+    subs = ((K_CREATE, (1, 0)), (K_PUT, (1, 0, "a", 1)), (K_CKPT, (2, 1, 5)))
+    wal = WorkerWal(0)
+    wal.append(K_PUT, (0, 0, "x", 0))
+    wal.append(K_BATCH, subs)
+    assert wal.frames_appended == 2
+    frames, recovery = wal.scan()
+    assert frames == [(K_PUT, (0, 0, "x", 0)), *subs]
+    assert recovery.clean
+    assert recovery.frames_replayed == 4  # sub-frames, not physical frames
+
+
+def _raw_frame(kind: int, record) -> bytes:
+    """A CRC-valid frame around any body, bypassing ``encode_frame``'s checks."""
+    payload = pickle.dumps(record, protocol=4)
+    crc = zlib.crc32(payload, zlib.crc32(bytes([kind]) + len(payload).to_bytes(4, "little")))
+    return _HEADER.pack(_MAGIC, kind, len(payload), crc) + payload
+
+
+@pytest.mark.parametrize(
+    "body",
+    [(), ((K_BATCH, ((K_PUT, (0, 1, "b", 2)),)),), ((K_PUT, (0, 1, "b", 2)), "junk"), [1, 2]],
+    ids=["empty", "nested", "junk-sub-frame", "not-a-tuple"],
+)
+def test_crc_valid_batch_with_malformed_body_is_corrupt(body):
+    wal = WorkerWal(0)
+    wal.append(K_PUT, (0, 0, "a", 1))
+    good = wal.total_bytes()
+    bad = _raw_frame(K_BATCH, body)
+    wal.segments[-1].extend(bad)
+    wal._total += len(bad)
+    wal.append(K_PUT, (0, 2, "c", 3))  # intact, but behind the bad frame
+    total = wal.total_bytes()
+    frames, recovery = wal.scan()
+    assert frames == [(K_PUT, (0, 0, "a", 1))]
+    assert recovery.corrupt_frame
+    assert recovery.truncated_bytes == total - good
+    assert wal.total_bytes() == good
+
+
 # -- backend lifecycle and recovery -------------------------------------------
 
 
@@ -329,6 +385,67 @@ def test_opaque_state_checkpointed_per_batch():
     assert not reborn.bin_delta_capable(0)
 
 
+def _opaque_backend(registry=None, **options):
+    if registry is not None:
+        options["wal_registry"] = registry
+    return make_backend("wal", _Counter, lambda s: 8.0, codec="modeled", options=options)
+
+
+def test_group_commit_is_one_frame_and_one_sync():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry)
+    backend.bind_worker(0)
+    bins = [0, 1, 2, 3, 4]
+    for bin_id in bins:
+        backend.create_bin(bin_id)
+        backend._states[bin_id].value = 10 + bin_id
+    wal = registry.wal_for(0)
+    frames, syncs, epoch = wal.frames_appended, wal.syncs, backend.current_epoch()
+    backend.note_applied_group(bins, [0, 2, 3, 3, 7, 8])
+    assert wal.frames_appended == frames + 1
+    assert wal.syncs == syncs + 1
+    assert wal.unsynced_bytes() == 0
+    assert backend.current_epoch() == epoch + len(bins)
+    # The base class's record accounting still runs (bin 2 applied none).
+    assert [backend.records_applied(b) for b in bins] == [2, 1, 0, 4, 1]
+    # One checkpoint per bin, stamped with the bin's own epoch, in order.
+    frames, _ = wal.scan()
+    assert [(k, r[0], r[1], r[2].value) for k, r in frames[-len(bins) :]] == [
+        (K_CKPT, b, epoch + i, 10 + b) for i, b in enumerate(bins)
+    ]
+    reborn = _opaque_backend(registry)
+    reborn.bind_worker(0)
+    assert [reborn._states[b].value for b in bins] == [10, 11, 12, 13, 14]
+    assert reborn.last_recovery.max_epoch == epoch + len(bins) - 1
+
+
+def test_group_of_one_opaque_bin_writes_a_plain_checkpoint():
+    registry = WalRegistry()
+    backend = _opaque_backend(registry)
+    backend.bind_worker(0)
+    backend.create_bin(7)
+    start = registry.wal_for(0).total_bytes()
+    backend.note_applied_group([7], [0, 3])
+    kind, record = _decode(bytes(registry.wal_for(0).segments[-1])[start:])
+    assert kind == K_CKPT and record[0] == 7
+
+
+def test_group_of_mapping_bins_writes_no_frame_but_syncs():
+    registry = WalRegistry()
+    backend = _wal_backend(registry)
+    backend.bind_worker(0)
+    backend.create_bin(0)
+    backend.create_bin(1)
+    backend.put(0, "a", 1)
+    backend.put(1, "b", 2)
+    wal = registry.wal_for(0)
+    frames, syncs = wal.frames_appended, wal.syncs
+    backend.note_applied_group([0, 1], [0, 1, 2])
+    assert wal.frames_appended == frames
+    assert wal.syncs == syncs + 1
+    assert wal.unsynced_bytes() == 0
+
+
 # -- delta extraction ----------------------------------------------------------
 
 
@@ -421,6 +538,68 @@ def test_compaction_bounds_log_and_preserves_state():
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
     assert dict(reborn.items(0)) == dict(backend.items(0))
+
+
+def test_compact_writes_one_frame():
+    registry = WalRegistry()
+    backend = _wal_backend(registry)
+    backend.bind_worker(0)
+    for bin_id in range(6):
+        backend.create_bin(bin_id)
+        backend.put(bin_id, "k", bin_id)
+    wal = registry.wal_for(0)
+    frames = wal.frames_appended
+    backend.compact()
+    assert wal.frames_appended == frames + 1
+    assert wal.unsynced_bytes() == 0
+    replayed, recovery = wal.scan()
+    assert [k for k, _ in replayed] == [K_CKPT] * 6
+    assert recovery.frames_replayed == 6
+
+
+def test_compaction_threshold_counts_checkpoints_not_frames():
+    """Groups compact after the same checkpoint volume as per-bin commits."""
+    bins = [0, 1, 2, 3]
+    grouped, per_bin = _opaque_backend(compact_threshold=8), _opaque_backend(compact_threshold=8)
+    for backend in (grouped, per_bin):
+        backend.bind_worker(0)
+        for bin_id in bins:
+            backend.create_bin(bin_id)
+    for _ in range(16):
+        grouped.note_applied_group(bins, [0, 1, 2, 3, 4])
+        for bin_id in bins:
+            per_bin.note_applied(bin_id)
+    # 64 checkpoints / 8 = 8 compactions; the creates add 4 records first.
+    assert grouped.compactions == per_bin.compactions == 8
+    assert grouped.current_epoch() == per_bin.current_epoch()
+
+
+def test_delta_after_compaction_and_crash_sees_writes_since_its_base():
+    """Compaction keeps per-key dirty stamps: a delta extracted after a
+    crash-and-replay still ships every write since its base."""
+    registry = WalRegistry()
+    backend = _wal_backend(registry)
+    backend.bind_worker(0)
+    backend.create_bin(0)
+    backend.put(0, "a", 1)
+    backend.note_applied(0)
+    base = backend.extract_bin(0, remove=False).base_epoch
+    backend.put(0, "b", 2)
+    backend.note_applied(0)
+    backend.compact()
+
+    reborn = _wal_backend(registry)
+    reborn.bind_worker(0)
+    delta = reborn.extract_bin(0, remove=False, dirty_since=base)
+    assert delta.decode_state() == {"b": 2}
+    assert reborn._states[0].dirty == backend._states[0].dirty
+
+
+def test_three_field_checkpoint_still_replays():
+    bins, max_epoch = replay_frames([(K_CKPT, (0, 4, {"a": 1}))], dict)
+    assert bins[0].state == {"a": 1}
+    assert bins[0].dirty == {}
+    assert max_epoch == 4
 
 
 def test_compacted_log_replays_checkpoint_frames():
