@@ -20,17 +20,17 @@ class RoutingTable:
     non-decreasing time order per bin, which the control-frontier discipline
     guarantees.
 
-    ``current_owners`` mirrors each bin's latest entry as a flat array, and
-    ``history_flat`` reports whether every bin's history is a single entry —
-    when it is, a lookup at any time is the current owner and callers may
-    bypass the binary search entirely (the steady-state fast path).
-    ``compact`` restores flatness once old entries become unreachable.
+    ``current_owners`` holds each bin's latest entry as a flat array.  A bin
+    whose history is that single entry keeps no other record; only bins
+    with older entries still reachable have a history in ``_deep``, and
+    ``history_flat`` reports that there are none — then a lookup at any
+    time is the current owner and callers may bypass the binary search
+    entirely (the steady-state fast path).  ``compact`` restores flatness
+    once old entries become unreachable.
     """
 
     __slots__ = (
         "num_bins",
-        "_times",
-        "_workers",
         "current_owners",
         "_deep",
         "_owners_cache",
@@ -39,17 +39,12 @@ class RoutingTable:
     def __init__(self, initial: BinnedConfiguration) -> None:
         self.num_bins = initial.num_bins
         self._owners_cache = None
-        # Per bin: parallel lists of effective times and workers.
-        self._times: list[list[Timestamp]] = [[] for _ in range(self.num_bins)]
-        self._workers: list[list[int]] = [list() for _ in range(self.num_bins)]
-        for b, w in enumerate(initial.assignment):
-            self._times[b].append(None)  # placeholder for "since forever"
-            self._workers[b].append(w)
-        # None sorts issues: store times as a sentinel -inf via index 0.
         self.current_owners: list[int] = list(initial.assignment)
-        # Bins whose history holds more than one entry; compaction visits
-        # only these, so it is O(moved bins) rather than O(all bins).
-        self._deep: set[int] = set()
+        # Bin -> parallel lists of effective times and workers, for bins
+        # whose history holds more than one entry.  Entry 0 is the base,
+        # with time None ("since forever").  Compaction visits only these,
+        # so it is O(moved bins) rather than O(all bins).
+        self._deep: dict[int, tuple[list, list[int]]] = {}
 
     @property
     def history_flat(self) -> bool:
@@ -58,29 +53,36 @@ class RoutingTable:
 
     def integrate(self, time: Timestamp, insts: list[ControlInst]) -> None:
         """Apply a final reconfiguration step effective at ``time``."""
+        owners = self.current_owners
         for inst in insts:
-            times = self._times[inst.bin]
-            last = times[-1]
-            if last is not None and not last <= time:
-                raise ValueError(
-                    f"control updates for bin {inst.bin} integrated out of "
-                    f"order: {last!r} then {time!r}"
-                )
-            if last == time:
-                # Same-time update overwrites (last write wins within a step).
-                self._workers[inst.bin][-1] = inst.worker
+            history = self._deep.get(inst.bin)
+            if history is None:
+                self._deep[inst.bin] = ([None, time], [owners[inst.bin], inst.worker])
             else:
-                times.append(time)
-                self._workers[inst.bin].append(inst.worker)
-                self._deep.add(inst.bin)
-            self.current_owners[inst.bin] = inst.worker
+                times, workers = history
+                last = times[-1]
+                if not last <= time:
+                    raise ValueError(
+                        f"control updates for bin {inst.bin} integrated out of "
+                        f"order: {last!r} then {time!r}"
+                    )
+                if last == time:
+                    # Same-time update overwrites (last write wins within a step).
+                    workers[-1] = inst.worker
+                else:
+                    times.append(time)
+                    workers.append(inst.worker)
+            owners[inst.bin] = inst.worker
         self._owners_cache = None
 
     def worker_for(self, bin_id: int, time: Timestamp) -> int:
         """Owner of ``bin_id`` for records at ``time``."""
-        times = self._times[bin_id]
+        history = self._deep.get(bin_id)
+        if history is None:
+            return self.current_owners[bin_id]
+        times, workers = history
         # Find rightmost entry with effective time <= time; entry 0 (None)
-        # is the initial assignment and matches everything.
+        # is the base and matches everything.
         lo, hi = 1, len(times)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -88,11 +90,11 @@ class RoutingTable:
                 lo = mid + 1
             else:
                 hi = mid
-        return self._workers[bin_id][lo - 1]
+        return workers[lo - 1]
 
     def current_owner(self, bin_id: int) -> int:
         """Owner per the latest integrated entry."""
-        return self._workers[bin_id][-1]
+        return self.current_owners[bin_id]
 
     def owners_vector(self):
         """``current_owners`` as an indexable column for vectorized gathers.
@@ -114,26 +116,22 @@ class RoutingTable:
     def compact(self, before: Timestamp) -> None:
         """Drop history that can no longer be queried (data frontier passed).
 
-        Retains the latest entry at or before ``before`` as the new base.
+        Retains the latest entry at or before ``before`` as the new base; a
+        bin left with the base alone leaves ``_deep``.
         """
         for b in sorted(self._deep):
-            times = self._times[b]
+            times, workers = self._deep[b]
             keep_from = 0
             for i in range(1, len(times)):
                 if times[i] <= before:
                     keep_from = i
                 else:
                     break
-            if keep_from > 0:
-                self._times[b] = [None] + times[keep_from + 1:]
-                self._workers[b] = [self._workers[b][keep_from]] + self._workers[b][
-                    keep_from + 1:
-                ]
-                if len(self._times[b]) == 1:
-                    self._deep.discard(b)
+            if keep_from == len(times) - 1:
+                del self._deep[b]
+            elif keep_from > 0:
+                self._deep[b] = ([None] + times[keep_from + 1:], workers[keep_from:])
 
     def snapshot(self) -> BinnedConfiguration:
         """The latest integrated configuration."""
-        return BinnedConfiguration(
-            tuple(self._workers[b][-1] for b in range(self.num_bins))
-        )
+        return BinnedConfiguration(tuple(self.current_owners))

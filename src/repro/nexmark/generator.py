@@ -86,30 +86,10 @@ class NexmarkGenerator:
             category=1 + (r >> 20) % self.config.num_categories,
         )
 
-    def _make_bid(self, time_ms: int) -> Bid:
-        r = self._lcg.next()
-        return Bid(
-            auction=self._pick_auction(r),
-            bidder=self._recent_person_id(r >> 12),
-            price=100 + r % 10_000,
-            date_time=time_ms,
-        )
-
     def _recent_person_id(self, r: int) -> int:
         newest = max(self._next_person - self._person_stride, 0)
-        window = 50 * self._person_stride
         offset = (r % 50) * self._person_stride
         return max(newest - min(offset, newest), newest % self._person_stride)
-
-    def _pick_auction(self, r: int) -> int:
-        cfg = self.config
-        newest = max(self._next_auction - self._auction_stride, 0)
-        if r % cfg.hot_auction_ratio == 0:
-            span = cfg.hot_auction_count
-        else:
-            span = cfg.active_auctions
-        offset = ((r >> 8) % span) * self._auction_stride
-        return max(newest - min(offset, newest), newest % self._auction_stride)
 
     # -- the harness-facing surface ----------------------------------------------
 
@@ -120,20 +100,69 @@ class NexmarkGenerator:
         the open-loop source multiplies processing-time epochs by the
         configured dilation before calling the generator, so event time and
         dataflow timestamps coincide.
+
+        Persons and auctions come from their helpers.  Bids, 46 of every 50
+        events, come from one loop per run of consecutive bids: the newest
+        person and auction ids cannot change inside a run, so the loop keeps
+        them, the LCG state and the config in locals, and writes the LCG
+        state back once per run.  ``tests/nexmark/reference_generator.py``
+        is the per-event generator it must match record for record.
         """
-        time_ms = epoch_ms
         cfg = self.config
         cycle = cfg.events_per_cycle
+        persons = cfg.person_proportion
+        first_bid = persons + cfg.auction_proportion
+        hot_ratio = cfg.hot_auction_ratio
+        hot_count = cfg.hot_auction_count
+        active = cfg.active_auctions
+        lcg = self._lcg
+        mult, inc, mask = lcg.MULT, lcg.INC, lcg.MASK
+        new = object.__new__
         out = []
-        for _ in range(count):
-            slot = self._events % cycle
-            self._events += 1
-            if slot < cfg.person_proportion:
-                out.append(self._make_person(time_ms))
-            elif slot < cfg.person_proportion + cfg.auction_proportion:
-                out.append(self._make_auction(time_ms))
-            else:
-                out.append(self._make_bid(time_ms))
+        append = out.append
+        events = self._events
+        end = events + count
+        while events < end:
+            slot = events % cycle
+            if slot < first_bid:
+                events += 1
+                if slot < persons:
+                    append(self._make_person(epoch_ms))
+                else:
+                    append(self._make_auction(epoch_ms))
+                continue
+            run = min(cycle - slot, end - events)
+            events += run
+            # The pick is ``newest - offset`` clamped at the oldest id of
+            # this worker's id space, which ``newest % stride`` is.
+            a_stride = self._auction_stride
+            newest_auction = max(self._next_auction - a_stride, 0)
+            oldest_auction = newest_auction % a_stride
+            p_stride = self._person_stride
+            newest_person = max(self._next_person - p_stride, 0)
+            oldest_person = newest_person % p_stride
+            state = lcg.state
+            for _ in range(run):
+                state = (state * mult + inc) & mask
+                r = state >> 16
+                offset = ((r >> 8) % (active if r % hot_ratio else hot_count)) * a_stride
+                # A frozen dataclass without slots keeps its fields in the
+                # instance ``__dict__``; filling it in field order gives the
+                # object ``Bid(...)`` would, pickle bytes included.
+                bid = new(Bid)
+                fields = bid.__dict__
+                fields["auction"] = (
+                    newest_auction - offset if offset < newest_auction else oldest_auction
+                )
+                offset = ((r >> 12) % 50) * p_stride
+                fields["bidder"] = (
+                    newest_person - offset if offset < newest_person else oldest_person
+                )
+                fields["price"] = 100 + r % 10_000
+                fields["date_time"] = epoch_ms
+                append(bid)
+            lcg.state = state
+        self._events = events
         return out
 
 

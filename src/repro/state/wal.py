@@ -43,7 +43,9 @@ stamps its checkpoints ``e, e+1, …, e+n-1``); every frame carries the epoch
 it was written under and key-level writes additionally record a per-key
 dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a *delta*
 payload holding only keys dirtied strictly after ``E`` — the wire format of
-delta migration (base payloads record their epoch at capture).
+delta migration (base payloads record their epoch at capture).  A base
+capture closes its epoch with a synced ``K_EPOCH`` frame, so replay resumes
+above every base epoch already shipped.
 
 Compaction: once ``compact_threshold`` records (sub-frames counted) have
 accumulated, the whole log is rewritten as one batch frame holding a
@@ -78,9 +80,10 @@ K_CKPT = 4  # ("ckpt", bin_id, epoch, state[, dirty])
 K_INSTALL = 5  # ("install", bin_id, epoch, state)
 K_DROP = 6  # ("drop", bin_id, epoch)
 K_BATCH = 7  # ((kind, record), ...): sub-frames of the kinds above
+K_EPOCH = 8  # ("epoch", bin_id, epoch): a base capture closed this epoch
 
 # Kinds a batch may hold; a batch never nests.
-_RECORD_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP)
+_RECORD_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP, K_EPOCH)
 _KINDS = (*_RECORD_KINDS, K_BATCH)
 
 
@@ -433,7 +436,8 @@ def replay_frames(
     """Fold a frame sequence into per-bin states.
 
     Returns ``(bins, max_epoch)`` where ``bins`` maps bin id to a
-    :class:`_RecoveredBin`.  Pure function of the frames — the property
+    :class:`_RecoveredBin`.  A ``K_EPOCH`` frame changes no bin; it only
+    raises ``max_epoch``.  Pure function of the frames — the property
     tests drive it directly.
     """
     bins: dict[object, _RecoveredBin] = {}
@@ -698,9 +702,12 @@ class WalBackend(DictBackend):
             if removed:
                 self._append(K_DROP, (bin_id, self._epoch), sync=True)
         # Stamp the capture epoch and close it, so writes that land after
-        # this snapshot are strictly newer than ``base_epoch``.
+        # this snapshot are strictly newer than ``base_epoch``.  The close is
+        # logged and synced: a worker reborn from the log must not reopen an
+        # epoch a shipped base was stamped with.
         result.base_epoch = self._epoch
         if not remove:
+            self._append(K_EPOCH, (bin_id, self._epoch), sync=True)
             self._epoch += 1
         return result
 

@@ -595,6 +595,28 @@ def test_delta_after_compaction_and_crash_sees_writes_since_its_base():
     assert reborn._states[0].dirty == backend._states[0].dirty
 
 
+def test_delta_since_a_base_sees_writes_after_a_restart():
+    """A base capture closes its epoch durably: the reborn epoch after a
+    crash is above every base epoch handed out, so a delta since that base
+    ships the writes made after the restart."""
+    registry = WalRegistry()
+    backend = _wal_backend(registry)
+    backend.bind_worker(0)
+    backend.create_bin(0)
+    backend.put(0, "a", 1)
+    backend.note_applied(0)
+    base = backend.extract_bin(0, remove=False).base_epoch
+    assert base == 1
+    registry.apply_crash_faults([0], lose_unsynced_tail=True)
+
+    reborn = _wal_backend(registry)
+    reborn.bind_worker(0)
+    assert reborn.current_epoch() > base
+    reborn.put(0, "b", 2)
+    delta = reborn.extract_bin(0, remove=False, dirty_since=base)
+    assert delta.decode_state() == {"b": 2}
+
+
 def test_three_field_checkpoint_still_replays():
     bins, max_epoch = replay_frames([(K_CKPT, (0, 4, {"a": 1}))], dict)
     assert bins[0].state == {"a": 1}

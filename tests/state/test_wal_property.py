@@ -363,6 +363,8 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
             backends[side] = _backend(registry)
             assert backends[side].last_recovery.lost_tail_bytes == 0
             assert backends[side].current_epoch() > stamped
+            # Base captures are logged: no base epoch handed out reopens.
+            assert backends[side].current_epoch() > max(bases[side].values(), default=-1)
         grouped, reference = backends
         assert _snapshot(grouped) == _snapshot(reference) == live
         # Compaction may land at a different epoch on the two sides, so the
