@@ -11,9 +11,10 @@ the three things the record path does with a batch —
   (``bin_ids_for`` + ``gather`` + ``split_by_destination`` + ``take`` +
   ``gather`` + one ``slice`` per destination), 4096 bins on ``--workers``
   workers (default 16, the paper's cluster; fewer workers mean fewer,
-  longer per-destination slices);
+  longer per-destination slices), the split bounded by the worker count;
 * **merge**: S's ``merge_segments`` over the per-destination slices the
-  route produced (so up to ``--workers`` segments totalling ``n`` records);
+  route produced (so up to ``--workers`` segments totalling ``n`` records),
+  bounded by the bin count;
 * **fold**: ``harness.workloads.columnar_count_fold`` over the merged group
 
 — and names the first length from which numpy is no slower, per stage and
@@ -60,11 +61,11 @@ def make_owners(workers: int, numpy_repr: bool):
     return owners
 
 
-def route(batch: ColumnBatch, owners) -> list:
+def route(batch: ColumnBatch, owners, workers: int) -> list:
     """F's steady-state columnar route: ``[(dst, bin_ids, columns), ...]``."""
     bin_col = columns.bin_ids_for(batch.keys, BIN_SHIFT)
     dsts = columns.gather(owners, bin_col)
-    order, bounds = columns.split_by_destination(dsts)
+    order, bounds = columns.split_by_destination(dsts, workers)
     if order is None:
         return [(bounds[0][0], bin_col, batch)]
     sorted_batch = batch.take(order)
@@ -78,13 +79,13 @@ def stage_calls(n: int, workers: int, numpy_repr: bool) -> dict:
     """One zero-argument callable per stage, over inputs of one representation."""
     batch = make_batch(n, numpy_repr)
     owners = make_owners(workers, numpy_repr)
-    segments = route(batch, owners)
-    merged, ubins, starts = columns.merge_segments(segments)
+    segments = route(batch, owners, workers)
+    merged, ubins, starts = columns.merge_segments(segments, NUM_BINS)
     states = [ModeledCountState(expected_keys=1e9 / NUM_BINS) for _ in ubins]
     group = ColumnGroup((0,), merged.keys, merged.vals, ubins, starts, states, 0)
     return {
-        "route": lambda: route(batch, owners),
-        "merge": lambda: columns.merge_segments(segments),
+        "route": lambda: route(batch, owners, workers),
+        "merge": lambda: columns.merge_segments(segments, NUM_BINS),
         "fold": lambda: columnar_count_fold(group),
     }
 

@@ -114,21 +114,29 @@ def columnar_count_fold(group: ColumnGroup):
     numpy_group = columns.is_numpy_column(group.keys)
     if numpy_group:
         np = columns._np
-        starts_arr = np.asarray(starts, dtype=np.int64)
-        sizes = np.diff(starts_arr)
-        before = np.asarray([s.records for s in states], dtype=np.int64)
-        expected = np.asarray([s.expected_keys for s in states], dtype=np.float64)
-        if (expected > 0).all():
-            total = len(group)
+        expected = [s.expected_keys for s in states]
+        if min(expected, default=0.0) > 0:
+            starts_arr = np.asarray(starts, dtype=np.int64)
+            sizes = starts_arr[1:] - starts_arr[:-1]
+            before = np.fromiter(
+                [s.records for s in states], dtype=np.int64, count=len(states)
+            )
             # Record ``i`` (global, 0-based) in bin ``j`` folds to
             # ``before_j + (i + 1 - starts_j)``; hoisting the per-bin part
             # into one base vector leaves a single repeat per column.
-            folded = np.arange(1, total + 1, dtype=np.int64) + np.repeat(
-                before - starts_arr[:-1], sizes
-            )
-            counts = 1 + (folded / np.repeat(expected, sizes)).astype(np.int64)
-            for j, state in enumerate(states):
-                state.records += int(sizes[j])
+            before -= starts_arr[:-1]
+            folded = np.repeat(before, sizes)
+            folded += np.arange(1, len(group) + 1, dtype=np.int64)
+            if expected.count(expected[0]) == len(expected):
+                # One divisor for the whole group (every state shares the
+                # factory's population): same float64 quotient per record.
+                quotients = folded / expected[0]
+            else:
+                quotients = folded / np.repeat(np.asarray(expected), sizes)
+            counts = quotients.astype(np.int64)
+            counts += 1
+            for state, size in zip(states, sizes.tolist()):
+                state.records += size
             return ColumnBatch(group.keys, counts)
     # ``array`` groups (and the expected_keys <= 0 corner): the scalar fold
     # per record, gathered into one output column.

@@ -183,7 +183,7 @@ class _FLogic:
                     dst = owner_cache[bin_id] = worker_for(bin_id, time)
                 append(dst)
             dsts = columns.make_index_vector(dst_list, like=bin_col)
-        order, bounds = columns.split_by_destination(dsts)
+        order, bounds = columns.split_by_destination(dsts, ctx.num_workers)
         if not bounds:
             return
         if order is None:
@@ -668,7 +668,7 @@ class _SLogic:
         counts land in the backend stats, and the CPU charge is the same
         ``total * record_cost``.
         """
-        merged = merge_segments(segments)
+        merged = merge_segments(segments, self._config.num_bins)
         if merged is None:
             return
         batch, ubins, starts = merged

@@ -54,7 +54,7 @@ class SlackAntichain(MutableAntichain):
     def update(self, time: Timestamp, delta: int) -> bool:
         if delta == 0:
             return False
-        old_count = self._counts[time]
+        old_count = self._counts.get(time, 0)
         new_count = old_count + delta
         if new_count == 0:
             del self._counts[time]

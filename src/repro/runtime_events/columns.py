@@ -62,15 +62,28 @@ KIND_OBJ = "obj"
 # rounds.  Linux 6.18 x86_64, 2 vCPU, CPython 3.11.7, numpy 2.4.6:
 #
 #   records          4     8    12    16    24    32    48    64   128   256
-#   16 workers    2.21  1.73  1.58  1.43  1.20  1.08  0.89  0.80  0.60  0.47
-#   4 workers     2.31  1.75  1.58  1.38  1.14  1.01  0.81  0.71  0.52  0.43
+#   16 workers    1.83  1.42  1.16  1.04  0.93  0.80  0.67  0.56  0.39  0.29
+#   4 workers     1.85  1.44  1.21  1.02  0.86  0.73  0.56  0.47  0.30  0.23
 #
-# so numpy starts to pay between 32 and 48 records on the paper's 16-worker
-# shape and breaks even at 32 with 4 workers (fewer, longer per-destination
-# slices).  The stages differ — the route crosses at 24, the merge at 48-64,
-# the fold at 128-256 — but a batch keeps one representation from source to
-# fold, so the sum decides.  Rerun the script before moving this.
-SMALL_BATCH_CUTOFF = 32
+# so numpy pays from 24 records on the paper's 16-worker shape and with 4
+# workers alike (a second run gave the same crossovers).  The stages differ
+# — the route crosses at 12-16, the merge at 16-24, the fold at 32 — but a
+# batch keeps one representation from source to fold, so the sum decides.
+# Rerun the script before moving this.
+SMALL_BATCH_CUTOFF = 24
+
+# Columns whose values all lie below this sort on a 16-bit copy (see
+# ``_sort_key``); callers state the bound, the kernels never guess it.
+NARROW_SORT_BOUND = 1 << 16
+
+if _np is not None:
+    # splitmix64's constants, built once rather than on every call.
+    _SPLITMIX_ADD = _np.uint64(0x9E3779B97F4A7C15)
+    _SPLITMIX_MUL1 = _np.uint64(0xBF58476D1CE4E5B9)
+    _SPLITMIX_MUL2 = _np.uint64(0x94D049BB133111EB)
+    _SHIFT_30 = _np.uint64(30)
+    _SHIFT_27 = _np.uint64(27)
+    _SHIFT_31 = _np.uint64(31)
 
 
 def numpy_active() -> bool:
@@ -291,11 +304,21 @@ def bin_ids_for(keys, shift: int):
     if _np is not None and isinstance(keys, _np.ndarray):
         if shift >= 64:
             return _np.zeros(len(keys), dtype=_np.int64)
-        u = _np.uint64
-        x = keys + u(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
-        return ((x ^ (x >> u(31))) >> u(shift)).astype(_np.int64)
+        # In place on one scratch array (plus one for the shifted term):
+        # each step costs its ufunc call, not an allocation as well.
+        x = keys + _SPLITMIX_ADD
+        t = x >> _SHIFT_30
+        x ^= t
+        x *= _SPLITMIX_MUL1
+        _np.right_shift(x, _SHIFT_27, out=t)
+        x ^= t
+        x *= _SPLITMIX_MUL2
+        _np.right_shift(x, _SHIFT_31, out=t)
+        x ^= t
+        x >>= _np.uint64(shift)
+        # ``shift >= 1``, so every id is below 2**63: the int64 view reads
+        # the same values without a copy.
+        return x.view(_np.int64)
     if shift >= 64:
         return array("q", bytes(8 * len(keys)))
     out = []
@@ -334,7 +357,26 @@ def gather(vector, idx):
     return array("q", [vector[i] for i in idx])
 
 
-def split_by_destination(dsts) -> tuple:
+def _sort_key(column, bound: Optional[int]):
+    """The ndarray ``column`` itself, or a 16-bit copy of it when ``bound``
+    says every value fits: numpy's stable sort is a radix sort for integers
+    of 16 bits or fewer, and its order depends only on the values, so both
+    sort to the same permutation."""
+    if bound is not None and bound <= NARROW_SORT_BOUND:
+        return column.astype(_np.uint16)
+    return column
+
+
+def _run_heads(sorted_col, n: int):
+    """Positions where a new run of equal values starts in a sorted ndarray
+    of ``n >= 2`` values (position 0 included)."""
+    head = _np.empty(n, dtype=bool)
+    head[0] = True
+    _np.not_equal(sorted_col[1:], sorted_col[:-1], out=head[1:])
+    return head.nonzero()[0]
+
+
+def split_by_destination(dsts, bound: Optional[int] = None) -> tuple:
     """One stable sort plus slice bounds per destination.
 
     Returns ``(order, [(dst, lo, hi), ...])``: applying ``order`` to the
@@ -346,25 +388,26 @@ def split_by_destination(dsts) -> tuple:
     (views on numpy) instead of one fancy-index gather per destination.
     ``order is None`` with a single bound means every record already shares
     one destination and no reorder is needed.
+
+    ``bound``, when given, is an exclusive upper bound on every value (the
+    worker count); it only picks the numpy sort's width, never the result.
     """
     n = len(dsts)
     if n == 0:
         return None, []
     if _np is not None and isinstance(dsts, _np.ndarray):
-        order = _np.argsort(dsts, kind="stable")
-        sd = dsts[order]
+        key = _sort_key(dsts, bound)
+        order = _np.argsort(key, kind="stable")
+        sd = key[order]
         if sd[0] == sd[-1]:
             return None, [(int(sd[0]), 0, n)]
-        cuts = _np.flatnonzero(sd[1:] != sd[:-1]) + 1
-        positions = [0, *cuts.tolist(), n]
-        segs = []
-        for i in range(len(positions) - 1):
-            lo, hi = positions[i], positions[i + 1]
-            # ``order`` is stable, so ``order[lo]`` is the arrival position
-            # of this destination's first record: sorting on it recovers
-            # first-occurrence emission order.
-            segs.append((int(order[lo]), int(sd[lo]), lo, hi))
-        segs.sort()
+        heads = _run_heads(sd, n)
+        los = heads.tolist()
+        # ``order`` is stable, so ``order[lo]`` is the arrival position of
+        # this destination's first record: sorting on it recovers
+        # first-occurrence emission order.
+        firsts = order[heads].tolist()
+        segs = sorted(zip(firsts, sd[heads].tolist(), los, [*los[1:], n]))
         return order, [(dst, lo, hi) for _first, dst, lo, hi in segs]
     first = dsts[0]
     if dsts.count(first) == n:
@@ -386,26 +429,29 @@ def split_by_destination(dsts) -> tuple:
     return order_list, bounds
 
 
-def group_by_bin_sorted(bins) -> tuple:
+def group_by_bin_sorted(bins, bound: Optional[int] = None) -> tuple:
     """Group record positions by bin id, bins ascending.
 
     Returns ``(order, unique_bins, starts)``: ``order`` stably sorts the
     records by bin (within a bin, arrival order is preserved),
     ``unique_bins`` is the ascending list of bin ids, and record positions
     ``order[starts[j]:starts[j+1]]`` belong to ``unique_bins[j]``.
+    ``bound``, when given, is an exclusive upper bound on every bin id (the
+    bin count); it only picks the numpy sort's width, never the result.
     """
     n = len(bins)
     if n == 0:
         return [], [], [0]
     if _np is not None and isinstance(bins, _np.ndarray):
-        order = _np.argsort(bins, kind="stable")
-        sb = bins[order]
-        if n and sb[0] == sb[-1]:
+        key = _sort_key(bins, bound)
+        order = _np.argsort(key, kind="stable")
+        sb = key[order]
+        if sb[0] == sb[-1]:
             return order, [int(sb[0])], [0, n]
-        cuts = _np.flatnonzero(sb[1:] != sb[:-1]) + 1
-        starts = [0, *cuts.tolist(), n]
-        ubins = [int(sb[s]) for s in starts[:-1]]
-        return order, ubins, starts
+        heads = _run_heads(sb, n)
+        starts = heads.tolist()
+        starts.append(n)
+        return order, sb[heads].tolist(), starts
     order = sorted(range(n), key=bins.__getitem__)
     sorted_bins = [bins[i] for i in order]
     if sorted_bins[0] == sorted_bins[-1]:
@@ -517,19 +563,15 @@ class ColumnGroup:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def sizes(self) -> list:
-        """Records per bin, aligned with ``bins``."""
-        starts = self.starts
-        return [starts[j + 1] - starts[j] for j in range(len(self.bins))]
 
-
-def merge_segments(segments: list) -> Optional[tuple]:
+def merge_segments(segments: list, bound: Optional[int] = None) -> Optional[tuple]:
     """Merge ``(tag, bin_ids, columns)`` segments into one sorted group.
 
     Returns ``(batch, unique_bins, starts)`` with records stably sorted by
     bin id (ascending bins; within a bin, segment-arrival order), or
     ``None`` when the segments are empty.  Segments of both representations
-    may be mixed; the group is numpy if any segment is.
+    may be mixed; the group is numpy if any segment is.  ``bound`` is passed
+    on to :func:`group_by_bin_sorted`.
     """
     if not segments:
         return None
@@ -539,5 +581,5 @@ def merge_segments(segments: list) -> Optional[tuple]:
     else:
         bins = _concat_columns([seg[1] for seg in segments], "q")
         batch = ColumnBatch.concat([seg[2] for seg in segments])
-    order, ubins, starts = group_by_bin_sorted(bins)
+    order, ubins, starts = group_by_bin_sorted(bins, bound)
     return batch.take(order), ubins, starts

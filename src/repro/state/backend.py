@@ -259,10 +259,12 @@ class StateBackend:
     def _note_group_records(self, bin_ids, starts) -> None:
         """The ``note_records`` half of :meth:`note_applied_group`."""
         records = self._records
-        for j, bin_id in enumerate(bin_ids):
-            count = starts[j + 1] - starts[j]
-            if count > 0:
-                records[bin_id] = records.get(bin_id, 0) + count
+        get = records.get
+        lo = starts[0]
+        for bin_id, hi in zip(bin_ids, starts[1:]):
+            if hi > lo:
+                records[bin_id] = get(bin_id, 0) + hi - lo
+            lo = hi
 
     # -- key-level access (mapping states) --------------------------------------
 

@@ -10,7 +10,6 @@ tracking represents capabilities and in-flight message times.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator, Optional
 
 from repro.timely.timestamp import Timestamp, less_equal, less_than
@@ -56,11 +55,17 @@ class Antichain:
 
     def less_equal(self, time: Timestamp) -> bool:
         """Is ``time`` in advance of this frontier (some element <= time)?"""
-        return any(less_equal(e, time) for e in self._elements)
+        elements = self._elements
+        if len(elements) == 1 and type(time) is int and type(elements[0]) is int:
+            return elements[0] <= time
+        return any(less_equal(e, time) for e in elements)
 
     def less_than(self, time: Timestamp) -> bool:
         """Is some element strictly less than ``time``?"""
-        return any(less_than(e, time) for e in self._elements)
+        elements = self._elements
+        if len(elements) == 1 and type(time) is int and type(elements[0]) is int:
+            return elements[0] < time
+        return any(less_than(e, time) for e in elements)
 
     def dominates(self, other: "Antichain") -> bool:
         """True when every element of ``other`` is in advance of self."""
@@ -102,6 +107,30 @@ class Antichain:
         return f"Antichain({sorted(map(repr, self._elements))})"
 
 
+def minimal_antichain(antichains: list, previous: Antichain) -> Antichain:
+    """The antichain of the minimal elements of ``antichains``, inserted in
+    their order.
+
+    Integer times are totally ordered, so their antichain is their minimum:
+    found without building a set, and answered with ``previous`` itself when
+    that minimum is unchanged.  Other times build a new antichain, which the
+    caller compares with ``previous``.
+    """
+    times: list = []
+    for antichain in antichains:
+        times += antichain._elements
+    for time in times:
+        if type(time) is not int:
+            return Antichain(times)
+    old = previous._elements
+    if not times:
+        return previous if not old else Antichain()
+    low = min(times)
+    if len(old) == 1 and type(old[0]) is int and old[0] == low:
+        return previous
+    return Antichain((low,))
+
+
 class MutableAntichain:
     """A multiset of timestamps exposing the antichain of its minima.
 
@@ -114,7 +143,7 @@ class MutableAntichain:
     __slots__ = ("_counts", "_frontier")
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self._counts: dict[Timestamp, int] = {}
         self._frontier: Optional[Antichain] = Antichain()
 
     def update(self, time: Timestamp, delta: int) -> bool:
@@ -128,7 +157,8 @@ class MutableAntichain:
         """
         if delta == 0:
             return False
-        old_count = self._counts[time]
+        counts = self._counts
+        old_count = counts.get(time, 0)
         new_count = old_count + delta
         if new_count < 0:
             raise ValueError(
@@ -136,9 +166,9 @@ class MutableAntichain:
                 "progress accounting is corrupted"
             )
         if new_count == 0:
-            del self._counts[time]
+            del counts[time]
         else:
-            self._counts[time] = new_count
+            counts[time] = new_count
             if old_count > 0:
                 return False
         self._frontier = None
@@ -170,4 +200,4 @@ class MutableAntichain:
         return list(self._counts)
 
     def __repr__(self) -> str:
-        return f"MutableAntichain({dict(self._counts)!r})"
+        return f"MutableAntichain({self._counts!r})"

@@ -30,7 +30,7 @@ Frontiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.timely.antichain import Antichain, MutableAntichain
+from repro.timely.antichain import Antichain, MutableAntichain, minimal_antichain
 from repro.timely.graph import GraphBuilder
 from repro.timely.timestamp import Timestamp
 
@@ -117,12 +117,14 @@ class ProgressTracker:
 
     def input_frontier(self, op: int, port: int) -> Antichain:
         """Current frontier of input ``port`` of operator ``op``."""
-        self.propagate()
+        if self._dirty:
+            self.propagate()
         return self._input_frontiers[(op, port)]
 
     def output_frontier(self, op: int) -> Antichain:
         """Current output frontier of operator ``op``."""
-        self.propagate()
+        if self._dirty:
+            self.propagate()
         return self._output_frontiers[op]
 
     def capabilities(self, op: int) -> MutableAntichain:
@@ -158,34 +160,34 @@ class ProgressTracker:
         self._dirty_ops = set()
         input_changes = self._pending_inputs
         output_changes = self._pending_outputs
+        in_flight = self._in_flight
+        output_frontiers = self._output_frontiers
+        input_frontiers_of = self._input_frontiers
         for op_index in self._topo:
             if op_index not in dirty_ops:
                 continue
-            desc = self._graph.operators[op_index]
-            input_frontiers: list[Antichain] = []
-            for port in range(desc.n_inputs):
-                frontier = Antichain()
-                for channel in self._inputs_of[op_index][port]:
-                    for time in self._in_flight[channel.index].frontier():
-                        frontier.insert(time)
-                    for time in self._output_frontiers[channel.src_op]:
-                        frontier.insert(time)
-                input_frontiers.append(frontier)
+            # The output frontier's sources, in insertion order:
+            # capabilities, then each input port's frontier.
+            sources = [self._capabilities[op_index].frontier()]
+            for port, channels in enumerate(self._inputs_of[op_index]):
+                feeding = []
+                for channel in channels:
+                    feeding.append(in_flight[channel.index].frontier())
+                    feeding.append(output_frontiers[channel.src_op])
                 key = (op_index, port)
-                if frontier != self._input_frontiers[key]:
-                    self._input_frontiers[key] = frontier
+                previous = input_frontiers_of[key]
+                frontier = minimal_antichain(feeding, previous)
+                if frontier is not previous and frontier != previous:
+                    input_frontiers_of[key] = frontier
                     input_changes.append(
                         FrontierChange(op=op_index, port=port, frontier=frontier)
                     )
-            output = Antichain()
-            for time in self._capabilities[op_index].frontier():
-                output.insert(time)
-            for frontier in input_frontiers:
-                for time in frontier:
-                    output.insert(time)
-            if output != self._output_frontiers[op_index]:
+                sources.append(frontier)
+            previous = output_frontiers[op_index]
+            output = minimal_antichain(sources, previous)
+            if output is not previous and output != previous:
                 output_changes.append(op_index)
-                self._output_frontiers[op_index] = output
+                output_frontiers[op_index] = output
                 # A changed output frontier can move downstream input
                 # frontiers; those ops come later in topological order,
                 # so marking them here reaches them within this pass.

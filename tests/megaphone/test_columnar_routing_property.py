@@ -12,9 +12,11 @@ rule picks both representations; a column batch may also be forced into
 either one whatever its length, both value kinds (``kv``, ``obj``) are
 drawn, and the whole property reruns without numpy.  Both the steady-state
 owners path and the memoized ``worker_for`` path (forced by a pending
-migration marker) are exercised.  A second property carries the routed
-segments on through S's ``merge_segments`` + ``columnar_count_fold`` and
-compares with the per-record fold over the oracle's per-bin entry lists.
+migration marker) are exercised, with bin counts on both sides of the
+16-bit sort bound (up to 2**17).  A second property carries the routed
+segments on through S's ``merge_segments`` (bounded by the bin count, as S
+calls it) + ``columnar_count_fold`` and compares with the per-record fold
+over the oracle's per-bin entry lists.
 A third routes keys outside ``[0, 2**64)``, which F masks to 64 bits.
 """
 
@@ -35,9 +37,10 @@ from tests.megaphone.reference_router import reference_route
 
 
 class _RecordingCtx:
-    """The only piece of the operator context routing touches."""
+    """The only pieces of the operator context routing touches."""
 
-    def __init__(self) -> None:
+    def __init__(self, num_workers: int) -> None:
+        self.num_workers = num_workers
         self.sent: list = []
 
     def send(self, port: int, time, records) -> None:
@@ -69,8 +72,8 @@ def _route_both(num_bins, num_workers, pending, batches) -> tuple:
     both recording contexts."""
     logic = _make_logic(num_bins, num_workers, pending)
     oracle = _make_logic(num_bins, num_workers, pending)
-    f_ctx = _RecordingCtx()
-    oracle_ctx = _RecordingCtx()
+    f_ctx = _RecordingCtx(num_workers)
+    oracle_ctx = _RecordingCtx(num_workers)
     for port_tag, batch in batches:
         logic._route_batch(f_ctx, (1.0,), port_tag, batch)
         reference_route(oracle, oracle_ctx, (1.0,), port_tag, batch)
@@ -139,12 +142,14 @@ def representation(request, monkeypatch):
 
 
 @pytest.mark.parametrize("pending", [False, True])
-@settings(max_examples=60, deadline=None, suppress_health_check=_FIXTURE_OK)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=_FIXTURE_OK, derandomize=True
+)
 @given(
     records=_RECORDS,
     kind=st.sampled_from(["list", KIND_KV, KIND_OBJ]),
     forced=_FORCED,
-    num_bins=st.sampled_from([1, 16, 256]),
+    num_bins=st.sampled_from([1, 16, 256, 2**16, 2**17]),
     num_workers=st.integers(min_value=1, max_value=8),
     port_tag=st.integers(min_value=0, max_value=1),
 )
@@ -170,10 +175,12 @@ def test_columnar_routing_matches_reference(
 
 
 @pytest.mark.parametrize("pending", [False, True])
-@settings(max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK, derandomize=True
+)
 @given(
     sources=st.lists(st.tuples(_RECORDS, _FORCED), min_size=1, max_size=4),
-    num_bins=st.sampled_from([16, 256]),
+    num_bins=st.sampled_from([1, 16, 256, 2**16, 2**17]),
     num_workers=st.integers(min_value=1, max_value=4),
 )
 def test_routed_segments_merge_and_fold_like_the_per_record_path(
@@ -201,7 +208,7 @@ def test_routed_segments_merge_and_fold_like_the_per_record_path(
             inbox.setdefault(bin_id, []).extend(entries)
     assert sorted(segments) == sorted(inboxes)
     for dst, inbox in inboxes.items():
-        merged, ubins, starts = columns.merge_segments(segments[dst])
+        merged, ubins, starts = columns.merge_segments(segments[dst], num_bins)
         assert ubins == sorted(inbox)
         states = [ModeledCountState(expected_keys=2.5) for _ in ubins]
         group = ColumnGroup((1.0,), merged.keys, merged.vals, ubins, starts, states, dst)
@@ -224,7 +231,9 @@ _WIDE_KEYS = st.one_of(
 
 
 @pytest.mark.parametrize("pending", [False, True])
-@settings(max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=_FIXTURE_OK, derandomize=True
+)
 @given(
     keys=st.lists(_WIDE_KEYS, max_size=4 * columns.SMALL_BATCH_CUTOFF),
     num_bins=st.sampled_from([16, 256]),

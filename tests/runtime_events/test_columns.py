@@ -153,6 +153,130 @@ def test_group_by_bin_sorted_empty(representation):
     assert starts == [0]
 
 
+# -- bounded sorts: the 16-bit path and the 64-bit one ---------------------------
+
+# Values around the 16-bit line.  Under the bound 2**16 every value fits and
+# the kernels sort a 16-bit copy; under 2**17 they must keep the 64-bit sort,
+# or 2**16 + v would sort as v.
+_FITS_16 = [0, 1, 2, 2**15 - 2, 2**15 - 1, 2**15, 2**15 + 1, 2**16 - 2, 2**16 - 1]
+_PAST_16 = [*_FITS_16, 2**16, 2**16 + 1, 2**16 + 2**15, 2**17 - 1]
+_LONGEST = 4 * columns.SMALL_BATCH_CUTOFF
+_BOUNDED = st.one_of(
+    st.tuples(
+        st.sampled_from([2**16, None]),
+        st.lists(st.sampled_from(_FITS_16), min_size=1, max_size=_LONGEST),
+    ),
+    st.tuples(
+        st.just(2**17),
+        st.lists(st.sampled_from(_PAST_16), min_size=1, max_size=_LONGEST),
+    ),
+)
+
+
+@needs_numpy
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(column=_BOUNDED)
+def test_bounded_sorts_match_the_stable_oracle(column):
+    """numpy bin and destination columns, with or without a bound, group
+    exactly like a stable Python sort: ascending bins (first-occurrence
+    destinations), arrival order inside each run, Python ints out."""
+    bound, values = column
+    np = columns._np
+    col = np.asarray(values, dtype=np.int64)
+    n = len(values)
+    ascending = sorted(values)
+
+    order, ubins, starts = columns.group_by_bin_sorted(col, bound)
+    assert order.tolist() == sorted(range(n), key=values.__getitem__)
+    assert ubins == sorted(set(values))
+    assert all(type(b) is int for b in ubins)
+    assert starts == [ascending.index(b) for b in ubins] + [n]
+
+    order, bounds = columns.split_by_destination(col, bound)
+    firsts = list(dict.fromkeys(values))
+    assert [dst for dst, _lo, _hi in bounds] == firsts
+    assert all(type(dst) is int for dst, _lo, _hi in bounds)
+    if len(firsts) == 1:
+        assert order is None and bounds == [(values[0], 0, n)]
+        return
+    for dst, lo, hi in bounds:
+        assert order[lo:hi].tolist() == [i for i in range(n) if values[i] == dst]
+
+
+@needs_numpy
+@pytest.mark.parametrize(
+    "n", [1, 2, columns.SMALL_BATCH_CUTOFF - 1, 4 * columns.SMALL_BATCH_CUTOFF]
+)
+@pytest.mark.parametrize("value,bound", [(0, 4), (2**16 - 1, 2**16), (2**16, 2**17)])
+def test_bounded_sorts_of_one_bin_or_destination(n, value, bound):
+    np = columns._np
+    col = np.full(n, value, dtype=np.int64)
+    assert columns.split_by_destination(col, bound) == (None, [(value, 0, n)])
+    order, ubins, starts = columns.group_by_bin_sorted(col, bound)
+    assert order.tolist() == list(range(n))
+    assert ubins == [value] and starts == [0, n]
+
+
+def _count_group(sizes: list, before: list, populations: list, numpy_repr: bool):
+    """A bin-sorted group of unit records, ``sizes[j]`` in bin ``j``, whose
+    states hold ``before[j]`` records of ``populations[j]`` keys."""
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + size)
+    total = starts[-1]
+    if numpy_repr:
+        np = columns._np
+        keys = np.arange(total, dtype=np.uint64)
+        vals = np.ones(total, dtype=np.int64)
+    else:
+        keys, vals = array("Q", range(total)), array("q", [1]) * total
+    states = []
+    for records, expected in zip(before, populations):
+        state = ModeledCountState(expected_keys=expected)
+        state.records = records
+        states.append(state)
+    return ColumnGroup((0,), keys, vals, list(range(len(sizes))), starts, states, 0)
+
+
+# Per bin: records in the group, records before it, and its key population
+# (zero and negative populations are the fold's per-record corner).
+_FOLD_BINS = st.lists(
+    st.tuples(
+        st.integers(1, 3 * columns.SMALL_BATCH_CUTOFF),
+        st.integers(0, 40),
+        st.sampled_from([1.5, 2.5, 7.0, 1e9, 0.0, -2.0]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(bins=_FOLD_BINS, shared=st.booleans(), numpy_repr=st.booleans())
+def test_count_fold_matches_the_per_record_fold(bins, shared, numpy_repr):
+    """The columnar fold equals ``count_fold`` record by record — with one
+    population shared by every bin or one per bin, records already folded,
+    the ``expected_keys <= 0`` corner, an empty group, both
+    representations — and leaves the same per-bin record counts."""
+    numpy_repr = numpy_repr and columns.numpy_active()
+    sizes = [size for size, _before, _pop in bins]
+    before = [records for _size, records, _pop in bins]
+    populations = [pop for _size, _before, pop in bins]
+    if shared and populations:
+        populations = [populations[0]] * len(populations)
+    group = _count_group(sizes, before, populations, numpy_repr)
+    folded = columnar_count_fold(group)
+    assert columns.is_numpy_column(folded.vals) == numpy_repr
+    oracle_states = _count_group(sizes, before, populations, False).states
+    oracle = []
+    key = 0
+    for size, state in zip(sizes, oracle_states):
+        for _ in range(size):
+            oracle.extend(count_fold(key, 1, state))
+            key += 1
+    assert folded.to_records() == oracle
+    assert [s.records for s in group.states] == [s.records for s in oracle_states]
+
+
 def test_active_representation_names():
     assert columns.active_representation() in (
         "columnar-numpy",
@@ -321,7 +445,7 @@ _SEGMENTS = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     shapes=_SEGMENTS,
     kind=st.sampled_from([columns.KIND_KV, columns.KIND_OBJ]),

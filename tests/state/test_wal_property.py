@@ -275,12 +275,16 @@ def _payload(payload):
 
 
 # (op, bin, key, value, group mask) over bins 0-5, all created up front;
-# odd bins hold opaque state.  Application groups are drawn most often.
+# odd bins hold opaque state.  Application groups are drawn most often;
+# ``crash`` crashes both logs wherever it lands, and it and base captures
+# are drawn twice as often as the rest so that a crash often follows a
+# capture with nothing synced in between.
 _PROGRAM = st.lists(
     st.tuples(
         st.sampled_from(
             ["apply", "apply", "apply", "put", "put", "create", "extract",
-             "delta", "ship", "install", "drop", "compact"]
+             "extract", "delta", "ship", "install", "drop", "compact", "crash",
+             "crash"]
         ),
         st.integers(0, 5),
         st.integers(0, 3),
@@ -292,13 +296,15 @@ _PROGRAM = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(program=_PROGRAM, seed=st.integers(0, 2**16))
 def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
     """One backend commits each application group with ``note_applied_group``
     (one frame, one sync); the reference calls ``note_applied`` once per
     bin.  After a crash at any group boundary both replay to the same bins,
-    states and dirty stamps, and those equal what was live before it."""
+    states and dirty stamps, and those equal what was live before it.  After
+    a crash anywhere else both lose the same unsynced writes and still agree,
+    and neither reborn backend reopens an epoch a base capture handed out."""
     registries = [WalRegistry(), WalRegistry()]
     grouped, reference = backends = [_backend(r) for r in registries]
     for backend in backends:
@@ -351,9 +357,11 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
         assert bases[0] == bases[1] and deltas[0] == deltas[1]
         assert _snapshot(grouped) == _snapshot(reference)
         assert grouped.current_epoch() == reference.current_epoch()
-        if op != "apply" or not any(mask >> b & 1 for b in grouped.bin_ids()):
+        group_end = op == "apply" and any(mask >> b & 1 for b in grouped.bin_ids())
+        if op != "crash" and not group_end:
             continue
-        # A group boundary: crash both logs, rebind, compare.
+        # Crash both logs, rebind, compare.  At a group boundary every write
+        # is synced; elsewhere the unsynced puts are lost on both sides.
         live = _snapshot(grouped)
         for side, registry in enumerate(registries):
             stamped = _stamped(registry, backends[side])
@@ -361,12 +369,15 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
                 [0], lose_unsynced_tail=True, torn_write=True, seed=seed
             )
             backends[side] = _backend(registry)
-            assert backends[side].last_recovery.lost_tail_bytes == 0
-            assert backends[side].current_epoch() > stamped
+            if group_end:
+                assert backends[side].last_recovery.lost_tail_bytes == 0
+                assert backends[side].current_epoch() > stamped
             # Base captures are logged: no base epoch handed out reopens.
             assert backends[side].current_epoch() > max(bases[side].values(), default=-1)
         grouped, reference = backends
-        assert _snapshot(grouped) == _snapshot(reference) == live
+        assert _snapshot(grouped) == _snapshot(reference)
+        if group_end:
+            assert _snapshot(grouped) == live
         # Compaction may land at a different epoch on the two sides, so the
         # reborn epochs may differ; both clear every stamp, so resume both
         # from the later one and keep comparing stamps exactly.
