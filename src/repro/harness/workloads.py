@@ -127,12 +127,7 @@ def columnar_count_fold(group: ColumnGroup):
             before -= starts_arr[:-1]
             folded = np.repeat(before, sizes)
             folded += np.arange(1, len(group) + 1, dtype=np.int64)
-            if expected.count(expected[0]) == len(expected):
-                # One divisor for the whole group (every state shares the
-                # factory's population): same float64 quotient per record.
-                quotients = folded / expected[0]
-            else:
-                quotients = folded / np.repeat(np.asarray(expected), sizes)
+            quotients = folded / np.repeat(np.asarray(expected), sizes)
             counts = quotients.astype(np.int64)
             counts += 1
             for state, size in zip(states, sizes.tolist()):
