@@ -91,13 +91,13 @@ def stage_calls(n: int, workers: int, numpy_repr: bool) -> dict:
 
 
 def measure(n: int, workers: int) -> dict:
-    """Per stage (and their sum): fastest µs/call under each representation
-    and the median over rounds of numpy/array.
+    """Per stage (and their sum): the median over rounds of numpy/array.
 
     A round times the two representations back to back, ~10 ms each, and the
     verdict is the median of the per-round ratios: on a shared box whose CPUs
     change speed for seconds at a time, two timings taken 10 ms apart see
-    the same speed, two minima taken a minute apart may not.
+    the same speed, two timings taken a minute apart may not, so no absolute
+    time is reported.
     """
     calls = {
         "array": stage_calls(n, workers, False),
@@ -107,35 +107,27 @@ def measure(n: int, workers: int) -> dict:
     for stage in STAGES:
         count, elapsed = timeit.Timer(calls["numpy"][stage]).autorange()
         number[stage] = max(1, int(count * ROUND_SECONDS / elapsed))
-    rounds = []
+    ratios: dict = {stage: [] for stage in (*STAGES, "sum")}
     for _ in range(ROUNDS):
         timing = {
             name: {
                 stage: timeit.timeit(calls[name][stage], number=number[stage])
-                / number[stage] * 1e6
+                / number[stage]
                 for stage in STAGES
             }
             for name in ("array", "numpy")
         }
         for per_stage in timing.values():
             per_stage["sum"] = sum(per_stage[stage] for stage in STAGES)
-        rounds.append(timing)
-    return {
-        stage: {
-            "array": min(r["array"][stage] for r in rounds),
-            "numpy": min(r["numpy"][stage] for r in rounds),
-            "ratio": statistics.median(
-                r["numpy"][stage] / r["array"][stage] for r in rounds
-            ),
-        }
-        for stage in (*STAGES, "sum")
-    }
+        for stage, values in ratios.items():
+            values.append(timing["numpy"][stage] / timing["array"][stage])
+    return {stage: statistics.median(values) for stage, values in ratios.items()}
 
 
 def crossover(rows: dict, stage: str):
     """First measured length from which numpy is never slower again."""
     for i, n in enumerate(SIZES):
-        if all(rows[m][stage]["ratio"] <= 1.0 for m in SIZES[i:]):
+        if all(rows[m][stage] <= 1.0 for m in SIZES[i:]):
             return n
     return None
 
@@ -152,17 +144,14 @@ def main(argv=None) -> int:
     print(f"machine: {platform.platform()}  nproc={os.cpu_count()}  "
           f"python {platform.python_version()}  numpy {np.__version__}")
     print(f"SMALL_BATCH_CUTOFF = {columns.SMALL_BATCH_CUTOFF}  workers = {workers}   "
-          f"(us/call, fastest of {ROUNDS} rounds; a = array, n = numpy; "
-          f"n/a = median per-round ratio)")
+          f"(numpy/array time, median of {ROUNDS} per-round ratios; "
+          "below 1 numpy is faster)")
     stages = (*STAGES, "sum")
-    print(f"{'records':>7s}" + "".join(
-        f"{s + ' a':>9s}{s + ' n':>9s}{'n/a':>6s}" for s in stages))
+    print(f"{'records':>7s}" + "".join(f"{s:>8s}" for s in stages))
     rows: dict = {}
     for n in SIZES:
         rows[n] = measure(n, workers)
-        print(f"{n:7d}" + "".join(
-            f"{rows[n][s]['array']:9.2f}{rows[n][s]['numpy']:9.2f}{rows[n][s]['ratio']:6.2f}"
-            for s in stages))
+        print(f"{n:7d}" + "".join(f"{rows[n][s]:8.2f}" for s in stages))
     for stage in stages:
         n = crossover(rows, stage)
         where = f"numpy no slower from {n} records" if n else "array faster at every size"

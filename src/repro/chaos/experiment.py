@@ -48,6 +48,10 @@ SCENARIOS = (
 # Offset from the first migration start to the fault onset: long enough for
 # the first control step to be issued, short enough to land mid-migration.
 FAULT_DELAY_S = 0.15
+# The crash-restart and crash-storage scenarios' downtime, and the lossy
+# scenario's per-message drop probability.
+RESTART_AFTER_S = 1.0
+LOSSY_DROP_PROB = 0.3
 
 
 def default_chaos_experiment_config(**overrides) -> ExperimentConfig:
@@ -95,11 +99,7 @@ def migration_target_process(cfg: ExperimentConfig) -> int:
 
 
 def scenario_chaos(
-    scenario: str,
-    cfg: ExperimentConfig,
-    seed: int = 0,
-    restart_after_s: Optional[float] = None,
-    drop_prob: float = 0.3,
+    scenario: str, cfg: ExperimentConfig, seed: int = 0
 ) -> ChaosConfig:
     """Build the :class:`ChaosConfig` for a named scenario against ``cfg``."""
     if scenario not in SCENARIOS:
@@ -120,9 +120,7 @@ def scenario_chaos(
                 ProcessCrash(
                     at_s=at_s,
                     process=migration_target_process(cfg),
-                    restart_after_s=restart_after_s
-                    if restart_after_s is not None
-                    else 1.0,
+                    restart_after_s=RESTART_AFTER_S,
                 ),
             ),
         )
@@ -137,9 +135,7 @@ def scenario_chaos(
                 ProcessCrash(
                     at_s=at_s,
                     process=migration_target_process(cfg),
-                    restart_after_s=restart_after_s
-                    if restart_after_s is not None
-                    else 1.0,
+                    restart_after_s=RESTART_AFTER_S,
                     torn_write=True,
                     lose_unsynced_tail=True,
                 ),
@@ -163,7 +159,7 @@ def scenario_chaos(
         plan = FaultPlan(
             seed=seed,
             link_faults=(
-                LinkFault(at_s=at_s, duration_s=1.0, drop_prob=drop_prob),
+                LinkFault(at_s=at_s, duration_s=1.0, drop_prob=LOSSY_DROP_PROB),
             ),
         )
     return ChaosConfig(
@@ -202,22 +198,23 @@ def run_chaos_experiment(
     strategy: str,
     cfg: Optional[ExperimentConfig] = None,
     seed: int = 0,
-    **scenario_kwargs,
 ) -> ChaosRunResult:
     """Run the counting benchmark under one scenario and strategy."""
     if cfg is None:
         cfg = default_chaos_experiment_config()
     cfg = replace(cfg, strategy=strategy)
-    cfg = replace(
-        cfg, chaos=scenario_chaos(scenario, cfg, seed=seed, **scenario_kwargs)
-    )
-    result = run_count_experiment(cfg)
+    cfg = replace(cfg, chaos=scenario_chaos(scenario, cfg, seed=seed))
+    return chaos_summary(scenario, run_count_experiment(cfg))
+
+
+def chaos_summary(scenario: str, result: ExperimentResult) -> ChaosRunResult:
+    """The verdict of a run that injected ``scenario``'s faults."""
     from repro.runtime_events.events import MessageDropped, StateReinstalled
 
     log = result.fault_log
     return ChaosRunResult(
         scenario=scenario,
-        strategy=strategy,
+        strategy=result.config.strategy,
         verdict=result.chaos_verdict or "stalled",
         recoveries=result.chaos_recoveries,
         abandoned_steps=result.abandoned_steps,

@@ -2,23 +2,31 @@
 
 Usage (module form)::
 
-    python -m repro.cli count --strategy fluid --bins 4096 --domain 1e9
-    python -m repro.cli nexmark --query 5 --strategy batched --dilation 60
-    python -m repro.cli trace --domain 1e7             # per-bin phase breakdown
-    python -m repro.cli plan --workload skewed         # closed-loop planner
-    python -m repro.cli chaos --scenario stall --strategy fluid  # one fault run
-    python -m repro.cli count --workers 6 --active 4 --scaling-plan 'join@2:4,5'
-    python -m repro.cli count --record run.jsonl       # record an event log
+    python -m repro.cli run                        # ExperimentConfig defaults
+    python -m repro.cli run --set strategy=fluid --set num_bins=4096 --set domain=1000000000
+    python -m repro.cli run --set query=5 --set strategy=batched --set dilation=60
+    python -m repro.cli run --set collect_trace=true     # per-bin phase breakdown
+    python -m repro.cli run --spec benchmarks/extensions/planner_skew.toml --cell planner
+    python -m repro.cli run --spec benchmarks/extensions/chaos.toml --cell stall/dict/fluid
+    python -m repro.cli run --set active_workers=6 --set scaling_plan=join@2:6,7
+    python -m repro.cli run --set record_log=run.jsonl   # record an event log
     python -m repro.cli replay run.jsonl               # verify it reproduces
     python -m repro.cli matrix --spec benchmarks/paper/fig07.toml  # a figure
     python -m repro.cli list
 
+``run`` builds one :class:`ExperimentConfig` from settings: a spec's
+``[base]`` (or nothing), then the ``--cell`` it names, then each ``--set
+KEY=VALUE`` in order.  KEY is a config field or a run key (``query``,
+``nexmark``, ``faults``, ``chaos_seed``); VALUE is TOML, a bare word is a
+string, and a table merges key by key.  The settings take the path a matrix
+cell takes, and the config decides the report: the latency timeline and
+migrations always; the scaling tables for elastic runs; the phase breakdown
+for ``collect_trace``; topic counts for ``collect_topic_counts``; the
+planner's decisions for ``planner``; the chaos verdict for ``faults`` (exit
+1 if the run stalled).
+
 ``--profile`` (before the subcommand) wraps any command in cProfile and
 prints the top 25 functions by cumulative time after the report.
-
-Each command builds the simulated cluster, runs the workload with the
-requested migrations, and prints the latency timeline plus a migration
-summary in the same format the benchmarks use.
 """
 
 from __future__ import annotations
@@ -26,430 +34,135 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import re
 import sys
+import tomllib
 
-from repro.elastic.autoscaler import AutoscalerConfig
 from repro.errors import ConfigError
-from repro.harness.experiment import (
-    WORKLOADS,
-    ExperimentConfig,
-    run_count_experiment,
-)
-from repro.harness.report import (
-    format_duration,
-    format_latency,
-    print_phase_breakdown,
-    print_table,
-    print_timeline,
-)
+from repro.harness.experiment import ExperimentConfig
+from repro.harness.report import format_duration, format_latency, print_run_report, print_table
 from repro.megaphone.migration import STRATEGIES
-from repro.nexmark.config import NexmarkConfig
-from repro.nexmark.harness import run_nexmark_experiment
+from repro.obsv.eventlog import OBSERVER_FIELDS
+from repro.obsv.matrix import (
+    NO_FAULTS, RUN_KEYS, build_run, expand_cells, load_spec, merge_settings,
+)
+from repro.obsv.replay import run_config
 
-# Experiment flags are a view of the config types: each flag's ``dest`` is
-# the name of the field it writes (in ExperimentConfig, AutoscalerConfig,
-# PlannerConfig or TelemetryConfig), and every value rule lives in those
-# types' ``__post_init__``/``validate``, not here.
-
-
-def _integer(text: str) -> int:
-    """An integer flag that also takes float notation, e.g. ``1e9``."""
-    return int(float(text))
+# What ``--set`` may name.
+SETTING_KEYS = (*(f.name for f in dataclasses.fields(ExperimentConfig)), *RUN_KEYS)
 
 
-def _common_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", dest="num_workers", type=int, default=8)
-    parser.add_argument("--workers-per-process", type=int, default=4)
-    parser.add_argument("--bins", dest="num_bins", type=int, default=256)
-    parser.add_argument("--rate", type=float, default=20_000)
-    parser.add_argument("--duration", dest="duration_s", type=float, default=8.0)
-    parser.add_argument("--strategy", choices=STRATEGIES, default="batched")
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument(
-        "--migrate-at", dest="migrate_at_s", type=float, nargs="*",
-        default=[3.0], help="simulated seconds at which to start migrations",
-    )
-    parser.add_argument("--granularity-ms", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--network-latency", dest="network_latency_s", type=float,
-        default=40e-6, metavar="SECONDS",
-        help="cross-process link latency; in --parallel 0 runs it is also "
-        "the conservative lookahead, so ms-scale values (e.g. 0.01) keep "
-        "the synchronization round count practical",
-    )
-    parser.add_argument(
-        "--state-backend", default="dict",
-        help="state backend holding bin state (see `repro.cli list`)",
-    )
-    parser.add_argument(
-        "--codec", default="modeled",
-        help="codec serializing migrated/snapshotted state",
-    )
-    parser.add_argument(
-        "--hot-capacity", dest="hot_capacity_bytes", type=_integer,
-        default=None,
-        help="tiered backend: hot-tier capacity in bytes before spilling",
-    )
-    parser.add_argument(
-        "--delta-migration", action="store_true",
-        help="ship each bin's base state ahead of the move and only the "
-        "dirtied delta at execution (needs a delta-capable backend such "
-        "as wal; falls back to whole-bin shipment otherwise)",
-    )
+def configure(args):
+    """``(settings, config, query, nexmark)`` from ``run``'s arguments.
 
-
-def _parallel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="0 runs the sharded reference engine (one event loop per "
-        "workers-per-process group, in this process); omit it for the "
-        "serial engine.  No other value is accepted",
-    )
-
-
-def _obsv_args(parser: argparse.ArgumentParser) -> None:
-    """The observability surface shared by the experiment commands."""
-    parser.add_argument(
-        "--export-metrics", default=None, metavar="PATH",
-        help="stream JSON-line metric snapshots to PATH ('-' = stdout)",
-    )
-    parser.add_argument(
-        "--record", dest="record_log", default=None, metavar="PATH",
-        help="write the versioned event log that `repro.cli replay` "
-        "re-executes and verifies",
-    )
-
-
-def _elastic_args(parser: argparse.ArgumentParser) -> None:
-    """Elastic membership: standby slots, scripted scaling, autoscaling."""
-    parser.add_argument(
-        "--active", dest="active_workers", type=int, default=None,
-        metavar="N",
-        help="initially active workers; the remaining --workers slots are "
-        "provisioned standbys that joins can admit mid-run",
-    )
-    parser.add_argument(
-        "--scaling-plan", default=None, metavar="SPEC",
-        help="scripted membership changes, e.g. 'join@2:4,5;leave@5:4,5' "
-        "(semicolon-separated action@seconds:worker,worker)",
-    )
-    parser.add_argument(
-        "--autoscale", action="store_true",
-        help="attach the closed-loop autoscaler (hysteresis thresholds on "
-        "mean active-worker load, consecutive samples, cooldown)",
-    )
-    parser.add_argument(
-        "--scale-out-load", type=float, default=1500.0,
-        help="autoscaler: mean records/s per active worker above which "
-        "a standby is admitted",
-    )
-    parser.add_argument(
-        "--scale-in-load", type=float, default=400.0,
-        help="autoscaler: mean load below which the highest active "
-        "worker is drained (must stay below --scale-out-load; the gap "
-        "is the anti-thrash hysteresis band)",
-    )
-    parser.add_argument(
-        "--autoscale-cooldown", dest="cooldown_s", type=float, default=3.0,
-        help="autoscaler: seconds between scaling actions",
-    )
-
-
-def _fields(cls, values: dict) -> dict:
-    """The entries of ``values`` named after a field of dataclass ``cls``."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return {name: value for name, value in values.items() if name in names}
-
-
-def _defaults_from(parser: argparse.ArgumentParser, cfg) -> None:
-    """Default each of ``parser``'s flags to its field's value in ``cfg``."""
-    parser.set_defaults(**_fields(type(cfg), {
-        action.dest: getattr(cfg, action.dest, None)
-        for action in parser._actions
-    }))
-
-
-def _config_from(args, **extra) -> ExperimentConfig:
-    """The experiment config the flags write, field by field."""
-    values = vars(args)
-    autoscale = (
-        AutoscalerConfig(**_fields(AutoscalerConfig, values))
-        if values.get("autoscale")
-        else None
-    )
-    return ExperimentConfig(
-        **{**_fields(ExperimentConfig, values), "autoscale": autoscale, **extra}
-    )
-
-
-def _report(result, title: str) -> None:
-    print_timeline(title, result.timeline.series(), every=2)
-    rows = []
-    for i, migration in enumerate(result.migrations):
-        rows.append(
-            (
-                i,
-                migration.strategy,
-                len(migration.steps),
-                format_duration(result.migration_duration(i)),
-                format_latency(result.migration_max_latency(i)),
+    Every problem with them — a bad spec or cell, an unknown key, a VALUE
+    that is not TOML, a broken config rule — raises :class:`ConfigError`.
+    """
+    settings = {}
+    if args.spec is not None:
+        try:
+            spec = load_spec(args.spec)
+        except (OSError, ValueError) as exc:  # MatrixSpecError
+            raise ConfigError(f"cannot load {args.spec}: {exc}") from None
+        settings = spec["base"]
+        if args.cell is not None:
+            cells = {cell.cell_id: cell.settings for cell in expand_cells(spec)}
+            if args.cell not in cells:
+                raise ConfigError(
+                    f"--cell {args.cell!r} is not a cell of {args.spec}; "
+                    f"its cells are {', '.join(cells)}"
+                )
+            settings = cells[args.cell]
+    elif args.cell is not None:
+        raise ConfigError("--cell names a cell of the --spec, and none is given")
+    for item in args.sets:
+        key, _, text = item.partition("=")
+        if key not in SETTING_KEYS:
+            raise ConfigError(
+                f"--set {key!r}: KEY is neither an ExperimentConfig field "
+                f"nor one of the run keys {', '.join(RUN_KEYS)}"
             )
-        )
-    if rows:
-        print_table(
-            "migrations",
-            ["#", "strategy", "steps", "duration", "max latency"],
-            rows,
-        )
-    print(f"\nsteady-state max latency: {format_latency(result.steady_max_latency())}")
-    print(f"records injected: {result.records_injected:,.0f}; "
-          f"wall time: {result.wall_seconds:.1f}s")
+        settings = merge_settings(settings, {key: _value(key, text)})
+    # config_from_dict strips the observers; a run observes what it asks.
+    observers = {k: settings[k] for k in OBSERVER_FIELDS if k in settings}
+    try:
+        cfg, query, nexmark = build_run(settings)
+        cfg = dataclasses.replace(cfg, **observers)
+    except (TypeError, ValueError) as exc:  # a broken rule, a malformed table
+        raise ConfigError(str(exc)) from None
+    return settings, cfg, query, nexmark
 
 
-def _report_obsv(result) -> None:
-    """One line per attached observer, so runs with observers say so."""
-    record = result.config.record_log
-    if record:
-        print(f"event log recorded to {record} "
-              f"(verify: python -m repro.cli replay {record})")
+def _value(key: str, text: str):
+    """A ``--set`` VALUE: TOML, or a bare word taken as a string."""
+    try:
+        document = tomllib.loads(f"value = {text}")
+    except tomllib.TOMLDecodeError:
+        if text and text[0] not in "[{\"'" and not any(c.isspace() for c in text):
+            return text
+        document = {}
+    if list(document) != ["value"]:
+        raise ConfigError(f"--set {key}: {text!r} is not a TOML value")
+    return document["value"]
 
 
-def _report_elastic(result) -> None:
-    """Scaling operations and autoscaler decisions, when the run had any."""
-    report = getattr(result, "scaling", None)
-    if report is None:
-        return
-    rows = [
-        (
-            op.kind,
-            ",".join(str(w) for w in op.workers),
-            op.moves,
-            format_duration(op.duration_s) if op.completed_at else "pending",
-            op.residual_bins,
-        )
-        for op in report.operations
-    ]
-    print_table(
-        "scaling operations",
-        ["kind", "workers", "moves", "duration", "residual bins"],
-        rows if rows else [("-", "-", 0, "-", "no membership changes")],
-    )
-    decisions = getattr(result, "autoscale_decisions", None) or []
-    acted = [d for d in decisions if d.action != "hold"]
-    held = len(decisions) - len(acted)
-    if decisions:
-        print_table(
-            "autoscaler decisions",
-            ["at", "action", "reason", "mean load", "active → target"],
-            [
-                (
-                    f"{d.at:.2f}s",
-                    d.action,
-                    d.reason,
-                    f"{d.mean_load:,.0f}",
-                    f"{d.active} → {d.target}",
-                )
-                for d in acted
-            ]
-            or [("-", "hold", "-", "-", "-")],
-        )
-        print(f"autoscaler holds (cooldown/busy/bounds): {held}")
+def cmd_run(args) -> int:
+    """Run one config and print the report its settings ask for."""
+    settings, cfg, query, nexmark = configure(args)
+    if args.plan_out is not None and cfg.planner is None:
+        raise ConfigError("--plan-out writes the planner's plan; set planner={...}")
+    result = run_config(cfg, query, nexmark)
+    title = f"NEXMark Q{query}" if query else f"key-count, domain {cfg.domain:,}"
+    print_run_report(result, title)
+    status = 0
+    if args.plan_out is not None:
+        status = _write_plan(result.planner, args.plan_out)
+    faults = settings.get("faults", NO_FAULTS)
+    if faults != NO_FAULTS:
+        status = _report_chaos(result, faults, settings.get("chaos_seed", 0)) or status
+    if cfg.record_log:
+        print(f"event log recorded to {cfg.record_log} "
+              f"(verify: python -m repro.cli replay {cfg.record_log})")
+    return status
 
 
-def cmd_count(args) -> int:
-    """Run the counting microbenchmark and print its report."""
-    cfg = _config_from(args)
-    result = run_count_experiment(cfg)
-    _report(result, f"key-count, domain {cfg.domain:,}")
-    _report_elastic(result)
-    if result.parallel is not None:
-        info = result.parallel
-        print(
-            f"parallel: domains={info['domains']} rounds={info['rounds']} "
-            f"lookahead={info['lookahead_s'] * 1e3:.2f}ms"
-        )
-    _report_obsv(result)
-    return 0
-
-
-def cmd_nexmark(args) -> int:
-    """Run one NEXMark query and print its report."""
-    nexmark = NexmarkConfig(
-        dilation=args.dilation, state_bytes_scale=args.state_scale
-    )
-    cfg = _config_from(args)
-    result = run_nexmark_experiment(args.query, cfg, nexmark=nexmark)
-    _report(result, f"NEXMark Q{args.query}")
-    _report_elastic(result)
-    _report_obsv(result)
-    return 0
-
-
-def cmd_trace(args) -> int:
-    """Run one migration with trace collection and print its timeline.
-
-    Defaults to the fluid strategy, whose completion-paced single-bin steps
-    make the per-bin totals sum exactly to the measured migration duration.
-    """
-    cfg = _config_from(args, collect_trace=True)
-    result = run_count_experiment(cfg)
-    trace = result.migration_trace
-    breakdown = trace.phase_breakdown()
-    print_phase_breakdown(
-        f"migration phases, {cfg.strategy}, domain {cfg.domain:,}",
-        breakdown,
-        max_rows=args.max_rows,
-    )
-    measured = sum(
-        result.migration_duration(i) for i in range(len(result.migrations))
-    )
-    print(f"measured migration duration: {format_duration(measured)}")
-    outcomes = trace.outcome_rows()
-    if outcomes:
-        print_table(
-            "step outcomes",
-            ["time", "moves", "attempts", "duration"],
-            [
-                (
-                    o.time,
-                    o.moves,
-                    o.attempts,
-                    format_duration(o.duration_s),
-                )
-                for o in outcomes[: args.max_rows]
-            ],
-        )
-    if cfg.collect_topic_counts is not None:
-        counts = result.topic_counts
-        print_table(
-            "bus events by topic",
-            ["topic", "events"],
-            [(t, f"{counts[t]:,}") for t in sorted(counts)]
-            or [("-", "no events on the selected topics")],
-        )
-    return 0
-
-
-def cmd_plan(args) -> int:
-    """Observe a run, propose migration plans, optionally execute them.
-
-    Runs the counting workload (skewed by default) with the closed-loop
-    planner attached.  Without ``--execute`` the planner is an advisor:
-    it searches and prices plans but never migrates.  ``--output`` writes
-    the first gate-clearing plan as a plan_io JSON document (exit 1 if no
-    plan cleared the gate).
-    """
+def _write_plan(report, path: str) -> int:
+    """Write the first adopted plan to ``path``; 1 if none was adopted."""
     from repro.megaphone.plan_io import dump_plan
-    from repro.planner import PlannerConfig, TelemetryConfig
 
-    values = vars(args)
-    planner = PlannerConfig(
-        telemetry=TelemetryConfig(**_fields(TelemetryConfig, values)),
-        objective_options=(
-            {"drain_workers": tuple(args.drain_workers)}
-            if args.objective == "drain"
-            else {}
-        ),
-        **_fields(PlannerConfig, values),
-    )
-    cfg = _config_from(args, planner=planner)
-    result = run_count_experiment(cfg)
-    report = result.planner
-    rows = [
-        (
-            f"{p.at:.2f}s",
-            p.moves,
-            p.steps,
-            format_duration(p.predicted_cost_s),
-            f"{p.predicted_gain:+.2f}",
-            "adopted" if p.adopted else p.reason,
-        )
-        for p in report.proposals
-    ]
-    print_table(
-        f"planner decisions, objective {planner.objective}"
-        + (" (propose-only)" if planner.propose_only else ""),
-        ["at", "moves", "steps", "pred. cost", "gain", "verdict"],
-        rows if rows else [("-", 0, 0, "-", "-", "nothing to propose")],
-    )
-    print(
-        f"\ndecision points: {report.decisions}; proposals: "
-        f"{len(report.proposals)}; adopted: {len(report.adopted)}"
-    )
-    print(f"final imbalance (max/mean): {result.final_imbalance:.2f}x")
-    _report_obsv(result)
-    if not planner.propose_only and result.migrations:
-        _report(result, f"planner-driven run, objective {planner.objective}")
-    if args.output:
-        adopted = report.adopted
-        if not adopted:
-            print("no plan cleared the gate; nothing written")
-            return 1
-        dump_plan(adopted[0].plan, args.output)
-        plan = adopted[0].plan
-        print(
-            f"plan written to {args.output} "
-            f"({plan.total_moves} moves in {len(plan.steps)} steps)"
-        )
+    if not report.adopted:
+        print("no plan cleared the gate; nothing written")
+        return 1
+    plan = report.adopted[0].plan
+    dump_plan(plan, path)
+    print(f"plan written to {path} ({plan.total_moves} moves in {len(plan.steps)} steps)")
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Run a fault-injection scenario against one migration strategy.
+def _report_chaos(result, scenario: str, seed: int) -> int:
+    """The fault run's verdict row and storage repairs; 1 if it stalled."""
+    from repro.chaos.experiment import chaos_summary
 
-    Prints the run's verdict row (the watchdog's classification) and exits
-    1 if its frontier stalled — the Completion guarantee is the pass/fail
-    line.  Every scenario against every strategy and state backend is the
-    spec ``benchmarks/extensions/chaos.toml``.
-    """
-    from repro.chaos.experiment import run_chaos_experiment
-
-    cfg = _config_from(args)
-    run = run_chaos_experiment(
-        args.scenario,
-        cfg.strategy,
-        cfg=cfg,
-        seed=args.chaos_seed,
-        restart_after_s=args.restart_after,
-        drop_prob=args.drop_prob,
-    )
+    run = chaos_summary(scenario, result)
     print_table(
-        f"chaos: {args.scenario} (seed {args.chaos_seed})",
+        f"chaos: {scenario} (seed {seed})",
         ["strategy", "verdict", "recoveries", "abandoned", "drops", "restored"],
-        [
-            (
-                run.strategy,
-                run.verdict,
-                run.recoveries,
-                run.abandoned_steps,
-                run.dropped_messages,
-                run.restored_bins,
-            )
-        ],
+        [(run.strategy, run.verdict, run.recoveries, run.abandoned_steps,
+          run.dropped_messages, run.restored_bins)],
     )
-    damaged = run.result.storage_faults
-    if damaged:
+    if result.storage_faults:
         print()
         print_table(
             "storage damage repaired during durable recovery",
             ["worker", "torn", "truncated [B]", "frames", "bins"],
             [
-                (
-                    report.worker,
-                    "yes" if report.torn_frame else "no",
-                    report.truncated_bytes,
-                    report.frames_replayed,
-                    report.bins_recovered,
-                )
-                for report in damaged
+                (r.worker, "yes" if r.torn_frame else "no", r.truncated_bytes,
+                 r.frames_replayed, r.bins_recovered)
+                for r in result.storage_faults
             ],
         )
-    _report_obsv(run.result)
     if not run.live:
         print(f"\nFAIL: frontier stalled under {run.strategy}")
-        for diagnosis in run.result.chaos_diagnoses[-1:]:
+        for diagnosis in result.chaos_diagnoses[-1:]:
             print(diagnosis.describe())
         return 1
     print("\nthe frontier drained (Completion holds under this plan)")
@@ -473,10 +186,7 @@ def cmd_replay(args) -> int:
     print(f"replayed {report.path} (workload: {report.workload_kind})")
     print(f"recorded fingerprint: {report.expected_fingerprint}")
     print(f"replayed fingerprint: {report.actual_fingerprint}")
-    print(
-        f"records: {report.records_injected:,}; "
-        f"sim events: {report.sim_events:,}"
-    )
+    print(f"records: {report.records_injected:,}; sim events: {report.sim_events:,}")
     if report.ok:
         print("replay OK: run reproduced byte-identically")
         return 0
@@ -488,11 +198,7 @@ def cmd_replay(args) -> int:
             "drifted topics",
             ["topic", "recorded", "replayed"],
             [
-                (
-                    t,
-                    report.expected_events.get(t, 0),
-                    report.actual_events.get(t, 0),
-                )
+                (t, report.expected_events.get(t, 0), report.actual_events.get(t, 0))
                 for t in drifted
             ],
         )
@@ -513,7 +219,6 @@ def cmd_matrix(args) -> int:
         MatrixSpecError,
         check_claims,
         check_matrix,
-        load_spec,
         run_matrix,
         write_matrix_report,
     )
@@ -529,17 +234,11 @@ def cmd_matrix(args) -> int:
         ["cell", "status", "records", "migration max", "duration",
          "steady max", "p99", "max", "chaos"],
         [
-            (
-                row["cell"],
-                row["status"],
-                f"{row.get('records', 0):,}",
-                format_latency(row.get("migration_max_latency_s")),
-                format_duration(row.get("migration_duration_s")),
-                format_latency(row.get("steady_max_latency_s")),
-                format_latency(row.get("p99_latency_s")),
-                format_latency(row.get("max_latency_s")),
-                row.get("chaos_verdict", "-"),
-            )
+            (row["cell"], row["status"], f"{row.get('records', 0):,}",
+             format_latency(row.get("migration_max_latency_s")),
+             format_duration(row.get("migration_duration_s")),
+             *(format_latency(row.get(f"{m}_latency_s")) for m in ("steady_max", "p99", "max")),
+             row.get("chaos_verdict", "-"))
             for row in report["cells"]
         ],
     )
@@ -551,13 +250,8 @@ def cmd_matrix(args) -> int:
             f"claims ({len(claims) - len(failed_claims)} of {len(claims)} hold)",
             ["claim", "at", "lhs", "bound", "status"],
             [
-                (
-                    c["claim"],
-                    c["at"] or "-",
-                    _claim_value(c["lhs"]),
-                    _claim_value(c["bound"]),
-                    "holds" if c["ok"] else "FAILS",
-                )
+                (c["claim"], c["at"] or "-", _claim_value(c["lhs"]),
+                 _claim_value(c["bound"]), "holds" if c["ok"] else "FAILS")
                 for c in claims
             ],
         )
@@ -577,22 +271,15 @@ def cmd_matrix(args) -> int:
             f"matrix check vs {args.check}",
             ["cell", "committed fingerprint", "current fingerprint", "status"],
             [
-                (
-                    row["cell"],
-                    (row["baseline_fingerprint"] or "-")[:16],
-                    (row["fingerprint"] or "-")[:16],
-                    row["status"],
-                )
+                (row["cell"], (row["baseline_fingerprint"] or "-")[:16],
+                 (row["fingerprint"] or "-")[:16], row["status"])
                 for row in deltas
             ],
         )
         passed = sum(1 for row in deltas if row["status"] in ("ok", "new"))
         warned = sum(1 for row in deltas if row["status"] == "fingerprint-warn")
         failed = len(deltas) - passed - warned
-        print(
-            f"check summary: {passed} passed, {warned} warned, "
-            f"{failed} failed"
-        )
+        print(f"check summary: {passed} passed, {warned} warned, {failed} failed")
         if not ok:
             print("FAIL: matrix drifted from the committed baseline")
             return 1
@@ -605,9 +292,7 @@ def cmd_matrix(args) -> int:
     os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
     write_matrix_report(report, output)
     print(f"matrix report written to {output}")
-    failed_cells = [
-        row["cell"] for row in report["cells"] if row["status"] != "ok"
-    ]
+    failed_cells = [row["cell"] for row in report["cells"] if row["status"] != "ok"]
     if failed_cells:
         print(f"FAIL: cells did not complete: {', '.join(failed_cells)}")
     return 1 if failed_cells or failed_claims else 0
@@ -659,138 +344,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    count = sub.add_parser("count", help="run the counting microbenchmark")
-    _common_args(count)
-    _parallel_arg(count)
-    _obsv_args(count)
-    _elastic_args(count)
-    count.add_argument("--domain", type=_integer, default=1_000_000)
-    count.add_argument("--bytes-per-key", type=float, default=8.0)
-    count.add_argument("--native", action="store_true")
-    count.set_defaults(fn=cmd_count)
-
-    nexmark = sub.add_parser("nexmark", help="run a NEXMark query")
-    _common_args(nexmark)
-    _obsv_args(nexmark)
-    _elastic_args(nexmark)
-    nexmark.add_argument("--query", type=int, required=True, choices=range(1, 9))
-    nexmark.add_argument("--dilation", type=int, default=1)
-    nexmark.add_argument("--state-scale", type=float, default=1.0)
-    nexmark.add_argument("--native", action="store_true")
-    nexmark.set_defaults(fn=cmd_nexmark)
-
-    trace = sub.add_parser(
-        "trace", help="run one migration and print its per-bin phase breakdown"
+    run = sub.add_parser("run", help="run one experiment config and report it")
+    run.add_argument(
+        "--spec", default=None, metavar="SPEC_TOML_OR_JSON",
+        help="start from this matrix spec's [base]",
     )
-    _common_args(trace)
-    trace.add_argument("--domain", type=_integer, default=1_000_000)
-    trace.add_argument("--bytes-per-key", type=float, default=8.0)
-    trace.add_argument("--max-rows", type=int, default=16)
-    from repro.runtime_events.bus import TOPICS
-
-    trace.add_argument(
-        "--topics", dest="collect_topic_counts", nargs="*", choices=TOPICS,
-        default=None, metavar="TOPIC",
-        help="also count bus events on these topics (no names = all; "
-        "see `repro.cli list` for the topic names)",
+    run.add_argument(
+        "--cell", default=None, metavar="LABEL",
+        help="then apply this cell's overrides (its id as `matrix` prints it)",
     )
-    trace.set_defaults(fn=cmd_trace, strategy="fluid")
-
-    chaos = sub.add_parser(
-        "chaos", help="fault-inject one strategy's migration and report its verdict"
+    run.add_argument(
+        "--set", dest="sets", action="append", default=[], metavar="KEY=VALUE",
+        help="then set KEY, an ExperimentConfig field or a run key (query, "
+        "nexmark, faults, chaos_seed), to VALUE: TOML, where a bare word is "
+        "a string and a table merges key by key; repeatable",
     )
-    _common_args(chaos)
-    _obsv_args(chaos)
-    from repro.chaos.experiment import (
-        SCENARIOS,
-        default_chaos_experiment_config,
+    run.add_argument(
+        "--plan-out", default=None, metavar="PATH",
+        help="write the planner's first adopted plan as plan_io JSON "
+        "(exit 1 if none was adopted)",
     )
-
-    chaos.add_argument(
-        "--scenario", choices=SCENARIOS, default="crash-target",
-        help="which fault plan to inject (default: crash-target)",
-    )
-    chaos.add_argument("--domain", type=_integer)
-    chaos.add_argument("--bytes-per-key", type=float)
-    chaos.add_argument(
-        "--bandwidth", dest="bandwidth_bytes_per_s", type=float,
-        help="link bandwidth in bytes/s (low by default so steps take time)",
-    )
-    chaos.add_argument(
-        "--restart-after", type=float, default=None,
-        help="crash-restart: seconds until the crashed process rejoins",
-    )
-    chaos.add_argument(
-        "--drop-prob", type=float, default=0.3,
-        help="lossy: per-message drop probability",
-    )
-    chaos.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed of the fault plan's RNG (lossy links only)",
-    )
-    # Small two-process cluster with heavy state: faults land mid-migration.
-    _defaults_from(chaos, default_chaos_experiment_config())
-    chaos.set_defaults(fn=cmd_chaos)
-
-    plan = sub.add_parser(
-        "plan",
-        help="observe load, propose migration plans, optionally execute",
-    )
-    _common_args(plan)
-    _obsv_args(plan)
-    # A planner run schedules no static migrations; the planner decides.
-    plan.set_defaults(migrate_at_s=[], num_bins=64, num_workers=4, duration_s=8.0)
-    from repro.planner import OBJECTIVES
-
-    plan.add_argument(
-        "--objective", choices=sorted(OBJECTIVES), default="balance",
-        help="what the plan search optimizes (default: balance)",
-    )
-    plan.add_argument("--domain", type=_integer, default=1 << 12)
-    plan.add_argument(
-        "--workload", choices=WORKLOADS, default="skewed",
-        help="key distribution of the observed run (default: skewed)",
-    )
-    plan.add_argument("--hot-keys", type=int, default=12)
-    plan.add_argument("--hot-fraction", type=float, default=0.85)
-    plan.add_argument("--zipf-exponent", type=float, default=0.8)
-    plan.add_argument(
-        "--observe-s", dest="start_s", type=float, default=1.0,
-        help="simulated seconds of telemetry before the first decision",
-    )
-    plan.add_argument("--sample-s", type=float, default=0.25)
-    plan.add_argument("--window-s", type=float, default=1.0)
-    plan.add_argument("--decide-s", type=float, default=0.5)
-    plan.add_argument("--cooldown-s", type=float, default=1.5)
-    plan.add_argument(
-        "--min-gain", type=float, default=0.05,
-        help="required drop in max/mean imbalance to adopt a plan",
-    )
-    plan.add_argument(
-        "--slo-step-s", type=float, default=0.05,
-        help="per-step latency budget the step search packs within",
-    )
-    plan.add_argument(
-        "--drain", dest="drain_workers", type=int, nargs="*", default=[],
-        help="drain objective: worker ids to empty (scale-in)",
-    )
-    plan.add_argument(
-        "--execute", dest="propose_only", action="store_false",
-        help="execute adopted plans (default: propose-only advisor mode)",
-    )
-    plan.add_argument(
-        "--output", default=None,
-        help="write the first adopted plan as plan_io JSON "
-        "(exit 1 if nothing cleared the gate)",
-    )
-    plan.set_defaults(fn=cmd_plan)
+    run.set_defaults(fn=cmd_run)
 
     replay = sub.add_parser(
         "replay",
         help="re-execute a recorded event log and verify its fingerprint",
     )
     replay.add_argument(
-        "log", help="event log written by --record on a previous run"
+        "log", help="event log a run recorded with --set record_log=PATH"
     )
     replay.set_defaults(fn=cmd_replay)
 
@@ -844,24 +425,12 @@ def main(argv=None) -> int:
             stats.sort_stats("cumulative").print_stats(25)
         return status
     except ConfigError as exc:
-        # Raised where a config is constructed: its message is the usage
-        # error (exit code 2), naming the flag that wrote the field.
+        # A usage error (exit code 2); the message names the field.
         subparsers = next(
             action for action in parser._actions
             if isinstance(action, argparse._SubParsersAction)
         )
-        command = subparsers.choices[args.command]
-        command.error(_flag_message(command, str(exc)))
-
-
-def _flag_message(parser: argparse.ArgumentParser, message: str) -> str:
-    """``message`` with its leading field name swapped for the flag that
-    writes the field, when ``parser`` has one."""
-    field = re.match(r"\w*", message).group()
-    for action in parser._actions:
-        if action.dest == field and action.option_strings:
-            return action.option_strings[0] + message[len(field):]
-    return message
+        subparsers.choices[args.command].error(str(exc))
 
 
 if __name__ == "__main__":

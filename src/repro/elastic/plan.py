@@ -3,8 +3,8 @@
 A :class:`ScalingPlan` is pure data — a time-ordered list of membership
 actions — mirroring the chaos layer's :class:`~repro.chaos.plan.FaultPlan`:
 the same plan can be validated, printed, recorded into an event log, and
-replayed byte-identically.  The canonical text form (accepted by the CLI's
-``--scaling-plan`` and produced by :meth:`ScalingPlan.spec`) is::
+replayed byte-identically.  The canonical text form (accepted by the
+``scaling_plan`` config field and produced by :meth:`ScalingPlan.spec`) is::
 
     join@2.0:4,5;leave@5.0:4,5
 

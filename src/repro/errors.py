@@ -4,6 +4,6 @@
 class ConfigError(ValueError):
     """A configuration breaks a rule.
 
-    The message starts with the name of the field it is about, so the CLI
-    can swap that name for the flag that writes the field.
+    The message starts with the name of the field it is about, which is
+    also the KEY a ``repro.cli run --set`` names.
     """

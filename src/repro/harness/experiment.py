@@ -14,9 +14,10 @@ contract pin.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import time as wallclock
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 from repro.chaos.inject import ChaosInjector, FaultLog
@@ -51,7 +52,7 @@ from repro.planner.cost import MigrationCostModel
 from repro.planner.policy import ClosedLoopPlanner, PlannerConfig, PlannerReport
 from repro.planner.telemetry import LoadTelemetry
 from repro.runtime_events.analyze import MigrationTrace
-from repro.runtime_events.events import MemorySampled
+from repro.runtime_events.events import TOPICS, MemorySampled
 from repro.sim.cost import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemoryTimeline, MemoryTimelineRecorder
@@ -73,11 +74,13 @@ _SHARDED_UNSUPPORTED = (
     # The obsv observers subscribe to *one* bus; a sharded run has one per
     # domain, so recording/export there would capture a single shard's
     # slice and present it as the whole run.
-    ("record_log", "event-log recording (--record)"),
-    ("export_metrics", "metrics export (--export-metrics)"),
+    ("record_log", "event-log recording (record_log)"),
+    ("export_metrics", "metrics export (export_metrics)"),
     # The sharded engine partitions a fixed worker set.
     ("elastic", "elastic membership"),
 )
+# The annotations of integer fields (annotations are strings here).
+_INT_TYPES = ("int", "Optional[int]")
 # Fields that must be positive when set.
 _POSITIVE_FIELDS = (
     "num_workers", "workers_per_process", "rate", "duration_s", "batch_size",
@@ -186,10 +189,24 @@ class ExperimentConfig:
         the field's name; where a lower-level check states the rule (the
         registries, the bin arithmetic, the scaling plan), it is called.
         """
-        # Lists arrive from the CLI, matrix specs and event logs.
+        # Settings arrive from the CLI, matrix specs and event logs, where
+        # TOML and JSON hand a float (``1e6``) straight to an int field.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _INT_TYPES and value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        # Lists arrive from the same places.
         self.migrate_at_s = tuple(self.migrate_at_s)
         if self.collect_topic_counts is not None:
             self.collect_topic_counts = tuple(self.collect_topic_counts)
+            unknown = sorted(set(self.collect_topic_counts) - set(TOPICS))
+            if unknown:
+                raise ConfigError(
+                    f"collect_topic_counts names unknown topics {unknown}; "
+                    f"known: {', '.join(TOPICS)}"
+                )
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -266,16 +283,16 @@ class ExperimentConfig:
             raise ConfigError(
                 "parallel must be None (serial engine) or 0 (sharded "
                 f"engine, in-process), got {self.parallel!r}: forked "
-                "execution (--parallel N, N >= 1) was removed, having "
+                "execution (parallel=N, N >= 1) was removed, having "
                 "measured 0.3x the in-process engine it matched byte for "
-                "byte; --parallel 0 runs the sharded engine in-process"
+                "byte; parallel=0 runs the sharded engine in-process"
             )
         for attr, label in _SHARDED_UNSUPPORTED:
             value = getattr(self, attr)
             if value is not None and value is not False:
                 raise ConfigError(
-                    f"parallel: the sharded engine (--parallel 0) does not "
-                    f"support {label}; run it serially (drop --parallel)"
+                    f"parallel: the sharded engine (parallel=0) does not "
+                    f"support {label}; run it serially (leave parallel unset)"
                 )
 
     @property

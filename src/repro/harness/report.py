@@ -132,3 +132,126 @@ def print_phase_breakdown(
             for phase, value in sums.items()
         )
         out(f"phase totals across bins: {parts}")
+
+
+def print_run_report(result, title: str, out=print) -> None:
+    """Print what one run's config asks for (``repro.cli run``).
+
+    Always the latency timeline and the migrations; then, when the config
+    sets them up, the scaling operations and autoscaler decisions, the
+    per-bin phase breakdown and step outcomes, the bus topic counts and
+    the planner's decisions.
+    """
+    cfg = result.config
+    print_timeline(title, result.timeline.series(), out=out, every=2)
+    rows = [
+        (
+            i,
+            migration.strategy,
+            len(migration.steps),
+            format_duration(result.migration_duration(i)),
+            format_latency(result.migration_max_latency(i)),
+        )
+        for i, migration in enumerate(result.migrations)
+    ]
+    if rows:
+        print_table(
+            "migrations", ["#", "strategy", "steps", "duration", "max latency"],
+            rows, out=out,
+        )
+    out(f"\nsteady-state max latency: {format_latency(result.steady_max_latency())}")
+    out(f"records injected: {result.records_injected:,.0f}; "
+        f"wall time: {result.wall_seconds:.1f}s")
+    if result.scaling is not None:
+        _print_elastic(result, out)
+    if cfg.collect_trace:
+        _print_trace(result, out)
+    if cfg.collect_topic_counts is not None:
+        counts = result.topic_counts
+        print_table(
+            "bus events by topic", ["topic", "events"],
+            [(t, f"{counts[t]:,}") for t in sorted(counts)]
+            or [("-", "no events on the selected topics")],
+            out=out,
+        )
+    if cfg.planner is not None:
+        _print_planner(result, out)
+
+
+def _print_elastic(result, out) -> None:
+    """Scaling operations and autoscaler decisions."""
+    rows = [
+        (
+            op.kind,
+            ",".join(str(w) for w in op.workers),
+            op.moves,
+            format_duration(op.duration_s) if op.completed_at else "pending",
+            op.residual_bins,
+        )
+        for op in result.scaling.operations
+    ]
+    print_table(
+        "scaling operations",
+        ["kind", "workers", "moves", "duration", "residual bins"],
+        rows if rows else [("-", "-", 0, "-", "no membership changes")],
+        out=out,
+    )
+    decisions = result.autoscale_decisions
+    acted = [d for d in decisions if d.action != "hold"]
+    if decisions:
+        print_table(
+            "autoscaler decisions",
+            ["at", "action", "reason", "mean load", "active → target"],
+            [
+                (f"{d.at:.2f}s", d.action, d.reason, f"{d.mean_load:,.0f}",
+                 f"{d.active} → {d.target}")
+                for d in acted
+            ]
+            or [("-", "hold", "-", "-", "-")],
+            out=out,
+        )
+        out(f"autoscaler holds (cooldown/busy/bounds): {len(decisions) - len(acted)}")
+
+
+def _print_trace(result, out) -> None:
+    """The per-bin phase breakdown and the first 16 step outcomes."""
+    trace = result.migration_trace
+    print_phase_breakdown(
+        f"migration phases, {result.config.strategy}, "
+        f"domain {result.config.domain:,}",
+        trace.phase_breakdown(), out=out,
+    )
+    measured = sum(
+        result.migration_duration(i) for i in range(len(result.migrations))
+    )
+    out(f"measured migration duration: {format_duration(measured)}")
+    outcomes = trace.outcome_rows()
+    if outcomes:
+        print_table(
+            "step outcomes", ["time", "moves", "attempts", "duration"],
+            [
+                (o.time, o.moves, o.attempts, format_duration(o.duration_s))
+                for o in outcomes[:16]
+            ],
+            out=out,
+        )
+
+
+def _print_planner(result, out) -> None:
+    """The planner's proposals and where the run ended."""
+    planner, report = result.config.planner, result.planner
+    print_table(
+        f"planner decisions, objective {planner.objective}"
+        + (" (propose-only)" if planner.propose_only else ""),
+        ["at", "moves", "steps", "pred. cost", "gain", "verdict"],
+        [
+            (f"{p.at:.2f}s", p.moves, p.steps, format_duration(p.predicted_cost_s),
+             f"{p.predicted_gain:+.2f}", "adopted" if p.adopted else p.reason)
+            for p in report.proposals
+        ]
+        or [("-", 0, 0, "-", "-", "nothing to propose")],
+        out=out,
+    )
+    out(f"\ndecision points: {report.decisions}; proposals: "
+        f"{len(report.proposals)}; adopted: {len(report.adopted)}")
+    out(f"final imbalance (max/mean): {result.final_imbalance:.2f}x")

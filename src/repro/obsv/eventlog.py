@@ -44,7 +44,7 @@ class EventLogError(ValueError):
 
 # ExperimentConfig fields that are observers/outputs, not run semantics:
 # they are stripped on read so a replay does not re-record or re-export.
-_OBSERVER_FIELDS = (
+OBSERVER_FIELDS = (
     "record_log",
     "export_metrics",
     "collect_topic_counts",
@@ -151,7 +151,7 @@ def config_from_dict(data: dict):
                 continue
             if name not in known:
                 raise EventLogError(f"unknown ExperimentConfig field {name!r}")
-            if name in _OBSERVER_FIELDS:
+            if name in OBSERVER_FIELDS:
                 continue
             if name == "cost":
                 kwargs["cost"] = None if value is None else CostModel(**value)

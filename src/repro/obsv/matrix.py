@@ -166,8 +166,7 @@ def load_spec(path: str) -> dict:
         _check_axis(path, axis, values)
     for cell in expand_cells(data):
         try:
-            cell_config(cell)
-            _nexmark(cell)
+            build_run(cell.settings)
         except (TypeError, ValueError) as exc:  # ConfigError, EventLogError
             raise MatrixSpecError(
                 f"{path}: cell {cell.cell_id} breaks a config rule: {exc}"
@@ -199,15 +198,17 @@ def _read(path: str) -> dict:
         raise MatrixSpecError(f"{path}: a spec is a table")
     parent = data.pop("extends", None)
     if parent is not None:
-        data = _merge(_read(os.path.join(os.path.dirname(path), parent)), data)
+        data = merge_settings(_read(os.path.join(os.path.dirname(path), parent)), data)
     return data
 
 
-def _merge(under: dict, over: dict) -> dict:
+def merge_settings(under: dict, over: dict) -> dict:
+    """``over`` on top of ``under``: tables merge key by key, anything else
+    (a list included) replaces."""
     merged = dict(under)
     for key, value in over.items():
         if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            value = _merge(merged[key], value)
+            value = merge_settings(merged[key], value)
         merged[key] = value
     return merged
 
@@ -251,39 +252,45 @@ def expand_cells(spec: dict) -> list[MatrixCell]:
                 values[axis] = overrides.pop("name")
             else:
                 values[axis], overrides = value, {axis: value}
-            settings = _merge(settings, overrides)
+            settings = merge_settings(settings, overrides)
         cells.append(MatrixCell(values, settings))
     return cells
 
 
-def cell_config(cell: MatrixCell):
-    """Build the :class:`ExperimentConfig` for one cell."""
+def build_run(settings: dict):
+    """``(config, query, nexmark)`` for one run's settings.
+
+    ``settings`` maps :class:`ExperimentConfig` fields and the run keys to
+    values, as a cell's do.  ``query`` is None for the count workload;
+    ``nexmark`` is None for the harness's default :class:`NexmarkConfig`.
+    Matrix cells and ``repro.cli run`` both build their runs here.
+    """
     from repro.chaos.experiment import scenario_chaos
-
-    settings = {k: v for k, v in cell.settings.items() if k not in RUN_KEYS}
-    cfg = config_from_dict(settings)
-    cfg.fingerprint_state = True
-    faults = cell.settings.get("faults", NO_FAULTS)
-    if faults != NO_FAULTS:
-        chaos_seed = cell.settings.get("chaos_seed", 0)
-        cfg = replace(cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed))
-    return cfg
-
-
-def _nexmark(cell: MatrixCell):
-    """The cell's (query, NexmarkConfig); (None, None) runs the count workload."""
     from repro.nexmark.config import NexmarkConfig
     from repro.nexmark.queries import QUERIES
 
-    query = cell.settings.get("query")
-    table = cell.settings.get("nexmark")
+    cfg = config_from_dict(
+        {k: v for k, v in settings.items() if k not in RUN_KEYS}
+    )
+    faults = settings.get("faults", NO_FAULTS)
+    if faults != NO_FAULTS:
+        chaos_seed = settings.get("chaos_seed", 0)
+        cfg = replace(cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed))
+    query = settings.get("query")
+    table = settings.get("nexmark")
     if query is None:
         if table is not None:
             raise ValueError("nexmark settings need a query")
-        return None, None
+        return cfg, None, None
     if query not in QUERIES:
         raise ValueError(f"query must be one of {sorted(QUERIES)}, got {query!r}")
-    return query, None if table is None else NexmarkConfig(**table)
+    return cfg, query, None if table is None else NexmarkConfig(**table)
+
+
+def cell_config(cell: MatrixCell):
+    """The :class:`ExperimentConfig` of one cell, which always fingerprints
+    its final state."""
+    return replace(build_run(cell.settings)[0], fingerprint_state=True)
 
 
 # -- claims ---------------------------------------------------------------------
@@ -440,7 +447,9 @@ def run_cell(cell: MatrixCell) -> dict:
     from repro.obsv.replay import run_config
     from repro.harness.experiment import result_fingerprint
 
-    result = run_config(cell_config(cell), *_nexmark(cell))
+    cfg, query, nexmark = build_run(cell.settings)
+    cfg.fingerprint_state = True
+    result = run_config(cfg, query, nexmark)
     row = {
         "cell": cell.cell_id,
         "status": "ok",

@@ -161,8 +161,8 @@ class MigrationTrace:
         self.steps: dict = {}
         self.bins: dict = {}
         # Final per-step accounting (chosen batch, attempts, abandonment)
-        # as published by the controllers; cost models and the trace CLI
-        # consume these alongside the per-bin phase rows.
+        # as published by the controllers; cost models and the CLI's
+        # step-outcome table consume these alongside the per-bin phase rows.
         self.outcomes: dict = {}
         self._unsubscribe = bus.subscribe(self._on_event, topics=(TOPIC_MIGRATION,))
 

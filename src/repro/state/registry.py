@@ -1,9 +1,9 @@
 """The built-in state backends and codecs, by name.
 
-Selection everywhere (``ExperimentConfig``, the NEXMark harness, the CLI's
-``--state-backend``/``--codec`` flags) is by name.  Unknown names raise
-``ValueError`` listing the known ones; the CLI turns that into a clean
-exit.
+Selection everywhere (``ExperimentConfig``'s ``state_backend`` and
+``codec`` fields, the NEXMark harness) is by name.  Unknown names raise
+``ValueError`` listing the known ones; the config turns that into a
+``ConfigError``, which the CLI reports as a usage error.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ def test_crash_restart_restores_snapshot_state():
     from repro.chaos.experiment import run_chaos_experiment
     from repro.runtime_events.events import ProcessCrashed, ProcessRestarted
 
-    run = run_chaos_experiment("crash-restart", "batched", restart_after_s=1.0)
+    run = run_chaos_experiment("crash-restart", "batched")
     assert run.live, run.verdict
     # The restarted process was reseeded from the mid-run snapshot.
     assert run.restored_bins > 0

@@ -81,8 +81,8 @@ CASES = {
     "sample_memory": (_sharded(sample_memory=True), "parallel", "memory sampling"),
     "collect_trace": (_sharded(collect_trace=True), "parallel", "trace collection"),
     "native": (_sharded(native=True), "parallel", "native"),
-    "record_log": (_sharded(record_log="run.jsonl"), "parallel", "--record"),
-    "export_metrics": (_sharded(export_metrics="-"), "parallel", "--export-metrics"),
+    "record_log": (_sharded(record_log="run.jsonl"), "parallel", "(record_log)"),
+    "export_metrics": (_sharded(export_metrics="-"), "parallel", "(export_metrics)"),
     "elastic": (_sharded(active_workers=4), "parallel", "elastic membership"),
     "negative": (
         lambda: ExperimentConfig(parallel=-1), "parallel", "got -1"
@@ -90,7 +90,23 @@ CASES = {
     "forked": (
         lambda: ExperimentConfig(parallel=2),
         "parallel",
-        "forked execution (--parallel N, N >= 1) was removed",
+        "forked execution (parallel=N, N >= 1) was removed",
+    ),
+    # Settings from TOML and JSON can carry a float into an integer field.
+    "float_workers": (
+        lambda: ExperimentConfig(num_workers=4.0), "num_workers", "must be an integer, got 4.0"
+    ),
+    "float_domain": (
+        lambda: ExperimentConfig(domain=1e4), "domain", "must be an integer, got 10000.0"
+    ),
+    "float_bins": (
+        lambda: ExperimentConfig(num_bins=16.0), "num_bins", "must be an integer, got 16.0"
+    ),
+    "bool_seed": (lambda: ExperimentConfig(seed=True), "seed", "must be an integer"),
+    "topics": (
+        lambda: ExperimentConfig(collect_topic_counts=("migration", "bogus")),
+        "collect_topic_counts",
+        "names unknown topics ['bogus']",
     ),
 }
 
@@ -103,7 +119,7 @@ def test_rejected_at_construction(case):
     assert str(excinfo.value).startswith(field)
     assert message in str(excinfo.value)
     if field == "parallel":
-        assert "--parallel 0" in str(excinfo.value)
+        assert "parallel=0" in str(excinfo.value)
 
 
 def test_sequences_are_normalised_to_tuples():

@@ -269,6 +269,16 @@ def test_load_spec_builds_every_cell_config(tmp_path):
         load_spec(str(path))
 
 
+def test_load_spec_rejects_a_float_in_an_integer_field(tmp_path):
+    # TOML writes 1e4 as a float; the config refuses it at load, not mid-run.
+    path = tmp_path / "domain.toml"
+    path.write_text(SPEC_TOML.replace("domain = 256", "domain = 1e4"))
+    with pytest.raises(
+        MatrixSpecError, match="cell batched/dict/uniform .*domain must be an integer, got 10000.0"
+    ):
+        load_spec(str(path))
+
+
 def test_label_axes_and_extends_build_cells(tmp_path):
     (tmp_path / "cluster.toml").write_text(
         "[base]\nnum_workers = 2\nworkers_per_process = 2\nrate = 5000.0\n"
