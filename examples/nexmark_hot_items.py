@@ -28,11 +28,6 @@ def main():
                         help="events per second (simulated)")
     args = parser.parse_args()
 
-    nexmark = NexmarkConfig(
-        # Scale the modeled per-entry bytes up so the migration moves a
-        # meaningful amount of state at example scale.
-        state_bytes_scale=4096.0,
-    )
     cfg = ExperimentConfig(
         num_workers=8,
         workers_per_process=4,
@@ -43,10 +38,16 @@ def main():
         migrate_at_s=(4.0,),
         strategy=args.strategy,
         batch_size=16,
+        query=5,
+        nexmark=NexmarkConfig(
+            # Scale the modeled per-entry bytes up so the migration moves a
+            # meaningful amount of state at example scale.
+            state_bytes_scale=4096.0,
+        ),
     )
     print(f"running NEXMark Q5 at {args.rate:,.0f} events/s, "
           f"{args.strategy} migration at t=4s ...")
-    result = run_nexmark_experiment(5, cfg, nexmark=nexmark)
+    result = run_nexmark_experiment(5, cfg)
 
     print_timeline(
         f"Q5 service latency ({args.strategy})",

@@ -28,6 +28,7 @@ from repro.chaos.plan import (
     WorkerStall,
 )
 from repro.chaos.watchdog import WatchdogConfig
+from repro.errors import ConfigError
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -103,7 +104,9 @@ def scenario_chaos(
 ) -> ChaosConfig:
     """Build the :class:`ChaosConfig` for a named scenario against ``cfg``."""
     if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; pick one of {SCENARIOS}")
+        raise ConfigError(
+            f"faults: unknown scenario {scenario!r}; pick one of {SCENARIOS}"
+        )
     migrate_at = cfg.migrate_at_s[0] if cfg.migrate_at_s else cfg.duration_s / 3
     at_s = migrate_at + FAULT_DELAY_S
     if scenario == "crash-target":

@@ -5,6 +5,7 @@ Usage (module form)::
     python -m repro.cli run                        # ExperimentConfig defaults
     python -m repro.cli run --set strategy=fluid --set num_bins=4096 --set domain=1000000000
     python -m repro.cli run --set query=5 --set strategy=batched --set dilation=60
+    python -m repro.cli run --set query=3 --set 'nexmark={state_bytes_scale=64.0}'
     python -m repro.cli run --set collect_trace=true     # per-bin phase breakdown
     python -m repro.cli run --spec benchmarks/extensions/planner_skew.toml --cell planner
     python -m repro.cli run --spec benchmarks/extensions/chaos.toml --cell stall/dict/fluid
@@ -16,14 +17,15 @@ Usage (module form)::
 
 ``run`` builds one :class:`ExperimentConfig` from settings: a spec's
 ``[base]`` (or nothing), then the ``--cell`` it names, then each ``--set
-KEY=VALUE`` in order.  KEY is a config field or a run key (``query``,
-``nexmark``, ``faults``, ``chaos_seed``); VALUE is TOML, a bare word is a
-string, and a table merges key by key.  The settings take the path a matrix
-cell takes, and the config decides the report: the latency timeline and
-migrations always; the scaling tables for elastic runs; the phase breakdown
-for ``collect_trace``; topic counts for ``collect_topic_counts``; the
-planner's decisions for ``planner``; the chaos verdict for ``faults`` (exit
-1 if the run stalled).
+KEY=VALUE`` in order.  KEY is a config field (``query`` and a ``nexmark``
+table run a NEXMark query) or ``faults``/``chaos_seed``, which name a fault
+scenario that expands into the ``chaos`` table; VALUE is TOML, a bare word
+is a string, and a table merges key by key.  The settings take the path a
+matrix cell takes, and the config decides the report: the latency timeline
+and migrations always; the scaling tables for elastic runs; the phase
+breakdown for ``collect_trace``; topic counts for ``collect_topic_counts``;
+the planner's decisions for ``planner``; the chaos verdict for ``chaos``
+(exit 1 if the run stalled).
 
 ``--profile`` (before the subcommand) wraps any command in cProfile and
 prints the top 25 functions by cumulative time after the report.
@@ -38,21 +40,15 @@ import sys
 import tomllib
 
 from repro.errors import ConfigError
-from repro.harness.experiment import ExperimentConfig
 from repro.harness.report import format_duration, format_latency, print_run_report, print_table
 from repro.megaphone.migration import STRATEGIES
-from repro.obsv.eventlog import OBSERVER_FIELDS
-from repro.obsv.matrix import (
-    NO_FAULTS, RUN_KEYS, build_run, expand_cells, load_spec, merge_settings,
-)
+from repro.obsv.eventlog import OBSERVER_FIELDS, config_from_dict
+from repro.obsv.matrix import expand_cells, load_spec, merge_settings
 from repro.obsv.replay import run_config
-
-# What ``--set`` may name.
-SETTING_KEYS = (*(f.name for f in dataclasses.fields(ExperimentConfig)), *RUN_KEYS)
 
 
 def configure(args):
-    """``(settings, config, query, nexmark)`` from ``run``'s arguments.
+    """``(settings, config)`` from ``run``'s arguments.
 
     Every problem with them — a bad spec or cell, an unknown key, a VALUE
     that is not TOML, a broken config rule — raises :class:`ConfigError`.
@@ -76,20 +72,14 @@ def configure(args):
         raise ConfigError("--cell names a cell of the --spec, and none is given")
     for item in args.sets:
         key, _, text = item.partition("=")
-        if key not in SETTING_KEYS:
-            raise ConfigError(
-                f"--set {key!r}: KEY is neither an ExperimentConfig field "
-                f"nor one of the run keys {', '.join(RUN_KEYS)}"
-            )
         settings = merge_settings(settings, {key: _value(key, text)})
     # config_from_dict strips the observers; a run observes what it asks.
     observers = {k: settings[k] for k in OBSERVER_FIELDS if k in settings}
     try:
-        cfg, query, nexmark = build_run(settings)
-        cfg = dataclasses.replace(cfg, **observers)
-    except (TypeError, ValueError) as exc:  # a broken rule, a malformed table
+        cfg = dataclasses.replace(config_from_dict(settings), **observers)
+    except ValueError as exc:  # EventLogError: a broken rule, an unknown key
         raise ConfigError(str(exc)) from None
-    return settings, cfg, query, nexmark
+    return settings, cfg
 
 
 def _value(key: str, text: str):
@@ -107,18 +97,18 @@ def _value(key: str, text: str):
 
 def cmd_run(args) -> int:
     """Run one config and print the report its settings ask for."""
-    settings, cfg, query, nexmark = configure(args)
+    settings, cfg = configure(args)
     if args.plan_out is not None and cfg.planner is None:
         raise ConfigError("--plan-out writes the planner's plan; set planner={...}")
-    result = run_config(cfg, query, nexmark)
-    title = f"NEXMark Q{query}" if query else f"key-count, domain {cfg.domain:,}"
+    result = run_config(cfg)
+    title = f"NEXMark Q{cfg.query}" if cfg.query else f"key-count, domain {cfg.domain:,}"
     print_run_report(result, title)
     status = 0
     if args.plan_out is not None:
         status = _write_plan(result.planner, args.plan_out)
-    faults = settings.get("faults", NO_FAULTS)
-    if faults != NO_FAULTS:
-        status = _report_chaos(result, faults, settings.get("chaos_seed", 0)) or status
+    if cfg.chaos is not None:
+        scenario = settings.get("faults", "chaos table")
+        status = _report_chaos(result, scenario, cfg.chaos.plan.seed) or status
     if cfg.record_log:
         print(f"event log recorded to {cfg.record_log} "
               f"(verify: python -m repro.cli replay {cfg.record_log})")
@@ -183,7 +173,7 @@ def cmd_replay(args) -> int:
     except (EventLogError, OSError) as exc:
         print(f"cannot replay {args.log}: {exc}", file=sys.stderr)
         return 2
-    print(f"replayed {report.path} (workload: {report.workload_kind})")
+    print(f"replayed {report.path}")
     print(f"recorded fingerprint: {report.expected_fingerprint}")
     print(f"replayed fingerprint: {report.actual_fingerprint}")
     print(f"records: {report.records_injected:,}; sim events: {report.sim_events:,}")
@@ -355,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--set", dest="sets", action="append", default=[], metavar="KEY=VALUE",
-        help="then set KEY, an ExperimentConfig field or a run key (query, "
-        "nexmark, faults, chaos_seed), to VALUE: TOML, where a bare word is "
-        "a string and a table merges key by key; repeatable",
+        help="then set KEY, an ExperimentConfig field or a fault scenario's "
+        "faults/chaos_seed, to VALUE: TOML, where a bare word is a string "
+        "and a table merges key by key; repeatable",
     )
     run.add_argument(
         "--plan-out", default=None, metavar="PATH",

@@ -18,7 +18,7 @@ import numbers
 import time as wallclock
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaos.inject import ChaosInjector, FaultLog
 from repro.chaos.plan import ChaosConfig
@@ -60,6 +60,9 @@ from repro.sim.network import Cluster
 from repro.state.registry import resolve_backend, resolve_codec
 from repro.timely.dataflow import Dataflow
 
+if TYPE_CHECKING:  # repro.nexmark's harness imports this module
+    from repro.nexmark.config import NexmarkConfig
+
 WORKLOADS = ("uniform", "skewed")
 VARIANTS = ("key", "hash")  # bin state as dense arrays or as hash maps
 
@@ -78,6 +81,8 @@ _SHARDED_UNSUPPORTED = (
     ("export_metrics", "metrics export (export_metrics)"),
     # The sharded engine partitions a fixed worker set.
     ("elastic", "elastic membership"),
+    # The sharded runner builds the count dataflow only.
+    ("query", "NEXMark queries"),
 )
 # The annotations of integer fields (annotations are strings here).
 _INT_TYPES = ("int", "Optional[int]")
@@ -95,6 +100,13 @@ def _lower_check(prefix: str = ""):
         yield
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _as_tuple(name: str, value) -> tuple:
+    """A list setting as a tuple; a scalar there is a ConfigError."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -158,6 +170,11 @@ class ExperimentConfig:
     hot_keys: int = 8
     hot_fraction: float = 0.9
     zipf_exponent: float = 1.0
+    # NEXMark (repro.nexmark): run query ``query`` (1-8) instead of the
+    # counting workload, on the auction site ``nexmark`` describes (a table
+    # of NexmarkConfig fields; None is its defaults).
+    query: Optional[int] = None
+    nexmark: Optional[NexmarkConfig] = None
     # Closed-loop planner.  None (the default) leaves telemetry, cost
     # models, and the decision loop unwired — the run is byte-identical to
     # a build without the planner subsystem.
@@ -198,9 +215,11 @@ class ExperimentConfig:
             ):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         # Lists arrive from the same places.
-        self.migrate_at_s = tuple(self.migrate_at_s)
+        self.migrate_at_s = _as_tuple("migrate_at_s", self.migrate_at_s)
         if self.collect_topic_counts is not None:
-            self.collect_topic_counts = tuple(self.collect_topic_counts)
+            self.collect_topic_counts = _as_tuple(
+                "collect_topic_counts", self.collect_topic_counts
+            )
             unknown = sorted(set(self.collect_topic_counts) - set(TOPICS))
             if unknown:
                 raise ConfigError(
@@ -268,6 +287,8 @@ class ExperimentConfig:
                 self.scaling_plan.validate(self.num_workers, self.initial_active)
         if self.autoscale is not None:
             self.autoscale.validate(self.num_workers)
+        if self.query is not None or self.nexmark is not None:
+            self._check_nexmark()
         if self.elastic and self.native:
             raise ConfigError(
                 "native runs cannot be elastic: elastic membership needs the "
@@ -276,6 +297,30 @@ class ExperimentConfig:
             )
         if self.parallel is not None:
             self._check_sharded()
+
+    def _check_nexmark(self) -> None:
+        """Check the query and build the NEXMark table from its settings."""
+        from repro.nexmark.config import NexmarkConfig
+        from repro.nexmark.queries import QUERIES
+
+        if self.query is None:
+            raise ConfigError("nexmark settings need a query (1-8) to run")
+        if self.query not in QUERIES:
+            raise ConfigError(
+                f"query must be one of {sorted(QUERIES)}, got {self.query!r}"
+            )
+        if isinstance(self.nexmark, dict):
+            known = [f.name for f in fields(NexmarkConfig)]
+            unknown = sorted(set(self.nexmark) - set(known))
+            if unknown:
+                raise ConfigError(
+                    f"nexmark names unknown settings {unknown}; known: "
+                    f"{', '.join(known)}"
+                )
+            self.nexmark = NexmarkConfig(**{
+                key: tuple(value) if isinstance(value, list) else value
+                for key, value in self.nexmark.items()
+            })
 
     def _check_sharded(self) -> None:
         """Reject what the sharded engine cannot honor, at construction."""
@@ -454,14 +499,10 @@ class MigrationExperiment:
         config: ExperimentConfig,
         build: Callable,
         generator: Callable[[int, int, int], list],
-        record_extra: Optional[dict] = None,
     ) -> None:
         self.config = config
         self._build = build
         self._generator = generator
-        # Event-log header extras (the nexmark harness records its query
-        # number here so replay can dispatch the right runner).
-        self._record_extra = record_extra
 
     def run(self) -> ExperimentResult:
         cfg = self.config
@@ -497,9 +538,7 @@ class MigrationExperiment:
         if cfg.record_log:
             from repro.obsv.eventlog import EventLogRecorder
 
-            event_log = EventLogRecorder(
-                cfg, sim.trace, cfg.record_log, extra=self._record_extra
-            )
+            event_log = EventLogRecorder(cfg, sim.trace, cfg.record_log)
         topic_counts: dict = {}
         if cfg.collect_topic_counts is not None:
 

@@ -9,9 +9,8 @@ probe to the query's output.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import replace
 
-from repro.errors import ConfigError
 from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -25,34 +24,22 @@ from repro.nexmark.queries.common import split_events
 STATEFUL_QUERIES = (3, 4, 5, 6, 7, 8)
 
 
-def run_nexmark_experiment(
-    query: int,
-    cfg: ExperimentConfig,
-    nexmark: Optional[NexmarkConfig] = None,
-    native: Optional[bool] = None,
-) -> ExperimentResult:
+def run_nexmark_experiment(query: int, cfg: ExperimentConfig) -> ExperimentResult:
     """Run NEXMark query ``query`` (1-8) under ``cfg``.
 
-    ``native`` overrides ``cfg.native``.  Stateful queries use the
-    Megaphone variant by default; migrations (if scheduled in ``cfg``)
-    apply to the query's main operator.
+    The run's config is ``cfg`` with ``query`` set, so a recorded log names
+    the query.  ``cfg.nexmark`` describes the auction site (None: the
+    :class:`NexmarkConfig` defaults), and ``cfg.native`` picks the
+    hand-tuned variant over Megaphone's; migrations (if scheduled in
+    ``cfg``) apply to the query's main operator.
     """
-    if query not in QUERIES:
-        raise ValueError(f"unknown NEXMark query {query}; implemented: {sorted(QUERIES)}")
-    if cfg.parallel is not None:
-        raise ConfigError(
-            "parallel must be None: NEXMark queries run on the serial engine "
-            "only, and the sharded runner (parallel=0) builds just the "
-            "count dataflow"
-        )
-    if nexmark is None:
-        nexmark = NexmarkConfig(dilation=cfg.dilation)
-    use_native = cfg.native if native is None else native
+    cfg = replace(cfg, query=query)
+    nexmark = cfg.nexmark or NexmarkConfig()
     module = QUERIES[query]
 
     def build(df, control, data, config):
         streams = split_events(data)
-        if use_native:
+        if config.native:
             out, _op = module.native(streams, nexmark)
             control.sink(name="control_sink")
             op = None
@@ -88,19 +75,4 @@ def run_nexmark_experiment(
         return out, op, state_bytes_fn
 
     generator = make_generator(nexmark, cfg.num_workers, seed=cfg.seed)
-    record_extra = None
-    if cfg.record_log:
-        # Replay re-executes from the log header alone, so it needs the
-        # query number and the full NexmarkConfig alongside the generic
-        # experiment config.
-        from dataclasses import asdict
-
-        record_extra = {
-            "workload_kind": "nexmark",
-            "query": query,
-            "nexmark": asdict(nexmark),
-        }
-    experiment = MigrationExperiment(
-        cfg, build, generator, record_extra=record_extra
-    )
-    return experiment.run()
+    return MigrationExperiment(cfg, build, generator).run()

@@ -3,9 +3,9 @@
 A log is a JSON-lines file with three kinds of lines:
 
 1. **Header** (first line): format version, the complete experiment
-   config (including seeds, chaos fault plans, and planner tuning — the
-   provenance replay needs to re-execute the run), and which topics were
-   recorded.
+   config (including seeds, chaos fault plans, planner tuning and a
+   NEXMark run's query and generator table — the provenance replay needs
+   to re-execute the run), and which topics were recorded.
 2. **Events** (one per bus event, in publication order): the event's
    class name, topic, and fields.  Exotic field values (timestamps,
    antichain snapshots) are stringified — the log is an *artifact* of the
@@ -89,8 +89,8 @@ def config_to_dict(cfg) -> dict:
         elif field.name == "scaling_plan":
             # Canonical text form; ScalingPlan.parse inverts it exactly.
             out["scaling_plan"] = None if value is None else value.spec()
-        elif field.name == "autoscale":
-            out["autoscale"] = (
+        elif field.name in ("autoscale", "nexmark"):
+            out[field.name] = (
                 None if value is None else dataclasses.asdict(value)
             )
         else:
@@ -134,15 +134,24 @@ def config_from_dict(data: dict):
 
     Observer-only fields (recording, export, profiling) are stripped: the
     rebuilt config re-runs the *simulation*, and the replay driver decides
-    what to observe about it.  Log headers and matrix specs both come
-    through here; data that names an unknown field, holds a malformed
-    nested table or breaks a config rule raises :class:`EventLogError`.
+    what to observe about it.  Log headers, matrix specs and ``repro.cli
+    run`` settings all come through here; data that names an unknown
+    field, holds a malformed nested table or breaks a config rule raises
+    :class:`EventLogError`.
+
+    Two keys name a fault scenario instead of a field: ``faults`` (one of
+    :data:`repro.chaos.experiment.SCENARIOS`, or ``"none"``) and
+    ``chaos_seed`` expand into the ``chaos`` table aimed at the rest of the
+    config, which is what :func:`config_to_dict` then writes.
     """
     from repro.harness.experiment import ExperimentConfig
     from repro.sim.cost import CostModel
 
     if not isinstance(data, dict):
         raise EventLogError("config provenance must be an object")
+    data = dict(data)
+    faults = data.pop("faults", "none")
+    chaos_seed = data.pop("chaos_seed", 0)
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     try:
@@ -175,7 +184,14 @@ def config_from_dict(data: dict):
                 )
             else:
                 kwargs[name] = value
-        return ExperimentConfig(**kwargs)
+        cfg = ExperimentConfig(**kwargs)
+        if faults != "none":
+            from repro.chaos.experiment import scenario_chaos
+
+            cfg = dataclasses.replace(
+                cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed)
+            )
+        return cfg
     except ConfigError as exc:
         raise EventLogError(f"config breaks a rule: {exc}") from None
     except TypeError as exc:  # a nested table's unknown key, a value's type
@@ -258,8 +274,6 @@ def event_to_dict(event) -> dict:
 class EventLogRecorder:
     """Subscribe to the bus and stream every event to a JSON-lines log.
 
-    ``extra`` lands in the header verbatim (the nexmark harness uses it to
-    record the query number so replay can dispatch the right runner).
     Call :meth:`finalize` with the finished :class:`ExperimentResult` to
     write the footer; a log without one is treated as truncated.
     """
@@ -270,7 +284,6 @@ class EventLogRecorder:
         bus: TraceBus,
         path: str,
         topics: Optional[Iterable[str]] = None,
-        extra: Optional[dict] = None,
     ) -> None:
         self.path = path
         self.topics = tuple(topics) if topics is not None else None
@@ -280,10 +293,8 @@ class EventLogRecorder:
         header = {
             "kind": "event-log",
             "version": EVENT_LOG_VERSION,
-            "workload_kind": (extra or {}).get("workload_kind", "count"),
             "topics": list(self.topics) if self.topics is not None else None,
             "config": config_to_dict(cfg),
-            "extra": dict(extra or {}),
         }
         self._write(header)
         self._unsubscribe = bus.subscribe(self._record, topics=self.topics)

@@ -2,16 +2,17 @@
 
 A *matrix spec* (TOML or JSON) has up to four parts:
 
-* ``[base]`` — one experiment as data: any :class:`ExperimentConfig`
-  field (a cost model is a ``cost`` table of :class:`CostModel` fields),
-  plus the run keys ``query`` and ``nexmark`` (run that NEXMark query with
-  those :class:`NexmarkConfig` fields instead of the count workload) and
-  ``faults`` and ``chaos_seed`` (inject a named chaos scenario).
+* ``[base]`` — one experiment as data, in the form
+  :func:`repro.obsv.eventlog.config_from_dict` reads: any
+  :class:`ExperimentConfig` field (a cost model is a ``cost`` table of
+  :class:`CostModel` fields, a NEXMark run a ``query`` and a ``nexmark``
+  table of :class:`NexmarkConfig` fields), plus ``faults`` and
+  ``chaos_seed``, which inject a named chaos scenario.
 * ``extends = "other.toml"`` — a spec, relative to this one, that this
   one refines table by table and key by key (a list, claims included, is
   replaced whole); the paper specs state the paper's cluster and cost
   model, and each family of figures its shared sweep, once this way.
-* ``[matrix]`` — the axes.  An axis named after a field or run key lists
+* ``[matrix]`` — the axes.  An axis named after one of those keys lists
   its values; a *label axis* (any other name) lists tables of overrides,
   each with a ``name``, for points that are not a product (a native
   baseline, zipped bins x domain, a query with its settings).
@@ -70,7 +71,6 @@ structured per-cell failure instead of a hang.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import operator
@@ -89,9 +89,6 @@ from repro.versions import (
     check_schema,
 )
 
-# Spec keys that choose what to run rather than configure the experiment.
-RUN_KEYS = ("query", "nexmark", "faults", "chaos_seed")
-NO_FAULTS = "none"
 # What a claim can read from a cell's row.
 METRICS = (
     "records",
@@ -166,7 +163,7 @@ def load_spec(path: str) -> dict:
         _check_axis(path, axis, values)
     for cell in expand_cells(data):
         try:
-            build_run(cell.settings)
+            config_from_dict(cell.settings)
         except (TypeError, ValueError) as exc:  # ConfigError, EventLogError
             raise MatrixSpecError(
                 f"{path}: cell {cell.cell_id} breaks a config rule: {exc}"
@@ -214,8 +211,6 @@ def merge_settings(under: dict, over: dict) -> dict:
 
 
 def _check_axis(path: str, axis: str, values) -> None:
-    from repro.harness.experiment import ExperimentConfig
-
     if not isinstance(values, list) or not values:
         raise MatrixSpecError(f"{path}: [matrix].{axis} must be a non-empty list")
     labels = [isinstance(value, dict) for value in values]
@@ -230,13 +225,6 @@ def _check_axis(path: str, axis: str, values) -> None:
     elif any(labels):
         raise MatrixSpecError(
             f"{path}: [matrix].{axis} mixes label tables and plain values"
-        )
-    elif axis not in RUN_KEYS and axis not in {
-        field.name for field in dataclasses.fields(ExperimentConfig)
-    }:
-        raise MatrixSpecError(
-            f"{path}: axis {axis!r} is neither an ExperimentConfig field nor "
-            f"one of {list(RUN_KEYS)}; a label axis lists tables with a name"
         )
 
 
@@ -257,40 +245,10 @@ def expand_cells(spec: dict) -> list[MatrixCell]:
     return cells
 
 
-def build_run(settings: dict):
-    """``(config, query, nexmark)`` for one run's settings.
-
-    ``settings`` maps :class:`ExperimentConfig` fields and the run keys to
-    values, as a cell's do.  ``query`` is None for the count workload;
-    ``nexmark`` is None for the harness's default :class:`NexmarkConfig`.
-    Matrix cells and ``repro.cli run`` both build their runs here.
-    """
-    from repro.chaos.experiment import scenario_chaos
-    from repro.nexmark.config import NexmarkConfig
-    from repro.nexmark.queries import QUERIES
-
-    cfg = config_from_dict(
-        {k: v for k, v in settings.items() if k not in RUN_KEYS}
-    )
-    faults = settings.get("faults", NO_FAULTS)
-    if faults != NO_FAULTS:
-        chaos_seed = settings.get("chaos_seed", 0)
-        cfg = replace(cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed))
-    query = settings.get("query")
-    table = settings.get("nexmark")
-    if query is None:
-        if table is not None:
-            raise ValueError("nexmark settings need a query")
-        return cfg, None, None
-    if query not in QUERIES:
-        raise ValueError(f"query must be one of {sorted(QUERIES)}, got {query!r}")
-    return cfg, query, None if table is None else NexmarkConfig(**table)
-
-
 def cell_config(cell: MatrixCell):
     """The :class:`ExperimentConfig` of one cell, which always fingerprints
     its final state."""
-    return replace(build_run(cell.settings)[0], fingerprint_state=True)
+    return replace(config_from_dict(cell.settings), fingerprint_state=True)
 
 
 # -- claims ---------------------------------------------------------------------
@@ -447,9 +405,7 @@ def run_cell(cell: MatrixCell) -> dict:
     from repro.obsv.replay import run_config
     from repro.harness.experiment import result_fingerprint
 
-    cfg, query, nexmark = build_run(cell.settings)
-    cfg.fingerprint_state = True
-    result = run_config(cfg, query, nexmark)
+    result = run_config(cell_config(cell))
     row = {
         "cell": cell.cell_id,
         "status": "ok",
@@ -479,7 +435,7 @@ def run_cell(cell: MatrixCell) -> dict:
         row["cluster_fingerprint"] = result.cluster_fingerprint
     if result.config.sample_memory:
         row.update(_memory_metrics(result))
-    if cell.settings.get("faults", NO_FAULTS) != NO_FAULTS:
+    if result.config.chaos is not None:
         row["chaos_verdict"] = result.chaos_verdict or "stalled"
         if row["chaos_verdict"] == "stalled":
             row["status"] = "stalled"

@@ -7,7 +7,7 @@ byte-identically.  :func:`replay_run` does exactly that —
 
 1. validate the log (version, footer) via :mod:`repro.obsv.eventlog`,
 2. rebuild the :class:`ExperimentConfig` from the header's provenance,
-3. re-execute through the ordinary harness entry points while counting
+3. re-execute it through :func:`run_config` while counting
    bus events on the recorded topics,
 4. compare the fresh ``result_fingerprint`` and per-topic event counts
    against the footer.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obsv.eventlog import EventLogError, config_from_dict, read_log_meta
+from repro.obsv.eventlog import config_from_dict, read_log_meta
 
 
 @dataclass
@@ -29,7 +29,6 @@ class ReplayReport:
     """Outcome of one replay, ready for printing or asserting."""
 
     path: str
-    workload_kind: str
     expected_fingerprint: str
     actual_fingerprint: str
     expected_events: dict = field(default_factory=dict)
@@ -65,30 +64,11 @@ def replay_run(path: str) -> ReplayReport:
     cfg.fingerprint_state = True
     topics = header.get("topics")
     cfg.collect_topic_counts = tuple(topics) if topics is not None else ()
-    kind = header.get("workload_kind", "count")
-    if kind == "count":
-        query, nexmark = None, None
-    elif kind == "nexmark":
-        from repro.nexmark.config import NexmarkConfig
-
-        extra = header.get("extra", {})
-        query = extra.get("query")
-        if not isinstance(query, int):
-            raise EventLogError(
-                f"nexmark log header lacks an integer query (got {query!r})"
-            )
-        nexmark = NexmarkConfig(**(extra.get("nexmark") or {}))
-    else:
-        raise EventLogError(
-            f"cannot replay workload kind {kind!r}; this build replays "
-            "'count' and 'nexmark' logs"
-        )
-    result = run_config(cfg, query, nexmark)
+    result = run_config(cfg)
     from repro.harness.experiment import result_fingerprint
 
     return ReplayReport(
         path=path,
-        workload_kind=kind,
         expected_fingerprint=footer["result_fingerprint"],
         actual_fingerprint=result_fingerprint(result),
         expected_events=dict(footer.get("events_by_topic", {})),
@@ -98,16 +78,14 @@ def replay_run(path: str) -> ReplayReport:
     )
 
 
-def run_config(cfg, query=None, nexmark=None):
-    """Run ``cfg``: the count workload, or NEXMark ``query`` (1-8) with the
-    ``nexmark`` :class:`NexmarkConfig` (``None``: the harness default).
-
-    The one dispatch shared by replay and the matrix runner.
-    """
-    if query is None:
+def run_config(cfg):
+    """Run ``cfg``: NEXMark query ``cfg.query``, or the count workload when
+    it is None.  The one dispatch shared by replay, the matrix runner and
+    ``repro.cli run``."""
+    if cfg.query is None:
         from repro.harness.experiment import run_count_experiment
 
         return run_count_experiment(cfg)
     from repro.nexmark.harness import run_nexmark_experiment
 
-    return run_nexmark_experiment(query, cfg, nexmark=nexmark)
+    return run_nexmark_experiment(cfg.query, cfg)

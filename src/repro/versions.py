@@ -46,16 +46,19 @@ MATRIX_READ_VERSIONS = (1, 2)
 # its instant while it fires.  Both run the same callbacks in the same
 # order, but ``sim_events`` counts heap entries, and the footer's
 # fingerprint hashes it, so an older footer can no longer be reproduced and
-# is rejected.
-EVENT_LOG_VERSION = 4
-EVENT_LOG_READ_VERSIONS = (4,)
+# is rejected.  v5 moved a NEXMark run's query and generator table into the
+# config; a v4 header kept them beside it, where this build does not look,
+# so it would replay a NEXMark log as a count run.
+EVENT_LOG_VERSION = 5
+EVENT_LOG_READ_VERSIONS = (5,)
 # Why a log older than the read versions is refused.
 EVENT_LOG_RETIRED_REASON = (
-    "logs before v4 count more simulator events for the same callbacks: "
-    "since v3 the callbacks due at one simulated instant share one heap "
-    "event, and since v4 that event also fires the callbacks scheduled at "
-    "its instant while it fires, so an older footer's fingerprint cannot "
-    "be reproduced"
+    "since v5 the config carries a NEXMark run's query and generator "
+    "table, which older headers kept outside it; and logs before v4 count "
+    "more simulator events for the same callbacks (since v3 the callbacks "
+    "due at one simulated instant share one heap event, and since v4 that "
+    "event also fires the callbacks scheduled at its instant while it "
+    "fires), so their footer's fingerprint cannot be reproduced"
 )
 
 

@@ -84,6 +84,7 @@ CASES = {
     "record_log": (_sharded(record_log="run.jsonl"), "parallel", "(record_log)"),
     "export_metrics": (_sharded(export_metrics="-"), "parallel", "(export_metrics)"),
     "elastic": (_sharded(active_workers=4), "parallel", "elastic membership"),
+    "query": (_sharded(query=3), "parallel", "NEXMark queries"),
     "negative": (
         lambda: ExperimentConfig(parallel=-1), "parallel", "got -1"
     ),
@@ -107,6 +108,29 @@ CASES = {
         lambda: ExperimentConfig(collect_topic_counts=("migration", "bogus")),
         "collect_topic_counts",
         "names unknown topics ['bogus']",
+    ),
+    # A scalar where a list belongs.
+    "scalar_migrate_at": (
+        lambda: ExperimentConfig(migrate_at_s=3.0), "migrate_at_s", "must be a list, got 3.0"
+    ),
+    "scalar_topics": (
+        lambda: ExperimentConfig(collect_topic_counts=5),
+        "collect_topic_counts",
+        "must be a list, got 5",
+    ),
+    # NEXMark: a known query, and a table of NexmarkConfig fields beside it.
+    "unknown_query": (
+        lambda: ExperimentConfig(query=9), "query", "must be one of [1, 2, 3, 4, 5, 6, 7, 8], got 9"
+    ),
+    "nexmark_unknown_key": (
+        lambda: ExperimentConfig(query=3, nexmark={"dilation": 7}),
+        "nexmark",
+        "names unknown settings ['dilation']",
+    ),
+    "nexmark_without_query": (
+        lambda: ExperimentConfig(nexmark={"state_bytes_scale": 2.0}),
+        "nexmark",
+        "need a query",
     ),
 }
 
@@ -137,5 +161,5 @@ def test_nexmark_rejects_sharded_config():
     cfg = ExperimentConfig(
         num_workers=4, workers_per_process=2, duration_s=0.5, parallel=0
     )
-    with pytest.raises(ConfigError, match="serial engine only"):
+    with pytest.raises(ConfigError, match="does not support NEXMark queries"):
         run_nexmark_experiment(3, cfg)

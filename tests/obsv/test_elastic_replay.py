@@ -5,9 +5,10 @@ Event-log v2 added the elastic fields (``active_workers``,
 ``membership`` topic to the trace.  These tests pin that the provenance
 dict inverts exactly and that a recorded scaling run replays
 byte-identically.  Since v3 ``sim_events`` counts grouped heap entries,
-and since v4 (the current :data:`repro.versions.EVENT_LOG_VERSION`) a
-firing entry also takes the callbacks scheduled at its instant, so v1, v2
-and v3 logs are refused with the reason.
+and since v4 a firing entry also takes the callbacks scheduled at its
+instant, so v1, v2 and v3 logs are refused with the reason.  v5 (the
+current :data:`repro.versions.EVENT_LOG_VERSION`) moved a NEXMark run's
+query and table into the config, and v4 is refused too.
 """
 
 import json
@@ -44,9 +45,10 @@ def test_schema_version_counts_grouped_heap_events():
     # v4: sim_events counts heap entries, each firing every callback due at
     # its instant, including those scheduled there while it fires, and the
     # footer fingerprint hashes it; older logs cannot reproduce their
-    # footers, so only v4 is read.
-    assert EVENT_LOG_VERSION == 4
-    assert EVENT_LOG_READ_VERSIONS == (4,)
+    # footers.  v5 headers carry a NEXMark run's query in the config, so
+    # only v5 is read.
+    assert EVENT_LOG_VERSION == 5
+    assert EVENT_LOG_READ_VERSIONS == (5,)
 
 
 def test_elastic_config_roundtrips_through_provenance_dict():

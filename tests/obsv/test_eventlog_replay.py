@@ -81,7 +81,7 @@ def test_record_then_replay_reproduces_fingerprint(tmp_path):
     cfg = _small_config(record_log=str(log))
     run_count_experiment(cfg)
     header, footer = read_log_meta(str(log))
-    assert header["workload_kind"] == "count"
+    assert header["config"]["query"] is None
     assert footer["events_recorded"] > 0
     report = replay_run(str(log))
     assert report.fingerprint_match
@@ -152,16 +152,46 @@ def test_tampered_footer_fingerprint_fails_replay(tmp_path):
 
 
 def test_nexmark_run_records_and_replays(tmp_path):
+    from repro.nexmark.config import NexmarkConfig
     from repro.nexmark.harness import run_nexmark_experiment
 
     log = tmp_path / "nexmark.jsonl"
-    cfg = _small_config(record_log=str(log))
-    run_nexmark_experiment(3, cfg)
+    table = NexmarkConfig(state_bytes_scale=64.0, q5_period_ms=2000)
+    # The query is the runner's argument; the header names it all the same.
+    cfg = _small_config(record_log=str(log), nexmark=table)
+    run_nexmark_experiment(5, cfg)
     header, _ = read_log_meta(str(log))
-    assert header["workload_kind"] == "nexmark"
-    assert header["extra"]["query"] == 3
+    assert set(header) == {"kind", "version", "topics", "config"}
+    assert header["config"]["query"] == 5
+    assert header["config"]["nexmark"]["state_bytes_scale"] == 64.0
+    assert header["config"]["nexmark"]["q5_period_ms"] == 2000
+    rebuilt = config_from_dict(header["config"])
+    assert (rebuilt.query, rebuilt.nexmark) == (5, table)
     report = replay_run(str(log))
     assert report.ok
+
+
+def test_a_v4_nexmark_header_is_refused_naming_the_move(tmp_path):
+    # A v4 header kept the query and the NEXMark table beside the config
+    # ("workload_kind", "extra"); read as a config alone it would replay a
+    # NEXMark log as a count run, so v4 is refused with the reason.
+    log = tmp_path / "nexmark.jsonl"
+    run_count_experiment(_small_config(record_log=str(log)))
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    config = {k: v for k, v in header["config"].items() if k not in ("query", "nexmark")}
+    header.update(
+        version=4,
+        workload_kind="nexmark",
+        config=config,
+        extra={"workload_kind": "nexmark", "query": 3, "nexmark": {"dilation": 1}},
+    )
+    log.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    with pytest.raises(EventLogError) as excinfo:
+        replay_run(str(log))
+    message = str(excinfo.value)
+    assert "event-log version 4 is not replayable" in message
+    assert "the config carries a NEXMark run's query and generator table" in message
 
 
 def test_recording_does_not_perturb_the_run(tmp_path):

@@ -399,9 +399,8 @@ def test_nexmark_cell_matches_a_direct_run(tmp_path):
     spec = load_spec(str(path))
     (row,) = run_matrix(spec, jobs=0)["cells"]
     cfg = cell_config(expand_cells(spec)[0])
-    direct = run_nexmark_experiment(
-        3, cfg, nexmark=NexmarkConfig(state_bytes_scale=64.0)
-    )
+    assert (cfg.query, cfg.nexmark) == (3, NexmarkConfig(state_bytes_scale=64.0))
+    direct = run_nexmark_experiment(3, cfg)
     assert row["status"] == "ok"
     assert row["result_fingerprint"] == result_fingerprint(direct)
 

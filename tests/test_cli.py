@@ -97,6 +97,13 @@ def test_trace_command_prints_phase_breakdown(capsys):
          "does not support event-log recording"),
         # A float in an integer field is refused before anything runs.
         (["run", *_sets("domain=1e6")], "domain must be an integer, got 1000000.0"),
+        # So is a scalar in a list field.
+        (["run", *_sets("migrate_at_s=3.0")], "migrate_at_s must be a list, got 3.0"),
+        (["run", *_sets("collect_topic_counts=5")], "collect_topic_counts must be a list, got 5"),
+        # A NEXMark table holds NexmarkConfig fields and needs a query.
+        (["run", *_sets("query=3", "nexmark={dilation=7}")],
+         "nexmark names unknown settings ['dilation']"),
+        (["run", *_sets("nexmark={state_bytes_scale=64.0}")], "nexmark settings need a query"),
     ],
 )
 def test_invalid_arguments_rejected(argv, message, repo_root, capsys):
@@ -110,9 +117,7 @@ def test_invalid_arguments_rejected(argv, message, repo_root, capsys):
     "argv,message",
     [
         (["count"], "invalid choice: 'count'"),
-        (["run", "--set", "workers=4"],
-         "--set 'workers': KEY is neither an ExperimentConfig field nor one "
-         "of the run keys query, nexmark, faults, chaos_seed"),
+        (["run", "--set", "workers=4"], "unknown ExperimentConfig field 'workers'"),
         (["run", "--set", "planner={objective="], "--set planner: '{objective=' is not"),
         (["run", "--set", "migrate_at_s=[1.0"], "is not a TOML value"),
         (["run", "--set", "domain="], "--set domain: '' is not a TOML value"),
@@ -147,17 +152,17 @@ def _configured(argv):
 
 
 def test_set_values_are_toml_and_bare_words_are_strings():
-    settings, cfg, query, nexmark = _configured(_sets(
+    settings, cfg = _configured(_sets(
         "strategy=all-at-once", "scaling_plan=join@1:3", "num_workers=4",
         "workers_per_process=2", "active_workers=3", "duration_s=2",
         "collect_topic_counts=[]", "record_log=run.jsonl", "query=3",
-        "nexmark={dilation=2}",
+        "nexmark={state_bytes_scale=2.0}",
     ))
     assert cfg.strategy == "all-at-once"
     assert cfg.scaling_plan.spec() == "join@1:3"
     assert cfg.collect_topic_counts == ()
     assert cfg.record_log == "run.jsonl"
-    assert (query, nexmark.dilation) == (3, 2)
+    assert (cfg.query, cfg.nexmark.state_bytes_scale) == (3, 2.0)
     # Later settings win.
     assert _configured(_sets("seed=2", "seed=3"))[1].seed == 3
 
@@ -175,7 +180,7 @@ def test_set_table_merges_into_the_cell_key_by_key(repo_root):
 def test_spec_without_a_cell_starts_from_its_base(repo_root):
     from repro.chaos.experiment import default_chaos_experiment_config
 
-    settings, cfg, _, _ = _configured(["--spec", CHAOS_SPEC])
+    settings, cfg = _configured(["--spec", CHAOS_SPEC])
     assert "faults" not in settings
     assert cfg == default_chaos_experiment_config()
 
@@ -192,7 +197,7 @@ def test_chaos_parser_defaults(repo_root):
     # runs what the library's chaos experiment runs.
     from repro.chaos.experiment import default_chaos_experiment_config, scenario_chaos
 
-    _, cfg, _, _ = _configured(["--spec", CHAOS_SPEC, "--cell", "crash-target/dict/batched"])
+    _, cfg = _configured(["--spec", CHAOS_SPEC, "--cell", "crash-target/dict/batched"])
     default = default_chaos_experiment_config()
     assert cfg.chaos == scenario_chaos("crash-target", default)
     assert (cfg.num_workers, cfg.num_bins, cfg.migrate_at_s) == (4, 16, (2.0,))
@@ -653,6 +658,8 @@ _COUNT_DEFAULT = {
     "hot_keys": 8,
     "hot_fraction": 0.9,
     "zipf_exponent": 1.0,
+    "query": None,
+    "nexmark": None,
     "planner": None,
     "parallel": None,
     "fingerprint_state": False,
@@ -754,7 +761,7 @@ _BUILT_CONFIGS = {
     ),
     "nexmark": (
         ["run", *_COUNT, *_sets("query=3", "domain=65536")],
-        {**_COUNT_DEFAULT, "domain": 65536},
+        {**_COUNT_DEFAULT, "domain": 65536, "query": 3},
     ),
     "trace": (
         ["run", *_COUNT, *_sets("strategy=fluid", "collect_trace=true")],
@@ -802,7 +809,7 @@ class _Built(Exception):
     """Carries the config an invocation built out of its run call."""
 
 
-def _capture(cfg, query=None, nexmark=None):
+def _capture(cfg):
     raise _Built(cfg)
 
 
