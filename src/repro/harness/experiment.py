@@ -406,6 +406,10 @@ class ExperimentResult:
     migrations: list[MigrationResult] = field(default_factory=list)
     memory: list[MemoryTimeline] = field(default_factory=list)
     records_injected: int = 0
+    # Callbacks the simulator fired: the count digests hash.
+    sim_callbacks: int = 0
+    # Heap entries they fired from: the engine's own bookkeeping, reported
+    # but in no digest.
     sim_events: int = 0
     wall_seconds: float = 0.0
     # Present when the config asked for trace collection.
@@ -849,6 +853,7 @@ class MigrationExperiment:
             migrations=[c.result for c in controllers],
             memory=memory_timelines,
             records_injected=source.records_injected,
+            sim_callbacks=sim.callbacks_fired,
             sim_events=sim.events_processed,
             wall_seconds=wallclock.perf_counter() - started,
             migration_trace=migration_trace,
@@ -1034,8 +1039,10 @@ def result_fingerprint(result: ExperimentResult) -> str:
     """One digest over everything determinism promises to reproduce.
 
     Covers final per-worker state fingerprints, global and per-domain
-    event counts, injected records, migration step timings, and the
-    latency timeline — byte-identical runs agree on all of it.
+    callback counts, injected records, migration step timings, and the
+    latency timeline — byte-identical runs agree on all of it.  Heap
+    entries (``sim_events``) are left out: how the engine groups callbacks
+    is not something the simulation did.
     """
     digest = hashlib.sha256()
     parallel = getattr(result, "parallel", None) or {}
@@ -1046,8 +1053,8 @@ def result_fingerprint(result: ExperimentResult) -> str:
     for worker, fp in sorted(getattr(result, "state_fingerprints", {}).items()):
         digest.update(f"s{worker}:{fp};".encode())
     digest.update(f"records={result.records_injected};".encode())
-    digest.update(f"events={result.sim_events};".encode())
-    for d, n in sorted(parallel.get("sim_events_per_domain", {}).items()):
+    digest.update(f"events={result.sim_callbacks};".encode())
+    for d, n in sorted(parallel.get("sim_callbacks_per_domain", {}).items()):
         digest.update(f"d{d}:{n};".encode())
     for migration in result.migrations:
         for step in migration.steps:

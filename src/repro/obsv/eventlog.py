@@ -5,7 +5,7 @@ A log is a JSON-lines file with three kinds of lines:
 1. **Header** (first line): format version, the complete experiment
    config (including seeds, chaos fault plans, planner tuning and a
    NEXMark run's query and generator table — the provenance replay needs
-   to re-execute the run), and which topics were recorded.
+   to re-execute the run).  Every topic is recorded.
 2. **Events** (one per bus event, in publication order): the event's
    class name, topic, and fields.  Exotic field values (timestamps,
    antichain snapshots) are stringified — the log is an *artifact* of the
@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import IO, Iterable, Optional
+from typing import IO, Optional
 
 from repro.errors import ConfigError
 from repro.runtime_events.bus import TraceBus
-from repro.runtime_events.events import TOPICS
 from repro.versions import (
     EVENT_LOG_READ_VERSIONS,
     EVENT_LOG_RETIRED_REASON,
@@ -49,27 +48,6 @@ OBSERVER_FIELDS = (
     "export_metrics",
     "collect_topic_counts",
 )
-# Fields since removed from ExperimentConfig.  Headers recorded while they
-# existed still carry them, so they are dropped on read ahead of the
-# unknown-field check: a recorded log must keep replaying.
-# `profile_shards`, `metrics_port` and `metrics_flush_s` were observers;
-# `reference_routing` pinned a routing path whose simulated results were
-# byte-identical to the default; the `wal_*` knobs, which no flag or spec
-# set, are now the WAL backend's constructor defaults.
-_RETIRED_FIELDS = (
-    "profile_shards",
-    "reference_routing",
-    "metrics_port",
-    "metrics_flush_s",
-    "wal_segment_bytes",
-    "wal_compact_threshold",
-    "wal_sync_every",
-)
-# AutoscalerConfig fields since removed: `policy` named the only policy,
-# and `stop_s` is the run's duration, which the harness now passes.
-_RETIRED_AUTOSCALE_FIELDS = ("policy", "stop_s")
-
-
 def config_to_dict(cfg) -> dict:
     """JSON-compatible provenance form of an :class:`ExperimentConfig`.
 
@@ -142,7 +120,8 @@ def config_from_dict(data: dict):
     Two keys name a fault scenario instead of a field: ``faults`` (one of
     :data:`repro.chaos.experiment.SCENARIOS`, or ``"none"``) and
     ``chaos_seed`` expand into the ``chaos`` table aimed at the rest of the
-    config, which is what :func:`config_to_dict` then writes.
+    config, which is what :func:`config_to_dict` then writes.  A
+    ``chaos_seed`` without a scenario would seed nothing, so it is refused.
     """
     from repro.harness.experiment import ExperimentConfig
     from repro.sim.cost import CostModel
@@ -151,13 +130,15 @@ def config_from_dict(data: dict):
         raise EventLogError("config provenance must be an object")
     data = dict(data)
     faults = data.pop("faults", "none")
-    chaos_seed = data.pop("chaos_seed", 0)
+    chaos_seed = data.pop("chaos_seed", None)
+    if chaos_seed is not None and faults == "none":
+        raise EventLogError(
+            "chaos_seed seeds a fault scenario, but faults is 'none'"
+        )
     known = {field.name for field in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}
     try:
         for name, value in data.items():
-            if name in _RETIRED_FIELDS:
-                continue
             if name not in known:
                 raise EventLogError(f"unknown ExperimentConfig field {name!r}")
             if name in OBSERVER_FIELDS:
@@ -174,13 +155,7 @@ def config_from_dict(data: dict):
                 from repro.elastic.autoscaler import AutoscalerConfig
 
                 kwargs["autoscale"] = (
-                    None
-                    if value is None
-                    else AutoscalerConfig(**{
-                        key: item
-                        for key, item in value.items()
-                        if key not in _RETIRED_AUTOSCALE_FIELDS
-                    })
+                    None if value is None else AutoscalerConfig(**value)
                 )
             else:
                 kwargs[name] = value
@@ -189,7 +164,7 @@ def config_from_dict(data: dict):
             from repro.chaos.experiment import scenario_chaos
 
             cfg = dataclasses.replace(
-                cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed)
+                cfg, chaos=scenario_chaos(faults, cfg, seed=chaos_seed or 0)
             )
         return cfg
     except ConfigError as exc:
@@ -278,26 +253,18 @@ class EventLogRecorder:
     write the footer; a log without one is treated as truncated.
     """
 
-    def __init__(
-        self,
-        cfg,
-        bus: TraceBus,
-        path: str,
-        topics: Optional[Iterable[str]] = None,
-    ) -> None:
+    def __init__(self, cfg, bus: TraceBus, path: str) -> None:
         self.path = path
-        self.topics = tuple(topics) if topics is not None else None
         self.events_recorded = 0
         self.events_by_topic: dict[str, int] = {}
         self._stream: Optional[IO] = open(path, "w", encoding="utf-8")
         header = {
             "kind": "event-log",
             "version": EVENT_LOG_VERSION,
-            "topics": list(self.topics) if self.topics is not None else None,
             "config": config_to_dict(cfg),
         }
         self._write(header)
-        self._unsubscribe = bus.subscribe(self._record, topics=self.topics)
+        self._unsubscribe = bus.subscribe(self._record)
 
     def _write(self, payload: dict) -> None:
         json.dump(payload, self._stream, sort_keys=False)
@@ -387,13 +354,6 @@ def read_log_meta(path: str) -> tuple[dict, dict]:
             f"this build (reads {EVENT_LOG_READ_VERSIONS}){retired}; "
             "re-record with a matching build"
         )
-    topics = header.get("topics")
-    if topics is not None:
-        unknown = [t for t in topics if t not in TOPICS]
-        if unknown:
-            raise EventLogError(
-                f"{path}: header names unknown topics {unknown}"
-            )
     if last is None or last.get("kind") != "footer":
         raise EventLogError(
             f"{path}: no footer — the log is truncated (the recorded run "

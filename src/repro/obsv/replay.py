@@ -8,7 +8,7 @@ byte-identically.  :func:`replay_run` does exactly that —
 1. validate the log (version, footer) via :mod:`repro.obsv.eventlog`,
 2. rebuild the :class:`ExperimentConfig` from the header's provenance,
 3. re-execute it through :func:`run_config` while counting
-   bus events on the recorded topics,
+   bus events on every topic,
 4. compare the fresh ``result_fingerprint`` and per-topic event counts
    against the footer.
 
@@ -62,8 +62,7 @@ def replay_run(path: str) -> ReplayReport:
     # The recorded fingerprint covers final state (recording forces state
     # fingerprinting); the replay must measure the same thing.
     cfg.fingerprint_state = True
-    topics = header.get("topics")
-    cfg.collect_topic_counts = tuple(topics) if topics is not None else ()
+    cfg.collect_topic_counts = ()  # every topic, as the recorder logged
     result = run_config(cfg)
     from repro.harness.experiment import result_fingerprint
 

@@ -363,6 +363,7 @@ class DomainHost:
         report = {
             "domain": self.domain,
             "records_injected": self.source.records_injected,
+            "sim_callbacks": self.sim.callbacks_fired,
             "sim_events": self.sim.events_processed,
             "fingerprints": fingerprints,
             "controllers_done": all(c.done for c in self.controllers),

@@ -46,6 +46,7 @@ def run_parallel_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             MemoryTimeline(process=d) for d in partition.domains()
         ],
         records_injected=sum(r["records_injected"] for r in reports.values()),
+        sim_callbacks=sum(r["sim_callbacks"] for r in reports.values()),
         sim_events=sum(r["sim_events"] for r in reports.values()),
         wall_seconds=wallclock.perf_counter() - started,
         state_fingerprints={w: fingerprints[w] for w in sorted(fingerprints)},
@@ -54,8 +55,8 @@ def run_parallel_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "domains": partition.num_domains,
         "lookahead_s": executor.lookahead,
         "rounds": rounds,
-        "sim_events_per_domain": {
-            d: reports[d]["sim_events"] for d in sorted(reports)
+        "sim_callbacks_per_domain": {
+            d: reports[d]["sim_callbacks"] for d in sorted(reports)
         },
         "records_per_domain": {
             d: reports[d]["records_injected"] for d in sorted(reports)

@@ -17,9 +17,15 @@ time, so fast callbacks scheduled after it start a new entry that sorts
 after it; an Event that fires while it is still the newest entry at its
 time opens a group for the callbacks it schedules at ``now``.  Every
 callback therefore fires in the same order, at the same ``now``, as with one
-entry per callback; ``events_processed`` counts heap entries.  (A callback
-that raises takes the rest of its group with it; nothing resumes a
-simulator after a raise.)
+entry per callback.  (A callback that raises takes the rest of its group
+with it; nothing resumes a simulator after a raise.)
+
+Two counters report a run.  ``callbacks_fired`` counts callbacks, which is
+what the simulation did: it is the same under any grouping, so it is the
+count that ``result_fingerprint`` and the event-log footers hash.
+``events_processed`` counts heap entries, which is how this engine stored
+them: the harness reports it as ``sim_events``, and no digest includes it,
+so a change to the grouping moves that count and nothing else.
 
 The simulator also carries the process-wide :class:`~repro.runtime_events.bus.TraceBus`
 (as ``sim.trace``): every layer of the runtime holds a simulator reference, so
@@ -116,12 +122,18 @@ class Simulator:
         self._firing = None
         self._seq: int = 0
         self._events_processed: int = 0
+        self._callbacks_fired: int = 0
         self._cancelled: int = 0
 
     @property
     def events_processed(self) -> int:
         """Number of heap entries that have fired so far."""
         return self._events_processed
+
+    @property
+    def callbacks_fired(self) -> int:
+        """Number of callbacks that have fired so far."""
+        return self._callbacks_fired
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
@@ -265,6 +277,7 @@ class Simulator:
                 self._events_processed += 1
             self.now = time
             callback()
+            self._callbacks_fired += 1
             return True
         return False
 
@@ -278,9 +291,10 @@ class Simulator:
         # The drain loop is the single hottest function in the simulator, so
         # it inlines ``peek_time`` + ``step`` to touch the heap once per
         # entry, compares each entry against one float limit, and counts
-        # fired entries in a local written back on exit.  ``_compact``
-        # rebuilds the heap in place, so the local alias stays valid across
-        # callbacks.
+        # fired entries and callbacks in locals written back on exit (a
+        # group's callbacks once, after it has fired: it grows while it
+        # fires).  ``_compact`` rebuilds the heap in place, so the local
+        # alias stays valid across callbacks.
         heap = self._heap
         pending = self._pending_at
         pop = heapq.heappop
@@ -289,6 +303,7 @@ class Simulator:
         limit = _INF if until is None else until
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
+        called = 0
         try:
             while heap:
                 if fired == stop:
@@ -313,12 +328,14 @@ class Simulator:
                     item.owner = None  # fired: a later cancel() only flags it
                     if pending.get(time) is not entry:
                         item.callback()
+                        called += 1
                         continue
                     # Still the newest entry at ``now``: it becomes a group
                     # that takes the callbacks it schedules there.
                     item = entry[2] = [item.callback]
                 elif cls is not list_cls:
                     item()  # a bare callable: DomainSimulator never groups
+                    called += 1
                     continue
                 # The entry stays in ``pending`` while it fires, so callbacks
                 # scheduled at ``now`` join the list this loop iterates.
@@ -331,8 +348,10 @@ class Simulator:
                     self._firing = None
                     if pending.get(time) is entry:
                         del pending[time]
+                called += len(item)
         finally:
             self._events_processed += fired
+            self._callbacks_fired += called
         if until is not None and until > self.now:
             self.now = until
 
@@ -344,7 +363,8 @@ class Simulator:
         conservative parallel-DES window loop) may later be granted a smaller
         next bound by its neighbors, and advancing the clock past that grant
         would make remote injections appear in the simulated past.  Returns
-        the number of heap entries fired.
+        the number of heap entries fired.  ``DomainSimulator`` never groups,
+        so its entries and callbacks are one count.
         """
         heap = self._heap
         pending = self._pending_at
@@ -353,6 +373,7 @@ class Simulator:
         list_cls = list
         stop = -1 if max_events is None else max(max_events, 0)
         fired = 0
+        called = 0
         try:
             while heap:
                 if fired == stop:
@@ -375,11 +396,15 @@ class Simulator:
                 if cls is list_cls:
                     for callback in item:
                         callback()
+                        called += 1
                 elif cls is event_cls:
                     item.owner = None  # fired: a later cancel() only flags it
                     item.callback()
+                    called += 1
                 else:
                     item()
+                    called += 1
         finally:
             self._events_processed += fired
+            self._callbacks_fired += called
         return fired

@@ -40,25 +40,24 @@ MATRIX_READ_VERSIONS = (1, 2)
 
 # -- obsv event logs (repro.obsv.eventlog) --------------------------------------
 # v2 added the elastic-membership provenance (active_workers, scaling_plan,
-# autoscale config fields) and the ``membership`` trace topic.  v3 is the
-# engine change that fires the callbacks due at one simulated instant from
-# one heap entry.  v4 lets that entry keep taking the callbacks scheduled at
-# its instant while it fires.  Both run the same callbacks in the same
-# order, but ``sim_events`` counts heap entries, and the footer's
-# fingerprint hashes it, so an older footer can no longer be reproduced and
-# is rejected.  v5 moved a NEXMark run's query and generator table into the
-# config; a v4 header kept them beside it, where this build does not look,
-# so it would replay a NEXMark log as a count run.
-EVENT_LOG_VERSION = 5
-EVENT_LOG_READ_VERSIONS = (5,)
+# autoscale config fields) and the ``membership`` trace topic.  v3 and v4
+# grouped the callbacks due at one simulated instant into one heap entry,
+# and the footer's fingerprint then hashed heap entries, so each grouping
+# change retired every older log.  v5 moved a NEXMark run's query and
+# generator table into the config.  v6 hashes the callbacks a run fired in
+# place of its heap entries: ``sim_events`` is still reported, but no
+# digest includes it, so a change to how the engine stores callbacks no
+# longer retires a log.  v6 headers also dropped the unused ``topics`` key
+# (every topic is recorded), and config fields removed before v6 are
+# refused as unknown.
+EVENT_LOG_VERSION = 6
+EVENT_LOG_READ_VERSIONS = (6,)
 # Why a log older than the read versions is refused.
 EVENT_LOG_RETIRED_REASON = (
-    "since v5 the config carries a NEXMark run's query and generator "
-    "table, which older headers kept outside it; and logs before v4 count "
-    "more simulator events for the same callbacks (since v3 the callbacks "
-    "due at one simulated instant share one heap event, and since v4 that "
-    "event also fires the callbacks scheduled at its instant while it "
-    "fires), so their footer's fingerprint cannot be reproduced"
+    "since v6 a footer's fingerprint hashes the callbacks the run fired, "
+    "where older footers hashed the simulator's heap entries, and since v5 "
+    "the config carries a NEXMark run's query and generator table, which "
+    "older headers kept outside it"
 )
 
 

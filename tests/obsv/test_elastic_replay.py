@@ -4,11 +4,11 @@ Event-log v2 added the elastic fields (``active_workers``,
 ``scaling_plan``, ``autoscale``) to the config provenance and the
 ``membership`` topic to the trace.  These tests pin that the provenance
 dict inverts exactly and that a recorded scaling run replays
-byte-identically.  Since v3 ``sim_events`` counts grouped heap entries,
-and since v4 a firing entry also takes the callbacks scheduled at its
-instant, so v1, v2 and v3 logs are refused with the reason.  v5 (the
-current :data:`repro.versions.EVENT_LOG_VERSION`) moved a NEXMark run's
-query and table into the config, and v4 is refused too.
+byte-identically.  Since v6 (the current
+:data:`repro.versions.EVENT_LOG_VERSION`) the footer's fingerprint hashes
+the callbacks a run fired, where older footers hashed heap entries, and
+since v5 the config carries a NEXMark run's query and table, so every
+older log is refused with the reason.
 """
 
 import json
@@ -41,14 +41,12 @@ def _scaling_config(**overrides) -> ExperimentConfig:
     return cfg
 
 
-def test_schema_version_counts_grouped_heap_events():
-    # v4: sim_events counts heap entries, each firing every callback due at
-    # its instant, including those scheduled there while it fires, and the
-    # footer fingerprint hashes it; older logs cannot reproduce their
-    # footers.  v5 headers carry a NEXMark run's query in the config, so
-    # only v5 is read.
-    assert EVENT_LOG_VERSION == 5
-    assert EVENT_LOG_READ_VERSIONS == (5,)
+def test_schema_version_hashes_callbacks():
+    # v6: the footer's fingerprint hashes the callbacks a run fired, not
+    # the heap entries the engine fired them from; v5 footers hashed heap
+    # entries and cannot reproduce, so only v6 is read.
+    assert EVENT_LOG_VERSION == 6
+    assert EVENT_LOG_READ_VERSIONS == (6,)
 
 
 def test_elastic_config_roundtrips_through_provenance_dict():
@@ -120,21 +118,31 @@ def _log_with_version(tmp_path, version: int) -> str:
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_v1_and_v2_logs_are_rejected_naming_the_engine_change(tmp_path, version):
-    # Their footers counted one event per callback, so the reader must
+    # Their footers hashed the simulator's heap entries, so the reader must
     # refuse them and say why, instead of replaying to a fingerprint
     # mismatch.
     log = _log_with_version(tmp_path, version)
-    with pytest.raises(EventLogError, match="one heap event"):
+    with pytest.raises(EventLogError, match="hashed the simulator's heap entries"):
         read_log_meta(log)
     with pytest.raises(EventLogError, match=f"version {version} is not replayable"):
         replay_run(log)
 
 
 def test_v3_log_is_rejected_naming_the_firing_group_change(tmp_path):
-    # A v3 footer counted a callback scheduled at ``now`` by a firing entry
-    # as a heap event of its own.
+    # A v3 footer hashed a heap-entry count, as every footer before v6 did.
     log = _log_with_version(tmp_path, 3)
-    with pytest.raises(EventLogError, match="while it fires"):
+    with pytest.raises(EventLogError, match="hashed the simulator's heap entries"):
         read_log_meta(log)
     with pytest.raises(EventLogError, match="version 3 is not replayable"):
         replay_run(log)
+
+
+def test_a_v5_log_is_refused_naming_the_callback_change(tmp_path):
+    # A v5 footer hashed heap entries; a v6 replay hashes callbacks, so it
+    # would only report a fingerprint mismatch.
+    log = _log_with_version(tmp_path, 5)
+    with pytest.raises(EventLogError) as excinfo:
+        replay_run(log)
+    message = str(excinfo.value)
+    assert "event-log version 5 is not replayable" in message
+    assert "fingerprint hashes the callbacks the run fired" in message

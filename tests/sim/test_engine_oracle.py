@@ -9,9 +9,11 @@ time, ``run(until=...)`` then resume, ``step()`` and ``peek_time()``,
 the last also from inside callbacks.  Both engines must fire the same
 callbacks in the same order at the same ``now`` and peek the same times.
 
-Only ``events_processed`` differs: it counts heap entries.  So does
-``run(max_events=...)``, which therefore ends a slice of a run at a
-different callback than the reference does; it is left out of the
+The grouping engine's ``callbacks_fired`` must equal the reference's
+``events_processed``, which counts one entry per callback.  Only the
+grouping engine's ``events_processed`` differs: it counts heap entries.
+So does ``run(max_events=...)``, which therefore ends a slice of a run at
+a different callback than the reference does; it is left out of the
 programs.
 """
 
@@ -106,6 +108,7 @@ def test_grouping_fires_the_same_callbacks_in_the_same_order(program):
     expected, expected_peeks = _execute(reference, program)
     assert fired == expected
     assert grouped.now == reference.now
+    assert grouped.callbacks_fired == reference.events_processed == len(fired)
     assert grouped.events_processed <= reference.events_processed
     assert peeks == expected_peeks
     # Drained: no instant is left taken and no cancellation left pending.
@@ -120,7 +123,7 @@ def test_callbacks_at_one_instant_share_a_heap_entry():
         sim.schedule_fast(1.0, lambda i=i: fired.append(i))
     sim.run()
     assert fired == list(range(5))
-    assert sim.events_processed == 1
+    assert (sim.callbacks_fired, sim.events_processed) == (5, 1)
 
 
 def test_an_event_splits_the_instant_it_is_scheduled_at():
@@ -131,7 +134,7 @@ def test_an_event_splits_the_instant_it_is_scheduled_at():
     sim.schedule_fast(1.0, lambda: fired.append("b"))
     sim.run()
     assert fired == ["a", "event", "b"]
-    assert sim.events_processed == 3
+    assert (sim.callbacks_fired, sim.events_processed) == (3, 3)
 
 
 def test_a_firing_group_takes_the_callbacks_it_schedules_at_its_instant():
@@ -148,7 +151,7 @@ def test_a_firing_group_takes_the_callbacks_it_schedules_at_its_instant():
     # The chained callback sorts after everything pending at its instant,
     # which is the end of the firing group.
     assert fired == ["first", "second", "chained"]
-    assert sim.events_processed == 1
+    assert (sim.callbacks_fired, sim.events_processed) == (3, 1)
     assert sim._pending_at == {}
 
 
@@ -164,7 +167,7 @@ def test_a_firing_event_opens_a_group_while_it_is_the_newest_entry():
     sim.schedule(1.0, event)
     sim.run()
     assert fired == ["event", "a", "b"]
-    assert sim.events_processed == 1
+    assert (sim.callbacks_fired, sim.events_processed) == (3, 1)
 
 
 def test_a_firing_event_behind_a_newer_entry_does_not_open_a_group():
@@ -181,7 +184,7 @@ def test_a_firing_event_behind_a_newer_entry_does_not_open_a_group():
     # "later" was scheduled before "chained", so it fires first: "chained"
     # joins the group behind the event instead of one of its own.
     assert fired == ["event", "later", "chained"]
-    assert sim.events_processed == 2
+    assert (sim.callbacks_fired, sim.events_processed) == (3, 2)
 
 
 def test_peek_from_a_callback_sees_the_rest_of_its_group():
@@ -192,6 +195,7 @@ def test_peek_from_a_callback_sees_the_rest_of_its_group():
     sim.schedule_fast(2.0, lambda: None)
     sim.run()
     assert peeks == [1.0]
+    assert (sim.callbacks_fired, sim.events_processed) == (3, 2)
 
 
 def test_a_raising_callback_does_not_leave_its_instant_taken():
@@ -208,6 +212,8 @@ def test_a_raising_callback_does_not_leave_its_instant_taken():
     sim.schedule_fast(0.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [1.0]
+    # The raising callback's entry fired, but no callback completed in it.
+    assert (sim.callbacks_fired, sim.events_processed) == (1, 2)
 
 
 def test_cancelled_events_leave_no_instant_taken():
@@ -219,6 +225,7 @@ def test_cancelled_events_leave_no_instant_taken():
     sim.schedule(1.0, lambda: None).cancel()
     sim.run()
     assert sim._pending_at == {}
+    assert (sim.callbacks_fired, sim.events_processed) == (0, 0)
     # Compaction drops cancelled events from the heap without popping them.
     for event in [sim.schedule(2.0 + i, lambda: None) for i in range(100)]:
         event.cancel()
@@ -226,3 +233,13 @@ def test_cancelled_events_leave_no_instant_taken():
     assert sorted(sim._pending_at) == [entry[0] for entry in sorted(sim._heap)]
     sim.run()
     assert sim._pending_at == {}
+
+
+def test_run_below_counts_each_callback_of_a_group():
+    sim = Simulator()
+    for _ in range(3):
+        sim.schedule_fast(1.0, lambda: None)
+    sim.schedule(1.5, lambda: None)
+    sim.schedule_fast(2.0, lambda: None)
+    assert sim.run_below(2.0) == 2
+    assert (sim.callbacks_fired, sim.events_processed) == (4, 2)

@@ -128,6 +128,8 @@ def test_invalid_arguments_rejected(argv, message, repo_root, capsys):
         (["run", "--spec", "no/such/spec.toml"], "No such file or directory"),
         (["run", "--spec", "README.md"], "invalid TOML"),
         (["run", "--plan-out", "plan.json"], "--plan-out writes the planner's plan"),
+        (["run", "--set", "chaos_seed=3"],
+         "chaos_seed seeds a fault scenario, but faults is 'none'"),
     ],
 )
 def test_usage_errors_exit_2(argv, message, repo_root, capsys):
