@@ -15,16 +15,23 @@ Frame format (DESIGN.md §13)::
     followed by `length` payload bytes (pickled record tuple)
 
 The CRC covers the kind and length bytes as well as the payload, so a bit
-flip in either header field is caught like one in the body.  A ``K_BATCH``
-frame's record is a tuple of ``(kind, record)`` sub-frames of the other
-kinds under that one header, CRC and pickle; :meth:`WorkerWal.scan` expands
-it only after its CRC has passed, so replay sees the sub-frames.
+flip in either header field is caught like one in the body.  Kinds:
+``K_CREATE``, ``K_PUT``, ``K_DELETE``, ``K_CKPT``, ``K_INSTALL``,
+``K_DROP`` and ``K_EPOCH`` are record frames; two kinds hold several under
+one header, CRC and pickle.  A ``K_BATCH`` frame's record is a tuple of
+``(kind, record)`` sub-frames of the record kinds.  A ``K_ROWS`` frame is a
+group of checkpoints whose states are all instances of one plain slotted
+class (:func:`_plain_slots`): ``(cls, slot_names, rows)``, one
+``(bin_id, epoch, *values)`` row per bin, so the class and its slot names
+are pickled once instead of once per bin.  :meth:`WorkerWal.scan` expands
+either only after its CRC has passed, a row into exactly the ``K_CKPT``
+sub-frame a batch would hold, so replay sees record frames only.
 
 Recovery scans frames in order and stops at the first invalid one — bad
-magic, a CRC mismatch (bit flip), a batch whose body is not a tuple of
-sub-frames, or a frame that runs past the end of the log (torn final
-write).  Everything before the cut is intact by construction; everything
-after it is truncated away, and the damage is summarized in a
+magic, a CRC mismatch (bit flip), a batch or rows body of the wrong shape,
+or a frame that runs past the end of the log (torn final write).
+Everything before the cut is intact by construction; everything after it
+is truncated away, and the damage is summarized in a
 :class:`WalRecovery` the chaos layer publishes as a ``StorageFaultReport``.
 
 Crash-consistency model: :meth:`WorkerWal.sync` advances the fsync horizon.
@@ -32,9 +39,9 @@ Frames behind the horizon survive any crash; frames past it exist only in
 the modeled page cache and are destroyed by the ``lose_unsynced_tail``
 storage fault (an optimistic disk keeps them when no fault is injected).
 ``WalBackend`` commits one application group — one ``note_applied_group``
-call, or one ``note_applied`` — as one frame (a lone ``K_CKPT`` or a
-``K_BATCH`` of them) and syncs once per ``sync_every`` applied bins
-(default 1, i.e. one fsync per committed group).  A crash lands between
+call, or one ``note_applied`` — as one frame (:func:`checkpoint_frame`: a
+``K_ROWS``, a lone ``K_CKPT`` or a ``K_BATCH`` of them) and syncs once per
+``sync_every`` applied bins (default 1, i.e. one fsync per committed group).  A crash lands between
 simulator callbacks and a group commits inside one, so at every crash point
 the synced log replays to the bins and states one frame per bin would.
 
@@ -48,19 +55,22 @@ capture closes its epoch with a synced ``K_EPOCH`` frame, so replay resumes
 above every base epoch already shipped.
 
 Compaction: once ``compact_threshold`` records (sub-frames counted) have
-accumulated, the whole log is rewritten as one batch frame holding a
+accumulated, the whole log is rewritten as one frame holding a
 checkpoint per resident bin, a mapping bin's dirty stamps included, so a
 delta extracted after a crash still sees every write since its base.
 """
 
 from __future__ import annotations
 
+import copyreg
 import pickle
 import random
 import struct
 import zlib
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from functools import cache
+from operator import attrgetter
 from typing import Callable, Iterator, Optional
 
 from repro.state.backend import BinPayload, DictBackend
@@ -81,10 +91,11 @@ K_INSTALL = 5  # ("install", bin_id, epoch, state)
 K_DROP = 6  # ("drop", bin_id, epoch)
 K_BATCH = 7  # ((kind, record), ...): sub-frames of the kinds above
 K_EPOCH = 8  # ("epoch", bin_id, epoch): a base capture closed this epoch
+K_ROWS = 9  # (cls, slot_names, ((bin_id, epoch, *values), ...)): K_CKPTs
 
 # Kinds a batch may hold; a batch never nests.
 _RECORD_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP, K_EPOCH)
-_KINDS = (*_RECORD_KINDS, K_BATCH)
+_KINDS = (*_RECORD_KINDS, K_BATCH, K_ROWS)
 
 
 def frame_crc(kind: int, length: int, payload: bytes) -> int:
@@ -108,6 +119,112 @@ def _is_batch(record: object) -> bool:
     )
 
 
+def _plain_slots(cls: type) -> Optional[tuple[str, ...]]:
+    """The slots pickle's default reduction saves for ``cls``'s instances,
+    or None unless ``cls`` is a plain slotted class: every class in its MRO
+    declares ``__slots__`` (so no instance ``__dict__``), it keeps the
+    default ``__reduce__``, ``__reduce_ex__`` and ``__getstate__``, has no
+    ``__setstate__`` or ``__getnewargs*__``, and ``copyreg`` has no reducer
+    for it.  Such an instance pickles as its class plus its slot values and
+    unpickles as ``cls.__new__(cls)`` plus one ``setattr`` per slot."""
+    if (
+        cls in copyreg.dispatch_table
+        or cls.__reduce_ex__ is not object.__reduce_ex__
+        or cls.__reduce__ is not object.__reduce__
+        or cls.__getstate__ is not object.__getstate__
+        or any(
+            hasattr(cls, name)
+            for name in ("__setstate__", "__getnewargs__", "__getnewargs_ex__")
+        )
+    ):
+        return None
+    names = []
+    for klass in cls.__mro__[:-1]:  # every class but ``object``
+        slots = klass.__dict__.get("__slots__")
+        if slots is None:
+            return None
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name == "__dict__":
+                return None
+            if name == "__weakref__":
+                continue
+            # Private names are stored mangled, as ``copyreg._slotnames`` does.
+            stripped = klass.__name__.lstrip("_")
+            if name.startswith("__") and not name.endswith("__") and stripped:
+                name = f"_{stripped}{name}"
+            names.append(name)
+    return tuple(names)
+
+
+@cache
+def _row_layout(cls: type) -> Optional[tuple[tuple[str, ...], Callable]]:
+    """``(slot_names, values_of)`` for a plain slotted class (see
+    :func:`_plain_slots`), where ``values_of(state)`` is the tuple of its
+    slot values and raises ``AttributeError`` on an unset slot; else None.
+    Decided once per class."""
+    names = _plain_slots(cls)
+    if names is None:
+        return None
+    if len(names) > 1:
+        return names, attrgetter(*names)
+    # attrgetter of one name returns the value, not a tuple
+    return names, lambda state: tuple(getattr(state, n) for n in names)
+
+
+def checkpoint_frame(ckpts: list[tuple]) -> tuple[int, tuple]:
+    """The one frame that commits ``ckpts``, a non-empty list of ``K_CKPT``
+    records ``(bin_id, epoch, state[, dirty])``.
+
+    When every state is an instance of one plain slotted class with every
+    slot set and no record carries dirty stamps, that is a ``K_ROWS``
+    record; otherwise the lone ``K_CKPT`` or a ``K_BATCH`` of them.  Either
+    way :meth:`WorkerWal.scan` yields the same ``K_CKPT`` sub-frames.
+    """
+    cls = ckpts[0][2].__class__
+    layout = _row_layout(cls)
+    if layout is not None:
+        names, values_of = layout
+        try:
+            rows = tuple(
+                [(bin_id, epoch) + values_of(state)
+                 for bin_id, epoch, state in ckpts if state.__class__ is cls]
+            )
+        except (AttributeError, ValueError):  # an unset slot; a dirty-stamped record
+            rows = ()
+        if len(rows) == len(ckpts):
+            return K_ROWS, (cls, names, rows)
+    if len(ckpts) == 1:
+        return K_CKPT, ckpts[0]
+    return K_BATCH, tuple([(K_CKPT, record) for record in ckpts])
+
+
+def _row_frames(record: object) -> list[tuple[int, tuple]]:
+    """The ``K_CKPT`` sub-frames a rows record stands for, each state rebuilt
+    as pickle's default reduction rebuilds it.  Raises ``ValueError`` unless
+    ``record`` is ``(cls, slot_names, rows)`` with ``cls`` a plain slotted
+    class whose slots are ``slot_names`` and every row one
+    ``(bin_id, epoch, *values)`` tuple with a value per slot."""
+    if type(record) is not tuple or len(record) != 3:
+        raise ValueError("a rows record is (cls, slot_names, rows)")
+    cls, names, rows = record
+    layout = _row_layout(cls) if isinstance(cls, type) else None
+    if layout is None or layout[0] != names:
+        raise ValueError("a rows record names a plain slotted class and its slots")
+    if type(rows) is not tuple or not rows:
+        raise ValueError("a rows record holds a non-empty tuple of rows")
+    width = 2 + len(names)
+    new = cls.__new__
+    frames = []
+    for row in rows:
+        if type(row) is not tuple or len(row) != width:
+            raise ValueError("a row is (bin_id, epoch, *values), a value per slot")
+        state = new(cls)
+        for name, value in zip(names, row[2:]):
+            setattr(state, name, value)
+        frames.append((K_CKPT, (row[0], row[1], state)))
+    return frames
+
+
 def encode_frame(kind: int, record: tuple) -> bytes:
     """One framed record: header (magic, kind, length, crc) + payload."""
     if kind not in _KINDS:
@@ -116,6 +233,8 @@ def encode_frame(kind: int, record: tuple) -> bytes:
     # no nested one.  ``scan`` checks the whole shape of what it reads.
     if kind == K_BATCH and not (record and all(sub[0] in _RECORD_KINDS for sub in record)):
         raise ValueError("a batch holds one or more non-batch (kind, record) sub-frames")
+    if kind == K_ROWS and not record[2]:
+        raise ValueError("a rows record holds one or more rows")
     payload = pickle.dumps(record, protocol=4)
     length = len(payload)
     return _HEADER.pack(_MAGIC, kind, length, frame_crc(kind, length, payload)) + payload
@@ -180,25 +299,19 @@ class WorkerWal:
         self._total += len(frame)
         self.frames_appended += 1
 
-    def commit(self, frames: list[tuple[int, tuple]]) -> None:
-        """Append ``frames`` as one frame: the lone frame itself, or a
-        ``K_BATCH`` holding all of them (nothing for an empty list)."""
-        if len(frames) == 1:
-            self.append(*frames[0])
-        elif frames:
-            self.append(K_BATCH, tuple(frames))
-
     def sync(self) -> None:
         """Advance the fsync horizon to the end of the log."""
         self.synced = self._total
         self.syncs += 1
 
     def reset(self, frames: list[tuple[int, tuple]]) -> None:
-        """Rewrite the log wholesale as one frame (compaction); ends synced."""
+        """Rewrite the log wholesale as ``frames`` (compaction passes one);
+        ends synced."""
         self.segments = [bytearray()]
         self._total = 0
         self.synced = 0
-        self.commit(frames)
+        for kind, record in frames:
+            self.append(kind, record)
         self.sync()
 
     # -- crash faults ----------------------------------------------------------
@@ -278,8 +391,8 @@ class WorkerWal:
     def scan(self) -> tuple[list[tuple[int, tuple]], WalRecovery]:
         """Parse every valid frame in order; truncate at the first bad one.
 
-        A batch frame yields its sub-frames, in order, once its CRC has
-        passed.  Mutates the log: everything from the first invalid frame
+        A batch or rows frame yields its sub-frames, in order, once its CRC
+        has passed.  Mutates the log: everything from the first invalid frame
         onward is discarded, so the surviving store and the replayed state
         agree.
         """
@@ -306,14 +419,15 @@ class WorkerWal:
                 break
             try:
                 record = pickle.loads(body)
+                if kind == K_ROWS:
+                    frames.extend(_row_frames(record))
+                elif kind != K_BATCH:
+                    frames.append((kind, record))
+                elif _is_batch(record):
+                    frames.extend(record)
+                else:
+                    raise ValueError("malformed batch")
             except Exception:
-                recovery.corrupt_frame = True
-                break
-            if kind != K_BATCH:
-                frames.append((kind, record))
-            elif _is_batch(record):
-                frames.extend(record)
-            else:
                 recovery.corrupt_frame = True
                 break
             pos = body_start + length
@@ -605,12 +719,12 @@ class WalBackend(DictBackend):
             # ``is``, not ``isinstance``: WalState is a MutableMapping, whose
             # ABC instance check is slow on this per-bin path.
             if state is not None and state.__class__ is not WalState:
-                ckpts.append((K_CKPT, (bin_id, epoch, state)))
+                ckpts.append((bin_id, epoch, state))
             epoch += 1
         self._epoch = epoch
         wal = self._log()
         if ckpts:
-            wal.commit(ckpts)
+            wal.append(*checkpoint_frame(ckpts))
             self._frames_since_compaction += len(ckpts)
         self._applies_since_sync += len(bin_ids)
         if self._applies_since_sync >= self.sync_every:
@@ -620,16 +734,16 @@ class WalBackend(DictBackend):
             self.compact()
 
     def compact(self) -> None:
-        """Rewrite the log as one batch frame: a checkpoint per resident
-        bin, carrying a mapping bin's dirty stamps for delta extraction."""
+        """Rewrite the log as one frame: a checkpoint per resident bin,
+        carrying a mapping bin's dirty stamps for delta extraction."""
         epoch = self._epoch
-        frames = [
-            (K_CKPT, (bin_id, epoch, dict(state.data), state.dirty))
+        ckpts = [
+            (bin_id, epoch, dict(state.data), state.dirty)
             if state.__class__ is WalState
-            else (K_CKPT, (bin_id, epoch, state))
+            else (bin_id, epoch, state)
             for bin_id, state in self._states.items()
         ]
-        self._log().reset(frames)
+        self._log().reset([checkpoint_frame(ckpts)] if ckpts else [])
         self._frames_since_compaction = 0
         self.compactions += 1
 

@@ -10,6 +10,7 @@ import zlib
 
 import pytest
 
+from repro.harness.workloads import ModeledCountState
 from repro.state import make_backend
 from repro.state.wal import (
     _HEADER,
@@ -18,10 +19,12 @@ from repro.state.wal import (
     K_CKPT,
     K_CREATE,
     K_PUT,
+    K_ROWS,
     WalBackend,
     WalRegistry,
     WalState,
     WorkerWal,
+    checkpoint_frame,
     encode_frame,
     replay_frames,
 )
@@ -241,10 +244,42 @@ def _raw_frame(kind: int, record) -> bytes:
     ids=["empty", "nested", "junk-sub-frame", "not-a-tuple"],
 )
 def test_crc_valid_batch_with_malformed_body_is_corrupt(body):
+    _assert_scan_stops_at(K_BATCH, body)
+
+
+class _Slotted:
+    __slots__ = ("value",)
+
+    def __init__(self, value=0):
+        self.value = value
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        (_Slotted, ("value",), ((0, 1),)),
+        (_Slotted, ("value",), ((0, 1, 2), (1, 2, 3, 4))),
+        (5, ("value",), ((0, 1, 2),)),
+        (_Slotted(), ("value",), ((0, 1, 2),)),
+        (_Slotted, (7,), ((0, 1, 2),)),
+        (_Slotted, ("value",), ()),
+    ],
+    ids=[
+        "row-too-short", "row-too-long", "cls-an-int", "cls-an-instance",
+        "slot-name-an-int", "no-rows",
+    ],
+)
+def test_crc_valid_rows_with_a_malformed_body_are_corrupt(body):
+    _assert_scan_stops_at(K_ROWS, body)
+
+
+def _assert_scan_stops_at(kind, body):
+    """A CRC-valid frame of ``kind`` around ``body`` is a corrupt frame: the
+    scan stops there and truncates it and everything behind it."""
     wal = WorkerWal(0)
     wal.append(K_PUT, (0, 0, "a", 1))
     good = wal.total_bytes()
-    bad = _raw_frame(K_BATCH, body)
+    bad = _raw_frame(kind, body)
     wal.segments[-1].extend(bad)
     wal._total += len(bad)
     wal.append(K_PUT, (0, 2, "c", 3))  # intact, but behind the bad frame
@@ -444,6 +479,78 @@ def test_group_of_mapping_bins_writes_no_frame_but_syncs():
     assert wal.frames_appended == frames
     assert wal.syncs == syncs + 1
     assert wal.unsynced_bytes() == 0
+
+
+def _slotted_backend(registry, **options):
+    backend = make_backend(
+        "wal", _Slotted, lambda s: 8.0, codec="modeled",
+        options={"wal_registry": registry, **options},
+    )
+    backend.bind_worker(0)
+    return backend
+
+
+def test_group_of_slotted_bins_commits_one_rows_frame():
+    """Rows change the bytes of a group commit, not its counts: one frame,
+    one sync, ``n`` records towards compaction, epochs ``e…e+n-1``, and a
+    scan that replays one checkpoint per bin."""
+    registry = WalRegistry()
+    backend = _slotted_backend(registry)
+    bins = [0, 1, 2, 3, 4]
+    for bin_id in bins:
+        backend.create_bin(bin_id)
+        backend._states[bin_id].value = 10 + bin_id
+    wal = registry.wal_for(0)
+    frames, syncs, start = wal.frames_appended, wal.syncs, wal.total_bytes()
+    since, epoch = backend._frames_since_compaction, backend.current_epoch()
+    backend.note_applied_group(bins, [0, 2, 3, 3, 7, 8])
+    assert wal.frames_appended == frames + 1
+    assert wal.syncs == syncs + 1
+    assert backend._frames_since_compaction == since + len(bins)
+    assert _decode(bytes(wal.segments[-1])[start:]) == (
+        K_ROWS,
+        (_Slotted, ("value",), tuple((b, epoch + i, 10 + b) for i, b in enumerate(bins))),
+    )
+    replayed, recovery = wal.scan()
+    assert [(k, r[0], r[1], type(r[2]), r[2].value) for k, r in replayed[-len(bins) :]] == [
+        (K_CKPT, b, epoch + i, _Slotted, 10 + b) for i, b in enumerate(bins)
+    ]
+    assert recovery.frames_replayed == len(replayed) == 2 * len(bins)
+    reborn = _slotted_backend(registry)
+    assert [reborn._states[b].value for b in bins] == [10, 11, 12, 13, 14]
+    assert reborn.last_recovery.max_epoch == epoch + len(bins) - 1
+
+
+def test_compaction_of_slotted_bins_writes_rows():
+    registry = WalRegistry()
+    backend = _slotted_backend(registry)
+    for bin_id in range(6):
+        backend.create_bin(bin_id)
+        backend._states[bin_id].value = bin_id
+    wal = registry.wal_for(0)
+    frames, epoch = wal.frames_appended, backend.current_epoch()
+    backend.compact()
+    assert wal.frames_appended == frames + 1
+    assert backend._frames_since_compaction == 0
+    assert _decode(bytes(wal.segments[0])) == (
+        K_ROWS, (_Slotted, ("value",), tuple((b, epoch, b) for b in range(6)))
+    )
+    replayed, recovery = wal.scan()
+    assert [(k, r[0], r[1], r[2].value) for k, r in replayed] == [
+        (K_CKPT, b, epoch, b) for b in range(6)
+    ]
+    assert recovery.frames_replayed == 6
+
+
+def test_the_count_state_commits_as_rows():
+    """``ModeledCountState`` keeps pickle's default reduction, so its groups
+    go out as rows; a custom ``__reduce__`` on it would silently turn them
+    back into a batch of pickled objects."""
+    state = ModeledCountState(2.5)
+    state.records = 7
+    assert checkpoint_frame([(0, 3, state), (1, 4, state)]) == (
+        K_ROWS, (ModeledCountState, ("expected_keys", "records"), ((0, 3, 2.5, 7), (1, 4, 2.5, 7)))
+    )
 
 
 # -- delta extraction ----------------------------------------------------------

@@ -6,14 +6,20 @@ at any byte offset, torn, or bit-flipped — recovery parses a checksum-valid
 prefix implies, ending on a whole group commit.  No cut can make replay
 invent, reorder, or corrupt state.  And a backend that commits each
 application group as one frame recovers, after a crash at any group
-boundary, exactly what one committing bin by bin recovers.
+boundary, exactly what one committing bin by bin recovers.  A group of
+plain slotted states written as rows scans as exactly the checkpoints a
+batch of them would.
 """
 
+import copyreg
+import pickle
 import random
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness.workloads import ModeledCountState
 from repro.state import make_backend
 from repro.state.wal import (
     _HEADER,
@@ -23,11 +29,29 @@ from repro.state.wal import (
     K_DELETE,
     K_DROP,
     K_PUT,
+    K_ROWS,
     WalRegistry,
     WalState,
     WorkerWal,
+    checkpoint_frame,
     replay_frames,
 )
+
+
+class _SlotTally:
+    """An opaque slotted bin state: a group of them commits as rows."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value=0):
+        self.value = value
+
+    def __eq__(self, other):
+        return type(other) is _SlotTally and other.value == self.value
+
+    def __repr__(self):
+        return f"_SlotTally({self.value!r})"
+
 
 # One logical operation: (op, bin, key, value) with small domains so ops
 # collide on bins/keys (creates, overwrites, deletes, drops, group commits
@@ -47,7 +71,9 @@ _OPS = st.lists(
 def _op_frames(ops):
     """The physical frame each op writes (or None), the way WalBackend
     frames it: a ``group`` op checkpoints up to three live bins from its
-    bin upward as one commit, a lone ``K_CKPT`` or a ``K_BATCH``."""
+    bin upward as one commit, dict states (a lone ``K_CKPT`` or a
+    ``K_BATCH``) for an even value and ``_SlotTally`` states (``K_ROWS``)
+    for an odd one."""
     live = set()
     out = []
     for epoch, (op, bin_id, key, value) in enumerate(ops):
@@ -62,13 +88,12 @@ def _op_frames(ops):
                 frame = (K_DROP, (bin_id, epoch))
         elif op == "group":
             members = sorted(b for b in live if b >= bin_id)[: 1 + key % 3]
-            ckpts = tuple(
-                (K_CKPT, (b, epoch, {key: value + b})) for b in members
-            )
-            if len(ckpts) == 1:
-                frame = ckpts[0]
-            elif ckpts:
-                frame = (K_BATCH, ckpts)
+            ckpts = [
+                (b, epoch, _SlotTally(value + b) if value % 2 else {key: value + b})
+                for b in members
+            ]
+            if ckpts:
+                frame = checkpoint_frame(ckpts)
         elif bin_id in live:
             if op == "put":
                 frame = (K_PUT, (bin_id, epoch, key, value))
@@ -101,12 +126,15 @@ def _group_ends(ops):
     ends = [0]
     for frame in _op_frames(ops):
         if frame is not None:
-            ends.append(ends[-1] + (len(frame[1]) if frame[0] == K_BATCH else 1))
+            kind, record = frame
+            subs = record if kind == K_BATCH else record[2] if kind == K_ROWS else (1,)
+            ends.append(ends[-1] + len(subs))
     return set(ends)
 
 
 def _fold(frames):
-    """Independent reference fold of a frame sequence (dict bins only)."""
+    """Independent reference fold of a frame sequence: dict bins take key
+    writes, an opaque checkpoint replaces the bin and ignores them."""
     bins = {}
     for kind, record in frames:
         bin_id = record[0]
@@ -115,17 +143,18 @@ def _fold(frames):
         elif kind == K_DROP:
             bins.pop(bin_id, None)
         elif kind == K_CKPT:
-            bins[bin_id] = dict(record[2])
-        elif kind == K_PUT and bin_id in bins:
+            state = record[2]
+            bins[bin_id] = dict(state) if isinstance(state, dict) else state
+        elif kind == K_PUT and isinstance(bins.get(bin_id), dict):
             bins[bin_id][record[2]] = record[3]
-        elif kind == K_DELETE and bin_id in bins:
+        elif kind == K_DELETE and isinstance(bins.get(bin_id), dict):
             bins[bin_id].pop(record[2], None)
     return bins
 
 
 def _replayed_state(frames):
     bins, _ = replay_frames(frames, dict)
-    return {b: dict(e.state) for b, e in bins.items()}
+    return {b: dict(e.state) if e.mapping else e.state for b, e in bins.items()}
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,15 +206,21 @@ def test_bit_flips_never_corrupt_the_replayed_prefix(ops, seed, flips):
 @given(
     values=st.lists(st.integers(-300, 300), min_size=2, max_size=6),
     bit=st.integers(0, 2**20),
+    slotted=st.booleans(),
 )
-def test_a_damaged_batch_replays_none_of_its_sub_frames(values, bit):
-    # The batch's CRC is checked before it is expanded: a flipped body bit
-    # that still unpickles must not leak a single sub-frame into replay.
-    batch = tuple((K_CKPT, (b, 1, {0: v})) for b, v in enumerate(values))
+def test_a_damaged_batch_replays_none_of_its_sub_frames(values, bit, slotted):
+    # A group's CRC is checked before it is expanded: a flipped body bit
+    # that still unpickles must not leak a single sub-frame into replay,
+    # from a batch of dict checkpoints or from rows of slotted ones.
+    ckpts = [
+        (b, 1, _SlotTally(v) if slotted else {0: v}) for b, v in enumerate(values)
+    ]
     wal = WorkerWal(0)
     wal.append(K_CREATE, (0, 0))
     body_start = wal.total_bytes() + _HEADER.size
-    wal.append(K_BATCH, batch)
+    kind, record = checkpoint_frame(ckpts)
+    assert kind == (K_ROWS if slotted else K_BATCH)
+    wal.append(kind, record)
     bit %= (wal.total_bytes() - body_start) * 8
     wal.segments[0][body_start + bit // 8] ^= 1 << (bit % 8)
     frames, recovery = wal.scan()
@@ -233,6 +268,120 @@ class _Tally:
         self.value = value
 
 
+# -- row encoding against the batch encoding -----------------------------------
+
+
+class _Base:
+    __slots__ = ("a",)
+
+
+class _Split(_Base):
+    """Slots split between a base class and this one, one of them private."""
+
+    __slots__ = ("b", "__c")
+
+    def __init__(self, a=0, b=0, c=0):
+        self.a, self.b, self.__c = a, b, c
+
+
+class _Cached:
+    """Slotted, but its own reduction keeps ``value`` only: unpickling it
+    clears ``memo``, which a rebuild from every slot would keep."""
+
+    __slots__ = ("value", "memo")
+
+    def __init__(self, value=0):
+        self.value = value
+        self.memo = None
+
+    def __reduce__(self):
+        return _Cached, (self.value,)
+
+
+@dataclass(slots=True, frozen=True)
+class _Frozen:
+    value: int
+    label: str
+
+
+def _group_state(family, i, v, pick):
+    """The ``i``-th state of a drawn group of ``family``."""
+    if family == "plain" or (family == "mixed" and i % 2 == 0):
+        state = ModeledCountState(v / 4)
+        state.records = v * 3
+        return state
+    if family in ("split", "mixed"):
+        return _Split(v, -v, str(v))
+    if family == "reduce":
+        state = _Cached(v)
+        state.memo = str(v)
+        return state
+    if family == "frozen":
+        return _Frozen(v, str(v))
+    if family == "dict":
+        return _Tally(v)
+    if family == "walstate":
+        return WalState(None, i, {i: v})
+    state = _Split.__new__(_Split)  # "unset": one state lacks its base slot
+    state.b, state._Split__c = v, str(v)
+    if i != pick:
+        state.a = v
+    return state
+
+
+# Families whose groups go out as rows (``mixed`` only when all one class).
+_ROW_FAMILIES = ("plain", "split", "walstate")
+_UNSET = object()
+
+
+def _fields(state):
+    """Everything a state holds: its class, each slot pickle knows of (or a
+    marker for an unset one) and its instance dict."""
+    cls = type(state)
+    slots = tuple(getattr(state, name, _UNSET) for name in copyreg._slotnames(cls))
+    return cls, slots, getattr(state, "__dict__", None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(
+        ["plain", "split", "mixed", "reduce", "frozen", "dict", "walstate", "unset"]
+    ),
+    values=st.lists(st.integers(-1000, 1000), max_size=70),
+    start=st.integers(0, 2**20),
+    step=st.integers(0, 2),
+    pick=st.integers(0, 69),
+)
+def test_rows_scan_as_the_checkpoints_a_batch_holds(family, values, start, step, pick):
+    """A checkpoint group written by ``checkpoint_frame`` scans as the same
+    ``K_CKPT`` sub-frames, bins, epochs and states as the ``K_BATCH`` of
+    them; rows are chosen exactly for one plain slotted class with every
+    slot set."""
+    pick %= max(len(values), 1)
+    states = [_group_state(family, i, v, pick) for i, v in enumerate(values)]
+    ckpts = [(bin_id, start + step * bin_id, state) for bin_id, state in enumerate(states)]
+    written, batch = WorkerWal(0), WorkerWal(0)
+    if ckpts:
+        kind, record = checkpoint_frame(ckpts)
+        one_class = len({type(state) for state in states}) == 1
+        rows = family in _ROW_FAMILIES or (family == "mixed" and one_class)
+        assert (kind == K_ROWS) == rows
+        written.append(kind, record)
+        batch.append(K_BATCH, tuple((K_CKPT, ckpt) for ckpt in ckpts))
+    frames, recovery = written.scan()
+    reference, _ = batch.scan()
+    assert recovery.clean and recovery.frames_replayed == len(ckpts)
+    heads = [(kind, record[0], record[1]) for kind, record in frames]
+    assert heads == [(kind, record[0], record[1]) for kind, record in reference]
+    assert heads == [(K_CKPT, bin_id, epoch) for bin_id, epoch, _ in ckpts]
+    for (_, got), (_, want), original in zip(frames, reference, states):
+        assert pickle.dumps(got[2]) == pickle.dumps(original)
+        assert _fields(got[2]) == _fields(want[2])
+
+
+# -- group commit against per-bin commits --------------------------------------
+
+
 def _backend(registry):
     backend = make_backend(
         "wal", dict, lambda state: 8.0, codec="modeled",
@@ -244,6 +393,12 @@ def _backend(registry):
 
 def _opaque(bin_id):
     return bin_id % 2 == 1
+
+
+def _opaque_state(bin_id):
+    """Bin 1 holds a dict-based ``_Tally`` and bins 3 and 5 a ``_SlotTally``,
+    so a group of only slotted bins commits as rows, a mixed one as a batch."""
+    return _Tally() if bin_id == 1 else _SlotTally()
 
 
 def _snapshot(backend):
@@ -270,12 +425,12 @@ def _stamped(registry, backend):
 
 def _payload(payload):
     state = payload.decode_state()
-    state = state.value if isinstance(state, _Tally) else dict(state)
+    state = state.value if isinstance(state, (_Tally, _SlotTally)) else dict(state)
     return payload.kind, payload.base_epoch, state, payload.deleted
 
 
 # (op, bin, key, value, group mask) over bins 0-5, all created up front;
-# odd bins hold opaque state.  Application groups are drawn most often;
+# odd bins hold opaque state (``_opaque_state``).  Application groups are drawn most often;
 # ``crash`` crashes both logs wherever it lands, and it and base captures
 # are drawn twice as often as the rest so that a crash often follows a
 # capture with nothing synced in between.
@@ -311,7 +466,7 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
         for bin_id in range(6):
             backend.create_bin(bin_id)
             if _opaque(bin_id):
-                backend.put_state(bin_id, _Tally())
+                backend.put_state(bin_id, _opaque_state(bin_id))
     bases = [{}, {}]  # bin -> base epoch of its last base snapshot
     deltas = [[], []]  # every delta payload extracted, decoded
     shipped = [{}, {}]  # bin -> payload extracted with remove=True
@@ -321,7 +476,7 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
             if op == "create" and not present and bin_id not in shipped[side]:
                 backend.create_bin(bin_id)
                 if _opaque(bin_id):
-                    backend.put_state(bin_id, _Tally())
+                    backend.put_state(bin_id, _opaque_state(bin_id))
             elif op == "put" and present and not _opaque(bin_id):
                 backend.put(bin_id, key, value)
             elif op == "apply":
