@@ -136,11 +136,12 @@ class BinStore:
         ``remove=True`` uninstalls the bin (migration/extraction);
         ``remove=False`` captures a consistent copy (snapshots) without
         disturbing the resident bin or its pending queue.  ``dirty_since``
-        asks a delta-capable backend for only the keys dirtied after that
-        epoch (ignored — full extraction — on backends without epochs).
+        asks for only the keys dirtied after that epoch; pass it only for a
+        bin :meth:`delta_capable` accepted (F does: it sets it only for a
+        bin whose base it shipped).
         """
         bin_ = self.get(bin_id)
-        if dirty_since is not None and self.backend.supports_delta:
+        if dirty_since is not None:
             payload = self.backend.extract_bin(
                 bin_id, remove=remove, dirty_since=dirty_since
             )
@@ -164,7 +165,7 @@ class BinStore:
     def delta_capable(self, bin_id: int) -> bool:
         """Whether ``bin_id`` can ship base-then-delta (backend tracks dirty
         epochs and the bin's state is a tracked mapping)."""
-        return self.backend.supports_delta and self.backend.bin_delta_capable(bin_id)
+        return self.backend.bin_delta_capable(bin_id)
 
     def take(self, bin_id: int) -> BinPayload:
         """Remove and return ``bin_id``'s payload for migration
@@ -247,10 +248,6 @@ class BinStore:
 
     # -- statistics -------------------------------------------------------------
 
-    def bin_stats(self, bin_id: int) -> BinStats:
-        """Per-bin key/heat/residency metadata from the backend."""
-        return self.backend.bin_stats(bin_id)
-
     def stats(self) -> dict[int, BinStats]:
         """Stats for every resident bin."""
         return {b: self.backend.bin_stats(b) for b in self._bins}
@@ -269,11 +266,12 @@ class BinStore:
         """States of several resident bins, in order (BinNotResident on a
         miss).  One backend round-trip for the whole group instead of a
         ``get`` + ``state`` property chain per bin."""
-        bins_map = self._bins
-        for bin_id in bin_ids:
-            if bin_id not in bins_map:
-                raise BinNotResident(bin_id, self.worker_id, bins_map)
-        return self.backend.states_of_group(bin_ids)
+        try:
+            return self.backend.states_of_group(bin_ids)
+        except KeyError as missing:
+            raise BinNotResident(
+                missing.args[0], self.worker_id, self._bins
+            ) from None
 
     def note_applied_group(self, bin_ids, starts) -> None:
         """Batched :meth:`note_applied` over one sorted application group

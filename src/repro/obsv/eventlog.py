@@ -301,13 +301,6 @@ class EventLogRecorder:
         self._stream = None
         return fingerprint
 
-    def abort(self) -> None:
-        """Detach and close without a footer (the run failed)."""
-        self._unsubscribe()
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
 
 # -- reading --------------------------------------------------------------------
 

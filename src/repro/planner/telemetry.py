@@ -118,7 +118,6 @@ class LoadTelemetry:
         self._owner: dict[int, int] = {}
         self.samples = 0
         self._stopped = False
-        self._last_ratio = 0.0
 
     # -- sampling loop -------------------------------------------------------
 
@@ -129,11 +128,6 @@ class LoadTelemetry:
     def stop(self) -> None:
         """Stop sampling at the next tick."""
         self._stopped = True
-
-    def sample_now(self) -> None:
-        """Take one sample immediately (also reschedules the next tick;
-        harmless when :meth:`stop` follows)."""
-        self._sample()
 
     def _sample(self) -> None:
         if self._stopped:
@@ -180,7 +174,6 @@ class LoadTelemetry:
                     )
                 )
         ratio = self.imbalance()
-        self._last_ratio = ratio
         change = self.detector.observe(ratio)
         if change == "triggered" and trace.wants_planner:
             hot = max(loads, key=lambda w: loads[w]) if loads else -1
@@ -235,11 +228,6 @@ class LoadTelemetry:
     def skewed(self) -> bool:
         """The detector's current (hysteresis-filtered) verdict."""
         return self.detector.skewed
-
-    @property
-    def last_ratio(self) -> float:
-        """The most recent raw imbalance sample."""
-        return self._last_ratio
 
     @property
     def observed_window_s(self) -> float:

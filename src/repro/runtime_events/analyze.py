@@ -221,10 +221,6 @@ class MigrationTrace:
         step = self.steps.get(time)
         return step.duration if step is not None else None
 
-    def step_outcome(self, time) -> Optional[MigrationStepOutcome]:
-        """The controller's final accounting for the step at ``time``."""
-        return self.outcomes.get(time)
-
     def outcome_rows(self) -> list[MigrationStepOutcome]:
         """All step outcomes in completion order."""
         return sorted(self.outcomes.values(), key=lambda o: o.at)

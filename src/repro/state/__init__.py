@@ -2,7 +2,7 @@
 
 Lifts bin state behind a :class:`~repro.state.backend.StateBackend`
 interface (get/put/delete/iterate, ``extract_bin``/``install_bin``, byte
-accounting, per-bin key/heat stats) with a
+accounting, per-bin key and record stats) with a
 :class:`~repro.state.codecs.Codec` abstraction for the serialized form.
 ``BinStore`` owns one backend per worker-operator pair; migration
 shipping, snapshots, and crash recovery all serialize through the single

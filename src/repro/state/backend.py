@@ -10,8 +10,9 @@ serialize through :meth:`StateBackend.extract_bin` +
 :meth:`~StateBackend.install_bin` (one path, one codec).
 
 The backend also owns byte accounting (``state_bytes``, resident vs
-spilled) and per-bin access statistics (key counts and heat), which
-skew-aware placement and tiered-memory policies consume.
+spilled) and per-bin statistics (key counts and records applied), which
+load telemetry and tiered-memory accounting consume.  Access order is
+bookkeeping only the tiered backend's LRU spill reads, so it lives there.
 """
 
 from __future__ import annotations
@@ -62,14 +63,11 @@ class BinStats:
 
     bin_id: object
     keys: int
-    heat: int  # number of state accesses since creation/installation
-    last_access: int  # backend-wide access sequence number (0 = never)
     resident_bytes: int
     spilled_bytes: int
-    # Records applied to the bin since creation/installation.  Unlike
-    # ``heat`` (which ticks once per application batch) this weights by
-    # record count, so it reflects key-skew in the offered load — the
-    # signal the migration planner's telemetry aggregates.
+    # Records applied to the bin since creation/installation: key skew in
+    # the offered load, the signal the migration planner's telemetry
+    # aggregates.
     records: int = 0
 
     @property
@@ -141,16 +139,12 @@ class StateBackend:
     """Base class: bin-granular state storage behind a uniform interface.
 
     Subclasses choose the representation; this base owns the pieces every
-    backend shares — the size model, the codec, and access statistics.
+    backend shares — the size model, the codec, and per-bin record counts.
     ``size_fn(state) -> bytes`` is the modeled size of one bin's resident
     state (the seed's ``keys x bytes-per-key`` model by default).
     """
 
     name: ClassVar[str] = ""
-    # Backends that track per-key dirty epochs can serve delta extraction
-    # (``extract_bin(..., dirty_since=E)``); ``BinStore`` checks this flag
-    # before passing the keyword, so flat backends keep their signature.
-    supports_delta: ClassVar[bool] = False
 
     def __init__(
         self,
@@ -161,10 +155,7 @@ class StateBackend:
         self._state_factory = state_factory
         self._size_fn = size_fn
         self.codec = codec
-        self._heat: dict[object, int] = {}
         self._records: dict[object, int] = {}
-        self._last_access: dict[object, int] = {}
-        self._access_seq = 0
 
     def bind_worker(self, worker_id: int) -> None:
         """Attach the backend to its owning worker (default no-op).
@@ -174,26 +165,20 @@ class StateBackend:
         """
 
     def bin_delta_capable(self, bin_id: object) -> bool:
-        """Whether this specific bin can serve a delta extraction (a
-        delta-capable backend may still hold opaque, untracked states)."""
+        """Whether this bin can serve a delta extraction
+        (``extract_bin(..., dirty_since=E)``); only a backend that tracks
+        per-key dirty epochs says yes, and only for a tracked state."""
         return False
 
     # -- bookkeeping shared by all backends ------------------------------------
 
-    def _touch(self, bin_id: object) -> None:
-        self._access_seq += 1
-        self._heat[bin_id] = self._heat.get(bin_id, 0) + 1
-        self._last_access[bin_id] = self._access_seq
-
     def _forget(self, bin_id: object) -> None:
-        self._heat.pop(bin_id, None)
         self._records.pop(bin_id, None)
-        self._last_access.pop(bin_id, None)
 
     def note_records(self, bin_id: object, count: int) -> None:
         """Account ``count`` records applied to ``bin_id`` (load telemetry).
 
-        Pure bookkeeping — no representation change, no touch — so calling
+        Pure bookkeeping — no representation change, no access — so calling
         it never perturbs spill/compaction policies.
         """
         if count > 0:
@@ -224,7 +209,7 @@ class StateBackend:
     # -- whole-state access -----------------------------------------------------
 
     def state_of(self, bin_id: object) -> object:
-        """The bin's mutable user state (bumps heat; may promote)."""
+        """The bin's mutable user state (a tiered backend may promote it)."""
         raise NotImplementedError
 
     def put_state(self, bin_id: object, state: object) -> None:
@@ -235,12 +220,9 @@ class StateBackend:
         """Hook called after an applier mutated the bin (default no-op)."""
 
     def states_of_group(self, bin_ids) -> list:
-        """States of several bins in order — one :meth:`state_of` each.
-
-        Backends with flat bookkeeping override this to batch the touch
-        accounting; the default preserves subclass ``state_of`` semantics
-        (promotion, spill) exactly.
-        """
+        """States of several bins in order — one :meth:`state_of` each
+        (``KeyError`` on a missing bin), so a tiered backend promotes and
+        spills exactly as per-bin calls would."""
         return [self.state_of(bin_id) for bin_id in bin_ids]
 
     def note_applied_group(self, bin_ids, starts) -> None:
@@ -302,9 +284,6 @@ class StateBackend:
 
     def bin_stats(self, bin_id: object) -> BinStats:
         raise NotImplementedError
-
-    def key_count(self, bin_id: object) -> int:
-        return self.bin_stats(bin_id).keys
 
     # -- the single serialization path ------------------------------------------
 
@@ -369,30 +348,14 @@ class DictBackend(StateBackend):
     # -- state access -----------------------------------------------------------
 
     def state_of(self, bin_id: object) -> object:
-        state = self._states[bin_id]
-        self._touch(bin_id)
-        return state
+        return self._states[bin_id]
 
     def states_of_group(self, bin_ids) -> list:
-        # The flat backend's ``state_of`` is a dict read plus ``_touch``:
-        # inline both over the group, bumping the access sequence in the
-        # same per-bin order one call at a time would.
         states = self._states
-        heat = self._heat
-        last = self._last_access
-        seq = self._access_seq
-        out = []
-        for bin_id in bin_ids:
-            seq += 1
-            heat[bin_id] = heat.get(bin_id, 0) + 1
-            last[bin_id] = seq
-            out.append(states[bin_id])
-        self._access_seq = seq
-        return out
+        return [states[bin_id] for bin_id in bin_ids]
 
     def put_state(self, bin_id: object, state: object) -> None:
         self._states[bin_id] = state
-        self._touch(bin_id)
 
     # -- byte accounting --------------------------------------------------------
 
@@ -409,8 +372,6 @@ class DictBackend(StateBackend):
         return BinStats(
             bin_id=bin_id,
             keys=_key_count(state),
-            heat=self._heat.get(bin_id, 0),
-            last_access=self._last_access.get(bin_id, 0),
             resident_bytes=self.modeled_bytes(state),
             spilled_bytes=0,
             records=self._records.get(bin_id, 0),

@@ -11,8 +11,11 @@ deterministic spill/promote churn the tiered Fig. 20 bench plots as a
 resident-vs-spilled timeline.
 
 Everything is deterministic in simulated terms: spill order is the LRU
-order of the backend's own access sequence, and no simulator events are
-scheduled — the tier only moves bytes between accounting pools.
+order of the backend's own access sequence (stamped by ``state_of``,
+``put_state`` and ``install_bin``; a bin never accessed holds stamp 0), and
+no simulator events are scheduled — the tier only moves bytes between
+accounting pools.  The stamps are this backend's alone: no other backend
+keeps per-access state.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ class TieredSpillBackend(StateBackend):
             raise ValueError("hot_capacity_bytes must be positive (or None)")
         self.hot_capacity_bytes = hot_capacity_bytes
         self._slots: dict[object, _Slot] = {}
+        # LRU bookkeeping: each bin's last access, on a backend-wide sequence.
+        self._last_access: dict[object, int] = {}
+        self._access_seq = 0
         self.spills = 0
         self.promotions = 0
         self.spilled_bytes_total = 0
@@ -80,6 +86,16 @@ class TieredSpillBackend(StateBackend):
 
     def bin_ids(self) -> list:
         return list(self._slots)
+
+    # -- access stamps ----------------------------------------------------------
+
+    def _touch(self, bin_id: object) -> None:
+        self._access_seq += 1
+        self._last_access[bin_id] = self._access_seq
+
+    def _forget(self, bin_id: object) -> None:
+        super()._forget(bin_id)
+        self._last_access.pop(bin_id, None)
 
     # -- tier movement ----------------------------------------------------------
 
@@ -184,8 +200,6 @@ class TieredSpillBackend(StateBackend):
         return BinStats(
             bin_id=bin_id,
             keys=keys,
-            heat=self._heat.get(bin_id, 0),
-            last_access=self._last_access.get(bin_id, 0),
             resident_bytes=hot,
             spilled_bytes=cold,
             records=self._records.get(bin_id, 0),

@@ -40,10 +40,10 @@ the modeled page cache and are destroyed by the ``lose_unsynced_tail``
 storage fault (an optimistic disk keeps them when no fault is injected).
 ``WalBackend`` commits one application group — one ``note_applied_group``
 call, or one ``note_applied`` — as one frame (:func:`checkpoint_frame`: a
-``K_ROWS``, a lone ``K_CKPT`` or a ``K_BATCH`` of them) and syncs once per
-``sync_every`` applied bins (default 1, i.e. one fsync per committed group).  A crash lands between
-simulator callbacks and a group commits inside one, so at every crash point
-the synced log replays to the bins and states one frame per bin would.
+``K_ROWS``, a lone ``K_CKPT`` or a ``K_BATCH`` of them), and every commit
+of one or more bins syncs once.  A crash lands between simulator callbacks
+and a group commits inside one, so at every crash point the synced log
+replays to the bins and states one frame per bin would.
 
 Epoch stamps: every applied bin closes one epoch (a group of ``n`` bins
 stamps its checkpoints ``e, e+1, …, e+n-1``); every frame carries the epoch
@@ -598,7 +598,6 @@ class WalBackend(DictBackend):
     """In-memory working set + durable per-worker write-ahead log."""
 
     name = "wal"
-    supports_delta = True
 
     def __init__(
         self,
@@ -608,21 +607,16 @@ class WalBackend(DictBackend):
         wal_registry: Optional[WalRegistry] = None,
         segment_bytes: int = 1 << 16,
         compact_threshold: int = 512,
-        sync_every: int = 1,
     ) -> None:
         super().__init__(state_factory, size_fn, codec)
         if compact_threshold <= 0:
             raise ValueError("compact_threshold must be positive")
-        if sync_every <= 0:
-            raise ValueError("sync_every must be positive")
         self._registry = wal_registry if wal_registry is not None else WalRegistry()
         self._segment_bytes = segment_bytes
         self.compact_threshold = compact_threshold
-        self.sync_every = sync_every
         self.worker_id = -1
         self._wal: Optional[WorkerWal] = None
         self._epoch = 0
-        self._applies_since_sync = 0  # applied bins since the last sync
         self._frames_since_compaction = 0  # records, batch sub-frames counted
         self.compactions = 0
         # Recovery summary from bind time (None when the log was empty).
@@ -705,7 +699,7 @@ class WalBackend(DictBackend):
 
     def _commit(self, bin_ids) -> None:
         """Checkpoint the opaque bins of one group in one frame, close one
-        epoch per bin, and fsync on the configured cadence.
+        epoch per bin, and fsync once.
 
         Opaque states' mutations are invisible to the log, so each commit
         writes the whole (small, modeled) object; mapping states already
@@ -726,10 +720,8 @@ class WalBackend(DictBackend):
         if ckpts:
             wal.append(*checkpoint_frame(ckpts))
             self._frames_since_compaction += len(ckpts)
-        self._applies_since_sync += len(bin_ids)
-        if self._applies_since_sync >= self.sync_every:
+        if bin_ids:
             wal.sync()
-            self._applies_since_sync = 0
         if self._frames_since_compaction >= self.compact_threshold:
             self.compact()
 
@@ -746,10 +738,6 @@ class WalBackend(DictBackend):
         self._log().reset([checkpoint_frame(ckpts)] if ckpts else [])
         self._frames_since_compaction = 0
         self.compactions += 1
-
-    def wal_bytes(self) -> int:
-        """Current size of the durable log (diagnostics/benchmarks)."""
-        return self._log().total_bytes()
 
     # -- bin lifecycle ----------------------------------------------------------
 

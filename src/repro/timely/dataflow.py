@@ -213,10 +213,6 @@ class InputGroup:
             raise RuntimeError("dataflow not built yet")
         return list(self._handles)
 
-    def send_to(self, worker_id: int, time: Timestamp, records: list) -> None:
-        """Convenience: send from one worker's handle."""
-        self.handle(worker_id).send(time, records)
-
     def advance_all(self, time: Timestamp) -> None:
         """Advance every worker's epoch to ``time``."""
         for handle in self.handles():

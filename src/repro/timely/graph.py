@@ -165,14 +165,6 @@ class GraphBuilder:
                 by_port[channel.dst_port].append(channel)
         return by_port
 
-    def outputs_of(self, op: int) -> list[list[ChannelDesc]]:
-        """Channels leaving each output port of ``op``."""
-        by_port: list[list[ChannelDesc]] = [[] for _ in range(self.operators[op].n_outputs)]
-        for channel in self.channels:
-            if channel.src_op == op:
-                by_port[channel.src_port].append(channel)
-        return by_port
-
     def topological_order(self) -> list[int]:
         """Operator indices in topological order; raises on cycles."""
         indegree = [0] * len(self.operators)

@@ -326,11 +326,6 @@ class OpContext:
         self._send_buffer = []
         return sends
 
-    def _take_extra_cost(self) -> float:
-        cost = self._extra_cost
-        self._extra_cost = 0.0
-        return cost
-
 
 class WorkerRuntime:
     """One simulated worker thread executing all operator instances."""

@@ -134,7 +134,7 @@ def _mid_migration_store(registry, crash):
         state_factory=dict,
         worker_id=0,
         backend="wal",
-        backend_options={"wal_registry": registry, "sync_every": 1},
+        backend_options={"wal_registry": registry},
     )
     for bin_id in (0, 1, 2):
         store.create(bin_id)
@@ -169,7 +169,7 @@ def _mid_migration_store(registry, crash):
         state_factory=dict,
         worker_id=0,
         backend="wal",
-        backend_options={"wal_registry": registry, "sync_every": 1},
+        backend_options={"wal_registry": registry},
     )
 
 

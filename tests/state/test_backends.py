@@ -58,23 +58,30 @@ def test_extract_install_round_trip(name):
 
 
 def test_bin_not_resident_error_names_the_disagreement():
-    store = BinStore(num_bins=8, state_factory=dict, worker_id=3)
-    store.create(1)
-    store.create(5)
-    with pytest.raises(BinNotResident) as excinfo:
-        store.get(2)
-    message = str(excinfo.value)
-    assert "bin 2" in message
-    assert "worker 3" in message
-    assert "1" in message and "5" in message  # the resident set
-    assert excinfo.value.bin_id == 2
-    assert excinfo.value.worker == 3
-    assert set(excinfo.value.resident) == {1, 5}
-    # take() goes through the same residency check.
-    with pytest.raises(BinNotResident):
-        store.take(2)
-    # BinNotResident is a KeyError, so pre-existing handlers still work.
-    assert isinstance(excinfo.value, KeyError)
+    for backend in ("dict", "wal", "tiered"):
+        store = BinStore(
+            num_bins=8, state_factory=dict, backend=backend, worker_id=3
+        )
+        store.create(1)
+        store.create(5)
+        # One lookup, one group read (the columnar apply path) and a take:
+        # each names the same disagreement.
+        for lookup in (
+            lambda: store.get(2),
+            lambda: store.group_states([1, 2, 5]),
+            lambda: store.take(2),
+        ):
+            with pytest.raises(BinNotResident) as excinfo:
+                lookup()
+            message = str(excinfo.value)
+            assert "bin 2" in message
+            assert "worker 3" in message
+            assert "1" in message and "5" in message  # the resident set
+            assert excinfo.value.bin_id == 2
+            assert excinfo.value.worker == 3
+            assert set(excinfo.value.resident) == {1, 5}
+            # BinNotResident is a KeyError, so pre-existing handlers still work.
+            assert isinstance(excinfo.value, KeyError)
 
 
 def test_tiered_spills_coldest_bin_first():
@@ -113,6 +120,58 @@ def test_tiered_spill_order_is_deterministic():
         second.bin_stats(b).resident for b in range(8)
     ]
     assert first.spills == second.spills
+
+
+def test_tiered_spill_and_promote_order_is_pinned():
+    """The exact LRU order: which bins are resident after each step of one
+    scripted mix of accesses, and the final spill/promotion counts.  Every
+    bin is created holding one 8-byte key, so untouched bins tie on the
+    access stamp and their ``repr`` decides ("30" spills before "9")."""
+    backend = make_backend(
+        "tiered", lambda: {"seed": 0}, _size_fn, codec="modeled",
+        options={"hot_capacity_bytes": 40},
+    )
+
+    def resident():
+        return sorted(b for b in backend.bin_ids() if backend.bin_stats(b).resident)
+
+    steps = []
+    for bin_id in (0, 1, 2):
+        backend.create_bin(bin_id)
+    steps.append(resident())
+    for bin_id in (2, 1, 0):
+        backend.put(bin_id, "a", 1)  # 16 bytes each; puts do not spill
+    steps.append(resident())
+    backend.note_applied(0)
+    steps.append(resident())
+    backend.states_of_group([2, 1])
+    steps.append(resident())
+    payload = backend.extract_bin(2, remove=True)
+    steps.append(resident())
+    backend.create_bin(30)
+    backend.create_bin(9)
+    steps.append(resident())
+    backend.install_bin(payload)
+    steps.append(resident())
+    backend.state_of(30)
+    steps.append(resident())
+    backend.put_state(9, {"x": 1, "y": 2, "z": 3})
+    steps.append(resident())
+    backend.states_of_group([1, 2, 9])
+    steps.append(resident())
+    assert steps == [
+        [0, 1, 2],
+        [0, 1, 2],
+        [0, 1],
+        [1, 2],
+        [1],
+        [1, 9, 30],
+        [1, 2, 9],
+        [1, 2, 30],
+        [9, 30],
+        [2, 9],
+    ]
+    assert (backend.spills, backend.promotions) == (10, 6)
 
 
 def test_tiered_extract_ships_cold_payload_without_promotion():

@@ -354,7 +354,7 @@ def test_recovery_after_torn_write_and_lost_tail():
     backend.bind_worker(0)
     backend.create_bin(0)
     backend.put(0, "durable", 1)
-    backend.note_applied(0)  # sync_every=1: synced here
+    backend.note_applied(0)  # every commit syncs: synced here
     # These writes never reach the fsync horizon.
     state = backend._states[0]
     state["volatile"] = 2
@@ -780,7 +780,5 @@ def test_crash_faults_are_deterministic_per_seed():
 def test_bad_options_rejected():
     with pytest.raises(ValueError):
         WalBackend(dict, _size_fn, None, compact_threshold=0)
-    with pytest.raises(ValueError):
-        WalBackend(dict, _size_fn, None, sync_every=0)
     with pytest.raises(ValueError):
         WorkerWal(0, segment_bytes=4)
