@@ -1,21 +1,19 @@
 """Recovery: reconciling Megaphone state with cluster membership.
 
-Two cooperating pieces:
+:class:`RecoveryCoordinator` answers both halves of a membership change,
+reading the run's :class:`~repro.megaphone.controller.ConfigurationLedger`
+(the one record of the intended bin assignment, which every controller
+advances with each step it sends):
 
-* :class:`ConfigurationLedger` — the controller-side record of the intended
-  bin-to-worker assignment.  Every control step a fault-handling controller
-  sends (planned, retried, or recovery) is applied to the ledger, so it is
-  always the configuration the *control stream* converges to — which is what
-  crash reconciliation and restart reseeding must agree with.
-
-* :class:`RecoveryCoordinator` — restores Megaphone bin state around
-  membership changes.  On a crash it (via the controller's
-  ``on_recovery_step`` hook) installs the latest snapshot's state for the
-  orphaned bins into their new owners — the paper's §4.4 observation that
-  migration-grade snapshots "feed back into finer-grained fault-tolerance
-  mechanisms" made concrete.  On a restart it reseeds the returned workers'
-  bin stores and routing tables from the ledger, because a freshly
-  reinstalled F/S pair believes the initial configuration.
+* On a crash it reassigns the bins the ledger places on the dead workers
+  through one recovery control step — riding with the migration in flight,
+  or else as a migration of its own — and installs the latest snapshot's
+  state for those bins into their new owners: the paper's §4.4
+  observation that migration-grade snapshots "feed back into
+  finer-grained fault-tolerance mechanisms" made concrete.
+* On a restart it reseeds the returned workers' bin stores and routing
+  tables from the ledger, because a freshly reinstalled F/S pair believes
+  the initial configuration.
 
 Pending (post-dated) records in a snapshot are intentionally *not* restored
 on the crash path: their notification times may already lie behind the
@@ -32,7 +30,12 @@ from typing import Callable, Optional
 
 from repro.megaphone.bins import BinStore
 from repro.megaphone.control import BinnedConfiguration, ControlInst
-from repro.runtime_events.events import StateReinstalled, StorageFaultReport
+from repro.megaphone.controller import ConfigurationLedger
+from repro.runtime_events.events import (
+    StateReinstalled,
+    StorageFaultReport,
+    WorkerExcluded,
+)
 
 
 def store_fingerprint(store: BinStore) -> str:
@@ -84,34 +87,16 @@ def cluster_fingerprint(stores) -> str:
     return digest.hexdigest()
 
 
-class ConfigurationLedger:
-    """The intended bin assignment, updated with every control step."""
-
-    def __init__(self, initial: BinnedConfiguration) -> None:
-        self.initial = initial
-        self.current = initial
-        self.history: list[BinnedConfiguration] = [initial]
-
-    def apply(self, insts: list[ControlInst]) -> None:
-        """Advance the ledger past one control step."""
-        insts = list(insts)
-        if not insts:
-            return
-        self.current = self.current.apply(insts)
-        self.history.append(self.current)
-
-    def bins_of(self, worker: int) -> list[int]:
-        """Bins the current configuration places on ``worker``."""
-        return self.current.bins_of(worker)
-
-
 class RecoveryCoordinator:
-    """Reinstalls Megaphone state for crashed-and-reassigned bins.
+    """Reconciles the run's bins with membership on crash and restart.
 
+    ``recovery_controller()`` returns the controller a crash's recovery
+    step rides with: a migration that has issued a step and is not done,
+    else a fresh one (``None`` once the control input has closed).
     ``snapshot_provider`` returns the most recent
-    :class:`~repro.megaphone.snapshot.OperatorSnapshot` (or ``None`` when no
-    checkpoint exists yet) — evaluated lazily at recovery time so a snapshot
-    captured mid-run is picked up.
+    :class:`~repro.megaphone.snapshot.OperatorSnapshot` (or ``None`` when
+    no checkpoint exists yet) — evaluated lazily at recovery time so a
+    snapshot captured mid-run is picked up.
     """
 
     def __init__(
@@ -119,13 +104,15 @@ class RecoveryCoordinator:
         runtime,
         op,
         ledger: ConfigurationLedger,
-        injector=None,
+        injector,
+        recovery_controller: Callable[[], Optional[object]],
         snapshot_provider: Optional[Callable[[], object]] = None,
         durable: bool = False,
     ) -> None:
         self._runtime = runtime
         self._op = op
         self._ledger = ledger
+        self._recovery_controller = recovery_controller
         self._snapshot_provider = snapshot_provider
         # Durable mode: restarted workers rebuild their bins by replaying
         # their own write-ahead log instead of reinstalling an in-memory
@@ -140,23 +127,56 @@ class RecoveryCoordinator:
         # mode only); experiments compare these across fault variants.
         self.recovered_fingerprints: dict[int, str] = {}
         self.storage_faults: list[StorageFaultReport] = []
-        if injector is not None:
-            injector.on_membership_change(self._on_membership)
+        injector.on_membership_change(self._on_membership)
 
-    # -- crash path (driven by the reconciling controller) ---------------------
+    def _on_membership(self, kind: str, process: int, workers: tuple) -> None:
+        if kind == "crash":
+            self._on_crash(workers)
+        else:
+            self._on_restart(workers)
 
-    def on_recovery_step(self, result) -> None:
+    # -- crash path ------------------------------------------------------------
+
+    def _on_crash(self, workers: tuple) -> None:
+        """Exclude the dead workers; their bins move to survivors at +0 s."""
+        sim = self._runtime.sim
+        orphaned = []
+        for worker in workers:
+            bins = self._ledger.bins_of(worker)
+            if sim.trace.wants_recovery:
+                sim.trace.publish(
+                    WorkerExcluded(worker=worker, orphaned_bins=len(bins), at=sim.now)
+                )
+            orphaned.extend(ControlInst(bin=bin_id, worker=worker) for bin_id in bins)
+        if orphaned:
+            orphaned.sort(key=lambda inst: inst.bin)
+            sim.schedule(0.0, lambda: self._reassign(orphaned))
+
+    def _reassign(self, orphaned: list[ControlInst]) -> None:
+        """Send the orphaned bins as one recovery step, then reinstall their
+        snapshot state at their new owners.
+
+        The instructions name the dead owner; the controller retargets each
+        onto the least-loaded placeable survivor, as it does any step.
+        """
+        controller = self._recovery_controller()
+        if controller is None:
+            return
+        step = controller.issue_recovery(orphaned)
+        if step is not None:
+            self._reinstall(step)
+
+    def _reinstall(self, step) -> None:
         """Install snapshot state for a recovery step's retargeted bins.
 
-        ``result`` is the controller's :class:`StepResult` for the step that
-        reassigns orphaned bins to survivors.  Bins with no snapshot entry
-        start empty at the new owner (S recreates them on first use).
+        Bins with no snapshot entry start empty at the new owner (S
+        recreates them on first use).
         """
         snapshot = self._snapshot()
         if snapshot is None:
             return
         per_worker: dict[int, list] = {}
-        for inst in result.insts:
+        for inst in step.insts:
             bin_snapshot = snapshot.bins.get(inst.bin)
             if bin_snapshot is not None:
                 per_worker.setdefault(inst.worker, []).append(bin_snapshot)
@@ -173,9 +193,7 @@ class RecoveryCoordinator:
 
     # -- restart path ----------------------------------------------------------
 
-    def _on_membership(self, kind: str, process: int, workers: tuple) -> None:
-        if kind != "restart":
-            return
+    def _on_restart(self, workers: tuple) -> None:
         snapshot = None if self.durable else self._snapshot()
         for worker in workers:
             # The reinstalled F believes the initial configuration; hand it

@@ -18,9 +18,10 @@ The coordinator does not construct controllers itself: the harness passes
 a ``controller_factory(plan, on_done)`` that builds the controller exactly
 as scheduled migrations do (with the fault-handling bundle under chaos), so
 a crash mid-join or mid-drain goes through the same retry/retarget machinery.
-When a chaos :class:`~repro.chaos.recovery.ConfigurationLedger` is shared,
-the coordinator reads the converged configuration from it (crash
-reconciliation may have retargeted moves); otherwise it tracks its own.
+It plans from the run's :class:`~repro.megaphone.controller.ConfigurationLedger`,
+which every controller advances with each step it sends — so a drain
+starts from where scheduled migrations, the planner and crash recovery
+actually left the bins.
 
 Only one scaling operation runs at a time.  A request arriving while one
 is in flight is retried shortly after (scripted plans) — the autoscaler
@@ -99,7 +100,8 @@ class ScalingCoordinator:
         strategy: str = "fluid",
         batch_size: int = 16,
         telemetry=None,
-        ledger=None,
+        *,
+        ledger,
     ) -> None:
         self._runtime = runtime
         self._op = op
@@ -110,17 +112,13 @@ class ScalingCoordinator:
         self._batch_size = batch_size
         self._telemetry = telemetry
         self._ledger = ledger
-        self._current = ledger.current if ledger is not None else op.config.initial
         self.busy = False
         self.report = ScalingReport()
-        self.controllers: list = []
 
     @property
     def current(self):
         """The configuration the control stream has converged to."""
-        if self._ledger is not None:
-            return self._ledger.current
-        return self._current
+        return self._ledger.current
 
     # -- request entry points (safe to call from scheduled events) -------------
 
@@ -174,7 +172,6 @@ class ScalingCoordinator:
         self.busy = True
 
         def done(_result) -> None:
-            self._settle(target)
             for w in workers:
                 self._directory.mark_active(w)
             record.completed_at = sim.now
@@ -236,7 +233,6 @@ class ScalingCoordinator:
         self.busy = True
 
         def done(_result) -> None:
-            self._settle(target)
             # The evacuees must be empty before their handles close: count
             # bins still resident (a never-materialized store counts as
             # empty — the worker was never touched).
@@ -271,16 +267,7 @@ class ScalingCoordinator:
             done(None)
             return
         plan = make_plan(self._strategy, current, target, self._batch_size)
-        controller = self._factory(plan, done)
-        self.controllers.append(controller)
-        controller.start_at(self._runtime.sim.now)
-
-    def _settle(self, target) -> None:
-        """Adopt the converged configuration after a migration."""
-        if self._ledger is None:
-            self._current = target
-        # With a ledger, every issued step was already applied to it (the
-        # controller does so inst by inst, retargets included).
+        self._factory(plan, done).start_at(self._runtime.sim.now)
 
     def _bin_load(self) -> dict:
         """Per-bin heat for target search; uniform before telemetry warms."""

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaos.inject import ChaosInjector, FaultLog
 from repro.chaos.plan import ChaosConfig
-from repro.chaos.recovery import ConfigurationLedger, RecoveryCoordinator
+from repro.chaos.recovery import RecoveryCoordinator
 from repro.chaos.watchdog import LivenessWatchdog, WatchdogConfig
 from repro.elastic.autoscaler import Autoscaler, AutoscalerConfig
 from repro.elastic.coordinator import ScalingCoordinator, ScalingReport
@@ -40,13 +40,14 @@ from repro.harness.workloads import (
 from repro.megaphone.api import state_machine
 from repro.megaphone.control import BinnedConfiguration, bin_bits
 from repro.megaphone.controller import (
+    ConfigurationLedger,
     EpochTicker,
     FaultHandling,
     MigrationController,
     MigrationResult,
     RetryPolicy,
 )
-from repro.megaphone.migration import STRATEGIES, imbalanced_target, make_plan
+from repro.megaphone.migration import STRATEGIES, MigrationPlan, imbalanced_target, make_plan
 from repro.megaphone.snapshot import SnapshotCoordinator
 from repro.planner.cost import MigrationCostModel
 from repro.planner.policy import ClosedLoopPlanner, PlannerConfig, PlannerReport
@@ -585,25 +586,67 @@ class MigrationExperiment:
             dilation=cfg.dilation,
         )
 
-        # -- fault injection (inert unless the config carries a ChaosConfig) --
+        # -- migration control ------------------------------------------------
         chaos = cfg.chaos
         injector = None
+        # Built with or without faults: every writer of the control stream
+        # plans from it.
+        ledger = ConfigurationLedger(op.config.initial) if op is not None else None
+        # Every controller of the run (scheduled, planner-, scaling- and
+        # recovery-spawned) in construction order: the order the watchdog
+        # nudges them in and the result lists their migrations in.
+        controllers: list[MigrationController] = []
+
+        def _membership_placeable(worker: int) -> bool:
+            # Crash retargeting must respect membership in elastic runs:
+            # orphaned bins may only land on active or joining workers,
+            # never on a draining evacuee or an idle standby slot.  The
+            # directory is created further down (elastic block) and read
+            # late-bound; non-elastic runs see no directory and keep the
+            # original any-live-worker behavior.
+            if directory is None:
+                return True
+            return directory.state_of(worker) in ("joining", "active")
+
+        def make_controller(plan, *, gap_s, pace_s=None, on_done=None):
+            faults = None
+            if chaos is not None:
+                faults = FaultHandling(
+                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
+                    injector=injector,
+                    placeable=_membership_placeable,
+                )
+            controller = MigrationController(
+                runtime, control_group, ticker, probe, plan,
+                gap_s=gap_s, pace_s=pace_s, on_done=on_done, faults=faults,
+                ledger=ledger,
+            )
+            controllers.append(controller)
+            return controller
+
+        def recovery_controller():
+            # A crash's recovery step rides with the migration in flight
+            # (one that has issued a step and is not done; a scheduled one
+            # that has not started yet is not), or else runs as a migration
+            # of its own.
+            in_flight = next(
+                (c for c in controllers if c.result.steps and not c.done), None
+            )
+            if in_flight is not None or ticker.closed:
+                return in_flight
+            return make_controller(MigrationPlan("recovery"), gap_s=0.0)
+
+        # -- fault injection (inert unless the config carries a ChaosConfig) --
         watchdog = None
-        ledger = None
         coordinator = None
         fault_log = None
         snapshot_box: dict = {}
-        # Every controller of the run (scheduled, planner- and scaling-
-        # spawned) in construction order: the order the watchdog nudges them
-        # in and the result lists their migrations in.
-        controllers: list[MigrationController] = []
         if chaos is not None:
             fault_log = FaultLog(sim.trace)
             injector = ChaosInjector(runtime, chaos.plan)
             injector.install()
             if op is not None:
                 op.config.recovery_mode = True
-                ledger = ConfigurationLedger(op.config.initial)
                 # Durable storage: crashes damage the worker logs (per the
                 # plan's storage-fault knobs), and restarts recover from
                 # those logs instead of in-memory snapshots.
@@ -625,7 +668,8 @@ class MigrationExperiment:
                     runtime,
                     op,
                     ledger,
-                    injector=injector,
+                    injector,
+                    recovery_controller,
                     snapshot_provider=lambda: snapshot_box.get("snapshot"),
                     durable=wal_registry is not None,
                 )
@@ -670,47 +714,13 @@ class MigrationExperiment:
                 network_latency_s=cfg.network_latency_s,
             )
 
-        def _membership_placeable(worker: int) -> bool:
-            # Crash retargeting must respect membership in elastic runs:
-            # orphaned bins may only land on active or joining workers,
-            # never on a draining evacuee or an idle standby slot.  The
-            # directory is created further down (elastic block) and read
-            # late-bound; non-elastic runs see no directory and keep the
-            # original any-live-worker behavior.
-            if directory is None:
-                return True
-            return directory.state_of(worker) in ("joining", "active")
-
-        def make_controller(plan, *, gap_s, pace_s=None, reconcile=False, on_done=None):
-            # All controllers share one ledger, so exactly one reconciles
-            # crashes: the first scheduled migration.  (Controllers exist
-            # only with a migrateable op, hence with a recovery coordinator.)
-            faults = None
-            if chaos is not None:
-                faults = FaultHandling(
-                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
-                    injector=injector,
-                    ledger=ledger,
-                    on_recovery_step=coordinator.on_recovery_step,
-                    reconcile=reconcile,
-                    placeable=_membership_placeable,
-                )
-            controller = MigrationController(
-                runtime, control_group, ticker, probe, plan,
-                gap_s=gap_s, pace_s=pace_s, on_done=on_done, faults=faults,
-            )
-            controllers.append(controller)
-            return controller
-
         if op is not None and cfg.migrate_at_s:
             initial = op.config.initial
             current = initial
             for i, at_s in enumerate(cfg.migrate_at_s):
                 target = imbalanced_target(initial) if i % 2 == 0 else initial
                 plan = make_plan(cfg.strategy, current, target, cfg.batch_size)
-                controller = make_controller(
-                    plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s, reconcile=(i == 0)
-                )
+                controller = make_controller(plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s)
                 controller.start_at(at_s)
                 current = target
 
@@ -718,16 +728,13 @@ class MigrationExperiment:
         if telemetry is not None:
             planner = ClosedLoopPlanner(
                 runtime,
-                op,
-                control_group,
-                ticker,
-                probe,
                 telemetry,
                 cost_model,
                 cfg.planner,
                 controller_factory=lambda plan: make_controller(
                     plan, gap_s=cfg.planner.gap_s
                 ),
+                ledger=ledger,
                 stop_s=cfg.duration_s,
             )
             telemetry.start(0.0)

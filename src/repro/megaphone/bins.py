@@ -242,10 +242,6 @@ class BinStore:
         """Modeled bytes the backend holds on the cold tier (0 when flat)."""
         return self.backend.spilled_bytes()
 
-    def total_keys(self) -> int:
-        """Total entries across resident bins (len-able states only)."""
-        return sum(self.backend.bin_stats(b).keys for b in self._bins)
-
     # -- statistics -------------------------------------------------------------
 
     def stats(self) -> dict[int, BinStats]:

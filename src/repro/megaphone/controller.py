@@ -13,9 +13,11 @@ or Dhalion could supply the stream).  This module provides:
 * its step source, a ``MigrationPlan``: *what to move when* is policy
   handed to the controller (a strategy, or the planner's SLO-budgeted
   step search), not a controller of its own;
+* ``ConfigurationLedger`` — the run's one record of the intended
+  bin-to-worker assignment: every controller applies each step it sends,
+  and everything that plans from "who owns which bin" reads it;
 * ``FaultHandling`` — the optional bundle adding per-step timeouts with
-  retry and backoff, retargeting away from crashed workers, and crash
-  reconciliation (the recovery half of the chaos subsystem);
+  retry and backoff, and retargeting away from crashed workers;
 * ``StepResult`` / ``MigrationResult`` — issue/completion bookkeeping the
   benchmarks report migration duration from.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from repro.megaphone.control import ControlInst
+from repro.megaphone.control import BinnedConfiguration, ControlInst
 from repro.megaphone.migration import MigrationPlan
 from repro.runtime_events.events import (
     MigrationStepAbandoned,
@@ -35,7 +37,6 @@ from repro.runtime_events.events import (
     MigrationStepOutcome,
     MigrationStepRetried,
     MigrationStepTimedOut,
-    WorkerExcluded,
 )
 from repro.timely.dataflow import InputGroup, Runtime
 from repro.timely.timestamp import Timestamp
@@ -188,6 +189,29 @@ class MigrationResult:
         return self.completed_at - self.started_at
 
 
+class ConfigurationLedger:
+    """The run's intended bin assignment: the configuration the control
+    stream converges to.
+
+    One per run.  Every controller holding it applies each step it sends
+    (planned, retried or recovery, after retargeting), so the scaling
+    coordinator, the planner and crash recovery all plan from the same
+    ``current``.
+    """
+
+    def __init__(self, initial: BinnedConfiguration) -> None:
+        self.current = initial
+
+    def apply(self, insts: list[ControlInst]) -> None:
+        """Advance the ledger past one control step."""
+        if insts:
+            self.current = self.current.apply(insts)
+
+    def bins_of(self, worker: int) -> list[int]:
+        """Bins the current configuration places on ``worker``."""
+        return self.current.bins_of(worker)
+
+
 # -- fault handling --------------------------------------------------------------
 
 
@@ -223,27 +247,20 @@ class FaultHandling:
     * **Worker exclusion** — control goes through a live worker's handle,
       and instructions targeting a dead worker are retargeted (at issue
       *and* retry time) onto the live worker owning the fewest bins in the
-      ``ledger``, lowest id on ties.  ``placeable`` further restricts the
-      candidates — elastic runs pass a membership filter so crash
-      retargeting never lands bins on a draining or standby worker.
-    * **Crash reconciliation** — on a crash, bins the ledger places on dead
-      workers are reassigned to survivors through an extra recovery step,
-      so the key space stays fully owned; ``on_recovery_step`` lets a
-      recovery coordinator reinstall snapshot state into the new owners.
-      Of several controllers sharing one ledger exactly one should
-      ``reconcile``, or each would issue its own recovery step.
+      controller's ledger, lowest id on ties.  ``placeable`` further
+      restricts the candidates — elastic runs pass a membership filter so
+      crash retargeting never lands bins on a draining or standby worker.
 
-    ``injector`` is the chaos injector (membership oracle), ``ledger`` a
-    :class:`~repro.chaos.recovery.ConfigurationLedger` tracking the intended
-    assignment.  Without them fault handling degrades to pure timeout/retry
-    (useful under partitions and stalls).
+    ``injector`` is the chaos injector (membership oracle); a controller
+    given one needs the run's ledger.  Without it fault handling degrades
+    to pure timeout/retry (useful under partitions and stalls).  Crash
+    reconciliation is not a controller's job: the run's
+    :class:`~repro.chaos.recovery.RecoveryCoordinator` issues the recovery
+    step through :meth:`MigrationController.issue_recovery`.
     """
 
     retry: RetryPolicy = RetryPolicy()
     injector: object = None
-    ledger: object = None
-    on_recovery_step: Optional[Callable[[StepResult], None]] = None
-    reconcile: bool = True
     placeable: Optional[Callable[[int], bool]] = None
 
 
@@ -265,7 +282,9 @@ class MigrationController:
     ``plan`` is the step source, issued step by step in order.  ``faults``
     (a :class:`FaultHandling`) is off by default: without it no timeout is
     ever armed, control goes through handle 0 and instructions are sent as
-    planned.
+    planned.  ``ledger`` is the run's :class:`ConfigurationLedger`, which
+    hears every step sent; ``None`` (a sharded domain, a controller driven
+    by hand) means nobody reads the assignment.
     """
 
     def __init__(
@@ -279,7 +298,10 @@ class MigrationController:
         pace_s: Optional[float] = None,
         on_done: Optional[Callable[[MigrationResult], None]] = None,
         faults: Optional[FaultHandling] = None,
+        ledger: Optional[ConfigurationLedger] = None,
     ) -> None:
+        if faults is not None and faults.injector is not None and ledger is None:
+            raise ValueError("retargeting away from dead workers reads a ledger")
         self._runtime = runtime
         self._group = control_group
         self._probe = probe
@@ -294,22 +316,22 @@ class MigrationController:
         self._on_done = on_done
         self._faults = faults
         self._injector = faults.injector if faults is not None else None
-        self._ledger = faults.ledger if faults is not None else None
+        self._ledger = ledger
         # Issued, not yet completed or abandoned, in issue order: each step
         # with its armed timeout event (None without fault handling).
         self._awaiting: dict[StepResult, object] = {}
-        self._pending_recovery: list[list[ControlInst]] = []
+        # A completion-paced ``_issue_next`` is scheduled: a recovery step
+        # settling inside the drain gap must not start a second chain.
+        self._issue_pending = False
         self._finished = False
         self.result = MigrationResult(strategy=plan.strategy)
         self.abandoned: list[StepResult] = []
         probe.on_advance(self._check_progress)
-        if self._injector is not None and faults.reconcile:
-            self._injector.on_membership_change(self._on_membership)
 
     @property
     def done(self) -> bool:
         """Every step (recovery steps too) issued, and completed or abandoned."""
-        return self._exhausted and not (self._awaiting or self._pending_recovery)
+        return self._exhausted and not self._awaiting
 
     @property
     def _exhausted(self) -> bool:
@@ -319,9 +341,23 @@ class MigrationController:
         """Begin issuing steps at the given simulated time."""
         self._runtime.sim.schedule_at(sim_time_s, self._issue_next)
 
+    def issue_recovery(self, insts: list) -> Optional[StepResult]:
+        """Send one step outside the plan now, awaited like a planned one.
+
+        Crash recovery's hook: instructions naming a dead worker are
+        retargeted onto survivors like any other step.  Returns the step as
+        sent, or ``None`` when the control input has closed.
+        """
+        if self._handle() is None:
+            return None
+        step = self._issue(insts)
+        self._check_progress(None)
+        return step
+
     # -- the loop: issue -> await -> complete -> pace ------------------------------
 
     def _issue_next(self) -> None:
+        self._issue_pending = False
         if self._exhausted:
             self._finish()
             return
@@ -390,7 +426,9 @@ class MigrationController:
         if self._awaiting:
             return
         if self._pace_s is None:
-            self._runtime.sim.schedule(self._gap_s, self._issue_next)
+            if not self._issue_pending:
+                self._issue_pending = True
+                self._runtime.sim.schedule(self._gap_s, self._issue_next)
         else:
             self._finish()
 
@@ -429,9 +467,7 @@ class MigrationController:
             # live worker, fall back to the full live set.
             eligible = [w for w in live if self._faults.placeable(w)]
             live = eligible or live
-        if self._ledger is not None:
-            return {w: len(self._ledger.current.bins_of(w)) for w in live}
-        return {w: 0 for w in live}
+        return {w: len(self._ledger.bins_of(w)) for w in live}
 
     # -- fault handling: timeouts and retries ------------------------------------
 
@@ -499,44 +535,3 @@ class MigrationController:
         for step, timeout in list(self._awaiting.items()):
             timeout.cancel()
             self._on_timeout(step)
-
-    # -- fault handling: crash reconciliation --------------------------------------
-
-    def _on_membership(self, kind: str, process: int, workers: tuple) -> None:
-        if kind != "crash":
-            # A restart cannot regress frontiers; nothing to reconcile.
-            return
-        now = self._runtime.sim.now
-        trace = self._runtime.sim.trace
-        bins_of = {
-            w: self._ledger.current.bins_of(w) if self._ledger is not None else ()
-            for w in workers
-        }
-        if trace.wants_recovery:
-            for worker in workers:
-                trace.publish(
-                    WorkerExcluded(worker=worker, orphaned_bins=len(bins_of[worker]), at=now)
-                )
-        orphaned = sorted(bin_id for w in workers for bin_id in bins_of[w])
-        if not orphaned:
-            return
-        counts = self._live_bin_counts()
-        self._pending_recovery.append(
-            [
-                ControlInst(bin=bin_id, worker=_least_loaded(counts))
-                for bin_id in orphaned
-            ]
-        )
-        self._runtime.sim.schedule(0.0, self._issue_recovery)
-
-    def _issue_recovery(self) -> None:
-        while self._pending_recovery:
-            insts = self._pending_recovery.pop(0)
-            if self._handle() is None:
-                # Control stream gone: recovery is impossible; the watchdog
-                # will diagnose the stall if one follows.
-                return
-            result = self._issue(insts)
-            if self._faults.on_recovery_step is not None:
-                self._faults.on_recovery_step(result)
-        self._check_progress(None)

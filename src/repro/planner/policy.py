@@ -6,8 +6,8 @@ and when the skew detector is armed it searches a target configuration
 (:mod:`repro.planner.search`), prices the move
 (:mod:`repro.planner.cost`), and — if the projected imbalance gain
 clears the cost/benefit gate — feeds the plan into an ordinary
-:class:`~repro.megaphone.controller.MigrationController`.  Megaphone
-itself never knows who authored the plan.
+:class:`~repro.megaphone.controller.MigrationController` built by the
+harness.  Megaphone itself never knows who authored the plan.
 
 Safeguards against thrashing and latency damage:
 
@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from repro.errors import ConfigError
 from repro.megaphone.control import BinnedConfiguration
-from repro.megaphone.controller import MigrationController
+from repro.megaphone.controller import ConfigurationLedger
 from repro.megaphone.migration import MigrationPlan
 from repro.megaphone.plan_io import PlanProvenance
 from repro.planner.cost import MigrationCostModel, imbalance_gain
@@ -114,29 +114,27 @@ class ClosedLoopPlanner:
     """Periodic decision loop wiring telemetry → search → cost → control.
 
     A behavioral component: schedules its own decision events and may
-    start migrations.  ``controller_factory(plan)`` builds the executor —
-    defaults to a completion-paced :class:`MigrationController`; the
-    harness substitutes one with fault handling when chaos is enabled.
+    start migrations.  ``controller_factory(plan)`` builds the executor
+    (the harness's, with fault handling when chaos is enabled).  Plans
+    start from ``ledger``, the run's
+    :class:`~repro.megaphone.controller.ConfigurationLedger`: every
+    controller advances it with each step it sends, so the planner sees
+    scheduled moves and crash retargets as well as its own plans.
     """
 
     def __init__(
         self,
         runtime,
-        op,
-        control_group,
-        ticker,
-        probe,
         telemetry: LoadTelemetry,
         cost_model: MigrationCostModel,
         config: Optional[PlannerConfig] = None,
-        controller_factory: Optional[Callable[[MigrationPlan], object]] = None,
+        *,
+        controller_factory: Callable[[MigrationPlan], object],
+        ledger: ConfigurationLedger,
         stop_s: Optional[float] = None,
     ) -> None:
         self._runtime = runtime
-        self._op = op
-        self._group = control_group
-        self._ticker = ticker
-        self._probe = probe
+        self._ledger = ledger
         self.telemetry = telemetry
         self.cost_model = cost_model
         self.config = config if config is not None else PlannerConfig()
@@ -145,12 +143,16 @@ class ClosedLoopPlanner:
         # (the harness passes the run's duration) and is never written
         # back into the shared config.
         self._stop_s = self.config.stop_s if self.config.stop_s is not None else stop_s
-        self.current: BinnedConfiguration = op.config.initial
         self.report = PlannerReport()
         self.controllers: list = []
         self._active: Optional[object] = None
         self._cooldown_until = float("-inf")
         self._stopped = False
+
+    @property
+    def current(self) -> BinnedConfiguration:
+        """The configuration the control stream has converged to."""
+        return self._ledger.current
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -307,21 +309,7 @@ class ClosedLoopPlanner:
         return ""
 
     def _execute(self, plan: MigrationPlan) -> None:
-        if self._controller_factory is not None:
-            controller = self._controller_factory(plan)
-        else:
-            controller = MigrationController(
-                self._runtime,
-                self._group,
-                self._ticker,
-                self._probe,
-                plan,
-                gap_s=self.config.gap_s,
-            )
+        controller = self._controller_factory(plan)
         controller.start_at(self._runtime.sim.now)
         self.controllers.append(controller)
         self._active = controller
-        # The planner's view of ownership advances with the plan it just
-        # issued; the telemetry's owner map converges as bins land.
-        for step in plan.steps:
-            self.current = self.current.apply(list(step.insts))

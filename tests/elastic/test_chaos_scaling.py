@@ -11,6 +11,7 @@ import dataclasses
 from repro.chaos.plan import ChaosConfig, FaultPlan, ProcessCrash
 from repro.elastic import ScalingPlan
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.runtime_events.events import MessageDropped, WorkerExcluded
 
 
 def chaos_elastic_config(**overrides) -> ExperimentConfig:
@@ -81,3 +82,21 @@ def test_crash_during_drain_still_empties_leavers():
     assert all(
         op.completed_at is not None for op in result.scaling.operations
     )
+
+
+def test_permanent_crash_without_a_scheduled_migration_is_reconciled():
+    # Regression: only the first scheduled migration's controller
+    # reconciled crashes, so a run without one left the dead workers' bins
+    # orphaned and every record routed to them was dropped (2,155 here).
+    cfg = chaos_elastic_config(
+        scaling_plan=ScalingPlan.parse("join@1.5:4,5"),
+        chaos=ChaosConfig(
+            plan=FaultPlan(seed=0, crashes=(ProcessCrash(at_s=2.5, process=1),)),
+        ),
+    )
+    result = run_count_experiment(cfg)
+    log = result.fault_log
+    assert sum(1 for e in log.recovery if type(e) is WorkerExcluded) == 2
+    recoveries = [m for m in result.migrations if m.strategy == "recovery"]
+    assert [len(m.steps) for m in recoveries] == [1]
+    assert log.count(MessageDropped) <= 20

@@ -146,6 +146,22 @@ def test_timer_paced_drain_waits_for_the_last_step():
     )
 
 
+@pytest.mark.parametrize("strategy", ["fluid", "batched"])
+def test_drain_after_a_scheduled_migration_empties_the_leaver(strategy):
+    # Regression: the coordinator planned the drain from its own copy of
+    # the assignment, which never saw the scheduled migration's moves, so
+    # it planned 4 moves instead of 6 and retired worker 3 holding 2 bins.
+    cfg = ExperimentConfig(
+        num_workers=4, workers_per_process=2, num_bins=16, domain=1024,
+        rate=5000, duration_s=5, migrate_at_s=(1.0,), strategy=strategy,
+        scaling_plan=ScalingPlan.parse("leave@3.0:3"),
+    )
+    result = run_count_experiment(cfg)
+    (drain,) = result.scaling.operations
+    assert drain.completed_at is not None
+    assert result.scaling.residual_bins == 0
+
+
 def test_config_validation_rejects_elastic_misuse():
     with pytest.raises(ValueError):
         # 6 % 4 != 0: ragged process groups.

@@ -79,7 +79,7 @@ def test_bin_store_lifecycle():
     assert not store.has(2)
     store.install(taken)
     assert store.has(2)
-    assert store.total_keys() == 2
+    assert store.get(2).state == {"a": 1, "b": 2}
 
 
 def test_bin_store_duplicate_create_rejected():

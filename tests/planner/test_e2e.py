@@ -118,6 +118,21 @@ def test_cost_model_predictions_within_2x_of_observed():
     assert in_band >= len(ratios) / 2
 
 
+def test_planner_balances_after_a_scheduled_migration():
+    # Regression: the planner planned from its own copy of the assignment,
+    # which never saw the scheduled migration's moves, and ended at 1.715.
+    run = run_count_experiment(
+        skew_config(
+            planner=planner_config(),
+            workers_per_process=2,
+            migrate_at_s=(0.5,),
+            strategy="batched",
+            batch_size=16,
+        )
+    )
+    assert run.final_imbalance <= 1.25
+
+
 def test_a_run_leaves_its_planner_config_untouched():
     # Regression: the harness wrote the run's duration into the caller's
     # PlannerConfig.stop_s, so the same config reused with a shorter

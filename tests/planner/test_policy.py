@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 from repro.megaphone.control import BinnedConfiguration
+from repro.megaphone.controller import ConfigurationLedger
 from repro.planner.cost import MigrationCostModel
 from repro.planner.policy import ClosedLoopPlanner, PlannerConfig
 from repro.runtime_events.events import PlanAdopted, PlanRejected
@@ -47,22 +48,14 @@ def make_planner(config: PlannerConfig, sim=None):
     runtime = SimpleNamespace(
         sim=sim, workers=[SimpleNamespace(shared={}) for _ in range(2)]
     )
-    op = SimpleNamespace(
-        config=SimpleNamespace(
-            name="count", initial=BinnedConfiguration.round_robin(4, 2)
-        )
-    )
     config.objective_options.setdefault("num_workers", 2)
     planner = ClosedLoopPlanner(
         runtime,
-        op,
-        None,
-        None,
-        None,
         FlipFlopTelemetry(),
         MigrationCostModel(),
         config,
         controller_factory=lambda plan: FakeController(),
+        ledger=ConfigurationLedger(BinnedConfiguration.round_robin(4, 2)),
     )
     return planner, sim
 
@@ -121,7 +114,7 @@ def test_propose_only_never_executes():
     sim.run(until=3.0)
     assert planner.report.adopted  # plans clear the gate...
     assert not planner.controllers  # ...but nothing runs
-    assert planner.current == planner._op.config.initial
+    assert planner.current == BinnedConfiguration.round_robin(4, 2)
 
 
 def test_adopted_plans_carry_planner_provenance():
