@@ -85,7 +85,8 @@ def main():
     sim.schedule_at(DURATION_S, data_group.close_all)
 
     # --- the controller loop ---------------------------------------------------
-    state = {"config": initial, "controller": None, "migrations": 0}
+    controller = MigrationController(runtime, control_group, probe, initial)
+    migrations = []
 
     def worker_loads(config):
         loads = [0] * WORKERS
@@ -94,9 +95,8 @@ def main():
         return loads
 
     def control_loop():
-        controller = state["controller"]
-        if controller is None or controller.done:
-            config = state["config"]
+        if controller.idle:
+            config = controller.current
             loads = worker_loads(config)
             total = sum(loads) or 1
             imbalance = max(loads) / (total / WORKERS)
@@ -108,13 +108,9 @@ def main():
                         f"t={sim.now:5.2f}s loads={loads} imbalance="
                         f"{imbalance:.2f} -> migrating {plan.total_moves} bins"
                     )
-                    controller = MigrationController(
-                        runtime, control_group, ticker, probe, plan
+                    migrations.append(
+                        controller.submit(lambda _current, plan=plan: plan)
                     )
-                    controller.start_at(sim.now)
-                    state["controller"] = controller
-                    state["config"] = target
-                    state["migrations"] += 1
         for b in range(BINS):
             bin_load[b] = 0
         if sim.now < DURATION_S:
@@ -135,14 +131,13 @@ def main():
     sim.schedule_at(REBALANCE_EVERY_S, control_loop)
 
     runtime.run(until=DURATION_S + 0.2)
-    controller = state["controller"]
-    while controller is not None and not controller.done:
+    while not controller.done:
         sim.run(max_events=10_000)
     ticker.stop()
     runtime.run_to_quiescence()
 
-    print(f"\ncompleted {state['migrations']} controller-initiated migrations")
-    final = state["config"]
+    print(f"\ncompleted {len(migrations)} controller-initiated migrations")
+    final = controller.current
     sizes = [
         sum(
             len(op.store(runtime, w).get(b).state)
@@ -152,7 +147,7 @@ def main():
         for w in range(WORKERS)
     ]
     print(f"final per-worker key counts: {sizes}")
-    assert state["migrations"] >= 1, "controller should have reacted to skew"
+    assert migrations, "controller should have reacted to skew"
     print("OK: the controller rebalanced the skewed workload live.")
 
 

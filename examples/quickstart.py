@@ -79,11 +79,11 @@ def main():
 
     # Halfway through, migrate a quarter of the state, one bin at a time.
     target = imbalanced_target(initial)
-    plan = plan_fluid(initial, target)
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan
+    controller = MigrationController(runtime, control_group, probe, initial)
+    migration = controller.submit(
+        lambda current: plan_fluid(current, target),
+        at_s=len(TEXT) // 2 * EPOCH_MS / 1000.0,
     )
-    controller.start_at(len(TEXT) // 2 * EPOCH_MS / 1000.0)
 
     print(f"bins before migration: {initial.assignment}")
     runtime.run(until=len(TEXT) * EPOCH_MS / 1000.0 + 0.05)
@@ -94,8 +94,8 @@ def main():
 
     print(f"bins after migration:  {target.assignment}")
     print(
-        f"migration: {len(controller.result.steps)} steps, "
-        f"{controller.result.duration * 1000:.1f} ms total"
+        f"migration: {len(migration.steps)} steps, "
+        f"{migration.duration * 1000:.1f} ms total"
     )
     print("\nword counts (unaffected by the live migration):")
     for word in sorted(latest):

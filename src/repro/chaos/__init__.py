@@ -16,7 +16,7 @@ Module map:
                cluster-membership view (who is dead right now)
 ``watchdog``   the liveness watchdog over the probed output frontier
 ``recovery``   the coordinator reassigning crashed workers' bins and
-               reseeding restarted ones from the run's ledger
+               reseeding restarted ones from the controller's assignment
 ``experiment`` canned plans and the all-strategy chaos matrix
 
 Core modules (`plan`, `inject`, `watchdog`, `recovery`) never import the

@@ -171,7 +171,7 @@ class ChaosConfig:
 
     ``retry`` and ``watchdog`` default to ``None`` and are resolved to the
     stock :class:`~repro.megaphone.controller.RetryPolicy` (which the harness
-    hands every controller inside its
+    hands the run's controller inside its
     :class:`~repro.megaphone.controller.FaultHandling` bundle) and
     :class:`~repro.chaos.watchdog.WatchdogConfig` at wiring time, keeping
     this module import-light (no harness, no controller).

@@ -1,19 +1,19 @@
 """Recovery: reconciling Megaphone state with cluster membership.
 
 :class:`RecoveryCoordinator` answers both halves of a membership change,
-reading the run's :class:`~repro.megaphone.controller.ConfigurationLedger`
-(the one record of the intended bin assignment, which every controller
-advances with each step it sends):
+reading the ``current`` assignment of the run's one
+:class:`~repro.megaphone.controller.MigrationController` (the one record
+of the intended bin assignment, which every step it sends advances):
 
-* On a crash it reassigns the bins the ledger places on the dead workers
-  through one recovery control step — riding with the migration in flight,
-  or else as a migration of its own — and installs the latest snapshot's
-  state for those bins into their new owners: the paper's §4.4
+* On a crash it reassigns the bins ``current`` places on the dead workers
+  through one recovery control step — one more step of the running
+  migration, or else a migration of its own — and installs the latest
+  snapshot's state for those bins into their new owners: the paper's §4.4
   observation that migration-grade snapshots "feed back into
   finer-grained fault-tolerance mechanisms" made concrete.
 * On a restart it reseeds the returned workers' bin stores and routing
-  tables from the ledger, because a freshly reinstalled F/S pair believes
-  the initial configuration.
+  tables from ``current``, because a freshly reinstalled F/S pair
+  believes the initial configuration.
 
 Pending (post-dated) records in a snapshot are intentionally *not* restored
 on the crash path: their notification times may already lie behind the
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 from repro.megaphone.bins import BinStore
 from repro.megaphone.control import BinnedConfiguration, ControlInst
-from repro.megaphone.controller import ConfigurationLedger
+from repro.megaphone.controller import MigrationController
 from repro.runtime_events.events import (
     StateReinstalled,
     StorageFaultReport,
@@ -90,9 +90,7 @@ def cluster_fingerprint(stores) -> str:
 class RecoveryCoordinator:
     """Reconciles the run's bins with membership on crash and restart.
 
-    ``recovery_controller()`` returns the controller a crash's recovery
-    step rides with: a migration that has issued a step and is not done,
-    else a fresh one (``None`` once the control input has closed).
+    A crash's recovery step goes through ``controller.recover``.
     ``snapshot_provider`` returns the most recent
     :class:`~repro.megaphone.snapshot.OperatorSnapshot` (or ``None`` when
     no checkpoint exists yet) — evaluated lazily at recovery time so a
@@ -103,16 +101,14 @@ class RecoveryCoordinator:
         self,
         runtime,
         op,
-        ledger: ConfigurationLedger,
+        controller: MigrationController,
         injector,
-        recovery_controller: Callable[[], Optional[object]],
         snapshot_provider: Optional[Callable[[], object]] = None,
         durable: bool = False,
     ) -> None:
         self._runtime = runtime
         self._op = op
-        self._ledger = ledger
-        self._recovery_controller = recovery_controller
+        self._controller = controller
         self._snapshot_provider = snapshot_provider
         # Durable mode: restarted workers rebuild their bins by replaying
         # their own write-ahead log instead of reinstalling an in-memory
@@ -142,7 +138,7 @@ class RecoveryCoordinator:
         sim = self._runtime.sim
         orphaned = []
         for worker in workers:
-            bins = self._ledger.bins_of(worker)
+            bins = self._controller.current.bins_of(worker)
             if sim.trace.wants_recovery:
                 sim.trace.publish(
                     WorkerExcluded(worker=worker, orphaned_bins=len(bins), at=sim.now)
@@ -159,10 +155,7 @@ class RecoveryCoordinator:
         The instructions name the dead owner; the controller retargets each
         onto the least-loaded placeable survivor, as it does any step.
         """
-        controller = self._recovery_controller()
-        if controller is None:
-            return
-        step = controller.issue_recovery(orphaned)
+        step = self._controller.recover(orphaned)
         if step is not None:
             self._reinstall(step)
 
@@ -199,13 +192,13 @@ class RecoveryCoordinator:
             # The reinstalled F believes the initial configuration; hand it
             # the assignment the control stream has converged to.
             self._runtime.logic_of(worker, self._op.f_op).reset_routing(
-                self._ledger.current
+                self._controller.current
             )
-            # Fresh store seeded with the bins the ledger places here (the
+            # Fresh store seeded with the bins ``current`` places here (the
             # worker's ``shared`` dict was wiped by the reinstall).  A
             # durable backend replays its surviving log inside the store
             # constructor, so the store may come back already holding bins.
-            assigned = self._ledger.bins_of(worker)
+            assigned = self._controller.current.bins_of(worker)
             store = self._store_of(worker, seed=None)
             restored = 0
             size = 0
@@ -227,11 +220,11 @@ class RecoveryCoordinator:
     def _reconcile_durable(
         self, worker: int, store: BinStore, assigned: list
     ) -> tuple[int, float]:
-        """Align a log-replayed store with the ledger's current assignment.
+        """Align a log-replayed store with the controller's ``current``.
 
         The configuration may have moved bins off this worker while it was
         dead (a recovery control step retargeted them to survivors): those
-        replayed bins are stale and dropped.  Bins the ledger assigns here
+        replayed bins are stale and dropped.  Bins ``current`` assigns here
         that the log does not hold start empty.  Publishes a
         :class:`StorageFaultReport` when the replay found crash damage, and
         fingerprints what survived.

@@ -13,11 +13,10 @@ frontier and classifies the run:
   watchdog stops the experiment with a structured :class:`StallDiagnosis`
   instead of letting it spin forever.
 
-On each detected stall the watchdog pokes its ``on_stall`` hook (wired by
-the harness to :meth:`~repro.megaphone.controller.MigrationController.nudge`
-on every controller, all of which carry fault handling under chaos) so a
-stalled migration step is retried immediately rather than waiting out its
-timeout.
+On each detected stall the watchdog nudges the run's one controller
+(:meth:`~repro.megaphone.controller.MigrationController.nudge`, which
+carries fault handling under chaos) so a stalled migration step is retried
+immediately rather than waiting out its timeout.
 
 The watchdog is also the simulation's clock-keeper under chaos: its
 periodic check events keep simulated time moving across windows where the
@@ -28,7 +27,7 @@ which is what gives timeouts and restarts a chance to fire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.runtime_events.events import WatchdogRecovered, WatchdogStalled
 
@@ -83,7 +82,7 @@ class StallDiagnosis:
 
 
 class LivenessWatchdog:
-    """Detects, reports, and (via ``on_stall``) breaks frontier stalls."""
+    """Detects, reports, and (by nudging ``controller``) breaks frontier stalls."""
 
     def __init__(
         self,
@@ -91,13 +90,13 @@ class LivenessWatchdog:
         probe,
         config: Optional[WatchdogConfig] = None,
         injector=None,
-        on_stall: Optional[Callable[[StallDiagnosis], None]] = None,
+        controller=None,
     ) -> None:
         self._runtime = runtime
         self._probe = probe
         self.config = config if config is not None else WatchdogConfig()
         self._injector = injector
-        self._on_stall = on_stall
+        self._controller = controller
         self._started = False
         self._stopped = False
         self._stalled = False
@@ -167,8 +166,8 @@ class LivenessWatchdog:
                         frontier=tuple(self._probe.frontier()),
                     )
                 )
-            if self._on_stall is not None:
-                self._on_stall(diagnosis)
+            if self._controller is not None:
+                self._controller.nudge()
         self._schedule_check()
 
     def diagnose(self) -> StallDiagnosis:

@@ -11,7 +11,7 @@ bins — is a runtime object:
 * :class:`~repro.elastic.coordinator.ScalingCoordinator` admits joiners
   (seed bins via the planner's ``spread`` objective) and retires leavers
   (evacuate via ``drain``, verify zero resident bins, close handles) —
-  both as ordinary fluid migrations through the existing controllers;
+  both as ordinary fluid migrations through the run's one controller;
 * :class:`~repro.elastic.autoscaler.Autoscaler` closes the loop from
   :class:`~repro.planner.telemetry.LoadTelemetry` to scale decisions with
   hysteresis, consecutive-sample triggers, and cooldown;

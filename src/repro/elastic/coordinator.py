@@ -3,25 +3,24 @@
 Join protocol (scale-out)::
 
     mark joining -> feed the new workers from the open-loop source ->
-    search a ``spread`` target over the widened active range -> run the
-    configured migration strategy through a controller -> on frontier-
+    submit a ``spread`` target over the widened active range, with the
+    configured migration strategy, to the run's controller -> on frontier-
     confirmed completion, mark active.
 
 Drain protocol (scale-in)::
 
     mark draining -> stop feeding the evacuees (their input handles stay
-    open so frontiers keep moving) -> search the planner's ``drain``
+    open so frontiers keep moving) -> submit the planner's ``drain``
     target -> migrate -> verify the evacuees hold zero resident bins ->
     close their data handles -> mark retired.
 
-The coordinator does not construct controllers itself: the harness passes
-a ``controller_factory(plan, on_done)`` that builds the controller exactly
-as scheduled migrations do (with the fault-handling bundle under chaos), so
-a crash mid-join or mid-drain goes through the same retry/retarget machinery.
-It plans from the run's :class:`~repro.megaphone.controller.ConfigurationLedger`,
-which every controller advances with each step it sends — so a drain
-starts from where scheduled migrations, the planner and crash recovery
-actually left the bins.
+Each operation is submitted to the run's one
+:class:`~repro.megaphone.controller.MigrationController` (with fault
+handling under chaos, so a crash mid-join or mid-drain is retried and
+retargeted like any step).  Its target is built from the controller's
+``current`` when it starts, after any migration in flight, so a drain
+evacuates every bin the other writers left on the evacuees; the load it
+balances is read when the operation is requested.
 
 Only one scaling operation runs at a time.  A request arriving while one
 is in flight is retried shortly after (scripted plans) — the autoscaler
@@ -31,7 +30,7 @@ checks ``busy`` itself and records a hold instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.elastic.membership import MembershipDirectory, MembershipError
 from repro.megaphone.migration import make_plan
@@ -96,29 +95,25 @@ class ScalingCoordinator:
         op,
         directory: MembershipDirectory,
         source,
-        controller_factory: Callable,
+        controller,
         strategy: str = "fluid",
         batch_size: int = 16,
+        gap_s: float = 0.0,
+        pace_s: Optional[float] = None,
         telemetry=None,
-        *,
-        ledger,
     ) -> None:
         self._runtime = runtime
         self._op = op
         self._directory = directory
         self._source = source
-        self._factory = controller_factory
+        self._controller = controller
         self._strategy = strategy
         self._batch_size = batch_size
+        self._gap_s = gap_s
+        self._pace_s = pace_s
         self._telemetry = telemetry
-        self._ledger = ledger
         self.busy = False
         self.report = ScalingReport()
-
-    @property
-    def current(self):
-        """The configuration the control stream has converged to."""
-        return self._ledger.current
 
     # -- request entry points (safe to call from scheduled events) -------------
 
@@ -151,25 +146,26 @@ class ScalingCoordinator:
             self._directory.mark_joining(w)
             self._source.open_worker(w)
         target_range = max(self._directory.active() + workers) + 1
-        current = self.current
-        target = spread_target(current, self._bin_load(), num_workers=target_range)
-        moves = len(current.moved_bins(target))
+        target_active = len(self._directory.active()) + len(workers)
+        load = self._bin_load()
         sim = self._runtime.sim
-        started_at = sim.now
-        record = ScalingOp(
-            kind="join", workers=workers, started_at=started_at, moves=moves
-        )
+        record = ScalingOp(kind="join", workers=workers, started_at=sim.now, moves=0)
         self.report.operations.append(record)
-        if sim.trace.wants_membership:
-            sim.trace.publish(
-                ScaleOutStarted(
-                    workers=workers,
-                    target_active=len(self._directory.active()) + len(workers),
-                    moves=moves,
-                    at=started_at,
-                )
-            )
         self.busy = True
+
+        def plan_for(current):
+            target = spread_target(current, load, num_workers=target_range)
+            record.moves = len(current.moved_bins(target))
+            if sim.trace.wants_membership:
+                sim.trace.publish(
+                    ScaleOutStarted(
+                        workers=workers,
+                        target_active=target_active,
+                        moves=record.moves,
+                        at=record.started_at,
+                    )
+                )
+            return make_plan(self._strategy, current, target, self._batch_size)
 
         def done(_result) -> None:
             for w in workers:
@@ -186,7 +182,9 @@ class ScalingCoordinator:
                 )
             self.busy = False
 
-        self._launch(current, target, done)
+        self._controller.submit(
+            plan_for, gap_s=self._gap_s, pace_s=self._pace_s, on_done=done
+        )
 
     # -- drain protocol --------------------------------------------------------
 
@@ -207,30 +205,30 @@ class ScalingCoordinator:
             # Stop feeding the evacuee; its handle stays open (and keeps
             # advancing) until the drain migration completes.
             self._source.remove_worker(w)
-        current = self.current
-        target = drain_target(
-            current,
-            self._bin_load(),
-            drain_workers=workers,
-            num_workers=self._directory.num_workers,
-        )
-        moves = len(current.moved_bins(target))
+        load = self._bin_load()
         sim = self._runtime.sim
-        started_at = sim.now
-        record = ScalingOp(
-            kind="drain", workers=workers, started_at=started_at, moves=moves
-        )
+        record = ScalingOp(kind="drain", workers=workers, started_at=sim.now, moves=0)
         self.report.operations.append(record)
-        if sim.trace.wants_membership:
-            sim.trace.publish(
-                DrainStarted(
-                    workers=workers,
-                    target_active=len(survivors),
-                    moves=moves,
-                    at=started_at,
-                )
-            )
         self.busy = True
+
+        def plan_for(current):
+            target = drain_target(
+                current,
+                load,
+                drain_workers=workers,
+                num_workers=self._directory.num_workers,
+            )
+            record.moves = len(current.moved_bins(target))
+            if sim.trace.wants_membership:
+                sim.trace.publish(
+                    DrainStarted(
+                        workers=workers,
+                        target_active=len(survivors),
+                        moves=record.moves,
+                        at=record.started_at,
+                    )
+                )
+            return make_plan(self._strategy, current, target, self._batch_size)
 
         def done(_result) -> None:
             # The evacuees must be empty before their handles close: count
@@ -258,16 +256,11 @@ class ScalingCoordinator:
                 )
             self.busy = False
 
-        self._launch(current, target, done)
+        self._controller.submit(
+            plan_for, gap_s=self._gap_s, pace_s=self._pace_s, on_done=done
+        )
 
     # -- shared plumbing -------------------------------------------------------
-
-    def _launch(self, current, target, done: Callable) -> None:
-        if current == target:
-            done(None)
-            return
-        plan = make_plan(self._strategy, current, target, self._batch_size)
-        self._factory(plan, done).start_at(self._runtime.sim.now)
 
     def _bin_load(self) -> dict:
         """Per-bin heat for target search; uniform before telemetry warms."""
@@ -275,5 +268,5 @@ class ScalingCoordinator:
         if self._telemetry is not None:
             load = self._telemetry.bin_load()
         if not load or not any(load.values()):
-            load = {b: 1.0 for b in range(self.current.num_bins)}
+            load = {b: 1.0 for b in range(self._controller.current.num_bins)}
         return load

@@ -18,6 +18,7 @@ import numbers
 import time as wallclock
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaos.inject import ChaosInjector, FaultLog
@@ -40,7 +41,6 @@ from repro.harness.workloads import (
 from repro.megaphone.api import state_machine
 from repro.megaphone.control import BinnedConfiguration, bin_bits
 from repro.megaphone.controller import (
-    ConfigurationLedger,
     EpochTicker,
     FaultHandling,
     MigrationController,
@@ -589,58 +589,19 @@ class MigrationExperiment:
         # -- migration control ------------------------------------------------
         chaos = cfg.chaos
         injector = None
-        # Built with or without faults: every writer of the control stream
-        # plans from it.
-        ledger = ConfigurationLedger(op.config.initial) if op is not None else None
-        # Every controller of the run (scheduled, planner-, scaling- and
-        # recovery-spawned) in construction order: the order the watchdog
-        # nudges them in and the result lists their migrations in.
-        controllers: list[MigrationController] = []
+        fault_log = None
+        wal_registry = None
+        snapshot_box: dict = {}
 
         def _membership_placeable(worker: int) -> bool:
-            # Crash retargeting must respect membership in elastic runs:
-            # orphaned bins may only land on active or joining workers,
-            # never on a draining evacuee or an idle standby slot.  The
-            # directory is created further down (elastic block) and read
-            # late-bound; non-elastic runs see no directory and keep the
-            # original any-live-worker behavior.
+            # Crash retargeting never lands bins on a draining evacuee or an
+            # idle standby slot.  The directory is created further down
+            # (elastic block) and read late-bound; non-elastic runs have none.
             if directory is None:
                 return True
             return directory.state_of(worker) in ("joining", "active")
 
-        def make_controller(plan, *, gap_s, pace_s=None, on_done=None):
-            faults = None
-            if chaos is not None:
-                faults = FaultHandling(
-                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
-                    injector=injector,
-                    placeable=_membership_placeable,
-                )
-            controller = MigrationController(
-                runtime, control_group, ticker, probe, plan,
-                gap_s=gap_s, pace_s=pace_s, on_done=on_done, faults=faults,
-                ledger=ledger,
-            )
-            controllers.append(controller)
-            return controller
-
-        def recovery_controller():
-            # A crash's recovery step rides with the migration in flight
-            # (one that has issued a step and is not done; a scheduled one
-            # that has not started yet is not), or else runs as a migration
-            # of its own.
-            in_flight = next(
-                (c for c in controllers if c.result.steps and not c.done), None
-            )
-            if in_flight is not None or ticker.closed:
-                return in_flight
-            return make_controller(MigrationPlan("recovery"), gap_s=0.0)
-
         # -- fault injection (inert unless the config carries a ChaosConfig) --
-        watchdog = None
-        coordinator = None
-        fault_log = None
-        snapshot_box: dict = {}
         if chaos is not None:
             fault_log = FaultLog(sim.trace)
             injector = ChaosInjector(runtime, chaos.plan)
@@ -664,15 +625,6 @@ class MigrationExperiment:
                         )
 
                     injector.on_crash_storage(_crash_storage)
-                coordinator = RecoveryCoordinator(
-                    runtime,
-                    op,
-                    ledger,
-                    injector,
-                    recovery_controller,
-                    snapshot_provider=lambda: snapshot_box.get("snapshot"),
-                    durable=wal_registry is not None,
-                )
                 if chaos.snapshot_at_s is not None:
                     # Capture a consistent cut at the epoch corresponding to
                     # the requested simulated time (EpochTicker's mapping).
@@ -688,6 +640,35 @@ class MigrationExperiment:
                         snap_epoch,
                         on_complete=lambda s: snapshot_box.update(snapshot=s),
                     )
+
+        # The run's one controller: scheduled migrations, the planner, the
+        # scaling coordinator and crash recovery all write the control
+        # stream through it, and plan from its ``current`` assignment.
+        controller = None
+        if op is not None:
+            faults = None
+            if chaos is not None:
+                faults = FaultHandling(
+                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
+                    injector=injector,
+                    placeable=_membership_placeable,
+                )
+            controller = MigrationController(
+                runtime, control_group, probe, op.config.initial, faults=faults
+            )
+
+        watchdog = None
+        coordinator = None
+        if chaos is not None:
+            if op is not None:
+                coordinator = RecoveryCoordinator(
+                    runtime,
+                    op,
+                    controller,
+                    injector,
+                    snapshot_provider=lambda: snapshot_box.get("snapshot"),
+                    durable=wal_registry is not None,
+                )
             watchdog = LivenessWatchdog(
                 runtime,
                 probe,
@@ -695,7 +676,7 @@ class MigrationExperiment:
                 if chaos.watchdog is not None
                 else WatchdogConfig(),
                 injector=injector,
-                on_stall=lambda _diag: [c.nudge() for c in controllers],
+                controller=controller,
             )
             watchdog.start()
 
@@ -714,15 +695,20 @@ class MigrationExperiment:
                 network_latency_s=cfg.network_latency_s,
             )
 
-        if op is not None and cfg.migrate_at_s:
+        if controller is not None and cfg.migrate_at_s:
+            # The paper's schedule: even entries move half of the first half
+            # of the workers' bins onto the second half, odd entries send
+            # those bins home.  Each plan is built from the controller's
+            # assignment when its migration starts, so a move another
+            # writer already made (a drain, the planner) is not sent again.
             initial = op.config.initial
-            current = initial
+            imbalanced = imbalanced_target(initial)
+            scripted = (initial.moved_bins(imbalanced), imbalanced.moved_bins(initial))
             for i, at_s in enumerate(cfg.migrate_at_s):
-                target = imbalanced_target(initial) if i % 2 == 0 else initial
-                plan = make_plan(cfg.strategy, current, target, cfg.batch_size)
-                controller = make_controller(plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s)
-                controller.start_at(at_s)
-                current = target
+                controller.submit(
+                    partial(_scheduled_plan, cfg.strategy, scripted[i % 2], cfg.batch_size),
+                    at_s=at_s, gap_s=cfg.gap_s, pace_s=cfg.pace_s,
+                )
 
         planner_box: dict = {}
         if telemetry is not None:
@@ -731,10 +717,7 @@ class MigrationExperiment:
                 telemetry,
                 cost_model,
                 cfg.planner,
-                controller_factory=lambda plan: make_controller(
-                    plan, gap_s=cfg.planner.gap_s
-                ),
-                ledger=ledger,
+                controller=controller,
                 stop_s=cfg.duration_s,
             )
             telemetry.start(0.0)
@@ -767,13 +750,12 @@ class MigrationExperiment:
                 op,
                 directory,
                 source,
-                controller_factory=lambda plan, on_done: make_controller(
-                    plan, gap_s=cfg.gap_s, pace_s=cfg.pace_s, on_done=on_done
-                ),
+                controller,
                 strategy=cfg.strategy,
                 batch_size=cfg.batch_size,
+                gap_s=cfg.gap_s,
+                pace_s=cfg.pace_s,
                 telemetry=telemetry,
-                ledger=ledger,
             )
             if cfg.scaling_plan is not None:
                 for event in cfg.scaling_plan.events:
@@ -815,17 +797,13 @@ class MigrationExperiment:
         if autoscaler is not None:
             autoscaler.stop()
 
-        def _pending() -> bool:
-            return (
-                any(not c.done for c in controllers)
-                or (scaling is not None and scaling.busy)
-                or (planner is not None and not planner.done)
-            )
-
         def _settled() -> bool:
             # A gave-up watchdog also settles the run: stop driving and
             # report the stall (verdict + diagnosis) instead of spinning.
-            settled = not _pending() or (watchdog is not None and watchdog.failed)
+            pending = (controller is not None and not controller.done) or (
+                scaling is not None and scaling.busy
+            )
+            settled = not pending or (watchdog is not None and watchdog.failed)
             if settled and telemetry is not None:
                 telemetry.stop()  # sampling ends at the tick that settles
             return settled
@@ -857,7 +835,7 @@ class MigrationExperiment:
         result = ExperimentResult(
             config=cfg,
             timeline=timeline,
-            migrations=[c.result for c in controllers],
+            migrations=controller.results if controller is not None else [],
             memory=memory_timelines,
             records_injected=source.records_injected,
             sim_callbacks=sim.callbacks_fired,
@@ -870,7 +848,7 @@ class MigrationExperiment:
             result.chaos_recoveries = watchdog.recoveries
             result.chaos_diagnoses = list(watchdog.diagnoses)
         if chaos is not None:
-            result.abandoned_steps = sum(len(c.abandoned) for c in controllers)
+            result.abandoned_steps = len(controller.abandoned) if controller else 0
             result.fault_log = fault_log
             if coordinator is not None:
                 result.recovered_fingerprints = dict(
@@ -1040,6 +1018,11 @@ def run_count_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     build = _build_native_count if cfg.native else _build_megaphone_count
     experiment = MigrationExperiment(cfg, build, workload.make_generator())
     return experiment.run()
+
+
+def _scheduled_plan(strategy, moves, batch_size, current) -> MigrationPlan:
+    """A scheduled migration's plan: its moves, applied to ``current``."""
+    return make_plan(strategy, current, current.apply(moves), batch_size)
 
 
 def result_fingerprint(result: ExperimentResult) -> str:

@@ -10,10 +10,10 @@ Public surface:
   (paper Listing 1), each returning a :class:`MigrateableOperator`;
 * migration planning (``plan_all_at_once`` / ``plan_fluid`` /
   ``plan_batched`` / ``plan_optimized`` and ``make_plan``);
-* the one :class:`MigrationController` that feeds a ``MigrationPlan``
-  into the control stream and awaits per-step completion via frontier
-  probes, with timeouts, retries and crash retargeting as an optional
-  :class:`FaultHandling` bundle;
+* the one :class:`MigrationController` per run, which feeds each
+  submitted ``MigrationPlan`` into the control stream, one at a time, and
+  awaits per-step completion via frontier probes, with timeouts, retries
+  and crash retargeting as an optional :class:`FaultHandling` bundle;
 * binning and configuration primitives (``BinnedConfiguration``,
   ``ControlInst``, ``bin_of``, ``stable_hash``).
 """

@@ -1,4 +1,4 @@
-"""The migration controller: drives a plan through the control stream.
+"""The migration controller: the run's one writer of the control stream.
 
 Megaphone itself only consumes configuration updates; deciding *what* to
 migrate and *when* is an external controller's job (paper §4.4 — DS2, Chi,
@@ -6,20 +6,17 @@ or Dhalion could supply the stream).  This module provides:
 
 * ``EpochTicker`` — advances an input group's epochs with simulated time so
   control (and data) frontiers keep moving;
-* ``MigrationController`` — the one issue → await → complete → pace loop:
-  issues a step, awaits its completion through a probe on the S output
-  frontier, optionally waits a drain gap, then issues the next (paper
-  §3.3's "await the migration's completion before choosing the next");
-* its step source, a ``MigrationPlan``: *what to move when* is policy
-  handed to the controller (a strategy, or the planner's SLO-budgeted
-  step search), not a controller of its own;
-* ``ConfigurationLedger`` — the run's one record of the intended
-  bin-to-worker assignment: every controller applies each step it sends,
-  and everything that plans from "who owns which bin" reads it;
+* ``MigrationController`` — the run's one issue loop.  Writers submit
+  *intents* (a function from the current assignment to a
+  ``MigrationPlan``); one runs at a time, planned when it starts: issue a
+  step, await its completion through a probe on the S output frontier,
+  optionally wait a drain gap, then issue the next (paper §3.3's "await
+  the migration's completion before choosing the next").  Every step sent
+  advances ``current``, the run's one record of who owns which bin;
 * ``FaultHandling`` — the optional bundle adding per-step timeouts with
   retry and backoff, and retargeting away from crashed workers;
 * ``StepResult`` / ``MigrationResult`` — issue/completion bookkeeping the
-  benchmarks report migration duration from.
+  benchmarks report migration duration from, one result per intent.
 """
 
 from __future__ import annotations
@@ -161,20 +158,17 @@ def _outcome_of(step: StepResult, at: float) -> MigrationStepOutcome:
 
 @dataclass
 class MigrationResult:
-    """Timings of a whole plan."""
+    """Timings of a whole plan; ``started_at`` is when its intent started."""
 
     strategy: str
     steps: list[StepResult] = field(default_factory=list)
+    started_at: Optional[float] = None
 
     @property
     def total_attempts(self) -> int:
         """Issues including retries across all steps (> len(steps) means
         at least one step timed out and was re-issued)."""
         return sum(step.attempts for step in self.steps)
-
-    @property
-    def started_at(self) -> Optional[float]:
-        return self.steps[0].issued_at if self.steps else None
 
     @property
     def completed_at(self) -> Optional[float]:
@@ -187,29 +181,6 @@ class MigrationResult:
         if self.started_at is None or self.completed_at is None:
             return None
         return self.completed_at - self.started_at
-
-
-class ConfigurationLedger:
-    """The run's intended bin assignment: the configuration the control
-    stream converges to.
-
-    One per run.  Every controller holding it applies each step it sends
-    (planned, retried or recovery, after retargeting), so the scaling
-    coordinator, the planner and crash recovery all plan from the same
-    ``current``.
-    """
-
-    def __init__(self, initial: BinnedConfiguration) -> None:
-        self.current = initial
-
-    def apply(self, insts: list[ControlInst]) -> None:
-        """Advance the ledger past one control step."""
-        if insts:
-            self.current = self.current.apply(insts)
-
-    def bins_of(self, worker: int) -> list[int]:
-        """Bins the current configuration places on ``worker``."""
-        return self.current.bins_of(worker)
 
 
 # -- fault handling --------------------------------------------------------------
@@ -247,16 +218,15 @@ class FaultHandling:
     * **Worker exclusion** — control goes through a live worker's handle,
       and instructions targeting a dead worker are retargeted (at issue
       *and* retry time) onto the live worker owning the fewest bins in the
-      controller's ledger, lowest id on ties.  ``placeable`` further
+      controller's ``current`` assignment, lowest id on ties.  ``placeable`` further
       restricts the candidates — elastic runs pass a membership filter so
       crash retargeting never lands bins on a draining or standby worker.
 
-    ``injector`` is the chaos injector (membership oracle); a controller
-    given one needs the run's ledger.  Without it fault handling degrades
-    to pure timeout/retry (useful under partitions and stalls).  Crash
-    reconciliation is not a controller's job: the run's
-    :class:`~repro.chaos.recovery.RecoveryCoordinator` issues the recovery
-    step through :meth:`MigrationController.issue_recovery`.
+    ``injector`` is the chaos injector (membership oracle).  Without it
+    fault handling degrades to pure timeout/retry (useful under partitions
+    and stalls).  Crash reconciliation is not a controller's job: the run's
+    :class:`~repro.chaos.recovery.RecoveryCoordinator` sends the recovery
+    step through :meth:`MigrationController.recover`.
     """
 
     retry: RetryPolicy = RetryPolicy()
@@ -271,104 +241,167 @@ def _least_loaded(counts: dict) -> int:
     return dst
 
 
+
+
+@dataclass(eq=False)
+class _Intent:
+    """One writer's request; ``plan`` is ``plan_for(current)`` once started."""
+
+    plan_for: Callable[[BinnedConfiguration], MigrationPlan]
+    at_s: float
+    gap_s: float
+    pace_s: Optional[float]
+    on_done: Optional[Callable[[MigrationResult], None]]
+    result: MigrationResult
+    plan: Optional[MigrationPlan] = None
+    next: int = 0
+
+    @property
+    def exhausted(self) -> bool:
+        return self.next >= len(self.plan.steps)
+
+
 class MigrationController:
-    """Feeds migration steps into the control stream, one at a time.
+    """The run's one writer of the control stream.
 
-    The controller issues each step at the current control epoch, watches
-    the S output frontier (via the provided probe) until the step's
-    timestamp has fully passed — state shipped *and* backlog drained — then
-    waits ``gap_s`` (paper §4.4's drain gap) and issues the next step.
+    Writers :meth:`submit` intents; one runs at a time, in the order they
+    become ready (submission order among equal times), with its plan built
+    from ``current`` when it starts and one :class:`MigrationResult` in
+    ``results`` (submission order).  A running intent issues each step at
+    the current control epoch, watches the S output frontier (via the
+    probe) until the step's timestamp has fully passed — state shipped
+    *and* backlog drained — then waits ``gap_s`` (paper §4.4's drain gap)
+    and issues the next.  The next intent starts inside the callback in
+    which the previous one finished.
 
-    ``plan`` is the step source, issued step by step in order.  ``faults``
-    (a :class:`FaultHandling`) is off by default: without it no timeout is
-    ever armed, control goes through handle 0 and instructions are sent as
-    planned.  ``ledger`` is the run's :class:`ConfigurationLedger`, which
-    hears every step sent; ``None`` (a sharded domain, a controller driven
-    by hand) means nobody reads the assignment.
+    ``current`` is the configuration the control stream converges to: every
+    step sent (planned, retried or recovery, after retargeting) advances
+    it.  ``faults`` (a :class:`FaultHandling`) is off by default: without it
+    no timeout is ever armed, control goes through handle 0 and
+    instructions are sent as planned.
     """
 
     def __init__(
         self,
         runtime: Runtime,
         control_group: InputGroup,
-        ticker: EpochTicker,
         probe,
-        plan: MigrationPlan,
-        gap_s: float = 0.0,
-        pace_s: Optional[float] = None,
-        on_done: Optional[Callable[[MigrationResult], None]] = None,
+        initial: BinnedConfiguration,
         faults: Optional[FaultHandling] = None,
-        ledger: Optional[ConfigurationLedger] = None,
     ) -> None:
-        if faults is not None and faults.injector is not None and ledger is None:
-            raise ValueError("retargeting away from dead workers reads a ledger")
         self._runtime = runtime
         self._group = control_group
         self._probe = probe
-        self._plan = plan
-        self._next = 0
-        self._gap_s = gap_s
-        # Completion pacing (default): the next step is issued gap_s after
-        # the previous one's frontier-confirmed completion.  Timer pacing
-        # (pace_s set): steps are issued every pace_s seconds regardless of
-        # completion — the regime where the paper's drain gap matters.
-        self._pace_s = pace_s
-        self._on_done = on_done
         self._faults = faults
         self._injector = faults.injector if faults is not None else None
-        self._ledger = ledger
+        self.current = initial
+        self._queue: list[_Intent] = []  # submitted, not started
+        self._active: Optional[_Intent] = None
         # Issued, not yet completed or abandoned, in issue order: each step
         # with its armed timeout event (None without fault handling).
         self._awaiting: dict[StepResult, object] = {}
         # A completion-paced ``_issue_next`` is scheduled: a recovery step
         # settling inside the drain gap must not start a second chain.
         self._issue_pending = False
-        self._finished = False
-        self.result = MigrationResult(strategy=plan.strategy)
+        self.results: list[MigrationResult] = []
         self.abandoned: list[StepResult] = []
         probe.on_advance(self._check_progress)
 
     @property
     def done(self) -> bool:
-        """Every step (recovery steps too) issued, and completed or abandoned."""
-        return self._exhausted and not self._awaiting
+        """Nothing queued, and the running intent (if any) has every step
+        issued and completed or abandoned."""
+        return not self._queue and self._quiet
 
     @property
-    def _exhausted(self) -> bool:
-        return self._next >= len(self._plan.steps)
+    def idle(self) -> bool:
+        """No intent running or ready to start: a plan made from
+        ``current`` now is the plan that will be sent."""
+        now = self._runtime.sim.now
+        return self._quiet and all(i.at_s > now for i in self._queue)
+
+    @property
+    def _quiet(self) -> bool:
+        intent = self._active
+        return intent is None or (intent.exhausted and not self._awaiting)
+
+    def submit(
+        self,
+        plan_for: Callable[[BinnedConfiguration], MigrationPlan],
+        *,
+        at_s: Optional[float] = None,
+        gap_s: float = 0.0,
+        pace_s: Optional[float] = None,
+        on_done: Optional[Callable[[MigrationResult], None]] = None,
+    ) -> MigrationResult:
+        """Queue an intent, ready at ``at_s`` (default: now); returns its
+        result.  Steps go out ``gap_s`` after the previous one completed,
+        or every ``pace_s`` seconds regardless of completion when set."""
+        if at_s is None:
+            at_s = self._runtime.sim.now
+        intent = _Intent(plan_for, at_s, gap_s, pace_s, on_done, MigrationResult(""))
+        self.results.append(intent.result)
+        self._queue.append(intent)
+        self.start_at(at_s)
+        return intent.result
 
     def start_at(self, sim_time_s: float) -> None:
-        """Begin issuing steps at the given simulated time."""
-        self._runtime.sim.schedule_at(sim_time_s, self._issue_next)
+        """Wake the loop at the given simulated time: the oldest ready
+        intent starts then, unless another is running."""
+        self._runtime.sim.schedule_at(sim_time_s, self._start_next)
 
-    def issue_recovery(self, insts: list) -> Optional[StepResult]:
-        """Send one step outside the plan now, awaited like a planned one.
-
-        Crash recovery's hook: instructions naming a dead worker are
-        retargeted onto survivors like any other step.  Returns the step as
-        sent, or ``None`` when the control input has closed.
-        """
+    def recover(self, insts: list) -> Optional[StepResult]:
+        """Send a crash's recovery step now: one more step of the running
+        intent, else its own ``recovery`` intent.  Returns the step as sent
+        (retargeted like any other), or ``None`` once control has closed."""
         if self._handle() is None:
             return None
+        if self._active is None:
+            recovery = MigrationResult("")
+            self.results.append(recovery)
+            self._begin(
+                _Intent(lambda _current: MigrationPlan("recovery"), 0.0, 0.0, None, None, recovery)
+            )
         step = self._issue(insts)
         self._check_progress(None)
         return step
 
+    # -- the queue -----------------------------------------------------------------
+
+    def _begin(self, intent: _Intent) -> None:
+        intent.plan = intent.plan_for(self.current)
+        intent.result.strategy = intent.plan.strategy  # "" until now
+        intent.result.started_at = self._runtime.sim.now
+        self._active = intent
+
+    def _start_next(self) -> None:
+        """Start the oldest ready intent, unless one is running."""
+        now = self._runtime.sim.now
+        ready = [i for i in self._queue if i.at_s <= now]
+        if self._active is not None or not ready:
+            return
+        intent = min(ready, key=lambda i: i.at_s)
+        self._queue.remove(intent)
+        self._begin(intent)
+        self._issue_next(intent)
+
     # -- the loop: issue -> await -> complete -> pace ------------------------------
 
-    def _issue_next(self) -> None:
+    def _issue_next(self, intent: _Intent) -> None:
+        if intent is not self._active:
+            return  # a pacing timer that outlived its intent
         self._issue_pending = False
-        if self._exhausted:
+        if intent.exhausted:
             self._finish()
             return
-        insts = self._plan.steps[self._next].insts
-        self._next += 1
+        insts = intent.plan.steps[intent.next].insts
+        intent.next += 1
         if not insts:
-            self._issue_next()
+            self._issue_next(intent)
             return
         self._issue(list(insts))
-        if self._pace_s is not None:
-            self._runtime.sim.schedule(self._pace_s, self._issue_next)
+        if intent.pace_s is not None:
+            self._runtime.sim.schedule(intent.pace_s, partial(self._issue_next, intent))
         # The frontier may conceivably already be past; check synchronously.
         self._check_progress(None)
 
@@ -399,7 +432,7 @@ class MigrationController:
             time=time, moves=len(insts), issued_at=now, insts=tuple(insts)
         )
         self._awaiting[result] = self._arm_timeout(result)
-        self.result.steps.append(result)
+        self._active.result.steps.append(result)
         return result
 
     def _check_progress(self, _frontier) -> None:
@@ -425,27 +458,34 @@ class MigrationController:
         """Steps just completed or were abandoned: pace the next issue."""
         if self._awaiting:
             return
-        if self._pace_s is None:
+        intent = self._active
+        if intent.pace_s is None:
             if not self._issue_pending:
                 self._issue_pending = True
-                self._runtime.sim.schedule(self._gap_s, self._issue_next)
+                self._runtime.sim.schedule(
+                    intent.gap_s, partial(self._issue_next, intent)
+                )
         else:
             self._finish()
 
     def _finish(self) -> None:
-        """Report the result, once, when nothing is left to issue or await
-        (a timer-paced ``_issue_next`` runs off the plan's end earlier)."""
-        if self._finished or not self.done:
+        """Report the running intent once nothing is left to issue or await
+        (a timer-paced ``_issue_next`` runs off the plan's end earlier), then
+        start the next ready one in the same callback."""
+        intent = self._active
+        if intent is None or not self._quiet:
             return
-        self._finished = True
-        if self._on_done is not None:
-            self._on_done(self.result)
+        self._active = None
+        if intent.on_done is not None:
+            intent.on_done(intent.result)
+        self._start_next()
 
     # -- fault handling: retargeting ---------------------------------------------
 
     def _retarget(self, insts: list) -> list:
         """Final say over a step's instructions just before sending: moves
-        onto dead workers go to survivors, and the ledger hears the result."""
+        onto dead workers go to survivors, and ``current`` advances past
+        the result."""
         if self._injector is not None:
             dead = set(self._injector.dead_workers())
             if dead and any(inst.worker in dead for inst in insts):
@@ -456,8 +496,8 @@ class MigrationController:
                     else inst
                     for inst in insts
                 ]
-        if self._ledger is not None:
-            self._ledger.apply(insts)
+        if insts:
+            self.current = self.current.apply(insts)
         return insts
 
     def _live_bin_counts(self) -> dict[int, float]:
@@ -467,7 +507,7 @@ class MigrationController:
             # live worker, fall back to the full live set.
             eligible = [w for w in live if self._faults.placeable(w)]
             live = eligible or live
-        return {w: len(self._ledger.bins_of(w)) for w in live}
+        return {w: len(self.current.bins_of(w)) for w in live}
 
     # -- fault handling: timeouts and retries ------------------------------------
 

@@ -130,9 +130,9 @@ class _FLogic:
         """Replace the routing table wholesale (restart recovery).
 
         A freshly reinstalled F believes the *initial* configuration; the
-        recovery coordinator hands it the ledger's current assignment so it
-        routes like the surviving workers instead of resurrecting stale
-        ownership.
+        recovery coordinator hands it the controller's current assignment,
+        so it routes like the surviving workers instead of resurrecting
+        stale ownership.
         """
         self._table = RoutingTable(config)
 

@@ -17,7 +17,7 @@ Division of labor per domain:
   timing (queueing, bandwidth, retained-byte release) — only the delivery
   is rerouted into the shard outbox instead of the local event heap;
 * domain 0 additionally hosts the latency recorder, timeline, and the
-  migration controllers (the control stream is driven through worker 0's
+  migration controller (the control stream is driven through worker 0's
   handle, which is resident there).
 """
 
@@ -257,20 +257,18 @@ class DomainHost:
             until_s=cfg.duration_s + 1.0,
             workers=self.resident,
         )
-        self.controllers: list[MigrationController] = []
+        self.controller: Optional[MigrationController] = None
         if domain == 0 and op is not None and cfg.migrate_at_s:
             initial = op.config.initial
-            current = initial
+            self.controller = MigrationController(
+                self.runtime, control_group, probe, initial
+            )
             for i, at_s in enumerate(cfg.migrate_at_s):
                 target = imbalanced_target(initial) if i % 2 == 0 else initial
-                plan = make_plan(cfg.strategy, current, target, cfg.batch_size)
-                controller = MigrationController(
-                    self.runtime, control_group, self.ticker, probe, plan,
-                    gap_s=cfg.gap_s, pace_s=cfg.pace_s,
+                self.controller.submit(
+                    partial(make_plan, cfg.strategy, target=target, batch_size=cfg.batch_size),
+                    at_s=at_s, gap_s=cfg.gap_s, pace_s=cfg.pace_s,
                 )
-                controller.start_at(at_s)
-                self.controllers.append(controller)
-                current = target
         self.ticker.start()
         self.source.start()
 
@@ -366,13 +364,15 @@ class DomainHost:
             "sim_callbacks": self.sim.callbacks_fired,
             "sim_events": self.sim.events_processed,
             "fingerprints": fingerprints,
-            "controllers_done": all(c.done for c in self.controllers),
-            "pending_steps": sum(
-                len(c._awaiting) for c in self.controllers
+            "controllers_done": self.controller is None or self.controller.done,
+            "pending_steps": (
+                len(self.controller._awaiting) if self.controller is not None else 0
             ),
             "now": self.sim.now,
         }
         if self.domain == 0:
             report["timeline"] = self.timeline
-            report["migrations"] = [c.result for c in self.controllers]
+            report["migrations"] = (
+                self.controller.results if self.controller is not None else []
+            )
         return report

@@ -14,8 +14,8 @@ pipeline is observe → search → price → gate → execute:
 
 Plans the planner emits are ordinary
 :class:`~repro.megaphone.migration.MigrationPlan` values (round-trippable
-through :mod:`repro.megaphone.plan_io`); the executing controllers never
-import this package.
+through :mod:`repro.megaphone.plan_io`); the executing controller never
+imports this package.
 """
 
 from repro.planner.cost import (

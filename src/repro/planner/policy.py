@@ -5,9 +5,11 @@ This is the component the paper leaves to "an external controller"
 and when the skew detector is armed it searches a target configuration
 (:mod:`repro.planner.search`), prices the move
 (:mod:`repro.planner.cost`), and — if the projected imbalance gain
-clears the cost/benefit gate — feeds the plan into an ordinary
-:class:`~repro.megaphone.controller.MigrationController` built by the
-harness.  Megaphone itself never knows who authored the plan.
+clears the cost/benefit gate — submits the plan to the run's one
+:class:`~repro.megaphone.controller.MigrationController`.  It decides only
+while that controller is idle, so the plan it priced from the
+controller's ``current`` assignment is the plan that is sent.  Megaphone
+itself never knows who authored the plan.
 
 Safeguards against thrashing and latency damage:
 
@@ -31,11 +33,11 @@ executed — the CLI's observe→propose mode and the CI smoke job use this.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 from repro.megaphone.control import BinnedConfiguration
-from repro.megaphone.controller import ConfigurationLedger
+from repro.megaphone.controller import MigrationController
 from repro.megaphone.migration import MigrationPlan
 from repro.megaphone.plan_io import PlanProvenance
 from repro.planner.cost import MigrationCostModel, imbalance_gain
@@ -114,11 +116,10 @@ class ClosedLoopPlanner:
     """Periodic decision loop wiring telemetry → search → cost → control.
 
     A behavioral component: schedules its own decision events and may
-    start migrations.  ``controller_factory(plan)`` builds the executor
-    (the harness's, with fault handling when chaos is enabled).  Plans
-    start from ``ledger``, the run's
-    :class:`~repro.megaphone.controller.ConfigurationLedger`: every
-    controller advances it with each step it sends, so the planner sees
+    submit migrations to ``controller``, the run's one
+    :class:`~repro.megaphone.controller.MigrationController` (with fault
+    handling when chaos is enabled).  Plans start from its ``current``
+    assignment, which every step sent advances, so the planner sees
     scheduled moves and crash retargets as well as its own plans.
     """
 
@@ -129,30 +130,26 @@ class ClosedLoopPlanner:
         cost_model: MigrationCostModel,
         config: Optional[PlannerConfig] = None,
         *,
-        controller_factory: Callable[[MigrationPlan], object],
-        ledger: ConfigurationLedger,
+        controller: MigrationController,
         stop_s: Optional[float] = None,
     ) -> None:
         self._runtime = runtime
-        self._ledger = ledger
+        self._controller = controller
         self.telemetry = telemetry
         self.cost_model = cost_model
         self.config = config if config is not None else PlannerConfig()
-        self._controller_factory = controller_factory
         # The config's own stop wins; ``stop_s`` is the caller's default
         # (the harness passes the run's duration) and is never written
         # back into the shared config.
         self._stop_s = self.config.stop_s if self.config.stop_s is not None else stop_s
         self.report = PlannerReport()
-        self.controllers: list = []
-        self._active: Optional[object] = None
         self._cooldown_until = float("-inf")
         self._stopped = False
 
     @property
     def current(self) -> BinnedConfiguration:
         """The configuration the control stream has converged to."""
-        return self._ledger.current
+        return self._controller.current
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -163,11 +160,6 @@ class ClosedLoopPlanner:
     def stop(self) -> None:
         """No further decisions (running migrations finish normally)."""
         self._stopped = True
-
-    @property
-    def done(self) -> bool:
-        """No migration in flight (the experiment's completion check)."""
-        return self._active is None or self._active.done
 
     # -- the decision loop ---------------------------------------------------
 
@@ -185,7 +177,7 @@ class ClosedLoopPlanner:
     def _decide_once(self) -> None:
         sim = self._runtime.sim
         cfg = self.config
-        if self._active is not None and not self._active.done:
+        if not self._controller.idle:
             return  # one migration at a time
         if sim.now < self._cooldown_until:
             return
@@ -309,7 +301,4 @@ class ClosedLoopPlanner:
         return ""
 
     def _execute(self, plan: MigrationPlan) -> None:
-        controller = self._controller_factory(plan)
-        controller.start_at(self._runtime.sim.now)
-        self.controllers.append(controller)
-        self._active = controller
+        self._controller.submit(lambda _current: plan, gap_s=self.config.gap_s)

@@ -1,32 +1,6 @@
-"""Tests for the configuration ledger and crash/restart recovery."""
+"""Tests for crash/restart recovery and the recovery step's routing."""
 
 import pytest
-
-from repro.megaphone.control import BinnedConfiguration, ControlInst
-from repro.megaphone.controller import ConfigurationLedger
-
-
-def test_ledger_tracks_control_steps():
-    initial = BinnedConfiguration.round_robin(8, 2)
-    ledger = ConfigurationLedger(initial)
-    assert ledger.current is initial
-
-    ledger.apply([ControlInst(bin=0, worker=1), ControlInst(bin=2, worker=1)])
-    assert ledger.current.worker_of(0) == 1
-    assert ledger.current.worker_of(2) == 1
-    assert 0 in ledger.bins_of(1)
-
-    # Empty steps are no-ops.
-    ledger.apply([])
-
-
-def test_ledger_converges_over_many_steps():
-    initial = BinnedConfiguration.round_robin(8, 4)
-    target = BinnedConfiguration(tuple((w + 1) % 4 for w in initial.assignment))
-    ledger = ConfigurationLedger(initial)
-    for inst in initial.moved_bins(target):
-        ledger.apply([inst])
-    assert ledger.current.assignment == target.assignment
 
 
 @pytest.mark.slow

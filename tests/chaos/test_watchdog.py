@@ -1,5 +1,7 @@
 """Tests for the liveness watchdog: verdicts, recovery, diagnosis."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos.watchdog import LivenessWatchdog, StallDiagnosis, WatchdogConfig
@@ -71,11 +73,12 @@ def test_stall_then_advance_is_recovered():
     log = FaultLog(runtime.sim.trace)
     probe = FakeProbe()
     nudged = []
+    controller = SimpleNamespace(nudge=lambda: nudged.append(runtime.sim.now))
     watchdog = LivenessWatchdog(
         runtime,
         probe,
         WatchdogConfig(0.05, 0.2, 5.0),
-        on_stall=nudged.append,
+        controller=controller,
     )
     watchdog.start()
     # Nothing advances until 0.5s: well past the 0.2s stall threshold.
@@ -85,9 +88,11 @@ def test_stall_then_advance_is_recovered():
     assert watchdog.verdict == "recovered"
     assert watchdog.recoveries == 1
     assert not watchdog.failed
-    # The stall hook fired with a structured diagnosis.
+    # The stall nudged the controller once, with a structured diagnosis.
     assert len(nudged) == 1
-    assert isinstance(nudged[0], StallDiagnosis)
+    (diagnosis,) = watchdog.diagnoses
+    assert isinstance(diagnosis, StallDiagnosis)
+    assert diagnosis.at == nudged[0]
     assert log.count(WatchdogStalled) == 1
     assert log.count(WatchdogRecovered) == 1
 

@@ -11,6 +11,7 @@ import dataclasses
 import pytest
 
 from repro.elastic import AutoscalerConfig, ScalingPlan
+from repro.megaphone.control import BinnedConfiguration
 from repro.harness.experiment import (
     ExperimentConfig,
     result_fingerprint,
@@ -146,19 +147,67 @@ def test_timer_paced_drain_waits_for_the_last_step():
     )
 
 
-@pytest.mark.parametrize("strategy", ["fluid", "batched"])
-def test_drain_after_a_scheduled_migration_empties_the_leaver(strategy):
+_DRAIN_AFTER = dict(num_bins=16, domain=1024, duration_s=5, leave="leave@3.0:3")
+# The drain is requested at 1.2 s, while the fluid migration from 1.0 s is
+# still sending: planned then, it missed the 22 moves not yet sent onto
+# worker 3.
+_DRAIN_DURING = dict(num_bins=256, domain=4096, duration_s=6, leave="leave@1.2:3")
+
+
+@pytest.mark.parametrize(
+    "strategy, run",
+    [
+        pytest.param("fluid", _DRAIN_AFTER, id="fluid"),
+        pytest.param("batched", _DRAIN_AFTER, id="batched"),
+        pytest.param("fluid", _DRAIN_DURING, id="fluid-during"),
+        pytest.param("batched", _DRAIN_DURING, id="batched-during"),
+    ],
+)
+def test_drain_after_a_scheduled_migration_empties_the_leaver(strategy, run):
     # Regression: the coordinator planned the drain from its own copy of
     # the assignment, which never saw the scheduled migration's moves, so
     # it planned 4 moves instead of 6 and retired worker 3 holding 2 bins.
+    # Then it planned from the moves already sent while a fluid migration
+    # was still sending: 74 moves instead of 96, and 22 bins left behind.
     cfg = ExperimentConfig(
-        num_workers=4, workers_per_process=2, num_bins=16, domain=1024,
-        rate=5000, duration_s=5, migrate_at_s=(1.0,), strategy=strategy,
-        scaling_plan=ScalingPlan.parse("leave@3.0:3"),
+        num_workers=4, workers_per_process=2, num_bins=run["num_bins"],
+        domain=run["domain"], rate=5000, duration_s=run["duration_s"],
+        migrate_at_s=(1.0,), strategy=strategy,
+        scaling_plan=ScalingPlan.parse(run["leave"]), fingerprint_state=True,
     )
     result = run_count_experiment(cfg)
+    twin = run_count_experiment(dataclasses.replace(cfg, scaling_plan=None))
     (drain,) = result.scaling.operations
     assert drain.completed_at is not None
+    assert result.scaling.residual_bins == 0
+    assert result.cluster_fingerprint == twin.cluster_fingerprint
+
+
+def test_a_migration_after_a_drain_sends_only_moves_still_needed():
+    # Regression: the scheduled migrations were all planned up front from a
+    # copy of the assignment, so the return migration at 4.0 s re-sent bins
+    # 1 and 5 to worker 1, which the drain at 2.0 s had already put there.
+    cfg = ExperimentConfig(
+        num_workers=4, workers_per_process=2, num_bins=16, domain=4096,
+        rate=5000, duration_s=6, migrate_at_s=(1.0, 4.0), strategy="fluid",
+        scaling_plan=ScalingPlan.parse("leave@2.0:3"),
+    )
+    result = run_count_experiment(cfg)
+    first, second, drain = result.migrations
+    assert second.started_at >= 4.0 > drain.completed_at
+    # Replay every step sent, in issue order, from the initial assignment.
+    steps = sorted(
+        (step for m in result.migrations for step in m.steps),
+        key=lambda step: step.issued_at,
+    )
+    config = BinnedConfiguration.round_robin(16, 4)
+    for step in steps:
+        if step in second.steps:
+            assert all(config.worker_of(i.bin) != i.worker for i in step.insts)
+            # ... and none lands on the retired worker.
+            assert all(i.worker != 3 for i in step.insts)
+        config = config.apply(list(step.insts))
+    assert second.steps
     assert result.scaling.residual_bins == 0
 
 

@@ -124,15 +124,11 @@ def drive_wordcount(
         target = target_fn(initial)
         run.plan = make_plan(strategy, initial, target, batch_size=batch_size)
         controller = MigrationController(
-            runtime,
-            control_group,
-            ticker,
-            out_probe,
-            run.plan,
-            gap_s=gap_s,
-            faults=faults,
+            runtime, control_group, out_probe, initial, faults=faults
         )
-        controller.start_at(migrate_epoch * tick_s)
+        controller.submit(
+            lambda _current: run.plan, at_s=migrate_epoch * tick_s, gap_s=gap_s
+        )
 
     # Run the scripted part, then let any outstanding migration finish
     # before closing the control stream.
@@ -146,7 +142,7 @@ def drive_wordcount(
     ticker.stop()
     runtime.run_to_quiescence()
     if controller is not None:
-        run.result = controller.result
+        (run.result,) = controller.results
         run.controller = controller
     return run
 

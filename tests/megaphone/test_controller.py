@@ -83,18 +83,16 @@ def test_controller_records_step_timings():
     target = BinnedConfiguration(tuple((w + 1) % 2 for w in initial.assignment))
     plan = make_plan("fluid", initial, target)
     done_results = []
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan,
-        on_done=done_results.append,
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(
+        lambda _current: plan, at_s=0.005, on_done=done_results.append
     )
-    controller.start_at(0.005)
     feed_steadily(runtime, data_group, 50)
     runtime.run(until=0.08)
     assert controller.done
     ticker.stop()
     runtime.run_to_quiescence()
-    assert done_results and done_results[0] is controller.result
-    result = controller.result
+    assert done_results == [result] and done_results[0] is result
     assert len(result.steps) == plan.total_moves
     for step in result.steps:
         assert step.completed_at is not None
@@ -115,16 +113,14 @@ def test_timer_paced_controller_overlaps_steps():
     ticker.start()
     target = BinnedConfiguration(tuple((w + 1) % 2 for w in initial.assignment))
     plan = make_plan("fluid", initial, target)
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan, pace_s=0.001
-    )
-    controller.start_at(0.005)
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(lambda _current: plan, at_s=0.005, pace_s=0.001)
     feed_steadily(runtime, data_group, 60)
     runtime.run(until=0.1)
     assert controller.done
     ticker.stop()
     runtime.run_to_quiescence()
-    issued = [s.issued_at for s in controller.result.steps]
+    issued = [s.issued_at for s in result.steps]
     # Timer pacing: issues spaced by the pace, independent of completion.
     for a, b in zip(issued, issued[1:]):
         assert b - a == pytest.approx(0.001, abs=2e-4)
@@ -145,10 +141,10 @@ def test_timer_paced_on_done_waits_for_the_last_completion():
     def on_done(result):
         seen.append((runtime.sim.now, controller.done, [s.completed_at for s in result.steps]))
 
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan, pace_s=0.0001, on_done=on_done
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(
+        lambda _current: plan, at_s=0.005, pace_s=0.0001, on_done=on_done
     )
-    controller.start_at(0.005)
     feed_steadily(runtime, data_group, 60)
     runtime.run(until=0.1)
     ticker.stop()
@@ -158,7 +154,7 @@ def test_timer_paced_on_done_waits_for_the_last_completion():
     assert done and None not in completions
     assert at == max(completions)
     # The timer had walked off the plan's end well before that.
-    assert at > controller.result.steps[-1].issued_at + 0.0001
+    assert at > result.steps[-1].issued_at + 0.0001
 
 
 def test_empty_plan_completes_immediately():
@@ -166,14 +162,12 @@ def test_empty_plan_completes_immediately():
     ticker = EpochTicker(runtime, control_group, granularity_ms=1)
     ticker.start()
     plan = make_plan("all-at-once", initial, initial)
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan
-    )
-    controller.start_at(0.002)
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(lambda _current: plan, at_s=0.002)
     feed_steadily(runtime, data_group, 10)
     runtime.run(until=0.02)
     assert controller.done
-    assert controller.result.steps == []
+    assert result.steps == []
     ticker.stop()
     runtime.run_to_quiescence()
 
@@ -191,21 +185,123 @@ def test_step_outcomes_published_on_trace_bus():
     ticker.start()
     target = BinnedConfiguration(tuple((w + 1) % 2 for w in initial.assignment))
     plan = make_plan("batched", initial, target, batch_size=3)
-    controller = MigrationController(runtime, control_group, ticker, probe, plan)
-    controller.start_at(0.005)
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(lambda _current: plan, at_s=0.005)
     feed_steadily(runtime, data_group, 60)
     runtime.run(until=0.1)
     assert controller.done
     ticker.stop()
     runtime.run_to_quiescence()
     # One outcome per step, mirroring the result's accounting.
-    result = controller.result
     assert len(outcomes) == len(result.steps) == len(plan.steps)
     assert [o.moves for o in outcomes] == [s.moves for s in result.steps]
     assert result.total_attempts == sum(o.attempts for o in outcomes)
     assert not any(o.abandoned for o in outcomes)
     for outcome, step in zip(outcomes, result.steps):
         assert outcome.duration_s == pytest.approx(step.duration)
+
+
+# -- one controller: intents queue, plan from ``current`` -------------------------
+
+
+def _swapped(config):
+    return BinnedConfiguration(tuple((w + 1) % 2 for w in config.assignment))
+
+
+def test_current_follows_every_step_sent():
+    runtime, control_group, data_group, probe, op, initial = build_counting(
+        num_workers=2, num_bins=8
+    )
+    ticker = EpochTicker(runtime, control_group, granularity_ms=1)
+    ticker.start()
+    controller = MigrationController(runtime, control_group, probe, initial)
+    assert controller.current is initial
+    target = _swapped(initial)
+    seen = []
+
+    def on_done(result):
+        seen.append(controller.current)
+
+    result = controller.submit(
+        lambda current: make_plan("fluid", current, target), at_s=0.005, on_done=on_done
+    )
+    feed_steadily(runtime, data_group, 60)
+    runtime.run(until=0.1)
+    assert controller.done
+    ticker.stop()
+    runtime.run_to_quiescence()
+    assert len(result.steps) == 8
+    assert seen == [target]
+    assert controller.current.bins_of(1) == target.bins_of(1)
+
+
+def test_intents_run_one_at_a_time_from_the_current_assignment():
+    # Two intents ready at the same time: the second waits for the first to
+    # finish, and its plan is built from where the first left the bins.
+    runtime, control_group, data_group, probe, op, initial = build_counting(
+        num_workers=2, num_bins=8
+    )
+    ticker = EpochTicker(runtime, control_group, granularity_ms=1)
+    ticker.start()
+    controller = MigrationController(runtime, control_group, probe, initial)
+    planned_from = []
+
+    def swap_all(current):
+        planned_from.append(current)
+        return make_plan("batched", current, _swapped(current), batch_size=3)
+
+    first = controller.submit(swap_all, at_s=0.005)
+    second = controller.submit(swap_all, at_s=0.005)
+    feed_steadily(runtime, data_group, 80)
+    runtime.run(until=0.12)
+    assert controller.done
+    ticker.stop()
+    runtime.run_to_quiescence()
+    assert controller.results == [first, second]
+    assert planned_from == [initial, _swapped(initial)]
+    assert first.strategy == second.strategy == "batched"
+    assert second.started_at >= first.completed_at
+    # Both plans moved every bin; the second moved them back.
+    assert sum(s.moves for s in first.steps) == sum(s.moves for s in second.steps) == 8
+    assert controller.current == initial
+
+
+def test_recover_joins_the_running_intent_or_runs_its_own():
+    from repro.megaphone.control import ControlInst
+
+    runtime, control_group, data_group, probe, op, initial = build_counting(
+        num_workers=2, num_bins=8
+    )
+    ticker = EpochTicker(runtime, control_group, granularity_ms=1)
+    ticker.start()
+    controller = MigrationController(runtime, control_group, probe, initial)
+    target = _swapped(initial)
+    migration = controller.submit(
+        lambda current: make_plan("fluid", current, target), at_s=0.005
+    )
+    sent = {}
+    # Mid-migration: one more step of the running intent.
+    runtime.sim.schedule_at(
+        0.006, lambda: sent.update(mid=controller.recover([ControlInst(bin=7, worker=0)]))
+    )
+    feed_steadily(runtime, data_group, 80)
+    runtime.run(until=0.1)
+    assert controller.done
+    # Idle: a recovery intent of its own.
+    assert controller.current.worker_of(0) == 1
+    sent["idle"] = controller.recover([ControlInst(bin=0, worker=0)])
+    runtime.run(until=0.12)
+    ticker.stop()
+    runtime.run_to_quiescence()
+    assert sent["mid"] in migration.steps
+    migration_result, recovery = controller.results
+    assert migration_result is migration
+    assert recovery.strategy == "recovery" and recovery.steps == [sent["idle"]]
+    assert recovery.completed_at is not None
+    assert controller.current.worker_of(0) == 0
+    # Closed control input: nothing is sent or reported.
+    assert controller.recover([ControlInst(bin=1, worker=0)]) is None
+    assert len(controller.results) == 2
 
 
 # -- fault handling is a parameter, not a subclass --------------------------------

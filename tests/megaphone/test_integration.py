@@ -154,9 +154,7 @@ def test_scheduled_records_survive_migration():
     ticker.start()
 
     target = BinnedConfiguration(tuple((w + 1) % 2 for w in initial.assignment))
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan_all_at_once(initial, target)
-    )
+    controller = MigrationController(runtime, control_group, probe, initial)
 
     def feed(epoch, payload):
         def tick():
@@ -168,7 +166,9 @@ def test_scheduled_records_survive_migration():
         return tick
 
     runtime.sim.schedule_at(0.000, feed(0, "schedule"))
-    controller.start_at(0.004)
+    result = controller.submit(
+        lambda current: plan_all_at_once(current, target), at_s=0.004
+    )
     for e in range(1, 40):
         runtime.sim.schedule_at(e * 0.001, feed(e, f"noise{e}"))
     runtime.sim.schedule_at(0.040, data_group.close_all)
@@ -180,7 +180,7 @@ def test_scheduled_records_survive_migration():
     reminders = [a for a in applied if isinstance(a[2], tuple)]
     assert reminders == [(20, reminders[0][1], ("reminder", 0))]
     # The reminder applied at the bin's post-migration owner.
-    migration_time = controller.result.steps[0].time
+    migration_time = result.steps[0].time
     assert migration_time < 20
     bin_id = bin_of(7, 4)
     assert reminders[0][1] == target.worker_of(bin_id)

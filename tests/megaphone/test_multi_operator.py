@@ -75,13 +75,13 @@ def test_shared_control_stream_migrates_operators_in_lockstep():
     ticker.start()
 
     target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan_all_at_once(initial, target)
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(
+        lambda current: plan_all_at_once(current, target), at_s=0.010
     )
-    controller.start_at(0.010)
     drive(runtime, ticker, data_group, [controller])
 
-    migration_time = controller.result.steps[0].time
+    migration_time = result.steps[0].time
     # Both operators' bins moved (same commands, same stream).
     for worker in range(WORKERS):
         for op in (op_a, op_b):
@@ -124,10 +124,8 @@ def test_independent_control_streams_migrate_independently():
 
     target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
     # Only operator A migrates.
-    controller = MigrationController(
-        runtime, group_a, ticker_a, probe_a, plan_all_at_once(initial, target)
-    )
-    controller.start_at(0.010)
+    controller = MigrationController(runtime, group_a, probe_a, initial)
+    controller.submit(lambda current: plan_all_at_once(current, target), at_s=0.010)
 
     def make(e):
         def tick():

@@ -59,10 +59,8 @@ def test_random_migrations_preserve_all_three_properties(workload):
     runtime = df.build()
     ticker = EpochTicker(runtime, control_group, granularity_ms=1)
     ticker.start()
-    controller = MigrationController(
-        runtime, control_group, ticker, probe, plan
-    )
-    controller.start_at(migrate_epoch * 0.001)
+    controller = MigrationController(runtime, control_group, probe, initial)
+    result = controller.submit(lambda _current: plan, at_s=migrate_epoch * 0.001)
 
     def make_tick(epoch, batch):
         def tick():
@@ -108,7 +106,7 @@ def test_random_migrations_preserve_all_three_properties(workload):
         assert times == sorted(times)
 
     # Migration: updates at configuration(time, key).
-    step_times = [s.time for s in controller.result.steps]
+    step_times = [s.time for s in result.steps]
 
     def config_at(time):
         cfg = initial

@@ -69,10 +69,10 @@ def run_query(query, variant, migrate=False, strategy="batched", num_bins=8):
         initial = op.config.initial
         target = imbalanced_target(initial)
         plan = make_plan(strategy, initial, target, batch_size=2)
-        controller = MigrationController(
-            runtime, control_group, ticker, probe, plan
+        controller = MigrationController(runtime, control_group, probe, initial)
+        controller.submit(
+            lambda _current: plan, at_s=(N_EPOCHS // 3) * EPOCH_MS / 1000.0
         )
-        controller.start_at((N_EPOCHS // 3) * EPOCH_MS / 1000.0)
 
     def make_tick(t_ms, batches):
         def tick():
@@ -95,7 +95,7 @@ def run_query(query, variant, migrate=False, strategy="batched", num_bins=8):
     ticker.stop()
     runtime.run_to_quiescence()
     if controller is not None:
-        assert controller.result.completed_at is not None
+        assert controller.results[0].completed_at is not None
     return outputs
 
 

@@ -3,7 +3,6 @@
 from types import SimpleNamespace
 
 from repro.megaphone.control import BinnedConfiguration
-from repro.megaphone.controller import ConfigurationLedger
 from repro.planner.cost import MigrationCostModel
 from repro.planner.policy import ClosedLoopPlanner, PlannerConfig
 from repro.runtime_events.events import PlanAdopted, PlanRejected
@@ -34,17 +33,21 @@ class FlipFlopTelemetry:
 
 
 class FakeController:
-    done = True
+    """Always idle; records the plans submitted to it."""
+
+    idle = True
 
     def __init__(self) -> None:
-        self.started_at = None
+        self.current = BinnedConfiguration.round_robin(4, 2)
+        self.submitted = []
 
-    def start_at(self, at):
-        self.started_at = at
+    def submit(self, plan_for, **_pacing):
+        self.submitted.append(plan_for(self.current))
 
 
-def make_planner(config: PlannerConfig, sim=None):
+def make_planner(config: PlannerConfig, sim=None, controller=None):
     sim = sim if sim is not None else Simulator()
+    controller = controller if controller is not None else FakeController()
     runtime = SimpleNamespace(
         sim=sim, workers=[SimpleNamespace(shared={}) for _ in range(2)]
     )
@@ -54,8 +57,7 @@ def make_planner(config: PlannerConfig, sim=None):
         FlipFlopTelemetry(),
         MigrationCostModel(),
         config,
-        controller_factory=lambda plan: FakeController(),
-        ledger=ConfigurationLedger(BinnedConfiguration.round_robin(4, 2)),
+        controller=controller,
     )
     return planner, sim
 
@@ -72,21 +74,23 @@ def test_cooldown_suppresses_thrashing():
     calm = PlannerConfig(
         decide_s=0.5, start_s=0.0, cooldown_s=10.0, min_gain=0.0, stop_s=5.0
     )
-    planner, sim = make_planner(calm)
+    controller = FakeController()
+    planner, sim = make_planner(calm, controller=controller)
     planner.start()
     sim.run(until=6.0)
     with_cooldown = len(planner.report.adopted)
 
     assert without_cooldown >= 5  # the input really does thrash
     assert with_cooldown == 1  # cooldown holds the line
-    assert len(planner.controllers) == 1
+    assert len(controller.submitted) == 1
 
 
 def test_min_gain_gate_rejects_and_traces():
     config = PlannerConfig(
         decide_s=0.5, start_s=0.0, cooldown_s=0.0, min_gain=100.0, stop_s=2.0
     )
-    planner, sim = make_planner(config)
+    controller = FakeController()
+    planner, sim = make_planner(config, controller=controller)
     events = []
     sim.trace.subscribe(events.append, topics=("planner",))
     planner.start()
@@ -94,7 +98,7 @@ def test_min_gain_gate_rejects_and_traces():
     assert planner.report.proposals
     assert not planner.report.adopted
     assert all("min_gain" in p.reason for p in planner.report.proposals)
-    assert not planner.controllers
+    assert not controller.submitted
     kinds = [type(e) for e in events]
     assert PlanRejected in kinds
     assert PlanAdopted not in kinds
@@ -109,11 +113,12 @@ def test_propose_only_never_executes():
         stop_s=2.0,
         propose_only=True,
     )
-    planner, sim = make_planner(config)
+    controller = FakeController()
+    planner, sim = make_planner(config, controller=controller)
     planner.start()
     sim.run(until=3.0)
     assert planner.report.adopted  # plans clear the gate...
-    assert not planner.controllers  # ...but nothing runs
+    assert not controller.submitted  # ...but nothing runs
     assert planner.current == BinnedConfiguration.round_robin(4, 2)
 
 
@@ -137,3 +142,21 @@ def test_decisions_stop_at_stop_s():
     sim.run(until=10.0)
     # Decisions at 0.0 and 0.5 only; the 1.0 tick sees stop_s and halts.
     assert planner.report.decisions == 2
+
+
+def test_no_decision_while_the_controller_is_busy():
+    # A plan priced while another migration runs would be sent against an
+    # assignment it never saw: the planner waits for an idle controller.
+    config = PlannerConfig(
+        decide_s=0.5, start_s=0.0, cooldown_s=0.0, min_gain=0.0, stop_s=2.0
+    )
+    controller = FakeController()
+    controller.idle = False
+    planner, sim = make_planner(config, controller=controller)
+    planner.start()
+    sim.run(until=1.2)
+    assert planner.report.decisions == 3
+    assert not planner.report.proposals and not controller.submitted
+    controller.idle = True
+    sim.run(until=3.0)
+    assert planner.report.proposals and controller.submitted

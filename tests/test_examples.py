@@ -41,3 +41,11 @@ def test_elastic_rescaling_example():
     result = run_example("elastic_rescaling.py", timeout=600)
     assert result.returncode == 0, result.stderr
     assert "rebalanced the skewed workload live" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "script", sorted(p.name for p in EXAMPLES.glob("*.py")), ids=lambda name: name
+)
+def test_every_example_exits_zero(script):
+    result = run_example(script)
+    assert result.returncode == 0, result.stderr
