@@ -4,7 +4,7 @@ The chaos subsystem answers "which migration strategy degrades most
 gracefully?" by injecting process crashes, link partitions/degradation, and
 worker stalls into the simulated cluster under a reproducible
 :class:`~repro.chaos.plan.FaultPlan`, while the recovery side — the migration
-controller's fault handling (per-step timeouts, retargeting), crash
+controller's fault handling (per-step timeouts and retries), crash
 reconciliation and a liveness watchdog — keeps
 the Completion guarantee observable (or produces a structured diagnosis of
 why it failed).
@@ -17,11 +17,13 @@ Module map:
 ``watchdog``   the liveness watchdog over the probed output frontier
 ``recovery``   the coordinator reassigning crashed workers' bins and
                reseeding restarted ones from the controller's assignment
+``part``       attaches all of it to a run: the injector, storage faults,
+               the snapshot, the controller's fault handling, recovery
+               and the watchdog
 ``experiment`` canned plans and the all-strategy chaos matrix
 
-Core modules (`plan`, `inject`, `watchdog`, `recovery`) never import the
-harness; only ``chaos.experiment`` does, so the harness can import the core
-without a cycle.
+Only ``chaos.experiment`` imports the harness, so the harness can import
+the rest without a cycle.
 """
 
 from repro.chaos.plan import (

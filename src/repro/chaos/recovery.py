@@ -38,6 +38,15 @@ from repro.runtime_events.events import (
 )
 
 
+def _canonical(store: BinStore, bin_ids):
+    """``(bin_id, state)`` per bin, a mapping state as its sorted items."""
+    for bin_id in bin_ids:
+        state = store.extract(bin_id, remove=False).decode_state(copy=False)
+        if isinstance(state, (dict, MutableMapping)):
+            state = sorted(state.items())
+        yield bin_id, state
+
+
 def store_fingerprint(store: BinStore) -> str:
     """Deterministic digest of a store's resident bin states.
 
@@ -48,14 +57,8 @@ def store_fingerprint(store: BinStore) -> str:
     fingerprints compare exactly what recovery guarantees: the state.
     """
     digest = hashlib.sha256()
-    for bin_id in sorted(store.resident_bins()):
-        payload = store.extract(bin_id, remove=False)
-        state = payload.decode_state(copy=False)
-        if isinstance(state, (dict, MutableMapping)):
-            canonical = sorted(state.items())
-        else:
-            canonical = state
-        digest.update(pickle.dumps((bin_id, canonical), protocol=4))
+    for entry in _canonical(store, sorted(store.resident_bins())):
+        digest.update(pickle.dumps(entry, protocol=4))
     return digest.hexdigest()
 
 
@@ -70,16 +73,7 @@ def cluster_fingerprint(stores) -> str:
     static-membership twin bin for bin even though the final owner map
     differs (drain packs by load, round-robin deals by index).
     """
-    entries = []
-    for store in stores:
-        for bin_id in store.resident_bins():
-            payload = store.extract(bin_id, remove=False)
-            state = payload.decode_state(copy=False)
-            if isinstance(state, (dict, MutableMapping)):
-                canonical = sorted(state.items())
-            else:
-                canonical = state
-            entries.append((bin_id, canonical))
+    entries = [e for store in stores for e in _canonical(store, store.resident_bins())]
     entries.sort(key=lambda entry: entry[0])
     digest = hashlib.sha256()
     for entry in entries:
@@ -266,37 +260,10 @@ class RecoveryCoordinator:
             return None
         return self._snapshot_provider()
 
-    def _store_of(
-        self, worker: int, seed: Optional[BinnedConfiguration]
-    ) -> BinStore:
-        """Get or create ``worker``'s bin store.
-
-        ``seed`` (when creating) decides which bins to pre-create, matching
-        ``MegaphoneConfig.store_for``'s lazy-initialization semantics.
-        """
-        config = self._op.config
+    def _store_of(self, worker: int, seed: Optional[BinnedConfiguration]) -> BinStore:
+        """Get or create ``worker``'s bin store, a new one holding ``seed``'s bins."""
         shared = self._runtime.workers[worker].shared
-        key = f"megaphone:{config.name}"
-        store = shared.get(key)
-        if store is None:
-            store = BinStore(
-                config.num_bins,
-                config.state_factory,
-                config.state_size_fn,
-                bytes_per_key=self._runtime.cluster.cost.state_bytes_per_key,
-                backend=config.state_backend,
-                codec=config.codec,
-                backend_options=config.backend_options,
-                worker_id=worker,
-            )
-            if seed is not None:
-                for bin_id in seed.bins_of(worker):
-                    # A durable backend may have adopted the bin already
-                    # while replaying its log in the constructor.
-                    if not store.has(bin_id):
-                        store.create(bin_id)
-            shared[key] = store
-        return store
+        return self._op.config.store_on(shared, worker, self._runtime.cluster.cost, seed)
 
     def _trace_reinstall(
         self, worker: int, bins: int, restored: int, size_bytes: float

@@ -116,10 +116,6 @@ class LivenessWatchdog:
         self._probe.on_advance(self._on_advance)
         self._schedule_check()
 
-    def stop(self) -> None:
-        """Stop rescheduling checks (the pending one becomes a no-op)."""
-        self._stopped = True
-
     def _schedule_check(self) -> None:
         self._runtime.sim.schedule(self.config.poll_interval_s, self._check)
 

@@ -96,21 +96,17 @@ class Autoscaler:
         self._above = 0
         self._below = 0
         self._last_action_at = float("-inf")
-        self._stopped = False
         self.decisions: list[AutoscaleDecision] = []
 
     def start(self) -> None:
         """Schedule the decision loop."""
         self._runtime.sim.schedule_at(self.config.start_s, self._tick)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     # -- the decision loop -----------------------------------------------------
 
     def _tick(self) -> None:
         sim = self._runtime.sim
-        if self._stopped or sim.now > self._stop_s:
+        if sim.now > self._stop_s:
             return
         loads = self._telemetry.worker_load()
         active = self._directory.active()

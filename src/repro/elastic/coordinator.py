@@ -20,7 +20,9 @@ handling under chaos, so a crash mid-join or mid-drain is retried and
 retargeted like any step).  Its target is built from the controller's
 ``current`` when it starts, after any migration in flight, so a drain
 evacuates every bin the other writers left on the evacuees; the load it
-balances is read when the operation is requested.
+balances is read when the operation is requested.  A drain packs the
+evacuees' bins onto the workers the controller's placement rule
+(``MigrationController.placeable``) admits: live, joining or active.
 
 Only one scaling operation runs at a time.  A request arriving while one
 is in flight is retried shortly after (scripted plans) — the autoscaler
@@ -119,21 +121,19 @@ class ScalingCoordinator:
 
     def request_join(self, workers: tuple) -> None:
         """Scale out to include ``workers``; defers while another op runs."""
-        if self.busy:
-            self._runtime.sim.schedule(
-                _BUSY_RETRY_S, lambda: self.request_join(workers)
-            )
-            return
-        self.scale_out(workers)
+        self._request(self.scale_out, workers)
 
     def request_leave(self, workers: tuple) -> None:
         """Scale in by draining ``workers``; defers while another op runs."""
+        self._request(self.scale_in, workers)
+
+    def _request(self, operation, workers: tuple) -> None:
         if self.busy:
             self._runtime.sim.schedule(
-                _BUSY_RETRY_S, lambda: self.request_leave(workers)
+                _BUSY_RETRY_S, lambda: self._request(operation, workers)
             )
             return
-        self.scale_in(workers)
+        operation(workers)
 
     # -- join protocol ---------------------------------------------------------
 
@@ -212,11 +212,10 @@ class ScalingCoordinator:
         self.busy = True
 
         def plan_for(current):
+            # The survivors are where the controller's placement rule lets
+            # bins go (the evacuees are draining by now).
             target = drain_target(
-                current,
-                load,
-                drain_workers=workers,
-                num_workers=self._directory.num_workers,
+                current, load, workers, survivors=self._controller.placeable()
             )
             record.moves = len(current.moved_bins(target))
             if sim.trace.wants_membership:

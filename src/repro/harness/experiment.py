@@ -1,14 +1,15 @@
 """Experiment orchestration: the reproduction's equivalent of the paper's
 test harness.
 
-``run_count_experiment`` assembles the counting microbenchmark (paper
-§5.2-5.3) on a simulated cluster, optionally schedules migrations, and
-returns latency timelines, per-migration timings, and memory timelines.
-NEXMark experiments reuse the same orchestration through
-``MigrationExperiment`` with a custom dataflow builder.
-``result_fingerprint`` condenses the determinism-relevant outputs of any
-run into the one digest that replay, the matrix gate and the host-only
-contract pin.
+``MigrationExperiment`` builds a run's core (cluster, dataflow, probe,
+latency recorder, open-loop source, ticker and the one migration
+controller) and attaches each optional part to it: observability, chaos,
+the paper's migration schedule, the planner, elastic membership and
+memory sampling, each from its own package.  ``run_count_experiment``
+runs the counting microbenchmark (paper §5.2-5.3) through it; NEXMark
+passes its own dataflow builder.  ``result_fingerprint`` condenses the
+determinism-relevant outputs of any run into the one digest that replay,
+the matrix gate and the host-only contract pin.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.chaos.inject import ChaosInjector, FaultLog
+from repro.chaos.inject import FaultLog
+from repro.chaos.part import attach as attach_chaos
 from repro.chaos.plan import ChaosConfig
-from repro.chaos.recovery import RecoveryCoordinator
-from repro.chaos.watchdog import LivenessWatchdog, WatchdogConfig
-from repro.elastic.autoscaler import Autoscaler, AutoscalerConfig
-from repro.elastic.coordinator import ScalingCoordinator, ScalingReport
-from repro.elastic.membership import MembershipDirectory
+from repro.elastic.autoscaler import AutoscalerConfig
+from repro.elastic.coordinator import ScalingReport
+from repro.elastic.part import attach as attach_elastic
 from repro.elastic.plan import ScalingPlan
 from repro.errors import ConfigError
 from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
@@ -42,24 +42,24 @@ from repro.megaphone.api import state_machine
 from repro.megaphone.control import BinnedConfiguration, bin_bits
 from repro.megaphone.controller import (
     EpochTicker,
-    FaultHandling,
     MigrationController,
     MigrationResult,
-    RetryPolicy,
 )
 from repro.megaphone.migration import STRATEGIES, MigrationPlan, imbalanced_target, make_plan
-from repro.megaphone.snapshot import SnapshotCoordinator
-from repro.planner.cost import MigrationCostModel
-from repro.planner.policy import ClosedLoopPlanner, PlannerConfig, PlannerReport
-from repro.planner.telemetry import LoadTelemetry
+from repro.megaphone.operators import MigrateableOperator
+from repro.obsv.part import attach as attach_obsv
+from repro.planner.part import attach as attach_planner
+from repro.planner.policy import PlannerConfig, PlannerReport
 from repro.runtime_events.analyze import MigrationTrace
-from repro.runtime_events.events import TOPICS, MemorySampled
+from repro.runtime_events.events import TOPICS
 from repro.sim.cost import CostModel
 from repro.sim.engine import Simulator
-from repro.sim.memory import MemoryTimeline, MemoryTimelineRecorder
+from repro.sim.memory import MemoryTimeline
+from repro.sim.memory import attach as attach_memory
 from repro.sim.network import Cluster
 from repro.state.registry import resolve_backend, resolve_codec
-from repro.timely.dataflow import Dataflow
+from repro.timely.dataflow import Dataflow, Runtime
+from repro.timely.probe import Probe
 
 if TYPE_CHECKING:  # repro.nexmark's harness imports this module
     from repro.nexmark.config import NexmarkConfig
@@ -290,6 +290,17 @@ class ExperimentConfig:
             self.autoscale.validate(self.num_workers)
         if self.query is not None or self.nexmark is not None:
             self._check_nexmark()
+        if self.planner is not None and self.elastic:
+            name = (
+                "scaling_plan" if self.scaling_plan is not None
+                else "autoscale" if self.autoscale is not None
+                else "active_workers"
+            )
+            raise ConfigError(
+                f"planner cannot be combined with {name}: the planner's "
+                "telemetry and objectives count every provisioned slot, so "
+                "it would balance load onto standby and retired workers"
+            )
         if self.elastic and self.native:
             raise ConfigError(
                 "native runs cannot be elastic: elastic membership needs the "
@@ -431,8 +442,8 @@ class ExperimentResult:
     # the decision log plus the end-of-run max/mean worker-load ratio.
     planner: Optional[PlannerReport] = None
     final_imbalance: float = 0.0
-    # The calibrated cost model (post-run), for prediction-vs-observed checks.
-    cost_model: Optional[MigrationCostModel] = None
+    # The planner's calibrated cost model (post-run), for prediction checks.
+    cost_model: object = None
     # Sharded-run report (None for serial runs): domains, rounds,
     # lookahead, per-domain event and record counts, per-worker state
     # fingerprints.
@@ -490,13 +501,73 @@ class ExperimentResult:
         return best
 
 
+@dataclass(eq=False)
+class Run:
+    """One run's core, which each part in :data:`_PARTS` attaches to.
+
+    A part may set ``injector`` or add hooks: ``busy`` (the run does not
+    settle while one returns True), ``on_input_closed``, ``on_settled``
+    (called once the input closes, and when the run settles), and
+    ``gave_up`` (the run then settles and reports the stall).
+    """
+
+    config: ExperimentConfig
+    sim: Simulator
+    runtime: Runtime  # its ``cluster`` is the simulated cluster
+    op: Optional[MigrateableOperator]
+    probe: Probe
+    source: OpenLoopSource
+    # The one writer of the control stream (None for a native run).
+    controller: Optional[MigrationController]
+    state_bytes_fn: Optional[Callable] = None  # the builder's, if any
+    injector: object = None  # the chaos part's: who is dead right now
+    busy: list = field(default_factory=list)
+    on_input_closed: list = field(default_factory=list)
+    on_settled: list = field(default_factory=list)
+    gave_up: Optional[Callable[[], bool]] = None
+
+
+def schedule_migrations(controller: MigrationController, cfg: ExperimentConfig) -> None:
+    """The paper's schedule: even entries of ``migrate_at_s`` move half of
+    the first half of the workers' bins onto the second half, odd entries
+    send those bins home.  Each plan is built from the controller's
+    assignment when its migration starts, so a move another writer already
+    made (a drain, the planner) is not sent again."""
+    initial = controller.current
+    imbalanced = imbalanced_target(initial)
+    scripted = (initial.moved_bins(imbalanced), imbalanced.moved_bins(initial))
+    for i, at_s in enumerate(cfg.migrate_at_s):
+        controller.submit(
+            partial(_scheduled_plan, cfg.strategy, scripted[i % 2], cfg.batch_size),
+            at_s=at_s, gap_s=cfg.gap_s, pace_s=cfg.pace_s,
+        )
+
+
+def _attach_schedule(run: Run) -> None:
+    if run.controller is not None:
+        schedule_migrations(run.controller, run.config)
+
+
+# The optional parts, in attach order, which decides the order of callbacks
+# due at one instant.  Each returns None when its config is off, else an
+# object whose ``finish(result)`` fills its own result fields; they finish
+# in reverse order, so the event log (attached first) sees a full result.
+_PARTS = (
+    attach_obsv, attach_chaos, _attach_schedule, attach_planner, attach_elastic,
+    attach_memory,
+)
+
+
 class MigrationExperiment:
     """Drives a dataflow with open-loop input and scheduled migrations.
 
     The builder callback receives ``(dataflow, control_stream, data_stream,
     config)`` and returns ``(probe_stream, migrateable_op_or_None,
-    state_bytes_fn_or_None)``; everything else — ticking, load, migration
-    control, sampling, shutdown — is shared orchestration.
+    state_bytes_fn_or_None)``; ``state_bytes_fn(worker)`` gives the memory
+    sampler the state bytes of an operator that is not migrateable (a
+    migrateable one's stores are read directly).  The core — cluster,
+    dataflow, probe, latency recorder, source, ticker and the one
+    controller — is built here; every optional part attaches to it.
     """
 
     def __init__(
@@ -527,32 +598,6 @@ class MigrationExperiment:
         probe_stream, op, state_bytes_fn = self._build(df, control, data, cfg)
         probe = df.probe(probe_stream)
         runtime = df.build()
-
-        migration_trace = MigrationTrace(sim.trace) if cfg.collect_trace else None
-
-        # -- observability (repro.obsv): exporter, recorder, topic counts ----
-        # All of these are bus subscribers; the simulation is byte-identical
-        # with or without them.  Imported lazily so the harness stays cheap
-        # for the overwhelmingly common unobserved run.
-        exporter = None
-        if cfg.export_metrics:
-            from repro.obsv.exporter import MetricsExporter
-
-            exporter = MetricsExporter(sim.trace, jsonl=cfg.export_metrics)
-        event_log = None
-        if cfg.record_log:
-            from repro.obsv.eventlog import EventLogRecorder
-
-            event_log = EventLogRecorder(cfg, sim.trace, cfg.record_log)
-        topic_counts: dict = {}
-        if cfg.collect_topic_counts is not None:
-
-            def _count_topic(event, _counts=topic_counts) -> None:
-                _counts[event.topic] = _counts.get(event.topic, 0) + 1
-
-            sim.trace.subscribe(
-                _count_topic, topics=cfg.collect_topic_counts or None
-            )
 
         timeline = LatencyTimeline()
         recorder = EpochLatencyRecorder(
@@ -585,227 +630,28 @@ class MigrationExperiment:
             granularity_ms=cfg.granularity_ms,
             dilation=cfg.dilation,
         )
-
-        # -- migration control ------------------------------------------------
-        chaos = cfg.chaos
-        injector = None
-        fault_log = None
-        wal_registry = None
-        snapshot_box: dict = {}
-
-        def _membership_placeable(worker: int) -> bool:
-            # Crash retargeting never lands bins on a draining evacuee or an
-            # idle standby slot.  The directory is created further down
-            # (elastic block) and read late-bound; non-elastic runs have none.
-            if directory is None:
-                return True
-            return directory.state_of(worker) in ("joining", "active")
-
-        # -- fault injection (inert unless the config carries a ChaosConfig) --
-        if chaos is not None:
-            fault_log = FaultLog(sim.trace)
-            injector = ChaosInjector(runtime, chaos.plan)
-            injector.install()
-            if op is not None:
-                op.config.recovery_mode = True
-                # Durable storage: crashes damage the worker logs (per the
-                # plan's storage-fault knobs), and restarts recover from
-                # those logs instead of in-memory snapshots.
-                wal_registry = op.config.backend_options.get("wal_registry")
-                if wal_registry is not None:
-                    plan_seed = chaos.plan.seed
-
-                    def _crash_storage(crash, workers, _reg=wal_registry):
-                        _reg.apply_crash_faults(
-                            workers,
-                            lose_unsynced_tail=crash.lose_unsynced_tail,
-                            torn_write=crash.torn_write,
-                            bit_flips=crash.bit_flips,
-                            seed=plan_seed,
-                        )
-
-                    injector.on_crash_storage(_crash_storage)
-                if chaos.snapshot_at_s is not None:
-                    # Capture a consistent cut at the epoch corresponding to
-                    # the requested simulated time (EpochTicker's mapping).
-                    snap_epoch = (
-                        int(round(chaos.snapshot_at_s * 1000 / cfg.granularity_ms))
-                        * cfg.granularity_ms
-                        * cfg.dilation
-                    )
-                    SnapshotCoordinator(
-                        runtime,
-                        op,
-                        probe,
-                        snap_epoch,
-                        on_complete=lambda s: snapshot_box.update(snapshot=s),
-                    )
-
-        # The run's one controller: scheduled migrations, the planner, the
-        # scaling coordinator and crash recovery all write the control
-        # stream through it, and plan from its ``current`` assignment.
         controller = None
         if op is not None:
-            faults = None
-            if chaos is not None:
-                faults = FaultHandling(
-                    retry=chaos.retry if chaos.retry is not None else RetryPolicy(),
-                    injector=injector,
-                    placeable=_membership_placeable,
-                )
             controller = MigrationController(
-                runtime, control_group, probe, op.config.initial, faults=faults
+                runtime, control_group, probe, op.config.initial
             )
-
-        watchdog = None
-        coordinator = None
-        if chaos is not None:
-            if op is not None:
-                coordinator = RecoveryCoordinator(
-                    runtime,
-                    op,
-                    controller,
-                    injector,
-                    snapshot_provider=lambda: snapshot_box.get("snapshot"),
-                    durable=wal_registry is not None,
-                )
-            watchdog = LivenessWatchdog(
-                runtime,
-                probe,
-                config=chaos.watchdog
-                if chaos.watchdog is not None
-                else WatchdogConfig(),
-                injector=injector,
-                controller=controller,
-            )
-            watchdog.start()
-
-        # -- closed-loop planner (inert unless the config carries one) --------
-        planner = None
-        telemetry = None
-        cost_model = None
-        if cfg.planner is not None and op is not None:
-            telemetry = LoadTelemetry(
-                runtime, op, cfg.planner.telemetry, num_workers=cfg.num_workers
-            )
-            cost_model = MigrationCostModel(
-                sim.trace,
-                prior=cfg.resolved_cost(),
-                bandwidth_bytes_per_s=cfg.bandwidth_bytes_per_s,
-                network_latency_s=cfg.network_latency_s,
-            )
-
-        if controller is not None and cfg.migrate_at_s:
-            # The paper's schedule: even entries move half of the first half
-            # of the workers' bins onto the second half, odd entries send
-            # those bins home.  Each plan is built from the controller's
-            # assignment when its migration starts, so a move another
-            # writer already made (a drain, the planner) is not sent again.
-            initial = op.config.initial
-            imbalanced = imbalanced_target(initial)
-            scripted = (initial.moved_bins(imbalanced), imbalanced.moved_bins(initial))
-            for i, at_s in enumerate(cfg.migrate_at_s):
-                controller.submit(
-                    partial(_scheduled_plan, cfg.strategy, scripted[i % 2], cfg.batch_size),
-                    at_s=at_s, gap_s=cfg.gap_s, pace_s=cfg.pace_s,
-                )
-
-        planner_box: dict = {}
-        if telemetry is not None:
-            planner = ClosedLoopPlanner(
-                runtime,
-                telemetry,
-                cost_model,
-                cfg.planner,
-                controller=controller,
-                stop_s=cfg.duration_s,
-            )
-            telemetry.start(0.0)
-            planner.start()
-            # The reported imbalance is the ratio while load still flows;
-            # sampling after the source stops would read an empty window.
-            sim.schedule_at(
-                cfg.duration_s,
-                lambda: planner_box.update(imbalance=telemetry.imbalance()),
-            )
-
-        # -- elastic membership (inert unless the config is elastic) ----------
-        directory = None
-        scaling = None
-        autoscaler = None
-        if cfg.elastic and op is not None:
-            directory = MembershipDirectory(
-                cfg.num_workers, cfg.initial_active, sim=sim
-            )
-            if cfg.autoscale is not None and telemetry is None:
-                # The autoscaler needs load telemetry even without a
-                # planner; default sampling knobs match the planner's.
-                telemetry = LoadTelemetry(
-                    runtime, op, num_workers=cfg.num_workers
-                )
-                telemetry.start(0.0)
-
-            scaling = ScalingCoordinator(
-                runtime,
-                op,
-                directory,
-                source,
-                controller,
-                strategy=cfg.strategy,
-                batch_size=cfg.batch_size,
-                gap_s=cfg.gap_s,
-                pace_s=cfg.pace_s,
-                telemetry=telemetry,
-            )
-            if cfg.scaling_plan is not None:
-                for event in cfg.scaling_plan.events:
-                    request = (
-                        scaling.request_join
-                        if event.action == "join"
-                        else scaling.request_leave
-                    )
-                    sim.schedule_at(
-                        event.at_s,
-                        lambda req=request, ws=event.workers: req(ws),
-                    )
-            if cfg.autoscale is not None:
-                autoscaler = Autoscaler(
-                    runtime, telemetry, directory, scaling, cfg.autoscale,
-                    stop_s=cfg.duration_s,
-                )
-                autoscaler.start()
-
-        if cfg.sample_memory:
-            memory_recorder = MemoryTimelineRecorder(
-                sim.trace, len(cluster.processes)
-            )
-            memory_timelines = memory_recorder.timelines
-            self._schedule_memory_sampler(
-                runtime, cluster, state_bytes_fn, injector
-            )
-        else:
-            memory_timelines = [
-                MemoryTimeline(process=p.index) for p in cluster.processes
-            ]
+        run = Run(cfg, sim, runtime, op, probe, source, controller, state_bytes_fn)
+        parts = [part for part in (attach(run) for attach in _PARTS) if part]
 
         ticker.start()
         source.start()
-
         runtime.run(until=cfg.duration_s + 1.0)
-        if planner is not None:
-            planner.stop()
-        if autoscaler is not None:
-            autoscaler.stop()
+        for hook in run.on_input_closed:
+            hook()
 
         def _settled() -> bool:
-            # A gave-up watchdog also settles the run: stop driving and
-            # report the stall (verdict + diagnosis) instead of spinning.
-            pending = (controller is not None and not controller.done) or (
-                scaling is not None and scaling.busy
+            pending = (controller is not None and not controller.done) or any(
+                busy() for busy in run.busy
             )
-            settled = not pending or (watchdog is not None and watchdog.failed)
-            if settled and telemetry is not None:
-                telemetry.stop()  # sampling ends at the tick that settles
+            settled = not pending or (run.gave_up is not None and run.gave_up())
+            if settled:
+                for hook in run.on_settled:
+                    hook()
             return settled
 
         if _settled():
@@ -820,56 +666,29 @@ class MigrationExperiment:
                 runtime.sim.run(max_events=100_000)
                 guard += 1
                 if guard > 10_000:
-                    if chaos is not None:
+                    if run.gave_up is not None:
                         break
                     raise RuntimeError(
                         "migration did not complete; dataflow stalled"
                     )
-            if telemetry is not None:
-                telemetry.stop()
+            for hook in run.on_settled:
+                hook()
             ticker.stop()
         runtime.run_to_quiescence()
 
-        if fault_log is not None:
-            fault_log.close()
         result = ExperimentResult(
             config=cfg,
             timeline=timeline,
             migrations=controller.results if controller is not None else [],
-            memory=memory_timelines,
+            memory=[MemoryTimeline(process=p.index) for p in cluster.processes],
             records_injected=source.records_injected,
             sim_callbacks=sim.callbacks_fired,
             sim_events=sim.events_processed,
             wall_seconds=wallclock.perf_counter() - started,
-            migration_trace=migration_trace,
         )
-        if watchdog is not None:
-            result.chaos_verdict = watchdog.verdict
-            result.chaos_recoveries = watchdog.recoveries
-            result.chaos_diagnoses = list(watchdog.diagnoses)
-        if chaos is not None:
-            result.abandoned_steps = len(controller.abandoned) if controller else 0
-            result.fault_log = fault_log
-            if coordinator is not None:
-                result.recovered_fingerprints = dict(
-                    coordinator.recovered_fingerprints
-                )
-                result.storage_faults = list(coordinator.storage_faults)
-        if planner is not None:
-            result.planner = planner.report
-            result.final_imbalance = planner_box.get(
-                "imbalance", telemetry.imbalance()
-            )
-            cost_model.close()
-            result.cost_model = cost_model
-        if directory is not None:
-            result.membership = list(directory.history)
-            result.scaling = scaling.report
-            if autoscaler is not None:
-                result.autoscale_decisions = list(autoscaler.decisions)
         # Recording forces state fingerprints: the log's footer fingerprint
         # must cover final state, or replay would verify a weaker pin.
-        if (cfg.fingerprint_state or event_log is not None) and op is not None:
+        if (cfg.fingerprint_state or cfg.record_log) and op is not None:
             from repro.chaos.recovery import cluster_fingerprint, store_fingerprint
 
             result.state_fingerprints = {
@@ -878,56 +697,9 @@ class MigrationExperiment:
             result.cluster_fingerprint = cluster_fingerprint(
                 store for _w, store in op.stores(runtime)
             )
-        result.topic_counts = topic_counts
-        if exporter is not None:
-            exporter.close()
-        if event_log is not None:
-            event_log.finalize(result)
+        for part in reversed(parts):
+            part.finish(result)
         return result
-
-    def _schedule_memory_sampler(
-        self, runtime, cluster, state_bytes_fn, injector=None
-    ) -> None:
-        """Publish a ``MemorySampled`` event per process every sampling tick.
-
-        The sampler is part of the simulation (it refreshes modeled state
-        bytes and runs whether or not anyone subscribed), so attaching or
-        detaching memory consumers cannot perturb determinism.
-        """
-        cfg = self.config
-        sim = runtime.sim
-        trace = sim.trace
-
-        def sample() -> None:
-            for process in cluster.processes:
-                dead = injector is not None and injector.is_dead(
-                    process.worker_ids[0]
-                )
-                if state_bytes_fn is not None and not dead:
-                    resident = 0
-                    spilled = 0
-                    for w in process.worker_ids:
-                        measured = state_bytes_fn(w)
-                        # Backend-aware builders report (resident, spilled);
-                        # scalar returns mean everything is resident.
-                        if isinstance(measured, tuple):
-                            resident += measured[0]
-                            spilled += measured[1]
-                        else:
-                            resident += measured
-                    process.memory.set_state(resident, spilled)
-                trace.publish(
-                    MemorySampled(
-                        process=process.index,
-                        rss_bytes=process.memory.rss_bytes,
-                        at=sim.now,
-                        spilled_bytes=process.memory.spilled_state_bytes,
-                    )
-                )
-            if sim.now < cfg.duration_s + 1.0:
-                sim.schedule(cfg.memory_sample_s, sample)
-
-        sim.schedule_at(0.0, sample)
 
 
 # -- the counting microbenchmark ------------------------------------------------
@@ -955,15 +727,7 @@ def _build_megaphone_count(df, control, data, cfg: ExperimentConfig):
         delta_migration=cfg.delta_migration,
     )
 
-    def state_bytes_fn(worker: int) -> tuple:
-        runtime = df._runtime
-        shared = runtime.workers[worker].shared
-        store = shared.get("megaphone:count")
-        if store is None:
-            return (0, 0)
-        return (store.resident_state_size(), store.spilled_state_size())
-
-    return op.output, op, state_bytes_fn
+    return op.output, op, None
 
 
 class _NativeCountLogic:

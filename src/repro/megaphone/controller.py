@@ -12,9 +12,10 @@ or Dhalion could supply the stream).  This module provides:
   step, await its completion through a probe on the S output frontier,
   optionally wait a drain gap, then issue the next (paper §3.3's "await
   the migration's completion before choosing the next").  Every step sent
-  advances ``current``, the run's one record of who owns which bin;
+  advances ``current``, the run's one record of who owns which bin, and
+  ``placeable`` is the run's one rule for which workers may receive bins;
 * ``FaultHandling`` — the optional bundle adding per-step timeouts with
-  retry and backoff, and retargeting away from crashed workers;
+  retry and backoff, and the injector that says which workers are live;
 * ``StepResult`` / ``MigrationResult`` — issue/completion bookkeeping the
   benchmarks report migration duration from, one result per intent.
 """
@@ -216,11 +217,8 @@ class FaultHandling:
       Steps that exhaust ``retry.max_attempts`` are abandoned (and show up
       in the controller's ``abandoned``).
     * **Worker exclusion** — control goes through a live worker's handle,
-      and instructions targeting a dead worker are retargeted (at issue
-      *and* retry time) onto the live worker owning the fewest bins in the
-      controller's ``current`` assignment, lowest id on ties.  ``placeable`` further
-      restricts the candidates — elastic runs pass a membership filter so
-      crash retargeting never lands bins on a draining or standby worker.
+      and the controller's placement rule (:meth:`MigrationController.
+      placeable`) counts only the workers ``injector`` reports live.
 
     ``injector`` is the chaos injector (membership oracle).  Without it
     fault handling degrades to pure timeout/retry (useful under partitions
@@ -231,7 +229,6 @@ class FaultHandling:
 
     retry: RetryPolicy = RetryPolicy()
     injector: object = None
-    placeable: Optional[Callable[[int], bool]] = None
 
 
 def _least_loaded(counts: dict) -> int:
@@ -239,8 +236,6 @@ def _least_loaded(counts: dict) -> int:
     dst = min(counts, key=lambda w: (counts[w], w))
     counts[dst] += 1
     return dst
-
-
 
 
 @dataclass(eq=False)
@@ -276,9 +271,10 @@ class MigrationController:
 
     ``current`` is the configuration the control stream converges to: every
     step sent (planned, retried or recovery, after retargeting) advances
-    it.  ``faults`` (a :class:`FaultHandling`) is off by default: without it
-    no timeout is ever armed, control goes through handle 0 and
-    instructions are sent as planned.
+    it.  Every step sent is first retargeted onto :meth:`placeable`
+    workers.  ``faults`` (a :class:`FaultHandling`) and ``directory`` are
+    off by default: without them no timeout is ever armed, control goes
+    through handle 0 and instructions are sent as planned.
     """
 
     def __init__(
@@ -292,8 +288,10 @@ class MigrationController:
         self._runtime = runtime
         self._group = control_group
         self._probe = probe
-        self._faults = faults
-        self._injector = faults.injector if faults is not None else None
+        # Both set after construction by the parts that own them: fault
+        # handling by chaos, the membership directory by elastic runs.
+        self.faults = faults
+        self.directory = None
         self.current = initial
         self._queue: list[_Intent] = []  # submitted, not started
         self._active: Optional[_Intent] = None
@@ -408,7 +406,8 @@ class MigrationController:
     def _handle(self):
         """The open input handle control goes through — worker 0's, or under
         an injector the first live worker's — or None when there is none."""
-        workers = [0] if self._injector is None else self._injector.live_workers()
+        injector = self.faults.injector if self.faults is not None else None
+        workers = [0] if injector is None else injector.live_workers()
         for worker in workers:
             handle = self._group.handle(worker)
             if handle.epoch is not None:
@@ -480,48 +479,53 @@ class MigrationController:
             intent.on_done(intent.result)
         self._start_next()
 
-    # -- fault handling: retargeting ---------------------------------------------
+    # -- placement ---------------------------------------------------------------
+
+    def placeable(self) -> Optional[list]:
+        """The workers that may receive bins: live under the injector and,
+        on elastic runs, ``joining`` or ``active`` in the directory.  If
+        membership excludes every live worker, the live set, so every bin
+        keeps an owner.  None when neither is attached: any worker may."""
+        injector = self.faults.injector if self.faults is not None else None
+        if injector is None and self.directory is None:
+            return None
+        live = list(injector.live_workers() if injector else range(self._runtime.num_workers))
+        if self.directory is None:
+            return live
+        state_of = self.directory.state_of
+        return [w for w in live if state_of(w) in ("joining", "active")] or live
 
     def _retarget(self, insts: list) -> list:
-        """Final say over a step's instructions just before sending: moves
-        onto dead workers go to survivors, and ``current`` advances past
-        the result."""
-        if self._injector is not None:
-            dead = set(self._injector.dead_workers())
-            if dead and any(inst.worker in dead for inst in insts):
-                counts = self._live_bin_counts()
-                insts = [
-                    ControlInst(bin=inst.bin, worker=_least_loaded(counts))
-                    if inst.worker in dead
-                    else inst
-                    for inst in insts
-                ]
+        """Final say over a step's instructions just before sending: each
+        move onto a worker outside :meth:`placeable` goes to the placeable
+        worker owning the fewest bins in ``current`` (lowest id on ties),
+        and ``current`` advances past the result."""
+        placeable = self.placeable()
+        if placeable is not None and any(i.worker not in placeable for i in insts):
+            counts = {w: len(self.current.bins_of(w)) for w in placeable}
+            insts = [
+                inst
+                if inst.worker in counts
+                else ControlInst(bin=inst.bin, worker=_least_loaded(counts))
+                for inst in insts
+            ]
         if insts:
             self.current = self.current.apply(insts)
         return insts
-
-    def _live_bin_counts(self) -> dict[int, float]:
-        live = list(self._injector.live_workers())
-        if self._faults.placeable is not None:
-            # Never leave bins unowned: if membership rules exclude every
-            # live worker, fall back to the full live set.
-            eligible = [w for w in live if self._faults.placeable(w)]
-            live = eligible or live
-        return {w: len(self.current.bins_of(w)) for w in live}
 
     # -- fault handling: timeouts and retries ------------------------------------
 
     def _arm_timeout(self, result: StepResult):
         """Schedule the current attempt's deadline (no-op without fault handling)."""
-        if self._faults is None:
+        if self.faults is None:
             return None
-        delay = self._faults.retry.deadline_for(result.attempts)
+        delay = self.faults.retry.deadline_for(result.attempts)
         return self._runtime.sim.schedule(delay, partial(self._on_timeout, result))
 
     def _on_timeout(self, result: StepResult) -> None:
         if result not in self._awaiting:
             return
-        retry = self._faults.retry
+        retry = self.faults.retry
         now = self._runtime.sim.now
         trace = self._runtime.sim.trace
         if trace.wants_recovery:

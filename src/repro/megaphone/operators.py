@@ -745,25 +745,33 @@ class MegaphoneConfig:
         return self._route_cost
 
     def store_for(self, ctx) -> BinStore:
-        key = self._store_key
-        store = ctx.shared.get(key)
+        store = ctx.shared.get(self._store_key)
+        if store is None:
+            store = self.store_on(ctx.shared, ctx.worker_id, ctx.cost, self.initial)
+        return store
+
+    def store_on(self, shared: dict, worker_id: int, cost, seed) -> BinStore:
+        """``worker_id``'s bin store in its ``shared`` map, created on first
+        use holding ``seed``'s bins for the worker (none when ``seed`` is
+        None), as S creates it."""
+        store = shared.get(self._store_key)
         if store is None:
             store = BinStore(
                 self.num_bins,
                 self.state_factory,
                 self.state_size_fn,
-                bytes_per_key=ctx.cost.state_bytes_per_key,
+                bytes_per_key=cost.state_bytes_per_key,
                 backend=self.state_backend,
                 codec=self.codec,
                 backend_options=self.backend_options,
-                worker_id=ctx.worker_id,
+                worker_id=worker_id,
             )
-            for bin_id in self.initial.bins_of(ctx.worker_id):
+            for bin_id in seed.bins_of(worker_id) if seed is not None else ():
                 # A durable backend may have adopted this bin already while
                 # replaying the worker's log at bind time.
                 if not store.has(bin_id):
                     store.create(bin_id)
-            ctx.shared[key] = store
+            shared[self._store_key] = store
         return store
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import pickle
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.megaphone.operators import MigrateableOperator
 from repro.state.backend import BinPayload
@@ -91,15 +91,16 @@ class SnapshotCoordinator:
         op: MigrateableOperator,
         probe,
         time: Timestamp,
-        on_complete: Optional[Callable[[OperatorSnapshot], None]] = None,
     ) -> None:
         self._runtime = runtime
         self._op = op
         self._probe = probe
         self._time = time
-        self._on_complete = on_complete
         self.snapshot: Optional[OperatorSnapshot] = None
-        probe.on_advance(self._check)
+        # Ahead of the probe's other observers: the cut is taken before any
+        # of them (the controller issuing its next step) reacts to the same
+        # advance.
+        probe.on_advance(self._check, first=True)
         # The time may already have passed.
         self._check(None)
 
@@ -112,11 +113,7 @@ class SnapshotCoordinator:
             captured_at=self._runtime.sim.now,
             frontier_at_capture=tuple(self._probe.frontier().elements()),
         )
-        for worker in range(self._runtime.num_workers):
-            shared = self._runtime.workers[worker].shared
-            store = shared.get(f"megaphone:{self._op.config.name}")
-            if store is None:
-                continue
+        for worker, store in self._op.stores(self._runtime):
             for bin_id in store.resident_bins():
                 payload = store.extract(bin_id, remove=False)
                 snapshot.bins[bin_id] = BinSnapshot(
@@ -126,8 +123,6 @@ class SnapshotCoordinator:
                     size_bytes=payload.size_bytes,
                 )
         self.snapshot = snapshot
-        if self._on_complete is not None:
-            self._on_complete(snapshot)
 
 
 def snapshot_to_bytes(snapshot: OperatorSnapshot) -> bytes:
@@ -197,26 +192,12 @@ def restore_into(
     routing table and the stores would disagree.
     """
     for bin_snapshot in snapshot.bins.values():
-        shared = runtime.workers[bin_snapshot.worker].shared
-        key = f"megaphone:{op.config.name}"
-        store = shared.get(key)
-        if store is None:
-            # Materialize the store exactly as S would on first use.
-            from repro.megaphone.bins import BinStore
-
-            store = BinStore(
-                op.config.num_bins,
-                op.config.state_factory,
-                op.config.state_size_fn,
-                bytes_per_key=runtime.cluster.cost.state_bytes_per_key,
-                backend=op.config.state_backend,
-                codec=op.config.codec,
-                backend_options=op.config.backend_options,
-                worker_id=bin_snapshot.worker,
-            )
-            for bin_id in op.config.initial.bins_of(bin_snapshot.worker):
-                store.create(bin_id)
-            shared[key] = store
+        store = op.config.store_on(
+            runtime.workers[bin_snapshot.worker].shared,
+            bin_snapshot.worker,
+            runtime.cluster.cost,
+            op.config.initial,
+        )
         if not store.has(bin_snapshot.bin_id):
             raise ValueError(
                 f"bin {bin_snapshot.bin_id} is not placed on worker "

@@ -60,19 +60,7 @@ def run_nexmark_experiment(query: int, cfg: ExperimentConfig) -> ExperimentResul
                 codec=config.codec,
                 backend_options=config.backend_options(),
             )
-
-        state_bytes_fn = None
-        if op is not None:
-            name = op.config.name
-
-            def state_bytes_fn(worker: int, _name=name) -> tuple:
-                runtime = df._runtime
-                store = runtime.workers[worker].shared.get(f"megaphone:{_name}")
-                if store is None:
-                    return (0, 0)
-                return (store.resident_state_size(), store.spilled_state_size())
-
-        return out, op, state_bytes_fn
+        return out, op, None
 
     generator = make_generator(nexmark, cfg.num_workers, seed=cfg.seed)
     return MigrationExperiment(cfg, build, generator).run()

@@ -54,14 +54,15 @@ read, each defined in :func:`run_cell`:
   cells only);
 * for elastic cells (``active_workers`` set), ``residual_bins``, the bins
   left resident on drained workers across every drain,
-  ``final_active_workers``, the workers active when the run ends, and
+  ``final_active_workers``, the workers active when the run ends,
+  ``bins_off_active``, the bins whose final owner is not active, and
   ``cluster_fingerprint``, the owner-independent digest of all bin state
   (:func:`repro.chaos.recovery.cluster_fingerprint`) — what a static
   membership twin must reproduce;
 * for ``sample_memory`` cells, Figure 20's numbers: ``steady_rss_bytes``,
   a process's RSS at its last sample before the first migration starts or
   before input closes, whichever is larger; ``rss_overshoot_bytes``, its
-  peak RSS minus that steady level; and ``peak_spilled_bytes``, its
+  peak send-queue backlog (the transient); and ``peak_spilled_bytes``, its
   largest cold tier.  Each is the maximum over processes.
 
 Worker processes fork once per job, ship results back over a pipe as one
@@ -81,6 +82,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.megaphone.control import BinnedConfiguration
 from repro.obsv.eventlog import config_from_dict
 from repro.versions import (
     MATRIX_READ_VERSIONS,
@@ -106,6 +108,7 @@ METRICS = (
     "peak_spilled_bytes",
     "residual_bins",
     "final_active_workers",
+    "bins_off_active",
     "cluster_fingerprint",
 )
 # Metrics whose values are strings: they compare by ``==`` only.
@@ -432,6 +435,7 @@ def run_cell(cell: MatrixCell) -> dict:
     if result.scaling is not None:
         row["residual_bins"] = result.scaling.residual_bins
         row["final_active_workers"] = _final_active_workers(result)
+        row["bins_off_active"] = _bins_off_active(result)
         row["cluster_fingerprint"] = result.cluster_fingerprint
     if result.config.sample_memory:
         row.update(_memory_metrics(result))
@@ -442,12 +446,31 @@ def run_cell(cell: MatrixCell) -> dict:
     return row
 
 
-def _final_active_workers(result) -> int:
+def _final_states(result) -> dict:
     """The initially active prefix, replayed through every transition."""
     states = {w: "active" for w in range(result.config.initial_active)}
     for _at, worker, _prev, state in result.membership:
         states[worker] = state
-    return sum(state == "active" for state in states.values())
+    return states
+
+
+def _final_active_workers(result) -> int:
+    return sum(state == "active" for state in _final_states(result).values())
+
+
+def _bins_off_active(result) -> int:
+    """Every step's sent instructions, replayed in issue order from the
+    initial round-robin over the active prefix, counted off active workers."""
+    cfg = result.config
+    owners = list(
+        BinnedConfiguration.round_robin(cfg.num_bins, cfg.initial_active).assignment
+    )
+    steps = [step for migration in result.migrations for step in migration.steps]
+    for step in sorted(steps, key=lambda step: step.issued_at):
+        for inst in step.insts:
+            owners[inst.bin] = inst.worker
+    states = _final_states(result)
+    return sum(states.get(worker) != "active" for worker in owners)
 
 
 def _memory_metrics(result) -> dict:
@@ -458,9 +481,8 @@ def _memory_metrics(result) -> dict:
     steady = overshoot = spilled = 0
     for timeline in result.memory:
         before = [[s.rss_bytes for s in timeline.samples if s.time < mark] for mark in marks]
-        level = max(rss[-1] if rss else 0 for rss in before)
-        steady = max(steady, level)
-        overshoot = max(overshoot, timeline.peak() - level)
+        steady = max(steady, max(rss[-1] if rss else 0 for rss in before))
+        overshoot = max(overshoot, timeline.peak_send_queue())
         spilled = max(spilled, timeline.peak_spilled())
     return {
         "steady_rss_bytes": steady,

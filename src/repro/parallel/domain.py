@@ -31,7 +31,6 @@ from typing import Callable, Optional
 from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
 from repro.harness.openloop import OpenLoopSource
 from repro.megaphone.controller import EpochTicker, MigrationController
-from repro.megaphone.migration import imbalanced_target, make_plan
 from repro.parallel.engine import DomainSimulator
 from repro.parallel.partition import ShardPartition
 from repro.parallel.progress import DomainTracker
@@ -188,7 +187,7 @@ class DomainHost:
     def __init__(self, cfg, partition: ShardPartition, domain: int) -> None:
         # Imported here: harness.experiment imports the parallel runner,
         # which imports this module.
-        from repro.harness.experiment import _build_megaphone_count
+        from repro.harness.experiment import _build_megaphone_count, schedule_migrations
 
         self.cfg = cfg
         self.partition = partition
@@ -259,16 +258,10 @@ class DomainHost:
         )
         self.controller: Optional[MigrationController] = None
         if domain == 0 and op is not None and cfg.migrate_at_s:
-            initial = op.config.initial
             self.controller = MigrationController(
-                self.runtime, control_group, probe, initial
+                self.runtime, control_group, probe, op.config.initial
             )
-            for i, at_s in enumerate(cfg.migrate_at_s):
-                target = imbalanced_target(initial) if i % 2 == 0 else initial
-                self.controller.submit(
-                    partial(make_plan, cfg.strategy, target=target, batch_size=cfg.batch_size),
-                    at_s=at_s, gap_s=cfg.gap_s, pace_s=cfg.pace_s,
-                )
+            schedule_migrations(self.controller, cfg)
         self.ticker.start()
         self.source.start()
 

@@ -127,14 +127,18 @@ def drain_target(
     bin_load: dict[int, float],
     drain_workers: tuple,
     num_workers: Optional[int] = None,
+    survivors: Optional[list] = None,
 ) -> BinnedConfiguration:
     """Scale-in: move every bin off ``drain_workers``, packing each onto
-    the least-loaded survivor (hottest bins placed first)."""
+    the least-loaded of ``survivors`` (default: every other worker below
+    ``num_workers``), hottest bins placed first."""
     assignment = list(current.assignment)
     if num_workers is None:
         num_workers = max(assignment) + 1
     draining = set(drain_workers)
-    survivors = [w for w in range(num_workers) if w not in draining]
+    if survivors is None:
+        survivors = range(num_workers)
+    survivors = [w for w in survivors if w not in draining]
     if not survivors:
         raise ValueError("cannot drain every worker")
     loads = _loads_by_worker(assignment, bin_load, survivors)

@@ -246,3 +246,14 @@ def imbalance_ratio(loads: dict[int, float]) -> float:
         return 0.0
     mean = total / len(loads)
     return max(loads.values()) / mean
+
+
+def run_telemetry(run, config: Optional[TelemetryConfig] = None) -> LoadTelemetry:
+    """A run's one load telemetry, built for its planner or its
+    autoscaler: sampling from 0 s until the tick at which the run settles."""
+    telemetry = LoadTelemetry(
+        run.runtime, run.op, config, num_workers=run.config.num_workers
+    )
+    telemetry.start(0.0)
+    run.on_settled.append(telemetry.stop)
+    return telemetry

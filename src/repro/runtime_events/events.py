@@ -283,6 +283,7 @@ class MemorySampled:
     ``spilled_bytes`` is cold-tier state reported by spilling backends —
     not part of ``rss_bytes`` (spilled state left RAM), but sampled at the
     same instant so timelines can plot the resident/spilled breakdown.
+    ``send_queue_bytes``, part of ``rss_bytes``, is the send-queue backlog.
     """
 
     topic: ClassVar[str] = TOPIC_MEMORY
@@ -290,6 +291,7 @@ class MemorySampled:
     rss_bytes: float
     at: float
     spilled_bytes: float = 0
+    send_queue_bytes: float = 0
 
 
 # -- injected faults ------------------------------------------------------------

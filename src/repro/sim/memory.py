@@ -23,8 +23,10 @@ resident/spilled breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Optional
 
-from repro.runtime_events.events import TOPIC_MEMORY, AccountingClamped
+from repro.runtime_events.events import TOPIC_MEMORY, AccountingClamped, MemorySampled
 
 
 def _as_int_bytes(value: float) -> int:
@@ -160,12 +162,14 @@ class MemorySample:
 
     ``spilled_bytes`` is the cold-tier state reported by spilling backends
     at the same instant — zero for flat backends, and never part of
-    ``rss_bytes``.
+    ``rss_bytes``.  ``send_queue_bytes`` is the part of ``rss_bytes``
+    waiting in network send queues.
     """
 
     time: float
     rss_bytes: int
     spilled_bytes: int = 0
+    send_queue_bytes: int = 0
 
 
 @dataclass
@@ -190,6 +194,10 @@ class MemoryTimeline:
     def peak_spilled(self) -> int:
         """Largest sampled cold-tier size (0 when empty or flat)."""
         return max((s.spilled_bytes for s in self.samples), default=0)
+
+    def peak_send_queue(self) -> int:
+        """Largest sampled send-queue backlog (0 when empty)."""
+        return max((s.send_queue_bytes for s in self.samples), default=0)
 
     def at(self, time: float) -> int:
         """RSS of the latest sample at or before ``time`` (0 if none)."""
@@ -220,6 +228,46 @@ class MemoryTimelineRecorder:
         self._unsubscribe()
 
     def _on_event(self, event) -> None:
-        self.timelines[event.process].record(
-            event.at, event.rss_bytes, getattr(event, "spilled_bytes", 0)
+        self.timelines[event.process].samples.append(
+            MemorySample(event.at, event.rss_bytes, event.spilled_bytes, event.send_queue_bytes)
         )
+
+
+
+def attach(run) -> Optional[SimpleNamespace]:
+    """The memory-sampling part of a run (``sample_memory``): every
+    ``memory_sample_s``, refresh each live process's state bytes (from the
+    operator's stores, else the builder's ``state_bytes_fn``) and publish a
+    ``MemorySampled`` event, whether or not anyone subscribed."""
+    cfg, sim, op = run.config, run.sim, run.op
+    if not cfg.sample_memory:
+        return None
+    processes = run.runtime.cluster.processes
+    recorder = MemoryTimelineRecorder(sim.trace, len(processes))
+
+    def sample() -> None:
+        for process in processes:
+            workers, memory = process.worker_ids, process.memory
+            if run.injector is None or not run.injector.is_dead(workers[0]):
+                if run.state_bytes_fn is not None:
+                    memory.set_state(sum(run.state_bytes_fn(w) for w in workers))
+                elif op is not None:
+                    resident = spilled = 0
+                    for _w, store in op.stores(run.runtime, workers=workers):
+                        resident += store.resident_state_size()
+                        spilled += store.spilled_state_size()
+                    memory.set_state(resident, spilled)
+            sim.trace.publish(
+                MemorySampled(
+                    process=process.index,
+                    rss_bytes=memory.rss_bytes,
+                    at=sim.now,
+                    spilled_bytes=memory.spilled_state_bytes,
+                    send_queue_bytes=memory.send_queue_bytes,
+                )
+            )
+        if sim.now < cfg.duration_s + 1.0:
+            sim.schedule(cfg.memory_sample_s, sample)
+
+    sim.schedule_at(0.0, sample)
+    return SimpleNamespace(finish=lambda result: setattr(result, "memory", recorder.timelines))

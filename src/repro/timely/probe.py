@@ -56,9 +56,12 @@ class Probe:
         """True when the frontier is closed (the stream is complete)."""
         return self.frontier().is_empty()
 
-    def on_advance(self, callback: Callable[[Antichain], None]) -> None:
-        """Register ``callback(frontier)`` for every frontier change."""
-        self._callbacks.append(callback)
+    def on_advance(
+        self, callback: Callable[[Antichain], None], first: bool = False
+    ) -> None:
+        """Register ``callback(frontier)`` for every frontier change, after
+        the callbacks already registered or, with ``first``, before them."""
+        self._callbacks.insert(0 if first else len(self._callbacks), callback)
 
     def _fire(self, frontier: Antichain) -> None:
         for callback in self._callbacks:

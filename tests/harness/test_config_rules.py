@@ -5,6 +5,7 @@ the library, the CLI, a matrix spec or a replayed log."""
 import pytest
 
 from repro.chaos.plan import ChaosConfig
+from repro.elastic.autoscaler import AutoscalerConfig
 from repro.harness.experiment import ConfigError, ExperimentConfig
 from repro.nexmark.harness import run_nexmark_experiment
 from repro.planner.policy import PlannerConfig
@@ -74,6 +75,31 @@ CASES = {
         lambda: PlannerConfig(objective="drain"),
         "drain_workers",
         "the drain objective",
+    ),
+    # The planner's telemetry and objectives count every provisioned slot.
+    "planner_active_workers": (
+        lambda: ExperimentConfig(
+            num_workers=4, workers_per_process=2, active_workers=2,
+            planner=PlannerConfig(),
+        ),
+        "planner",
+        "cannot be combined with active_workers",
+    ),
+    "planner_scaling_plan": (
+        lambda: ExperimentConfig(
+            num_workers=4, workers_per_process=2, scaling_plan="leave@2.0:3",
+            planner=PlannerConfig(),
+        ),
+        "planner",
+        "cannot be combined with scaling_plan",
+    ),
+    "planner_autoscale": (
+        lambda: ExperimentConfig(
+            num_workers=4, workers_per_process=2, autoscale=AutoscalerConfig(),
+            planner=PlannerConfig(),
+        ),
+        "planner",
+        "cannot be combined with autoscale",
     ),
     # What the sharded engine cannot run.
     "chaos": (_sharded(chaos=ChaosConfig()), "parallel", "fault injection"),
