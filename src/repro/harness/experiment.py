@@ -142,8 +142,9 @@ class ExperimentConfig:
     state_backend: str = "dict"
     codec: str = "modeled"
     hot_capacity_bytes: Optional[int] = None
-    # Base-then-delta migration shipping (requires a delta-capable backend;
-    # others fall back to whole-bin silently).
+    # Base-then-delta migration shipping (needs the wal backend, the one
+    # that tracks per-key dirty epochs; a bin whose state it cannot track,
+    # such as the count workload's, still ships whole).
     delta_migration: bool = False
     # Attach a MigrationTrace to the run's bus and expose it on the result
     # (per-bin phase breakdowns).  Observability only: a run is bit-identical
@@ -259,6 +260,12 @@ class ExperimentConfig:
             resolve_backend(self.state_backend)
         with _lower_check(f"codec {self.codec!r}: "):
             resolve_codec(self.codec)
+        if self.delta_migration and self.state_backend != "wal":
+            raise ConfigError(
+                f"delta_migration needs a state_backend that tracks dirty "
+                f"keys (wal), got state_backend {self.state_backend!r}: no "
+                "delta can ship from it"
+            )
         if self.workload not in WORKLOADS:
             raise ConfigError(
                 f"workload must be one of {WORKLOADS}, got {self.workload!r}"

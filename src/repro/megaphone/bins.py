@@ -73,7 +73,6 @@ class BinStore:
         self.worker_id = worker_id
         self._state_factory = state_factory
         self._bytes_per_key = bytes_per_key
-        self._state_size_fn = state_size_fn
         if state_size_fn is not None:
             size_fn = lambda state: int(round(state_size_fn(state)))  # noqa: E731
         else:

@@ -47,7 +47,7 @@ from repro.timely.antichain import Antichain
 from repro.timely.dataflow import Stream
 from repro.timely.graph import Broadcast, Exchange, GroupedExchange, Pipeline
 from repro.timely.notificator import PendingQueue
-from repro.timely.timestamp import Timestamp, less_equal
+from repro.timely.timestamp import Timestamp, less_equal, order_key
 
 CONTROL_PORT = 0
 DATA_PORT_BASE = 1
@@ -282,7 +282,7 @@ class _FLogic:
     def _integrate_updates(self, ctx, control_frontier: Antichain) -> None:
         ready = sorted(
             (t for t in self._pending_updates if not control_frontier.less_equal(t)),
-            key=_time_key,
+            key=order_key,
         )
         for time in ready:
             insts = self._pending_updates.pop(time)
@@ -773,12 +773,6 @@ class MegaphoneConfig:
                     store.create(bin_id)
             shared[self._store_key] = store
         return store
-
-
-def _time_key(time: Timestamp):
-    if isinstance(time, tuple):
-        return (1, time)
-    return (0, (time,))
 
 
 class MigrateableOperator:

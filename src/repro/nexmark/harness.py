@@ -59,6 +59,7 @@ def run_nexmark_experiment(query: int, cfg: ExperimentConfig) -> ExperimentResul
                 state_backend=config.state_backend,
                 codec=config.codec,
                 backend_options=config.backend_options(),
+                delta_migration=config.delta_migration,
             )
         return out, op, None
 

@@ -189,7 +189,6 @@ class DomainHost:
         # which imports this module.
         from repro.harness.experiment import _build_megaphone_count, schedule_migrations
 
-        self.cfg = cfg
         self.partition = partition
         self.domain = domain
         self.resident = list(partition.workers_of(domain))

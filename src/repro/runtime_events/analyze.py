@@ -227,9 +227,12 @@ class MigrationTrace:
 
     def phase_breakdown(self) -> MigrationBreakdown:
         """Per-bin phase attribution for every fully observed bin."""
+        # Imported here: this package sits below ``repro.timely``.
+        from repro.timely.timestamp import order_key
+
         breakdown = MigrationBreakdown()
         for (time, _bin_id), trace in sorted(
-            self.bins.items(), key=lambda item: (_sort_key(item[0][0]), item[0][1])
+            self.bins.items(), key=lambda item: (order_key(item[0][0]), item[0][1])
         ):
             step = self.steps.get(time)
             started = step.issued_at if step is not None else trace.planned_at
@@ -259,9 +262,3 @@ class MigrationTrace:
                 )
             )
         return breakdown
-
-
-def _sort_key(time):
-    if isinstance(time, tuple):
-        return (1, time)
-    return (0, (time,))

@@ -1,7 +1,7 @@
 """Structure-of-arrays record batches: the columnar hot-path core.
 
 A :class:`ColumnBatch` carries one batch of records as parallel columns
-(key vector, value vector, optional per-record timestamp vector) instead of
+(key vector, value vector) instead of
 a list of per-record Python objects.  Everything the routing and apply
 paths do per record — splitmix64 bin hashing, owner lookup, destination
 grouping, count folding — then amortizes over whole arrays.
@@ -161,19 +161,16 @@ class ColumnBatch:
     For ``kind="kv"`` ``vals`` is a signed 64-bit column and record ``i``
     decodes to ``(int(keys[i]), int(vals[i]))``.  For ``kind="obj"``
     ``vals`` is a plain list of Python records and record ``i`` decodes to
-    ``vals[i]`` (the keys come from F's exchange function).  ``times`` is an
-    optional per-record event-time column; ``None`` means every record
-    shares the batch's dataflow timestamp (the common case — batches are
-    per-epoch, so the column would be constant).
+    ``vals[i]`` (the keys come from F's exchange function).  Every record
+    shares the batch's dataflow timestamp.
     """
 
-    __slots__ = ("keys", "vals", "kind", "times")
+    __slots__ = ("keys", "vals", "kind")
 
-    def __init__(self, keys, vals, kind: str = KIND_KV, times=None) -> None:
+    def __init__(self, keys, vals, kind: str = KIND_KV) -> None:
         self.keys = keys
         self.vals = vals
         self.kind = kind
-        self.times = times
 
     # -- construction --------------------------------------------------------
 
@@ -235,7 +232,6 @@ class ColumnBatch:
         has.
         """
         keys = self.keys
-        times = self.times
         if _np is not None and isinstance(keys, _np.ndarray):
             new_keys = keys[sel]
             if self.kind == KIND_OBJ:
@@ -243,7 +239,6 @@ class ColumnBatch:
                 new_vals = [vals[i] for i in _index_list(sel)]
             else:
                 new_vals = self.vals[sel]
-            new_times = times[sel] if times is not None else None
         else:
             idx = _index_list(sel)
             new_keys = array("Q", [keys[i] for i in idx])
@@ -252,10 +247,7 @@ class ColumnBatch:
                 new_vals = [vals[i] for i in idx]
             else:
                 new_vals = array("q", [vals[i] for i in idx])
-            new_times = (
-                array("q", [times[i] for i in idx]) if times is not None else None
-            )
-        return ColumnBatch(new_keys, new_vals, self.kind, new_times)
+        return ColumnBatch(new_keys, new_vals, self.kind)
 
     def slice(self, lo: int, hi: int) -> "ColumnBatch":
         """A new batch with the contiguous record range ``[lo, hi)``.
@@ -264,13 +256,7 @@ class ColumnBatch:
         this is a view, which makes splitting a destination-sorted batch
         into per-destination segments nearly free.
         """
-        times = self.times
-        return ColumnBatch(
-            self.keys[lo:hi],
-            self.vals[lo:hi],
-            self.kind,
-            times[lo:hi] if times is not None else None,
-        )
+        return ColumnBatch(self.keys[lo:hi], self.vals[lo:hi], self.kind)
 
     @classmethod
     def concat(cls, batches: list["ColumnBatch"]) -> "ColumnBatch":

@@ -1,13 +1,16 @@
 """Durable write-ahead state: a segmented, checksummed log per worker.
 
 The paper's future work calls for migrating state that lives on disk; this
-backend is that representation.  Every mutation of a bin — key-level writes
-for mapping states, whole-state checkpoints for opaque ones — appends a
-CRC32-framed record to a per-worker :class:`WorkerWal`.  The log is the
-bin's durable truth: after a crash-and-restart wipes the worker's in-memory
-stores, :meth:`WalBackend.bind_worker` replays the surviving log and
-rebuilds every resident bin from frames alone (no in-memory snapshot is
-consulted).
+backend is that representation.  A bin is persisted one way, whole: every
+application commit checkpoints each bin it applied — an opaque state as
+itself, a mapping state as a plain dict of its entries — and creates,
+installs, drops and base captures are logged beside those checkpoints, each
+as a CRC32-framed record in a per-worker :class:`WorkerWal`.  A key-level
+log could not see a value changed in place (a NEXMark fold's
+``entry[1] = bid.price``), so there is none.  The log is the bin's durable
+truth: after a crash-and-restart wipes the worker's in-memory stores,
+:meth:`WalBackend.bind_worker` replays the surviving log and rebuilds every
+resident bin from frames alone (no in-memory snapshot is consulted).
 
 Frame format (DESIGN.md §13)::
 
@@ -16,11 +19,11 @@ Frame format (DESIGN.md §13)::
 
 The CRC covers the kind and length bytes as well as the payload, so a bit
 flip in either header field is caught like one in the body.  Kinds:
-``K_CREATE``, ``K_PUT``, ``K_DELETE``, ``K_CKPT``, ``K_INSTALL``,
-``K_DROP`` and ``K_EPOCH`` are record frames; two kinds hold several under
-one header, CRC and pickle.  A ``K_BATCH`` frame's record is a tuple of
-``(kind, record)`` sub-frames of the record kinds.  A ``K_ROWS`` frame is a
-group of checkpoints whose states are all instances of one plain slotted
+``K_CREATE``, ``K_CKPT`` (a checkpoint or an install: the bin's whole
+state), ``K_DROP`` and ``K_EPOCH`` are record frames; two kinds hold several
+under one header, CRC and pickle.  A ``K_BATCH`` frame's record is a tuple
+of ``(kind, record)`` sub-frames of the record kinds.  A ``K_ROWS`` frame is
+a group of checkpoints whose states are all instances of one plain slotted
 class (:func:`_plain_slots`): ``(cls, slot_names, rows)``, one
 ``(bin_id, epoch, *values)`` row per bin, so the class and its slot names
 are pickled once instead of once per bin.  :meth:`WorkerWal.scan` expands
@@ -37,27 +40,29 @@ is truncated away, and the damage is summarized in a
 Crash-consistency model: :meth:`WorkerWal.sync` advances the fsync horizon.
 Frames behind the horizon survive any crash; frames past it exist only in
 the modeled page cache and are destroyed by the ``lose_unsynced_tail``
-storage fault (an optimistic disk keeps them when no fault is injected).
-``WalBackend`` commits one application group — one ``note_applied_group``
-call, or one ``note_applied`` — as one frame (:func:`checkpoint_frame`: a
-``K_ROWS``, a lone ``K_CKPT`` or a ``K_BATCH`` of them), and every commit
-of one or more bins syncs once.  A crash lands between simulator callbacks
-and a group commits inside one, so at every crash point the synced log
-replays to the bins and states one frame per bin would.
+storage fault.  ``WalBackend`` syncs every frame it writes inside the
+callback that writes it, and a crash lands between simulator callbacks, so
+a crash never finds an unsynced tail on a backend's log.  One application
+group — one ``note_applied_group`` call, or one ``note_applied`` — commits
+as one frame (:func:`checkpoint_frame`: a ``K_ROWS``, a lone ``K_CKPT`` or a
+``K_BATCH`` of them) and one sync, so at every crash point the log replays
+to the bins and states one frame per bin would.
 
 Epoch stamps: every applied bin closes one epoch (a group of ``n`` bins
-stamps its checkpoints ``e, e+1, …, e+n-1``); every frame carries the epoch
-it was written under and key-level writes additionally record a per-key
-dirty epoch.  ``extract_bin(..., dirty_since=E)`` produces a *delta*
-payload holding only keys dirtied strictly after ``E`` — the wire format of
-delta migration (base payloads record their epoch at capture).  A base
-capture closes its epoch with a synced ``K_EPOCH`` frame, so replay resumes
-above every base epoch already shipped.
+stamps its checkpoints ``e, e+1, …, e+n-1``), and every frame carries the
+epoch it was written under.  A mapping state stamps each key it hands out
+or changes with the open epoch (a value that is read can be changed in
+place).  ``extract_bin(..., dirty_since=E)`` produces a *delta* payload
+holding only keys stamped strictly after ``E`` — the wire format of delta
+migration (base payloads record their epoch at capture).  Stamps are not
+logged: a recovered mapping bin stamps every key with the reborn epoch, so
+a delta since a base shipped before the crash carries the whole bin.  A
+base capture closes its epoch with a synced ``K_EPOCH`` frame, so replay
+resumes above every base epoch already shipped.
 
 Compaction: once ``compact_threshold`` records (sub-frames counted) have
 accumulated, the whole log is rewritten as one frame holding a
-checkpoint per resident bin, a mapping bin's dirty stamps included, so a
-delta extracted after a crash still sees every write since its base.
+checkpoint per resident bin.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import random
 import struct
 import zlib
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
 from typing import Callable, Iterator, Optional
@@ -82,19 +87,16 @@ _MAGIC = 0xA51F
 # The header fields the CRC covers, packed exactly as in ``_HEADER``.
 _CRC_FIELDS = struct.Struct("<BI")
 
-# Frame kinds.
-K_CREATE = 1  # ("create", bin_id, epoch)
-K_PUT = 2  # ("put", bin_id, epoch, key, value)
-K_DELETE = 3  # ("del", bin_id, epoch, key)
-K_CKPT = 4  # ("ckpt", bin_id, epoch, state[, dirty])
-K_INSTALL = 5  # ("install", bin_id, epoch, state)
-K_DROP = 6  # ("drop", bin_id, epoch)
+# Frame kinds (the numbers are on disk; gaps are kinds no longer written).
+K_CREATE = 1  # (bin_id, epoch)
+K_CKPT = 4  # (bin_id, epoch, state): the bin's whole state
+K_DROP = 6  # (bin_id, epoch)
 K_BATCH = 7  # ((kind, record), ...): sub-frames of the kinds above
-K_EPOCH = 8  # ("epoch", bin_id, epoch): a base capture closed this epoch
+K_EPOCH = 8  # (bin_id, epoch): a base capture closed this epoch
 K_ROWS = 9  # (cls, slot_names, ((bin_id, epoch, *values), ...)): K_CKPTs
 
 # Kinds a batch may hold; a batch never nests.
-_RECORD_KINDS = (K_CREATE, K_PUT, K_DELETE, K_CKPT, K_INSTALL, K_DROP, K_EPOCH)
+_RECORD_KINDS = (K_CREATE, K_CKPT, K_DROP, K_EPOCH)
 _KINDS = (*_RECORD_KINDS, K_BATCH, K_ROWS)
 
 
@@ -173,10 +175,10 @@ def _row_layout(cls: type) -> Optional[tuple[tuple[str, ...], Callable]]:
 
 def checkpoint_frame(ckpts: list[tuple]) -> tuple[int, tuple]:
     """The one frame that commits ``ckpts``, a non-empty list of ``K_CKPT``
-    records ``(bin_id, epoch, state[, dirty])``.
+    records ``(bin_id, epoch, state)``.
 
     When every state is an instance of one plain slotted class with every
-    slot set and no record carries dirty stamps, that is a ``K_ROWS``
+    slot set, that is a ``K_ROWS``
     record; otherwise the lone ``K_CKPT`` or a ``K_BATCH`` of them.  Either
     way :meth:`WorkerWal.scan` yields the same ``K_CKPT`` sub-frames.
     """
@@ -189,7 +191,7 @@ def checkpoint_frame(ckpts: list[tuple]) -> tuple[int, tuple]:
                 [(bin_id, epoch) + values_of(state)
                  for bin_id, epoch, state in ckpts if state.__class__ is cls]
             )
-        except (AttributeError, ValueError):  # an unset slot; a dirty-stamped record
+        except AttributeError:  # an unset slot
             rows = ()
         if len(rows) == len(ckpts):
             return K_ROWS, (cls, names, rows)
@@ -344,7 +346,7 @@ class WorkerWal:
             claimed = 64 + rng.randrange(64)
             body = bytes(rng.randrange(256) for _ in range(claimed // 2))
             frame = _HEADER.pack(
-                _MAGIC, K_PUT, claimed, frame_crc(K_PUT, claimed, body)
+                _MAGIC, K_CKPT, claimed, frame_crc(K_CKPT, claimed, body)
             ) + body
             self.segments[-1].extend(frame)
             torn = len(frame)
@@ -500,30 +502,35 @@ class WalRegistry:
 
 
 class WalState(MutableMapping):
-    """A mapping whose writes go to the owning backend's log, write-through.
+    """A mapping bin's state: a dict that stamps each key's dirty epoch.
 
-    Reads and writes hit ``data`` directly (the log is durability, not the
-    read path).  Each write stamps the key's dirty epoch for delta extraction.
+    Every key read, written or deleted is stamped with the owning backend's
+    open epoch, for delta extraction; a read stamps too, because a value
+    that is read can be changed in place.  ``get``, ``setdefault``,
+    ``pop``, ``items()`` and ``values()`` all pass through
+    :meth:`__getitem__`.  Nothing is logged here: the backend checkpoints
+    the whole dict at each commit.
     """
 
-    __slots__ = ("data", "dirty", "_owner", "_bin_id")
+    __slots__ = ("data", "dirty", "_owner")
 
-    def __init__(self, owner: "WalBackend", bin_id: object, base: dict | None = None):
+    def __init__(self, owner: "WalBackend", base: dict | None = None):
         self.data: dict = dict(base) if base else {}
         self.dirty: dict = {}
         self._owner = owner
-        self._bin_id = bin_id
 
     def __getitem__(self, key):
-        return self.data[key]
+        value = self.data[key]
+        self.dirty[key] = self._owner._epoch
+        return value
 
     def __setitem__(self, key, value) -> None:
         self.data[key] = value
-        self._owner._log_put(self._bin_id, self, key, value)
+        self.dirty[key] = self._owner._epoch
 
     def __delitem__(self, key) -> None:
         del self.data[key]
-        self._owner._log_delete(self._bin_id, self, key)
+        self.dirty[key] = self._owner._epoch
 
     def __iter__(self) -> Iterator:
         return iter(self.data)
@@ -535,13 +542,12 @@ class WalState(MutableMapping):
         return key in self.data
 
 
-@dataclass
-class _RecoveredBin:
-    """Replay accumulator for one bin."""
-
-    state: object
-    mapping: bool
-    dirty: dict = field(default_factory=dict)
+def _durable(state: object) -> object:
+    """The object a checkpoint embeds: a mapping bin's entries as a plain
+    dict, an opaque state as itself.  ``is``, not ``isinstance``: WalState
+    is a MutableMapping, whose ABC instance check is slow on the per-bin
+    commit path."""
+    return dict(state.data) if state.__class__ is WalState else state
 
 
 def replay_frames(
@@ -549,49 +555,26 @@ def replay_frames(
 ) -> tuple[dict, int]:
     """Fold a frame sequence into per-bin states.
 
-    Returns ``(bins, max_epoch)`` where ``bins`` maps bin id to a
-    :class:`_RecoveredBin`.  A ``K_EPOCH`` frame changes no bin; it only
+    Returns ``(states, max_epoch)``: bin id to the state its last
+    ``K_CREATE`` (a fresh ``state_factory()``) or ``K_CKPT`` left, for every
+    bin not dropped since.  A ``K_EPOCH`` frame changes no bin; it only
     raises ``max_epoch``.  Pure function of the frames — the property
     tests drive it directly.
     """
-    bins: dict[object, _RecoveredBin] = {}
+    states: dict = {}
     max_epoch = 0
-
-    def fresh() -> _RecoveredBin:
-        state = state_factory()
-        return _RecoveredBin(state=state, mapping=isinstance(state, (dict, MutableMapping)))
-
     for kind, record in frames:
         bin_id = record[0]
         epoch = record[1]
         if epoch > max_epoch:
             max_epoch = epoch
         if kind == K_CREATE:
-            bins[bin_id] = fresh()
+            states[bin_id] = state_factory()
         elif kind == K_DROP:
-            bins.pop(bin_id, None)
-        elif kind in (K_CKPT, K_INSTALL):
-            state = record[2]
-            mapping = isinstance(state, (dict, MutableMapping))
-            # Later puts mutate the bin: copy, so the frames stay untouched.
-            entry = bins[bin_id] = _RecoveredBin(
-                state=dict(state) if mapping else state, mapping=mapping
-            )
-            if len(record) > 3:  # a compaction checkpoint's dirty stamps
-                entry.dirty = dict(record[3])
-        elif kind == K_PUT:
-            entry = bins.get(bin_id)
-            if entry is None:
-                entry = bins[bin_id] = fresh()
-            if entry.mapping:
-                entry.state[record[2]] = record[3]
-                entry.dirty[record[2]] = epoch
-        elif kind == K_DELETE:
-            entry = bins.get(bin_id)
-            if entry is not None and entry.mapping:
-                entry.state.pop(record[2], None)
-                entry.dirty[record[2]] = epoch
-    return bins, max_epoch
+            states.pop(bin_id, None)
+        elif kind == K_CKPT:
+            states[bin_id] = record[2]
+    return states, max_epoch
 
 
 class WalBackend(DictBackend):
@@ -639,17 +622,18 @@ class WalBackend(DictBackend):
         damage = self._registry.crash_damage.get(worker_id)
         if damage is not None:
             recovery.lost_tail_bytes = damage.get("lost_tail_bytes", 0)
-        bins, max_epoch = replay_frames(frames, self._state_factory)
-        for bin_id, entry in bins.items():
-            if entry.mapping:
-                wrapped = WalState(self, bin_id, dict(entry.state))
-                wrapped.dirty = dict(entry.dirty)
-                self._states[bin_id] = wrapped
-            else:
-                self._states[bin_id] = entry.state
-        recovery.bins_recovered = len(bins)
+        states, max_epoch = replay_frames(frames, self._state_factory)
+        # Stamps are not logged: every recovered key counts as written in
+        # the reborn epoch, so a delta since any earlier base ships it.
+        reborn = max_epoch + 1
+        for bin_id, state in states.items():
+            if isinstance(state, dict):
+                state = WalState(self, state)
+                state.dirty = dict.fromkeys(state.data, reborn)
+            self._states[bin_id] = state
+        recovery.bins_recovered = len(states)
         recovery.max_epoch = max_epoch
-        self._epoch = max_epoch + 1
+        self._epoch = reborn
         self.last_recovery = recovery
 
     def _log(self) -> WorkerWal:
@@ -659,33 +643,19 @@ class WalBackend(DictBackend):
 
     # -- logging helpers --------------------------------------------------------
 
-    def _append(self, kind: int, record: tuple, *, sync: bool = False) -> None:
+    def _append(self, kind: int, record: tuple) -> None:
+        """Append one record frame and sync it."""
         wal = self._log()
         wal.append(kind, record)
+        wal.sync()
         self._frames_since_compaction += 1
-        if sync:
-            wal.sync()
         if self._frames_since_compaction >= self.compact_threshold:
             self.compact()
-
-    def _log_put(self, bin_id: object, state: WalState, key: object, value) -> None:
-        state.dirty[key] = self._epoch
-        self._append(K_PUT, (bin_id, self._epoch, key, value))
-
-    def _log_delete(self, bin_id: object, state: WalState, key: object) -> None:
-        state.dirty[key] = self._epoch
-        self._append(K_DELETE, (bin_id, self._epoch, key))
-
-    def _durable_form(self, state: object) -> object:
-        """The object a checkpoint/install frame embeds (never a WalState)."""
-        if isinstance(state, WalState):
-            return dict(state.data)
-        return state
 
     # -- maintenance ------------------------------------------------------------
 
     def current_epoch(self) -> int:
-        """The open application epoch (stamped on in-flight mutations)."""
+        """The open application epoch (stamped on keys accessed now)."""
         return self._epoch
 
     def note_applied(self, bin_id: object) -> None:
@@ -698,22 +668,19 @@ class WalBackend(DictBackend):
         self._commit(bin_ids)
 
     def _commit(self, bin_ids) -> None:
-        """Checkpoint the opaque bins of one group in one frame, close one
-        epoch per bin, and fsync once.
+        """Checkpoint every resident bin of one group in one frame, close
+        one epoch per bin, and fsync once.
 
-        Opaque states' mutations are invisible to the log, so each commit
-        writes the whole (small, modeled) object; mapping states already
-        logged their writes key by key.
+        A bin's mutations are invisible to the log, so each commit writes
+        its whole state (:func:`_durable`).
         """
         states = self._states
         epoch = self._epoch
         ckpts = []
         for bin_id in bin_ids:
             state = states.get(bin_id)
-            # ``is``, not ``isinstance``: WalState is a MutableMapping, whose
-            # ABC instance check is slow on this per-bin path.
-            if state is not None and state.__class__ is not WalState:
-                ckpts.append((bin_id, epoch, state))
+            if state is not None:
+                ckpts.append((bin_id, epoch, _durable(state)))
             epoch += 1
         self._epoch = epoch
         wal = self._log()
@@ -726,14 +693,10 @@ class WalBackend(DictBackend):
             self.compact()
 
     def compact(self) -> None:
-        """Rewrite the log as one frame: a checkpoint per resident bin,
-        carrying a mapping bin's dirty stamps for delta extraction."""
+        """Rewrite the log as one frame: a checkpoint per resident bin."""
         epoch = self._epoch
         ckpts = [
-            (bin_id, epoch, dict(state.data), state.dirty)
-            if state.__class__ is WalState
-            else (bin_id, epoch, state)
-            for bin_id, state in self._states.items()
+            (bin_id, epoch, _durable(state)) for bin_id, state in self._states.items()
         ]
         self._log().reset([checkpoint_frame(ckpts)] if ckpts else [])
         self._frames_since_compaction = 0
@@ -744,24 +707,22 @@ class WalBackend(DictBackend):
     def create_bin(self, bin_id: object) -> object:
         state = super().create_bin(bin_id)
         if isinstance(state, dict):
-            state = WalState(self, bin_id, state)
+            state = WalState(self, state)
             self._states[bin_id] = state
-        self._append(K_CREATE, (bin_id, self._epoch), sync=True)
+        self._append(K_CREATE, (bin_id, self._epoch))
         return state
 
     def drop_bin(self, bin_id: object) -> None:
         present = bin_id in self._states
         super().drop_bin(bin_id)
         if present:
-            self._append(K_DROP, (bin_id, self._epoch), sync=True)
+            self._append(K_DROP, (bin_id, self._epoch))
 
     def put_state(self, bin_id: object, state: object) -> None:
         if isinstance(state, dict):
-            state = WalState(self, bin_id, state)
+            state = WalState(self, state)
         super().put_state(bin_id, state)
-        self._append(
-            K_INSTALL, (bin_id, self._epoch, self._durable_form(state)), sync=True
-        )
+        self._append(K_CKPT, (bin_id, self._epoch, _durable(state)))
 
     # -- serialization ----------------------------------------------------------
 
@@ -784,7 +745,7 @@ class WalBackend(DictBackend):
             if remove:
                 del self._states[bin_id]
                 self._forget(bin_id)
-                self._append(K_DROP, (bin_id, self._epoch), sync=True)
+                self._append(K_DROP, (bin_id, self._epoch))
                 payload = self.codec.encode(flat)
             else:
                 payload = self.codec.encode(self.codec.copy(flat))
@@ -802,14 +763,14 @@ class WalBackend(DictBackend):
             removed = remove
             result = super().extract_bin(bin_id, remove=remove)
             if removed:
-                self._append(K_DROP, (bin_id, self._epoch), sync=True)
+                self._append(K_DROP, (bin_id, self._epoch))
         # Stamp the capture epoch and close it, so writes that land after
         # this snapshot are strictly newer than ``base_epoch``.  The close is
         # logged and synced: a worker reborn from the log must not reopen an
         # epoch a shipped base was stamped with.
         result.base_epoch = self._epoch
         if not remove:
-            self._append(K_EPOCH, (bin_id, self._epoch), sync=True)
+            self._append(K_EPOCH, (bin_id, self._epoch))
             self._epoch += 1
         return result
 
@@ -834,7 +795,7 @@ class WalBackend(DictBackend):
         if remove:
             del self._states[bin_id]
             self._forget(bin_id)
-            self._append(K_DROP, (bin_id, self._epoch), sync=True)
+            self._append(K_DROP, (bin_id, self._epoch))
         result = BinPayload(
             bin_id=bin_id,
             codec=self.codec.name,
@@ -851,11 +812,7 @@ class WalBackend(DictBackend):
     def install_bin(self, payload: BinPayload, *, replace: bool = False) -> object:
         state = super().install_bin(payload, replace=replace)
         if isinstance(state, dict):
-            state = WalState(self, payload.bin_id, state)
+            state = WalState(self, state)
             self._states[payload.bin_id] = state
-        self._append(
-            K_INSTALL,
-            (payload.bin_id, self._epoch, self._durable_form(state)),
-            sync=True,
-        )
+        self._append(K_CKPT, (payload.bin_id, self._epoch, _durable(state)))
         return state

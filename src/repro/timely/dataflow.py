@@ -130,7 +130,7 @@ class Dataflow:
             is_source=True,
             initial_timestamp=initial_timestamp,
         )
-        group = InputGroup(self, desc.index)
+        group = InputGroup(desc.index)
         self._input_groups.append(group)
         return Stream(self, desc.index, 0), group
 
@@ -189,8 +189,7 @@ class Dataflow:
 class InputGroup:
     """All workers' input handles for one source operator."""
 
-    def __init__(self, dataflow: Dataflow, op_index: int) -> None:
-        self._dataflow = dataflow
+    def __init__(self, op_index: int) -> None:
         self.op_index = op_index
         self._handles: Optional[list[InputHandle]] = None
 

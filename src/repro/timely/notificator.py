@@ -15,13 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Optional
 
-from repro.timely.timestamp import Timestamp
-
-
-def _sort_key(time: Timestamp):
-    if isinstance(time, tuple):
-        return (1, time)
-    return (0, (time,))
+from repro.timely.timestamp import Timestamp, order_key
 
 
 class PendingQueue:
@@ -41,7 +35,7 @@ class PendingQueue:
     def push(self, time: Timestamp, item: object) -> None:
         """Buffer ``item`` for replay at ``time``."""
         self._seq += 1
-        heapq.heappush(self._heap, (_sort_key(time), self._seq, time, item))
+        heapq.heappush(self._heap, (order_key(time), self._seq, time, item))
 
     def peek_time(self) -> Optional[Timestamp]:
         """Earliest buffered time, or None when empty."""
@@ -76,10 +70,7 @@ class PendingQueue:
 
     def times(self) -> list[Timestamp]:
         """Distinct buffered times."""
-        return sorted({entry[2] for entry in self._heap}, key=_sort_key)
-
-    def __len__(self) -> int:
-        return len(self._heap)
+        return sorted({entry[2] for entry in self._heap}, key=order_key)
 
     def __bool__(self) -> bool:
         return bool(self._heap)

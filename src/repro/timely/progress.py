@@ -62,7 +62,6 @@ class ProgressTracker:
     """Exact frontier computation over an acyclic dataflow graph."""
 
     def __init__(self, graph: GraphBuilder) -> None:
-        self._graph = graph
         self._topo = graph.topological_order()
         self._capabilities: list[MutableAntichain] = [
             MutableAntichain() for _ in graph.operators

@@ -19,6 +19,15 @@ from typing import Iterable, Union
 Timestamp = Union[int, tuple]
 
 
+def order_key(time: Timestamp):
+    """A total-order sort key extending the partial order: every integer
+    before every tuple, integers by value, tuples lexicographically.  Used
+    wherever times are delivered or listed in a deterministic order."""
+    if isinstance(time, tuple):
+        return (1, time)
+    return (0, (time,))
+
+
 def less_equal(a: Timestamp, b: Timestamp) -> bool:
     """Partial-order comparison: is ``a`` <= ``b``?
 

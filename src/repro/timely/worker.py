@@ -67,17 +67,10 @@ from repro.timely.graph import (
     OperatorDesc,
     Pipeline,
 )
-from repro.timely.timestamp import Timestamp, less_equal
+from repro.timely.timestamp import Timestamp, less_equal, order_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.timely.dataflow import Runtime
-
-
-def _time_sort_key(time: Timestamp):
-    """Linear extension used to deliver notifications deterministically."""
-    if isinstance(time, tuple):
-        return (1, time)
-    return (0, (time,))
 
 
 class OpContext:
@@ -224,7 +217,7 @@ class OpContext:
                 f"{time!r}: time already passed"
             )
         self._notify_pending.add(time)
-        heapq.heappush(self._notify_heap, (_time_sort_key(time), time))
+        heapq.heappush(self._notify_heap, (order_key(time), time))
         self._runtime.tracker.capability_update(self._desc.index, time, +1)
         # The request may already be satisfiable (e.g. registered from a
         # notification after the inputs closed); without another frontier

@@ -56,6 +56,17 @@ CASES = {
         "codec",
         "'arrow': unknown codec 'arrow'; registered: modeled",
     ),
+    # Only the wal backend keeps the per-key dirty epochs a delta is cut by.
+    "delta_dict": (
+        lambda: ExperimentConfig(delta_migration=True),
+        "delta_migration",
+        "got state_backend 'dict'",
+    ),
+    "delta_tiered": (
+        lambda: ExperimentConfig(delta_migration=True, state_backend="tiered"),
+        "delta_migration",
+        "got state_backend 'tiered'",
+    ),
     "strategy": (
         lambda: ExperimentConfig(strategy="gradual"),
         "strategy",

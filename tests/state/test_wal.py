@@ -11,6 +11,7 @@ import zlib
 import pytest
 
 from repro.harness.workloads import ModeledCountState
+from repro.megaphone.bins import BinStore
 from repro.state import make_backend
 from repro.state.wal import (
     _HEADER,
@@ -18,7 +19,8 @@ from repro.state.wal import (
     K_BATCH,
     K_CKPT,
     K_CREATE,
-    K_PUT,
+    K_DROP,
+    K_EPOCH,
     K_ROWS,
     WalBackend,
     WalRegistry,
@@ -54,10 +56,10 @@ def _decode(frame: bytes):
 
 
 def test_frame_round_trip():
-    frame = encode_frame(K_PUT, (3, 7, "key", 42))
+    frame = encode_frame(K_CKPT, (3, 7, {"key": 42}))
     kind, record = _decode(frame)
-    assert kind == K_PUT
-    assert record == (3, 7, "key", 42)
+    assert kind == K_CKPT
+    assert record == (3, 7, {"key": 42})
 
 
 def test_unknown_frame_kind_rejected():
@@ -69,8 +71,8 @@ def test_unknown_frame_kind_rejected():
     "body",
     [
         (),
-        ((K_BATCH, ((K_PUT, (0, 0, "a", 1)),)),),
-        ((K_PUT, (0, 0, "a", 1)), (K_BATCH, ((K_PUT, (0, 1, "b", 2)),))),
+        ((K_BATCH, ((K_CKPT, (0, 0, 1)),)),),
+        ((K_CKPT, (0, 0, 1)), (K_BATCH, ((K_CKPT, (0, 1, 2)),))),
         ((99, (0, 0)),),
     ],
     ids=["empty", "nested", "nested-after-a-record", "unknown-kind"],
@@ -83,7 +85,7 @@ def test_encode_frame_refuses_a_malformed_batch(body):
 def test_append_rolls_segments_without_straddling():
     wal = WorkerWal(0, segment_bytes=128)
     for i in range(64):
-        wal.append(K_PUT, (0, i, i, i))
+        wal.append(K_CKPT, (0, i, i))
     assert len(wal.segments) > 1
     # No frame straddles a boundary: each non-final segment parses cleanly
     # on its own.
@@ -98,7 +100,7 @@ def test_append_rolls_segments_without_straddling():
 
 def test_sync_advances_horizon():
     wal = WorkerWal(0)
-    wal.append(K_PUT, (0, 1, "a", 1))
+    wal.append(K_CKPT, (0, 1, 1))
     assert wal.unsynced_bytes() > 0
     wal.sync()
     assert wal.unsynced_bytes() == 0
@@ -115,17 +117,17 @@ def test_running_byte_total_tracks_the_segments():
         return sum(len(seg) for seg in wal.segments)
 
     for i in range(40):
-        wal.append(K_PUT, (0, i, i, i))
+        wal.append(K_CKPT, (0, i, i))
         assert wal.total_bytes() == on_disk()
     wal.sync()
     assert wal.synced == on_disk() and wal.unsynced_bytes() == 0
-    wal.append(K_PUT, (0, 40, 40, 40))
+    wal.append(K_CKPT, (0, 40, 40))
     assert wal.unsynced_bytes() == on_disk() - wal.synced > 0
     damage = wal.apply_crash(lose_unsynced_tail=True, torn_write=True)
     assert wal.total_bytes() == on_disk() == wal.synced + damage["torn_bytes"]
     wal.scan()  # truncates the torn frame
     assert wal.total_bytes() == on_disk() == wal.synced
-    wal.reset([(K_PUT, (0, 0, "a", 1))])
+    wal.reset([(K_CKPT, (0, 0, 1))])
     assert wal.total_bytes() == on_disk() == wal.synced > 0
 
 
@@ -135,9 +137,9 @@ def test_running_byte_total_tracks_the_segments():
 def test_scan_clean_log():
     wal = WorkerWal(0)
     wal.append(K_CREATE, (5, 0))
-    wal.append(K_PUT, (5, 0, "a", 1))
+    wal.append(K_CKPT, (5, 0, {"a": 1}))
     frames, recovery = wal.scan()
-    assert [k for k, _ in frames] == [K_CREATE, K_PUT]
+    assert [k for k, _ in frames] == [K_CREATE, K_CKPT]
     assert recovery.clean
     assert recovery.frames_replayed == 2
     assert recovery.truncated_bytes == 0
@@ -146,7 +148,7 @@ def test_scan_clean_log():
 def test_torn_write_detected_and_truncated():
     wal = WorkerWal(0)
     wal.append(K_CREATE, (1, 0))
-    wal.append(K_PUT, (1, 0, "a", 1))
+    wal.append(K_CKPT, (1, 0, {"a": 1}))
     wal.sync()
     damage = wal.apply_crash(torn_write=True)
     assert damage["torn_bytes"] > 0
@@ -162,9 +164,9 @@ def test_torn_write_detected_and_truncated():
 
 def test_lost_unsynced_tail_respects_fsync_horizon():
     wal = WorkerWal(0)
-    wal.append(K_PUT, (0, 0, "synced", 1))
+    wal.append(K_CKPT, (0, 0, "synced"))
     wal.sync()
-    wal.append(K_PUT, (0, 1, "unsynced", 2))
+    wal.append(K_CKPT, (0, 1, "unsynced"))
     lost = wal.unsynced_bytes()
     damage = wal.apply_crash(lose_unsynced_tail=True)
     assert damage["lost_tail_bytes"] == lost
@@ -177,7 +179,7 @@ def test_lost_unsynced_tail_respects_fsync_horizon():
 def test_bit_flip_detected_by_checksum():
     wal = WorkerWal(0)
     for i in range(20):
-        wal.append(K_PUT, (0, i, i, i))
+        wal.append(K_CKPT, (0, i, i))
     wal.sync()
     import random
 
@@ -188,19 +190,19 @@ def test_bit_flip_detected_by_checksum():
     assert len(frames) < 20
     # Surviving prefix is intact.
     for _, record in frames:
-        assert record[2] == record[3]
+        assert record[1] == record[2]
 
 
 def test_header_bit_flips_truncate_at_the_damaged_frame():
     # Every single-bit flip in one frame's kind byte or length field must
     # end the replay at that frame.  Frame 2 is a CREATE (kind 1): flipping
-    # its bit 2 spells INSTALL (kind 5), a valid kind that only the CRC can
+    # its bit 3 spells ROWS (kind 9), a valid kind that only the CRC can
     # tell apart.
     written = [
-        (K_PUT, (0, 0, "a", 1)),
-        (K_PUT, (0, 1, "b", 2)),
+        (K_CKPT, (0, 0, {"a": 1})),
+        (K_CKPT, (0, 1, {"b": 2})),
         (K_CREATE, (3, 2)),
-        (K_PUT, (3, 3, "c", 4)),
+        (K_CKPT, (3, 3, {"c": 4})),
     ]
     damaged = 2
     frame_start = sum(len(encode_frame(kind, record)) for kind, record in written[:damaged])
@@ -220,15 +222,15 @@ def test_header_bit_flips_truncate_at_the_damaged_frame():
 
 
 def test_batch_frame_scans_as_its_sub_frames():
-    subs = ((K_CREATE, (1, 0)), (K_PUT, (1, 0, "a", 1)), (K_CKPT, (2, 1, 5)))
+    subs = ((K_CREATE, (1, 0)), (K_EPOCH, (1, 0)), (K_CKPT, (2, 1, 5)), (K_DROP, (1, 2)))
     wal = WorkerWal(0)
-    wal.append(K_PUT, (0, 0, "x", 0))
+    wal.append(K_CKPT, (0, 0, "x"))
     wal.append(K_BATCH, subs)
     assert wal.frames_appended == 2
     frames, recovery = wal.scan()
-    assert frames == [(K_PUT, (0, 0, "x", 0)), *subs]
+    assert frames == [(K_CKPT, (0, 0, "x")), *subs]
     assert recovery.clean
-    assert recovery.frames_replayed == 4  # sub-frames, not physical frames
+    assert recovery.frames_replayed == 5  # sub-frames, not physical frames
 
 
 def _raw_frame(kind: int, record) -> bytes:
@@ -240,7 +242,7 @@ def _raw_frame(kind: int, record) -> bytes:
 
 @pytest.mark.parametrize(
     "body",
-    [(), ((K_BATCH, ((K_PUT, (0, 1, "b", 2)),)),), ((K_PUT, (0, 1, "b", 2)), "junk"), [1, 2]],
+    [(), ((K_BATCH, ((K_CKPT, (0, 1, 2)),)),), ((K_CKPT, (0, 1, 2)), "junk"), [1, 2]],
     ids=["empty", "nested", "junk-sub-frame", "not-a-tuple"],
 )
 def test_crc_valid_batch_with_malformed_body_is_corrupt(body):
@@ -277,15 +279,15 @@ def _assert_scan_stops_at(kind, body):
     """A CRC-valid frame of ``kind`` around ``body`` is a corrupt frame: the
     scan stops there and truncates it and everything behind it."""
     wal = WorkerWal(0)
-    wal.append(K_PUT, (0, 0, "a", 1))
+    wal.append(K_CKPT, (0, 0, 1))
     good = wal.total_bytes()
     bad = _raw_frame(kind, body)
     wal.segments[-1].extend(bad)
     wal._total += len(bad)
-    wal.append(K_PUT, (0, 2, "c", 3))  # intact, but behind the bad frame
+    wal.append(K_CKPT, (0, 2, 3))  # intact, but behind the bad frame
     total = wal.total_bytes()
     frames, recovery = wal.scan()
-    assert frames == [(K_PUT, (0, 0, "a", 1))]
+    assert frames == [(K_CKPT, (0, 0, 1))]
     assert recovery.corrupt_frame
     assert recovery.truncated_bytes == total - good
     assert wal.total_bytes() == good
@@ -319,7 +321,9 @@ def test_backend_recovers_states_from_log_alone():
     assert reborn.current_epoch() > reborn.last_recovery.max_epoch
 
 
-def test_recovery_preserves_dirty_epochs_for_delta():
+def test_recovery_stamps_every_key_with_the_reborn_epoch():
+    """Dirty stamps are not logged: every key of a recovered mapping bin
+    counts as written in the reborn epoch, above everything replayed."""
     registry = WalRegistry()
     backend = _wal_backend(registry)
     backend.bind_worker(3)
@@ -333,7 +337,9 @@ def test_recovery_preserves_dirty_epochs_for_delta():
     reborn.bind_worker(3)
     state = reborn._states[0]
     assert isinstance(state, WalState)
-    assert state.dirty["b"] > state.dirty["a"]
+    epoch = reborn.current_epoch()
+    assert epoch == reborn.last_recovery.max_epoch + 1
+    assert state.dirty == {"a": epoch, "b": epoch}
 
 
 def test_dropped_bin_stays_dropped_after_replay():
@@ -355,9 +361,11 @@ def test_recovery_after_torn_write_and_lost_tail():
     backend.create_bin(0)
     backend.put(0, "durable", 1)
     backend.note_applied(0)  # every commit syncs: synced here
-    # These writes never reach the fsync horizon.
-    state = backend._states[0]
-    state["volatile"] = 2
+    # A frame that never reaches the fsync horizon.  The backend syncs every
+    # frame it writes, so only a direct append leaves an unsynced tail.
+    registry.wal_for(0).append(
+        K_CKPT, (0, backend.current_epoch(), {"durable": 1, "volatile": 2})
+    )
     registry.apply_crash_faults([0], lose_unsynced_tail=True, torn_write=True, seed=5)
 
     reborn = _wal_backend(registry)
@@ -380,7 +388,8 @@ def test_crash_consistency_matches_fault_free_run_at_horizon():
         for i in range(50):
             backend.put(0, f"k{i}", i)
         backend.note_applied(0)  # fsync horizon: both logs agree here
-    # Only the faulted worker keeps writing; the crash destroys all of it.
+    # Only the faulted worker keeps writing, and never commits: the crash
+    # loses all of it.
     for i in range(25):
         faulted.put(0, f"k{i}", -i)
     # No bit flips here: those may land in the durable region, where data
@@ -465,7 +474,7 @@ def test_group_of_one_opaque_bin_writes_a_plain_checkpoint():
     assert kind == K_CKPT and record[0] == 7
 
 
-def test_group_of_mapping_bins_writes_no_frame_but_syncs():
+def test_group_of_mapping_bins_writes_one_frame_and_one_sync():
     registry = WalRegistry()
     backend = _wal_backend(registry)
     backend.bind_worker(0)
@@ -474,11 +483,31 @@ def test_group_of_mapping_bins_writes_no_frame_but_syncs():
     backend.put(0, "a", 1)
     backend.put(1, "b", 2)
     wal = registry.wal_for(0)
-    frames, syncs = wal.frames_appended, wal.syncs
+    frames, syncs, epoch = wal.frames_appended, wal.syncs, backend.current_epoch()
     backend.note_applied_group([0, 1], [0, 1, 2])
-    assert wal.frames_appended == frames
+    assert wal.frames_appended == frames + 1
     assert wal.syncs == syncs + 1
     assert wal.unsynced_bytes() == 0
+    # Each mapping bin is checkpointed whole, as a plain dict.
+    replayed, _ = wal.scan()
+    assert replayed[-2:] == [(K_CKPT, (0, epoch, {"a": 1})), (K_CKPT, (1, epoch + 1, {"b": 2}))]
+
+
+def test_a_value_changed_in_place_is_recovered():
+    """A fold that changes a value it read (``entry[1] = price``) changes no
+    key; the next commit's checkpoint still carries the new value."""
+    registry = WalRegistry()
+    backend = _wal_backend(registry)
+    backend.bind_worker(0)
+    backend.create_bin(0)
+    backend.put(0, "auction", [None, 10])
+    backend.note_applied(0)
+    backend.state_of(0).get("auction")[1] = 25
+    backend.note_applied(0)
+
+    reborn = _wal_backend(registry)
+    reborn.bind_worker(0)
+    assert dict(reborn.items(0)) == {"auction": [None, 25]}
 
 
 def _slotted_backend(registry, **options):
@@ -554,6 +583,36 @@ def test_the_count_state_commits_as_rows():
 
 
 # -- delta extraction ----------------------------------------------------------
+
+
+def _merged(base, delta):
+    """What a destination installs: the base with the delta folded over it."""
+    state = dict(base.decode_state())
+    state.update(delta.decode_state())
+    for key in delta.deleted:
+        state.pop(key, None)
+    return state
+
+
+@pytest.mark.parametrize("codec", ["modeled", "pickle"])
+def test_a_delta_carries_a_value_changed_in_place(codec):
+    store = BinStore(
+        num_bins=4, state_factory=dict, backend="wal", codec=codec,
+        backend_options={"wal_registry": WalRegistry()}, worker_id=0,
+    )
+    store.create(0)
+    state = store.get(0).state
+    state["auction"] = [None, 10]
+    state["other"] = [None, 5]
+    store.note_applied(0, 2)
+    base = store.extract(0, remove=False)
+    state.get("auction")[1] = 25  # read, then changed in place
+    store.note_applied(0, 1)
+    delta = store.extract(0, remove=False, dirty_since=base.base_epoch)
+    assert delta.decode_state() == {"auction": [None, 25]}
+    assert _merged(base, delta) == dict(state.data) == {
+        "auction": [None, 25], "other": [None, 5]
+    }
 
 
 def test_delta_extraction_ships_only_dirty_keys():
@@ -634,11 +693,11 @@ def test_compaction_bounds_log_and_preserves_state():
     backend.create_bin(0)
     for i in range(500):
         backend.put(0, i % 8, i)
-        if i % 4 == 0:
+        if i % 4 == 3:
             backend.note_applied(0)
     assert backend.compactions > 0
     # Post-compaction the log is one checkpoint frame per bin (plus any
-    # writes since), far smaller than 500 put frames.
+    # commits since), far smaller than 125 checkpoint frames.
     frames, recovery = registry.wal_for(0).scan()
     assert recovery.clean
     assert len(frames) < 64
@@ -682,24 +741,25 @@ def test_compaction_threshold_counts_checkpoints_not_frames():
 
 
 def test_delta_after_compaction_and_crash_sees_writes_since_its_base():
-    """Compaction keeps per-key dirty stamps: a delta extracted after a
-    crash-and-replay still ships every write since its base."""
+    """A delta extracted after compaction and a crash-and-replay still
+    ships every write since its base (the whole recovered bin: stamps are
+    not logged), so the base with the delta over it is the live state."""
     registry = WalRegistry()
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
     backend.put(0, "a", 1)
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False).base_epoch
+    base = backend.extract_bin(0, remove=False)
     backend.put(0, "b", 2)
     backend.note_applied(0)
     backend.compact()
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
-    delta = reborn.extract_bin(0, remove=False, dirty_since=base)
-    assert delta.decode_state() == {"b": 2}
-    assert reborn._states[0].dirty == backend._states[0].dirty
+    delta = reborn.extract_bin(0, remove=False, dirty_since=base.base_epoch)
+    assert "b" in delta.decode_state()
+    assert _merged(base, delta) == dict(reborn._states[0].data) == {"a": 1, "b": 2}
 
 
 def test_delta_since_a_base_sees_writes_after_a_restart():
@@ -712,22 +772,22 @@ def test_delta_since_a_base_sees_writes_after_a_restart():
     backend.create_bin(0)
     backend.put(0, "a", 1)
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False).base_epoch
-    assert base == 1
+    base = backend.extract_bin(0, remove=False)
+    assert base.base_epoch == 1
     registry.apply_crash_faults([0], lose_unsynced_tail=True)
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
-    assert reborn.current_epoch() > base
+    assert reborn.current_epoch() > base.base_epoch
     reborn.put(0, "b", 2)
-    delta = reborn.extract_bin(0, remove=False, dirty_since=base)
-    assert delta.decode_state() == {"b": 2}
+    delta = reborn.extract_bin(0, remove=False, dirty_since=base.base_epoch)
+    assert "b" in delta.decode_state()
+    assert _merged(base, delta) == dict(reborn._states[0].data) == {"a": 1, "b": 2}
 
 
 def test_three_field_checkpoint_still_replays():
-    bins, max_epoch = replay_frames([(K_CKPT, (0, 4, {"a": 1}))], dict)
-    assert bins[0].state == {"a": 1}
-    assert bins[0].dirty == {}
+    states, max_epoch = replay_frames([(K_CKPT, (0, 4, {"a": 1}))], dict)
+    assert states == {0: {"a": 1}}
     assert max_epoch == 4
 
 
@@ -740,8 +800,8 @@ def test_compacted_log_replays_checkpoint_frames():
     backend.compact()
     frames, _ = registry.wal_for(0).scan()
     assert [k for k, _ in frames] == [K_CKPT]
-    bins, _ = replay_frames(frames, dict)
-    assert bins[0].state == {"a": 1}
+    states, _ = replay_frames(frames, dict)
+    assert states == {0: {"a": 1}}
 
 
 # -- registry and options ------------------------------------------------------

@@ -26,9 +26,8 @@ from repro.state.wal import (
     K_BATCH,
     K_CKPT,
     K_CREATE,
-    K_DELETE,
     K_DROP,
-    K_PUT,
+    K_EPOCH,
     K_ROWS,
     WalRegistry,
     WalState,
@@ -54,11 +53,11 @@ class _SlotTally:
 
 
 # One logical operation: (op, bin, key, value) with small domains so ops
-# collide on bins/keys (creates, overwrites, deletes, drops, group commits
+# collide on bins (creates, installs, base captures, drops and group commits
 # all interleave).
 _OPS = st.lists(
     st.tuples(
-        st.sampled_from(["create", "put", "delete", "drop", "group"]),
+        st.sampled_from(["create", "install", "epoch", "drop", "group"]),
         st.integers(0, 3),
         st.integers(0, 5),
         st.integers(-100, 100),
@@ -95,10 +94,10 @@ def _op_frames(ops):
             if ckpts:
                 frame = checkpoint_frame(ckpts)
         elif bin_id in live:
-            if op == "put":
-                frame = (K_PUT, (bin_id, epoch, key, value))
+            if op == "install":
+                frame = (K_CKPT, (bin_id, epoch, {key: value}))
             else:
-                frame = (K_DELETE, (bin_id, epoch, key))
+                frame = (K_EPOCH, (bin_id, epoch))
         out.append(frame)
     return out
 
@@ -133,8 +132,8 @@ def _group_ends(ops):
 
 
 def _fold(frames):
-    """Independent reference fold of a frame sequence: dict bins take key
-    writes, an opaque checkpoint replaces the bin and ignores them."""
+    """Independent reference fold of a frame sequence: a create makes an
+    empty bin, a checkpoint replaces the bin, a drop removes it."""
     bins = {}
     for kind, record in frames:
         bin_id = record[0]
@@ -143,18 +142,12 @@ def _fold(frames):
         elif kind == K_DROP:
             bins.pop(bin_id, None)
         elif kind == K_CKPT:
-            state = record[2]
-            bins[bin_id] = dict(state) if isinstance(state, dict) else state
-        elif kind == K_PUT and isinstance(bins.get(bin_id), dict):
-            bins[bin_id][record[2]] = record[3]
-        elif kind == K_DELETE and isinstance(bins.get(bin_id), dict):
-            bins[bin_id].pop(record[2], None)
+            bins[bin_id] = record[2]
     return bins
 
 
 def _replayed_state(frames):
-    bins, _ = replay_frames(frames, dict)
-    return {b: dict(e.state) if e.mapping else e.state for b, e in bins.items()}
+    return replay_frames(frames, dict)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,7 +314,7 @@ def _group_state(family, i, v, pick):
     if family == "dict":
         return _Tally(v)
     if family == "walstate":
-        return WalState(None, i, {i: v})
+        return WalState(None, {i: v})
     state = _Split.__new__(_Split)  # "unset": one state lacks its base slot
     state.b, state._Split__c = v, str(v)
     if i != pick:
@@ -402,25 +395,12 @@ def _opaque_state(bin_id):
 
 
 def _snapshot(backend):
-    """Every resident bin as comparable data: (state, dirty stamps)."""
+    """Every resident bin's state as comparable data."""
     out = {}
     for bin_id in backend.bin_ids():
         state = backend._states[bin_id]
-        if isinstance(state, WalState):
-            out[bin_id] = (dict(state.data), dict(state.dirty))
-        else:
-            out[bin_id] = (state.value, None)
+        out[bin_id] = dict(state.data) if isinstance(state, WalState) else state.value
     return out
-
-
-def _stamped(registry, backend):
-    """The newest epoch on any frame in the log or any live dirty stamp."""
-    frames, _ = registry.wal_for(0).scan()
-    epochs = [record[1] for _, record in frames]
-    for state in backend._states.values():
-        if isinstance(state, WalState):
-            epochs.extend(state.dirty.values())
-    return max(epochs, default=-1)
 
 
 def _payload(payload):
@@ -456,10 +436,11 @@ _PROGRAM = st.lists(
 def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
     """One backend commits each application group with ``note_applied_group``
     (one frame, one sync); the reference calls ``note_applied`` once per
-    bin.  After a crash at any group boundary both replay to the same bins,
-    states and dirty stamps, and those equal what was live before it.  After
-    a crash anywhere else both lose the same unsynced writes and still agree,
-    and neither reborn backend reopens an epoch a base capture handed out."""
+    bin.  Both hand out the same bases and deltas.  Every write is
+    committed (a ``put`` is an application of one bin) and every frame
+    synced, so after a crash at any group boundary or anywhere else both
+    replay to the bins and states that were live before it, and neither
+    reborn backend reopens an epoch a base capture handed out."""
     registries = [WalRegistry(), WalRegistry()]
     grouped, reference = backends = [_backend(r) for r in registries]
     for backend in backends:
@@ -479,6 +460,7 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
                     backend.put_state(bin_id, _opaque_state(bin_id))
             elif op == "put" and present and not _opaque(bin_id):
                 backend.put(bin_id, key, value)
+                backend.note_applied(bin_id)
             elif op == "apply":
                 members = [b for b in sorted(backend.bin_ids()) if mask >> b & 1]
                 for b in members:
@@ -515,27 +497,21 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
         group_end = op == "apply" and any(mask >> b & 1 for b in grouped.bin_ids())
         if op != "crash" and not group_end:
             continue
-        # Crash both logs, rebind, compare.  At a group boundary every write
-        # is synced; elsewhere the unsynced puts are lost on both sides.
+        # Crash both logs, rebind, compare: nothing synced is lost.
         live = _snapshot(grouped)
         for side, registry in enumerate(registries):
-            stamped = _stamped(registry, backends[side])
             registry.apply_crash_faults(
                 [0], lose_unsynced_tail=True, torn_write=True, seed=seed
             )
             backends[side] = _backend(registry)
-            if group_end:
-                assert backends[side].last_recovery.lost_tail_bytes == 0
-                assert backends[side].current_epoch() > stamped
+            assert backends[side].last_recovery.lost_tail_bytes == 0
             # Base captures are logged: no base epoch handed out reopens.
             assert backends[side].current_epoch() > max(bases[side].values(), default=-1)
         grouped, reference = backends
-        assert _snapshot(grouped) == _snapshot(reference)
-        if group_end:
-            assert _snapshot(grouped) == live
+        assert _snapshot(grouped) == _snapshot(reference) == live
         # Compaction may land at a different epoch on the two sides, so the
-        # reborn epochs may differ; both clear every stamp, so resume both
-        # from the later one and keep comparing stamps exactly.
+        # reborn epochs may differ; resume both from the later one, so the
+        # two keep handing out equal base epochs.
         resume = max(b.current_epoch() for b in backends)
         for backend in backends:
             backend._epoch = resume
