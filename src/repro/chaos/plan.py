@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.chaos.watchdog import WatchdogConfig
+from repro.megaphone.controller import RetryPolicy
+
 ANY_PROCESS = -1
 """Wildcard for :class:`LinkFault` endpoints: matches every process."""
 
@@ -173,8 +176,7 @@ class ChaosConfig:
     stock :class:`~repro.megaphone.controller.RetryPolicy` (which the harness
     hands the run's controller inside its
     :class:`~repro.megaphone.controller.FaultHandling` bundle) and
-    :class:`~repro.chaos.watchdog.WatchdogConfig` at wiring time, keeping
-    this module import-light (no harness, no controller).
+    :class:`~repro.chaos.watchdog.WatchdogConfig` at wiring time.
 
     ``snapshot_at_s`` arms periodic-free one-shot snapshotting: just before
     that simulated time the experiment captures every worker's bin state so
@@ -183,6 +185,6 @@ class ChaosConfig:
     """
 
     plan: FaultPlan = field(default_factory=FaultPlan)
-    retry: Optional[object] = None
-    watchdog: Optional[object] = None
+    retry: Optional[RetryPolicy] = None
+    watchdog: Optional[WatchdogConfig] = None
     snapshot_at_s: Optional[float] = None

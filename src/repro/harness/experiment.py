@@ -15,12 +15,11 @@ the matrix gate and the host-only contract pin.
 from __future__ import annotations
 
 import hashlib
-import numbers
 import time as wallclock
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.chaos.inject import FaultLog
 from repro.chaos.part import attach as attach_chaos
@@ -47,11 +46,13 @@ from repro.megaphone.controller import (
 )
 from repro.megaphone.migration import STRATEGIES, MigrationPlan, imbalanced_target, make_plan
 from repro.megaphone.operators import MigrateableOperator
+from repro.nexmark.config import NexmarkConfig
 from repro.obsv.part import attach as attach_obsv
 from repro.planner.part import attach as attach_planner
 from repro.planner.policy import PlannerConfig, PlannerReport
 from repro.runtime_events.analyze import MigrationTrace
 from repro.runtime_events.events import TOPICS
+from repro.settings import check_fields
 from repro.sim.cost import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemoryTimeline
@@ -60,9 +61,6 @@ from repro.sim.network import Cluster
 from repro.state.registry import resolve_backend, resolve_codec
 from repro.timely.dataflow import Dataflow, Runtime
 from repro.timely.probe import Probe
-
-if TYPE_CHECKING:  # repro.nexmark's harness imports this module
-    from repro.nexmark.config import NexmarkConfig
 
 WORKLOADS = ("uniform", "skewed")
 VARIANTS = ("key", "hash")  # bin state as dense arrays or as hash maps
@@ -85,12 +83,11 @@ _SHARDED_UNSUPPORTED = (
     # The sharded runner builds the count dataflow only.
     ("query", "NEXMark queries"),
 )
-# The annotations of integer fields (annotations are strings here).
-_INT_TYPES = ("int", "Optional[int]")
 # Fields that must be positive when set.
 _POSITIVE_FIELDS = (
     "num_workers", "workers_per_process", "rate", "duration_s", "batch_size",
     "granularity_ms", "network_latency_s", "hot_capacity_bytes", "hot_keys",
+    "pace_s",
 )
 
 
@@ -101,13 +98,6 @@ def _lower_check(prefix: str = ""):
         yield
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
-
-
-def _as_tuple(name: str, value) -> tuple:
-    """A list setting as a tuple; a scalar there is a ConfigError."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
 
 
 @dataclass
@@ -124,7 +114,7 @@ class ExperimentConfig:
     dilation: int = 1  # event-time runs `dilation` times faster than epochs
     # Migration schedule: start times (simulated seconds) paired with the
     # strategy; targets default to imbalance-then-rebalance cycling.
-    migrate_at_s: tuple = ()
+    migrate_at_s: tuple[float, ...] = ()
     strategy: str = "batched"
     batch_size: int = 16
     gap_s: float = 0.0
@@ -160,7 +150,7 @@ class ExperimentConfig:
     # Count bus events per topic into ``result.topic_counts``.  ``None``
     # disables; ``()`` counts every topic; a non-empty tuple counts only
     # those topics (replay uses this to diff against a recorded log).
-    collect_topic_counts: Optional[tuple] = None
+    collect_topic_counts: Optional[tuple[str, ...]] = None
     native: bool = False  # run the non-migrateable baseline instead
     seed: int = 1
     # Fault injection.  None (the default) leaves every chaos hook unwired —
@@ -208,20 +198,10 @@ class ExperimentConfig:
         the field's name; where a lower-level check states the rule (the
         registries, the bin arithmetic, the scaling plan), it is called.
         """
-        # Settings arrive from the CLI, matrix specs and event logs, where
-        # TOML and JSON hand a float (``1e6``) straight to an int field.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in _INT_TYPES and value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        # Lists arrive from the same places.
-        self.migrate_at_s = _as_tuple("migrate_at_s", self.migrate_at_s)
+        # Settings arrive as tables from the CLI, matrix specs and event
+        # logs: every field, nested tables included, takes its type first.
+        check_fields(self)
         if self.collect_topic_counts is not None:
-            self.collect_topic_counts = _as_tuple(
-                "collect_topic_counts", self.collect_topic_counts
-            )
             unknown = sorted(set(self.collect_topic_counts) - set(TOPICS))
             if unknown:
                 raise ConfigError(
@@ -274,12 +254,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"hot_fraction must be within [0, 1], got {self.hot_fraction}"
             )
-        if self.pace_s is not None and not (
-            isinstance(self.pace_s, (int, float)) and self.pace_s > 0
-        ):
-            raise ConfigError(
-                f"pace_s must be a positive number of seconds, got {self.pace_s!r}"
-            )
         if self.active_workers is not None and not (
             1 <= self.active_workers <= self.num_workers
         ):
@@ -287,16 +261,20 @@ class ExperimentConfig:
                 f"active_workers must be in 1..{self.num_workers}, "
                 f"got {self.active_workers}"
             )
-        if isinstance(self.scaling_plan, str):
-            with _lower_check(f"scaling_plan {self.scaling_plan!r}: "):
-                self.scaling_plan = ScalingPlan.parse(self.scaling_plan)
         if self.scaling_plan is not None:
             with _lower_check(f"scaling_plan {self.scaling_plan.spec()!r}: "):
                 self.scaling_plan.validate(self.num_workers, self.initial_active)
         if self.autoscale is not None:
             self.autoscale.validate(self.num_workers)
-        if self.query is not None or self.nexmark is not None:
-            self._check_nexmark()
+        if self.nexmark is not None and self.query is None:
+            raise ConfigError("nexmark settings need a query (1-8) to run")
+        if self.query is not None:
+            from repro.nexmark.queries import QUERIES
+
+            if self.query not in QUERIES:
+                raise ConfigError(
+                    f"query must be one of {sorted(QUERIES)}, got {self.query!r}"
+                )
         if self.planner is not None and self.elastic:
             name = (
                 "scaling_plan" if self.scaling_plan is not None
@@ -316,30 +294,6 @@ class ExperimentConfig:
             )
         if self.parallel is not None:
             self._check_sharded()
-
-    def _check_nexmark(self) -> None:
-        """Check the query and build the NEXMark table from its settings."""
-        from repro.nexmark.config import NexmarkConfig
-        from repro.nexmark.queries import QUERIES
-
-        if self.query is None:
-            raise ConfigError("nexmark settings need a query (1-8) to run")
-        if self.query not in QUERIES:
-            raise ConfigError(
-                f"query must be one of {sorted(QUERIES)}, got {self.query!r}"
-            )
-        if isinstance(self.nexmark, dict):
-            known = [f.name for f in fields(NexmarkConfig)]
-            unknown = sorted(set(self.nexmark) - set(known))
-            if unknown:
-                raise ConfigError(
-                    f"nexmark names unknown settings {unknown}; known: "
-                    f"{', '.join(known)}"
-                )
-            self.nexmark = NexmarkConfig(**{
-                key: tuple(value) if isinstance(value, list) else value
-                for key, value in self.nexmark.items()
-            })
 
     def _check_sharded(self) -> None:
         """Reject what the sharded engine cannot honor, at construction."""

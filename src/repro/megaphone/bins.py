@@ -133,11 +133,11 @@ class BinStore:
         """Serialize ``bin_id`` (state through the codec, pending attached).
 
         ``remove=True`` uninstalls the bin (migration/extraction);
-        ``remove=False`` captures a consistent copy (snapshots) without
-        disturbing the resident bin or its pending queue.  ``dirty_since``
-        asks for only the keys dirtied after that epoch; pass it only for a
-        bin :meth:`delta_capable` accepted (F does: it sets it only for a
-        bin whose base it shipped).
+        ``remove=False`` reads a consistent copy (snapshots, fingerprints)
+        without disturbing the resident bin, its pending queue or a durable
+        log.  ``dirty_since`` asks for only the keys dirtied after that
+        epoch; pass it only for a bin whose base :meth:`capture_base`
+        returned (F does).
         """
         bin_ = self.get(bin_id)
         if dirty_since is not None:
@@ -165,6 +165,13 @@ class BinStore:
         """Whether ``bin_id`` can ship base-then-delta (backend tracks dirty
         epochs and the bin's state is a tracked mapping)."""
         return self.backend.bin_delta_capable(bin_id)
+
+    def capture_base(self, bin_id: int) -> BinPayload:
+        """A base of ``bin_id`` to pre-copy (the backend must be the wal):
+        its state alone, stamped with the epoch a later delta is cut from."""
+        payload = self.backend.capture_base(bin_id)
+        payload.kind = "base"
+        return payload
 
     def take(self, bin_id: int) -> BinPayload:
         """Remove and return ``bin_id``'s payload for migration

@@ -331,10 +331,7 @@ class _FLogic:
         for bin_id, _src, dst in moves:
             if not store.has(bin_id) or not store.delta_capable(bin_id):
                 continue
-            payload = store.extract(bin_id, remove=False)
-            payload.kind = "base"
-            payload.pending = []
-            payload.size_bytes = payload.state_bytes
+            payload = store.capture_base(bin_id)
             size = payload.size_bytes
             self._base_epochs[(time, bin_id)] = payload.base_epoch
             serialize_s = codec.encode_cost(cost, size)

@@ -2,12 +2,13 @@
 
 A deterministic port of the reference generator plus all eight standing
 queries, each implemented twice: hand-tuned on the native timely substrate
-and on Megaphone's reconfigurable operator interface.
+and on Megaphone's reconfigurable operator interface.  The harness that
+runs them is :mod:`repro.nexmark.harness`; it imports
+:mod:`repro.harness.experiment`, whose config imports this package.
 """
 
 from repro.nexmark.config import NexmarkConfig
 from repro.nexmark.generator import NexmarkGenerator, make_generator
-from repro.nexmark.harness import STATEFUL_QUERIES, run_nexmark_experiment
 from repro.nexmark.model import Auction, Bid, Person, kind_of
 from repro.nexmark.queries import QUERIES
 
@@ -18,8 +19,7 @@ __all__ = [
     "NexmarkGenerator",
     "Person",
     "QUERIES",
-    "STATEFUL_QUERIES",
     "kind_of",
     "make_generator",
-    "run_nexmark_experiment",
 ]
+

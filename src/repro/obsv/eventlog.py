@@ -28,6 +28,7 @@ from typing import IO, Optional
 
 from repro.errors import ConfigError
 from repro.runtime_events.bus import TraceBus
+from repro.settings import from_table, to_table
 from repro.versions import (
     EVENT_LOG_READ_VERSIONS,
     EVENT_LOG_RETIRED_REASON,
@@ -48,63 +49,18 @@ OBSERVER_FIELDS = (
     "export_metrics",
     "collect_topic_counts",
 )
+
+
 def config_to_dict(cfg) -> dict:
     """JSON-compatible provenance form of an :class:`ExperimentConfig`.
 
     A cost model is written as its field table, and only when one is set:
     ``None`` (the default model) leaves the key out.
     """
-    out: dict = {}
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
-        if field.name == "cost":
-            if value is not None:
-                out["cost"] = dataclasses.asdict(value)
-        elif field.name == "chaos":
-            out["chaos"] = None if value is None else _chaos_to_dict(value)
-        elif field.name == "planner":
-            out["planner"] = None if value is None else _planner_to_dict(value)
-        elif field.name == "scaling_plan":
-            # Canonical text form; ScalingPlan.parse inverts it exactly.
-            out["scaling_plan"] = None if value is None else value.spec()
-        elif field.name in ("autoscale", "nexmark"):
-            out[field.name] = (
-                None if value is None else dataclasses.asdict(value)
-            )
-        else:
-            out[field.name] = _jsonable_config_value(field.name, value)
+    out = to_table(cfg)
+    if out["cost"] is None:
+        del out["cost"]
     return out
-
-
-def _jsonable_config_value(name: str, value):
-    if isinstance(value, tuple):
-        return list(value)
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise EventLogError(
-        f"config field {name!r} holds unserializable {type(value).__name__}"
-    )
-
-
-def _chaos_to_dict(chaos) -> dict:
-    data = dataclasses.asdict(chaos.plan)
-    out = {"plan": data, "snapshot_at_s": chaos.snapshot_at_s}
-    out["retry"] = (
-        None if chaos.retry is None else dataclasses.asdict(chaos.retry)
-    )
-    out["watchdog"] = (
-        None if chaos.watchdog is None else dataclasses.asdict(chaos.watchdog)
-    )
-    return out
-
-
-def _planner_to_dict(planner) -> dict:
-    data = dataclasses.asdict(planner)
-    data["objective_options"] = {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in planner.objective_options.items()
-    }
-    return data
 
 
 def config_from_dict(data: dict):
@@ -113,8 +69,9 @@ def config_from_dict(data: dict):
     Observer-only fields (recording, export, profiling) are stripped: the
     rebuilt config re-runs the *simulation*, and the replay driver decides
     what to observe about it.  Log headers, matrix specs and ``repro.cli
-    run`` settings all come through here; data that names an unknown
-    field, holds a malformed nested table or breaks a config rule raises
+    run`` settings all come through here, and :mod:`repro.settings` turns
+    the table into the config; data that names an unknown field, holds a
+    value of the wrong type or breaks a config rule raises
     :class:`EventLogError`.
 
     Two keys name a fault scenario instead of a field: ``faults`` (one of
@@ -124,7 +81,6 @@ def config_from_dict(data: dict):
     ``chaos_seed`` without a scenario would seed nothing, so it is refused.
     """
     from repro.harness.experiment import ExperimentConfig
-    from repro.sim.cost import CostModel
 
     if not isinstance(data, dict):
         raise EventLogError("config provenance must be an object")
@@ -135,31 +91,10 @@ def config_from_dict(data: dict):
         raise EventLogError(
             "chaos_seed seeds a fault scenario, but faults is 'none'"
         )
-    known = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    kwargs: dict = {}
+    for name in OBSERVER_FIELDS:
+        data.pop(name, None)
     try:
-        for name, value in data.items():
-            if name not in known:
-                raise EventLogError(f"unknown ExperimentConfig field {name!r}")
-            if name in OBSERVER_FIELDS:
-                continue
-            if name == "cost":
-                kwargs["cost"] = None if value is None else CostModel(**value)
-            elif name == "chaos":
-                kwargs["chaos"] = None if value is None else _chaos_from_dict(value)
-            elif name == "planner":
-                kwargs["planner"] = (
-                    None if value is None else _planner_from_dict(value)
-                )
-            elif name == "autoscale":
-                from repro.elastic.autoscaler import AutoscalerConfig
-
-                kwargs["autoscale"] = (
-                    None if value is None else AutoscalerConfig(**value)
-                )
-            else:
-                kwargs[name] = value
-        cfg = ExperimentConfig(**kwargs)
+        cfg = from_table(ExperimentConfig, data)
         if faults != "none":
             from repro.chaos.experiment import scenario_chaos
 
@@ -169,57 +104,6 @@ def config_from_dict(data: dict):
         return cfg
     except ConfigError as exc:
         raise EventLogError(f"config breaks a rule: {exc}") from None
-    except TypeError as exc:  # a nested table's unknown key, a value's type
-        raise EventLogError(f"config is malformed: {exc}") from None
-
-
-def _chaos_from_dict(data: dict):
-    from repro.chaos.plan import (
-        ChaosConfig,
-        FaultPlan,
-        LinkFault,
-        ProcessCrash,
-        WorkerStall,
-    )
-    from repro.chaos.watchdog import WatchdogConfig
-    from repro.megaphone.controller import RetryPolicy
-
-    plan_data = data.get("plan") or {}
-    plan = FaultPlan(
-        seed=plan_data.get("seed", 0),
-        crashes=tuple(ProcessCrash(**c) for c in plan_data.get("crashes", ())),
-        link_faults=tuple(
-            LinkFault(**lf) for lf in plan_data.get("link_faults", ())
-        ),
-        stalls=tuple(WorkerStall(**s) for s in plan_data.get("stalls", ())),
-    )
-    retry = data.get("retry")
-    watchdog = data.get("watchdog")
-    return ChaosConfig(
-        plan=plan,
-        retry=None if retry is None else RetryPolicy(**retry),
-        watchdog=None if watchdog is None else WatchdogConfig(**watchdog),
-        snapshot_at_s=data.get("snapshot_at_s"),
-    )
-
-
-def _planner_from_dict(data: dict):
-    from repro.planner.policy import PlannerConfig
-    from repro.planner.telemetry import TelemetryConfig
-
-    kwargs = dict(data)
-    telemetry = kwargs.pop("telemetry", None)
-    options = kwargs.pop("objective_options", {}) or {}
-    return PlannerConfig(
-        telemetry=TelemetryConfig(**telemetry)
-        if telemetry is not None
-        else TelemetryConfig(),
-        objective_options={
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in options.items()
-        },
-        **kwargs,
-    )
 
 
 # -- event serialization --------------------------------------------------------

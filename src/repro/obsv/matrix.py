@@ -167,7 +167,7 @@ def load_spec(path: str) -> dict:
     for cell in expand_cells(data):
         try:
             config_from_dict(cell.settings)
-        except (TypeError, ValueError) as exc:  # ConfigError, EventLogError
+        except ValueError as exc:  # EventLogError
             raise MatrixSpecError(
                 f"{path}: cell {cell.cell_id} breaks a config rule: {exc}"
             ) from None

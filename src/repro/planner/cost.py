@@ -70,12 +70,6 @@ class MigrationCostModel:
         self._ser_seconds = 0.0
         self._deser_bytes = 0.0
         self._deser_seconds = 0.0
-        # Per-kind accumulators ("full" / "base" / "delta"): the delta
-        # migration path serializes dirty subsets, whose per-byte cost can
-        # differ from whole-bin shipment (key filtering dominates small
-        # deltas).  kind -> [bytes, seconds].
-        self._ser_kind: dict = {}
-        self._deser_kind: dict = {}
         self._overhead_sum = 0.0
         self._overhead_count = 0
         self._pending_step_bytes: dict = {}
@@ -100,22 +94,12 @@ class MigrationCostModel:
         if kind is BinStateExtracted:
             self._ser_bytes += event.size_bytes
             self._ser_seconds += event.serialize_s
-            acc = self._ser_kind.setdefault(
-                getattr(event, "kind", "full"), [0.0, 0.0]
-            )
-            acc[0] += event.size_bytes
-            acc[1] += event.serialize_s
             self.moves_observed += 1
             pending = self._pending_step_bytes
             pending[event.time] = pending.get(event.time, 0.0) + event.size_bytes
         elif kind is BinStateInstalled:
             self._deser_bytes += event.size_bytes
             self._deser_seconds += event.deserialize_s
-            acc = self._deser_kind.setdefault(
-                getattr(event, "kind", "full"), [0.0, 0.0]
-            )
-            acc[0] += event.size_bytes
-            acc[1] += event.deserialize_s
         elif kind is MigrationStepOutcome:
             bytes_moved = self._pending_step_bytes.pop(event.time, 0.0)
             if event.abandoned:
@@ -145,25 +129,6 @@ class MigrationCostModel:
             return self._deser_seconds / self._deser_bytes
         return self._prior_deser
 
-    def ser_rate_for(self, kind: str) -> float:
-        """Seconds per byte to serialize a ``kind`` payload.
-
-        Falls back to the aggregate :attr:`ser_rate` (and through it the
-        prior) until that kind has been observed.
-        """
-        acc = self._ser_kind.get(kind)
-        if acc is not None and acc[0] > 0.0:
-            return acc[1] / acc[0]
-        return self.ser_rate
-
-    def deser_rate_for(self, kind: str) -> float:
-        """Seconds per byte to install a ``kind`` payload (with the same
-        fallback chain as :meth:`ser_rate_for`)."""
-        acc = self._deser_kind.get(kind)
-        if acc is not None and acc[0] > 0.0:
-            return acc[1] / acc[0]
-        return self.deser_rate
-
     @property
     def overhead_s(self) -> float:
         """Per-step fixed seconds: control propagation, drain, catch-up."""
@@ -178,27 +143,26 @@ class MigrationCostModel:
 
     # -- prediction ----------------------------------------------------------
 
-    def predict_move_s(self, size_bytes: float, kind: str = "full") -> float:
-        """Seconds to extract, ship, and install one ``kind`` payload of
+    def predict_move_s(self, size_bytes: float) -> float:
+        """Seconds to extract, ship, and install one payload of
         ``size_bytes`` (no per-step overhead; monotone in state size)."""
         return (
-            size_bytes * (self.ser_rate_for(kind) + self.deser_rate_for(kind))
+            size_bytes * (self.ser_rate + self.deser_rate)
             + size_bytes / self._bandwidth
             + self._latency
         )
 
-    def predict_step_s(self, moves: list, kind: str = "full") -> float:
+    def predict_step_s(self, moves: list) -> float:
         """Seconds for one step of ``(src, dst, size_bytes)`` moves.
 
         Per-worker work is serial: a source serializes its moves
         back-to-back, a destination installs back-to-back; the step
         completes with the slowest of each, plus shipping and overhead.
-        ``kind`` selects which calibrated per-byte rates price the moves.
         """
         if not moves:
             return 0.0
-        ser = self.ser_rate_for(kind)
-        deser = self.deser_rate_for(kind)
+        ser = self.ser_rate
+        deser = self.deser_rate
         src_s: dict[int, float] = {}
         dst_s: dict[int, float] = {}
         total_bytes = 0.0
@@ -219,31 +183,21 @@ class MigrationCostModel:
         plan: MigrationPlan,
         current: BinnedConfiguration,
         bin_bytes: dict[int, float],
-        dirty_fraction: Optional[float] = None,
     ) -> float:
         """Seconds to execute ``plan`` from ``current`` under completion
-        pacing (steps run serially).
-
-        With ``dirty_fraction`` set, prices the *delta* protocol instead:
-        the base snapshot ships ahead of the step (off the latency-critical
-        path, overlapped with processing), so each step's critical work is
-        the delta — ``dirty_fraction`` of the bin's bytes at the calibrated
-        delta rates.
-        """
+        pacing (steps run serially)."""
         total = 0.0
         config = current
-        kind = "full" if dirty_fraction is None else "delta"
-        scale = 1.0 if dirty_fraction is None else max(0.0, dirty_fraction)
         for step in plan.steps:
             moves = [
                 (
                     config.worker_of(inst.bin),
                     inst.worker,
-                    float(bin_bytes.get(inst.bin, 0.0)) * scale,
+                    float(bin_bytes.get(inst.bin, 0.0)),
                 )
                 for inst in step.insts
             ]
-            total += self.predict_step_s(moves, kind=kind)
+            total += self.predict_step_s(moves)
             config = config.apply(list(step.insts))
         return total
 

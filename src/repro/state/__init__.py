@@ -1,7 +1,7 @@
 """``repro.state`` — the pluggable state-backend layer.
 
 Lifts bin state behind a :class:`~repro.state.backend.StateBackend`
-interface (get/put/delete/iterate, ``extract_bin``/``install_bin``, byte
+interface (whole-state access, ``extract_bin``/``install_bin``, byte
 accounting, per-bin key and record stats) with a
 :class:`~repro.state.codecs.Codec` abstraction for the serialized form.
 ``BinStore`` owns one backend per worker-operator pair; migration

@@ -18,7 +18,7 @@ bookkeeping only the tiered backend's LRU spill reads, so it lives there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable
 
 from repro.state.codecs import Codec
 
@@ -247,21 +247,6 @@ class StateBackend:
             if hi > lo:
                 records[bin_id] = get(bin_id, 0) + hi - lo
             lo = hi
-
-    # -- key-level access (mapping states) --------------------------------------
-
-    def get(self, bin_id: object, key: object, default: object = None) -> object:
-        state = self.state_of(bin_id)
-        return state.get(key, default)  # type: ignore[attr-defined]
-
-    def put(self, bin_id: object, key: object, value: object) -> None:
-        self.state_of(bin_id)[key] = value  # type: ignore[index]
-
-    def delete(self, bin_id: object, key: object) -> None:
-        del self.state_of(bin_id)[key]  # type: ignore[attr-defined]
-
-    def items(self, bin_id: object) -> Iterator:
-        return iter(list(self.state_of(bin_id).items()))  # type: ignore[attr-defined]
 
     # -- byte accounting --------------------------------------------------------
 

@@ -50,15 +50,19 @@ to the bins and states one frame per bin would.
 
 Epoch stamps: every applied bin closes one epoch (a group of ``n`` bins
 stamps its checkpoints ``e, e+1, …, e+n-1``), and every frame carries the
-epoch it was written under.  A mapping state stamps each key it hands out
-or changes with the open epoch (a value that is read can be changed in
-place).  ``extract_bin(..., dirty_since=E)`` produces a *delta* payload
-holding only keys stamped strictly after ``E`` — the wire format of delta
-migration (base payloads record their epoch at capture).  Stamps are not
-logged: a recovered mapping bin stamps every key with the reborn epoch, so
-a delta since a base shipped before the crash carries the whole bin.  A
-base capture closes its epoch with a synced ``K_EPOCH`` frame, so replay
-resumes above every base epoch already shipped.
+epoch it was written under.  From its first base capture
+(:meth:`WalBackend.capture_base`, which F calls to pre-copy a moving bin)
+until it leaves, a mapping state stamps each key it hands out or changes
+with the open epoch (a value that is read can be changed in place).
+``extract_bin(..., dirty_since=E)`` produces a *delta* payload holding only
+keys stamped strictly after ``E`` — the wire format of delta migration
+(base payloads record their epoch at capture).  Stamps are not logged: a
+recovered mapping bin counts as captured and stamps every key with the
+reborn epoch, so a delta since a base shipped before the crash carries the
+whole bin.  A base capture closes its epoch with a synced ``K_EPOCH``
+frame, so replay resumes above every base epoch already shipped; a copy
+(``extract_bin(..., remove=False)``: snapshots, fingerprints) writes
+nothing.
 
 Compaction: once ``compact_threshold`` records (sub-frames counted) have
 accumulated, the whole log is rewritten as one frame holding a
@@ -504,33 +508,40 @@ class WalRegistry:
 class WalState(MutableMapping):
     """A mapping bin's state: a dict that stamps each key's dirty epoch.
 
-    Every key read, written or deleted is stamped with the owning backend's
-    open epoch, for delta extraction; a read stamps too, because a value
-    that is read can be changed in place.  ``get``, ``setdefault``,
+    A stamp matters only to a delta since a base captured before it, so
+    ``dirty`` is ``None`` until the bin's first base capture
+    (:meth:`WalBackend.capture_base`) and records stamps from then until
+    the bin leaves.  Then every key read, written or deleted is stamped
+    with the owning backend's open epoch; a read stamps too, because a
+    value that is read can be changed in place.  ``get``, ``setdefault``,
     ``pop``, ``items()`` and ``values()`` all pass through
-    :meth:`__getitem__`.  Nothing is logged here: the backend checkpoints
-    the whole dict at each commit.
+    :meth:`__getitem__`; observers that must not stamp read :attr:`data`.
+    Nothing is logged here: the backend checkpoints the whole dict at each
+    commit.
     """
 
     __slots__ = ("data", "dirty", "_owner")
 
     def __init__(self, owner: "WalBackend", base: dict | None = None):
         self.data: dict = dict(base) if base else {}
-        self.dirty: dict = {}
+        self.dirty: Optional[dict] = None
         self._owner = owner
 
     def __getitem__(self, key):
         value = self.data[key]
-        self.dirty[key] = self._owner._epoch
+        if self.dirty is not None:
+            self.dirty[key] = self._owner._epoch
         return value
 
     def __setitem__(self, key, value) -> None:
         self.data[key] = value
-        self.dirty[key] = self._owner._epoch
+        if self.dirty is not None:
+            self.dirty[key] = self._owner._epoch
 
     def __delitem__(self, key) -> None:
         del self.data[key]
-        self.dirty[key] = self._owner._epoch
+        if self.dirty is not None:
+            self.dirty[key] = self._owner._epoch
 
     def __iter__(self) -> Iterator:
         return iter(self.data)
@@ -623,8 +634,9 @@ class WalBackend(DictBackend):
         if damage is not None:
             recovery.lost_tail_bytes = damage.get("lost_tail_bytes", 0)
         states, max_epoch = replay_frames(frames, self._state_factory)
-        # Stamps are not logged: every recovered key counts as written in
-        # the reborn epoch, so a delta since any earlier base ships it.
+        # Stamps are not logged: a recovered mapping bin counts as captured,
+        # and every key as written in the reborn epoch, so a delta since any
+        # earlier base ships it.
         reborn = max_epoch + 1
         for bin_id, state in states.items():
             if isinstance(state, dict):
@@ -736,6 +748,8 @@ class WalBackend(DictBackend):
         remove: bool = True,
         dirty_since: Optional[int] = None,
     ) -> BinPayload:
+        """``remove=False`` reads a copy and writes nothing: a snapshot or a
+        fingerprint is not a base (see :meth:`capture_base`)."""
         state = self._states[bin_id]
         if dirty_since is not None and isinstance(state, WalState):
             return self._extract_delta(bin_id, state, dirty_since, remove)
@@ -751,7 +765,7 @@ class WalBackend(DictBackend):
                 payload = self.codec.encode(self.codec.copy(flat))
             measured = self.codec.measured_bytes(payload)
             nbytes = measured if measured is not None else self.modeled_bytes(state)
-            result = BinPayload(
+            return BinPayload(
                 bin_id=bin_id,
                 codec=self.codec.name,
                 payload=payload,
@@ -759,24 +773,34 @@ class WalBackend(DictBackend):
                 size_bytes=nbytes,
                 keys=keys,
             )
-        else:
-            removed = remove
-            result = super().extract_bin(bin_id, remove=remove)
-            if removed:
-                self._append(K_DROP, (bin_id, self._epoch))
-        # Stamp the capture epoch and close it, so writes that land after
-        # this snapshot are strictly newer than ``base_epoch``.  The close is
-        # logged and synced: a worker reborn from the log must not reopen an
-        # epoch a shipped base was stamped with.
+        result = super().extract_bin(bin_id, remove=remove)
+        if remove:
+            self._append(K_DROP, (bin_id, self._epoch))
+        return result
+
+    def capture_base(self, bin_id: object) -> BinPayload:
+        """A copy of ``bin_id`` to ship as a base.
+
+        The payload carries the open epoch as ``base_epoch``, and the epoch
+        closes, so writes that land after the capture are strictly newer.
+        The close is logged and synced: a worker reborn from the log must
+        not reopen an epoch a shipped base was stamped with.  A mapping bin
+        records dirty stamps from its first base on.
+        """
+        state = self._states[bin_id]
+        result = self.extract_bin(bin_id, remove=False)
         result.base_epoch = self._epoch
-        if not remove:
-            self._append(K_EPOCH, (bin_id, self._epoch))
-            self._epoch += 1
+        if state.__class__ is WalState and state.dirty is None:
+            state.dirty = {}
+        self._append(K_EPOCH, (bin_id, self._epoch))
+        self._epoch += 1
         return result
 
     def _extract_delta(
         self, bin_id: object, state: WalState, since: int, remove: bool
     ) -> BinPayload:
+        if state.dirty is None:
+            raise ValueError(f"bin {bin_id} has no base to cut a delta from")
         data = state.data
         live = {}
         deleted = []

@@ -4,11 +4,13 @@ the library, the CLI, a matrix spec or a replayed log."""
 
 import pytest
 
-from repro.chaos.plan import ChaosConfig
+from repro.chaos.plan import ChaosConfig, FaultPlan, ProcessCrash
+from repro.cli import main
 from repro.elastic.autoscaler import AutoscalerConfig
 from repro.harness.experiment import ConfigError, ExperimentConfig
 from repro.nexmark.harness import run_nexmark_experiment
 from repro.planner.policy import PlannerConfig
+from repro.sim.engine import Simulator
 
 
 def _sharded(**overrides):
@@ -200,3 +202,121 @@ def test_nexmark_rejects_sharded_config():
     )
     with pytest.raises(ConfigError, match="does not support NEXMark queries"):
         run_nexmark_experiment(3, cfg)
+
+
+# A wrong-typed setting, nested tables included: (settings table, the same
+# as `--set` arguments, the dotted path and what it must be).
+WRONG_TYPES = {
+    "sample_memory": (
+        {"sample_memory": "no"}, ['sample_memory="no"'],
+        "sample_memory must be true or false, got 'no'",
+    ),
+    "bytes_per_key": (
+        {"bytes_per_key": "8"}, ['bytes_per_key="8"'],
+        "bytes_per_key must be a number, got '8'",
+    ),
+    "bytes_per_key_migrating": (
+        {"bytes_per_key": "8", "migrate_at_s": [0.5], "duration_s": 1.0},
+        ['bytes_per_key="8"', "migrate_at_s=[0.5]", "duration_s=1.0"],
+        "bytes_per_key must be a number, got '8'",
+    ),
+    "planner_decide_s": (
+        {"planner": {"decide_s": "x"}}, ['planner={decide_s="x"}'],
+        "planner.decide_s must be a number, got 'x'",
+    ),
+    "planner_word": (
+        {"planner": "balance"}, ["planner=balance"],
+        "planner must be a table, got 'balance'",
+    ),
+    "telemetry_sample_s": (
+        {"planner": {"telemetry": {"sample_s": "x"}}},
+        ['planner={telemetry={sample_s="x"}}'],
+        "planner.telemetry.sample_s must be a number, got 'x'",
+    ),
+    "cost_record_cost": (
+        {"cost": {"record_cost": "cheap"}}, ['cost={record_cost="cheap"}'],
+        "cost.record_cost must be a number, got 'cheap'",
+    ),
+    "nexmark_word": (
+        {"query": 3, "nexmark": "big"}, ["query=3", "nexmark=big"],
+        "nexmark must be a table, got 'big'",
+    ),
+    "chaos_scalar": ({"chaos": 5}, ["chaos=5"], "chaos must be a table, got 5"),
+    "scaling_plan_scalar": (
+        {"scaling_plan": 3}, ["scaling_plan=3"],
+        "scaling_plan must be a string, got 3",
+    ),
+    "retry_timeout_s": (
+        {"chaos": {"retry": {"timeout_s": "x"}}},
+        ['chaos={retry={timeout_s="x"}}'],
+        "chaos.retry.timeout_s must be a number, got 'x'",
+    ),
+    "autoscale_cooldown_s": (
+        {"autoscale": {"cooldown_s": "soon"}}, ['autoscale={cooldown_s="soon"}'],
+        "autoscale.cooldown_s must be a number, got 'soon'",
+    ),
+    "migrate_at_s_scalar": (
+        {"migrate_at_s": 0.5}, ["migrate_at_s=0.5"],
+        "migrate_at_s must be a list, got 0.5",
+    ),
+    "crash_process_float": (
+        {"chaos": {"plan": {"crashes": [{"at_s": 0.5, "process": 1.0}]}}},
+        ["chaos={plan={crashes=[{at_s=0.5,process=1.0}]}}"],
+        "chaos.plan.crashes[0].process must be an integer, got 1.0",
+    ),
+}
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if any simulator is built (no event can fire)."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(Simulator, "__init__", refuse)
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_a_wrong_type_is_refused_at_construction(case, no_simulation):
+    table, _sets, message = WRONG_TYPES[case]
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(**table)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_a_wrong_type_exits_2_from_the_cli(case, no_simulation, capsys):
+    _table, sets, message = WRONG_TYPES[case]
+    argv = ["run"] + [arg for item in sets for arg in ("--set", item)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_nested_instance_is_checked_like_its_table():
+    crash = ProcessCrash(at_s=0.5, process=1.0)
+    with pytest.raises(ConfigError, match=r"^chaos\.plan\.crashes\[0\]\.process "):
+        ExperimentConfig(chaos=ChaosConfig(plan=FaultPlan(crashes=(crash,))))
+    with pytest.raises(ConfigError, match=r"^planner\.decide_s must be a number"):
+        ExperimentConfig(planner=PlannerConfig(decide_s="x"))
+
+
+def test_an_unknown_nested_key_names_its_table():
+    with pytest.raises(ConfigError, match=r"^chaos\.retry names unknown settings \['tries'\]"):
+        ExperimentConfig(chaos={"retry": {"tries": 3}})
+
+
+def test_tables_become_their_dataclasses():
+    cfg = ExperimentConfig(
+        query=3, nexmark={"filtered_states": ["OR"]},
+        chaos={"plan": {"crashes": [{"at_s": 0.5, "process": 1}]}},
+        scaling_plan="leave@2.0:7",
+    )
+    assert cfg.nexmark.filtered_states == ("OR",)
+    assert cfg.chaos.plan.crashes == (ProcessCrash(at_s=0.5, process=1),)
+    assert cfg.scaling_plan.spec() == "leave@2:7"
+    # An int stays an int in a float field, so no digest moves.
+    assert ExperimentConfig(rate=5000).rate == 5000
+    assert type(ExperimentConfig(rate=5000).rate) is int

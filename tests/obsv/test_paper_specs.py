@@ -7,12 +7,16 @@ claim's selectors; the fastest specs run here and their claims must hold.
 CI's paper-claims job sweeps all of them.
 """
 
+import importlib.util
 import pathlib
 import re
 
 import pytest
 
-from repro.obsv.matrix import check_claims, load_spec, run_matrix
+from repro.harness.experiment import ExperimentConfig
+from repro.obsv.eventlog import config_from_dict, config_to_dict
+from repro.obsv.matrix import check_claims, expand_cells, load_spec, run_matrix
+from repro.sim.cost import CostModel
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 PAPER = BENCHMARKS / "paper"
@@ -66,3 +70,31 @@ def test_fast_figure_claims_hold(spec):
     results = check_claims(spec, run_matrix(spec, jobs=2))
     assert results
     assert [r for r in results if not r["ok"]] == []
+
+
+def _e2e_configs():
+    """Every ``benchmarks/e2e`` workload's config, as its child builds it."""
+    path = BENCHMARKS / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for smoke in (False, True):
+            kwargs = workloads.config_kwargs(name, seed=1, smoke=smoke)
+            cost = kwargs.pop("cost")
+            if cost is not None:
+                kwargs["cost"] = CostModel(**cost)
+            yield ExperimentConfig(**kwargs)
+
+
+def test_every_benchmark_config_round_trips_through_its_table():
+    specs = [*SPECS.values(), BENCHMARKS / "matrix_smoke.toml"]
+    configs = [
+        config_from_dict(cell.settings)
+        for path in specs
+        for cell in expand_cells(load_spec(str(path)))
+    ]
+    configs += list(_e2e_configs())
+    assert len(configs) > 200
+    for cfg in configs:
+        assert config_from_dict(config_to_dict(cfg)) == cfg

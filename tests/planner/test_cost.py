@@ -110,73 +110,3 @@ def test_projected_loads_and_gain():
     # 2.0 (all on one of two workers) down to ~1.45.
     assert gain > 0.5
     assert imbalance_gain(bin_load, skewed, skewed, 2) == 0.0
-
-
-def _publish_move(bus, time, kind, size, ser_s, deser_s):
-    bus.publish(
-        BinStateExtracted(
-            name="count", time=time, bin=time, src=0, dst=1,
-            size_bytes=size, serialize_s=ser_s, at=float(time), kind=kind,
-        )
-    )
-    bus.publish(
-        BinStateInstalled(
-            name="count", time=time, bin=time, worker=1,
-            size_bytes=size, deserialize_s=deser_s, at=float(time), kind=kind,
-        )
-    )
-
-
-def test_per_kind_rates_calibrate_independently():
-    bus = TraceBus()
-    model = MigrationCostModel(bus)
-    # Full payloads: 1 s/MiB.  Deltas: 4 s/MiB (small, filter-dominated).
-    mib = float(1 << 20)
-    _publish_move(bus, 0, "full", mib, 1.0, 1.0)
-    _publish_move(bus, 1, "delta", mib / 16, 0.25, 0.25)
-    assert abs(model.ser_rate_for("full") - 1.0 / mib) < 1e-12
-    assert abs(model.ser_rate_for("delta") - 4.0 / mib) < 1e-12
-    assert abs(model.deser_rate_for("delta") - 4.0 / mib) < 1e-12
-    # An unobserved kind falls back to the aggregate calibrated rate.
-    aggregate = model.ser_rate
-    assert model.ser_rate_for("base") == aggregate
-    model.close()
-
-
-def test_per_kind_rates_fall_back_to_prior_when_uncalibrated():
-    model = MigrationCostModel()
-    assert model.ser_rate_for("delta") == model.ser_rate
-    assert model.deser_rate_for("full") == model.deser_rate
-
-
-def test_predict_move_uses_kind_rates():
-    bus = TraceBus()
-    model = MigrationCostModel(bus)
-    mib = float(1 << 20)
-    _publish_move(bus, 0, "full", mib, 1.0, 1.0)
-    _publish_move(bus, 1, "delta", mib, 8.0, 8.0)
-    assert model.predict_move_s(mib, kind="delta") > model.predict_move_s(mib)
-    model.close()
-
-
-def test_plan_cost_with_dirty_fraction_prices_the_delta_path():
-    bus = TraceBus()
-    model = MigrationCostModel(bus)
-    mib = float(1 << 20)
-    # Delta per-byte rates equal full rates here; only the byte volume
-    # differs, so a 10%-dirty delta plan must cost well under the full one.
-    _publish_move(bus, 0, "full", mib, 1.0, 1.0)
-    _publish_move(bus, 1, "delta", mib, 1.0, 1.0)
-    current = BinnedConfiguration.round_robin(8, 2)
-    target = BinnedConfiguration(tuple((w + 1) % 2 for w in current.assignment))
-    plan = make_plan("fluid", current, target)
-    sizes = {b: 1 << 20 for b in range(8)}
-    full_cost = model.predict_plan_s(plan, current, sizes)
-    delta_cost = model.predict_plan_s(plan, current, sizes, dirty_fraction=0.1)
-    assert delta_cost < full_cost
-    # The saving is roughly proportional to the dirty fraction once the
-    # fixed per-step overhead is taken out.
-    steps = len(plan.steps)
-    fixed = steps * model.overhead_s
-    assert (delta_cost - fixed) < 0.2 * (full_cost - fixed)
-    model.close()

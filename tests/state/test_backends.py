@@ -29,12 +29,12 @@ def test_backend_lifecycle(name):
     backend.create_bin(3)
     assert backend.has_bin(3)
     assert backend.bin_ids() == [3]
-    backend.put(3, "k", 1)
-    backend.put(3, "j", 2)
-    assert backend.get(3, "k") == 1
-    assert backend.get(3, "missing", 99) == 99
-    assert dict(backend.items(3)) == {"k": 1, "j": 2}
-    backend.delete(3, "j")
+    backend.state_of(3)["k"] = 1
+    backend.state_of(3)["j"] = 2
+    assert backend.state_of(3).get("k") == 1
+    assert backend.state_of(3).get("missing", 99) == 99
+    assert dict(backend.state_of(3).items()) == {"k": 1, "j": 2}
+    del backend.state_of(3)["j"]
     assert backend.bin_stats(3).keys == 1
     assert backend.state_bytes(3) >= 8
     with pytest.raises(ValueError):
@@ -47,14 +47,14 @@ def test_backend_lifecycle(name):
 def test_extract_install_round_trip(name):
     backend = _backend(name)
     backend.create_bin(0)
-    backend.put(0, 1, 10)
-    backend.put(0, 2, 20)
+    backend.state_of(0)[1] = 10
+    backend.state_of(0)[2] = 20
     payload = backend.extract_bin(0, remove=True)
     assert not backend.has_bin(0)
     assert payload.keys == 2 or name == "tiered"  # tiered reports 0 for cold
     other = _backend(name)
     other.install_bin(payload)
-    assert dict(other.items(0)) == {1: 10, 2: 20}
+    assert dict(other.state_of(0).items()) == {1: 10, 2: 20}
 
 
 def test_bin_not_resident_error_names_the_disagreement():
@@ -89,19 +89,19 @@ def test_tiered_spills_coldest_bin_first():
     for bin_id in range(3):
         backend.create_bin(bin_id)
         for k in range(2):
-            backend.put(bin_id, k, k)  # 16 bytes per bin
+            backend.state_of(bin_id)[k] = k  # 16 bytes per bin
     # Touch 0 and 2 so bin 1 is the coldest.
     backend.state_of(0)
     backend.state_of(2)
     backend.create_bin(3)
-    backend.put(3, 1, 1)  # pushes resident past 40 bytes
+    backend.state_of(3)[1] = 1  # pushes resident past 40 bytes
     assert backend.spills >= 1
     stats = {b: backend.bin_stats(b) for b in backend.bin_ids()}
     assert not stats[1].resident  # the coldest was evicted
     assert backend.spilled_bytes() > 0
     assert backend.resident_bytes() <= 40
     # Touching the spilled bin promotes it back (and may evict another).
-    assert dict(backend.items(1)) == {0: 0, 1: 1}
+    assert dict(backend.state_of(1).items()) == {0: 0, 1: 1}
     assert backend.promotions >= 1
     assert backend.bin_stats(1).resident
 
@@ -111,8 +111,8 @@ def test_tiered_spill_order_is_deterministic():
         backend = _backend("tiered", hot_capacity_bytes=64)
         for bin_id in range(8):
             backend.create_bin(bin_id)
-            backend.put(bin_id, bin_id, bin_id)
-            backend.put(bin_id, -bin_id - 1, 0)
+            backend.state_of(bin_id)[bin_id] = bin_id
+            backend.state_of(bin_id)[-bin_id - 1] = 0
         return backend
 
     first, second = build(), build()
@@ -140,7 +140,7 @@ def test_tiered_spill_and_promote_order_is_pinned():
         backend.create_bin(bin_id)
     steps.append(resident())
     for bin_id in (2, 1, 0):
-        backend.put(bin_id, "a", 1)  # 16 bytes each; puts do not spill
+        backend.state_of(bin_id)["a"] = 1  # 16 bytes each; puts do not spill
     steps.append(resident())
     backend.note_applied(0)
     steps.append(resident())
@@ -177,9 +177,9 @@ def test_tiered_spill_and_promote_order_is_pinned():
 def test_tiered_extract_ships_cold_payload_without_promotion():
     backend = _backend("tiered", hot_capacity_bytes=8)
     backend.create_bin(0)
-    backend.put(0, 1, 10)
+    backend.state_of(0)[1] = 10
     backend.create_bin(1)
-    backend.put(1, 2, 20)
+    backend.state_of(1)[2] = 20
     backend.note_applied(1)  # re-enforce capacity: spills the colder bin 0
     assert not backend.bin_stats(0).resident
     promotions = backend.promotions
@@ -188,7 +188,7 @@ def test_tiered_extract_ships_cold_payload_without_promotion():
     assert payload.state_bytes == 8
     other = _backend("dict")
     other.install_bin(payload)
-    assert dict(other.items(0)) == {1: 10}
+    assert dict(other.state_of(0).items()) == {1: 10}
 
 
 def test_registry_lists_builtins_and_rejects_unknown_names():

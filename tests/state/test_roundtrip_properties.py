@@ -35,7 +35,7 @@ def test_extract_install_round_trip(backend_name, codec_name, state):
     source = _build(backend_name, codec_name)
     source.create_bin(7)
     for key, value in state.items():
-        source.put(7, key, value)
+        source.state_of(7)[key] = value
 
     payload = source.extract_bin(7, remove=True)
     assert not source.has_bin(7)
@@ -49,7 +49,7 @@ def test_extract_install_round_trip(backend_name, codec_name, state):
 
     destination = _build(backend_name, codec_name)
     destination.install_bin(revived)
-    assert dict(destination.items(7)) == state
+    assert dict(destination.state_of(7).items()) == state
     assert destination.bin_stats(7).keys == len(state)
 
 
@@ -61,10 +61,10 @@ def test_cross_backend_migration_preserves_state(codec_name, state):
     backends = [_build(name, codec_name) for name in BACKENDS]
     backends[0].create_bin(0)
     for key, value in state.items():
-        backends[0].put(0, key, value)
+        backends[0].state_of(0)[key] = value
     for source, destination in zip(backends, backends[1:] + backends[:1]):
         destination.install_bin(source.extract_bin(0, remove=True))
-    assert dict(backends[0].items(0)) == state
+    assert dict(backends[0].state_of(0).items()) == state
 
 
 # The modeled and pickle codecs take arbitrary picklable state, not just
@@ -91,10 +91,10 @@ def test_tiered_cold_extract_round_trips(state):
     backend = _build("tiered", "struct", hot_capacity_bytes=8)
     backend.create_bin(0)
     for key, value in state.items():
-        backend.put(0, key, value)
+        backend.state_of(0)[key] = value
     backend.create_bin(1)
-    backend.put(1, 0, 0)
+    backend.state_of(1)[0] = 0
     backend.note_applied(1)  # enforce capacity: bin 0 goes cold
     destination = _build("dict", "struct")
     destination.install_bin(backend.extract_bin(0, remove=True))
-    assert dict(destination.items(0)) == state
+    assert dict(destination.state_of(0).items()) == state

@@ -7,11 +7,14 @@ state a fault-free backend holds at the same fsync horizon.
 
 import pickle
 import zlib
+from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.recovery import store_fingerprint
 from repro.harness.workloads import ModeledCountState
 from repro.megaphone.bins import BinStore
+from repro.megaphone.snapshot import SnapshotCoordinator
 from repro.state import make_backend
 from repro.state.wal import (
     _HEADER,
@@ -302,18 +305,18 @@ def test_backend_recovers_states_from_log_alone():
     backend.bind_worker(0)
     backend.create_bin(1)
     backend.create_bin(2)
-    backend.put(1, "a", 10)
-    backend.put(1, "b", 20)
-    backend.put(2, "x", 1)
-    backend.delete(1, "b")
+    backend.state_of(1)["a"] = 10
+    backend.state_of(1)["b"] = 20
+    backend.state_of(2)["x"] = 1
+    del backend.state_of(1)["b"]
     backend.note_applied(1)
     backend.note_applied(2)
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
     assert sorted(reborn.bin_ids()) == [1, 2]
-    assert dict(reborn.items(1)) == {"a": 10}
-    assert dict(reborn.items(2)) == {"x": 1}
+    assert dict(reborn.state_of(1).items()) == {"a": 10}
+    assert dict(reborn.state_of(2).items()) == {"x": 1}
     assert reborn.last_recovery is not None
     assert reborn.last_recovery.clean
     assert reborn.last_recovery.bins_recovered == 2
@@ -328,9 +331,9 @@ def test_recovery_stamps_every_key_with_the_reborn_epoch():
     backend = _wal_backend(registry)
     backend.bind_worker(3)
     backend.create_bin(0)
-    backend.put(0, "a", 1)
+    backend.state_of(0)["a"] = 1
     backend.note_applied(0)
-    backend.put(0, "b", 2)
+    backend.state_of(0)["b"] = 2
     backend.note_applied(0)
 
     reborn = _wal_backend(registry)
@@ -347,7 +350,7 @@ def test_dropped_bin_stays_dropped_after_replay():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(4)
-    backend.put(4, "a", 1)
+    backend.state_of(4)["a"] = 1
     backend.drop_bin(4)
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
@@ -359,7 +362,7 @@ def test_recovery_after_torn_write_and_lost_tail():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "durable", 1)
+    backend.state_of(0)["durable"] = 1
     backend.note_applied(0)  # every commit syncs: synced here
     # A frame that never reaches the fsync horizon.  The backend syncs every
     # frame it writes, so only a direct append leaves an unsynced tail.
@@ -370,7 +373,7 @@ def test_recovery_after_torn_write_and_lost_tail():
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
-    assert dict(reborn.items(0)) == {"durable": 1}
+    assert dict(reborn.state_of(0).items()) == {"durable": 1}
     recovery = reborn.last_recovery
     assert recovery.torn_frame
     assert recovery.lost_tail_bytes > 0
@@ -386,12 +389,12 @@ def test_crash_consistency_matches_fault_free_run_at_horizon():
         backend.bind_worker(0)
         backend.create_bin(0)
         for i in range(50):
-            backend.put(0, f"k{i}", i)
+            backend.state_of(0)[f"k{i}"] = i
         backend.note_applied(0)  # fsync horizon: both logs agree here
     # Only the faulted worker keeps writing, and never commits: the crash
     # loses all of it.
     for i in range(25):
-        faulted.put(0, f"k{i}", -i)
+        faulted.state_of(0)[f"k{i}"] = -i
     # No bit flips here: those may land in the durable region, where data
     # loss is detected (not silent) but the horizon guarantee ends.
     faulted_reg.apply_crash_faults(
@@ -399,7 +402,7 @@ def test_crash_consistency_matches_fault_free_run_at_horizon():
     )
     reborn = _wal_backend(faulted_reg)
     reborn.bind_worker(0)
-    assert dict(reborn.items(0)) == dict(clean.items(0))
+    assert dict(reborn.state_of(0).items()) == dict(clean.state_of(0).items())
 
 
 # -- opaque (non-mapping) state ------------------------------------------------
@@ -480,8 +483,8 @@ def test_group_of_mapping_bins_writes_one_frame_and_one_sync():
     backend.bind_worker(0)
     backend.create_bin(0)
     backend.create_bin(1)
-    backend.put(0, "a", 1)
-    backend.put(1, "b", 2)
+    backend.state_of(0)["a"] = 1
+    backend.state_of(1)["b"] = 2
     wal = registry.wal_for(0)
     frames, syncs, epoch = wal.frames_appended, wal.syncs, backend.current_epoch()
     backend.note_applied_group([0, 1], [0, 1, 2])
@@ -500,14 +503,14 @@ def test_a_value_changed_in_place_is_recovered():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "auction", [None, 10])
+    backend.state_of(0)["auction"] = [None, 10]
     backend.note_applied(0)
     backend.state_of(0).get("auction")[1] = 25
     backend.note_applied(0)
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
-    assert dict(reborn.items(0)) == {"auction": [None, 25]}
+    assert dict(reborn.state_of(0).items()) == {"auction": [None, 25]}
 
 
 def _slotted_backend(registry, **options):
@@ -605,7 +608,7 @@ def test_a_delta_carries_a_value_changed_in_place(codec):
     state["auction"] = [None, 10]
     state["other"] = [None, 5]
     store.note_applied(0, 2)
-    base = store.extract(0, remove=False)
+    base = store.capture_base(0)
     state.get("auction")[1] = 25  # read, then changed in place
     store.note_applied(0, 1)
     delta = store.extract(0, remove=False, dirty_since=base.base_epoch)
@@ -620,14 +623,14 @@ def test_delta_extraction_ships_only_dirty_keys():
     backend.bind_worker(0)
     backend.create_bin(0)
     for i in range(10):
-        backend.put(0, i, i)
+        backend.state_of(0)[i] = i
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
+    base = backend.capture_base(0)
     assert base.kind == "full"
     # Mutate a subset after the base snapshot.
-    backend.put(0, 3, 33)
-    backend.put(0, 10, 100)
-    backend.delete(0, 7)
+    backend.state_of(0)[3] = 33
+    backend.state_of(0)[10] = 100
+    del backend.state_of(0)[7]
     delta = backend.extract_bin(0, dirty_since=base.base_epoch)
     assert delta.kind == "delta"
     assert delta.base_epoch == base.base_epoch
@@ -640,9 +643,9 @@ def test_delta_of_unchanged_bin_is_empty():
     backend = _wal_backend()
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "a", 1)
+    backend.state_of(0)["a"] = 1
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
+    base = backend.capture_base(0)
     delta = backend.extract_bin(0, dirty_since=base.base_epoch, remove=False)
     assert delta.decode_state() == {}
     assert delta.deleted == ()
@@ -654,11 +657,11 @@ def test_delta_bytes_scale_with_dirty_fraction():
     backend.bind_worker(0)
     backend.create_bin(0)
     for i in range(100):
-        backend.put(0, i, i)
+        backend.state_of(0)[i] = i
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
+    base = backend.capture_base(0)
     for i in range(10):  # 10% of keys dirtied since the base snapshot
-        backend.put(0, i, -i)
+        backend.state_of(0)[i] = -i
     delta = backend.extract_bin(0, dirty_since=base.base_epoch, remove=False)
     assert delta.size_bytes < 0.25 * base.size_bytes
 
@@ -668,19 +671,93 @@ def test_delta_bytes_grow_with_dirty_fraction_up_to_the_whole_bin():
     backend.bind_worker(0)
     backend.create_bin(0)
     for i in range(100):
-        backend.put(0, i, i)
+        backend.state_of(0)[i] = i
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
+    base = backend.capture_base(0)
     sizes = []
     for dirty in (1, 5, 10, 25, 50, 100):  # percent, cumulatively dirtied
         for i in range(dirty):
-            backend.put(0, i, -i)
+            backend.state_of(0)[i] = -i
         delta = backend.extract_bin(0, dirty_since=base.base_epoch, remove=False)
         assert delta.kind == "delta"
         sizes.append(delta.size_bytes)
     assert sizes == sorted(sizes) and sizes[0] < sizes[-1]
     # A fully dirtied bin ships (at least about) the whole bin again.
     assert sizes[-1] >= 0.9 * base.size_bytes
+
+
+def _wal_store(**options):
+    return BinStore(
+        num_bins=8, state_factory=dict, backend="wal",
+        backend_options={"wal_registry": WalRegistry(), **options}, worker_id=0,
+    )
+
+
+def test_a_mapping_bin_records_stamps_only_from_its_first_base():
+    store = _wal_store()
+    store.create(0)
+    state = store.get(0).state
+    for i in range(50):  # churn: every key inserted, read, then deleted
+        state[i] = i
+        state.get(i)
+        if i >= 4:
+            del state[i - 4]
+        store.note_applied(0, 1)
+    assert state.dirty is None
+    base = store.capture_base(0)
+    assert state.dirty == {}
+    state[100] = 1
+    del state[46]
+    state.get(47)
+    store.note_applied(0, 3)
+    assert sorted(state.dirty) == [46, 47, 100]
+    assert all(epoch > base.base_epoch for epoch in state.dirty.values())
+    delta = store.extract(0, remove=False, dirty_since=base.base_epoch)
+    assert _merged(base, delta) == dict(state.data)
+
+
+def test_a_delta_needs_a_base():
+    store = _wal_store()
+    store.create(0)
+    with pytest.raises(ValueError, match="no base"):
+        store.extract(0, remove=False, dirty_since=0)
+
+
+def test_observers_write_nothing_to_the_log():
+    """A fingerprint and a snapshot read a copy: no frame, no epoch, no
+    stamp, and the fingerprint they leave is the one they found."""
+    store = _wal_store()
+    for bin_id in range(3):
+        store.create(bin_id)
+        store.get(bin_id).state["k"] = [bin_id]
+        store.note_applied(bin_id, 1)
+    store.capture_base(1)
+    store.get(1).state["j"] = 1
+    store.note_applied(1, 1)
+    backend = store.backend
+    wal = backend._log()
+
+    def observed():
+        dirty = {b: None if s.dirty is None else dict(s.dirty)
+                 for b, s in backend._states.items()}
+        return wal.frames_appended, backend.current_epoch(), dirty
+
+    before = observed()
+    fingerprint = store_fingerprint(store)
+    sim = SimpleNamespace(now=1.0)
+    probe = SimpleNamespace(
+        on_advance=lambda _cb, first: None,
+        passed=lambda _time: True,
+        frontier=lambda: SimpleNamespace(elements=lambda: ()),
+    )
+    op = SimpleNamespace(
+        config=SimpleNamespace(name="count"), stores=lambda _rt: [(0, store)]
+    )
+    snapshot = SnapshotCoordinator(SimpleNamespace(sim=sim), op, probe, 0).snapshot
+    assert sorted(snapshot.bins) == [0, 1, 2]
+    assert observed() == before
+    assert store_fingerprint(store) == fingerprint
+    assert observed() == before
 
 
 # -- compaction ----------------------------------------------------------------
@@ -692,7 +769,7 @@ def test_compaction_bounds_log_and_preserves_state():
     backend.bind_worker(0)
     backend.create_bin(0)
     for i in range(500):
-        backend.put(0, i % 8, i)
+        backend.state_of(0)[i % 8] = i
         if i % 4 == 3:
             backend.note_applied(0)
     assert backend.compactions > 0
@@ -703,7 +780,7 @@ def test_compaction_bounds_log_and_preserves_state():
     assert len(frames) < 64
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
-    assert dict(reborn.items(0)) == dict(backend.items(0))
+    assert dict(reborn.state_of(0).items()) == dict(backend.state_of(0).items())
 
 
 def test_compact_writes_one_frame():
@@ -712,7 +789,7 @@ def test_compact_writes_one_frame():
     backend.bind_worker(0)
     for bin_id in range(6):
         backend.create_bin(bin_id)
-        backend.put(bin_id, "k", bin_id)
+        backend.state_of(bin_id)["k"] = bin_id
     wal = registry.wal_for(0)
     frames = wal.frames_appended
     backend.compact()
@@ -748,10 +825,10 @@ def test_delta_after_compaction_and_crash_sees_writes_since_its_base():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "a", 1)
+    backend.state_of(0)["a"] = 1
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
-    backend.put(0, "b", 2)
+    base = backend.capture_base(0)
+    backend.state_of(0)["b"] = 2
     backend.note_applied(0)
     backend.compact()
 
@@ -770,16 +847,16 @@ def test_delta_since_a_base_sees_writes_after_a_restart():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "a", 1)
+    backend.state_of(0)["a"] = 1
     backend.note_applied(0)
-    base = backend.extract_bin(0, remove=False)
+    base = backend.capture_base(0)
     assert base.base_epoch == 1
     registry.apply_crash_faults([0], lose_unsynced_tail=True)
 
     reborn = _wal_backend(registry)
     reborn.bind_worker(0)
     assert reborn.current_epoch() > base.base_epoch
-    reborn.put(0, "b", 2)
+    reborn.state_of(0)["b"] = 2
     delta = reborn.extract_bin(0, remove=False, dirty_since=base.base_epoch)
     assert "b" in delta.decode_state()
     assert _merged(base, delta) == dict(reborn._states[0].data) == {"a": 1, "b": 2}
@@ -796,7 +873,7 @@ def test_compacted_log_replays_checkpoint_frames():
     backend = _wal_backend(registry)
     backend.bind_worker(0)
     backend.create_bin(0)
-    backend.put(0, "a", 1)
+    backend.state_of(0)["a"] = 1
     backend.compact()
     frames, _ = registry.wal_for(0).scan()
     assert [k for k, _ in frames] == [K_CKPT]
@@ -814,7 +891,7 @@ def test_registry_isolates_workers():
     b = _wal_backend(registry)
     b.bind_worker(1)
     a.create_bin(0)
-    a.put(0, "a", 1)
+    a.state_of(0)["a"] = 1
     assert registry.wal_for(1).total_bytes() == 0
     assert registry.workers() == [0, 1]
 
@@ -826,7 +903,7 @@ def test_crash_faults_are_deterministic_per_seed():
         backend.bind_worker(0)
         backend.create_bin(0)
         for i in range(30):
-            backend.put(0, i, i)
+            backend.state_of(0)[i] = i
         backend.note_applied(0)
         registry.apply_crash_faults(
             [0], torn_write=True, bit_flips=3, seed=seed

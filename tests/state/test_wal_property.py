@@ -459,7 +459,7 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
                 if _opaque(bin_id):
                     backend.put_state(bin_id, _opaque_state(bin_id))
             elif op == "put" and present and not _opaque(bin_id):
-                backend.put(bin_id, key, value)
+                backend.state_of(bin_id)[key] = value
                 backend.note_applied(bin_id)
             elif op == "apply":
                 members = [b for b in sorted(backend.bin_ids()) if mask >> b & 1]
@@ -476,7 +476,7 @@ def test_group_commit_recovers_what_per_bin_commits_recover(program, seed):
                         reference.note_records(b, 1)
                         reference.note_applied(b)
             elif op == "extract" and present:
-                bases[side][bin_id] = backend.extract_bin(bin_id, remove=False).base_epoch
+                bases[side][bin_id] = backend.capture_base(bin_id).base_epoch
             elif op == "delta" and present and bin_id in bases[side]:
                 if backend.bin_delta_capable(bin_id):
                     delta = backend.extract_bin(

@@ -16,8 +16,15 @@ from repro.cli import build_parser, configure
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PREFIX = "python -m repro.cli"
-# Where a shell command line ends and the next command begins.
-SHELL_OPERATORS = ("||", "&&", "|", ";")
+# Where a shell command line's arguments end: the next command begins, or
+# a redirection names a file.
+SHELL_OPERATORS = ("||", "&&", "|", ";", "2>")
+# Command lines CI runs to see a usage error: each must be refused, with
+# the dotted path of the setting it names.
+USAGE_ERRORS = {
+    ("run", "--set", 'planner={decide_s="x"}'): "planner.decide_s",
+    ("run", "--set", 'sample_memory="no"'): "sample_memory",
+}
 DOCS = {
     "README.md": ["README.md"],
     "DESIGN.md": ["DESIGN.md"],
@@ -103,11 +110,17 @@ def test_doc_command_lines_parse_and_build(doc, monkeypatch, capsys):
         texts = [(ROOT / path).read_text(encoding="utf-8") for path in DOCS[doc]]
     commands = [argv for text in texts for argv in command_lines(text)]
     assert commands, f"{doc} shows no command line"
-    problems = [
-        f"{shlex.join(argv)}: {problem}"
-        for argv in commands
-        if (problem := _problem(argv)) is not None
-    ]
+    problems = []
+    for argv in commands:
+        problem = _problem(argv)
+        field = USAGE_ERRORS.get(tuple(argv))
+        if field is not None:
+            if problem is None or not problem.startswith("builds no config: "):
+                problems.append(f"{shlex.join(argv)}: should be refused")
+            elif field not in problem:
+                problems.append(f"{shlex.join(argv)}: refused without naming {field}")
+        elif problem is not None:
+            problems.append(f"{shlex.join(argv)}: {problem}")
     assert not problems, "\n".join(problems)
 
 
@@ -124,6 +137,7 @@ def test_command_lines_are_gathered_across_continuations():
         "          count.jsonl\n"
         "Run `python -m repro.cli list` or `python -m repro.cli`.\n"
         'python -m repro.cli matrix --spec "$spec" || status=1\n'
+        "python -m repro.cli run --set seed=2 2> err.txt\n"
     )
     assert command_lines(text) == [
         ["run", "--set", "rate=5000", "--set", "duration_s=2"],
@@ -131,6 +145,7 @@ def test_command_lines_are_gathered_across_continuations():
         ["replay", "count.jsonl"],
         ["list"],
         ["matrix", "--spec", "$spec"],
+        ["run", "--set", "seed=2"],
     ]
     assert _problem(["count", "--workers", "4"]) == "does not parse"
     assert _problem(["run", "--set", "workers=4"]).startswith("builds no config")
