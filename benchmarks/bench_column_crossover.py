@@ -49,7 +49,7 @@ def make_batch(n: int, numpy_repr: bool) -> ColumnBatch:
     """``n`` uniform keys with unit diffs, in the requested representation."""
     keys = [int(k) % 10**9 for k in VectorLcg(n).next_batch(n)]
     if numpy_repr:
-        np = columns._np
+        np = columns._numpy()
         return ColumnBatch(np.asarray(keys, dtype=np.uint64), np.ones(n, dtype=np.int64))
     return ColumnBatch(array("Q", keys), array("q", [1]) * n)
 
@@ -57,7 +57,8 @@ def make_batch(n: int, numpy_repr: bool) -> ColumnBatch:
 def make_owners(workers: int, numpy_repr: bool):
     owners = [b % workers for b in range(NUM_BINS)]
     if numpy_repr:
-        return columns._np.asarray(owners, dtype=columns._np.int64)
+        np = columns._numpy()
+        return np.asarray(owners, dtype=np.int64)
     return owners
 
 
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
     if not columns.numpy_active():
         print("numpy is not importable: every batch is an array, nothing to cross over")
         return 0
-    np = columns._np
+    np = columns._numpy()
     print(f"machine: {platform.platform()}  nproc={os.cpu_count()}  "
           f"python {platform.python_version()}  numpy {np.__version__}")
     print(f"SMALL_BATCH_CUTOFF = {columns.SMALL_BATCH_CUTOFF}  workers = {workers}   "

@@ -26,18 +26,8 @@ Only ``chaos.experiment`` imports the harness, so the harness can import
 the rest without a cycle.
 """
 
-from repro.chaos.plan import (
-    ChaosConfig,
-    FaultPlan,
-    LinkFault,
-    ProcessCrash,
-    WorkerStall,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "ChaosConfig",
-    "FaultPlan",
-    "LinkFault",
-    "ProcessCrash",
-    "WorkerStall",
-]
+__getattr__, __all__ = exports(__name__, {
+    "plan": ("ChaosConfig", "FaultPlan", "LinkFault", "ProcessCrash", "WorkerStall"),
+})

@@ -5,21 +5,19 @@ fault handling, crash recovery and the liveness watchdog."""
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.chaos.inject import ChaosInjector, FaultLog
 from repro.chaos.recovery import RecoveryCoordinator
-from repro.chaos.watchdog import LivenessWatchdog, WatchdogConfig
+from repro.chaos.plan import WatchdogConfig
+from repro.chaos.watchdog import LivenessWatchdog
 from repro.megaphone.controller import FaultHandling, RetryPolicy
 from repro.megaphone.snapshot import SnapshotCoordinator
 
 
-def attach(run) -> Optional[SimpleNamespace]:
-    """Attach fault injection when the config carries a ``ChaosConfig``."""
+def attach(run) -> SimpleNamespace:
+    """Attach fault injection (the config carries a ``ChaosConfig``)."""
     cfg, op, runtime = run.config, run.op, run.runtime
     chaos = cfg.chaos
-    if chaos is None:
-        return None
     fault_log = FaultLog(run.sim.trace)
     run.injector = injector = ChaosInjector(runtime, chaos.plan)
     injector.install()

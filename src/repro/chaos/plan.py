@@ -16,11 +16,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.chaos.watchdog import WatchdogConfig
 from repro.megaphone.controller import RetryPolicy
 
 ANY_PROCESS = -1
 """Wildcard for :class:`LinkFault` endpoints: matches every process."""
+
+
+@dataclass(frozen=True)
+class WatchdogConfig:
+    """Timing knobs of the liveness watchdog (simulated seconds)."""
+
+    poll_interval_s: float = 0.25
+    stall_after_s: float = 2.0
+    give_up_after_s: float = 20.0
+
+    def __post_init__(self) -> None:
+        if self.poll_interval_s <= 0:
+            raise ValueError("poll_interval_s must be positive")
+        if not (0 < self.stall_after_s <= self.give_up_after_s):
+            raise ValueError(
+                "need 0 < stall_after_s <= give_up_after_s, got "
+                f"{self.stall_after_s} / {self.give_up_after_s}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,7 +193,7 @@ class ChaosConfig:
     stock :class:`~repro.megaphone.controller.RetryPolicy` (which the harness
     hands the run's controller inside its
     :class:`~repro.megaphone.controller.FaultHandling` bundle) and
-    :class:`~repro.chaos.watchdog.WatchdogConfig` at wiring time.
+    :class:`WatchdogConfig` at wiring time.
 
     ``snapshot_at_s`` arms periodic-free one-shot snapshotting: just before
     that simulated time the experiment captures every worker's bin state so

@@ -23,12 +23,9 @@ observable loss is the fault model's documented trade.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-from collections.abc import MutableMapping
 from typing import Callable, Optional
 
-from repro.megaphone.bins import BinStore
+from repro.megaphone.bins import BinStore, store_fingerprint
 from repro.megaphone.control import BinnedConfiguration, ControlInst
 from repro.megaphone.controller import MigrationController
 from repro.runtime_events.events import (
@@ -36,49 +33,6 @@ from repro.runtime_events.events import (
     StorageFaultReport,
     WorkerExcluded,
 )
-
-
-def _canonical(store: BinStore, bin_ids):
-    """``(bin_id, state)`` per bin, a mapping state as its sorted items."""
-    for bin_id in bin_ids:
-        state = store.extract(bin_id, remove=False).decode_state(copy=False)
-        if isinstance(state, (dict, MutableMapping)):
-            state = sorted(state.items())
-        yield bin_id, state
-
-
-def store_fingerprint(store: BinStore) -> str:
-    """Deterministic digest of a store's resident bin states.
-
-    Bins are visited in sorted order; mapping states are canonicalized by
-    sorted items, so two stores holding equal state hash equally regardless
-    of insertion order or representation (dict vs durable log).  Pending
-    (in-flight) records are excluded — they die with a crash by design, so
-    fingerprints compare exactly what recovery guarantees: the state.
-    """
-    digest = hashlib.sha256()
-    for entry in _canonical(store, sorted(store.resident_bins())):
-        digest.update(pickle.dumps(entry, protocol=4))
-    return digest.hexdigest()
-
-
-def cluster_fingerprint(stores) -> str:
-    """Owner-independent digest of the whole cluster's bin states.
-
-    Hashes every resident bin across ``stores`` in global ``bin_id`` order
-    (each bin is owned by exactly one store), canonicalized exactly like
-    :func:`store_fingerprint` — so two runs that place the same per-bin
-    state on *different* workers hash equally.  This is the pin for
-    elastic-membership runs: a scripted join/drain run must match a
-    static-membership twin bin for bin even though the final owner map
-    differs (drain packs by load, round-robin deals by index).
-    """
-    entries = [e for store in stores for e in _canonical(store, store.resident_bins())]
-    entries.sort(key=lambda entry: entry[0])
-    digest = hashlib.sha256()
-    for entry in entries:
-        digest.update(pickle.dumps(entry, protocol=4))
-    return digest.hexdigest()
 
 
 class RecoveryCoordinator:

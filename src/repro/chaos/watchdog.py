@@ -29,25 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.chaos.plan import WatchdogConfig
 from repro.runtime_events.events import WatchdogRecovered, WatchdogStalled
-
-
-@dataclass(frozen=True)
-class WatchdogConfig:
-    """Timing knobs of the liveness watchdog (simulated seconds)."""
-
-    poll_interval_s: float = 0.25
-    stall_after_s: float = 2.0
-    give_up_after_s: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be positive")
-        if not (0 < self.stall_after_s <= self.give_up_after_s):
-            raise ValueError(
-                "need 0 < stall_after_s <= give_up_after_s, got "
-                f"{self.stall_after_s} / {self.give_up_after_s}"
-            )
 
 
 @dataclass

@@ -19,34 +19,14 @@ bins — is a runtime object:
   events for reproducible experiments.
 """
 
-from repro.elastic.autoscaler import Autoscaler, AutoscalerConfig
-from repro.elastic.coordinator import ScalingCoordinator, ScalingOp, ScalingReport
-from repro.elastic.membership import (
-    ACTIVE,
-    DRAINING,
-    JOINING,
-    RETIRED,
-    STANDBY,
-    STATES,
-    MembershipDirectory,
-    MembershipError,
-)
-from repro.elastic.plan import ScalingEvent, ScalingPlan
+from repro.lazy import exports
 
-__all__ = [
-    "ACTIVE",
-    "DRAINING",
-    "JOINING",
-    "RETIRED",
-    "STANDBY",
-    "STATES",
-    "Autoscaler",
-    "AutoscalerConfig",
-    "MembershipDirectory",
-    "MembershipError",
-    "ScalingCoordinator",
-    "ScalingEvent",
-    "ScalingOp",
-    "ScalingPlan",
-    "ScalingReport",
-]
+__getattr__, __all__ = exports(__name__, {
+    "autoscaler": ("Autoscaler",),
+    "coordinator": ("ScalingCoordinator", "ScalingOp", "ScalingReport"),
+    "membership": (
+        "ACTIVE", "DRAINING", "JOINING", "RETIRED", "STANDBY", "STATES",
+        "MembershipDirectory", "MembershipError",
+    ),
+    "plan": ("AutoscalerConfig", "ScalingEvent", "ScalingPlan"),
+})

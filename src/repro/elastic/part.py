@@ -15,9 +15,10 @@ from repro.planner.telemetry import run_telemetry
 
 
 def attach(run) -> Optional[SimpleNamespace]:
-    """Attach elastic membership when the config makes the run elastic."""
+    """Attach elastic membership to a run the config makes elastic (None
+    for a run without a migrateable operator)."""
     cfg = run.config
-    if not cfg.elastic or run.op is None:
+    if run.op is None:
         return None
     directory = MembershipDirectory(cfg.num_workers, cfg.initial_active, sim=run.sim)
     run.controller.directory = directory

@@ -1,4 +1,5 @@
-"""Declarative scaling plans: timed join/leave events for scripted runs.
+"""Declarative scaling plans: timed join/leave events for scripted runs,
+and the autoscaler's knobs (:class:`AutoscalerConfig`).
 
 A :class:`ScalingPlan` is pure data — a time-ordered list of membership
 actions — mirroring the chaos layer's :class:`~repro.chaos.plan.FaultPlan`:
@@ -22,6 +23,8 @@ drain the highest active ids — which is what the planner's range-based
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.errors import ConfigError
 
 JOIN = "join"
 LEAVE = "leave"
@@ -161,3 +164,44 @@ class ScalingPlan:
             delta = len(event.workers)
             count += delta if event.action == JOIN else -delta
         return count
+
+
+@dataclass
+class AutoscalerConfig:
+    """Knobs of the autoscaler's policy loop."""
+
+    # Decision cadence: first decision at start_s, then every decide_s,
+    # until the run's input closes.
+    start_s: float = 1.0
+    decide_s: float = 0.5
+    # Threshold policy: records/s per active worker.
+    scale_out_load: float = 1500.0
+    scale_in_load: float = 400.0
+    trigger_samples: int = 2
+    cooldown_s: float = 3.0
+    # Membership bounds: max_workers of 0 means "every provisioned slot".
+    min_workers: int = 1
+    max_workers: int = 0
+    step: int = 1
+
+    def validate(self, num_workers: int) -> None:
+        """Check the knobs against a provisioned universe."""
+        if self.scale_in_load >= self.scale_out_load:
+            raise ConfigError(
+                "scale_in_load must be below scale_out_load "
+                f"({self.scale_in_load} >= {self.scale_out_load}): the gap "
+                "is the hysteresis band that prevents thrash"
+            )
+        if self.min_workers < 1:
+            raise ConfigError("min_workers must be at least 1")
+        if self.max_workers and not (
+            self.min_workers <= self.max_workers <= num_workers
+        ):
+            raise ConfigError(
+                f"max_workers must be in {self.min_workers}.."
+                f"{num_workers}, got {self.max_workers}"
+            )
+        if self.step < 1:
+            raise ConfigError("step must be at least 1")
+        if self.decide_s <= 0:
+            raise ConfigError("decide_s must be positive")

@@ -5,7 +5,8 @@ test harness.
 latency recorder, open-loop source, ticker and the one migration
 controller) and attaches each optional part to it: observability, chaos,
 the paper's migration schedule, the planner, elastic membership and
-memory sampling, each from its own package.  ``run_count_experiment``
+memory sampling, each from its own package, imported only when the
+config asks for the part.  ``run_count_experiment``
 runs the counting microbenchmark (paper §5.2-5.3) through it; NEXMark
 passes its own dataflow builder.  ``result_fingerprint`` condenses the
 determinism-relevant outputs of any run into the one digest that replay,
@@ -15,19 +16,18 @@ the matrix gate and the host-only contract pin.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import time as wallclock
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.chaos.inject import FaultLog
-from repro.chaos.part import attach as attach_chaos
+# The config classes ``ExperimentConfig`` names: the settings codec
+# resolves its type hints, so they are imported here, from modules that
+# import no part code.
 from repro.chaos.plan import ChaosConfig
-from repro.elastic.autoscaler import AutoscalerConfig
-from repro.elastic.coordinator import ScalingReport
-from repro.elastic.part import attach as attach_elastic
-from repro.elastic.plan import ScalingPlan
+from repro.elastic.plan import AutoscalerConfig, ScalingPlan
 from repro.errors import ConfigError
 from repro.harness.latency import EpochLatencyRecorder, LatencyTimeline
 from repro.harness.openloop import ElasticOpenLoopSource, OpenLoopSource
@@ -47,20 +47,22 @@ from repro.megaphone.controller import (
 from repro.megaphone.migration import STRATEGIES, MigrationPlan, imbalanced_target, make_plan
 from repro.megaphone.operators import MigrateableOperator
 from repro.nexmark.config import NexmarkConfig
-from repro.obsv.part import attach as attach_obsv
-from repro.planner.part import attach as attach_planner
-from repro.planner.policy import PlannerConfig, PlannerReport
-from repro.runtime_events.analyze import MigrationTrace
+from repro.planner.config import PlannerConfig
 from repro.runtime_events.events import TOPICS
 from repro.settings import check_fields
 from repro.sim.cost import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.memory import MemoryTimeline
-from repro.sim.memory import attach as attach_memory
 from repro.sim.network import Cluster
 from repro.state.registry import resolve_backend, resolve_codec
 from repro.timely.dataflow import Dataflow, Runtime
 from repro.timely.probe import Probe
+
+if TYPE_CHECKING:  # result field types, from the parts that fill them
+    from repro.chaos.inject import FaultLog
+    from repro.elastic.coordinator import ScalingReport
+    from repro.planner.policy import PlannerReport
+    from repro.runtime_events.analyze import MigrationTrace
 
 WORKLOADS = ("uniform", "skewed")
 VARIANTS = ("key", "hash")  # bin state as dense arrays or as hash maps
@@ -509,13 +511,37 @@ def _attach_schedule(run: Run) -> None:
         schedule_migrations(run.controller, run.config)
 
 
+def _part(module: str, wanted: Callable[[ExperimentConfig], bool]) -> Callable:
+    """Attach part ``module`` to a run whose config ``wanted``; the module
+    is imported then, so a run loads only the parts it asks for."""
+
+    def attach(run: Run):
+        if not wanted(run.config):
+            return None
+        return importlib.import_module(module).attach(run)
+
+    return attach
+
+
+def _observed(cfg: ExperimentConfig) -> bool:
+    return bool(
+        cfg.collect_trace or cfg.export_metrics or cfg.record_log
+        or cfg.collect_topic_counts is not None
+    )
+
+
 # The optional parts, in attach order, which decides the order of callbacks
-# due at one instant.  Each returns None when its config is off, else an
-# object whose ``finish(result)`` fills its own result fields; they finish
-# in reverse order, so the event log (attached first) sees a full result.
+# due at one instant.  Each returns None when its config is off or the run
+# gives it nothing to do, else an object whose ``finish(result)`` fills its
+# own result fields; they finish in reverse order, so the event log
+# (attached first) sees a full result.
 _PARTS = (
-    attach_obsv, attach_chaos, _attach_schedule, attach_planner, attach_elastic,
-    attach_memory,
+    _part("repro.obsv.part", _observed),
+    _part("repro.chaos.part", lambda cfg: cfg.chaos is not None),
+    _attach_schedule,
+    _part("repro.planner.part", lambda cfg: cfg.planner is not None),
+    _part("repro.elastic.part", lambda cfg: cfg.elastic),
+    _part("repro.sim.memory", lambda cfg: cfg.sample_memory),
 )
 
 
@@ -650,7 +676,7 @@ class MigrationExperiment:
         # Recording forces state fingerprints: the log's footer fingerprint
         # must cover final state, or replay would verify a weaker pin.
         if (cfg.fingerprint_state or cfg.record_log) and op is not None:
-            from repro.chaos.recovery import cluster_fingerprint, store_fingerprint
+            from repro.megaphone.bins import cluster_fingerprint, store_fingerprint
 
             result.state_fingerprints = {
                 w: store_fingerprint(store) for w, store in op.stores(runtime)

@@ -113,7 +113,7 @@ def columnar_count_fold(group: ColumnGroup):
     states = group.states
     numpy_group = columns.is_numpy_column(group.keys)
     if numpy_group:
-        np = columns._np
+        np = columns._numpy()
         expected = [s.expected_keys for s in states]
         if min(expected, default=0.0) > 0:
             starts_arr = np.asarray(starts, dtype=np.int64)

@@ -18,96 +18,28 @@ Public surface:
   ``ControlInst``, ``bin_of``, ``stable_hash``).
 """
 
-from repro.megaphone.api import Notificator, binary, state_machine, unary
-from repro.megaphone.bins import Bin, BinStore
-from repro.megaphone.control import (
-    BinnedConfiguration,
-    ControlInst,
-    bin_of,
-    splitmix64,
-    stable_hash,
-)
-from repro.megaphone.controller import (
-    EpochTicker,
-    FaultHandling,
-    MigrationController,
-    MigrationResult,
-    RetryPolicy,
-    StepResult,
-)
-from repro.megaphone.migration import (
-    STRATEGIES,
-    MigrationPlan,
-    MigrationStep,
-    imbalanced_target,
-    make_plan,
-    plan_all_at_once,
-    plan_batched,
-    plan_fluid,
-    plan_optimized,
-    rebalanced_target,
-)
-from repro.megaphone.operators import (
-    ApplicationContext,
-    MigrateableOperator,
-    build_migrateable,
-)
-from repro.megaphone.plan_io import (
-    dump_configuration,
-    dump_plan,
-    load_configuration,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-)
-from repro.megaphone.routing import RoutingTable
-from repro.megaphone.snapshot import (
-    BinSnapshot,
-    OperatorSnapshot,
-    SnapshotCoordinator,
-    restore_into,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "ApplicationContext",
-    "BinSnapshot",
-    "OperatorSnapshot",
-    "SnapshotCoordinator",
-    "dump_configuration",
-    "dump_plan",
-    "load_configuration",
-    "load_plan",
-    "plan_from_dict",
-    "plan_to_dict",
-    "restore_into",
-    "Bin",
-    "BinStore",
-    "BinnedConfiguration",
-    "ControlInst",
-    "EpochTicker",
-    "FaultHandling",
-    "MigrateableOperator",
-    "MigrationController",
-    "MigrationPlan",
-    "MigrationResult",
-    "MigrationStep",
-    "Notificator",
-    "RetryPolicy",
-    "RoutingTable",
-    "STRATEGIES",
-    "StepResult",
-    "bin_of",
-    "binary",
-    "build_migrateable",
-    "imbalanced_target",
-    "make_plan",
-    "plan_all_at_once",
-    "plan_batched",
-    "plan_fluid",
-    "plan_optimized",
-    "rebalanced_target",
-    "splitmix64",
-    "stable_hash",
-    "state_machine",
-    "unary",
-]
+__getattr__, __all__ = exports(__name__, {
+    "api": ("Notificator", "binary", "state_machine", "unary"),
+    "bins": ("Bin", "BinStore"),
+    "control": (
+        "BinnedConfiguration", "ControlInst", "bin_of", "splitmix64", "stable_hash",
+    ),
+    "controller": (
+        "EpochTicker", "FaultHandling", "MigrationController", "MigrationResult",
+        "RetryPolicy", "StepResult",
+    ),
+    "migration": (
+        "STRATEGIES", "MigrationPlan", "MigrationStep", "imbalanced_target",
+        "make_plan", "plan_all_at_once", "plan_batched", "plan_fluid",
+        "plan_optimized", "rebalanced_target",
+    ),
+    "operators": ("ApplicationContext", "MigrateableOperator", "build_migrateable"),
+    "plan_io": (
+        "dump_configuration", "dump_plan", "load_configuration", "load_plan",
+        "plan_from_dict", "plan_to_dict",
+    ),
+    "routing": ("RoutingTable",),
+    "snapshot": ("BinSnapshot", "OperatorSnapshot", "SnapshotCoordinator", "restore_into"),
+})

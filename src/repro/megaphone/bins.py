@@ -18,6 +18,9 @@ shipping, snapshots, crash recovery — goes through the backend's
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+from collections.abc import MutableMapping
 from typing import Callable, Optional
 
 from repro.state.backend import (
@@ -279,3 +282,46 @@ class BinStore:
         """Batched :meth:`note_applied` over one sorted application group
         (bin ``j`` applied ``starts[j+1] - starts[j]`` records)."""
         self.backend.note_applied_group(bin_ids, starts)
+
+
+def _canonical(store: BinStore, bin_ids):
+    """``(bin_id, state)`` per bin, a mapping state as its sorted items."""
+    for bin_id in bin_ids:
+        state = store.extract(bin_id, remove=False).decode_state(copy=False)
+        if isinstance(state, (dict, MutableMapping)):
+            state = sorted(state.items())
+        yield bin_id, state
+
+
+def store_fingerprint(store: BinStore) -> str:
+    """Deterministic digest of a store's resident bin states.
+
+    Bins are visited in sorted order; mapping states are canonicalized by
+    sorted items, so two stores holding equal state hash equally regardless
+    of insertion order or representation (dict vs durable log).  Pending
+    (in-flight) records are excluded — they die with a crash by design, so
+    fingerprints compare exactly what recovery guarantees: the state.
+    """
+    digest = hashlib.sha256()
+    for entry in _canonical(store, sorted(store.resident_bins())):
+        digest.update(pickle.dumps(entry, protocol=4))
+    return digest.hexdigest()
+
+
+def cluster_fingerprint(stores) -> str:
+    """Owner-independent digest of the whole cluster's bin states.
+
+    Hashes every resident bin across ``stores`` in global ``bin_id`` order
+    (each bin is owned by exactly one store), canonicalized exactly like
+    :func:`store_fingerprint` — so two runs that place the same per-bin
+    state on *different* workers hash equally.  This is the pin for
+    elastic-membership runs: a scripted join/drain run must match a
+    static-membership twin bin for bin even though the final owner map
+    differs (drain packs by load, round-robin deals by index).
+    """
+    entries = [e for store in stores for e in _canonical(store, store.resident_bins())]
+    entries.sort(key=lambda entry: entry[0])
+    digest = hashlib.sha256()
+    for entry in entries:
+        digest.update(pickle.dumps(entry, protocol=4))
+    return digest.hexdigest()

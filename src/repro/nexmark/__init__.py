@@ -7,19 +7,11 @@ runs them is :mod:`repro.nexmark.harness`; it imports
 :mod:`repro.harness.experiment`, whose config imports this package.
 """
 
-from repro.nexmark.config import NexmarkConfig
-from repro.nexmark.generator import NexmarkGenerator, make_generator
-from repro.nexmark.model import Auction, Bid, Person, kind_of
-from repro.nexmark.queries import QUERIES
+from repro.lazy import exports
 
-__all__ = [
-    "Auction",
-    "Bid",
-    "NexmarkConfig",
-    "NexmarkGenerator",
-    "Person",
-    "QUERIES",
-    "kind_of",
-    "make_generator",
-]
-
+__getattr__, __all__ = exports(__name__, {
+    "config": ("NexmarkConfig",),
+    "generator": ("NexmarkGenerator", "make_generator"),
+    "model": ("Auction", "Bid", "Person", "kind_of"),
+    "queries": ("QUERIES",),
+})

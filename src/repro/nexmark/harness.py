@@ -4,7 +4,9 @@ Bridges the query implementations to the generic
 :class:`repro.harness.experiment.MigrationExperiment`: the builder splits
 the generated event stream into the three NEXMark relations, instantiates
 the chosen query in its native or Megaphone variant, and wires the latency
-probe to the query's output.
+probe to the query's output.  It imports the generator, the event split
+and the one query it runs when a run starts, so importing this module
+loads none of them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from repro.harness.experiment import (
     MigrationExperiment,
 )
 from repro.nexmark.config import NexmarkConfig
-from repro.nexmark.generator import make_generator
-from repro.nexmark.queries import QUERIES
-from repro.nexmark.queries.common import split_events
 
 STATEFUL_QUERIES = (3, 4, 5, 6, 7, 8)
 
@@ -33,6 +32,10 @@ def run_nexmark_experiment(query: int, cfg: ExperimentConfig) -> ExperimentResul
     hand-tuned variant over Megaphone's; migrations (if scheduled in
     ``cfg``) apply to the query's main operator.
     """
+    from repro.nexmark.generator import make_generator
+    from repro.nexmark.queries import QUERIES
+    from repro.nexmark.queries.common import split_events
+
     cfg = replace(cfg, query=query)
     nexmark = cfg.nexmark or NexmarkConfig()
     module = QUERIES[query]

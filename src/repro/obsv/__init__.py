@@ -20,19 +20,10 @@ Every component here is an observer: attaching or detaching any of them
 must leave the simulation byte-identical (the bus's subscriber contract).
 """
 
-from repro.obsv.eventlog import (
-    EventLogError,
-    EventLogRecorder,
-    read_log_meta,
-)
-from repro.obsv.exporter import MetricsExporter
-from repro.obsv.replay import ReplayReport, replay_run
+from repro.lazy import exports
 
-__all__ = [
-    "EventLogError",
-    "EventLogRecorder",
-    "MetricsExporter",
-    "ReplayReport",
-    "read_log_meta",
-    "replay_run",
-]
+__getattr__, __all__ = exports(__name__, {
+    "eventlog": ("EventLogError", "EventLogRecorder", "read_log_meta"),
+    "exporter": ("MetricsExporter",),
+    "replay": ("ReplayReport", "replay_run"),
+})

@@ -57,7 +57,7 @@ read, each defined in :func:`run_cell`:
   ``final_active_workers``, the workers active when the run ends,
   ``bins_off_active``, the bins whose final owner is not active, and
   ``cluster_fingerprint``, the owner-independent digest of all bin state
-  (:func:`repro.chaos.recovery.cluster_fingerprint`) — what a static
+  (:func:`repro.megaphone.bins.cluster_fingerprint`) — what a static
   membership twin must reproduce;
 * for ``sample_memory`` cells, Figure 20's numbers: ``steady_rss_bytes``,
   a process's RSS at its last sample before the first migration starts or

@@ -6,20 +6,16 @@ them are bus subscribers, so a run is byte-identical with or without them.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.obsv.eventlog import EventLogRecorder
 from repro.obsv.exporter import MetricsExporter
 from repro.runtime_events.analyze import MigrationTrace
 
 
-def attach(run) -> Optional[SimpleNamespace]:
-    """Attach whatever the config asks to observe (None: nothing)."""
+def attach(run) -> SimpleNamespace:
+    """Attach whatever the config asks to observe."""
     cfg = run.config
     bus = run.sim.trace
-    observed = cfg.collect_trace or cfg.export_metrics or cfg.record_log
-    if not observed and cfg.collect_topic_counts is None:
-        return None
     trace = MigrationTrace(bus) if cfg.collect_trace else None
     exporter = MetricsExporter(bus, jsonl=cfg.export_metrics) if cfg.export_metrics else None
     event_log = EventLogRecorder(cfg, bus, cfg.record_log) if cfg.record_log else None

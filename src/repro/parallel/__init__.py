@@ -16,22 +16,10 @@ reached through ``ExperimentConfig.parallel == 0`` / ``--parallel 0``.
 See DESIGN.md §14 for the protocol and its determinism argument.
 """
 
-from repro.parallel.partition import ShardPartition
-from repro.parallel.sync import ParallelStall
+from repro.lazy import exports
 
-__all__ = [
-    "ParallelStall",
-    "ShardPartition",
-    "run_parallel_count_experiment",
-]
-
-
-def __getattr__(name):
-    # Lazy: runner imports the harness, which imports back into this
-    # package for the partition type; keep the light names eager and the
-    # heavy ones deferred.
-    if name == "run_parallel_count_experiment":
-        from repro.parallel import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __all__ = exports(__name__, {
+    "partition": ("ShardPartition",),
+    "runner": ("run_parallel_count_experiment",),
+    "sync": ("ParallelStall",),
+})

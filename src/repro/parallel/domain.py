@@ -342,7 +342,7 @@ class DomainHost:
 
     def finalize(self) -> dict:
         """End-of-run shard report: counts, fingerprints, domain-0 extras."""
-        from repro.chaos.recovery import store_fingerprint
+        from repro.megaphone.bins import store_fingerprint
 
         fingerprints: dict[int, str] = {}
         if self.op is not None:

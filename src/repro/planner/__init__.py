@@ -18,50 +18,15 @@ through :mod:`repro.megaphone.plan_io`); the executing controller never
 imports this package.
 """
 
-from repro.planner.cost import (
-    MigrationCostModel,
-    imbalance_gain,
-    projected_worker_loads,
-)
-from repro.planner.policy import (
-    ClosedLoopPlanner,
-    PlannerConfig,
-    PlannerReport,
-    Proposal,
-)
-from repro.planner.search import (
-    OBJECTIVES,
-    PLANNER_STRATEGY,
-    balanced_target,
-    drain_target,
-    plan_moves,
-    search_target,
-    spread_target,
-)
-from repro.planner.telemetry import (
-    LoadTelemetry,
-    SkewDetector,
-    TelemetryConfig,
-    imbalance_ratio,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "ClosedLoopPlanner",
-    "LoadTelemetry",
-    "MigrationCostModel",
-    "OBJECTIVES",
-    "PLANNER_STRATEGY",
-    "PlannerConfig",
-    "PlannerReport",
-    "Proposal",
-    "SkewDetector",
-    "TelemetryConfig",
-    "balanced_target",
-    "drain_target",
-    "imbalance_gain",
-    "imbalance_ratio",
-    "plan_moves",
-    "projected_worker_loads",
-    "search_target",
-    "spread_target",
-]
+__getattr__, __all__ = exports(__name__, {
+    "config": ("PlannerConfig", "TelemetryConfig"),
+    "cost": ("MigrationCostModel", "imbalance_gain", "projected_worker_loads"),
+    "policy": ("ClosedLoopPlanner", "PlannerReport", "Proposal"),
+    "search": (
+        "OBJECTIVES", "PLANNER_STRATEGY", "balanced_target", "drain_target",
+        "plan_moves", "search_target", "spread_target",
+    ),
+    "telemetry": ("LoadTelemetry", "SkewDetector", "imbalance_ratio"),
+})

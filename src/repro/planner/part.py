@@ -13,9 +13,10 @@ from repro.planner.telemetry import run_telemetry
 
 
 def attach(run) -> Optional[SimpleNamespace]:
-    """Attach the closed-loop planner when the config carries one."""
+    """Attach the closed-loop planner the config carries (None for a run
+    without a migrateable operator)."""
     cfg = run.config
-    if cfg.planner is None or run.op is None:
+    if run.op is None:
         return None
     telemetry = run_telemetry(run, cfg.planner.telemetry)
     cost_model = MigrationCostModel(

@@ -23,29 +23,10 @@ injector or a controller), and only publishes to the bus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.planner.config import TelemetryConfig
 from repro.runtime_events.events import SkewCleared, SkewDetected, WorkerLoadSampled
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Sampling cadence, window, and skew-detector hysteresis."""
-
-    sample_s: float = 0.25  # simulated seconds between samples
-    window_s: float = 2.0  # sliding window the heat estimate covers
-    # Hysteresis: skew triggers when max/mean load exceeds trigger_ratio
-    # for trigger_samples consecutive samples, and clears only when it
-    # falls below release_ratio for release_samples consecutive samples.
-    trigger_ratio: float = 1.5
-    release_ratio: float = 1.2
-    trigger_samples: int = 2
-    release_samples: int = 2
-
-    @property
-    def window_samples(self) -> int:
-        return max(1, int(round(self.window_s / self.sample_s)))
 
 
 class SkewDetector:

@@ -20,77 +20,19 @@ things:
   phase breakdown (drain wait → extract → ship → install → catch-up).
 """
 
-from repro.runtime_events.analyze import (
-    PHASES,
-    BinPhases,
-    MigrationBreakdown,
-    MigrationTrace,
-)
-from repro.runtime_events.bus import TraceBus, TraceLog
-from repro.runtime_events.events import (
-    TOPIC_ACTIVATION,
-    TOPIC_BATCH,
-    TOPIC_CAPABILITY,
-    TOPIC_FRONTIER,
-    TOPIC_MEMORY,
-    TOPIC_MIGRATION,
-    TOPIC_NETWORK,
-    TOPIC_SEND,
-    TOPICS,
-    ActivationBegin,
-    ActivationEnd,
-    BatchDelivered,
-    BinMigrationPlanned,
-    BinStateExtracted,
-    BinStateInstalled,
-    CapabilityDropped,
-    CapabilityHeld,
-    FrontierAdvanced,
-    MemorySampled,
-    MessageEnqueued,
-    MessageTransmitted,
-    MigrationStepCompleted,
-    MigrationStepIssued,
-    SendFlushed,
-)
-from repro.runtime_events.items import (
-    BufferedSend,
-    MessageWork,
-    SourceWork,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "TraceBus",
-    "TraceLog",
-    "PHASES",
-    "BinPhases",
-    "MigrationBreakdown",
-    "MigrationTrace",
-    "TOPICS",
-    "TOPIC_ACTIVATION",
-    "TOPIC_BATCH",
-    "TOPIC_CAPABILITY",
-    "TOPIC_FRONTIER",
-    "TOPIC_MEMORY",
-    "TOPIC_MIGRATION",
-    "TOPIC_NETWORK",
-    "TOPIC_SEND",
-    "ActivationBegin",
-    "ActivationEnd",
-    "BatchDelivered",
-    "BinMigrationPlanned",
-    "BinStateExtracted",
-    "BinStateInstalled",
-    "CapabilityDropped",
-    "CapabilityHeld",
-    "FrontierAdvanced",
-    "MemorySampled",
-    "MessageEnqueued",
-    "MessageTransmitted",
-    "MigrationStepCompleted",
-    "MigrationStepIssued",
-    "SendFlushed",
-    "BufferedSend",
-    "MessageWork",
-    "SourceWork",
-]
+__getattr__, __all__ = exports(__name__, {
+    "analyze": ("PHASES", "BinPhases", "MigrationBreakdown", "MigrationTrace"),
+    "bus": ("TraceBus", "TraceLog"),
+    "events": (
+        "TOPICS", "TOPIC_ACTIVATION", "TOPIC_BATCH", "TOPIC_CAPABILITY",
+        "TOPIC_FRONTIER", "TOPIC_MEMORY", "TOPIC_MIGRATION", "TOPIC_NETWORK",
+        "TOPIC_SEND", "ActivationBegin", "ActivationEnd", "BatchDelivered",
+        "BinMigrationPlanned", "BinStateExtracted", "BinStateInstalled",
+        "CapabilityDropped", "CapabilityHeld", "FrontierAdvanced", "MemorySampled",
+        "MessageEnqueued", "MessageTransmitted", "MigrationStepCompleted",
+        "MigrationStepIssued", "SendFlushed",
+    ),
+    "items": ("BufferedSend", "MessageWork", "SourceWork"),
+})

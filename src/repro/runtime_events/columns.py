@@ -22,10 +22,16 @@ column is **born** (``ColumnBatch.from_*``, ``ones_column``,
 shorter than :data:`SMALL_BATCH_CUTOFF` and as an ``ndarray`` otherwise;
 **derived** columns (``take``/``slice``/``gather``/``mod_column``/
 ``bin_ids_for``) inherit the representation of their input, every kernel
-dispatches on the columns it is handed, and **mixed** inputs (``concat``,
-``merge_segments``, ``gather``) are normalised with numpy winning.  Without
-numpy everything is an ``array`` whatever its length; tests monkeypatch the
-module-global ``_np`` to ``None`` to force that mode.
+dispatches on the type of the columns it is handed (an ``array`` or a
+``list`` is the small representation, anything else an ndarray), and
+**mixed** inputs (``concat``, ``merge_segments``, ``gather``) are
+normalised with numpy winning.
+
+numpy is imported on first use: by the first column born with
+``SMALL_BATCH_CUTOFF`` records or more, or by the first kernel handed an
+ndarray a caller built.  A run whose batches all stay small never loads it.
+Without numpy everything is an ``array`` whatever its length; tests set
+the module-global ``_numpy_available`` to ``False`` to force that mode.
 
 Correctness contract: every kernel here is *bit-identical* to its scalar
 reference (``repro.megaphone.control.bin_of``'s splitmix64 and the
@@ -39,12 +45,16 @@ representations apart.
 from __future__ import annotations
 
 from array import array
+from importlib.util import find_spec
 from typing import Iterator, Optional, Sequence
 
-try:  # pragma: no cover - exercised via monkeypatch in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+# numpy once imported (see ``_numpy``); None until a column needs it.
+_np = None
+# Whether columns may be born ndarrays: numpy is installed (``find_spec``
+# says so without importing it) and its import has not failed.
+_numpy_available = find_spec("numpy") is not None
+# The small representation's column types; any other column is an ndarray.
+_SMALL = (array, list)
 
 MASK64 = (1 << 64) - 1
 
@@ -76,49 +86,75 @@ SMALL_BATCH_CUTOFF = 24
 # ``_sort_key``); callers state the bound, the kernels never guess it.
 NARROW_SORT_BOUND = 1 << 16
 
-if _np is not None:
-    # splitmix64's constants, built once rather than on every call.
-    _SPLITMIX_ADD = _np.uint64(0x9E3779B97F4A7C15)
-    _SPLITMIX_MUL1 = _np.uint64(0xBF58476D1CE4E5B9)
-    _SPLITMIX_MUL2 = _np.uint64(0x94D049BB133111EB)
-    _SHIFT_30 = _np.uint64(30)
-    _SHIFT_27 = _np.uint64(27)
-    _SHIFT_31 = _np.uint64(31)
+# splitmix64's constants as numpy scalars, built when numpy loads.
+_SPLITMIX_ADD = _SPLITMIX_MUL1 = _SPLITMIX_MUL2 = None
+_SHIFT_30 = _SHIFT_27 = _SHIFT_31 = None
+
+
+def _numpy():
+    """numpy, imported on the first call (ImportError if it cannot be),
+    with splitmix64's constants built once rather than on every call."""
+    global _np, _SPLITMIX_ADD, _SPLITMIX_MUL1, _SPLITMIX_MUL2
+    global _SHIFT_30, _SHIFT_27, _SHIFT_31
+    if _np is None:
+        import numpy
+
+        _SPLITMIX_ADD = numpy.uint64(0x9E3779B97F4A7C15)
+        _SPLITMIX_MUL1 = numpy.uint64(0xBF58476D1CE4E5B9)
+        _SPLITMIX_MUL2 = numpy.uint64(0x94D049BB133111EB)
+        _SHIFT_30 = numpy.uint64(30)
+        _SHIFT_27 = numpy.uint64(27)
+        _SHIFT_31 = numpy.uint64(31)
+        _np = numpy
+    return _np
 
 
 def numpy_active() -> bool:
     """Whether numpy is available (batches of ``SMALL_BATCH_CUTOFF`` records
-    and more then use the numpy representation)."""
-    return _np is not None
+    and more then use the numpy representation); never imports it."""
+    return _numpy_available
 
 
 def active_representation() -> str:
     """Name of the large-batch columnar representation (for reports/CLI).
 
-    ``"columnar-numpy"`` whenever numpy is importable — small batches are
+    ``"columnar-numpy"`` whenever numpy is available — small batches are
     ``array``s even then — and ``"columnar-array"`` when every batch is.
     """
-    return "columnar-numpy" if _np is not None else "columnar-array"
+    return "columnar-numpy" if _numpy_available else "columnar-array"
 
 
 def describe_representation() -> str:
     """One line for reports: numpy availability and the small-batch rule."""
-    if _np is None:
+    if not _numpy_available:
         return "columnar-array (numpy absent: every batch is a stdlib array)"
     return (
-        f"columnar-numpy (numpy {_np.__version__}; batches under "
-        f"{SMALL_BATCH_CUTOFF} records are stdlib arrays)"
+        f"columnar-numpy (numpy loads at the first batch of {SMALL_BATCH_CUTOFF} "
+        f"records or more; smaller batches are stdlib arrays)"
     )
 
 
 def is_numpy_column(column) -> bool:
     """Whether ``column`` is in the numpy representation."""
-    return _np is not None and isinstance(column, _np.ndarray)
+    return type(column) not in _SMALL
 
 
 def _born_numpy(n: int) -> bool:
-    """The selection rule: a column of ``n`` records is born an ndarray."""
-    return _np is not None and n >= SMALL_BATCH_CUTOFF
+    """The selection rule: a column of ``n`` records is born an ndarray.
+
+    The first such column imports numpy; if that fails, every column is
+    born an ``array`` from then on.
+    """
+    global _numpy_available
+    if n < SMALL_BATCH_CUTOFF or not _numpy_available:
+        return False
+    if _np is None:
+        try:
+            _numpy()
+        except ImportError:
+            _numpy_available = False
+            return False
+    return True
 
 
 def _key_column(values: Sequence[int]):
@@ -143,11 +179,9 @@ def _index_list(sel) -> list:
 def _concat_columns(cols: list, typecode: str):
     """Concatenate columns in order; one ndarray among them makes the result
     an ndarray (``array``s convert through the buffer protocol, same dtype)."""
-    if _np is not None:
-        ndarray = _np.ndarray
-        for col in cols:
-            if isinstance(col, ndarray):
-                return _np.concatenate(cols)
+    for col in cols:
+        if type(col) not in _SMALL:
+            return _numpy().concatenate(cols)
     out = array(typecode)
     for col in cols:
         out.extend(col)
@@ -212,16 +246,16 @@ class ColumnBatch:
         if self.kind == KIND_OBJ:
             return list(self.vals)
         keys, vals = self.keys, self.vals
-        if _np is not None and isinstance(keys, _np.ndarray):
-            return list(zip(keys.tolist(), vals.tolist()))
-        return list(zip(keys, vals))
+        if type(keys) in _SMALL:
+            return list(zip(keys, vals))
+        return list(zip(keys.tolist(), vals.tolist()))
 
     def key_list(self) -> list:
         """The key column as a list of Python ints."""
         keys = self.keys
-        if _np is not None and isinstance(keys, _np.ndarray):
-            return keys.tolist()
-        return list(keys)
+        if type(keys) in _SMALL:
+            return list(keys)
+        return keys.tolist()
 
     # -- column surgery ------------------------------------------------------
 
@@ -232,14 +266,7 @@ class ColumnBatch:
         has.
         """
         keys = self.keys
-        if _np is not None and isinstance(keys, _np.ndarray):
-            new_keys = keys[sel]
-            if self.kind == KIND_OBJ:
-                vals = self.vals
-                new_vals = [vals[i] for i in _index_list(sel)]
-            else:
-                new_vals = self.vals[sel]
-        else:
+        if type(keys) in _SMALL:
             idx = _index_list(sel)
             new_keys = array("Q", [keys[i] for i in idx])
             vals = self.vals
@@ -247,6 +274,13 @@ class ColumnBatch:
                 new_vals = [vals[i] for i in idx]
             else:
                 new_vals = array("q", [vals[i] for i in idx])
+        else:
+            new_keys = keys[sel]
+            if self.kind == KIND_OBJ:
+                vals = self.vals
+                new_vals = [vals[i] for i in _index_list(sel)]
+            else:
+                new_vals = self.vals[sel]
         return ColumnBatch(new_keys, new_vals, self.kind)
 
     def slice(self, lo: int, hi: int) -> "ColumnBatch":
@@ -287,24 +321,25 @@ def bin_ids_for(keys, shift: int):
     ``shift`` is ``64 - log2(num_bins)``; ``shift >= 64`` means one bin.
     Returns a signed index column (ndarray int64 or ``array('q')``).
     """
-    if _np is not None and isinstance(keys, _np.ndarray):
+    if type(keys) not in _SMALL:
+        np = _numpy()
         if shift >= 64:
-            return _np.zeros(len(keys), dtype=_np.int64)
+            return np.zeros(len(keys), dtype=np.int64)
         # In place on one scratch array (plus one for the shifted term):
         # each step costs its ufunc call, not an allocation as well.
         x = keys + _SPLITMIX_ADD
         t = x >> _SHIFT_30
         x ^= t
         x *= _SPLITMIX_MUL1
-        _np.right_shift(x, _SHIFT_27, out=t)
+        np.right_shift(x, _SHIFT_27, out=t)
         x ^= t
         x *= _SPLITMIX_MUL2
-        _np.right_shift(x, _SHIFT_31, out=t)
+        np.right_shift(x, _SHIFT_31, out=t)
         x ^= t
-        x >>= _np.uint64(shift)
+        x >>= np.uint64(shift)
         # ``shift >= 1``, so every id is below 2**63: the int64 view reads
         # the same values without a copy.
-        return x.view(_np.int64)
+        return x.view(np.int64)
     if shift >= 64:
         return array("q", bytes(8 * len(keys)))
     out = []
@@ -325,7 +360,8 @@ def make_index_vector(values: Sequence[int], like=None):
     """
     as_numpy = _born_numpy(len(values)) if like is None else is_numpy_column(like)
     if as_numpy:
-        return _np.asarray(values, dtype=_np.int64)
+        np = _numpy()
+        return np.asarray(values, dtype=np.int64)
     return list(values)
 
 
@@ -335,11 +371,11 @@ def gather(vector, idx):
     The result is numpy if either input is, else an ``array('q')``;
     ``vector`` may also be a plain list (F's flat ``current_owners``).
     """
-    if _np is not None:
-        if isinstance(vector, _np.ndarray):
-            return vector[idx]
-        if isinstance(idx, _np.ndarray):
-            return _np.asarray(vector, dtype=_np.int64)[idx]
+    if type(vector) not in _SMALL:
+        return vector[idx]
+    if type(idx) not in _SMALL:
+        np = _numpy()
+        return np.asarray(vector, dtype=np.int64)[idx]
     return array("q", [vector[i] for i in idx])
 
 
@@ -381,9 +417,10 @@ def split_by_destination(dsts, bound: Optional[int] = None) -> tuple:
     n = len(dsts)
     if n == 0:
         return None, []
-    if _np is not None and isinstance(dsts, _np.ndarray):
+    if type(dsts) not in _SMALL:
+        np = _numpy()
         key = _sort_key(dsts, bound)
-        order = _np.argsort(key, kind="stable")
+        order = np.argsort(key, kind="stable")
         sd = key[order]
         if sd[0] == sd[-1]:
             return None, [(int(sd[0]), 0, n)]
@@ -428,9 +465,10 @@ def group_by_bin_sorted(bins, bound: Optional[int] = None) -> tuple:
     n = len(bins)
     if n == 0:
         return [], [], [0]
-    if _np is not None and isinstance(bins, _np.ndarray):
+    if type(bins) not in _SMALL:
+        np = _numpy()
         key = _sort_key(bins, bound)
-        order = _np.argsort(key, kind="stable")
+        order = np.argsort(key, kind="stable")
         sb = key[order]
         if sb[0] == sb[-1]:
             return order, [int(sb[0])], [0, n]
@@ -512,9 +550,9 @@ class VectorLcg:
 
 def mod_column(column, modulus: int):
     """``value % modulus`` over an unsigned column."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column % _np.uint64(modulus)
-    return array("Q", [value % modulus for value in column])
+    if type(column) in _SMALL:
+        return array("Q", [value % modulus for value in column])
+    return column % _numpy().uint64(modulus)
 
 
 def ones_column(n: int):

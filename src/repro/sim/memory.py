@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Optional
 
 from repro.runtime_events.events import TOPIC_MEMORY, AccountingClamped, MemorySampled
 
@@ -234,14 +233,12 @@ class MemoryTimelineRecorder:
 
 
 
-def attach(run) -> Optional[SimpleNamespace]:
+def attach(run) -> SimpleNamespace:
     """The memory-sampling part of a run (``sample_memory``): every
     ``memory_sample_s``, refresh each live process's state bytes (from the
     operator's stores, else the builder's ``state_bytes_fn``) and publish a
     ``MemorySampled`` event, whether or not anyone subscribed."""
     cfg, sim, op = run.config, run.sim, run.op
-    if not cfg.sample_memory:
-        return None
     processes = run.runtime.cluster.processes
     recorder = MemoryTimelineRecorder(sim.trace, len(processes))
 

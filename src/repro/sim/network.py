@@ -189,26 +189,24 @@ class Cluster:
         self.cost = cost if cost is not None else CostModel()
         self.intra_process_latency = intra_process_latency_s
 
-        # The physical partition: the same worker -> process-group map the
-        # parallel engine shards on and the chaos layer fate-shares on.
-        from repro.parallel.partition import ShardPartition
-
-        self.partition = ShardPartition(num_workers, workers_per_process)
-        num_processes = self.partition.num_domains
+        # Workers in contiguous groups of ``workers_per_process``, the last
+        # group ragged: the map the sharded engine shards on and the chaos
+        # layer fate-shares on.
         self.processes: list[Process] = []
-        for p in range(num_processes):
-            workers = self.partition.workers_of(p)
+        for lo in range(0, num_workers, workers_per_process):
+            p = len(self.processes)
+            workers = range(lo, min(lo + workers_per_process, num_workers))
             process = Process(index=p, worker_ids=list(workers))
             process.memory.attach_trace(sim, f"process[{p}]")
             self.processes.append(process)
+        num_processes = len(self.processes)
 
         self.chaos = None
         self._link_sent_cb = self._link_sent
         # worker id -> hosting Process, resolved once (``process_of`` sits
         # on the per-message hot path).
         self._worker_process: list[Process] = [
-            self.processes[self.partition.domain_of(w)]
-            for w in range(num_workers)
+            self.processes[w // workers_per_process] for w in range(num_workers)
         ]
         self._links: dict[tuple[int, int], Link] = {}
         for src in range(num_processes):

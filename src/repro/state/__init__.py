@@ -15,55 +15,18 @@ for delta migration — DESIGN.md §13).  Codecs: ``modeled``, ``pickle``,
 ``struct``.  See DESIGN.md §10.
 """
 
-from repro.state.backend import (
-    BinNotResident,
-    BinPayload,
-    BinStats,
-    DictBackend,
-    StateBackend,
-    default_state_size,
-)
-from repro.state.codecs import Codec, ModeledCodec, PickleCodec, StructCodec
-from repro.state.registry import (
-    DEFAULT_BACKEND,
-    DEFAULT_CODEC,
-    backend_names,
-    codec_names,
-    make_backend,
-    resolve_backend,
-    resolve_codec,
-)
-from repro.state.tiered import TieredSpillBackend
-from repro.state.wal import (
-    WalBackend,
-    WalRecovery,
-    WalRegistry,
-    WalState,
-    WorkerWal,
-)
+from repro.lazy import exports
 
-__all__ = [
-    "BinNotResident",
-    "BinPayload",
-    "BinStats",
-    "Codec",
-    "DEFAULT_BACKEND",
-    "DEFAULT_CODEC",
-    "DictBackend",
-    "ModeledCodec",
-    "PickleCodec",
-    "StateBackend",
-    "StructCodec",
-    "TieredSpillBackend",
-    "WalBackend",
-    "WalRecovery",
-    "WalRegistry",
-    "WalState",
-    "WorkerWal",
-    "backend_names",
-    "codec_names",
-    "default_state_size",
-    "make_backend",
-    "resolve_backend",
-    "resolve_codec",
-]
+__getattr__, __all__ = exports(__name__, {
+    "backend": (
+        "BinNotResident", "BinPayload", "BinStats", "DictBackend", "StateBackend",
+        "default_state_size",
+    ),
+    "codecs": ("Codec", "ModeledCodec", "PickleCodec", "StructCodec"),
+    "registry": (
+        "DEFAULT_BACKEND", "DEFAULT_CODEC", "backend_names", "codec_names",
+        "make_backend", "resolve_backend", "resolve_codec",
+    ),
+    "tiered": ("TieredSpillBackend",),
+    "wal": ("WalBackend", "WalRecovery", "WalRegistry", "WalState", "WorkerWal"),
+})

@@ -3,25 +3,27 @@
 Selection everywhere (``ExperimentConfig``'s ``state_backend`` and
 ``codec`` fields, the NEXMark harness) is by name.  Unknown names raise
 ``ValueError`` listing the known ones; the config turns that into a
-``ConfigError``, which the CLI reports as a usage error.
+``ConfigError``, which the CLI reports as a usage error.  A backend's
+module is imported by the first lookup of its name, so a run on ``dict``
+loads neither the tiered nor the WAL backend.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Optional, Type
 
-from repro.state.backend import DictBackend, StateBackend
+from repro.state.backend import StateBackend
 from repro.state.codecs import Codec, ModeledCodec, PickleCodec, StructCodec
-from repro.state.tiered import TieredSpillBackend
-from repro.state.wal import WalBackend
 
 DEFAULT_BACKEND = "dict"
 DEFAULT_CODEC = "modeled"
 
-_BACKENDS: dict[str, Type[StateBackend]] = {
-    "dict": DictBackend,
-    "tiered": TieredSpillBackend,
-    "wal": WalBackend,
+# name -> (module, class name)
+_BACKENDS: dict[str, tuple[str, str]] = {
+    "dict": ("repro.state.backend", "DictBackend"),
+    "tiered": ("repro.state.tiered", "TieredSpillBackend"),
+    "wal": ("repro.state.wal", "WalBackend"),
 }
 # Codecs are stateless, so one instance each serves every backend.
 _CODECS: dict[str, Codec] = {
@@ -42,12 +44,13 @@ def codec_names() -> list[str]:
 def resolve_backend(name: str) -> Type[StateBackend]:
     """The backend class registered under ``name`` (ValueError if unknown)."""
     try:
-        return _BACKENDS[name]
+        module, cls = _BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown state backend {name!r}; registered: "
             f"{', '.join(backend_names())}"
         ) from None
+    return getattr(importlib.import_module(module), cls)
 
 
 def resolve_codec(name: str) -> Codec:

@@ -34,7 +34,8 @@ from repro.runtime_events.items import DestinationBatch
 def _bin_column(bin_ids: list, like):
     """``bin_ids`` as a signed column in the representation of ``like``."""
     if columns.is_numpy_column(like):
-        return columns._np.asarray(bin_ids, dtype=columns._np.int64)
+        np = columns._numpy()
+        return np.asarray(bin_ids, dtype=np.int64)
     return array("q", bin_ids)
 
 

@@ -117,8 +117,8 @@ def _encode(records: list, kind: str, forced) -> ColumnBatch:
         batch = ColumnBatch.from_objects(records, keys)
     else:
         batch = ColumnBatch.from_records(records)
-    np = columns._np
-    if forced == "numpy" and np is not None:
+    if forced == "numpy" and columns.numpy_active():
+        np = columns._numpy()
         batch.keys = np.asarray(keys, dtype=np.uint64)
         if kind == KIND_KV:
             batch.vals = np.asarray([r[1] for r in records], dtype=np.int64)
@@ -137,7 +137,7 @@ _FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 def representation(request, monkeypatch):
     """The per-batch rule with numpy present, and numpy absent."""
     if request.param == "fallback":
-        monkeypatch.setattr(columns, "_np", None)
+        monkeypatch.setattr(columns, "_numpy_available", False)
     return request.param
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.megaphone.control import BinnedConfiguration
-from repro.chaos.recovery import cluster_fingerprint
+from repro.megaphone.bins import cluster_fingerprint
 from repro.megaphone.controller import (
     EpochTicker,
     FaultHandling,

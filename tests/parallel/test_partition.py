@@ -56,7 +56,7 @@ def test_matches_cluster_process_layout():
     from repro.sim.network import Cluster
 
     cluster = Cluster(Simulator(), num_workers=5, workers_per_process=2)
-    p = cluster.partition
+    p = ShardPartition(num_workers=5, workers_per_process=2)
     assert p.num_domains == len(cluster.processes)
     for proc in cluster.processes:
         assert proc.worker_ids == list(p.workers_of(proc.index))

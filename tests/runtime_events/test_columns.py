@@ -4,10 +4,14 @@ Every kernel in ``repro.runtime_events.columns`` carries a bit-exactness
 contract against its scalar reference.  The representation is chosen per
 batch by length, so the kernel tests run three ways: every batch numpy
 (cutoff 0), every batch a stdlib ``array`` with numpy present (cutoff
-10**9), and numpy absent (the module-global ``_np`` monkeypatched to
-``None``) — the optional dependency can disappear without changing a single
-simulated bit.  The selection rule itself (born by length, derived columns
-inherit, mixed inputs normalise to numpy) is pinned at the default cutoff.
+10**9), and numpy absent (the module-global ``_numpy_available``
+monkeypatched to ``False``) — the optional dependency can disappear without
+changing a single simulated bit.  The selection rule itself (born by
+length, derived columns inherit, mixed inputs normalise to numpy) is pinned
+at the default cutoff.  The module imports numpy only when a column needs
+it, so the numpy columns below are built with this file's own import: a
+kernel must recognise an ndarray by its type, whether or not ``columns``
+has loaded numpy yet.
 """
 
 from __future__ import annotations
@@ -24,9 +28,12 @@ from repro.runtime_events import columns
 from repro.runtime_events.columns import ColumnBatch, ColumnGroup, VectorLcg
 from repro.runtime_events.items import DestinationBatch, batch_record_count
 
-needs_numpy = pytest.mark.skipif(
-    not columns.numpy_active(), reason="numpy not installed"
-)
+try:
+    import numpy as np
+except ImportError:
+    np = None
+
+needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 
 
 @pytest.fixture(params=["numpy", "array", "fallback"])
@@ -34,7 +41,7 @@ def representation(request, monkeypatch):
     """Run a test with every batch numpy, every batch an array, and
     without numpy."""
     if request.param == "fallback":
-        monkeypatch.setattr(columns, "_np", None)
+        monkeypatch.setattr(columns, "_numpy_available", False)
     else:
         cutoff = 0 if request.param == "numpy" else 10**9
         monkeypatch.setattr(columns, "SMALL_BATCH_CUTOFF", cutoff)
@@ -181,7 +188,6 @@ def test_bounded_sorts_match_the_stable_oracle(column):
     exactly like a stable Python sort: ascending bins (first-occurrence
     destinations), arrival order inside each run, Python ints out."""
     bound, values = column
-    np = columns._np
     col = np.asarray(values, dtype=np.int64)
     n = len(values)
     ascending = sorted(values)
@@ -209,7 +215,6 @@ def test_bounded_sorts_match_the_stable_oracle(column):
 )
 @pytest.mark.parametrize("value,bound", [(0, 4), (2**16 - 1, 2**16), (2**16, 2**17)])
 def test_bounded_sorts_of_one_bin_or_destination(n, value, bound):
-    np = columns._np
     col = np.full(n, value, dtype=np.int64)
     assert columns.split_by_destination(col, bound) == (None, [(value, 0, n)])
     order, ubins, starts = columns.group_by_bin_sorted(col, bound)
@@ -225,7 +230,6 @@ def _count_group(sizes: list, before: list, populations: list, numpy_repr: bool)
         starts.append(starts[-1] + size)
     total = starts[-1]
     if numpy_repr:
-        np = columns._np
         keys = np.arange(total, dtype=np.uint64)
         vals = np.ones(total, dtype=np.int64)
     else:
@@ -257,7 +261,7 @@ def test_count_fold_matches_the_per_record_fold(bins, shared, numpy_repr):
     population shared by every bin or one per bin, records already folded,
     the ``expected_keys <= 0`` corner, an empty group, both
     representations — and leaves the same per-bin record counts."""
-    numpy_repr = numpy_repr and columns.numpy_active()
+    numpy_repr = numpy_repr and np is not None
     sizes = [size for size, _before, _pop in bins]
     before = [records for _size, records, _pop in bins]
     populations = [pop for _size, _before, pop in bins]
@@ -285,14 +289,14 @@ def test_active_representation_names():
 
 
 def test_fallback_representation_name(monkeypatch):
-    monkeypatch.setattr(columns, "_np", None)
+    monkeypatch.setattr(columns, "_numpy_available", False)
     assert columns.active_representation() == "columnar-array"
     assert not columns.numpy_active()
 
 
 def test_fallback_columns_are_stdlib_arrays(monkeypatch):
     """Without numpy everything is an array, whatever the length."""
-    monkeypatch.setattr(columns, "_np", None)
+    monkeypatch.setattr(columns, "_numpy_available", False)
     for n in (2, 4 * columns.SMALL_BATCH_CUTOFF):
         records = [(k, k + 1) for k in range(n)]
         batch = ColumnBatch.from_records(records)
@@ -306,7 +310,8 @@ def test_fallback_columns_are_stdlib_arrays(monkeypatch):
 
 
 def test_import_without_numpy_selects_fallback(monkeypatch):
-    """Executing the module with numpy unimportable lands on the fallback.
+    """With numpy unimportable, the first large column's failed import
+    lands on the fallback, and every later column is an ``array``.
 
     Loaded under a throwaway name so the shared module object (and every
     ``from columns import ...`` binding elsewhere) stays untouched.
@@ -321,9 +326,21 @@ def test_import_without_numpy_selects_fallback(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert module._np is None
+    # A numpy that ``find_spec`` finds but that fails to import (a shadow
+    # package, a broken install): the first large column tries the import.
+    module._numpy_available = True
+    assert module.numpy_active()
+    records = [(k, k + 1) for k in range(4 * module.SMALL_BATCH_CUTOFF)]
+    for batch in (
+        module.ColumnBatch.from_records(records),
+        module.ColumnBatch.from_records(records[:2]),
+    ):
+        assert isinstance(batch.keys, array)
+        assert batch.to_records() == records[: len(batch)]
+        assert not module._numpy_available
+    assert module._np is None
     assert module.active_representation() == "columnar-array"
-    batch = module.ColumnBatch.from_records([(1, 2), (3, 4)])
-    assert batch.to_records() == [(1, 2), (3, 4)]
+    assert not module.numpy_active()
 
 
 def test_destination_batch_count_over_mixed_layouts(representation):
@@ -408,7 +425,6 @@ def test_mixed_inputs_normalise_to_numpy():
         assert columns.is_numpy_column(merged.vals)
         assert merged.to_records() == parts[0].to_records() + parts[1].to_records()
     assert _is_array_batch(ColumnBatch.concat([small, small]))
-    np = columns._np
     owners = np.asarray([4, 5, 6], dtype=np.int64)
     assert columns.gather(owners, array("q", [2, 0])).tolist() == [6, 4]
     assert columns.is_numpy_column(columns.gather(owners, array("q", [2, 0])))
@@ -416,11 +432,64 @@ def test_mixed_inputs_normalise_to_numpy():
     assert columns.is_numpy_column(columns.gather([4, 5, 6], np.asarray([2, 0])))
 
 
+@needs_numpy
+@pytest.mark.parametrize("n", [3, 4 * columns.SMALL_BATCH_CUTOFF])
+def test_kernels_take_handed_ndarrays_before_numpy_is_loaded(monkeypatch, n):
+    """ndarrays a caller built before ``columns`` imported numpy take the
+    numpy path of every kernel, short or long, and match the array oracle."""
+    monkeypatch.setattr(columns, "_np", None)  # not loaded yet
+    keys = [(k * 0x9E3779B97F4A7C15) % 2**64 for k in range(n)]
+    small = ColumnBatch(array("Q", keys), array("q", range(n)))
+    large = ColumnBatch(np.asarray(keys, dtype=np.uint64), np.arange(n, dtype=np.int64))
+    bins = columns.bin_ids_for(large.keys, 60)
+    assert columns._np is np  # the kernel loaded it
+    assert isinstance(bins, np.ndarray)
+    assert bins.tolist() == list(columns.bin_ids_for(small.keys, 60))
+    assert bins.tolist() == [_scalar_bin(k, 60) for k in keys]
+
+    monkeypatch.setattr(columns, "_np", None)
+    dsts = np.asarray([b % 3 for b in bins.tolist()], dtype=np.int64)
+    def runs(order, bounds) -> list:
+        """Each destination, in emission order, with its record positions."""
+        if order is None:
+            return [(dst, list(range(lo, hi))) for dst, lo, hi in bounds]
+        return [(dst, [int(i) for i in order[lo:hi]]) for dst, lo, hi in bounds]
+
+    order, bounds = columns.split_by_destination(dsts, 3)
+    assert runs(order, bounds) == runs(*columns.split_by_destination(dsts.tolist()))
+
+    monkeypatch.setattr(columns, "_np", None)
+    order, ubins, starts = columns.group_by_bin_sorted(bins, 16)
+    oracle = columns.group_by_bin_sorted(array("q", bins.tolist()))
+    assert (order.tolist(), ubins, starts) == (list(oracle[0]), oracle[1], oracle[2])
+
+    for call, expected in (
+        (lambda: columns.mod_column(large.keys, 7), [k % 7 for k in keys]),
+        (lambda: columns.gather([5, 6, 7, 8], dsts), [[5, 6, 7, 8][d] for d in dsts.tolist()]),
+        (lambda: columns.ColumnBatch.concat([small, large]).keys, keys + keys),
+        (lambda: large.take(order).keys, [keys[i] for i in order.tolist()]),
+    ):
+        monkeypatch.setattr(columns, "_np", None)
+        column = call()
+        assert isinstance(column, np.ndarray)
+        assert column.tolist() == expected
+
+    monkeypatch.setattr(columns, "_np", None)
+    merged, ubins, starts = columns.merge_segments(
+        [(0, bins, large), (0, array("q", bins.tolist()), small)], 16
+    )
+    assert isinstance(merged.keys, np.ndarray)
+    arrivals = sorted(
+        [*zip(bins.tolist(), large.to_records()), *zip(bins.tolist(), small.to_records())],
+        key=lambda pair: pair[0],
+    )
+    assert merged.to_records() == [record for _bin, record in arrivals]
+
+
 def _as_representation(batch: ColumnBatch, bins, numpy_repr: bool):
     """``(bin_ids, batch)`` rebuilt in one representation, whatever its length."""
     keys, vals = batch.key_list(), batch.vals
     if numpy_repr:
-        np = columns._np
         vals = vals if batch.kind == columns.KIND_OBJ else np.asarray(vals, dtype=np.int64)
         return (
             np.asarray(bins, dtype=np.int64),
@@ -464,9 +533,7 @@ def test_merge_and_count_fold_match_per_record_oracle(shapes, kind):
             batch = ColumnBatch.from_kv(keys, [1] * len(keys))
         else:
             batch = ColumnBatch.from_objects([f"r{k}" for k in keys], keys)
-        bin_col, batch = _as_representation(
-            batch, bins, numpy_repr and columns.numpy_active()
-        )
+        bin_col, batch = _as_representation(batch, bins, numpy_repr and np is not None)
         segments.append((0, bin_col, batch))
         arrivals.extend(zip(bins, batch.to_records()))
     batch, ubins, starts = columns.merge_segments(segments)
