@@ -21,7 +21,7 @@ from repro.megaphone import (
     EpochTicker,
     MigrationController,
     bin_of,
-    plan_optimized,
+    make_plan,
     state_machine,
     stable_hash,
 )
@@ -102,7 +102,7 @@ def main():
             imbalance = max(loads) / (total / WORKERS)
             if imbalance > IMBALANCE_THRESHOLD:
                 target = plan_target(config)
-                plan = plan_optimized(config, target)
+                plan = make_plan("optimized", config, target)
                 if plan.total_moves:
                     print(
                         f"t={sim.now:5.2f}s loads={loads} imbalance="

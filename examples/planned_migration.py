@@ -17,9 +17,9 @@ Run:  python examples/planned_migration.py
 
 from repro.megaphone import (
     BinnedConfiguration,
-    ControlInst,
     EpochTicker,
     imbalanced_target,
+    schedule,
     state_machine,
 )
 from repro.runtime_events.events import BinStateExtracted
@@ -56,12 +56,10 @@ def main():
     ticker = EpochTicker(runtime, control_group, granularity_ms=EPOCH_MS)
     ticker.start()
 
-    # Prepare the future migration NOW: commands post-dated to 2000 ms.
-    insts = [
-        ControlInst(bin=b, worker=w)
-        for b, w in enumerate(target.assignment)
-        if initial.worker_of(b) != w
-    ]
+    # Prepare the future migration NOW: commands post-dated to 2000 ms,
+    # every move in one step (the all-at-once setting: no cap).
+    (step,) = schedule(initial, target)
+    insts = list(step.insts)
 
     def prepare():
         control_group.handle(0).send(EFFECTIVE_AT_MS, insts)

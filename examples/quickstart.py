@@ -14,7 +14,7 @@ from repro.megaphone import (
     EpochTicker,
     MigrationController,
     imbalanced_target,
-    plan_fluid,
+    make_plan,
     state_machine,
 )
 from repro.sim.engine import Simulator
@@ -81,7 +81,7 @@ def main():
     target = imbalanced_target(initial)
     controller = MigrationController(runtime, control_group, probe, initial)
     migration = controller.submit(
-        lambda current: plan_fluid(current, target),
+        lambda current: make_plan("fluid", current, target),
         at_s=len(TEXT) // 2 * EPOCH_MS / 1000.0,
     )
 

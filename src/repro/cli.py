@@ -199,11 +199,12 @@ def cmd_matrix(args) -> int:
     """Run an experiment-matrix spec; check its claims; write or gate on
     the report.
 
-    Without ``--check`` the aggregated report is written to ``--output``
-    (default ``benchmarks/results/<spec stem>.json``).  With ``--check
-    BASELINE`` the fresh report is compared cell-by-cell against the
-    committed baseline.  The command exits 1 on any failed claim,
-    fingerprint drift or failed cell.
+    The aggregated report is written to ``--output`` (default
+    ``benchmarks/results/<spec stem>.json``).  With ``--check BASELINE``
+    the fresh report is also compared cell-by-cell against the committed
+    baseline; a baseline cell the sweep no longer has fails as
+    ``missing``.  The command exits 1 on any failed claim, fingerprint
+    drift, missing or failed cell.
     """
     from repro.obsv.matrix import (
         MatrixSpecError,
@@ -251,12 +252,24 @@ def cmd_matrix(args) -> int:
             f"FAIL: claim {c['claim']}{at}: {c['text']} "
             f"(lhs {_claim_value(c['lhs'])}, rhs {_claim_value(c['rhs'])})"
         )
+    # The baseline is read before the report is written, so a check never
+    # compares a sweep with itself.
+    checked = None
     if args.check is not None:
         try:
-            ok, deltas = check_matrix(report, args.check, spec)
+            checked = check_matrix(report, args.check, spec)
         except (OSError, ValueError) as exc:
             print(f"cannot check against {args.check}: {exc}", file=sys.stderr)
             return 2
+    # The default never names BENCH_matrix.json: regenerating the committed
+    # baseline is always an explicit --output.
+    stem = os.path.splitext(os.path.basename(args.spec))[0]
+    output = args.output or os.path.join("benchmarks", "results", f"{stem}.json")
+    os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
+    write_matrix_report(report, output)
+    print(f"matrix report written to {output}")
+    if checked is not None:
+        ok, deltas = checked
         print_table(
             f"matrix check vs {args.check}",
             ["cell", "committed fingerprint", "current fingerprint", "status"],
@@ -275,13 +288,6 @@ def cmd_matrix(args) -> int:
             return 1
         print("matrix check passed")
         return 1 if failed_claims else 0
-    # The default never names BENCH_matrix.json: regenerating the committed
-    # baseline is always an explicit --output.
-    stem = os.path.splitext(os.path.basename(args.spec))[0]
-    output = args.output or os.path.join("benchmarks", "results", f"{stem}.json")
-    os.makedirs(os.path.dirname(output) or ".", exist_ok=True)
-    write_matrix_report(report, output)
-    print(f"matrix report written to {output}")
     failed_cells = [row["cell"] for row in report["cells"] if row["status"] != "ok"]
     if failed_cells:
         print(f"FAIL: cells did not complete: {', '.join(failed_cells)}")
@@ -385,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     matrix.add_argument(
         "--check", default=None, metavar="BASELINE_JSON",
-        help="compare against a committed matrix report instead of "
-        "writing one; exit 1 on fingerprint drift or a failed cell",
+        help="also compare against a committed matrix report (or pin); "
+        "exit 1 on fingerprint drift or a missing or failed cell",
     )
     matrix.set_defaults(fn=cmd_matrix)
 

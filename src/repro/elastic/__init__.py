@@ -9,9 +9,10 @@ bins — is a runtime object:
   retired``) and publishes epoch-stamped views on the ``membership``
   trace topic;
 * :class:`~repro.elastic.coordinator.ScalingCoordinator` admits joiners
-  (seed bins via the planner's ``spread`` objective) and retires leavers
-  (evacuate via ``drain``, verify zero resident bins, close handles) —
-  both as ordinary fluid migrations through the run's one controller;
+  (seed bins via ``balanced_target`` over the widened range) and retires
+  leavers (evacuate via ``drain_target``, verify zero resident bins,
+  close handles) — both as ordinary migrations, in the run's strategy,
+  through the run's one controller;
 * :class:`~repro.elastic.autoscaler.Autoscaler` closes the loop from
   :class:`~repro.planner.telemetry.LoadTelemetry` to scale decisions with
   hysteresis, consecutive-sample triggers, and cooldown;

@@ -3,16 +3,16 @@
 Join protocol (scale-out)::
 
     mark joining -> feed the new workers from the open-loop source ->
-    submit a ``spread`` target over the widened active range, with the
+    submit a balanced target over the widened active range, with the
     configured migration strategy, to the run's controller -> on frontier-
     confirmed completion, mark active.
 
 Drain protocol (scale-in)::
 
     mark draining -> stop feeding the evacuees (their input handles stay
-    open so frontiers keep moving) -> submit the planner's ``drain``
-    target -> migrate -> verify the evacuees hold zero resident bins ->
-    close their data handles -> mark retired.
+    open so frontiers keep moving) -> submit a ``drain`` target ->
+    migrate -> verify the evacuees hold zero resident bins -> close their
+    data handles -> mark retired.
 
 Each operation is submitted to the run's one
 :class:`~repro.megaphone.controller.MigrationController` (with fault
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.elastic.membership import MembershipDirectory, MembershipError
-from repro.megaphone.migration import make_plan
-from repro.planner.search import drain_target, spread_target
+from repro.megaphone.migration import balanced_target, drain_target, make_plan
 from repro.runtime_events.events import (
     DrainCompleted,
     DrainStarted,
@@ -99,7 +98,7 @@ class ScalingCoordinator:
         source,
         controller,
         strategy: str = "fluid",
-        batch_size: int = 16,
+        batch_size: Optional[int] = None,
         gap_s: float = 0.0,
         pace_s: Optional[float] = None,
         telemetry=None,
@@ -154,7 +153,7 @@ class ScalingCoordinator:
         self.busy = True
 
         def plan_for(current):
-            target = spread_target(current, load, num_workers=target_range)
+            target = balanced_target(current, load, num_workers=target_range)
             record.moves = len(current.moved_bins(target))
             if sim.trace.wants_membership:
                 sim.trace.publish(

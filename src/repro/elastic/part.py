@@ -11,7 +11,6 @@ from typing import Optional
 from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.coordinator import ScalingCoordinator
 from repro.elastic.membership import MembershipDirectory
-from repro.planner.telemetry import run_telemetry
 
 
 def attach(run) -> Optional[SimpleNamespace]:
@@ -22,7 +21,13 @@ def attach(run) -> Optional[SimpleNamespace]:
         return None
     directory = MembershipDirectory(cfg.num_workers, cfg.initial_active, sim=run.sim)
     run.controller.directory = directory
-    telemetry = run_telemetry(run) if cfg.autoscale is not None else None
+    telemetry = None
+    if cfg.autoscale is not None:
+        # The autoscaler reads the planner's load telemetry; a scripted
+        # join or leave balances by uniform load and loads no planner code.
+        from repro.planner.telemetry import run_telemetry
+
+        telemetry = run_telemetry(run)
     scaling = ScalingCoordinator(
         run.runtime, run.op, directory, run.source, run.controller,
         strategy=cfg.strategy, batch_size=cfg.batch_size, gap_s=cfg.gap_s,

@@ -16,8 +16,8 @@ joins must target standby slots, leaves must target active ones, worker 0
 can never leave (it carries the control stream for plain controllers), and
 at least one worker must stay active at all times.  Active sets are kept
 contiguous prefixes ``0..k-1`` — joins admit the lowest standby ids, leaves
-drain the highest active ids — which is what the planner's range-based
-``spread`` objective expects.
+drain the highest active ids — which is what the range-based
+``balanced_target`` scale-out expects.
 """
 
 from __future__ import annotations

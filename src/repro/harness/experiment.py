@@ -225,7 +225,7 @@ class ExperimentConfig:
             bin_bits(self.num_bins)
         if self.strategy not in STRATEGIES:
             raise ConfigError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
+                f"strategy must be one of {tuple(STRATEGIES)}, got {self.strategy!r}"
             )
         if self.variant not in VARIANTS:
             raise ConfigError(

@@ -8,8 +8,10 @@ Public surface:
 
 * operator constructors ``state_machine`` / ``unary`` / ``binary``
   (paper Listing 1), each returning a :class:`MigrateableOperator`;
-* migration planning (``plan_all_at_once`` / ``plan_fluid`` /
-  ``plan_batched`` / ``plan_optimized`` and ``make_plan``);
+* migration planning: one step grouper, ``schedule``, whose settings
+  are the strategies (``STRATEGIES``, built by name with ``make_plan``),
+  and the targets it plans toward (``imbalanced_target``,
+  ``balanced_target``, ``drain_target``);
 * the one :class:`MigrationController` per run, which feeds each
   submitted ``MigrationPlan`` into the control stream, one at a time, and
   awaits per-step completion via frontier probes, with timeouts, retries
@@ -31,9 +33,8 @@ __getattr__, __all__ = exports(__name__, {
         "RetryPolicy", "StepResult",
     ),
     "migration": (
-        "STRATEGIES", "MigrationPlan", "MigrationStep", "imbalanced_target",
-        "make_plan", "plan_all_at_once", "plan_batched", "plan_fluid",
-        "plan_optimized", "rebalanced_target",
+        "STRATEGIES", "MigrationPlan", "MigrationStep", "balanced_target",
+        "drain_target", "imbalanced_target", "make_plan", "schedule",
     ),
     "operators": ("ApplicationContext", "MigrateableOperator", "build_migrateable"),
     "plan_io": (

@@ -629,11 +629,15 @@ def check_matrix(
 ) -> tuple[bool, list[dict]]:
     """Compare a fresh sweep of ``spec`` against a committed baseline.
 
-    Returns ``(ok, rows)`` with one row per cell in the fresh report.
-    Statuses: ``ok``, ``new`` (not in the baseline), ``fingerprint-drift``
-    (simulation changed — fails), ``fingerprint-warn`` (same, on a cell
+    Returns ``(ok, rows)`` with one row per cell in the fresh report, then
+    one per baseline cell the fresh report lacks.  Statuses: ``ok``,
+    ``new`` (not in the baseline), ``missing`` (in the baseline only: a
+    renamed or dropped cell — fails), ``fingerprint-drift`` (simulation
+    changed — fails), ``fingerprint-warn`` (same, on a cell
     :func:`fingerprint_gates` exempts), ``error``/``crashed``/``stalled``
-    (the cell itself failed — always fails the check).
+    (the cell itself failed — always fails the check).  The baseline may
+    be a full report or a pin: ``schema`` plus ``(cell,
+    result_fingerprint)`` rows.
     """
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
@@ -665,4 +669,15 @@ def check_matrix(
                 ok = False
             else:
                 entry["status"] = "fingerprint-warn"
+    # A pinned cell the sweep no longer has (renamed or dropped) fails too.
+    fresh = {row["cell"] for row in report.get("cells", [])}
+    for cell, committed in base_cells.items():
+        if cell not in fresh:
+            rows.append({
+                "cell": cell,
+                "fingerprint": None,
+                "baseline_fingerprint": committed.get("result_fingerprint"),
+                "status": "missing",
+            })
+            ok = False
     return ok, rows

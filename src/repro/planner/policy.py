@@ -37,13 +37,16 @@ from typing import Optional
 
 from repro.megaphone.control import BinnedConfiguration
 from repro.megaphone.controller import MigrationController
-from repro.megaphone.migration import MigrationPlan
+from repro.megaphone.migration import MigrationPlan, schedule
 from repro.megaphone.plan_io import PlanProvenance
 from repro.planner.cost import MigrationCostModel, imbalance_gain
 from repro.planner.config import PlannerConfig
-from repro.planner.search import plan_moves, search_target
+from repro.planner.search import search_target
 from repro.planner.telemetry import LoadTelemetry
 from repro.runtime_events.events import PlanAdopted, PlanProposed, PlanRejected
+
+# The strategy name on every plan the planner emits.
+PLANNER_STRATEGY = "planner"
 
 
 @dataclass(frozen=True)
@@ -186,11 +189,17 @@ class ClosedLoopPlanner:
             max_step_bytes = self.cost_model.bytes_for_budget(cfg.slo_step_s)
             if max_step_bytes <= 0.0:
                 max_step_bytes = None
-        plan = plan_moves(
-            self.current,
-            target,
-            bin_bytes=bin_bytes,
-            max_step_bytes=max_step_bytes,
+        # The optimized strategy's disjoint steps, hottest bin first, each
+        # step's shipment capped at the SLO budget.
+        plan = MigrationPlan(
+            PLANNER_STRATEGY,
+            schedule(
+                self.current,
+                target,
+                disjoint=True,
+                sizes=bin_bytes,
+                max_bytes=max_step_bytes,
+            ),
         )
         if not plan.steps:
             return None

@@ -14,9 +14,8 @@ simulation events fired.
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
+from repro.megaphone.migration import STRATEGIES
 from tests.megaphone import reference_router
-
-STRATEGIES = ("all-at-once", "fluid", "batched", "optimized")
 
 
 def _config(strategy: str) -> ExperimentConfig:

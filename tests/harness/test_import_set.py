@@ -40,8 +40,9 @@ PART_MODULES = (
 )
 
 # Runs in the child.  Its one argument is a JSON object: ``config``
-# (ExperimentConfig keywords), ``query``, ``chaos`` and ``watched``; the
-# last printed line is the sorted list of loaded modules that are watched.
+# (ExperimentConfig keywords), ``query``, ``chaos``, ``scaling_plan`` and
+# ``watched``; the last printed line is the sorted list of loaded modules
+# that are watched.
 _SCRIPT = """
 import dataclasses, json, sys
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
@@ -53,6 +54,9 @@ cfg = ExperimentConfig(**params["config"])
 if params["chaos"]:
     from repro.chaos.experiment import scenario_chaos
     cfg = dataclasses.replace(cfg, chaos=scenario_chaos(params["chaos"], cfg))
+if params["scaling_plan"]:
+    from repro.elastic.plan import ScalingPlan
+    cfg = dataclasses.replace(cfg, scaling_plan=ScalingPlan.parse(params["scaling_plan"]))
 query = params["query"]
 result = run_count_experiment(cfg) if query is None else run_nexmark_experiment(query, cfg)
 assert result.records_injected > 0
@@ -75,8 +79,11 @@ SMALL = dict(
 )
 
 
-def loaded_modules(config: dict, query=None, chaos=None) -> set:
-    params = json.dumps(dict(config=config, query=query, chaos=chaos, watched=WATCHED))
+def loaded_modules(config: dict, query=None, chaos=None, scaling_plan=None) -> set:
+    params = json.dumps(dict(
+        config=config, query=query, chaos=chaos, scaling_plan=scaling_plan,
+        watched=WATCHED,
+    ))
     env = dict(os.environ)
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + inherited if inherited else "")
@@ -120,6 +127,17 @@ def test_a_large_batch_count_run_loads_numpy_and_no_part():
 )
 def test_a_part_loads_when_the_run_asks_for_it(config, chaos, expected):
     assert expected in loaded_modules(config, chaos=chaos)
+
+
+def test_an_elastic_run_loads_no_planner_part():
+    # A scripted join and leave plan their targets with the searches in
+    # repro.megaphone.migration; only the autoscaler reads planner telemetry.
+    loaded = loaded_modules(
+        dict(SMALL, active_workers=2, duration_s=1.0),
+        scaling_plan="join@0.3:2,3;leave@0.6:3",
+    )
+    assert "repro.elastic.coordinator" in loaded
+    assert [name for name in _parts_in(loaded) if name.startswith("repro.planner")] == []
 
 
 def test_a_recorded_run_loads_the_event_log(tmp_path):

@@ -127,7 +127,7 @@ def test_scheduled_records_survive_migration():
     replay at the destination."""
     from repro.megaphone.operators import build_migrateable
     from repro.megaphone.controller import EpochTicker, MigrationController
-    from repro.megaphone.migration import plan_all_at_once
+    from repro.megaphone.migration import make_plan
     from tests.helpers import make_dataflow
 
     df = make_dataflow(num_workers=2, workers_per_process=2)
@@ -167,7 +167,7 @@ def test_scheduled_records_survive_migration():
 
     runtime.sim.schedule_at(0.000, feed(0, "schedule"))
     result = controller.submit(
-        lambda current: plan_all_at_once(current, target), at_s=0.004
+        lambda current: make_plan("all-at-once", current, target), at_s=0.004
     )
     for e in range(1, 40):
         runtime.sim.schedule_at(e * 0.001, feed(e, f"noise{e}"))

@@ -9,7 +9,7 @@ coordinated manner by re-using the same configuration update stream."
 
 from repro.megaphone.control import BinnedConfiguration, bin_of, stable_hash
 from repro.megaphone.controller import EpochTicker, MigrationController
-from repro.megaphone.migration import plan_all_at_once
+from repro.megaphone.migration import make_plan
 from repro.megaphone.operators import build_migrateable
 from tests.helpers import make_dataflow
 
@@ -77,7 +77,7 @@ def test_shared_control_stream_migrates_operators_in_lockstep():
     target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
     controller = MigrationController(runtime, control_group, probe, initial)
     result = controller.submit(
-        lambda current: plan_all_at_once(current, target), at_s=0.010
+        lambda current: make_plan("all-at-once", current, target), at_s=0.010
     )
     drive(runtime, ticker, data_group, [controller])
 
@@ -125,7 +125,7 @@ def test_independent_control_streams_migrate_independently():
     target = BinnedConfiguration(tuple((w + 1) % WORKERS for w in initial.assignment))
     # Only operator A migrates.
     controller = MigrationController(runtime, group_a, probe_a, initial)
-    controller.submit(lambda current: plan_all_at_once(current, target), at_s=0.010)
+    controller.submit(lambda current: make_plan("all-at-once", current, target), at_s=0.010)
 
     def make(e):
         def tick():

@@ -175,6 +175,36 @@ def test_check_matrix_marks_new_cells(spec, tmp_path):
     assert rows[0]["status"] == "new"
 
 
+def test_check_matrix_fails_on_a_pinned_cell_the_sweep_lacks(spec, tmp_path):
+    # A spec that renames or drops a pinned cell must not pass silently.
+    report = run_matrix(spec, jobs=0)
+    baseline = tmp_path / "BENCH_matrix.json"
+    write_matrix_report(report, str(baseline))
+    pruned = json.loads(json.dumps(report))
+    dropped = pruned["cells"].pop(0)
+    ok, rows = check_matrix(pruned, str(baseline), spec)
+    assert not ok
+    assert [r["status"] for r in rows] == ["ok", "ok", "ok", "missing"]
+    assert rows[-1]["cell"] == dropped["cell"]
+    assert rows[-1]["baseline_fingerprint"] == dropped["result_fingerprint"]
+
+
+def test_matrix_check_writes_the_report(tmp_path, capsys):
+    # CI uploads the sweep reports, so --check must write one too.
+    from repro.cli import main
+
+    path = tmp_path / "spec.toml"
+    path.write_text(SPEC_TOML)
+    baseline = tmp_path / "baseline.json"
+    assert main(["matrix", "--spec", str(path), "--jobs", "0",
+                 "--output", str(baseline)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["matrix", "--spec", str(path), "--jobs", "0",
+                 "--check", str(baseline), "--output", str(out)]) == 0
+    assert "matrix check passed" in capsys.readouterr().out
+    assert json.loads(out.read_text())["cells"] == json.loads(baseline.read_text())["cells"]
+
+
 def test_check_matrix_rejects_wrong_schema(spec, tmp_path):
     report = run_matrix(spec, jobs=0)
     wrong = {"schema": "event-log/2", "cells": []}

@@ -3,11 +3,14 @@ the ablations (benchmarks/ablations/) and the extensions
 (benchmarks/extensions/).
 
 Every spec loads, which builds every cell's config and resolves every
-claim's selectors; the fastest specs run here and their claims must hold.
-CI's paper-claims job sweeps all of them.
+claim's selectors, and has a pin of its cells' fingerprints
+(benchmarks/pins/); the fastest specs run here, their claims must hold
+and their fingerprints match the pins.  CI's paper-claims job sweeps all
+of them against their pins.
 """
 
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -15,11 +18,18 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig
 from repro.obsv.eventlog import config_from_dict, config_to_dict
-from repro.obsv.matrix import check_claims, expand_cells, load_spec, run_matrix
+from repro.obsv.matrix import (
+    check_claims,
+    check_matrix,
+    expand_cells,
+    load_spec,
+    run_matrix,
+)
 from repro.sim.cost import CostModel
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 PAPER = BENCHMARKS / "paper"
+PINS = BENCHMARKS / "pins"
 FIGURES = (
     ["fig01"] + [f"fig{n:02d}" for n in range(5, 21)] + ["fig20_tiered"]
 )
@@ -64,12 +74,25 @@ def test_experiments_md_names_only_real_claims():
     assert named and named <= ids, sorted(named - ids)
 
 
+def test_every_spec_pins_exactly_its_cells():
+    assert sorted(p.stem for p in PINS.glob("*.json")) == sorted(SPECS)
+    for stem, path in SPECS.items():
+        pin = json.loads((PINS / f"{stem}.json").read_text())
+        cells = [cell.cell_id for cell in expand_cells(load_spec(str(path)))]
+        assert [row["cell"] for row in pin["cells"]] == cells, stem
+        assert all(len(row["result_fingerprint"]) == 64 for row in pin["cells"])
+
+
 @pytest.mark.parametrize("spec", ["fig01", "fig07", "matching"])
 def test_fast_figure_claims_hold(spec):
+    pin = PINS / f"{spec}.json"
     spec = load_spec(str(SPECS[spec]))
-    results = check_claims(spec, run_matrix(spec, jobs=2))
+    report = run_matrix(spec, jobs=2)
+    results = check_claims(spec, report)
     assert results
     assert [r for r in results if not r["ok"]] == []
+    ok, rows = check_matrix(report, str(pin), spec)
+    assert ok, [r for r in rows if r["status"] != "ok"]
 
 
 def _e2e_configs():

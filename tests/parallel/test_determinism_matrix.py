@@ -13,8 +13,8 @@ from dataclasses import replace
 
 from repro.harness.experiment import ExperimentConfig, run_count_experiment
 from repro.harness.experiment import result_fingerprint
+from repro.megaphone.migration import STRATEGIES
 
-STRATEGIES = ("all-at-once", "fluid", "batched", "optimized")
 BACKENDS = ("dict", "wal")
 
 

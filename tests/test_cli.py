@@ -521,9 +521,11 @@ def test_matrix_command_writes_report(tmp_path, capsys):
     assert len(report["cells"]) == 2
 
 
-def test_matrix_check_passes_and_fails(tmp_path, capsys):
+def test_matrix_check_passes_and_fails(tmp_path, monkeypatch, capsys):
     import json
 
+    # --check writes its report to the default path too, under tmp_path.
+    monkeypatch.chdir(tmp_path)
     spec = tmp_path / "spec.toml"
     spec.write_text(_MATRIX_SPEC)
     baseline = tmp_path / "BENCH_matrix.json"
